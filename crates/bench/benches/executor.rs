@@ -1,10 +1,19 @@
-//! Join-kernel micro-benchmarks: the flat open-addressing hash join (and
-//! the merge / index-nested-loop kernels) against an inline replica of
-//! the pre-vectorization `HashMap<i64, Vec<u32>>` executor, at build
-//! sides from 10^3 to 10^6 rows. Writes `BENCH_executor.json` at the
-//! repo root with both medians per size so the speedup claim stays
-//! reproducible. `CARDBENCH_FAST=1` runs a 1-sample smoke at the two
-//! smallest sizes and skips the JSON.
+//! Join-kernel micro-benchmarks. Writes `BENCH_executor.json` at the repo
+//! root with the medians of every section so the speedup claims stay
+//! reproducible; `CARDBENCH_FAST=1` runs a 1-sample smoke at the two
+//! smallest sizes of each section and skips the JSON.
+//!
+//! - `join_build_*`: the flat open-addressing hash join (and the merge /
+//!   index-nested-loop kernels) against an inline replica of the
+//!   pre-vectorization `HashMap<i64, Vec<u32>>` executor, at build sides
+//!   from 10^3 to 10^6 rows.
+//! - `root_emit_*`: a root join that only counts its matches against one
+//!   that writes both match vectors, at 10^5 to 4·10^6 output rows.
+//! - `sort_*`: the radix `(key, row)` sort of the merge / INL kernels
+//!   against the collect + comparison sort it replaced, on
+//!   duplicate-heavy and uniform keys, 10^4 to 4·10^6 rows.
+//! - `arena_*`: a three-table plan through one warm `ExecScratch`
+//!   against a fresh arena per execution.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -14,7 +23,12 @@ use cardbench_support::json::Json;
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 
-use cardbench_engine::{join_matches_with, ExecScratch, ExecStats, JoinAlgo, HASH_SPILL_ROWS};
+use cardbench_engine::{
+    execute, execute_with, join_emit_with, join_matches_with, sort_key_pairs, Database, Emit,
+    ExecScratch, ExecStats, JoinAlgo, PhysicalPlan, ScanMethod, HASH_SPILL_ROWS,
+};
+use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, TableMask};
+use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableSchema};
 
 /// NULL sentinel used by the executor's key vectors.
 const NULL_KEY: i64 = i64::MIN;
@@ -80,6 +94,176 @@ fn baseline_partitioned(lkeys: &[i64], rkeys: &[i64]) -> (Vec<u32>, Vec<u32>) {
 /// benchmark workloads (a few matches per probe key).
 fn gen_keys(rng: &mut StdRng, n: usize, domain: i64) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(0..domain)).collect()
+}
+
+/// The merge / INL sort input as it was built before the radix kernel:
+/// a fresh `(key, row)` vector, comparison-sorted.
+fn baseline_sorted_pairs(keys: &[i64]) -> Vec<(i64, u32)> {
+    let mut v: Vec<(i64, u32)> = keys
+        .iter()
+        .enumerate()
+        .filter(|&(_, &k)| k != NULL_KEY)
+        .map(|(i, &k)| (k, i as u32))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+const ALGOS: [(&str, JoinAlgo); 3] = [
+    ("hash", JoinAlgo::Hash),
+    ("merge", JoinAlgo::Merge),
+    ("inl", JoinAlgo::IndexNestedLoop),
+];
+
+/// Count-only against both-sides emission of one root join: 10^4 build
+/// rows, 2·10^4 probe rows, the key domain sized for `out_rows` matches.
+fn bench_root_emit(c: &mut Criterion, rng: &mut StdRng, out_rows: usize, samples: usize) -> Json {
+    let domain = (2e8 / out_rows as f64).round() as i64;
+    let rkeys = gen_keys(rng, 10_000, domain);
+    let lkeys = gen_keys(rng, 20_000, domain);
+    let mut scratch = ExecScratch::new();
+    let mut group = c.benchmark_group(format!("root_emit_{out_rows}"));
+    group.sample_size(samples);
+    let mut matched = 0;
+    for (label, algo) in ALGOS {
+        for (mode, emit) in [("count", Emit::Count), ("both", Emit::Both)] {
+            group.bench_function(format!("{label}_{mode}"), |b| {
+                b.iter(|| {
+                    let mut stats = ExecStats::default();
+                    matched = join_emit_with(
+                        algo,
+                        &lkeys,
+                        &rkeys,
+                        emit,
+                        usize::MAX,
+                        &mut stats,
+                        &mut scratch,
+                    )
+                    .len;
+                    matched
+                })
+            });
+        }
+    }
+    group.finish();
+    let mut fields = vec![("output_rows".to_string(), Json::Number(matched as f64))];
+    for (label, _) in ALGOS {
+        let count = median_of(c, &format!("root_emit_{out_rows}/{label}_count"));
+        let both = median_of(c, &format!("root_emit_{out_rows}/{label}_both"));
+        println!(
+            "root {matched:>8} rows {label:>5}: both {both:.6}s  count {count:.6}s  speedup {:.2}x",
+            both / count
+        );
+        fields.push((format!("{label}_both_median_secs"), Json::Number(both)));
+        fields.push((format!("{label}_count_median_secs"), Json::Number(count)));
+    }
+    Json::object(fields)
+}
+
+/// Radix against comparison sort of `n` `(key, row)` pairs, on
+/// duplicate-heavy (1640 distinct values) and uniform (`0..n`) keys.
+fn bench_sort(c: &mut Criterion, rng: &mut StdRng, n: usize, samples: usize) -> Json {
+    let mut scratch = ExecScratch::new();
+    let mut group = c.benchmark_group(format!("sort_{n}"));
+    group.sample_size(samples);
+    let dists = [("dup_heavy", 1640), ("uniform", n as i64)];
+    for (dist, domain) in dists {
+        let keys: Vec<i64> = gen_keys(rng, n, domain).iter().map(|k| k + 150).collect();
+        assert_eq!(
+            sort_key_pairs(&keys, &mut scratch),
+            &baseline_sorted_pairs(&keys)[..],
+            "sort disagreement at n={n} {dist}"
+        );
+        group.bench_function(format!("{dist}_comparison"), |b| {
+            b.iter(|| baseline_sorted_pairs(&keys))
+        });
+        group.bench_function(format!("{dist}_radix"), |b| {
+            b.iter(|| sort_key_pairs(&keys, &mut scratch).len())
+        });
+    }
+    group.finish();
+    let mut fields = vec![("rows".to_string(), Json::Number(n as f64))];
+    for (dist, _) in dists {
+        let cmp = median_of(c, &format!("sort_{n}/{dist}_comparison"));
+        let radix = median_of(c, &format!("sort_{n}/{dist}_radix"));
+        println!(
+            "sort {n:>8} rows {dist:>9}: comparison {cmp:.6}s  radix {radix:.6}s  speedup {:.2}x",
+            cmp / radix
+        );
+        fields.push((format!("{dist}_comparison_median_secs"), Json::Number(cmp)));
+        fields.push((format!("{dist}_radix_median_secs"), Json::Number(radix)));
+    }
+    Json::object(fields)
+}
+
+/// `(t0 ⋈ t1) ⋈ t2` on one shared key with `rows` rows in `t0` and `t1`
+/// (ten duplicates per key, so the intermediate holds `10 · rows` rows):
+/// one warm arena against a fresh one per execution.
+fn bench_arena(c: &mut Criterion, rng: &mut StdRng, rows: usize, samples: usize) -> Json {
+    let domain = (rows / 10).max(1) as i64;
+    let mut cat = Catalog::new();
+    for (name, n) in [("t0", rows), ("t1", rows), ("t2", domain as usize)] {
+        let schema = TableSchema::new(name, vec![ColumnDef::new("k", ColumnKind::ForeignKey)]);
+        let col = Column::from_values(gen_keys(rng, n, domain));
+        cat.add_table(Table::from_columns(schema, vec![col]).expect("one column"));
+    }
+    let db = Database::new(cat);
+    let q = JoinQuery {
+        tables: vec!["t0".into(), "t1".into(), "t2".into()],
+        joins: vec![JoinEdge::new(0, "k", 1, "k"), JoinEdge::new(0, "k", 2, "k")],
+        predicates: vec![],
+    };
+    let bound = BoundQuery::bind(&q, db.catalog()).expect("binds");
+    let scan = |t: usize, est: usize| PhysicalPlan::Scan {
+        table_pos: t,
+        method: ScanMethod::Seq,
+        mask: TableMask::single(t),
+        est_rows: est as f64,
+    };
+    let join = |left, right, edge, mask| PhysicalPlan::Join {
+        algo: JoinAlgo::Hash,
+        left: Box::new(left),
+        right: Box::new(right),
+        edge,
+        mask: TableMask(mask),
+        est_rows: 10.0 * rows as f64,
+    };
+    let inner = join(scan(0, rows), scan(1, rows), 0, 0b011);
+    let plan = join(inner, scan(2, domain as usize), 1, 0b111);
+    let mut scratch = ExecScratch::new();
+    let warm = execute_with(&plan, &bound, &db, &mut scratch);
+    assert_eq!(
+        warm,
+        execute(&plan, &bound, &db),
+        "arena reuse changed the result"
+    );
+    let mut group = c.benchmark_group(format!("arena_{rows}"));
+    group.sample_size(samples);
+    group.bench_function("fresh", |b| b.iter(|| execute(&plan, &bound, &db)));
+    group.bench_function("warm", |b| {
+        b.iter(|| execute_with(&plan, &bound, &db, &mut scratch))
+    });
+    group.finish();
+    let fresh = median_of(c, &format!("arena_{rows}/fresh"));
+    let reused = median_of(c, &format!("arena_{rows}/warm"));
+    println!(
+        "arena {rows:>8} rows ({} intermediate): fresh {fresh:.6}s  warm {reused:.6}s  speedup {:.2}x",
+        warm.1.intermediate_rows,
+        fresh / reused
+    );
+    Json::object([
+        ("rows_per_table", Json::Number(rows as f64)),
+        (
+            "intermediate_rows",
+            Json::Number(warm.1.intermediate_rows as f64),
+        ),
+        ("fresh_arena_median_secs", Json::Number(fresh)),
+        ("warm_arena_median_secs", Json::Number(reused)),
+        (
+            "arena_retained_bytes",
+            Json::Number(scratch.retained_bytes() as f64),
+        ),
+    ])
 }
 
 fn median_of(c: &Criterion, id: &str) -> f64 {
@@ -157,6 +341,21 @@ fn main() {
         group.finish();
     }
 
+    let pick =
+        |full: &[usize]| -> Vec<usize> { full[..if smoke { 2 } else { full.len() }].to_vec() };
+    let root_entries: Vec<Json> = pick(&[100_000, 400_000, 1_000_000, 4_000_000])
+        .into_iter()
+        .map(|out_rows| bench_root_emit(&mut c, &mut rng, out_rows, samples))
+        .collect();
+    let sort_entries: Vec<Json> = pick(&[10_000, 100_000, 1_000_000, 4_000_000])
+        .into_iter()
+        .map(|n| bench_sort(&mut c, &mut rng, n, samples))
+        .collect();
+    let arena_entries: Vec<Json> = pick(&[10_000, 100_000, 400_000])
+        .into_iter()
+        .map(|rows| bench_arena(&mut c, &mut rng, rows, samples))
+        .collect();
+
     let mut speedups: Vec<f64> = Vec::new();
     let size_entries: Vec<Json> = sizes
         .iter()
@@ -202,6 +401,9 @@ fn main() {
         ("spill_rows", Json::Number(HASH_SPILL_ROWS as f64)),
         ("speedup_median", Json::Number(speedup_median)),
         ("sizes", Json::Array(size_entries)),
+        ("root_emit", Json::Array(root_entries)),
+        ("sort", Json::Array(sort_entries)),
+        ("arena", Json::Array(arena_entries)),
     ]);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_executor.json");
     std::fs::write(&path, summary.pretty()).expect("write BENCH_executor.json");

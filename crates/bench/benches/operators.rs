@@ -5,7 +5,7 @@ use cardbench_support::criterion::{BenchmarkId, Criterion};
 use cardbench_support::{criterion_group, criterion_main};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
-use cardbench_engine::{execute, Database, JoinAlgo, PhysicalPlan, ScanMethod};
+use cardbench_engine::{execute_with, Database, ExecScratch, JoinAlgo, PhysicalPlan, ScanMethod};
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, Predicate, Region, TableMask};
 
 fn db() -> Database {
@@ -44,12 +44,15 @@ fn bench_joins(c: &mut Criterion) {
         predicates: vec![],
     };
     let bound = BoundQuery::bind(&q, db.catalog()).unwrap();
+    // One arena across iterations, as the harness runs plans: the
+    // timings are the operators', not the allocator's.
+    let mut scratch = ExecScratch::new();
     let mut group = c.benchmark_group("join_algorithms");
     for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::IndexNestedLoop] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{algo:?}")),
             &algo,
-            |b, &algo| b.iter(|| execute(&join_plan(algo), &bound, &db)),
+            |b, &algo| b.iter(|| execute_with(&join_plan(algo), &bound, &db, &mut scratch)),
         );
     }
     group.finish();
@@ -62,6 +65,7 @@ fn bench_scans(c: &mut Criterion) {
         vec![Predicate::new(0, "VoteTypeId", Region::eq(2))],
     );
     let bound = BoundQuery::bind(&q, db.catalog()).unwrap();
+    let mut scratch = ExecScratch::new();
     let mut group = c.benchmark_group("scan_methods");
     for method in [ScanMethod::Seq, ScanMethod::Index] {
         let plan = PhysicalPlan::Scan {
@@ -73,7 +77,7 @@ fn bench_scans(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{method:?}")),
             &plan,
-            |b, plan| b.iter(|| execute(plan, &bound, &db)),
+            |b, plan| b.iter(|| execute_with(plan, &bound, &db, &mut scratch)),
         );
     }
     group.finish();

@@ -6,7 +6,9 @@
 
 use std::time::Instant;
 
-use cardbench_engine::{execute, CostModel, Database, JoinAlgo, PhysicalPlan, ScanMethod};
+use cardbench_engine::{
+    execute_with, CostModel, Database, ExecScratch, JoinAlgo, PhysicalPlan, ScanMethod,
+};
 use cardbench_metrics::spearman;
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, TableMask};
 use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableSchema};
@@ -37,6 +39,8 @@ fn db_with(rows_a: usize, rows_b: usize, keys: i64) -> Database {
 fn main() {
     let _trace = cardbench_bench::init_tracing();
     let cm = CostModel::default();
+    // One arena for every timed run, as the harness executes plans.
+    let mut scratch = ExecScratch::new();
     let mut model = Vec::new();
     let mut wall = Vec::new();
     println!(
@@ -71,9 +75,9 @@ fn main() {
                 mask: TableMask::full(2),
                 est_rows: 0.0,
             };
-            let (out, _) = execute(&plan, &bound, &db); // warm
+            let (out, _) = execute_with(&plan, &bound, &db, &mut scratch); // warm
             let t0 = Instant::now();
-            execute(&plan, &bound, &db);
+            execute_with(&plan, &bound, &db, &mut scratch);
             let dt = t0.elapsed().as_secs_f64();
             let c = cm.join_cost(algo, ra as f64, rb as f64, out as f64)
                 + cm.scan_cost(ScanMethod::Seq, ra as f64, ra as f64)

@@ -4,7 +4,9 @@
 
 use std::time::Instant;
 
-use cardbench_engine::{exact_cardinality, execute, optimize_with, plan_cost, CardMap, CostModel};
+use cardbench_engine::{
+    exact_cardinality, execute_with, optimize_with, plan_cost, CardMap, CostModel, ExecScratch,
+};
 use cardbench_harness::Bench;
 use cardbench_query::{connected_subsets, BoundQuery, SubPlanQuery};
 
@@ -13,6 +15,8 @@ fn main() {
     let bench = Bench::build(cardbench_bench::config_from_env());
     let db = &bench.stats_db;
     let cost = CostModel::default();
+    // One arena for every timed run, as the harness executes plans.
+    let mut scratch = ExecScratch::new();
     let mut total_cost = [0.0f64; 2];
     let mut total_wall = [0.0f64; 2];
     let mut differing = 0usize;
@@ -29,9 +33,9 @@ fn main() {
             costs[i] = plan_cost(&plan, db, &bound, &cost, &|m| cards.rows(m));
             total_cost[i] += costs[i];
             // Warm then time.
-            execute(&plan, &bound, db);
+            execute_with(&plan, &bound, db, &mut scratch);
             let t0 = Instant::now();
-            execute(&plan, &bound, db);
+            execute_with(&plan, &bound, db, &mut scratch);
             total_wall[i] += t0.elapsed().as_secs_f64();
         }
         if (costs[0] - costs[1]).abs() > 1e-6 {

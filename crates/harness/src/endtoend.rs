@@ -379,7 +379,7 @@ pub fn run_workload_with_options(
         .iter()
         .filter_map(|wq| resumed.remove(&wq.id).or_else(|| computed.remove(&wq.id)))
         .collect();
-    record_run_metrics(est.name(), &runs);
+    record_run_metrics(est.name(), &runs, scratch.retained_bytes());
     record_cache_metrics(
         est.name(),
         &caches_before,
@@ -453,9 +453,10 @@ fn record_cache_metrics(method: &str, before: &CacheCounters, after: &CacheCount
 
 /// Folds one workload run's counters into the observability registry in
 /// bulk — the hot paths keep their plain struct counters, and the mutex
-/// behind the registry is taken once per run, not per row. No-op while
-/// recording is disabled.
-fn record_run_metrics(method: &str, runs: &[QueryRun]) {
+/// behind the registry is taken once per run, not per row — together
+/// with the bytes the run's execution arena ended up retaining. No-op
+/// while recording is disabled.
+fn record_run_metrics(method: &str, runs: &[QueryRun], scratch_bytes: u64) {
     use cardbench_obs::{counter_add, gauge_max};
     if !cardbench_obs::enabled() {
         return;
@@ -502,6 +503,7 @@ fn record_run_metrics(method: &str, runs: &[QueryRun]) {
         &m,
         stats.peak_intermediate_bytes as f64,
     );
+    gauge_max("cardbench_exec_scratch_bytes", &m, scratch_bytes as f64);
 }
 
 /// Estimation outcomes for one query's whole sub-plan space, batch-first.

@@ -5,12 +5,17 @@
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use cardbench_engine::{clamp_row_est, CostModel, TrueCardService};
+use cardbench_engine::{
+    clamp_row_est, try_execute_with, CostModel, ExecError, ExecScratch, JoinAlgo, PhysicalPlan,
+    TrueCardService,
+};
 use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
-    build_estimator, run_workload_with_options, Bench, BenchConfig, MethodRun, QueryRun, RunOptions,
+    build_estimator, estimate_all, plan_query_via, run_workload_with_options, Bench, BenchConfig,
+    MethodRun, QueryRun, RunOptions,
 };
 use cardbench_support::proptest::prelude::*;
 
@@ -258,6 +263,76 @@ fn memory_budget_aborts_queries_not_the_run() {
     };
     let report = table_faults(&[method], "STATS-CEB");
     assert!(report.contains("failed(memory budget exceeded"), "{report}");
+}
+
+/// The budget sees what a join kernel holds besides the live
+/// intermediates: a budget of exactly a plan's peak live bytes admits the
+/// plan with hash joins (no spill, so no kernel transients) and rejects
+/// it with merge joins, whose sorted `(key, row)` pairs — 16 B per input
+/// row — come on top. Before that accounting both fitted.
+#[test]
+fn memory_budget_counts_merge_sort_buffers() {
+    fn with_algo(plan: &mut PhysicalPlan, to: JoinAlgo) {
+        if let PhysicalPlan::Join {
+            algo, left, right, ..
+        } = plan
+        {
+            *algo = to;
+            with_algo(left, to);
+            with_algo(right, to);
+        }
+    }
+    let b = bench();
+    let truth = TrueCardService::new();
+    let oracle = build_estimator(
+        EstimatorKind::TrueCard,
+        &b.stats_db,
+        &b.stats_train,
+        &b.config.settings,
+    );
+    let fallback: OnceLock<PostgresEst> = OnceLock::new();
+    let mut scratch = ExecScratch::new();
+    let mut checked = 0;
+    for wq in &b.stats_wl.queries {
+        let planned = plan_query_via(
+            &b.stats_db,
+            wq,
+            &|subs| estimate_all(oracle.est.as_ref(), &b.stats_db, subs, None),
+            &truth,
+            &CostModel::default(),
+            &fallback,
+        );
+        let (bound, mut plan) = planned.plan.expect("oracle plans every query");
+        if !matches!(plan, PhysicalPlan::Join { .. }) {
+            continue;
+        }
+        with_algo(&mut plan, JoinAlgo::Hash);
+        let (rows, hash) = try_execute_with(&plan, &bound, &b.stats_db, &mut scratch, None)
+            .expect("no budget, no failure");
+        if hash.partitions_spilled > 0 {
+            continue;
+        }
+        let budget = hash.peak_intermediate_bytes;
+        let fits = try_execute_with(&plan, &bound, &b.stats_db, &mut scratch, Some(budget));
+        assert_eq!(fits, Ok((rows, hash)), "Q{}", wq.id);
+
+        with_algo(&mut plan, JoinAlgo::Merge);
+        let (_, merge) = try_execute_with(&plan, &bound, &b.stats_db, &mut scratch, None)
+            .expect("no budget, no failure");
+        assert_eq!(merge.peak_intermediate_bytes, budget, "same live set");
+        match try_execute_with(&plan, &bound, &b.stats_db, &mut scratch, Some(budget)) {
+            Err(ExecError::BudgetExceeded {
+                peak_bytes,
+                budget_bytes,
+            }) => {
+                assert_eq!(budget_bytes, budget);
+                assert!(peak_bytes > budget, "Q{}", wq.id);
+            }
+            Ok(_) => panic!("Q{}: merge sort pairs escaped the budget", wq.id),
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no non-spilling join query in the workload");
 }
 
 /// Regression for the NaN-poisoning bug class: an estimator that
