@@ -3,7 +3,7 @@
 //! fanout join composition.
 
 use cardbench_engine::Database;
-use cardbench_ml::TreeBayesNet;
+use cardbench_ml::{ModelScratch, TreeBayesNet, WeightBatch};
 use cardbench_query::SubPlanQuery;
 use cardbench_storage::{Table, TableId};
 
@@ -12,8 +12,13 @@ use crate::fanout::{FanoutEstimator, TableModel};
 use crate::CardEst;
 
 impl TableModel for TreeBayesNet {
-    fn expectation(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        self.query(weights)
+    fn expectation_batch(
+        &self,
+        batch: &WeightBatch,
+        scratch: &mut ModelScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.query_batch(batch, scratch, out);
     }
 
     fn size_bytes(&self) -> usize {
@@ -66,8 +71,7 @@ impl CardEst for BayesCard {
     }
 
     /// Batched fanout evaluation: per-table Bayesian networks answer all
-    /// sub-plans' expectations in grouped inference calls (per-item
-    /// bit-identical to the sequential path, like DeepDB/FLAT).
+    /// sub-plans' expectations in grouped inference calls.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         self.inner.estimate_batch(db, subs)
     }

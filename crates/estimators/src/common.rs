@@ -16,7 +16,7 @@ use cardbench_storage::TableId;
 
 /// One directed schema join edge as seen from a table: "my column `my_col`
 /// matches `neighbor.neighbor_col`".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirectedEdge {
     /// This table's id.
     pub table: TableId,
@@ -149,7 +149,7 @@ impl TableCoder {
                     attr_index.insert(*c, i);
                 }
                 ModelColumn::Fanout(e) => {
-                    fanout_index.insert(e.clone(), i);
+                    fanout_index.insert(*e, i);
                 }
             }
         }
@@ -205,9 +205,17 @@ impl TableCoder {
     /// Indicator/coverage weights of a filter region over a model
     /// column's bins (NULL bin weight 0).
     pub fn filter_weights(&self, model_col: usize, region: &Region) -> Vec<f64> {
+        let mut w = Vec::new();
+        self.filter_weights_into(model_col, region, &mut w);
+        w
+    }
+
+    /// [`TableCoder::filter_weights`] into a buffer the caller keeps.
+    pub fn filter_weights_into(&self, model_col: usize, region: &Region, w: &mut Vec<f64>) {
         let d = &self.discretizers[model_col];
         let nb = d.bin_count();
-        let mut w = vec![0.0; nb + 1];
+        w.clear();
+        w.resize(nb + 1, 0.0);
         match region {
             Region::Range { lo, hi } => {
                 if let Some((b_lo, b_hi)) = d.bin_range(*lo, *hi) {
@@ -224,13 +232,12 @@ impl TableCoder {
                 }
             }
         }
-        w
     }
 
     /// Expectation weights for a fanout column: the per-bin mean fanout
     /// (NULL bin contributes 0 — a row with no match joins nothing).
-    pub fn fanout_weights(&self, model_col: usize) -> Vec<f64> {
-        self.bin_means[model_col].clone()
+    pub fn fanout_weights(&self, model_col: usize) -> &[f64] {
+        &self.bin_means[model_col]
     }
 
     /// Total coder size in bytes (discretizers + means).

@@ -3,7 +3,7 @@
 
 use cardbench_engine::Database;
 use cardbench_ml::spn::SpnConfig;
-use cardbench_ml::Spn;
+use cardbench_ml::{ModelScratch, Spn, WeightBatch};
 use cardbench_query::SubPlanQuery;
 use cardbench_storage::{Table, TableId};
 
@@ -12,12 +12,13 @@ use crate::fanout::{FanoutEstimator, TableModel};
 use crate::CardEst;
 
 impl TableModel for Spn {
-    fn expectation(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        self.query(weights)
-    }
-
-    fn expectation_batch(&self, batch: &[&[Option<Vec<f64>>]]) -> Vec<f64> {
-        self.query_batch(batch)
+    fn expectation_batch(
+        &self,
+        batch: &WeightBatch,
+        scratch: &mut ModelScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.query_batch(batch, scratch, out);
     }
 
     fn size_bytes(&self) -> usize {
@@ -107,8 +108,8 @@ impl CardEst for DeepDb {
         self.inner.estimate(db, sub)
     }
 
-    /// Batched fanout evaluation: per-table SPNs answer all sub-plans'
-    /// expectations in shared tree walks.
+    /// Batched fanout evaluation: each per-table SPN answers all the
+    /// sub-plans' expectations in one bottom-up pass over its nodes.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         self.inner.estimate_batch(db, subs)
     }

@@ -12,28 +12,29 @@
 //! accuracy/efficiency trade-off the paper credits for these methods'
 //! wins (O1) and blames for their error growth with join count (O4).
 
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
 
 use cardbench_engine::Database;
-use cardbench_query::{BoundQuery, Region, SubPlanQuery};
+use cardbench_ml::{ModelScratch, WeightBatch};
+use cardbench_query::{BoundQuery, JoinQuery, Predicate, Region, ResolvedNames, SubPlanQuery};
 use cardbench_storage::TableId;
-use cardbench_support::hash::FnvHashMap;
+use cardbench_support::hash::FnvHasher;
 
 use crate::common::{DirectedEdge, TableCoder};
+use crate::scratch::with_scratch;
 
 /// A per-table probabilistic model supporting weighted expectations over
 /// its coder's model columns.
 pub trait TableModel: Send {
-    /// `E[Π_i w_i(X_i)]`; `weights[i]` is a per-bin weight vector for
-    /// model column `i` (`None` = constant 1).
-    fn expectation(&self, weights: &[Option<Vec<f64>>]) -> f64;
-
-    /// Batched [`TableModel::expectation`]: one value per weight set, in
-    /// order, bit-identical to evaluating each individually. Models with
-    /// shared traversal work (e.g. SPNs) override this.
-    fn expectation_batch(&self, batch: &[&[Option<Vec<f64>>]]) -> Vec<f64> {
-        batch.iter().map(|w| self.expectation(w)).collect()
-    }
+    /// `E[Π_i w_i(X_i)]` for every weight set of `batch` (column `i`
+    /// unconstrained = constant 1), appended to `out` in order. An
+    /// item's value must not depend on the rest of the batch.
+    fn expectation_batch(
+        &self,
+        batch: &WeightBatch,
+        scratch: &mut ModelScratch,
+        out: &mut Vec<f64>,
+    );
 
     /// Approximate model size in bytes.
     fn size_bytes(&self) -> usize;
@@ -43,34 +44,63 @@ pub trait TableModel: Send {
 }
 
 /// One multiplicative step of a fanout estimate, recorded in evaluation
-/// order so the sequential and batched paths run the exact same f64
-/// multiplication sequence. Weights sit behind an `Arc` so the batch
-/// path's per-table cache can reuse them across sub-plans for free.
-#[derive(Clone)]
+/// order: a sub-plan's estimate is the running product of its steps.
+#[derive(Clone, Copy)]
 enum FanoutOp {
     /// Multiply by a constant (root row count, uniformity fallbacks).
     Mul(f64),
-    /// Multiply by `models[model].expectation(&weights)`.
-    Expect {
-        model: usize,
-        weights: Arc<Vec<Option<Vec<f64>>>>,
-    },
+    /// Multiply by model `model`'s expectation over the `item`-th weight
+    /// set compiled for it in this batch.
+    Expect { model: u32, item: u32 },
 }
 
-/// Everything [`FanoutEstimator::table_ops`] reads from a sub-plan for
-/// one table (besides the immutable db/model state): its id, its local
-/// predicates, and its downward join edges in emission order. Sub-plans
-/// sharing a key share the table's op subsequence verbatim.
-#[derive(PartialEq, Eq, Hash)]
-struct TableOpsKey {
-    table: usize,
-    preds: Vec<(usize, Region)>,
+/// One `(table, predicates, downward edges)` compiled in the current
+/// batch. Everything a table contributes to a plan is a function of
+/// that triple (and of immutable model state), so sub-plans sharing it —
+/// most of a query's sub-plan set — share the compiled steps and the one
+/// model evaluation behind them. Entry `i` of a table's list owns weight
+/// set `i` of the table's [`WeightBatch`].
+struct Compiled {
+    /// Hash of the triple.
+    hash: u64,
+    /// The sub-plan and table position compiled from: where the
+    /// predicates can be read again to confirm a hash match.
+    sub: u32,
+    pos: u32,
+    /// The edges, in [`FanoutScratch::edges`].
+    edges: (u32, u32),
+    /// The steps, in [`FanoutScratch::table_ops`].
+    ops: (u32, u32),
+}
+
+/// Reusable buffers of [`FanoutEstimator::estimate_batch`]. Sized by the
+/// largest batch served; nothing in them outlives a call.
+#[derive(Default)]
+pub struct FanoutScratch {
+    names: ResolvedNames,
+    /// BFS over the join tree from position 0: visit order, visited
+    /// flags, and per table position its range of `child_edges` (join
+    /// indices, in discovery order).
+    order: Vec<usize>,
+    seen: Vec<bool>,
+    child_edges: Vec<usize>,
+    child_range: Vec<(usize, usize)>,
+    /// The downward edges of the table being compiled.
+    cur_edges: Vec<DirectedEdge>,
+    /// Compiled triples by catalog table, with their edges and steps.
+    compiled: Vec<Vec<Compiled>>,
     edges: Vec<DirectedEdge>,
+    table_ops: Vec<FanoutOp>,
+    /// Every sub-plan's steps, back to back, and where each ends.
+    plan_ops: Vec<FanoutOp>,
+    plan_ends: Vec<usize>,
+    /// Per model: the weight sets compiled for it, and their values.
+    weights: Vec<WeightBatch>,
+    vals: Vec<Vec<f64>>,
+    /// One filter's weights before they merge into a weight set.
+    filter: Vec<f64>,
+    model: ModelScratch,
 }
-
-/// Per-batch memo of table op subsequences (`None` = unmodeled
-/// attribute, the whole plan gives up).
-type TableOpsCache = FnvHashMap<TableOpsKey, Option<Vec<FanoutOp>>>;
 
 /// Join estimation built from one [`TableModel`] per catalog table.
 pub struct FanoutEstimator<M: TableModel> {
@@ -82,131 +112,124 @@ pub struct FanoutEstimator<M: TableModel> {
     pub row_counts: Vec<f64>,
 }
 
+/// The predicates of table position `pos` with their resolved columns,
+/// in query order.
+fn preds_of<'a>(
+    query: &'a JoinQuery,
+    names: &'a ResolvedNames,
+    pos: usize,
+) -> impl Iterator<Item = (&'a Predicate, usize)> {
+    query
+        .predicates
+        .iter()
+        .zip(&names.pred_cols)
+        .filter(move |(p, _)| p.table == pos)
+        .filter_map(|(p, col)| Some((p, (*col)?)))
+}
+
 impl<M: TableModel> FanoutEstimator<M> {
-    /// Estimates an acyclic sub-plan query.
+    /// Estimates an acyclic sub-plan query: the one-row case of
+    /// [`FanoutEstimator::estimate_batch`].
     pub fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        match self.plan_ops(db, sub) {
-            None => 1.0,
-            Some(ops) => {
-                let mut card = 1.0;
-                for op in &ops {
-                    card *= match op {
-                        FanoutOp::Mul(c) => *c,
-                        FanoutOp::Expect { model, weights } => {
-                            self.models[*model].expectation(weights)
-                        }
-                    };
-                }
-                card.max(0.0)
-            }
-        }
+        let mut out = [0.0];
+        with_scratch(|s| {
+            self.estimate_into(db, std::slice::from_ref(sub), &mut s.fanout, &mut out)
+        });
+        out[0]
     }
 
-    /// Estimates every sub-plan, grouping every model expectation across
-    /// the whole batch into one [`TableModel::expectation_batch`] call
-    /// per distinct model. Batch composition never changes an item's own
-    /// arithmetic (`expectation_batch` is per-item bit-identical to
-    /// `expectation`), and each sub-plan's factors still multiply in its
-    /// own op order below, so every result matches the sequential path.
+    /// Estimates every sub-plan. Each distinct `(table, predicates,
+    /// edges)` of the batch is compiled once, every model evaluates its
+    /// weight sets in one [`TableModel::expectation_batch`] call, and
+    /// each sub-plan's factors then multiply in its own step order — so
+    /// a sub-plan's estimate does not depend on the rest of the batch.
     pub fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let mut cache = TableOpsCache::default();
-        let plans: Vec<Option<Vec<FanoutOp>>> = subs
-            .iter()
-            .map(|sub| self.plan_ops_cached(db, sub, Some(&mut cache)))
-            .collect();
-        // (model idx → every (item, op position) using that model).
-        let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for (j, plan) in plans.iter().enumerate() {
-            for (pos, op) in plan.iter().flatten().enumerate() {
-                if let FanoutOp::Expect { model, .. } = op {
-                    match groups.iter_mut().find(|(m, _)| m == model) {
-                        Some((_, items)) => items.push((j, pos)),
-                        None => groups.push((*model, vec![(j, pos)])),
-                    }
-                }
-            }
-        }
-        // expect_vals[j][pos] = the value of item j's Expect op at pos.
-        let mut expect_vals: Vec<Vec<f64>> = plans
-            .iter()
-            .map(|p| vec![0.0; p.as_ref().map_or(0, Vec::len)])
-            .collect();
-        for (model, items) in groups {
-            // The plan cache hands identical weight vectors out as shared
-            // `Arc`s, and the model is deterministic — so evaluate each
-            // distinct vector once and fan its value back out.
-            let mut seen: FnvHashMap<*const Vec<Option<Vec<f64>>>, usize> = FnvHashMap::default();
-            let mut uniq: Vec<&[Option<Vec<f64>>]> = Vec::new();
-            let mut item_to_uniq: Vec<usize> = Vec::with_capacity(items.len());
-            for &(j, pos) in &items {
-                let w = match &plans[j].as_ref().unwrap()[pos] {
-                    FanoutOp::Expect { weights, .. } => weights,
-                    FanoutOp::Mul(_) => unreachable!("grouped ops are Expect"),
-                };
-                let next = uniq.len();
-                let ui = *seen.entry(Arc::as_ptr(w)).or_insert(next);
-                if ui == next {
-                    uniq.push(w.as_slice());
-                }
-                item_to_uniq.push(ui);
-            }
-            let vals = self.models[model].expectation_batch(&uniq);
-            for (&(j, pos), &ui) in items.iter().zip(&item_to_uniq) {
-                expect_vals[j][pos] = vals[ui];
-            }
-        }
-        plans
-            .iter()
-            .enumerate()
-            .map(|(j, plan)| match plan {
-                None => 1.0,
-                Some(ops) => {
-                    let mut card = 1.0;
-                    for (pos, op) in ops.iter().enumerate() {
-                        card *= match op {
-                            FanoutOp::Mul(c) => *c,
-                            FanoutOp::Expect { .. } => expect_vals[j][pos],
-                        };
-                    }
-                    card.max(0.0)
-                }
-            })
-            .collect()
+        let mut out = vec![0.0; subs.len()];
+        with_scratch(|s| self.estimate_into(db, subs, &mut s.fanout, &mut out));
+        out
     }
 
-    /// Compiles one sub-plan into its ordered multiplicative factors;
-    /// `None` means "give up gracefully" (unbindable query or unmodeled
-    /// attribute) and the estimate is the conventional 1.0.
-    fn plan_ops(&self, db: &Database, sub: &SubPlanQuery) -> Option<Vec<FanoutOp>> {
-        self.plan_ops_cached(db, sub, None)
-    }
-
-    /// [`FanoutEstimator::plan_ops`] with an optional cross-sub-plan memo
-    /// of per-table op subsequences. [`FanoutEstimator::table_ops`] is
-    /// deterministic in its key, so cached and uncached plans are
-    /// identical; the batch path saves rebuilding the same merged weight
-    /// vectors for every sub-plan a table appears in.
-    fn plan_ops_cached(
+    fn estimate_into(
         &self,
         db: &Database,
-        sub: &SubPlanQuery,
-        mut cache: Option<&mut TableOpsCache>,
-    ) -> Option<Vec<FanoutOp>> {
-        let query = &sub.query;
-        let Ok(bound) = BoundQuery::bind(query, db.catalog()) else {
+        subs: &[SubPlanQuery],
+        s: &mut FanoutScratch,
+        out: &mut [f64],
+    ) {
+        let nt = self.models.len();
+        s.compiled.resize_with(nt, Vec::new);
+        s.weights.resize_with(nt, WeightBatch::default);
+        s.vals.resize_with(nt, Vec::new);
+        for t in 0..nt {
+            s.compiled[t].clear();
+            s.weights[t].reset(self.coders[t].columns.len());
+        }
+        s.edges.clear();
+        s.table_ops.clear();
+        s.plan_ops.clear();
+        s.plan_ends.clear();
+        for j in 0..subs.len() {
+            let start = s.plan_ops.len();
+            if self.compile_plan(db, subs, j, s).is_none() {
+                // "Give up gracefully" (unbindable query or unmodeled
+                // attribute): the single factor 1, the conventional
+                // estimate.
+                s.plan_ops.truncate(start);
+                s.plan_ops.push(FanoutOp::Mul(1.0));
+            }
+            s.plan_ends.push(s.plan_ops.len());
+        }
+        for ((model, batch), vals) in self.models.iter().zip(&s.weights).zip(&mut s.vals) {
+            vals.clear();
+            if !batch.is_empty() {
+                model.expectation_batch(batch, &mut s.model, vals);
+            }
+        }
+        let mut start = 0;
+        for (o, &end) in out.iter_mut().zip(&s.plan_ends) {
+            let mut card = 1.0;
+            for op in &s.plan_ops[start..end] {
+                card *= match *op {
+                    FanoutOp::Mul(c) => c,
+                    FanoutOp::Expect { model, item } => s.vals[model as usize][item as usize],
+                };
+            }
+            *o = card.max(0.0);
+            start = end;
+        }
+    }
+
+    /// Appends sub-plan `j`'s ordered multiplicative factors to
+    /// `s.plan_ops`; `None` means "give up gracefully".
+    fn compile_plan(
+        &self,
+        db: &Database,
+        subs: &[SubPlanQuery],
+        j: usize,
+        s: &mut FanoutScratch,
+    ) -> Option<()> {
+        let query = &subs[j].query;
+        if !s.names.resolve(query, db.catalog()) {
             return None;
-        };
+        }
         let n = query.table_count();
+        let root = (*s.names.tables.first()?)?;
         // Root the join tree at position 0.
-        let mut children_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut order = vec![0usize];
-        let mut seen = vec![false; n];
-        seen[0] = true;
+        s.order.clear();
+        s.order.push(0);
+        s.seen.clear();
+        s.seen.resize(n, false);
+        s.seen[0] = true;
+        s.child_edges.clear();
+        s.child_range.clear();
+        s.child_range.resize(n, (0, 0));
         let mut qi = 0;
-        while qi < order.len() {
-            let t = order[qi];
+        while qi < s.order.len() {
+            let t = s.order[qi];
             qi += 1;
-            for (ei, e) in bound.joins.iter().enumerate() {
+            let lo = s.child_edges.len();
+            for (ei, e) in s.names.joins.iter().enumerate() {
+                let e = (*e)?;
                 let other = if e.left == t {
                     e.right
                 } else if e.right == t {
@@ -214,104 +237,116 @@ impl<M: TableModel> FanoutEstimator<M> {
                 } else {
                     continue;
                 };
-                if !seen[other] {
-                    seen[other] = true;
-                    children_edges[t].push(ei);
-                    order.push(other);
+                if !s.seen[other] {
+                    s.seen[other] = true;
+                    s.child_edges.push(ei);
+                    s.order.push(other);
                 }
             }
+            s.child_range[t] = (lo, s.child_edges.len());
         }
 
-        let mut ops = vec![FanoutOp::Mul(self.row_counts[bound.tables[0].id.0])];
-        #[allow(clippy::needless_range_loop)] // t indexes two parallel structures
+        s.plan_ops.push(FanoutOp::Mul(self.row_counts[root.0]));
         for t in 0..n {
-            let id = bound.tables[t].id;
-            let edges: Vec<DirectedEdge> = children_edges[t]
-                .iter()
-                .map(|&ei| {
-                    let e = &bound.joins[ei];
-                    let (my_col, child_pos, child_col) = if e.left == t {
-                        (e.left_col, e.right, e.right_col)
-                    } else {
-                        (e.right_col, e.left, e.left_col)
-                    };
-                    DirectedEdge {
-                        table: id,
-                        my_col,
-                        neighbor: bound.tables[child_pos].id,
-                        neighbor_col: child_col,
-                    }
-                })
-                .collect();
-            let tops = match cache.as_deref_mut() {
-                None => {
-                    let preds: Vec<(usize, Region)> = bound.tables[t]
-                        .predicates
-                        .iter()
-                        .map(|p| (p.column, p.region.clone()))
-                        .collect();
-                    self.table_ops(db, id, &preds, &edges)
-                }
-                Some(c) => {
-                    let key = TableOpsKey {
-                        table: id.0,
-                        preds: bound.tables[t]
-                            .predicates
-                            .iter()
-                            .map(|p| (p.column, p.region.clone()))
-                            .collect(),
-                        edges,
-                    };
-                    match c.get(&key) {
-                        Some(v) => v.clone(),
-                        None => {
-                            let v = self.table_ops(db, id, &key.preds, &key.edges);
-                            c.insert(key, v.clone());
-                            v
-                        }
-                    }
-                }
-            };
-            ops.extend(tops?);
+            let id = s.names.tables[t]?;
+            s.cur_edges.clear();
+            let (lo, hi) = s.child_range[t];
+            for &ei in &s.child_edges[lo..hi] {
+                let e = s.names.joins[ei]?;
+                let (my_col, child_pos, child_col) = if e.left == t {
+                    (e.left_col, e.right, e.right_col)
+                } else {
+                    (e.right_col, e.left, e.left_col)
+                };
+                s.cur_edges.push(DirectedEdge {
+                    table: id,
+                    my_col,
+                    neighbor: s.names.tables[child_pos]?,
+                    neighbor_col: child_col,
+                });
+            }
+            let (lo, hi) = self.table_ops(db, subs, j, t, id, s)?;
+            s.plan_ops.extend_from_slice(&s.table_ops[lo..hi]);
         }
-        Some(ops)
+        Some(())
     }
 
-    /// The op subsequence one table contributes to a plan: uniformity
-    /// fallbacks for unmodeled edges, then the expectation over its
-    /// merged filter/fanout weights. `None` = unmodeled attribute.
+    /// The step subsequence table position `t` of sub-plan `j`
+    /// contributes, as a range of `s.table_ops`: uniformity fallbacks
+    /// for unmodeled edges, then the expectation over its merged
+    /// filter/fanout weights. Compiled on first sight of the
+    /// `(table, predicates, edges)` triple in this batch and shared from
+    /// then on. `None` = unmodeled attribute.
     fn table_ops(
         &self,
         db: &Database,
+        subs: &[SubPlanQuery],
+        j: usize,
+        t: usize,
         id: TableId,
-        preds: &[(usize, Region)],
-        edges: &[DirectedEdge],
-    ) -> Option<Vec<FanoutOp>> {
+        s: &mut FanoutScratch,
+    ) -> Option<(usize, usize)> {
+        let query = &subs[j].query;
+        let mut h = FnvHasher::default();
+        for (p, col) in preds_of(query, &s.names, t) {
+            h.write_usize(col);
+            p.region.hash(&mut h);
+        }
+        s.cur_edges.hash(&mut h);
+        let hash = h.finish();
+        let known = s.compiled[id.0].iter().find(|c| {
+            let first = &subs[c.sub as usize].query;
+            c.hash == hash
+                && s.edges[c.edges.0 as usize..c.edges.1 as usize] == s.cur_edges[..]
+                && query
+                    .predicates_of(t)
+                    .map(|p| (&p.column, &p.region))
+                    .eq(first
+                        .predicates_of(c.pos as usize)
+                        .map(|p| (&p.column, &p.region)))
+        });
+        if let Some(c) = known {
+            return Some((c.ops.0 as usize, c.ops.1 as usize));
+        }
+
         let coder = &self.coders[id.0];
-        let mut weights: Vec<Option<Vec<f64>>> = vec![None; coder.columns.len()];
-        let mut ops = Vec::new();
+        if preds_of(query, &s.names, t).any(|(_, col)| coder.attr_column(col).is_none()) {
+            return None; // unmodeled attribute; give up gracefully
+        }
+        let weights = &mut s.weights[id.0];
+        let item = weights.push_item();
+        let ops_lo = s.table_ops.len();
         // Filters.
-        for (col, region) in preds {
-            match coder.attr_column(*col) {
-                Some(mc) => merge_weights(&mut weights[mc], coder.filter_weights(mc, region)),
-                None => return None, // unmodeled attribute; give up gracefully
-            }
+        for (p, col) in preds_of(query, &s.names, t) {
+            let mc = coder.attr_column(col).expect("checked just above");
+            coder.filter_weights_into(mc, &p.region, &mut s.filter);
+            weights.merge(item, mc, &s.filter);
         }
         // Downward fanouts.
-        for edge in edges {
+        for edge in &s.cur_edges {
             if let Some(mc) = coder.fanout_column(edge) {
-                merge_weights(&mut weights[mc], coder.fanout_weights(mc));
+                weights.merge(item, mc, coder.fanout_weights(mc));
             } else {
                 // Edge not modeled: fall back to a uniformity factor.
-                ops.push(FanoutOp::Mul(uniformity_factor(db, edge)));
-                ops.push(FanoutOp::Mul(self.row_counts[edge.neighbor.0]));
+                s.table_ops.push(FanoutOp::Mul(uniformity_factor(db, edge)));
+                s.table_ops
+                    .push(FanoutOp::Mul(self.row_counts[edge.neighbor.0]));
             }
         }
-        ops.push(FanoutOp::Expect {
-            model: id.0,
-            weights: Arc::new(weights),
+        s.table_ops.push(FanoutOp::Expect {
+            model: id.0 as u32,
+            item: item as u32,
         });
-        Some(ops)
+        let edges_lo = s.edges.len();
+        s.edges.extend_from_slice(&s.cur_edges);
+        s.compiled[id.0].push(Compiled {
+            hash,
+            sub: j as u32,
+            pos: t as u32,
+            edges: (edges_lo as u32, s.edges.len() as u32),
+            ops: (ops_lo as u32, s.table_ops.len() as u32),
+        });
+        Some((ops_lo, s.table_ops.len()))
     }
 
     /// Total model + coder size in bytes.
@@ -379,25 +414,24 @@ pub struct ExactTableModel {
 }
 
 impl TableModel for ExactTableModel {
-    fn expectation(&self, weights: &[Option<Vec<f64>>]) -> f64 {
+    fn expectation_batch(&self, batch: &WeightBatch, _: &mut ModelScratch, out: &mut Vec<f64>) {
         let n = self.data.first().map_or(0, Vec::len);
-        if n == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for r in 0..n {
-            let mut w = 1.0;
-            for (c, wv) in weights.iter().enumerate() {
-                if let Some(wv) = wv {
-                    w *= wv[self.data[c][r] as usize];
-                    if w == 0.0 {
-                        break;
+        for item in 0..batch.len() {
+            let mut total = 0.0;
+            for r in 0..n {
+                let mut w = 1.0;
+                for (c, col) in self.data.iter().enumerate() {
+                    if let Some(wv) = batch.get(item, c) {
+                        w *= wv[col[r] as usize];
+                        if w == 0.0 {
+                            break;
+                        }
                     }
                 }
+                total += w;
             }
-            total += w;
+            out.push(if n == 0 { 0.0 } else { total / n as f64 });
         }
-        total / n as f64
     }
 
     fn size_bytes(&self) -> usize {

@@ -3,63 +3,82 @@
 //! A fixed-width vector per query over the whole schema: table one-hots,
 //! join-relation one-hots, and per filterable attribute a
 //! `(present, lo, hi)` triple with bounds normalized into the attribute's
-//! observed value range. IN-lists are encoded by their hull plus a
-//! density slot. This is the featurization MSCN/LW-XGB/LW-NN share.
-
-use std::collections::HashMap;
+//! observed value range. An IN-list is encoded by its hull: the same
+//! three slots, `lo` and `hi` from its smallest and largest value. This
+//! is the featurization MSCN/LW-XGB/LW-NN share.
+//!
+//! A row is written sparse — `(slot, value)` by ascending slot, zeros
+//! left out — because that is what the models read: a query touches a
+//! dozen of the ~90 slots and every kernel skips a zero input.
 
 use cardbench_engine::Database;
-use cardbench_query::{JoinQuery, Region};
+use cardbench_ml::{Matrix, SparseRows};
+use cardbench_query::{JoinQuery, Region, ResolvedNames};
 use cardbench_storage::TableId;
 
 /// Schema-wide featurizer.
 #[derive(Debug, Clone)]
 pub struct Featurizer {
     n_tables: usize,
-    /// Canonical schema edges as `(table, col, table, col)` with the
-    /// lexicographically smaller side first.
-    edges: Vec<(usize, usize, usize, usize)>,
-    /// All filterable attributes: `(table, column, min, max)`.
-    attrs: Vec<(usize, usize, f64, f64)>,
-    /// `(table, column) → attr slot`.
-    attr_slot: HashMap<(usize, usize), usize>,
+    /// The schema's join relations by the table of their canonical
+    /// first side (the lexicographically smaller `(table, col)`):
+    /// `(col, other table, other col, join slot)`, a handful per table.
+    edges_of: Vec<Vec<(usize, usize, usize, usize)>>,
+    n_edges: usize,
+    /// All filterable attributes: `(min, max)` by attr slot.
+    attrs: Vec<(f64, f64)>,
+    /// `[table][column]` → attr slot.
+    attr_slot: Vec<Vec<Option<usize>>>,
+}
+
+/// Reusable buffers of [`Featurizer::push_row`]: the query's resolved
+/// names, and the row being written as a dense value per slot plus a
+/// bitmap of the slots written — read back in slot order, so nothing
+/// is sorted and nothing but the written slots is read.
+#[derive(Debug, Default)]
+pub struct FeatureScratch {
+    names: ResolvedNames,
+    vals: Vec<f32>,
+    written: Vec<u64>,
 }
 
 impl Featurizer {
     /// Builds the featurizer from the schema and column statistics.
     pub fn fit(db: &Database) -> Featurizer {
         let n_tables = db.catalog().table_count();
-        let mut edges = Vec::new();
-        for j in db.catalog().joins() {
-            let lt = db.catalog().table_id(&j.left_table).expect("table").0;
-            let rt = db.catalog().table_id(&j.right_table).expect("table").0;
-            let lc = db
-                .catalog()
-                .table(TableId(lt))
-                .schema()
-                .column_index(&j.left_column)
-                .expect("col");
-            let rc = db
-                .catalog()
-                .table(TableId(rt))
-                .schema()
-                .column_index(&j.right_column)
-                .expect("col");
-            edges.push(canonical_edge(lt, lc, rt, rc));
+        let mut edges_of = vec![Vec::new(); n_tables];
+        let n_edges = db.catalog().joins().len();
+        for (slot, j) in db.catalog().joins().iter().enumerate() {
+            let lt = db.catalog().table_id(&j.left_table).expect("table");
+            let rt = db.catalog().table_id(&j.right_table).expect("table");
+            let col = |t: TableId, name: &str| {
+                let schema = db.catalog().table(t).schema();
+                schema.column_index(name).expect("col")
+            };
+            let (t, c, ot, oc) = canonical_edge(
+                lt.0,
+                col(lt, &j.left_column),
+                rt.0,
+                col(rt, &j.right_column),
+            );
+            edges_of[t].push((c, ot, oc, slot));
         }
         let mut attrs = Vec::new();
-        let mut attr_slot = HashMap::new();
+        let mut attr_slot = Vec::with_capacity(n_tables);
         for t in 0..n_tables {
             let table = db.catalog().table(TableId(t));
+            let mut slots = vec![None; table.column_count()];
             for c in table.schema().filterable_columns() {
                 let s = db.stats(TableId(t), c);
-                attr_slot.insert((t, c), attrs.len());
-                attrs.push((t, c, s.min as f64, s.max as f64));
+                slots[c] = Some(attrs.len());
+                attrs.push((s.min as f64, s.max as f64));
             }
+            attr_slot.push(slots);
         }
         Featurizer {
             n_tables,
-            edges,
+            edges_of,
+            n_edges,
             attrs,
             attr_slot,
         }
@@ -67,68 +86,66 @@ impl Featurizer {
 
     /// Feature-vector width.
     pub fn dim(&self) -> usize {
-        self.n_tables + self.edges.len() + 3 * self.attrs.len()
+        self.n_tables + self.n_edges + 3 * self.attrs.len()
     }
 
     /// Widths of the three segments `(tables, joins, predicates)` —
     /// MSCN's modules consume them separately.
     pub fn segments(&self) -> (usize, usize, usize) {
-        (self.n_tables, self.edges.len(), 3 * self.attrs.len())
+        (self.n_tables, self.n_edges, 3 * self.attrs.len())
     }
 
-    /// Featurizes a query. Unknown tables/attributes are ignored (zeros).
-    pub fn features(&self, db: &Database, query: &JoinQuery) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim()];
+    /// Featurizes `query` as the next row of `rows`. Unknown tables and
+    /// attributes are ignored (zeros); of two predicates on one
+    /// attribute the later one is kept.
+    pub fn push_row(
+        &self,
+        db: &Database,
+        query: &JoinQuery,
+        scratch: &mut FeatureScratch,
+        rows: &mut SparseRows,
+    ) {
+        let FeatureScratch {
+            names,
+            vals,
+            written,
+        } = scratch;
+        names.resolve(query, db.catalog());
+        vals.resize(self.dim(), 0.0);
+        written.clear();
+        written.resize(self.dim().div_ceil(64), 0);
+        let mut set = |slot: usize, v: f32| {
+            vals[slot] = v;
+            written[slot / 64] |= 1 << (slot % 64);
+        };
         // Table one-hots.
-        let table_ids: Vec<Option<usize>> = query
-            .tables
-            .iter()
-            .map(|name| db.catalog().table_id(name).ok().map(|t| t.0))
-            .collect();
-        for t in table_ids.iter().flatten() {
-            out[*t] = 1.0;
+        for t in names.tables.iter().flatten() {
+            set(t.0, 1.0);
         }
         // Join one-hots.
-        for e in &query.joins {
-            let (Some(lt), Some(rt)) = (table_ids[e.left], table_ids[e.right]) else {
+        for e in names.joins.iter().flatten() {
+            let (Some(lt), Some(rt)) = (names.tables[e.left], names.tables[e.right]) else {
                 continue;
             };
-            let lc = db
-                .catalog()
-                .table(TableId(lt))
-                .schema()
-                .column_index(&e.left_col);
-            let rc = db
-                .catalog()
-                .table(TableId(rt))
-                .schema()
-                .column_index(&e.right_col);
-            let (Some(lc), Some(rc)) = (lc, rc) else {
-                continue;
-            };
-            let key = canonical_edge(lt, lc, rt, rc);
-            if let Some(slot) = self.edges.iter().position(|&k| k == key) {
-                out[self.n_tables + slot] = 1.0;
+            let (t, c, ot, oc) = canonical_edge(lt.0, e.left_col, rt.0, e.right_col);
+            // Of equal relations the first declared.
+            if let Some(&(.., slot)) = self.edges_of[t]
+                .iter()
+                .find(|&&(ec, eot, eoc, _)| (ec, eot, eoc) == (c, ot, oc))
+            {
+                set(self.n_tables + slot, 1.0);
             }
         }
         // Predicates.
-        let base = self.n_tables + self.edges.len();
-        for p in &query.predicates {
-            let Some(t) = table_ids[p.table] else {
+        let base = self.n_tables + self.n_edges;
+        for (p, col) in query.predicates.iter().zip(&names.pred_cols) {
+            let (Some(Some(t)), Some(c)) = (names.tables.get(p.table), *col) else {
                 continue;
             };
-            let Some(c) = db
-                .catalog()
-                .table(TableId(t))
-                .schema()
-                .column_index(&p.column)
-            else {
+            let Some(slot) = self.attr_slot[t.0][c] else {
                 continue;
             };
-            let Some(&slot) = self.attr_slot.get(&(t, c)) else {
-                continue;
-            };
-            let (_, _, min, max) = self.attrs[slot];
+            let (min, max) = self.attrs[slot];
             let span = (max - min).max(1.0);
             let norm = |v: f64| (((v - min) / span).clamp(0.0, 1.0)) as f32;
             let (lo, hi) = match &p.region {
@@ -139,11 +156,49 @@ impl Featurizer {
                 ),
             };
             let o = base + 3 * slot;
-            out[o] = 1.0;
-            out[o + 1] = norm(lo);
-            out[o + 2] = norm(hi);
+            set(o, 1.0);
+            set(o + 1, norm(lo));
+            set(o + 2, norm(hi));
         }
-        out
+        for (word, &bits) in written.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                rows.push(slot as u32, vals[slot]);
+                bits &= bits - 1;
+            }
+        }
+        rows.end_row();
+    }
+
+    /// Featurizes every query as one row of `rows`, replacing what it
+    /// held.
+    pub fn push_rows<'q>(
+        &self,
+        db: &Database,
+        queries: impl Iterator<Item = &'q JoinQuery>,
+        scratch: &mut FeatureScratch,
+        rows: &mut SparseRows,
+    ) {
+        rows.clear();
+        for q in queries {
+            self.push_row(db, q, scratch, rows);
+        }
+    }
+
+    /// Featurizes every query into a dense `n × dim` row-major matrix
+    /// (training sets).
+    pub fn dense_rows<'q>(
+        &self,
+        db: &Database,
+        queries: impl Iterator<Item = &'q JoinQuery>,
+    ) -> Matrix {
+        let mut rows = SparseRows::default();
+        self.push_rows(db, queries, &mut FeatureScratch::default(), &mut rows);
+        let mut xs = Matrix::zeros(0, self.dim());
+        xs.rows = rows.len();
+        rows.scatter_dense(xs.cols, &mut xs.data);
+        xs
     }
 }
 
@@ -192,7 +247,7 @@ mod tests {
             joins: vec![JoinEdge::new(0, "Id", 1, "UserId")],
             predicates: vec![Predicate::new(0, "Reputation", Region::ge(50))],
         };
-        let v = f.features(&db, &q);
+        let v = f.dense_rows(&db, std::iter::once(&q)).data;
         assert_eq!(v[..8].iter().filter(|&&x| x == 1.0).count(), 2);
         assert_eq!(v[8..20].iter().filter(|&&x| x == 1.0).count(), 1);
         // One predicate triple set: present=1 plus lo/hi (lo may be 0.0).

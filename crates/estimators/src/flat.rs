@@ -39,9 +39,9 @@ impl CardEst for Flat {
         self.inner.estimate(db, sub)
     }
 
-    /// Batched fanout evaluation: per-table FSPNs answer all sub-plans'
-    /// expectations in shared tree walks (each multi-leaf's joint count
-    /// table is iterated once per batch instead of once per sub-plan).
+    /// Batched fanout evaluation: each per-table FSPN answers all the
+    /// sub-plans' expectations in one bottom-up pass over its nodes (a
+    /// multi-leaf's joint table is read once per batch, in key order).
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         self.inner.estimate_batch(db, subs)
     }

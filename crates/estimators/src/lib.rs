@@ -33,6 +33,7 @@ pub mod multihist;
 pub mod neurocard;
 pub mod pessest;
 pub mod postgres;
+mod scratch;
 pub mod truecard;
 pub mod uae;
 pub mod unisample;

@@ -9,6 +9,7 @@ use cardbench_ml::{Gbdt, Matrix, Mlp};
 use cardbench_query::{JoinQuery, SubPlanQuery};
 
 use crate::featurize::{card_to_label, label_to_card, Featurizer};
+use crate::scratch::{with_scratch, InferScratch};
 use crate::CardEst;
 
 /// A labelled training workload for the query-driven estimators.
@@ -23,21 +24,21 @@ pub struct TrainingSet {
 impl TrainingSet {
     /// Featurizes the whole set.
     pub fn features(&self, db: &Database, f: &Featurizer) -> (Matrix, Vec<f32>) {
-        let xs = Matrix::from_fn(self.queries.len(), f.dim(), |r, c| {
-            // Row-major fill below is cheaper; from_fn keeps it simple.
-            let _ = (r, c);
-            0.0
-        });
-        let mut xs = xs;
-        for (r, q) in self.queries.iter().enumerate() {
-            let v = f.features(db, q);
-            for (c, &val) in v.iter().enumerate() {
-                xs.set(r, c, val);
-            }
-        }
+        let xs = f.dense_rows(db, self.queries.iter());
         let ys: Vec<f32> = self.cards.iter().map(|&c| card_to_label(c)).collect();
         (xs, ys)
     }
+}
+
+/// Featurizes every sub-plan into `scratch.rows`, one sparse row each.
+pub(crate) fn featurize_batch(
+    db: &Database,
+    f: &Featurizer,
+    subs: &[SubPlanQuery],
+    scratch: &mut InferScratch,
+) {
+    let queries = subs.iter().map(|sub| &sub.query);
+    f.push_rows(db, queries, &mut scratch.feat, &mut scratch.rows);
 }
 
 /// LW-XGB: gradient-boosted trees on query features.
@@ -63,21 +64,17 @@ impl CardEst for LwXgb {
         "LW-XGB"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v = self.featurizer.features(db, &sub.query);
-        label_to_card(self.model.predict(&v))
+        let mut out = [0.0];
+        self.estimate_into(db, std::slice::from_ref(sub), &mut out);
+        out[0]
     }
 
-    /// Featurizes the whole sub-plan set into one matrix and walks the
-    /// tree ensemble once per tree instead of once per sub-plan;
-    /// `predict_batch` is row-wise bit-identical to `predict`.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let xs = batch_features(db, &self.featurizer, subs);
-        self.model
-            .predict_batch(&xs)
-            .into_iter()
-            .map(label_to_card)
-            .collect()
+        let mut out = vec![0.0; subs.len()];
+        self.estimate_into(db, subs, &mut out);
+        out
     }
 
     fn batch_leverage(&self) -> bool {
@@ -89,14 +86,25 @@ impl CardEst for LwXgb {
     }
 }
 
-/// Featurizes every sub-plan into one `n × dim` matrix.
-fn batch_features(db: &Database, f: &Featurizer, subs: &[SubPlanQuery]) -> Matrix {
-    let mut xs = Matrix::zeros(subs.len(), f.dim());
-    for (r, sub) in subs.iter().enumerate() {
-        let v = f.features(db, &sub.query);
-        xs.data[r * xs.cols..(r + 1) * xs.cols].copy_from_slice(&v);
+impl LwXgb {
+    /// Featurizes the sub-plans into dense rows (the trees index
+    /// features at random) and walks the ensemble once per tree, not
+    /// once per sub-plan; a row's prediction does not depend on the rest
+    /// of the batch.
+    fn estimate_into(&self, db: &Database, subs: &[SubPlanQuery], out: &mut [f64]) {
+        with_scratch(|scratch| {
+            featurize_batch(db, &self.featurizer, subs, scratch);
+            let dim = self.featurizer.dim();
+            scratch.rows.scatter_dense(dim, &mut scratch.dense);
+            scratch.preds.clear();
+            scratch.preds.resize(subs.len(), 0.0);
+            self.model
+                .predict_into(&scratch.dense, dim, &mut scratch.preds);
+            for (o, &label) in out.iter_mut().zip(&scratch.preds) {
+                *o = label_to_card(label);
+            }
+        })
     }
-    xs
 }
 
 /// LW-NN: a plain MLP on query features.
@@ -148,24 +156,36 @@ impl LwNn {
     }
 }
 
+impl LwNn {
+    /// One batched forward pass over the sparse feature rows; a row's
+    /// output does not depend on the rest of the batch.
+    fn estimate_into(&self, db: &Database, subs: &[SubPlanQuery], out: &mut [f64]) {
+        with_scratch(|scratch| {
+            featurize_batch(db, &self.featurizer, subs, scratch);
+            let labels = self.model.forward_sparse(&scratch.rows, &mut scratch.mlp);
+            for (o, &label) in out.iter_mut().zip(labels) {
+                *o = label_to_card(label);
+            }
+        })
+    }
+}
+
 impl CardEst for LwNn {
     fn name(&self) -> &'static str {
         "LW-NN"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v = self.featurizer.features(db, &sub.query);
-        label_to_card(self.model.forward(&v)[0])
+        let mut out = [0.0];
+        self.estimate_into(db, std::slice::from_ref(sub), &mut out);
+        out[0]
     }
 
-    /// One batched forward pass over the featurized sub-plan set;
-    /// `forward_batch` is row-wise bit-identical to `forward`.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let xs = batch_features(db, &self.featurizer, subs);
-        let out = self.model.forward_batch(&xs);
-        (0..subs.len())
-            .map(|r| label_to_card(out.get(r, 0)))
-            .collect()
+        let mut out = vec![0.0; subs.len()];
+        self.estimate_into(db, subs, &mut out);
+        out
     }
 
     fn batch_leverage(&self) -> bool {

@@ -13,11 +13,13 @@ use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 
 use cardbench_engine::Database;
+use cardbench_ml::mlp::sparse_affine;
 use cardbench_ml::{Matrix, Mlp};
 use cardbench_query::SubPlanQuery;
 
 use crate::featurize::{card_to_label, label_to_card, Featurizer};
 use crate::lw::TrainingSet;
+use crate::scratch::{with_scratch, InferScratch};
 use crate::CardEst;
 
 /// MSCN hyper-parameters.
@@ -50,8 +52,11 @@ impl Default for MscnConfig {
 /// The MSCN estimator.
 pub struct Mscn {
     featurizer: Featurizer,
-    /// Fixed random projections per module (tables / joins / predicates).
-    proj: [Matrix; 3],
+    /// Fixed random projections of the three modules (tables / joins /
+    /// predicates) stacked into one `dim × embed` matrix: row = feature
+    /// slot, so a module's inputs select rows of its own block and a
+    /// sparse feature row reads only the rows of its non-zero slots.
+    proj: Matrix,
     head: Mlp,
     cfg: MscnConfig,
     /// Retained training workload — updating a query-driven model means
@@ -65,13 +70,15 @@ impl Mscn {
         let featurizer = Featurizer::fit(db);
         let (st, sj, sp) = featurizer.segments();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut rand_proj = |inp: usize| {
+        let mut proj = Matrix::zeros(0, cfg.embed);
+        for inp in [st, sj, sp] {
             let scale = (2.0 / inp.max(1) as f32).sqrt();
-            Matrix::from_fn(inp, cfg.embed, |_, _| {
-                (rng.gen::<f32>() - 0.5) * 2.0 * scale
-            })
-        };
-        let proj = [rand_proj(st), rand_proj(sj), rand_proj(sp)];
+            proj.data.extend(
+                std::iter::repeat_with(|| (rng.gen::<f32>() - 0.5) * 2.0 * scale)
+                    .take(inp * cfg.embed),
+            );
+            proj.rows += inp;
+        }
         let mut mscn = Mscn {
             featurizer,
             proj,
@@ -79,38 +86,72 @@ impl Mscn {
             cfg: cfg.clone(),
             train: train.clone(),
         };
-        let mut xs = Matrix::zeros(train.queries.len(), 3 * cfg.embed);
-        for (r, q) in train.queries.iter().enumerate() {
-            let v = mscn.pooled(db, q);
-            for (c, &val) in v.iter().enumerate() {
-                xs.set(r, c, val);
-            }
-        }
+        let mut scratch = InferScratch::default();
+        mscn.featurizer.push_rows(
+            db,
+            train.queries.iter(),
+            &mut scratch.feat,
+            &mut scratch.rows,
+        );
+        mscn.pool(&mut scratch);
+        let mut xs = Matrix::zeros(0, 3 * cfg.embed);
+        xs.rows = train.queries.len();
+        scratch.pooled.scatter_dense(xs.cols, &mut xs.data);
         let ys: Vec<f32> = train.cards.iter().map(|&c| card_to_label(c)).collect();
         mscn.head
             .train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed ^ 0x22);
         mscn
     }
 
-    /// Pooled module representation of a query.
-    fn pooled(&self, db: &Database, q: &cardbench_query::JoinQuery) -> Vec<f32> {
-        let raw = self.featurizer.features(db, q);
-        let (st, sj, _sp) = self.featurizer.segments();
-        let segs = [&raw[..st], &raw[st..st + sj], &raw[st + sj..]];
-        let mut out = Vec::with_capacity(3 * self.cfg.embed);
-        for (seg, proj) in segs.iter().zip(&self.proj) {
-            // ReLU(seg · proj): the pooled set embedding of the module.
-            for o in 0..self.cfg.embed {
-                let mut acc = 0.0f32;
-                for (i, &x) in seg.iter().enumerate() {
-                    if x != 0.0 {
-                        acc += x * proj.get(i, o);
-                    }
-                }
-                out.push(acc.max(0.0));
+    /// Pools every feature row of `scratch.rows` into a row of
+    /// `scratch.pooled`: per module `ReLU(segment · proj)`, the pooled
+    /// set embedding, each output summed over the segment's non-zero
+    /// slots in ascending order.
+    fn pool(&self, scratch: &mut InferScratch) {
+        let (st, sj, sp) = self.featurizer.segments();
+        let ends = [st, st + sj, st + sj + sp];
+        let embed = self.cfg.embed;
+        let InferScratch {
+            rows,
+            pooled,
+            dense: module,
+            ..
+        } = scratch;
+        pooled.clear();
+        module.clear();
+        module.resize(embed, 0.0);
+        for r in 0..rows.len() {
+            let (idx, val) = rows.row(r);
+            let mut lo = 0;
+            for (m, &end) in ends.iter().enumerate() {
+                let hi = lo + idx[lo..].partition_point(|&slot| (slot as usize) < end);
+                sparse_affine(
+                    &self.proj.data,
+                    embed,
+                    None,
+                    &idx[lo..hi],
+                    &val[lo..hi],
+                    module,
+                );
+                pooled.push_relu((m * embed) as u32, module);
+                lo = hi;
             }
+            pooled.end_row();
         }
-        out
+    }
+
+    /// Featurizes and pools every sub-plan, then runs one batched head
+    /// forward pass; a sub-plan's output does not depend on the rest of
+    /// the batch.
+    fn estimate_into(&self, db: &Database, subs: &[SubPlanQuery], out: &mut [f64]) {
+        with_scratch(|scratch| {
+            crate::lw::featurize_batch(db, &self.featurizer, subs, scratch);
+            self.pool(scratch);
+            let labels = self.head.forward_sparse(&scratch.pooled, &mut scratch.mlp);
+            for (o, &label) in out.iter_mut().zip(labels) {
+                *o = label_to_card(label);
+            }
+        })
     }
 }
 
@@ -119,24 +160,17 @@ impl CardEst for Mscn {
         "MSCN"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v = self.pooled(db, &sub.query);
-        label_to_card(self.head.forward(&v)[0])
+        let mut out = [0.0];
+        self.estimate_into(db, std::slice::from_ref(sub), &mut out);
+        out[0]
     }
 
-    /// Pools every sub-plan into one matrix and runs a single batched
-    /// head forward pass; `forward_batch` is row-wise bit-identical to
-    /// `forward`, so this matches the per-sub-plan path exactly.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let mut xs = Matrix::zeros(subs.len(), 3 * self.cfg.embed);
-        for (r, sub) in subs.iter().enumerate() {
-            let v = self.pooled(db, &sub.query);
-            xs.data[r * xs.cols..(r + 1) * xs.cols].copy_from_slice(&v);
-        }
-        let out = self.head.forward_batch(&xs);
-        (0..subs.len())
-            .map(|r| label_to_card(out.get(r, 0)))
-            .collect()
+        let mut out = vec![0.0; subs.len()];
+        self.estimate_into(db, subs, &mut out);
+        out
     }
 
     fn batch_leverage(&self) -> bool {
@@ -144,7 +178,7 @@ impl CardEst for Mscn {
     }
 
     fn model_size_bytes(&self) -> usize {
-        self.head.param_bytes() + self.proj.iter().map(Matrix::heap_size).sum::<usize>()
+        self.head.param_bytes() + self.proj.heap_size()
     }
 
     fn supports_update(&self) -> bool {
@@ -208,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_dim_is_three_embeds() {
+    fn pooled_rows_span_three_embeds() {
         let db = Database::new(stats_catalog(&StatsConfig::tiny(2)));
         let train = TrainingSet {
             queries: vec![JoinQuery::single("users", vec![])],
@@ -219,7 +253,16 @@ mod tests {
             ..MscnConfig::default()
         };
         let est = Mscn::fit(&db, &train, &cfg);
-        let v = est.pooled(&db, &train.queries[0]);
-        assert_eq!(v.len(), 3 * cfg.embed);
+        assert_eq!(est.proj.rows, est.featurizer.dim());
+        let mut scratch = InferScratch::default();
+        est.featurizer
+            .push_row(&db, &train.queries[0], &mut scratch.feat, &mut scratch.rows);
+        est.pool(&mut scratch);
+        // Only the table one-hot is set: the join and predicate modules
+        // pool to zero, and every kept entry passed a ReLU.
+        let (idx, val) = scratch.pooled.row(0);
+        assert!(!idx.is_empty());
+        assert!(idx.iter().all(|&o| (o as usize) < cfg.embed));
+        assert!(val.iter().all(|&v| v > 0.0));
     }
 }

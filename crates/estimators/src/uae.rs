@@ -71,18 +71,16 @@ impl CardEst for UaeQ {
     }
 
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v = self.featurizer.features(db, &sub.query);
-        label_to_card(self.model.forward(&v)[0])
+        let v = self.featurizer.dense_rows(db, std::iter::once(&sub.query));
+        label_to_card(self.model.forward(&v.data)[0])
     }
 
     /// One batched forward pass over the featurized sub-plan set;
     /// `forward_batch` is row-wise bit-identical to `forward`.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let mut xs = Matrix::zeros(subs.len(), self.featurizer.dim());
-        for (r, sub) in subs.iter().enumerate() {
-            let v = self.featurizer.features(db, &sub.query);
-            xs.data[r * xs.cols..(r + 1) * xs.cols].copy_from_slice(&v);
-        }
+        let xs = self
+            .featurizer
+            .dense_rows(db, subs.iter().map(|sub| &sub.query));
         let out = self.model.forward_batch(&xs);
         (0..subs.len())
             .map(|r| label_to_card(out.get(r, 0)))
@@ -141,7 +139,7 @@ fn data_augmented_features(
     n_tables: usize,
     q: &cardbench_query::JoinQuery,
 ) -> Vec<f32> {
-    let mut v = featurizer.features(db, q);
+    let mut v = featurizer.dense_rows(db, std::iter::once(q)).data;
     let mut sels = vec![0.0f32; n_tables];
     if let Ok(bound) = BoundQuery::bind(q, db.catalog()) {
         for bt in &bound.tables {

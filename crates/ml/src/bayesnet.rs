@@ -7,8 +7,19 @@
 
 use crate::chowliu::chow_liu_tree;
 use crate::depmat::dependence_matrix;
+use crate::weights::{ModelScratch, WeightBatch};
+
+/// Laplace smoothing mass added to every CPT cell.
+pub const SMOOTHING: f64 = 0.02;
 
 /// A tree BN: per-node bin counts conditioned on the parent's bin.
+///
+/// The counts are the model; everything a query reads is derived from
+/// them by [`TreeBayesNet::observe`] and never per call: the normalised
+/// CPTs, and per node the message its subtree sends when nothing in it
+/// is constrained. A query then computes messages only for the
+/// constrained nodes and their ancestors — the same additions and
+/// multiplications, in the same order, as a walk over every node.
 #[derive(Debug, Clone)]
 pub struct TreeBayesNet {
     /// `parent[i]` — `None` for the root.
@@ -22,8 +33,24 @@ pub struct TreeBayesNet {
     bins: Vec<usize>,
     /// Total training rows.
     rows: f64,
-    /// Laplace smoothing mass.
-    alpha: f64,
+    /// Topological order (parents before children).
+    order: Vec<usize>,
+    /// Roots in reverse topological order: the order their messages
+    /// multiply into a result.
+    roots_rev: Vec<usize>,
+    /// Offset of node `i`'s message (one value per parent bin) in a
+    /// message slab, and the slab's length.
+    msg_off: Vec<usize>,
+    msg_len: usize,
+    /// Offset of node `i`'s table in `probs`.
+    prob_off: Vec<usize>,
+    /// Derived: smoothed `P(node i = cb | parent = pb)` at
+    /// `prob_off[i] + cb * pbins + pb` — parent bin innermost, so the
+    /// terms of one child bin are contiguous over the message they feed.
+    probs: Vec<f64>,
+    /// Derived: every node's message with its whole subtree
+    /// unconstrained, laid out by `msg_off`.
+    free: Vec<f64>,
 }
 
 impl TreeBayesNet {
@@ -47,24 +74,49 @@ impl TreeBayesNet {
                 children[*p].push(i);
             }
         }
-        let cpt = (0..k)
-            .map(|i| {
-                let pb = parent[i].map_or(1, |p| bins[p]);
-                vec![vec![0.0; bins[i]]; pb]
-            })
+        let pbins = |i: usize| parent[i].map_or(1, |p| bins[p]);
+        let cpt = (0..k).map(|i| vec![vec![0.0; bins[i]]; pbins(i)]).collect();
+        let mut order = Vec::with_capacity(k);
+        let mut stack: Vec<usize> = (0..k).filter(|&i| parent[i].is_none()).collect();
+        while let Some(i) = stack.pop() {
+            order.push(i);
+            stack.extend(children[i].iter().copied());
+        }
+        assert_eq!(order.len(), k, "the structure is a forest");
+        let roots_rev = order
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&i| parent[i].is_none())
             .collect();
-        TreeBayesNet {
+        let (mut msg_off, mut prob_off) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let (mut msg_len, mut prob_len) = (0, 0);
+        for i in 0..k {
+            msg_off.push(msg_len);
+            prob_off.push(prob_len);
+            msg_len += pbins(i);
+            prob_len += pbins(i) * bins[i];
+        }
+        let mut net = TreeBayesNet {
             parent,
             children,
             cpt,
             bins,
             rows: 0.0,
-            alpha: 0.02,
-        }
+            order,
+            roots_rev,
+            msg_off,
+            msg_len,
+            prob_off,
+            probs: vec![0.0; prob_len],
+            free: vec![0.0; msg_len],
+        };
+        net.refresh();
+        net
     }
 
     /// Adds observations (incremental update: counts only, structure
-    /// fixed).
+    /// fixed), then rebuilds the derived tables.
     pub fn observe(&mut self, cols: &[Vec<u16>]) {
         let n = cols.first().map_or(0, Vec::len);
         for r in 0..n {
@@ -75,6 +127,7 @@ impl TreeBayesNet {
             }
         }
         self.rows += n as f64;
+        self.refresh();
     }
 
     /// Number of training rows seen.
@@ -82,45 +135,132 @@ impl TreeBayesNet {
         self.rows
     }
 
-    /// Smoothed conditional `P(node i in bin cb | parent bin pb)`.
-    fn cond(&self, i: usize, pb: usize, cb: usize) -> f64 {
-        let row = &self.cpt[i][pb];
-        let total: f64 = row.iter().sum();
-        (row[cb] + self.alpha) / (total + self.alpha * self.bins[i] as f64)
+    fn pbins(&self, i: usize) -> usize {
+        self.parent[i].map_or(1, |p| self.bins[p])
     }
 
-    /// Exact `E[Π_i w_i(X_i)]` under the model. `weights[i]` gives a
-    /// per-bin weight for node `i`; `None` means the constant 1 (node
-    /// unconstrained). Indicator weights give probabilities; value
-    /// weights give expectations (e.g. join fanouts).
-    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        assert_eq!(weights.len(), self.parent.len());
-        // messages[i][pb] = E[Π w over i's subtree | parent bin pb].
-        let order = self.topo_order();
-        let mut messages: Vec<Vec<f64>> = vec![Vec::new(); self.parent.len()];
-        let mut result = 1.0;
-        for &i in order.iter().rev() {
-            let pbins = self.parent[i].map_or(1, |p| self.bins[p]);
-            let mut msg = vec![0.0; pbins];
-            for (pb, m) in msg.iter_mut().enumerate() {
-                for cb in 0..self.bins[i] {
-                    let w = weights[i].as_ref().map_or(1.0, |w| w[cb]);
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let mut term = self.cond(i, pb, cb) * w;
-                    for &c in &self.children[i] {
-                        term *= messages[c][cb];
-                    }
-                    *m += term;
+    /// Rebuilds `probs` and `free` from the counts.
+    fn refresh(&mut self) {
+        for i in 0..self.parent.len() {
+            let (pbins, bins) = (self.pbins(i), self.bins[i]);
+            for (pb, row) in self.cpt[i].iter().enumerate() {
+                let total: f64 = row.iter().sum();
+                for (cb, count) in row.iter().enumerate() {
+                    self.probs[self.prob_off[i] + cb * pbins + pb] =
+                        (count + SMOOTHING) / (total + SMOOTHING * bins as f64);
                 }
             }
-            if self.parent[i].is_none() {
-                result *= msg[0];
-            }
-            messages[i] = msg;
         }
-        result
+        // Children before parents, each reading its children's fresh
+        // messages from the table being built.
+        let mut free = std::mem::take(&mut self.free);
+        let fresh = vec![1; self.parent.len()];
+        let (mut acc, mut term) = (Vec::new(), Vec::new());
+        for &i in self.order.iter().rev() {
+            self.node_message(i, None, &fresh, &free, &mut acc, &mut term);
+            free[self.msg_off[i]..][..acc.len()].copy_from_slice(&acc);
+        }
+        self.free = free;
+    }
+
+    /// `acc[pb] = E[Π w over i's subtree | parent bin pb]`: for each
+    /// child bin `cb` ascending with a non-zero weight, the term
+    /// `P(cb | pb) · w[cb]` times each child's message at `cb` in child
+    /// order, added to `acc[pb]`. A child's message is read from `msgs`
+    /// when `dirty` marks it, else it is the child's free message.
+    fn node_message(
+        &self,
+        i: usize,
+        weights: Option<&[f64]>,
+        dirty: &[u32],
+        msgs: &[f64],
+        acc: &mut Vec<f64>,
+        term: &mut Vec<f64>,
+    ) {
+        let pbins = self.pbins(i);
+        let probs = &self.probs[self.prob_off[i]..][..pbins * self.bins[i]];
+        acc.clear();
+        acc.resize(pbins, 0.0);
+        term.clear();
+        term.resize(pbins, 0.0);
+        for (cb, p) in probs.chunks_exact(pbins).enumerate() {
+            let w = weights.map_or(1.0, |w| w[cb]);
+            if w == 0.0 {
+                continue;
+            }
+            for (t, p) in term.iter_mut().zip(p) {
+                *t = p * w;
+            }
+            for &c in &self.children[i] {
+                let from = if dirty[c] != 0 { msgs } else { &self.free };
+                let m = from[self.msg_off[c] + cb];
+                for t in term.iter_mut() {
+                    *t *= m;
+                }
+            }
+            for (a, t) in acc.iter_mut().zip(term.iter()) {
+                *a += t;
+            }
+        }
+    }
+
+    /// Exact `E[Π_i w_i(X_i)]` under the model for every item of
+    /// `batch`, appended to `out` in order. Weights of column `i` give a
+    /// per-bin weight for node `i`; an unconstrained column is the
+    /// constant 1. Indicator weights give probabilities; value weights
+    /// give expectations (e.g. join fanouts). Items share nothing but the
+    /// scratch buffers: an item's value does not depend on the batch it
+    /// is in.
+    pub fn query_batch(&self, batch: &WeightBatch, scratch: &mut ModelScratch, out: &mut Vec<f64>) {
+        let k = self.parent.len();
+        assert_eq!(batch.cols(), k);
+        let ModelScratch {
+            vals: msgs,
+            slots: dirty,
+            acc,
+            term,
+            ..
+        } = scratch;
+        msgs.clear();
+        msgs.resize(self.msg_len, 0.0);
+        for item in 0..batch.len() {
+            // A node is dirty when its subtree holds a constrained node:
+            // every other message is the free one.
+            dirty.clear();
+            dirty.resize(k, 0);
+            for i in 0..k {
+                if batch.get(item, i).is_some() {
+                    let mut at = Some(i);
+                    while let Some(a) = at.filter(|&a| dirty[a] == 0) {
+                        dirty[a] = 1;
+                        at = self.parent[a];
+                    }
+                }
+            }
+            for &i in self.order.iter().rev() {
+                if dirty[i] != 0 {
+                    self.node_message(i, batch.get(item, i), dirty, msgs, acc, term);
+                    msgs[self.msg_off[i]..][..acc.len()].copy_from_slice(acc);
+                }
+            }
+            let mut result = 1.0;
+            for &r in &self.roots_rev {
+                let from = if dirty[r] != 0 { &*msgs } else { &self.free };
+                result *= from[self.msg_off[r]];
+            }
+            out.push(result);
+        }
+    }
+
+    /// [`TreeBayesNet::query_batch`] of one weight set (`None` = the
+    /// constant 1).
+    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
+        let mut batch = WeightBatch::default();
+        batch.reset(self.parent.len());
+        batch.push_options(weights);
+        let mut out = Vec::with_capacity(1);
+        self.query_batch(&batch, &mut ModelScratch::default(), &mut out);
+        out[0]
     }
 
     /// Probability that each constrained node falls in its allowed bins
@@ -129,20 +269,7 @@ impl TreeBayesNet {
         self.query(allowed)
     }
 
-    /// Topological order (parents before children).
-    fn topo_order(&self) -> Vec<usize> {
-        let k = self.parent.len();
-        let mut order = Vec::with_capacity(k);
-        let mut stack: Vec<usize> = (0..k).filter(|&i| self.parent[i].is_none()).collect();
-        while let Some(i) = stack.pop() {
-            order.push(i);
-            stack.extend(self.children[i].iter().copied());
-        }
-        debug_assert_eq!(order.len(), k);
-        order
-    }
-
-    /// Approximate model size in bytes.
+    /// Approximate model size in bytes: the counts.
     pub fn size_bytes(&self) -> usize {
         self.cpt
             .iter()

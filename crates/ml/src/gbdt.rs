@@ -6,124 +6,104 @@
 
 use crate::matrix::Matrix;
 
-/// One node of a regression tree stored in an arena.
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f32,
-    },
-    Split {
-        feature: usize,
-        threshold: f32,
-        left: usize,
-        right: usize,
-    },
+/// One node of a regression tree, sixteen bytes in the ensemble's one
+/// node array. A split sends `x[feature] <= value` to `kids[0]` and
+/// everything else (NaN included) to `kids[1]`; a leaf predicts `value`
+/// and has itself for both children, so a walk of the ensemble's
+/// maximum depth needs no leaf test: it parks on the leaf it reaches.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Split feature; 0 on a leaf (any valid index: both ways stay).
+    feature: u32,
+    /// Split threshold, or the leaf's prediction.
+    value: f32,
+    /// Node ids of the `<=` and the `>` child.
+    kids: [u32; 2],
 }
 
-/// A depth-limited regression tree.
-#[derive(Debug, Clone)]
-struct Tree {
-    nodes: Vec<Node>,
-}
+/// Bytes one node counts for in [`Gbdt::size_bytes`]: a feature index,
+/// a threshold and two child links at pointer width, as the model has
+/// reported since the seed (Fig. 3's size column is about parameters,
+/// not about this array's packing).
+const NODE_MODEL_BYTES: usize = 32;
 
-impl Tree {
-    fn fit(xs: &Matrix, ys: &[f32], rows: &[usize], depth: usize, min_rows: usize) -> Tree {
-        let mut nodes = Vec::new();
-        Self::build(xs, ys, rows, depth, min_rows, &mut nodes);
-        Tree { nodes }
-    }
-
-    fn build(
-        xs: &Matrix,
-        ys: &[f32],
-        rows: &[usize],
-        depth: usize,
-        min_rows: usize,
-        nodes: &mut Vec<Node>,
-    ) -> usize {
-        let mean = rows.iter().map(|&r| ys[r]).sum::<f32>() / rows.len().max(1) as f32;
-        if depth == 0 || rows.len() < min_rows {
-            nodes.push(Node::Leaf { value: mean });
-            return nodes.len() - 1;
-        }
-        // Greedy best split by variance reduction.
-        let mut best: Option<(f32, usize, f32)> = None; // (score, feature, threshold)
-        for f in 0..xs.cols {
-            let mut vals: Vec<(f32, f32)> = rows.iter().map(|&r| (xs.get(r, f), ys[r])).collect();
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let total_sum: f32 = vals.iter().map(|v| v.1).sum();
-            let total_sq: f32 = vals.iter().map(|v| v.1 * v.1).sum();
-            let n = vals.len() as f32;
-            let mut lsum = 0.0f32;
-            let mut lsq = 0.0f32;
-            for i in 0..vals.len() - 1 {
-                lsum += vals[i].1;
-                lsq += vals[i].1 * vals[i].1;
-                if vals[i].0 == vals[i + 1].0 {
-                    continue; // can't split between equal values
-                }
-                let ln = (i + 1) as f32;
-                let rn = n - ln;
-                let lvar = lsq - lsum * lsum / ln;
-                let rsum = total_sum - lsum;
-                let rvar = (total_sq - lsq) - rsum * rsum / rn;
-                let score = lvar + rvar; // lower is better
-                if best.is_none_or(|(s, _, _)| score < s) {
-                    best = Some((score, f, (vals[i].0 + vals[i + 1].0) / 2.0));
-                }
-            }
-        }
-        let Some((_, feature, threshold)) = best else {
-            nodes.push(Node::Leaf { value: mean });
-            return nodes.len() - 1;
-        };
-        let (lrows, rrows): (Vec<usize>, Vec<usize>) =
-            rows.iter().partition(|&&r| xs.get(r, feature) <= threshold);
-        if lrows.is_empty() || rrows.is_empty() {
-            nodes.push(Node::Leaf { value: mean });
-            return nodes.len() - 1;
-        }
-        let left = Self::build(xs, ys, &lrows, depth - 1, min_rows, nodes);
-        let right = Self::build(xs, ys, &rrows, depth - 1, min_rows, nodes);
-        nodes.push(Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
+/// Builds one depth-limited regression tree into `nodes`, returning
+/// its root.
+fn build_tree(
+    xs: &Matrix,
+    ys: &[f32],
+    rows: &[usize],
+    depth: usize,
+    min_rows: usize,
+    nodes: &mut Vec<Node>,
+) -> u32 {
+    let leaf = |value: f32, nodes: &mut Vec<Node>| {
+        let id = nodes.len() as u32;
+        nodes.push(Node {
+            feature: 0,
+            value,
+            kids: [id, id],
         });
-        nodes.len() - 1
+        id
+    };
+    let mean = rows.iter().map(|&r| ys[r]).sum::<f32>() / rows.len().max(1) as f32;
+    if depth == 0 || rows.len() < min_rows {
+        return leaf(mean, nodes);
     }
-
-    fn predict(&self, x: &[f32]) -> f32 {
-        let mut i = self.nodes.len() - 1; // root is last
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if x[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+    // Greedy best split by variance reduction.
+    let mut best: Option<(f32, usize, f32)> = None; // (score, feature, threshold)
+    for f in 0..xs.cols {
+        let mut vals: Vec<(f32, f32)> = rows.iter().map(|&r| (xs.get(r, f), ys[r])).collect();
+        vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let total_sum: f32 = vals.iter().map(|v| v.1).sum();
+        let total_sq: f32 = vals.iter().map(|v| v.1 * v.1).sum();
+        let n = vals.len() as f32;
+        let mut lsum = 0.0f32;
+        let mut lsq = 0.0f32;
+        for i in 0..vals.len() - 1 {
+            lsum += vals[i].1;
+            lsq += vals[i].1 * vals[i].1;
+            if vals[i].0 == vals[i + 1].0 {
+                continue; // can't split between equal values
+            }
+            let ln = (i + 1) as f32;
+            let rn = n - ln;
+            let lvar = lsq - lsum * lsum / ln;
+            let rsum = total_sum - lsum;
+            let rvar = (total_sq - lsq) - rsum * rsum / rn;
+            let score = lvar + rvar; // lower is better
+            if best.is_none_or(|(s, _, _)| score < s) {
+                best = Some((score, f, (vals[i].0 + vals[i + 1].0) / 2.0));
             }
         }
     }
-
-    fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
+    let Some((_, feature, threshold)) = best else {
+        return leaf(mean, nodes);
+    };
+    let (lrows, rrows): (Vec<usize>, Vec<usize>) =
+        rows.iter().partition(|&&r| xs.get(r, feature) <= threshold);
+    if lrows.is_empty() || rrows.is_empty() {
+        return leaf(mean, nodes);
     }
+    let left = build_tree(xs, ys, &lrows, depth - 1, min_rows, nodes);
+    let right = build_tree(xs, ys, &rrows, depth - 1, min_rows, nodes);
+    nodes.push(Node {
+        feature: feature as u32,
+        value: threshold,
+        kids: [left, right],
+    });
+    nodes.len() as u32 - 1
 }
 
 /// Gradient-boosted regression-tree ensemble.
 #[derive(Debug, Clone)]
 pub struct Gbdt {
-    trees: Vec<Tree>,
+    /// Every tree's nodes, tree after tree.
+    nodes: Vec<Node>,
+    /// Root node of each tree, in boosting order.
+    roots: Vec<u32>,
+    /// Steps that take any root to a leaf: the configured tree depth.
+    depth: usize,
     base: f32,
     shrinkage: f32,
 }
@@ -157,48 +137,75 @@ impl Gbdt {
     pub fn fit(xs: &Matrix, ys: &[f32], cfg: &GbdtConfig) -> Gbdt {
         assert_eq!(xs.rows, ys.len());
         assert!(xs.rows > 0);
+        assert!(xs.cols > 0, "a leaf's walk reads feature 0");
         let base = ys.iter().sum::<f32>() / ys.len() as f32;
         let mut residual: Vec<f32> = ys.iter().map(|&y| y - base).collect();
         let rows: Vec<usize> = (0..xs.rows).collect();
-        let mut trees = Vec::with_capacity(cfg.rounds);
-        for _ in 0..cfg.rounds {
-            let tree = Tree::fit(xs, &residual, &rows, cfg.depth, cfg.min_rows);
-            for (r, res) in residual.iter_mut().enumerate() {
-                *res -= cfg.shrinkage * tree.predict(xs.row(r));
-            }
-            trees.push(tree);
-        }
-        Gbdt {
-            trees,
+        let mut gbdt = Gbdt {
+            nodes: Vec::new(),
+            roots: Vec::with_capacity(cfg.rounds),
+            depth: cfg.depth,
             base,
             shrinkage: cfg.shrinkage,
+        };
+        for _ in 0..cfg.rounds {
+            let root = build_tree(
+                xs,
+                &residual,
+                &rows,
+                cfg.depth,
+                cfg.min_rows,
+                &mut gbdt.nodes,
+            );
+            for (r, res) in residual.iter_mut().enumerate() {
+                *res -= cfg.shrinkage * gbdt.leaf_value(root, xs.row(r));
+            }
+            gbdt.roots.push(root);
         }
+        gbdt
     }
 
-    /// Predicts one sample.
+    /// The prediction of the tree rooted at `root` for `x`: `depth`
+    /// branch-free steps (a leaf steps onto itself).
+    #[inline]
+    fn leaf_value(&self, root: u32, x: &[f32]) -> f32 {
+        let mut at = root as usize;
+        for _ in 0..self.depth {
+            let node = &self.nodes[at];
+            // NaN fails the test and goes right, like everything `>`.
+            let left = x[node.feature as usize] <= node.value;
+            at = node.kids[usize::from(!left)] as usize;
+        }
+        self.nodes[at].value
+    }
+
+    /// Predicts one sample: the one-row case of [`Gbdt::predict_into`].
     pub fn predict(&self, x: &[f32]) -> f32 {
-        self.base + self.shrinkage * self.trees.iter().map(|t| t.predict(x)).sum::<f32>()
+        let mut out = [0.0f32];
+        self.predict_into(x, x.len(), &mut out);
+        out[0]
     }
 
-    /// Predicts every row of `xs`. Trees walk outermost so each tree's
-    /// arena stays hot across items; each item still accumulates its
-    /// per-tree outputs in ensemble order, so every prediction is
-    /// bit-identical to [`Gbdt::predict`] on that row.
-    pub fn predict_batch(&self, xs: &Matrix) -> Vec<f32> {
-        let mut sums = vec![0.0f32; xs.rows];
-        for tree in &self.trees {
-            for (r, sum) in sums.iter_mut().enumerate() {
-                *sum += tree.predict(xs.row(r));
+    /// Predicts every `cols`-wide row of the row-major `xs` into `out`.
+    /// Trees walk outermost so each tree's nodes stay hot across items;
+    /// each item still accumulates its per-tree outputs in ensemble
+    /// order, whatever else the batch holds.
+    pub fn predict_into(&self, xs: &[f32], cols: usize, out: &mut [f32]) {
+        assert_eq!(xs.len(), out.len() * cols);
+        out.fill(0.0);
+        for &root in &self.roots {
+            for (sum, x) in out.iter_mut().zip(xs.chunks_exact(cols)) {
+                *sum += self.leaf_value(root, x);
             }
         }
-        sums.into_iter()
-            .map(|s| self.base + self.shrinkage * s)
-            .collect()
+        for sum in out.iter_mut() {
+            *sum = self.base + self.shrinkage * *sum;
+        }
     }
 
     /// Approximate model size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.trees.iter().map(Tree::size_bytes).sum::<usize>() + 8
+        self.nodes.len() * NODE_MODEL_BYTES + 8
     }
 }
 
@@ -247,8 +254,8 @@ mod tests {
         let xs = Matrix::from_fn(40, 2, |r, c| ((r * 7 + c * 3) % 11) as f32);
         let ys: Vec<f32> = (0..40).map(|r| (r % 5) as f32 - 2.0).collect();
         let g = Gbdt::fit(&xs, &ys, &GbdtConfig::default());
-        let batched = g.predict_batch(&xs);
-        assert_eq!(batched.len(), xs.rows);
+        let mut batched = vec![f32::NAN; xs.rows];
+        g.predict_into(&xs.data, xs.cols, &mut batched);
         for r in 0..xs.rows {
             assert_eq!(
                 g.predict(xs.row(r)).to_bits(),

@@ -23,6 +23,7 @@ pub mod kmeans;
 pub mod matrix;
 pub mod mlp;
 pub mod spn;
+pub mod weights;
 
 pub use autoreg::AutoRegModel;
 pub use bayesnet::TreeBayesNet;
@@ -31,6 +32,7 @@ pub use depmat::dependence_matrix;
 pub use discretize::Discretizer;
 pub use gbdt::Gbdt;
 pub use kmeans::kmeans;
-pub use matrix::Matrix;
-pub use mlp::Mlp;
+pub use matrix::{Matrix, SparseRows};
+pub use mlp::{Mlp, MlpScratch};
 pub use spn::Spn;
+pub use weights::{ModelScratch, WeightBatch};

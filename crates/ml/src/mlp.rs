@@ -8,7 +8,7 @@
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, SparseRows};
 
 /// One dense layer with Adam state.
 #[derive(Debug, Clone)]
@@ -106,41 +106,63 @@ impl Mlp {
         softmax(&self.forward(x))
     }
 
-    /// Batched forward pass over `xs` (`n × input_dim`), returning the
-    /// `n × output_dim` raw outputs. The inner loops run input-major with
-    /// the item loop innermost so each weight row is read once per layer
-    /// instead of once per item, but every per-item accumulation visits
-    /// the same inputs in the same ascending order (with the same
-    /// skip-zero short-circuit) as [`Mlp::forward`], so each output row
-    /// is bit-identical to the per-item pass.
+    /// Batched forward pass over sparse input rows, returning the
+    /// `n × output_dim` raw outputs (they live in `scratch`). Layers run
+    /// outermost so one layer's weights stay hot across the items; each
+    /// output tile of an item is accumulated in registers over the
+    /// item's non-zero inputs in ascending order — the operands and the
+    /// order of [`Mlp::forward`]'s skip-zero loop, so each output row is
+    /// bit-identical to the per-item pass. Hidden activations go from
+    /// layer to layer as sparse rows: ReLU zeroes about half of them and
+    /// the next layer would skip those anyway.
+    pub fn forward_sparse<'s>(&self, xs: &SparseRows, scratch: &'s mut MlpScratch) -> &'s [f32] {
+        let MlpScratch {
+            cur,
+            next,
+            row,
+            out,
+        } = scratch;
+        let n = xs.len();
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let input: &SparseRows = if li == 0 { xs } else { cur };
+            let out_dim = layer.b.len();
+            if li == last {
+                out.clear();
+                out.resize(n * out_dim, 0.0);
+                for (r, dst) in out.chunks_exact_mut(out_dim).enumerate() {
+                    let (idx, val) = input.row(r);
+                    sparse_affine(&layer.w.data, out_dim, Some(&layer.b), idx, val, dst);
+                }
+            } else {
+                row.clear();
+                row.resize(out_dim, 0.0);
+                next.clear();
+                for r in 0..n {
+                    let (idx, val) = input.row(r);
+                    sparse_affine(&layer.w.data, out_dim, Some(&layer.b), idx, val, row);
+                    next.push_relu(0, row);
+                    next.end_row();
+                }
+                std::mem::swap(cur, next);
+            }
+        }
+        out
+    }
+
+    /// [`Mlp::forward_sparse`] over a dense `n × input_dim` matrix, for
+    /// callers that keep no scratch.
     pub fn forward_batch(&self, xs: &Matrix) -> Matrix {
         assert_eq!(xs.cols, self.dims[0]);
-        let n = xs.rows;
-        let mut acts = xs.clone();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let out_dim = layer.b.len();
-            let mut out = Matrix::from_fn(n, out_dim, |_, o| layer.b[o]);
-            for i in 0..acts.cols {
-                let wrow = layer.w.row(i);
-                for item in 0..n {
-                    let xi = acts.get(item, i);
-                    if xi == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut out.data[item * out_dim..(item + 1) * out_dim];
-                    for (ov, &wv) in orow.iter_mut().zip(wrow) {
-                        *ov += xi * wv;
-                    }
-                }
-            }
-            if li + 1 < self.layers.len() {
-                for v in &mut out.data {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            acts = out;
+        let mut rows = SparseRows::default();
+        rows.fill_from_dense(&xs.data, xs.cols);
+        let mut scratch = MlpScratch::default();
+        let data = self.forward_sparse(&rows, &mut scratch).to_vec();
+        Matrix {
+            rows: xs.rows,
+            cols: self.output_dim(),
+            data,
         }
-        acts
     }
 
     /// Batched forward pass returning per-row softmax probabilities,
@@ -315,6 +337,75 @@ impl Mlp {
     }
 }
 
+/// Reusable buffers of [`Mlp::forward_sparse`].
+#[derive(Debug, Default)]
+pub struct MlpScratch {
+    /// Hidden activations entering the current layer.
+    cur: SparseRows,
+    /// Hidden activations leaving it.
+    next: SparseRows,
+    /// One item's pre-activation outputs.
+    row: Vec<f32>,
+    /// The last layer's outputs, `n × output_dim`.
+    out: Vec<f32>,
+}
+
+/// Widest output tile: sixteen `f32` accumulators are four SSE
+/// registers, which leaves registers for the weight loads and the
+/// broadcast input.
+const TILE: usize = 16;
+
+/// `out[o] = init[o] + Σ_k val[k] · w[idx[k]][o]` for a row-major `w` of
+/// width `out.len()`; `init` of `None` starts at `0.0`. Each output is
+/// one running sum over `k` in the order given, so the caller's order of
+/// entries is the order of the floating-point additions. Outputs are
+/// taken a tile at a time — 16 wide, then 4, then singly — with the
+/// tile's sums held in registers across all `k`: a weight row is read
+/// where the old kernel read-modify-wrote a whole output row per input.
+pub fn sparse_affine(
+    w: &[f32],
+    out_dim: usize,
+    init: Option<&[f32]>,
+    idx: &[u32],
+    val: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), out_dim);
+    let mut o = affine_tiles::<TILE>(w, out_dim, init, idx, val, out, 0);
+    o = affine_tiles::<4>(w, out_dim, init, idx, val, out, o);
+    affine_tiles::<1>(w, out_dim, init, idx, val, out, o);
+}
+
+/// The `N`-wide tiles of [`sparse_affine`] from output `o` on; returns
+/// the first output left over.
+#[inline(always)]
+fn affine_tiles<const N: usize>(
+    w: &[f32],
+    out_dim: usize,
+    init: Option<&[f32]>,
+    idx: &[u32],
+    val: &[f32],
+    out: &mut [f32],
+    mut o: usize,
+) -> usize {
+    while o + N <= out_dim {
+        let mut acc = [0.0f32; N];
+        if let Some(init) = init {
+            acc.copy_from_slice(&init[o..o + N]);
+        }
+        for (&i, &x) in idx.iter().zip(val) {
+            let at = i as usize * out_dim + o;
+            let wrow: &[f32; N] = w[at..at + N].try_into().expect("a slice of N is [f32; N]");
+            for k in 0..N {
+                acc[k] += x * wrow[k];
+            }
+        }
+        out[o..o + N].copy_from_slice(&acc);
+        o += N;
+    }
+    o
+}
+
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -396,6 +487,28 @@ mod tests {
             let single = net.forward(xs.row(r));
             for (o, &v) in single.iter().enumerate() {
                 assert_eq!(v.to_bits(), batched.get(r, o).to_bits(), "row {r} out {o}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_affine_covers_every_tile_width() {
+        // 16 + 4 + 1 + 1: all three tile widths and a repeat.
+        let (inp, out_dim) = (5usize, 22usize);
+        let w: Vec<f32> = (0..inp * out_dim)
+            .map(|k| (k as f32 * 0.37).sin())
+            .collect();
+        let b: Vec<f32> = (0..out_dim).map(|o| o as f32 * 0.1 - 1.0).collect();
+        let (idx, val) = ([0u32, 2, 3], [0.5f32, -1.25, 3.0]);
+        for init in [None, Some(&b[..])] {
+            let mut out = vec![f32::NAN; out_dim];
+            sparse_affine(&w, out_dim, init, &idx, &val, &mut out);
+            for o in 0..out_dim {
+                let mut acc = init.map_or(0.0, |b| b[o]);
+                for (&i, &x) in idx.iter().zip(&val) {
+                    acc += x * w[i as usize * out_dim + o];
+                }
+                assert_eq!(out[o].to_bits(), acc.to_bits(), "output {o}");
             }
         }
     }

@@ -13,11 +13,10 @@
 //! All parameters are stored as counts so the paper's incremental update
 //! (structure preserved, parameters updated) is supported.
 
-use std::collections::HashMap;
-
 use crate::depmat::dependence_matrix;
 use crate::kmeans::kmeans;
 use crate::matrix::Matrix;
+use crate::weights::{ModelScratch, WeightBatch};
 
 /// SPN learning configuration.
 #[derive(Debug, Clone)]
@@ -57,47 +56,159 @@ impl Default for SpnConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    /// Mixture over row clusters; weights are row counts.
-    Sum { children: Vec<(f64, usize)> },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Mixture over row clusters; child weights are row counts.
+    Sum,
     /// Independent column groups.
-    Product { children: Vec<usize> },
+    Product,
     /// Univariate histogram (counts per bin).
-    Leaf { col: usize, counts: Vec<f64> },
+    Leaf,
     /// Exact joint count table over a few highly correlated columns.
+    MultiLeaf,
+}
+
+/// One node of the flat node array. Children are built before their
+/// parent, so ascending node id is a bottom-up topological order and
+/// the root is the last node.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: Kind,
+    /// Sum/Product: children are `kids[lo..hi]`. Leaf: column `lo`,
+    /// counts at `leaf_counts[hi..hi + bins[lo]]`. MultiLeaf:
+    /// `multis[lo]`.
+    lo: u32,
+    hi: u32,
+}
+
+/// A multi-leaf's joint table, as parallel arrays sorted by key: the
+/// order every sum over it runs in, whatever order the rows arrived in.
+#[derive(Debug, Clone)]
+struct MultiLeaf {
+    cols: Vec<usize>,
+    /// `cols.len()` bins per entry, entries ascending.
+    keys: Vec<u16>,
+    /// Row count per entry.
+    counts: Vec<f64>,
+    /// Derived: `counts[e] / total`.
+    probs: Vec<f64>,
+}
+
+impl MultiLeaf {
+    /// Entry holding `key`, or the entry it would be inserted before.
+    fn find(&self, key: &[u16]) -> Result<usize, usize> {
+        let width = self.cols.len();
+        let (mut lo, mut hi) = (0, self.counts.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.keys[mid * width..(mid + 1) * width].cmp(key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+}
+
+/// A read-only view of one node: the learned state, none of the derived
+/// tables.
+#[derive(Debug, Clone, Copy)]
+pub enum SpnNode<'a> {
+    /// Mixture: child node ids and their row counts.
+    Sum {
+        /// Child node ids.
+        children: &'a [u32],
+        /// Row count routed to each child.
+        counts: &'a [f64],
+    },
+    /// Product over independent column groups.
+    Product {
+        /// Child node ids.
+        children: &'a [u32],
+    },
+    /// Univariate histogram.
+    Leaf {
+        /// Model column.
+        col: usize,
+        /// Row count per bin.
+        counts: &'a [f64],
+    },
+    /// Joint count table.
     MultiLeaf {
-        cols: Vec<usize>,
-        counts: HashMap<Vec<u16>, f64>,
+        /// Model columns, in key order.
+        cols: &'a [usize],
+        /// `cols.len()` bins per entry, entries ascending.
+        keys: &'a [u16],
+        /// Row count per entry.
+        counts: &'a [f64],
     },
 }
 
 /// A learned sum-product network.
+///
+/// Counts are the model. What evaluation reads is derived from them once
+/// per [`Spn::fit`]/[`Spn::update`] and never per query: leaf and
+/// multi-leaf probabilities, normalised sum weights, each node's column
+/// scope, and each node's value when nothing in its scope is
+/// constrained.
 #[derive(Debug, Clone)]
 pub struct Spn {
     nodes: Vec<Node>,
+    /// Child ids of sum and product nodes.
+    kids: Vec<u32>,
+    /// Per `kids` entry of a sum node: rows routed to that child.
+    kid_counts: Vec<f64>,
+    /// Leaf histograms.
+    leaf_counts: Vec<f64>,
+    multis: Vec<MultiLeaf>,
     root: usize,
     bins: Vec<usize>,
     cfg: SpnConfig,
     rows: f64,
+    /// Bit `c` set when model column `c` is below the node.
+    scope: Vec<u64>,
+    /// Derived, per `kids` entry of a sum node: `count / total`.
+    kid_fracs: Vec<f64>,
+    /// Derived, laid out as `leaf_counts`: `count / total`.
+    leaf_probs: Vec<f64>,
+    /// Derived, per node: sum of its counts.
+    total: Vec<f64>,
+    /// Derived, per node: its value with its whole scope unconstrained.
+    free: Vec<f64>,
 }
+
+/// [`ModelScratch::slots`] entry of a node no item of the batch
+/// constrains: its value is its free value for every item.
+const INACTIVE: u32 = u32::MAX;
 
 impl Spn {
     /// Learns an SPN from binned columns (`cols[i][r]` = bin of row `r`).
     pub fn fit(cols: &[Vec<u16>], bins: &[usize], cfg: SpnConfig) -> Spn {
         assert_eq!(cols.len(), bins.len());
         assert!(!cols.is_empty());
+        assert!(cols.len() <= 64, "a node's scope is one 64-bit mask");
         let n = cols[0].len();
         let mut spn = Spn {
             nodes: Vec::new(),
+            kids: Vec::new(),
+            kid_counts: Vec::new(),
+            leaf_counts: Vec::new(),
+            multis: Vec::new(),
             root: 0,
             bins: bins.to_vec(),
             cfg,
             rows: n as f64,
+            scope: Vec::new(),
+            kid_fracs: Vec::new(),
+            leaf_probs: Vec::new(),
+            total: Vec::new(),
+            free: Vec::new(),
         };
         let rows: Vec<u32> = (0..n as u32).collect();
         let scope: Vec<usize> = (0..cols.len()).collect();
         spn.root = spn.build(cols, &rows, &scope, 0);
+        spn.refresh();
         spn
     }
 
@@ -111,9 +222,41 @@ impl Spn {
         self.nodes.len()
     }
 
+    /// Id of the root node (the last one: children precede parents).
+    pub fn root(&self) -> usize {
+        self.root
+    }
+
+    /// The learned state of node `id`.
+    pub fn node(&self, id: usize) -> SpnNode<'_> {
+        let node = self.nodes[id];
+        let (lo, hi) = (node.lo as usize, node.hi as usize);
+        match node.kind {
+            Kind::Sum => SpnNode::Sum {
+                children: &self.kids[lo..hi],
+                counts: &self.kid_counts[lo..hi],
+            },
+            Kind::Product => SpnNode::Product {
+                children: &self.kids[lo..hi],
+            },
+            Kind::Leaf => SpnNode::Leaf {
+                col: lo,
+                counts: &self.leaf_counts[hi..hi + self.bins[lo]],
+            },
+            Kind::MultiLeaf => {
+                let m = &self.multis[lo];
+                SpnNode::MultiLeaf {
+                    cols: &m.cols,
+                    keys: &m.keys,
+                    counts: &m.counts,
+                }
+            }
+        }
+    }
+
     fn build(&mut self, cols: &[Vec<u16>], rows: &[u32], scope: &[usize], depth: usize) -> usize {
         if scope.len() == 1 {
-            return self.push(self.make_leaf(cols, rows, scope[0]));
+            return self.push_leaf(cols, rows, scope[0]);
         }
         if rows.len() < self.cfg.min_rows || depth >= self.cfg.max_depth {
             return self.fallback(cols, rows, scope);
@@ -133,14 +276,14 @@ impl Spn {
                     self.build(cols, rows, &sub_scope, depth + 1)
                 })
                 .collect();
-            return self.push(Node::Product { children });
+            return self.push_inner(Kind::Product, children.into_iter().map(|c| (0.0, c)));
         }
         // FLAT: tightly coupled small groups become exact joint leaves.
         if self.cfg.multileaf
             && scope.len() <= self.cfg.max_multileaf_cols
             && min_offdiag(&dep) >= self.cfg.joint_threshold
         {
-            return self.push(self.make_multileaf(cols, rows, scope));
+            return self.push_multileaf(cols, rows, scope);
         }
         // Row clustering → sum node.
         let feats = Matrix::from_fn(rows.len(), scope.len(), |r, c| {
@@ -163,243 +306,293 @@ impl Spn {
         }
         let ca = self.build(cols, &a_rows, scope, depth + 1);
         let cb = self.build(cols, &b_rows, scope, depth + 1);
-        self.push(Node::Sum {
-            children: vec![(a_rows.len() as f64, ca), (b_rows.len() as f64, cb)],
-        })
+        self.push_inner(
+            Kind::Sum,
+            [(a_rows.len() as f64, ca), (b_rows.len() as f64, cb)].into_iter(),
+        )
     }
 
     /// Independence fallback: product of univariate leaves, or a joint
     /// multi-leaf when allowed and small.
     fn fallback(&mut self, cols: &[Vec<u16>], rows: &[u32], scope: &[usize]) -> usize {
         if self.cfg.multileaf && scope.len() <= self.cfg.max_multileaf_cols {
-            return self.push(self.make_multileaf(cols, rows, scope));
+            return self.push_multileaf(cols, rows, scope);
         }
         let children: Vec<usize> = scope
             .iter()
-            .map(|&c| self.push(self.make_leaf(cols, rows, c)))
+            .map(|&c| self.push_leaf(cols, rows, c))
             .collect();
-        self.push(Node::Product { children })
+        self.push_inner(Kind::Product, children.into_iter().map(|c| (0.0, c)))
     }
 
-    fn make_leaf(&self, cols: &[Vec<u16>], rows: &[u32], col: usize) -> Node {
-        let mut counts = vec![0.0; self.bins[col]];
+    fn push_leaf(&mut self, cols: &[Vec<u16>], rows: &[u32], col: usize) -> usize {
+        let at = self.leaf_counts.len();
+        self.leaf_counts.resize(at + self.bins[col], 0.0);
         for &r in rows {
-            counts[cols[col][r as usize] as usize] += 1.0;
+            self.leaf_counts[at + cols[col][r as usize] as usize] += 1.0;
         }
-        Node::Leaf { col, counts }
+        self.push(Kind::Leaf, col, at, 1 << col)
     }
 
-    fn make_multileaf(&self, cols: &[Vec<u16>], rows: &[u32], scope: &[usize]) -> Node {
-        let mut counts: HashMap<Vec<u16>, f64> = HashMap::new();
+    fn push_multileaf(&mut self, cols: &[Vec<u16>], rows: &[u32], scope: &[usize]) -> usize {
+        let width = scope.len();
+        let mut row_keys: Vec<u16> = Vec::with_capacity(rows.len() * width);
         for &r in rows {
-            let key: Vec<u16> = scope.iter().map(|&c| cols[c][r as usize]).collect();
-            *counts.entry(key).or_insert(0.0) += 1.0;
+            row_keys.extend(scope.iter().map(|&c| cols[c][r as usize]));
         }
-        Node::MultiLeaf {
+        let key = |i: u32| &row_keys[i as usize * width..(i as usize + 1) * width];
+        let mut by_key: Vec<u32> = (0..rows.len() as u32).collect();
+        by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let mut leaf = MultiLeaf {
             cols: scope.to_vec(),
-            counts,
+            keys: Vec::new(),
+            counts: Vec::new(),
+            probs: Vec::new(),
+        };
+        for &i in &by_key {
+            if leaf.counts.is_empty() || leaf.keys[leaf.keys.len() - width..] != *key(i) {
+                leaf.keys.extend_from_slice(key(i));
+                leaf.counts.push(0.0);
+            }
+            *leaf.counts.last_mut().expect("an entry was just pushed") += 1.0;
         }
+        self.multis.push(leaf);
+        let mask = scope.iter().fold(0, |m, &c| m | 1 << c);
+        self.push(Kind::MultiLeaf, self.multis.len() - 1, 0, mask)
     }
 
-    fn push(&mut self, node: Node) -> usize {
-        self.nodes.push(node);
+    /// Pushes a sum or product node over `(row count, child)` pairs.
+    fn push_inner(&mut self, kind: Kind, children: impl Iterator<Item = (f64, usize)>) -> usize {
+        let lo = self.kids.len();
+        let mut mask = 0;
+        for (count, child) in children {
+            self.kids.push(child as u32);
+            self.kid_counts.push(count);
+            mask |= self.scope[child];
+        }
+        self.push(kind, lo, self.kids.len(), mask)
+    }
+
+    fn push(&mut self, kind: Kind, lo: usize, hi: usize, scope: u64) -> usize {
+        self.nodes.push(Node {
+            kind,
+            lo: lo as u32,
+            hi: hi as u32,
+        });
+        self.scope.push(scope);
         self.nodes.len() - 1
     }
 
-    /// `E[Π_i w_i(X_i)]` under the model; `weights[i]` is a per-bin weight
-    /// vector for column `i` (`None` = constant 1).
-    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        assert_eq!(weights.len(), self.bins.len());
-        self.eval(self.root, weights)
+    /// Rebuilds every derived table from the counts.
+    fn refresh(&mut self) {
+        self.kid_fracs.clear();
+        self.kid_fracs.resize(self.kids.len(), 0.0);
+        self.leaf_probs.clear();
+        self.leaf_probs.resize(self.leaf_counts.len(), 0.0);
+        self.total.clear();
+        self.free.clear();
+        for node in &self.nodes {
+            let (lo, hi) = (node.lo as usize, node.hi as usize);
+            let (total, free) = match node.kind {
+                Kind::Sum => {
+                    let total: f64 = self.kid_counts[lo..hi].iter().sum();
+                    let mut free = 0.0;
+                    if total > 0.0 {
+                        for k in lo..hi {
+                            self.kid_fracs[k] = self.kid_counts[k] / total;
+                            free += self.kid_fracs[k] * self.free[self.kids[k] as usize];
+                        }
+                    }
+                    (total, free)
+                }
+                Kind::Product => {
+                    let mut free = 1.0;
+                    for &c in &self.kids[lo..hi] {
+                        free *= self.free[c as usize];
+                    }
+                    (0.0, free)
+                }
+                Kind::Leaf => {
+                    let span = hi..hi + self.bins[lo];
+                    let total: f64 = self.leaf_counts[span.clone()].iter().sum();
+                    if total > 0.0 {
+                        for k in span {
+                            self.leaf_probs[k] = self.leaf_counts[k] / total;
+                        }
+                    }
+                    (total, 1.0)
+                }
+                Kind::MultiLeaf => {
+                    let m = &mut self.multis[lo];
+                    let total: f64 = m.counts.iter().sum();
+                    m.probs.clear();
+                    m.probs.extend(m.counts.iter().map(|c| c / total));
+                    (total, 1.0)
+                }
+            };
+            self.total.push(total);
+            self.free.push(free);
+        }
     }
 
-    /// Batched [`Spn::query`]: one tree walk evaluates every weight set.
-    /// The wins are shared per-node work — each node's count total (and a
-    /// multi-leaf's whole joint-table iteration) happens once per batch
-    /// instead of once per query — and a scratch-buffer pool holding
-    /// allocations to O(depth) instead of O(nodes). Each item's own
-    /// arithmetic runs in exactly the order of the per-item walk, so
-    /// results are bit-identical to calling `query` per item.
-    pub fn query_batch(&self, batch: &[&[Option<Vec<f64>>]]) -> Vec<f64> {
-        for weights in batch {
-            assert_eq!(weights.len(), self.bins.len());
+    /// `E[Π_i w_i(X_i)]` under the model for every item of `batch`,
+    /// appended to `out` in order; weights of column `i` are a per-bin
+    /// weight vector (unconstrained = constant 1).
+    ///
+    /// One bottom-up pass over the node array, without recursion. A node
+    /// whose scope no item constrains is skipped — every item reads its
+    /// free value — so a batch pays for the columns it filters, not for
+    /// the tree. The other nodes hold one value per item; each item's
+    /// value is computed from its own weights and its children's values
+    /// in child order, so it does not depend on what else is in the
+    /// batch.
+    pub fn query_batch(&self, batch: &WeightBatch, scratch: &mut ModelScratch, out: &mut Vec<f64>) {
+        assert_eq!(batch.cols(), self.bins.len());
+        let n = batch.len();
+        if n == 0 {
+            return;
         }
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0.0; batch.len()];
-        let mut pool: Vec<Vec<f64>> = Vec::new();
-        self.eval_batch(self.root, batch, &mut out, &mut pool);
-        out
-    }
-
-    fn eval_batch(
-        &self,
-        node: usize,
-        batch: &[&[Option<Vec<f64>>]],
-        out: &mut [f64],
-        pool: &mut Vec<Vec<f64>>,
-    ) {
-        match &self.nodes[node] {
-            Node::Sum { children } => {
-                let total: f64 = children.iter().map(|(w, _)| w).sum();
-                if total <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                out.fill(0.0);
-                let mut scratch = pool.pop().unwrap_or_default();
-                scratch.resize(out.len(), 0.0);
-                for (w, c) in children {
-                    self.eval_batch(*c, batch, &mut scratch, pool);
-                    let f = w / total;
-                    for (o, s) in out.iter_mut().zip(&scratch) {
-                        *o += f * s;
-                    }
-                }
-                pool.push(scratch);
+        let ModelScratch {
+            vals, slots, masks, ..
+        } = scratch;
+        masks.clear();
+        masks.extend((0..n).map(|item| {
+            (0..self.bins.len())
+                .filter(|&c| batch.get(item, c).is_some())
+                .fold(0u64, |m, c| m | 1 << c)
+        }));
+        let any = masks.iter().fold(0, |a, m| a | m);
+        slots.clear();
+        slots.resize(self.nodes.len(), INACTIVE);
+        vals.clear();
+        for (id, node) in self.nodes.iter().enumerate() {
+            let scope = self.scope[id];
+            if scope & any == 0 {
+                continue;
             }
-            Node::Product { children } => {
-                out.fill(1.0);
-                let mut scratch = pool.pop().unwrap_or_default();
-                scratch.resize(out.len(), 0.0);
-                for &c in children {
-                    self.eval_batch(c, batch, &mut scratch, pool);
-                    for (o, s) in out.iter_mut().zip(&scratch) {
-                        *o *= s;
-                    }
+            let at = vals.len();
+            slots[id] = (at / n) as u32;
+            vals.resize(at + n, 0.0);
+            let (done, cur) = vals.split_at_mut(at);
+            let (lo, hi) = (node.lo as usize, node.hi as usize);
+            // A child's values: its row, or its free value for all.
+            let child = |k: usize| -> Result<&[f64], f64> {
+                let c = self.kids[k] as usize;
+                match slots[c] {
+                    INACTIVE => Err(self.free[c]),
+                    row => Ok(&done[row as usize * n..][..n]),
                 }
-                pool.push(scratch);
-            }
-            Node::Leaf { col, counts } => {
-                let total: f64 = counts.iter().sum();
-                // `c / total` is item-independent, so dividing once per
-                // bin (instead of once per bin per item) keeps every
-                // item's term `c / total * wv` bit-identical.
-                let mut probs = pool.pop().unwrap_or_default();
-                probs.clear();
-                if total > 0.0 {
-                    probs.extend(counts.iter().map(|c| c / total));
-                }
-                for (o, weights) in out.iter_mut().zip(batch) {
-                    *o = match &weights[*col] {
-                        None => 1.0,
-                        Some(_) if total <= 0.0 => 0.0,
-                        Some(w) => probs.iter().zip(w).map(|(p, wv)| p * wv).sum(),
-                    };
-                }
-                pool.push(probs);
-            }
-            Node::MultiLeaf { cols, counts } => {
-                let unconstrained: Vec<bool> = batch
-                    .iter()
-                    .map(|weights| cols.iter().all(|&c| weights[c].is_none()))
-                    .collect();
-                let total: f64 = counts.values().sum();
-                out.fill(0.0);
-                if total > 0.0 {
-                    // One pass over the joint table; the inner item loop
-                    // appends each key's term in the shared iteration
-                    // order, matching what per-item walks would sum.
-                    for (key, cnt) in counts.iter() {
-                        let base = cnt / total;
-                        for (i, weights) in batch.iter().enumerate() {
-                            if unconstrained[i] {
-                                continue;
+            };
+            match node.kind {
+                Kind::Sum => {
+                    if self.total[id] > 0.0 {
+                        for k in lo..hi {
+                            let f = self.kid_fracs[k];
+                            match child(k) {
+                                Ok(s) => cur.iter_mut().zip(s).for_each(|(o, s)| *o += f * s),
+                                Err(s) => cur.iter_mut().for_each(|o| *o += f * s),
                             }
-                            let mut w = base;
-                            for (j, &c) in cols.iter().enumerate() {
-                                if let Some(wv) = &weights[c] {
-                                    w *= wv[key[j] as usize];
+                        }
+                    }
+                }
+                Kind::Product => {
+                    cur.fill(1.0);
+                    for k in lo..hi {
+                        match child(k) {
+                            Ok(s) => cur.iter_mut().zip(s).for_each(|(o, s)| *o *= s),
+                            Err(s) => cur.iter_mut().for_each(|o| *o *= s),
+                        }
+                    }
+                }
+                Kind::Leaf => {
+                    let probs = &self.leaf_probs[hi..hi + self.bins[lo]];
+                    for (item, o) in cur.iter_mut().enumerate() {
+                        *o = match batch.get(item, lo) {
+                            None => 1.0,
+                            Some(_) if self.total[id] <= 0.0 => 0.0,
+                            Some(w) => probs.iter().zip(w).map(|(p, wv)| p * wv).sum(),
+                        };
+                    }
+                }
+                Kind::MultiLeaf => {
+                    let m = &self.multis[lo];
+                    if self.total[id] > 0.0 {
+                        // One pass over the joint table in key order; the
+                        // inner item loop adds each entry's term to the
+                        // items that constrain the leaf.
+                        for (key, &base) in m.keys.chunks_exact(m.cols.len()).zip(&m.probs) {
+                            for (item, o) in cur.iter_mut().enumerate() {
+                                if masks[item] & scope == 0 {
+                                    continue;
                                 }
+                                let mut w = base;
+                                for (&bin, &c) in key.iter().zip(&m.cols) {
+                                    if let Some(wv) = batch.get(item, c) {
+                                        w *= wv[bin as usize];
+                                    }
+                                }
+                                *o += w;
                             }
-                            out[i] += w;
+                        }
+                    }
+                    for (o, mask) in cur.iter_mut().zip(masks.iter()) {
+                        if mask & scope == 0 {
+                            *o = 1.0;
                         }
                     }
                 }
-                for (o, u) in out.iter_mut().zip(&unconstrained) {
-                    if *u {
-                        *o = 1.0;
-                    }
-                }
             }
+        }
+        match slots[self.root] {
+            INACTIVE => out.extend(std::iter::repeat_n(self.free[self.root], n)),
+            row => out.extend_from_slice(&vals[row as usize * n..][..n]),
         }
     }
 
-    fn eval(&self, node: usize, weights: &[Option<Vec<f64>>]) -> f64 {
-        match &self.nodes[node] {
-            Node::Sum { children } => {
-                let total: f64 = children.iter().map(|(w, _)| w).sum();
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                children
-                    .iter()
-                    .map(|(w, c)| (w / total) * self.eval(*c, weights))
-                    .sum()
-            }
-            Node::Product { children } => children.iter().map(|&c| self.eval(c, weights)).product(),
-            Node::Leaf { col, counts } => {
-                let Some(w) = &weights[*col] else { return 1.0 };
-                let total: f64 = counts.iter().sum();
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                counts.iter().zip(w).map(|(c, wv)| c / total * wv).sum()
-            }
-            Node::MultiLeaf { cols, counts } => {
-                if cols.iter().all(|&c| weights[c].is_none()) {
-                    return 1.0;
-                }
-                let total: f64 = counts.values().sum();
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                counts
-                    .iter()
-                    .map(|(key, cnt)| {
-                        let mut w = cnt / total;
-                        for (i, &c) in cols.iter().enumerate() {
-                            if let Some(wv) = &weights[c] {
-                                w *= wv[key[i] as usize];
-                            }
-                        }
-                        w
-                    })
-                    .sum()
-            }
-        }
+    /// [`Spn::query_batch`] of one weight set (`None` = constant 1).
+    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
+        let mut batch = WeightBatch::default();
+        batch.reset(self.bins.len());
+        batch.push_options(weights);
+        let mut out = Vec::with_capacity(1);
+        self.query_batch(&batch, &mut ModelScratch::default(), &mut out);
+        out[0]
     }
 
     /// Likelihood of a single fully observed row (used to route updates).
-    fn row_likelihood(&self, node: usize, row: &[u16]) -> f64 {
-        match &self.nodes[node] {
-            Node::Sum { children } => {
-                let total: f64 = children.iter().map(|(w, _)| w).sum();
-                children
+    /// Reads the counts, not the derived tables: an update bumps counts
+    /// between calls.
+    fn row_likelihood(&self, id: usize, row: &[u16]) -> f64 {
+        match self.node(id) {
+            SpnNode::Sum { children, counts } => {
+                let total: f64 = counts.iter().sum();
+                counts
                     .iter()
-                    .map(|(w, c)| (w / total.max(1e-12)) * self.row_likelihood(*c, row))
+                    .zip(children)
+                    .map(|(w, &c)| (w / total.max(1e-12)) * self.row_likelihood(c as usize, row))
                     .sum()
             }
-            Node::Product { children } => children
+            SpnNode::Product { children } => children
                 .iter()
-                .map(|&c| self.row_likelihood(c, row))
+                .map(|&c| self.row_likelihood(c as usize, row))
                 .product(),
-            Node::Leaf { col, counts } => {
+            SpnNode::Leaf { col, counts } => {
                 let total: f64 = counts.iter().sum();
-                (counts[row[*col] as usize] + 0.1) / (total + 0.1 * counts.len() as f64)
+                (counts[row[col] as usize] + 0.1) / (total + 0.1 * counts.len() as f64)
             }
-            Node::MultiLeaf { cols, counts } => {
+            SpnNode::MultiLeaf { cols, counts, .. } => {
                 let key: Vec<u16> = cols.iter().map(|&c| row[c]).collect();
-                let total: f64 = counts.values().sum();
-                (counts.get(&key).copied().unwrap_or(0.0) + 0.1) / (total + 1.0)
+                let m = &self.multis[self.nodes[id].lo as usize];
+                let total: f64 = counts.iter().sum();
+                (m.find(&key).map_or(0.0, |e| counts[e]) + 0.1) / (total + 1.0)
             }
         }
     }
 
     /// Incremental update: routes each new row down the fixed structure
     /// (choosing the most likely sum branch) and bumps counts — DeepDB's
-    /// parameter-only update, with its accuracy caveat (paper O10).
+    /// parameter-only update, with its accuracy caveat (paper O10) —
+    /// then rebuilds the derived tables.
     pub fn update(&mut self, cols: &[Vec<u16>]) {
         let n = cols.first().map_or(0, Vec::len);
         for r in 0..n {
@@ -407,64 +600,54 @@ impl Spn {
             self.update_row(self.root, &row);
             self.rows += 1.0;
         }
+        self.refresh();
     }
 
-    fn update_row(&mut self, node: usize, row: &[u16]) {
-        // Determine routing before mutating to appease the borrow checker.
-        enum Action {
-            Recurse(Vec<usize>),
-            Done,
-        }
-        let action = match &mut self.nodes[node] {
-            Node::Leaf { col, counts } => {
-                counts[row[*col] as usize] += 1.0;
-                Action::Done
-            }
-            Node::MultiLeaf { cols, counts } => {
-                let key: Vec<u16> = cols.iter().map(|&c| row[c]).collect();
-                *counts.entry(key).or_insert(0.0) += 1.0;
-                Action::Done
-            }
-            Node::Product { children } => Action::Recurse(children.clone()),
-            Node::Sum { children } => {
-                let ids: Vec<usize> = children.iter().map(|(_, c)| *c).collect();
-                Action::Recurse(ids)
-            }
-        };
-        match action {
-            Action::Done => {}
-            Action::Recurse(children) => {
-                if let Node::Sum { .. } = self.nodes[node] {
-                    // Route to the most likely branch and bump its weight.
-                    let best = children
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| (i, self.row_likelihood(c, row)))
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    if let Node::Sum { children: ch } = &mut self.nodes[node] {
-                        ch[best].0 += 1.0;
-                    }
-                    self.update_row(children[best], row);
-                } else {
-                    for c in children {
-                        self.update_row(c, row);
+    fn update_row(&mut self, id: usize, row: &[u16]) {
+        let node = self.nodes[id];
+        let (lo, hi) = (node.lo as usize, node.hi as usize);
+        match node.kind {
+            Kind::Leaf => self.leaf_counts[hi + row[lo] as usize] += 1.0,
+            Kind::MultiLeaf => {
+                let m = &mut self.multis[lo];
+                let key: Vec<u16> = m.cols.iter().map(|&c| row[c]).collect();
+                match m.find(&key) {
+                    Ok(e) => m.counts[e] += 1.0,
+                    Err(e) => {
+                        let at = e * key.len();
+                        m.keys.splice(at..at, key);
+                        m.counts.insert(e, 1.0);
                     }
                 }
             }
+            Kind::Product => {
+                for k in lo..hi {
+                    self.update_row(self.kids[k] as usize, row);
+                }
+            }
+            Kind::Sum => {
+                // Route to the most likely branch and bump its weight.
+                let best = self.kids[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| (i, self.row_likelihood(c as usize, row)))
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                self.kid_counts[lo + best] += 1.0;
+                self.update_row(self.kids[lo + best] as usize, row);
+            }
         }
     }
 
-    /// Approximate model size in bytes.
+    /// Approximate model size in bytes: structure and counts.
     pub fn size_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                Node::Sum { children } => 16 + children.len() * 16,
-                Node::Product { children } => 16 + children.len() * 8,
-                Node::Leaf { counts, .. } => 16 + counts.len() * 8,
-                Node::MultiLeaf { cols, counts } => 16 + counts.len() * (cols.len() * 2 + 8),
+        (0..self.nodes.len())
+            .map(|id| match self.node(id) {
+                SpnNode::Sum { children, .. } => 16 + children.len() * 16,
+                SpnNode::Product { children } => 16 + children.len() * 8,
+                SpnNode::Leaf { counts, .. } => 16 + counts.len() * 8,
+                SpnNode::MultiLeaf { cols, counts, .. } => 16 + counts.len() * (cols.len() * 2 + 8),
             })
             .sum()
     }
@@ -660,16 +843,57 @@ mod tests {
                 vec![None, indicator(3, &[1, 2]), Some(vec![0.0, 6.0])],
                 vec![indicator(3, &[2]), indicator(3, &[0]), indicator(2, &[1])],
             ];
-            let refs: Vec<&[Option<Vec<f64>>]> = queries.iter().map(|q| q.as_slice()).collect();
-            let batched = spn.query_batch(&refs);
+            let mut batch = WeightBatch::default();
+            batch.reset(bins.len());
+            for q in &queries {
+                batch.push_options(q);
+            }
+            let mut batched = Vec::new();
+            spn.query_batch(&batch, &mut ModelScratch::default(), &mut batched);
             for (q, &b) in queries.iter().zip(&batched) {
                 let single = spn.query(q);
                 assert_eq!(single.to_bits(), b.to_bits(), "query {q:?}");
             }
         }
-        let empty: Vec<&[Option<Vec<f64>>]> = Vec::new();
         let spn = Spn::fit(&cols, &bins, SpnConfig::default());
-        assert!(spn.query_batch(&empty).is_empty());
+        let mut empty = WeightBatch::default();
+        empty.reset(bins.len());
+        let mut out = Vec::new();
+        spn.query_batch(&empty, &mut ModelScratch::default(), &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn multileaf_table_is_sorted_and_updates_in_place() {
+        let (cols, bins) = correlated_data(90);
+        let mut spn = Spn::fit(
+            &cols,
+            &bins,
+            SpnConfig {
+                min_rows: 2000,
+                multileaf: true,
+                ..SpnConfig::default()
+            },
+        );
+        let table = |spn: &Spn| -> Vec<(Vec<u16>, f64)> {
+            let SpnNode::MultiLeaf { cols, keys, counts } = spn.node(spn.root()) else {
+                panic!("three columns under min_rows fall back to one multi-leaf");
+            };
+            keys.chunks_exact(cols.len())
+                .map(<[u16]>::to_vec)
+                .zip(counts.iter().copied())
+                .collect()
+        };
+        let before = table(&spn);
+        assert!(before.windows(2).all(|w| w[0].0 < w[1].0), "{before:?}");
+        assert_eq!(before.iter().map(|e| e.1).sum::<f64>(), 90.0);
+        // One known key and one new key that sorts first.
+        spn.update(&[vec![0, 0], vec![2, 0], vec![0, 0]]);
+        let after = table(&spn);
+        assert!(after.windows(2).all(|w| w[0].0 < w[1].0), "{after:?}");
+        assert_eq!(after[0], (vec![0, 0, 0], 1.0));
+        assert_eq!(after.len(), before.len() + 1);
+        assert_eq!(after.iter().map(|e| e.1).sum::<f64>(), 92.0);
     }
 
     #[test]

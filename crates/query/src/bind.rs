@@ -91,6 +91,58 @@ impl BoundQuery {
     }
 }
 
+/// The names of one query resolved into buffers a caller keeps: the
+/// front end of batched inference, which binds every sub-plan of a batch
+/// and may not allocate doing so. It holds ids only — the regions stay
+/// in the [`JoinQuery`] it was resolved from, entry `i` of `pred_cols`
+/// belonging to `query.predicates[i]` — and a name the catalog does not
+/// know is `None`, not an error, so that callers which read partially
+/// resolved queries (query featurization) and callers which give up on
+/// them (fanout estimation) share one resolution.
+#[derive(Debug, Clone, Default)]
+pub struct ResolvedNames {
+    /// Catalog id per table position.
+    pub tables: Vec<Option<TableId>>,
+    /// Column index of each predicate, in `query.predicates` order;
+    /// `None` also when the predicate's table is unknown.
+    pub pred_cols: Vec<Option<usize>>,
+    /// Each join edge with both columns resolved, in `query.joins`
+    /// order; `None` when a side's table or column is unknown.
+    pub joins: Vec<Option<BoundJoin>>,
+}
+
+impl ResolvedNames {
+    /// Resolves `query` against `catalog`, replacing what `self` held.
+    /// Returns whether every name resolved — exactly when
+    /// [`BoundQuery::bind`] succeeds on a query whose predicates all
+    /// name a table position the query has.
+    pub fn resolve(&mut self, query: &JoinQuery, catalog: &Catalog) -> bool {
+        self.tables.clear();
+        self.tables
+            .extend(query.tables.iter().map(|name| catalog.table_id(name).ok()));
+        let tables = &self.tables;
+        let column = |pos: usize, col: &str| -> Option<usize> {
+            let id = (*tables.get(pos)?)?;
+            catalog.table(id).schema().column_index(col)
+        };
+        self.pred_cols.clear();
+        self.pred_cols
+            .extend(query.predicates.iter().map(|p| column(p.table, &p.column)));
+        self.joins.clear();
+        self.joins.extend(query.joins.iter().map(|e| {
+            Some(BoundJoin {
+                left: e.left,
+                left_col: column(e.left, &e.left_col)?,
+                right: e.right,
+                right_col: column(e.right, &e.right_col)?,
+            })
+        }));
+        self.tables.iter().all(Option::is_some)
+            && self.pred_cols.iter().all(Option::is_some)
+            && self.joins.iter().all(Option::is_some)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +200,47 @@ mod tests {
     fn bind_rejects_unknown_column() {
         let q = JoinQuery::single("a", vec![Predicate::new(0, "nope", Region::eq(1))]);
         assert!(BoundQuery::bind(&q, &catalog()).is_err());
+    }
+
+    #[test]
+    fn resolved_names_agree_with_bind() {
+        let cat = catalog();
+        let q = JoinQuery {
+            tables: vec!["a".into(), "b".into()],
+            joins: vec![JoinEdge::new(0, "id", 1, "aid")],
+            predicates: vec![
+                Predicate::new(1, "aid", Region::eq(2)),
+                Predicate::new(0, "x", Region::ge(15)),
+            ],
+        };
+        let bq = BoundQuery::bind(&q, &cat).unwrap();
+        let mut names = ResolvedNames::default();
+        assert!(names.resolve(&q, &cat));
+        assert_eq!(
+            names.tables,
+            vec![Some(bq.tables[0].id), Some(bq.tables[1].id)]
+        );
+        assert_eq!(names.pred_cols, vec![Some(1), Some(1)]);
+        let j = names.joins[0].unwrap();
+        assert_eq!((j.left_col, j.right_col), (0, 1));
+
+        // Unknown names resolve to `None` around the ones that are
+        // known, and the buffers are reused, not appended to.
+        let partial = JoinQuery {
+            tables: vec!["a".into(), "ghost".into()],
+            joins: vec![JoinEdge::new(0, "id", 1, "aid")],
+            predicates: vec![
+                Predicate::new(0, "nope", Region::eq(1)),
+                Predicate::new(0, "x", Region::eq(1)),
+                Predicate::new(1, "aid", Region::eq(1)),
+                Predicate::new(7, "x", Region::eq(1)),
+            ],
+        };
+        assert!(!names.resolve(&partial, &cat));
+        assert!(BoundQuery::bind(&partial, &cat).is_err());
+        assert_eq!(names.tables, vec![Some(bq.tables[0].id), None]);
+        assert_eq!(names.pred_cols, vec![None, Some(1), None, None]);
+        assert!(names.joins[0].is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod predicate;
 pub mod sql;
 pub mod subplan;
 
-pub use bind::{BoundPredicate, BoundQuery, BoundTable};
+pub use bind::{BoundJoin, BoundPredicate, BoundQuery, BoundTable, ResolvedNames};
 pub use join::{JoinEdge, JoinQuery};
 pub use parser::{parse_sql, ParseError};
 pub use predicate::{CompareOp, Predicate, Region};

@@ -7,8 +7,8 @@
 //! One test only: the counting allocator is process-wide, and a second
 //! test thread would allocate into the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod support;
+
 use std::sync::OnceLock;
 
 use cardbench::datagen::stats_catalog;
@@ -22,53 +22,7 @@ use cardbench::harness::{build_estimator, estimate_all, plan_query_via, BenchCon
 use cardbench::query::BoundQuery;
 use cardbench::workload::stats_ceb;
 
-/// Allocations at or above this size are the ones that page-fault when
-/// they come back from the operating system.
-const LARGE_BYTES: usize = 64 << 10;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting large requests while armed.
-struct Counting;
-
-fn note(size: usize) {
-    if size >= LARGE_BYTES && ARMED.load(Ordering::Relaxed) {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only
-// atomics and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's `layout` obligations pass through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through this allocator
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+use support::{counting, LARGE_BYTES};
 
 #[test]
 fn warm_sweep_of_ceb_plans_allocates_nothing_large() {
@@ -105,29 +59,24 @@ fn warm_sweep_of_ceb_plans_allocates_nothing_large() {
     // allocate — which also shows that the counter counts.
     let mut scratch = ExecScratch::new();
     let mut warm = Vec::with_capacity(plans.len());
-    ARMED.store(true, Ordering::Relaxed);
-    for (bound, plan, true_card) in &plans {
-        let reused = execute_with(plan, bound, &db, &mut scratch);
-        assert_eq!(reused.0 as f64, *true_card);
-        assert_eq!(reused, execute(plan, bound, &db), "fresh vs reused arena");
-        warm.push(reused);
-    }
-    ARMED.store(false, Ordering::Relaxed);
-    assert!(LARGE_ALLOCS.swap(0, Ordering::Relaxed) > 0);
+    let ((), first_sweep) = counting(|| {
+        for (bound, plan, true_card) in &plans {
+            let reused = execute_with(plan, bound, &db, &mut scratch);
+            assert_eq!(reused.0 as f64, *true_card);
+            assert_eq!(reused, execute(plan, bound, &db), "fresh vs reused arena");
+            warm.push(reused);
+        }
+    });
+    assert!(first_sweep.large > 0);
     let retained = scratch.retained_bytes();
     assert!(retained > LARGE_BYTES as u64, "the arena holds the buffers");
 
-    ARMED.store(true, Ordering::Relaxed);
-    for ((bound, plan, _), first) in plans.iter().zip(&warm) {
-        let again = execute_with(plan, bound, &db, &mut scratch);
-        assert_eq!(&again, first);
-    }
-    ARMED.store(false, Ordering::Relaxed);
-
-    assert_eq!(
-        LARGE_ALLOCS.load(Ordering::Relaxed),
-        0,
-        "large allocations in the warm sweep"
-    );
+    let ((), warm_sweep) = counting(|| {
+        for ((bound, plan, _), first) in plans.iter().zip(&warm) {
+            let again = execute_with(plan, bound, &db, &mut scratch);
+            assert_eq!(&again, first);
+        }
+    });
+    assert_eq!(warm_sweep.large, 0, "large allocations in the warm sweep");
     assert_eq!(scratch.retained_bytes(), retained, "the arena grew");
 }
