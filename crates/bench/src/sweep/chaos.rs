@@ -1,8 +1,8 @@
-//! Service-level chaos benchmark: goodput and tail latency of the
+//! Service-level chaos sweep: goodput and tail latency of the
 //! estimation service under injected faults, and what each self-healing
 //! layer buys.
 //!
-//! Four phases, each a fresh server on the same workload:
+//! Five phases, each a fresh server on the same workload:
 //!
 //! 1. **baseline** — no chaos; the breaker (on by default) must stay
 //!    closed and observation-only.
@@ -24,26 +24,19 @@
 //!    every time, in-hand queries degrade typed, and goodput survives.
 //!
 //! Every phase asserts the service's core fault story: zero
-//! unattributed faults, zero hangs, zero failed plans. Writes
-//! `BENCH_chaos.json` at the repo root; `CARDBENCH_FAST=1` runs a tiny
-//! smoke and skips the JSON.
+//! unattributed faults, zero hangs, zero failed plans.
 
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use cardbench_support::json::Json;
 
-use cardbench_datagen::{stats_catalog, StatsConfig};
-use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::postgres::PostgresEst;
-use cardbench_estimators::CardEst;
 use cardbench_metrics::percentile;
 use cardbench_serve::{
     run_load, BreakerConfig, ChaosServeConfig, LoadConfig, LoadReport, ServeConfig, ServeStats,
-    Server,
 };
-use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
+
+use super::write_summary;
+use crate::serving::{closed_loop, guard, Fixture};
 
 /// One phase's merged measurements.
 struct Phase {
@@ -52,40 +45,21 @@ struct Phase {
     stats: ServeStats,
 }
 
-/// Every fault must be typed and every query must finish: the service's
-/// whole story is that chaos degrades answers, never correctness.
-fn guard(p: &Phase) {
-    let (name, r) = (p.name, &p.report);
-    assert!(r.completed > 0, "{name}: no queries completed");
-    assert_eq!(r.failed, 0, "{name}: queries failed to plan");
-    assert_eq!(r.unattributed, 0, "{name}: unattributed faults");
-    assert_eq!(r.rejected, 0, "{name}: unexpected rejections");
-}
-
 fn run_phase(
     name: &'static str,
-    db: &Arc<Database>,
-    truth: &Arc<TrueCardService>,
-    wl: &Workload,
+    fx: &Fixture,
     serve: ServeConfig,
     load: &LoadConfig,
-) -> Phase {
-    let est: Arc<dyn CardEst> = Arc::new(PostgresEst::fit(db));
-    let server = Arc::new(Server::start(
-        Arc::clone(db),
-        Arc::clone(truth),
-        est,
-        CostModel::default(),
-        serve,
-    ));
-    let report = run_load(&server, wl, load);
+) -> Result<Phase, String> {
+    let server = fx.serve(fx.postgres(), serve);
+    let report = run_load(&server, &fx.wl, load);
     let stats = server.stats();
     let p = Phase {
         name,
         report,
         stats,
     };
-    guard(&p);
+    guard(name, &p.report)?;
     println!(
         "{name:>18}: {:>5} done | {:>6.1} qps | p99 {:>7.4}s | clean/shorted/degraded {}/{}/{} | \
          breaker opens {} shorted {} | retries {} | expired {} | restarts {}",
@@ -101,19 +75,19 @@ fn run_phase(
         p.stats.deadline_expired_slots,
         p.stats.watchdog_restarts,
     );
-    p
+    Ok(p)
 }
 
-fn class_json(name: &str, lat: &[f64]) -> (&'static str, Json) {
-    let key: &'static str = match name {
-        "clean" => "clean",
-        "shorted" => "shorted",
-        _ => "degraded",
-    };
+/// A counter as a JSON number.
+fn count(v: u64) -> Json {
+    Json::Number(v as f64)
+}
+
+fn class_json(name: &'static str, lat: &[f64]) -> (&'static str, Json) {
     (
-        key,
+        name,
         Json::object([
-            ("count", Json::Number(lat.len() as f64)),
+            ("count", count(lat.len() as u64)),
             ("p50_secs", Json::Number(percentile(lat, 0.50))),
             ("p99_secs", Json::Number(percentile(lat, 0.99))),
         ]),
@@ -121,114 +95,45 @@ fn class_json(name: &str, lat: &[f64]) -> (&'static str, Json) {
 }
 
 fn phase_json(p: &Phase) -> Json {
+    let (r, st, br) = (&p.report, &p.stats, &p.stats.breaker);
     Json::object([
         ("phase", Json::String(p.name.to_string())),
-        ("completed", Json::Number(p.report.completed as f64)),
-        ("goodput_qps", Json::Number(p.report.qps)),
-        (
-            "p50_secs",
-            Json::Number(percentile(&p.report.latencies, 0.50)),
-        ),
-        (
-            "p99_secs",
-            Json::Number(percentile(&p.report.latencies, 0.99)),
-        ),
-        class_json("clean", &p.report.clean_latencies),
-        class_json("shorted", &p.report.shorted_latencies),
-        class_json("degraded", &p.report.degraded_latencies),
-        ("est_failures", Json::Number(p.report.est_failures as f64)),
-        ("unattributed", Json::Number(p.report.unattributed as f64)),
+        ("completed", count(r.completed)),
+        ("goodput_qps", Json::Number(r.qps)),
+        ("p50_secs", Json::Number(percentile(&r.latencies, 0.50))),
+        ("p99_secs", Json::Number(percentile(&r.latencies, 0.99))),
+        class_json("clean", &r.clean_latencies),
+        class_json("shorted", &r.shorted_latencies),
+        class_json("degraded", &r.degraded_latencies),
+        ("est_failures", count(r.est_failures)),
+        ("unattributed", count(r.unattributed)),
         (
             "breaker",
             Json::object([
-                ("opens", Json::Number(p.stats.breaker.opens as f64)),
-                ("closes", Json::Number(p.stats.breaker.closes as f64)),
-                (
-                    "half_opens",
-                    Json::Number(p.stats.breaker.half_opens as f64),
-                ),
-                (
-                    "shorted_slots",
-                    Json::Number(p.stats.breaker.shorted_slots as f64),
-                ),
-                (
-                    "observed_slots",
-                    Json::Number(p.stats.breaker.observed_slots as f64),
-                ),
+                ("opens", count(br.opens)),
+                ("closes", count(br.closes)),
+                ("half_opens", count(br.half_opens)),
+                ("shorted_slots", count(br.shorted_slots)),
+                ("observed_slots", count(br.observed_slots)),
             ]),
         ),
-        ("retried_slots", Json::Number(p.stats.retries as f64)),
-        (
-            "deadline_expired_slots",
-            Json::Number(p.stats.deadline_expired_slots as f64),
-        ),
-        (
-            "watchdog_restarts",
-            Json::Number(p.stats.watchdog_restarts as f64),
-        ),
-        (
-            "chaos_panics",
-            Json::Number(f64::from(p.stats.chaos_panics)),
-        ),
+        ("retried_slots", count(st.retries)),
+        ("deadline_expired_slots", count(st.deadline_expired_slots)),
+        ("watchdog_restarts", count(st.watchdog_restarts)),
+        ("chaos_panics", count(u64::from(st.chaos_panics))),
     ])
 }
 
-fn main() {
-    let smoke = std::env::var("CARDBENCH_FAST").is_ok_and(|v| v == "1");
+pub fn run(smoke: bool) -> Result<(), String> {
     let sessions = if smoke { 4 } else { 8 };
     let stall = Duration::from_millis(if smoke { 5 } else { 10 });
+    let fx = &Fixture::for_sweep(smoke, if smoke { [4, 6, 3] } else { [8, 16, 5] });
+    // Chaos phases measure the service's fault handling, not first-touch
+    // execution.
+    fx.warm_up(fx.postgres())?;
 
-    let stats_cfg = if smoke {
-        StatsConfig::tiny(3)
-    } else {
-        StatsConfig {
-            seed: 3,
-            ..StatsConfig::default()
-        }
-    };
-    let db = Arc::new(Database::new(stats_catalog(&stats_cfg)));
-    let wl_cfg = WorkloadConfig {
-        seed: 5,
-        templates: if smoke { 4 } else { 8 },
-        queries: if smoke { 6 } else { 16 },
-        max_tables: if smoke { 3 } else { 5 },
-        max_predicates: 4,
-        retries: 30,
-        max_subplan_card: 1e7,
-    };
-    let wl = stats_ceb(&db, &wl_cfg);
-    assert!(!wl.queries.is_empty(), "chaos serve workload is empty");
-    let truth = Arc::new(TrueCardService::new());
-    // Warm the truth cache and engine memos so chaos phases measure the
-    // service's fault handling, not first-touch execution.
-    {
-        let est: Arc<dyn CardEst> = Arc::new(PostgresEst::fit(&db));
-        let server = Arc::new(Server::start(
-            Arc::clone(&db),
-            Arc::clone(&truth),
-            est,
-            CostModel::default(),
-            ServeConfig::default(),
-        ));
-        run_load(
-            &server,
-            &wl,
-            &LoadConfig {
-                sessions: 1,
-                arrival_qps: None,
-                replays: 1,
-                deadline: None,
-            },
-        );
-    }
-
-    let replays = 256usize.div_ceil(sessions * wl.queries.len()).max(2);
-    let load = LoadConfig {
-        sessions,
-        arrival_qps: None,
-        replays,
-        deadline: None,
-    };
+    let replays = 256usize.div_ceil(sessions * fx.wl.queries.len()).max(2);
+    let load = closed_loop(sessions, replays);
     let storm = ChaosServeConfig {
         seed: 17,
         storm_rate: 1.0,
@@ -245,21 +150,19 @@ fn main() {
         cooldown: Duration::from_millis(100),
     };
 
-    let baseline = run_phase("baseline", &db, &truth, &wl, ServeConfig::default(), &load);
-    assert_eq!(
-        baseline.report.est_failures, 0,
+    let baseline = run_phase("baseline", fx, ServeConfig::default(), &load)?;
+    ensure!(
+        baseline.report.est_failures == 0,
         "baseline: clean serving must be fault-free"
     );
-    assert_eq!(
-        baseline.stats.breaker.opens, 0,
+    ensure!(
+        baseline.stats.breaker.opens == 0,
         "baseline: the breaker is observation-only when healthy"
     );
 
     let storm_open = run_phase(
         "storm/breaker-off",
-        &db,
-        &truth,
-        &wl,
+        fx,
         ServeConfig {
             chaos: Some(storm.clone()),
             breaker: None,
@@ -271,17 +174,15 @@ fn main() {
             ..ServeConfig::default()
         },
         &load,
-    );
-    assert!(
+    )?;
+    ensure!(
         !storm_open.report.degraded_latencies.is_empty(),
         "storm without a breaker must produce failed-then-degraded queries"
     );
 
     let storm_shorted = run_phase(
         "storm/breaker-on",
-        &db,
-        &truth,
-        &wl,
+        fx,
         ServeConfig {
             chaos: Some(storm.clone()),
             breaker: Some(tight_breaker),
@@ -289,21 +190,19 @@ fn main() {
             ..ServeConfig::default()
         },
         &load,
-    );
-    assert!(
+    )?;
+    ensure!(
         storm_shorted.stats.breaker.opens >= 1,
         "a total storm must trip the breaker"
     );
-    assert!(
+    ensure!(
         !storm_shorted.report.shorted_latencies.is_empty(),
         "an open breaker must short slots"
     );
 
     let deadline = run_phase(
         "slow/deadline",
-        &db,
-        &truth,
-        &wl,
+        fx,
         ServeConfig {
             chaos: Some(ChaosServeConfig {
                 seed: 19,
@@ -319,17 +218,15 @@ fn main() {
             deadline: Some(stall / 2),
             ..load.clone()
         },
-    );
-    assert!(
+    )?;
+    ensure!(
         deadline.stats.deadline_expired_slots > 0,
         "slow ticks against a tight deadline must expire slots in the queue"
     );
 
     let panics = run_phase(
         "drainer-panics",
-        &db,
-        &truth,
-        &wl,
+        fx,
         ServeConfig {
             chaos: Some(ChaosServeConfig {
                 seed: 23,
@@ -341,12 +238,12 @@ fn main() {
             ..ServeConfig::default()
         },
         &load,
-    );
-    assert!(
+    )?;
+    ensure!(
         panics.stats.chaos_panics >= 1,
         "the panic phase must actually kill the drainer"
     );
-    assert!(
+    ensure!(
         panics.stats.watchdog_restarts >= u64::from(panics.stats.chaos_panics),
         "every drainer death must be answered by a watchdog restart"
     );
@@ -360,16 +257,12 @@ fn main() {
          {shorted_p99:.4}s ({:.1}x)",
         degraded_p99 / shorted_p99
     );
-    assert!(
+    ensure!(
         shorted_p99 < degraded_p99,
         "breaker-shorted p99 ({shorted_p99:.4}s) must beat failed-then-degraded \
          p99 ({degraded_p99:.4}s)"
     );
 
-    if smoke {
-        println!("smoke mode (CARDBENCH_FAST=1): not writing BENCH_chaos.json");
-        return;
-    }
     let phases = [baseline, storm_open, storm_shorted, deadline, panics];
     let summary = Json::object([
         ("bench", Json::String("chaos_serve".to_string())),
@@ -380,7 +273,7 @@ fn main() {
                  default benchmark scale; PostgreSQL baseline estimator behind the serving \
                  layer; {sessions} closed-loop sessions per phase; storm stall {stall:?} per \
                  admitted call; truth cache warmed before timing",
-                wl.queries.len()
+                fx.wl.queries.len()
             )),
         ),
         (
@@ -414,7 +307,6 @@ fn main() {
             Json::Array(phases.iter().map(phase_json).collect()),
         ),
     ]);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
-    std::fs::write(&path, summary.pretty()).expect("write BENCH_chaos.json");
-    println!("wrote {}", path.display());
+    write_summary(smoke, "chaos", summary);
+    Ok(())
 }

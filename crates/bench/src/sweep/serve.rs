@@ -1,4 +1,4 @@
-//! Serving benchmarks: sustained throughput and tail latency of the
+//! Serving sweep: sustained throughput and tail latency of the
 //! concurrent estimation service at 1/4/16/64 sessions, cross-session
 //! coalescing vs per-session-sequential estimation, on the STATS-CEB
 //! analog workload with batched ML estimators.
@@ -16,22 +16,21 @@
 //!    arrival, so queueing delay counts (no coordinated omission).
 //!    p50/p95/p99 come from exact sample percentiles.
 //!
-//! Writes `BENCH_serve.json` at the repo root. `CARDBENCH_FAST=1` runs a
-//! tiny-data smoke (one estimator, 4 sessions) and skips the JSON.
+//! Smoke mode is tiny data, one estimator, 4 sessions.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cardbench_support::json::Json;
 
-use cardbench_datagen::{stats_catalog, StatsConfig};
-use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{build_estimator, EstimatorSettings};
 use cardbench_metrics::percentile;
-use cardbench_serve::{run_load, LoadConfig, LoadReport, ServeConfig, Server};
-use cardbench_workload::{stats_ceb, training_workload, Workload, WorkloadConfig};
+use cardbench_serve::{run_load, LoadConfig, LoadReport, ServeConfig};
+use cardbench_workload::training_workload;
+
+use super::write_summary;
+use crate::serving::{closed_loop, guard, Fixture};
 
 /// One measured (sessions, mode) point.
 struct RunPoint {
@@ -42,44 +41,13 @@ struct RunPoint {
     open: LoadReport,
 }
 
-fn start_server(
-    db: &Arc<Database>,
-    truth: &Arc<TrueCardService>,
-    est: &Arc<dyn CardEst>,
-    sessions: usize,
-    sequential: bool,
-) -> Arc<Server> {
-    Arc::new(Server::start(
-        Arc::clone(db),
-        Arc::clone(truth),
-        Arc::clone(est),
-        CostModel::default(),
-        ServeConfig {
-            max_sessions: sessions,
-            sequential,
-            ..ServeConfig::default()
-        },
-    ))
-}
-
-/// Every fault the service surfaces must be typed, every query must
-/// finish, and nothing may be rejected — the bench runs under budget.
-fn guard(label: &str, r: &LoadReport) {
-    assert!(r.completed > 0, "{label}: no queries completed");
-    assert_eq!(r.unattributed, 0, "{label}: unattributed faults");
-    assert_eq!(r.rejected, 0, "{label}: unexpected admission rejections");
-    assert_eq!(r.failed, 0, "{label}: queries failed to plan");
-}
-
 /// Closed-loop saturation then open-loop at 0.7× the sustained rate.
 fn run_point(
-    db: &Arc<Database>,
-    truth: &Arc<TrueCardService>,
+    fx: &Fixture,
     est: &Arc<dyn CardEst>,
-    wl: &Workload,
     sessions: usize,
     sequential: bool,
-) -> RunPoint {
+) -> Result<RunPoint, String> {
     let mode = if sequential {
         "sequential"
     } else {
@@ -88,61 +56,42 @@ fn run_point(
     // Replays sized so every phase issues at least ~1k queries: phases
     // shorter than ~100ms are scheduler-jitter measurements, not
     // throughput measurements.
-    let replays = 1024usize.div_ceil(sessions * wl.queries.len()).max(1);
-    let cfg = LoadConfig {
-        sessions,
-        arrival_qps: None,
-        replays,
-        deadline: None,
-    };
-    let server = start_server(db, truth, est, sessions, sequential);
-    let closed = run_load(&server, wl, &cfg);
-    guard(&format!("{mode}/{sessions} closed"), &closed);
+    let replays = 1024usize.div_ceil(sessions * fx.wl.queries.len()).max(1);
+    let cfg = closed_loop(sessions, replays);
+    let server = fx.serve(
+        Arc::clone(est),
+        ServeConfig {
+            max_sessions: sessions,
+            sequential,
+            ..ServeConfig::default()
+        },
+    );
+    let closed = run_load(&server, &fx.wl, &cfg);
+    guard(&format!("{mode}/{sessions} closed"), &closed)?;
     let arrival_qps = (closed.qps * 0.7).max(1.0);
     let open = run_load(
         &server,
-        wl,
+        &fx.wl,
         &LoadConfig {
             arrival_qps: Some(arrival_qps),
             ..cfg
         },
     );
-    guard(&format!("{mode}/{sessions} open"), &open);
-    RunPoint {
+    guard(&format!("{mode}/{sessions} open"), &open)?;
+    Ok(RunPoint {
         sessions,
         mode,
         closed,
         arrival_qps,
         open,
-    }
+    })
 }
 
-fn main() {
-    let smoke = std::env::var("CARDBENCH_FAST").is_ok_and(|v| v == "1");
+pub fn run(smoke: bool) -> Result<(), String> {
     let session_counts: &[usize] = if smoke { &[4] } else { &[1, 4, 16, 64] };
-
-    let stats = if smoke {
-        StatsConfig::tiny(3)
-    } else {
-        StatsConfig {
-            seed: 3,
-            ..StatsConfig::default()
-        }
-    };
-    let db = Arc::new(Database::new(stats_catalog(&stats)));
-    let wl_cfg = WorkloadConfig {
-        seed: 5,
-        templates: if smoke { 4 } else { 12 },
-        queries: if smoke { 8 } else { 24 },
-        max_tables: if smoke { 3 } else { 8 },
-        max_predicates: 4,
-        retries: 30,
-        max_subplan_card: 1e7,
-    };
-    let wl = stats_ceb(&db, &wl_cfg);
-    assert!(!wl.queries.is_empty(), "serve bench workload is empty");
+    let fx = &Fixture::for_sweep(smoke, if smoke { [4, 8, 3] } else { [12, 24, 8] });
     let settings = EstimatorSettings::fast(3);
-    let (train_qs, train_cards) = training_workload(&db, 120, 5, 3 ^ 0x7a);
+    let (train_qs, train_cards) = training_workload(&fx.db, 120, 5, 3 ^ 0x7a);
     let train = TrainingSet {
         queries: train_qs,
         cards: train_cards,
@@ -163,39 +112,22 @@ fn main() {
         ]
     };
 
-    // One truth cache for the whole bench (truth is estimator-free) and
-    // one warmup pass so no timed phase pays exact-execution or cold
-    // engine memos — both modes then compete on estimation + planning.
-    let truth = Arc::new(TrueCardService::new());
-
     let mut method_entries: Vec<Json> = Vec::new();
     for &kind in ml_kinds {
-        let built = build_estimator(kind, &db, &train, &settings);
+        let built = build_estimator(kind, &fx.db, &train, &settings);
         let est: Arc<dyn CardEst> = Arc::from(built.est);
-        assert!(
+        ensure!(
             est.batch_leverage(),
-            "{}: serve bench expects a batched estimator",
+            "{}: serve sweep expects a batched estimator",
             kind.name()
         );
-        {
-            let server = start_server(&db, &truth, &est, 1, true);
-            let warm = run_load(
-                &server,
-                &wl,
-                &LoadConfig {
-                    sessions: 1,
-                    arrival_qps: None,
-                    replays: 1,
-                    deadline: None,
-                },
-            );
-            guard(&format!("{} warmup", kind.name()), &warm);
-        }
+        // Both modes then compete on estimation + planning alone.
+        fx.warm_up(Arc::clone(&est))?;
 
         let mut points: Vec<RunPoint> = Vec::new();
         for &sessions in session_counts {
             for sequential in [true, false] {
-                points.push(run_point(&db, &truth, &est, &wl, sessions, sequential));
+                points.push(run_point(fx, &est, sessions, sequential)?);
             }
         }
 
@@ -264,10 +196,6 @@ fn main() {
         ]));
     }
 
-    if smoke {
-        println!("smoke mode (CARDBENCH_FAST=1): not writing BENCH_serve.json");
-        return;
-    }
     let summary = Json::object([
         ("bench", Json::String("serve".to_string())),
         (
@@ -277,34 +205,15 @@ fn main() {
                  default 0.02 benchmark scale; truth cache and engine memos warmed before \
                  timing; closed loop = sustained QPS, open loop at 0.7× sustained rate with \
                  deterministic arrivals = tail latency measured from scheduled arrival",
-                wl.queries.len()
+                fx.wl.queries.len()
             )),
         ),
         (
-            "notes",
-            Json::String(
-                "coalescing leverage scales with per-estimate inference cost: the heavy \
-                 autoregressive NeuroCard^E compounds (3.8x at 4 sessions to 21x at 64, \
-                 with the sequential tail collapsing from multi-second p99 to ~0.1s), \
-                 MSCN/UAE win steadily, and the cheap SPN fanout family (DeepDB, \
-                 ~0.1ms/query) wins only marginally since there is little per-call work \
-                 to amortize; a lone session always pays the queue hop, which is what \
-                 the sequential mode is for"
-                    .to_string(),
-            ),
-        ),
-        (
-            "host_caveat",
-            Json::String(
-                "single shared-core host: session threads, the coalescer drainer, and \
-                 estimator inference contend for the same CPU, so absolute QPS understates a \
-                 real server; the coalesced-vs-sequential ratios are the signal"
-                    .to_string(),
-            ),
+            "cores",
+            Json::Number(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
         ),
         ("methods", Json::Array(method_entries)),
     ]);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    std::fs::write(&path, summary.pretty()).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
+    write_summary(smoke, "serve", summary);
+    Ok(())
 }

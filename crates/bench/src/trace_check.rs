@@ -1,11 +1,6 @@
 //! Validates a `--trace` profile pair: the Chrome `trace_event` JSON and
-//! its Prometheus sidecar (`<trace>.prom`).
-//!
-//! Usage:
-//!
-//! ```text
-//! validate_trace <trace.json> [--require-span NAME]... [--require-family NAME]...
-//! ```
+//! its Prometheus sidecar (`<trace>.prom`). Every `smoke` suite runs
+//! this on its own trace; `cardbench validate-trace` runs it on a file.
 //!
 //! Structural checks (always on):
 //! - the trace parses as JSON with a `traceEvents` array and at least
@@ -21,13 +16,22 @@
 //! - the sidecar parses line-wise: every series line belongs to a family
 //!   announced by a `# TYPE` line.
 //!
-//! `--require-span` / `--require-family` add existence checks on top, so
-//! CI can insist on the exact instrumentation a given binary must emit.
-//! Exits non-zero with a message on the first violation.
+//! Required span names and metric families add existence checks on top,
+//! so a suite can insist on the exact instrumentation it must emit.
 
-use std::process::exit;
+use std::path::Path;
 
 use cardbench_support::json::Json;
+
+use crate::args::{Args, Fail};
+
+/// The instrumentation one run must have emitted.
+pub struct Required {
+    /// Span names that must occur in the trace.
+    pub spans: &'static [&'static str],
+    /// Metric families that must be announced in the sidecar.
+    pub families: &'static [&'static str],
+}
 
 struct Span {
     name: String,
@@ -36,50 +40,39 @@ struct Span {
     end: f64,
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace_path = None;
-    let mut required_spans: Vec<String> = Vec::new();
-    let mut required_families: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--require-span" => {
-                i += 1;
-                required_spans.extend(argv.get(i).cloned());
-            }
-            "--require-family" => {
-                i += 1;
-                required_families.extend(argv.get(i).cloned());
-            }
-            a if !a.starts_with("--") => trace_path = Some(a.to_string()),
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(trace_path) = trace_path else {
-        eprintln!(
-            "usage: validate_trace <trace.json> [--require-span N]... [--require-family N]..."
-        );
-        exit(2);
+/// `cardbench validate-trace <trace.json> [--require-span NAME]...
+/// [--require-family NAME]...`.
+pub fn run(args: &Args) -> Result<Option<&'static Required>, Fail> {
+    let [_, trace_path] = args.operands.as_slice() else {
+        return Err(Fail::Usage(
+            "validate-trace takes exactly one trace path".into(),
+        ));
     };
+    let spans: Vec<&str> = args.values("--require-span").collect();
+    let families: Vec<&str> = args.values("--require-family").collect();
+    println!("{}", check_files(Path::new(trace_path), &spans, &families)?);
+    Ok(None)
+}
 
-    let spans = check_trace(&trace_path, &required_spans).unwrap_or_else(|msg| {
-        eprintln!("[validate-trace] FAIL ({trace_path}): {msg}");
-        exit(1);
-    });
-    let prom_path = format!("{trace_path}.prom");
-    let families = check_prometheus(&prom_path, &required_families).unwrap_or_else(|msg| {
-        eprintln!("[validate-trace] FAIL ({prom_path}): {msg}");
-        exit(1);
-    });
-    println!("trace OK: {spans} spans, {families} metric families");
+/// Validates `trace_path` and `<trace_path>.prom`; the `Ok` value is the
+/// one-line summary, the `Err` value names the file and the offender.
+pub fn check_files(trace_path: &Path, spans: &[&str], families: &[&str]) -> Result<String, String> {
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).map_err(|e| format!("{}: read: {e}", path.display()))
+    };
+    let n_spans = check_trace(&read(trace_path)?, spans)
+        .map_err(|msg| format!("{}: {msg}", trace_path.display()))?;
+    let prom_path = format!("{}.prom", trace_path.display());
+    let n_families = check_prometheus(&read(Path::new(&prom_path))?, families)
+        .map_err(|msg| format!("{prom_path}: {msg}"))?;
+    Ok(format!(
+        "trace OK: {n_spans} spans, {n_families} metric families"
+    ))
 }
 
 /// Parses and validates the Chrome trace; returns the span count.
-fn check_trace(path: &str, required: &[String]) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    let v = Json::parse(&text).map_err(|e| format!("JSON parse: {e}"))?;
+pub fn check_trace(text: &str, required: &[&str]) -> Result<usize, String> {
+    let v = Json::parse(text).map_err(|e| format!("JSON parse: {e}"))?;
     let events = v
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -91,19 +84,19 @@ fn check_trace(path: &str, required: &[String]) -> Result<usize, String> {
         if ph != "X" {
             continue;
         }
-        let field = |k: &str| {
-            ev.get(k)
-                .and_then(Json::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .ok_or(format!("complete event without finite `{k}`"))
-        };
         let name = ev
             .get("name")
             .and_then(Json::as_str)
             .ok_or("complete event without `name`")?;
+        let field = |k: &str| {
+            ev.get(k)
+                .and_then(Json::as_f64)
+                .filter(|n| n.is_finite() && *n >= 0.0)
+                .ok_or(format!("`{name}` event without finite `{k}`"))
+        };
         ev.get("cat")
             .and_then(Json::as_str)
-            .ok_or("complete event without `cat`")?;
+            .ok_or(format!("`{name}` event without `cat`"))?;
         let ts = field("ts")?;
         let dur = field("dur")?;
         spans.push(Span {
@@ -118,7 +111,7 @@ fn check_trace(path: &str, required: &[String]) -> Result<usize, String> {
     }
 
     for want in required {
-        if !spans.iter().any(|s| &s.name == want) {
+        if !spans.iter().any(|s| s.name == *want) {
             return Err(format!("required span `{want}` missing"));
         }
     }
@@ -183,9 +176,8 @@ fn check_trace(path: &str, required: &[String]) -> Result<usize, String> {
 
 /// Line-wise validation of the Prometheus sidecar; returns the family
 /// count.
-fn check_prometheus(path: &str, required: &[String]) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    let mut families: Vec<String> = Vec::new();
+pub fn check_prometheus(text: &str, required: &[&str]) -> Result<usize, String> {
+    let mut families: Vec<&str> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
         if line.is_empty() {
@@ -200,7 +192,7 @@ fn check_prometheus(path: &str, required: &[String]) -> Result<usize, String> {
                 Some("counter" | "gauge" | "histogram") => {}
                 other => return Err(format!("line {lineno}: bad metric type {other:?}")),
             }
-            families.push(fam.to_string());
+            families.push(fam);
             continue;
         }
         if line.starts_with('#') {
@@ -217,7 +209,7 @@ fn check_prometheus(path: &str, required: &[String]) -> Result<usize, String> {
             .or_else(|| name.strip_suffix("_sum"))
             .or_else(|| name.strip_suffix("_count"))
             .unwrap_or(name);
-        if !families.iter().any(|f| f == base || f == name) {
+        if !families.iter().any(|f| *f == base || *f == name) {
             return Err(format!(
                 "line {lineno}: series `{name}` has no preceding `# TYPE` line"
             ));
@@ -231,9 +223,114 @@ fn check_prometheus(path: &str, required: &[String]) -> Result<usize, String> {
             .map_err(|_| format!("line {lineno}: non-numeric value `{value}`"))?;
     }
     for want in required {
-        if !families.iter().any(|f| f == want) {
+        if !families.contains(want) {
             return Err(format!("required metric family `{want}` missing"));
         }
     }
     Ok(families.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One complete event; `ts`/`dur` are spliced in as JSON text so a
+    /// test can write a value that is not a finite number.
+    fn event(name: &str, tid: u64, ts: &str, dur: &str) -> String {
+        format!(
+            r#"{{"name":"{name}","cat":"test","ph":"X","pid":1,"tid":{tid},"ts":{ts},"dur":{dur}}}"#
+        )
+    }
+
+    fn trace(events: &[String]) -> String {
+        format!(r#"{{"traceEvents":[{}]}}"#, events.join(","))
+    }
+
+    const PROM: &str = "# HELP cardbench_x_total help text\n\
+                        # TYPE cardbench_x_total counter\n\
+                        cardbench_x_total{method=\"PG\"} 3\n\
+                        # TYPE cardbench_lat_seconds histogram\n\
+                        cardbench_lat_seconds_bucket{le=\"+Inf\"} 2\n\
+                        cardbench_lat_seconds_sum 0.5\n\
+                        cardbench_lat_seconds_count 2\n";
+
+    #[test]
+    fn a_minimal_valid_pair_passes() {
+        let t = trace(&[
+            event("run", 0, "0", "100"),
+            event("workload", 0, "1", "90"),
+            event("execute", 0, "2", "10"),
+            event("run", 1, "0", "50"),
+            event("session", 1, "5", "40"),
+        ]);
+        assert_eq!(check_trace(&t, &["run", "execute"]), Ok(5));
+        assert_eq!(
+            check_prometheus(PROM, &["cardbench_x_total", "cardbench_lat_seconds"]),
+            Ok(2)
+        );
+    }
+
+    #[test]
+    fn execute_outside_any_workload_is_rejected() {
+        // The workload span is on the same thread but ends too early.
+        let t = trace(&[
+            event("workload", 0, "0", "5"),
+            event("execute", 0, "7", "10"),
+        ]);
+        let err = check_trace(&t, &[]).expect_err("uncontained execute");
+        assert!(
+            err.contains("`execute` span at ts=7") && err.contains("`workload`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn session_outside_run_is_rejected() {
+        // A `run` span exists, but on another thread.
+        let t = trace(&[event("run", 0, "0", "100"), event("session", 1, "5", "40")]);
+        let err = check_trace(&t, &[]).expect_err("uncontained session");
+        assert!(
+            err.contains("`session` span") && err.contains("(tid 1)") && err.contains("`run`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn non_finite_timestamp_is_rejected() {
+        for ts in ["null", "\"NaN\"", "-1", "1e999"] {
+            let t = trace(&[event("plan", 0, ts, "1")]);
+            let err = check_trace(&t, &[]).expect_err(ts);
+            assert_eq!(err, "`plan` event without finite `ts`", "ts = {ts}");
+        }
+    }
+
+    #[test]
+    fn missing_required_span_is_named() {
+        let t = trace(&[event("run", 0, "0", "1")]);
+        assert_eq!(
+            check_trace(&t, &["run", "coalesced_batch"]),
+            Err("required span `coalesced_batch` missing".to_string())
+        );
+        assert!(check_trace(r#"{"traceEvents":[]}"#, &[]).is_err());
+    }
+
+    #[test]
+    fn series_without_a_type_line_is_rejected() {
+        let text = format!("{PROM}cardbench_orphan_total 1\n");
+        assert_eq!(
+            check_prometheus(&text, &[]),
+            Err("line 8: series `cardbench_orphan_total` has no preceding `# TYPE` line".into())
+        );
+    }
+
+    #[test]
+    fn missing_required_family_is_named() {
+        assert_eq!(
+            check_prometheus(
+                PROM,
+                &["cardbench_x_total", "cardbench_serve_retries_total"]
+            ),
+            Err("required metric family `cardbench_serve_retries_total` missing".to_string())
+        );
+    }
 }

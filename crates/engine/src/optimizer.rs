@@ -358,9 +358,9 @@ fn rebuild(topo: &JoinTopology, cells: &[DpCell], dense: &[f64], i: usize) -> Ph
 /// The pre-topology optimizer: single-pass `HashMap` DP that re-enumerates
 /// `connected_subsets` and re-probes `connecting_edge` per call, cloning
 /// partial plans at every cell. Kept as the ground truth for
-/// `tests/optimizer_differential.rs` (bit-identical plans and costs) and
-/// as the "old" side of `benches/planning.rs`. Not part of the public
-/// surface.
+/// `tests/optimizer_differential.rs` (bit-identical plans and costs), the
+/// `metrics` P-Error test and the benchmark's `plan_search` first-pass
+/// check. Not part of the public surface.
 #[doc(hidden)]
 pub fn optimize_reference(
     query: &JoinQuery,

@@ -395,31 +395,18 @@ impl CardEst for NeuroCardE {
         "NeuroCard^E"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let Some(ops) = self.plan(db, sub) else {
-            return 1.0;
-        };
-        let mut rng = self.rng_for(sub);
-        let mut card = 1.0f64;
-        for op in &ops {
-            match op {
-                NcOp::Model { pi, weights, scale } => {
-                    let pm = &self.partitions[*pi];
-                    card *= pm.total * pm.model.query(weights, &mut rng) * *scale;
-                }
-                NcOp::Mul(f) => card *= f,
-            }
-        }
-        card.max(0.0)
+        self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
     /// Batched inference: plans every sub-plan, then walks the op lists
     /// position by position, grouping same-partition model queries into
     /// one [`AutoRegModel::query_batch`] call with each sub-plan's own
     /// RNG threaded through. Each sub-plan has at most one op per
-    /// position, so its multiplications happen in exactly the sequential
-    /// order, and `query_batch` advances each RNG exactly as the
-    /// per-item `query` would — results are bit-identical.
+    /// position, so its multiplications happen in op-list order, and
+    /// `query_batch` advances each RNG exactly as the per-item `query`
+    /// would — an answer does not depend on what shares its batch.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         let plans: Vec<Option<Vec<NcOp>>> = subs.iter().map(|s| self.plan(db, s)).collect();
         let mut rngs: Vec<StdRng> = subs.iter().map(|s| self.rng_for(s)).collect();

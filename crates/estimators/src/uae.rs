@@ -70,13 +70,13 @@ impl CardEst for UaeQ {
         "UAE-Q"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v = self.featurizer.dense_rows(db, std::iter::once(&sub.query));
-        label_to_card(self.model.forward(&v.data)[0])
+        self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
-    /// One batched forward pass over the featurized sub-plan set;
-    /// `forward_batch` is row-wise bit-identical to `forward`.
+    /// One batched forward pass over the featurized sub-plan set; rows of
+    /// `forward_batch` do not depend on each other.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         let xs = self
             .featurizer
@@ -160,15 +160,14 @@ impl CardEst for Uae {
         "UAE"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let v =
-            data_augmented_features(db, &self.featurizer, &self.hists, self.n_tables, &sub.query);
-        label_to_card(self.model.forward(&v)[0])
+        self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
     /// Builds the augmented feature matrix for the whole sub-plan set and
-    /// runs one batched forward pass; `forward_batch` is row-wise
-    /// bit-identical to `forward`.
+    /// runs one batched forward pass; rows of `forward_batch` do not
+    /// depend on each other.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         let dim = self.featurizer.dim() + self.n_tables;
         let mut xs = Matrix::zeros(subs.len(), dim);

@@ -15,7 +15,7 @@ use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::{FeedbackConfig, FeedbackEst, FeedbackStats, FeedbackStore};
-use cardbench_query::{BoundQuery, SubPlanQuery};
+use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
 use cardbench_storage::TableId;
 use cardbench_workload::Workload;
 
@@ -63,23 +63,41 @@ pub fn run_workload_adaptive(
         let run = execute_one(db, planned, opts, &mut scratch);
         if run.completed() {
             let _fb = cardbench_obs::span_with("feedback", "adaptive", || format!("Q{}", run.id));
-            // Re-project the sub-plan space (the topology is cached) so
-            // each dense slot i of the recorded cards aligns with its
-            // sub-query, then record (estimate seen, truth) per slot.
             if let Ok(bound) = BoundQuery::bind(&wq.query, db.catalog()) {
-                let topo = db.topology(&wq.query, &bound);
-                let subs: Vec<SubPlanQuery> = topo
-                    .masks()
-                    .iter()
-                    .map(|&mask| SubPlanQuery::project(&wq.query, mask))
-                    .collect();
-                store.observe_subplans(&subs, &run.sub_est_cards, &run.sub_true_cards);
+                observe_query(
+                    db,
+                    store,
+                    &wq.query,
+                    &bound,
+                    &run.sub_est_cards,
+                    &run.sub_true_cards,
+                );
             }
         }
         runs.push(run);
     }
     record_feedback_metrics(est.name(), &before, &store.stats());
     runs
+}
+
+/// Feeds one planned query's (estimate seen, truth) pairs into `store`.
+/// Re-projects the sub-plan space (the topology is cached) so dense slot
+/// `i` of the recorded cards aligns with its sub-query.
+pub fn observe_query(
+    db: &Database,
+    store: &FeedbackStore,
+    query: &JoinQuery,
+    bound: &BoundQuery,
+    est_cards: &[f64],
+    true_cards: &[f64],
+) {
+    let topo = db.topology(query, bound);
+    let subs: Vec<SubPlanQuery> = topo
+        .masks()
+        .iter()
+        .map(|&mask| SubPlanQuery::project(query, mask))
+        .collect();
+    store.observe_subplans(&subs, est_cards, true_cards);
 }
 
 /// Folds this run's feedback-store traffic into the observability

@@ -131,7 +131,7 @@ pub struct BenchConfig {
     /// (paper: 10^5; scaled with the data).
     pub training_queries: usize,
     /// Planning/estimation threads for the harness fan-out. `0` = auto:
-    /// `CARDBENCH_THREADS`, then `RAYON_NUM_THREADS`, then all cores.
+    /// `CARDBENCH_THREADS`, then all cores.
     pub threads: usize,
     /// Estimator hyper-parameters.
     pub settings: EstimatorSettings,

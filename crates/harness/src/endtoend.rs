@@ -256,9 +256,8 @@ fn cross_product_bound(db: &Database, bound: &BoundQuery, mask: TableMask) -> f6
 /// injected cardinalities and executes the chosen plans.
 ///
 /// Planning/estimation parallelism defaults to the environment
-/// ([`par::max_threads`]: `CARDBENCH_THREADS`, then `RAYON_NUM_THREADS`,
-/// then all cores); use [`run_workload_with_threads`] for an explicit
-/// count. Results are identical for every thread count.
+/// ([`par::max_threads`]: `CARDBENCH_THREADS`, then all cores); use
+/// [`run_workload_with_threads`] for an explicit count. Results are identical for every thread count.
 pub fn run_workload(
     db: &Database,
     wl: &Workload,

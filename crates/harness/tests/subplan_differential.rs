@@ -134,6 +134,29 @@ const GOLDEN: [(EstimatorKind, u64, usize); 6] = [
     (EstimatorKind::Flat, FLAT_DIGEST, 24632),
 ];
 
+/// The four batched kinds whose hand-written per-item `estimate` ISSUE 20
+/// replaced by the one-row batch, with what the commit before (3afc8f6)
+/// answered at `BenchConfig::fast(9)`: the FNV digest of its per-item
+/// `estimate` bits over the same 308 sub-plans (its `estimate_batch`
+/// digest was the same number), and its `model_size_bytes`.
+const ONE_ROW_GOLDEN: [(EstimatorKind, u64, usize); 4] = [
+    (EstimatorKind::UaeQ, 0x05a7e306cf9783e3, 79364),
+    (EstimatorKind::Uae, UAE_DIGEST, 91524),
+    (EstimatorKind::NeuroCardE, 0xa50be62bd0c52106, 542036),
+    (EstimatorKind::Sketch, 0x4ea19c27e648a7f8, 35200),
+];
+
+/// UAE's digest is one number per build profile, at the parent too:
+/// `label_to_card` is `2f64.powf(x)`, which LLVM rewrites to `exp2(x)`
+/// when optimizing, and the two libm routines round one of UAE's 308
+/// labels differently (features and network outputs are bit-equal in
+/// both profiles). The optimized number is the one the benchmark sees.
+const UAE_DIGEST: u64 = if cfg!(debug_assertions) {
+    0xa60d6d2ff7034e26
+} else {
+    0xb22e1fe76ac7ba11
+};
+
 /// FLAT's digest with sorted joint tables.
 const FLAT_DIGEST: u64 = 0x46ecc7eba60328f7;
 
@@ -224,7 +247,7 @@ const FLAT_PARENT_BITS: [u64; 308] = [
 #[test]
 fn rewritten_families_answer_what_the_parent_answered() {
     let all = estimators();
-    for (kind, golden, bytes) in GOLDEN {
+    for (kind, golden, bytes) in GOLDEN.into_iter().chain(ONE_ROW_GOLDEN) {
         let est = &all.iter().find(|(k, _)| *k == kind).expect("built").1;
         let bits = ceb_estimate_bits(est.as_ref());
         assert_eq!(bits.len(), 308, "{}: sub-plans", kind.name());
@@ -329,7 +352,7 @@ proptest! {
         }
         let db = &bench().stats_db;
         for (kind, est) in estimators() {
-            if !GOLDEN.iter().any(|(k, ..)| k == kind) {
+            if !GOLDEN.iter().chain(&ONE_ROW_GOLDEN).any(|(k, ..)| k == kind) {
                 continue;
             }
             let together = est.estimate_batch(db, &batch);
@@ -341,7 +364,10 @@ proptest! {
     }
 
     /// Every registered estimator's batch path is bit-identical to its
-    /// sequential path on random acyclic STATS queries.
+    /// sequential path on random acyclic STATS queries. Vacuous for the
+    /// ten kinds above, whose `estimate` is the one-row batch (the
+    /// composition test is their guard); it still compares two
+    /// implementations for the traditional methods and TrueCard.
     #[test]
     fn estimate_batch_bit_identical_for_all_kinds(seed in 0u64..1000) {
         for q in random_queries(seed) {

@@ -383,6 +383,33 @@ mod tests {
         }
     }
 
+    /// The shared-topology path equals what it replaced, bit for bit:
+    /// two independent reference DP runs, both plans re-costed under the
+    /// truth.
+    #[test]
+    fn p_error_equals_two_reference_plans_costed_under_truth() {
+        use cardbench_engine::optimize_reference;
+        let db = db();
+        let q = query();
+        let bound = BoundQuery::bind(&q, db.catalog()).unwrap();
+        let cost = CostModel::default();
+        let truth = true_cards(&db, &q);
+        for factor in [0.001, 0.1, 1.0, 10.0, 1000.0] {
+            // Mask-dependent misestimates, so the two plans can differ.
+            let mut est = CardMap::new();
+            for mask in connected_subsets(&q) {
+                let skew = 1.0 + (mask.0 % 7) as f64;
+                est.insert(mask, (truth.rows(mask) + 1.0) * factor * skew);
+            }
+            let (_, plan_e) = optimize_reference(&q, &bound, &db, &est, &cost, false);
+            let (_, plan_t) = optimize_reference(&q, &bound, &db, &truth, &cost, false);
+            let reference =
+                ppc(&plan_e, &db, &bound, &cost, &truth) / ppc(&plan_t, &db, &bound, &cost, &truth);
+            let pe = p_error(&db, &cost, &q, &bound, &est, &truth);
+            assert_eq!(pe.to_bits(), reference.to_bits(), "factor {factor}");
+        }
+    }
+
     #[test]
     fn bad_estimates_can_raise_p_error() {
         let db = db();

@@ -2,7 +2,7 @@
 //! or [Perfetto](https://ui.perfetto.dev)) and Prometheus text
 //! exposition.
 //!
-//! [`write_trace`] is the one-call exporter the bench binaries use for
+//! [`write_trace`] is the one-call exporter the `cardbench` binary uses for
 //! `--trace <path>`: it drains the span sink, snapshots the registry,
 //! and writes `<path>` (the trace profile) plus `<path>.prom` (the
 //! metrics dump). Draining accumulates across calls, so a binary that
@@ -211,7 +211,6 @@ mod tests {
         assert_eq!(depth, Some(1.0));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn prometheus_snapshot_serves_live_registry() {
         use crate::metrics::{counter_add, test_lock, test_reset};

@@ -8,8 +8,6 @@
 //! - **Zero overhead when disabled.** Recording is off by default; every
 //!   entry point first checks one relaxed atomic load and returns
 //!   immediately. Nothing allocates, no clock is read, no lock is taken.
-//!   The `noop` cargo feature additionally compiles every recording call
-//!   to nothing for overhead pinning.
 //! - **Determinism-safe when enabled.** Recording only *observes*:
 //!   span timestamps and metric values never feed back into estimates,
 //!   plan choice, or executed results, so a traced run produces
@@ -18,8 +16,9 @@
 //!
 //! Span records accumulate in per-thread buffers (no lock on the record
 //! path) that drain into a process-wide sink when a thread exits or an
-//! exporter runs. The harness's scoped planning workers therefore flush
-//! automatically at the end of each parallel phase.
+//! exporter runs. The harness's planning workers are joined by
+//! `support::par::map` before it returns, so they have flushed by the
+//! end of each parallel phase.
 //!
 //! The span hierarchy the harness emits:
 //!

@@ -321,7 +321,6 @@ mod tests {
         assert!(h.percentile(7.0) <= LATENCY_BUCKETS[LATENCY_BUCKETS.len() - 1]);
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn counters_gauges_histograms_accumulate() {
         let _g = serial();

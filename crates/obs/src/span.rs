@@ -31,19 +31,11 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 /// Is span/metric recording currently on?
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns recording on or off (normally set once at startup from
-/// `--trace` / `CARDBENCH_TRACE`). With the `noop` feature compiled in,
-/// this has no effect — recording stays off.
+/// `--trace`).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
     if on {
@@ -191,8 +183,11 @@ impl Drop for Span {
 
 /// Flushes the calling thread's buffer and takes every record flushed so
 /// far, ordered by (thread, start time). Buffers of still-running
-/// *other* threads are not reachable and stay put — in the harness every
-/// worker thread is scoped and has exited by export time.
+/// *other* threads are not reachable and stay put. A buffer flushes in
+/// its thread's thread-local destructor, which runs after the thread's
+/// closure has returned: only a `join` of the thread (not the implicit
+/// wait at the end of `std::thread::scope`) orders that flush before a
+/// drain.
 pub fn drain_spans() -> Vec<SpanRecord> {
     BUF.with(|b| b.borrow_mut().flush());
     let mut v = {
@@ -226,7 +221,6 @@ mod tests {
         assert!(drain_spans().is_empty());
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn nesting_depth_and_order() {
         let _g = serial();
@@ -251,24 +245,31 @@ mod tests {
         assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn cross_thread_spans_flush_on_exit() {
         let _g = serial();
         set_enabled(true);
         let _ = drain_spans();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _s = span("worker", "test");
+        // 200 rounds: the flush races the drain unless the worker is
+        // joined, and a one-in-four loss must not pass by luck.
+        for round in 0..200 {
+            std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    let _s = span("worker", "test");
+                });
+                worker.join().expect("worker thread");
             });
-        });
-        {
-            let _m = span("main", "test");
+            {
+                let _m = span("main", "test");
+            }
+            let spans = drain_spans();
+            let worker = spans
+                .iter()
+                .find(|s| s.name == "worker")
+                .unwrap_or_else(|| panic!("round {round}: worker span lost"));
+            let main = spans.iter().find(|s| s.name == "main").expect("main");
+            assert_ne!(worker.tid, main.tid);
         }
         set_enabled(false);
-        let spans = drain_spans();
-        let worker = spans.iter().find(|s| s.name == "worker").expect("worker");
-        let main = spans.iter().find(|s| s.name == "main").expect("main");
-        assert_ne!(worker.tid, main.tid);
     }
 }

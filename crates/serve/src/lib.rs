@@ -92,8 +92,8 @@ use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_feedback::{FeedbackEst, FeedbackStore};
 use cardbench_harness::{
-    deadline_budget, estimate_all, plan_query_via, record_feedback_metrics, EstimateError,
-    PlannedQuery,
+    deadline_budget, estimate_all, observe_query, plan_query_via, record_feedback_metrics,
+    EstimateError, PlannedQuery,
 };
 use cardbench_obs::{counter_add, gauge_set, observe_secs};
 use cardbench_query::{BoundQuery, SubPlanQuery};
@@ -787,16 +787,14 @@ impl Session {
             if let Ok((bound, _)) = &planned.plan {
                 let _fb =
                     cardbench_obs::span_with("feedback", "serve", || format!("Q{}", planned.id));
-                // Re-project the sub-plan space (topology is memoized) so
-                // slot i of the planned cards aligns with its sub-query,
-                // then feed the observed truths back into the store.
-                let topo = sh.db.topology(&wq.query, bound);
-                let subs: Vec<SubPlanQuery> = topo
-                    .masks()
-                    .iter()
-                    .map(|&mask| SubPlanQuery::project(&wq.query, mask))
-                    .collect();
-                store.observe_subplans(&subs, &planned.sub_est_cards, &planned.sub_true_cards);
+                observe_query(
+                    &sh.db,
+                    store,
+                    &wq.query,
+                    bound,
+                    &planned.sub_est_cards,
+                    &planned.sub_true_cards,
+                );
             }
             if let Some(before) = &fb_before {
                 record_feedback_metrics(sh.est.name(), before, &store.stats());

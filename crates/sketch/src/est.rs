@@ -382,15 +382,6 @@ impl SketchEst {
             f64::MAX
         }
     }
-
-    fn estimate_bound(&self, bound: &BoundQuery) -> f64 {
-        let sels: Vec<f64> = bound
-            .tables
-            .iter()
-            .map(|bt| self.table_selectivity(bt.id.0, &bt.predicates))
-            .collect();
-        self.join_card(bound, &sels)
-    }
 }
 
 /// Containment/uniformity factor of one join edge from sketch state.
@@ -430,19 +421,16 @@ impl cardbench_estimators::CardEst for SketchEst {
         "Sketch"
     }
 
+    /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        counter_add("cardbench_sketch_estimates_total", &[], 1);
-        let Ok(bound) = BoundQuery::bind(&sub.query, db.catalog()) else {
-            return 1.0;
-        };
-        self.estimate_bound(&bound)
+        self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
     /// Batch leverage: per-(table, predicate-set) selectivities are
     /// shared across the sub-plans of one query (a k-table query's 2^k
     /// sub-plans reuse k selectivities). Memoized values are pure
-    /// functions of the same inputs the sequential path uses, so results
-    /// stay bit-identical in input order.
+    /// functions of their key, so an answer does not depend on what
+    /// shares its batch.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         counter_add("cardbench_sketch_estimates_total", &[], subs.len() as u64);
         // The memo key is the exact (table, predicate-set) pair — a

@@ -61,8 +61,8 @@ pub struct SketchConfig {
     /// Width of the plain count-min on join-key columns.
     pub key_cm_width: usize,
     /// Build shards (row ranges per table). `0` = auto: the
-    /// `CARDBENCH_THREADS` / `RAYON_NUM_THREADS` env knobs, then all
-    /// cores — the same resolution as the harness `--threads` flag.
+    /// `CARDBENCH_THREADS` env knob, then all cores — the same
+    /// resolution as the harness `--threads` flag.
     pub shards: usize,
 }
 

@@ -8,17 +8,14 @@
 //!   surface (`StdRng::seed_from_u64`, `gen_range`, `gen`, `gen_bool`).
 //! - [`par`]: scoped-thread data parallelism (the `rayon` role): an
 //!   order-preserving indexed parallel map plus thread-count resolution
-//!   from `--threads`-style knobs and `RAYON_NUM_THREADS`.
+//!   from `--threads`-style knobs and `CARDBENCH_THREADS`.
 //! - [`json`]: a small JSON value type with parser and pretty-printer
 //!   (the `serde_json` role for the results schema).
 //! - [`proptest`]: a property-testing harness compatible with the
 //!   `proptest!` macro subset used by the workspace's tests.
-//! - [`criterion`]: a micro-benchmark harness compatible with the
-//!   `criterion_group!`/`criterion_main!` subset used under `benches/`.
 //! - [`hash`]: an FNV-1a hasher (the `fxhash` role) for hot hash maps
 //!   keyed by small trusted values.
 
-pub mod criterion;
 pub mod hash;
 pub mod json;
 pub mod par;

@@ -7,25 +7,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variables consulted for the default thread count, in
-/// priority order. `RAYON_NUM_THREADS` is honored for muscle-memory
-/// compatibility with rayon-based harnesses.
-pub const THREAD_ENV_VARS: [&str; 2] = ["CARDBENCH_THREADS", "RAYON_NUM_THREADS"];
-
 /// Number of worker threads to use when the caller does not pin one:
-/// the first set env var from [`THREAD_ENV_VARS`], else the machine's
-/// available parallelism.
+/// the `CARDBENCH_THREADS` environment variable when it holds a
+/// positive integer, else the machine's available parallelism.
 pub fn max_threads() -> usize {
-    for var in THREAD_ENV_VARS {
-        if let Ok(s) = std::env::var(var) {
-            if let Ok(n) = s.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::env::var("CARDBENCH_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Resolves a `--threads`-style knob: `0` means "auto" (env var or all
@@ -58,19 +48,30 @@ where
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Batch each worker's results locally; one lock per worker.
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Batch each worker's results locally; one lock per worker.
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        local.push((i, f(i, &items[i])));
                     }
-                    local.push((i, f(i, &items[i])));
-                }
-                collected.lock().unwrap().extend(local);
-            });
+                    collected.lock().unwrap().extend(local);
+                })
+            })
+            .collect();
+        // The scope's implicit join waits for each closure's result, not
+        // for the worker's thread-local destructors; `join` waits for the
+        // OS thread, so what a worker flushes on exit (span buffers) is
+        // visible to the caller as soon as `map` returns.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut indexed = collected.into_inner().unwrap();
@@ -112,6 +113,36 @@ mod tests {
     fn resolve_threads_semantics() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn worker_thread_locals_are_dropped_when_map_returns() {
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Guard;
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                // A slow destructor: without an OS-level join `map` would
+                // return long before this count moves.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static GUARD: Guard = {
+                CREATED.fetch_add(1, Ordering::SeqCst);
+                Guard
+            };
+        }
+        let items: Vec<usize> = (0..16).collect();
+        for round in 0..10 {
+            map(&items, 4, |_, _| GUARD.with(|_| ()));
+            assert_eq!(
+                CREATED.load(Ordering::SeqCst),
+                DROPPED.load(Ordering::SeqCst),
+                "round {round}: a worker's thread-locals outlived map"
+            );
+        }
     }
 
     #[test]

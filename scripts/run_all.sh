@@ -1,26 +1,19 @@
 #!/bin/sh
-# Runs the full evaluation, every auxiliary experiment, and the three
-# performance benches sequentially, writing one results file per run
-# under results/ (gitignored; the benches' BENCH_*.json summaries at the
-# repo root are the committed artifacts). Execute on an otherwise idle
+# Runs the full evaluation, every auxiliary experiment and the three
+# scaling sweeps sequentially, writing one results file per run under
+# results/ (gitignored; the sweeps' BENCH_*.json summaries at the repo
+# root are the committed artifacts). Execute on an otherwise idle
 # machine: wall-clock execution times are part of the measurements.
 set -e
 cd "$(dirname "$0")/.."
 cargo build --release -p cardbench-bench
 mkdir -p results
-T=target/release
-$T/all_tables        > results/standard.txt         2> results/standard.log
-$T/ablation          > results/ablation.txt         2>&1
-$T/workload_shift    > results/workload_shift.txt   2>&1
-$T/noise_sensitivity > results/noise.txt            2>&1
-$T/optimizer_shapes  > results/optimizer_shapes.txt 2>&1
-$T/cost_alignment    > results/cost_alignment.txt   2>&1
-$T/rd3_calibration   > results/rd3.txt              2>&1
-$T/update_scaling    > results/update_scaling.txt   2>&1
-$T/observations      > results/observations.txt     2>&1 || true
-sh scripts/bench_subplan.sh  > results/bench_subplan.txt  2>&1
-sh scripts/bench_planning.sh > results/bench_planning.txt 2>&1
-sh scripts/bench_serve.sh    > results/bench_serve.txt    2>&1
-sh scripts/bench_adaptive.sh > results/bench_adaptive.txt 2>&1
-sh scripts/bench_sketch.sh   > results/bench_sketch.txt   2>&1
-echo "all runs complete (per-run logs under results/)"
+# `all` first: it leaves cardbench_results.json for `observations`.
+for report in all observations ablation cost-alignment noise-sensitivity \
+              optimizer-shapes rd3-calibration update-scaling workload-shift; do
+  target/release/cardbench report "$report" > "results/$report.txt" 2> "results/$report.log" || true
+done
+for sweep in executor serve chaos; do
+  target/release/cardbench sweep "$sweep" > "results/sweep_$sweep.txt" 2>&1
+done
+echo "all runs complete (per-run output under results/)"

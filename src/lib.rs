@@ -7,18 +7,24 @@
 //! sixteen cardinality estimators (the paper's fifteen plus a
 //! sketch-backed extension), and the Q-Error / P-Error metric suite.
 //!
-//! This facade crate re-exports every workspace crate under a stable path.
+//! This facade crate re-exports every library crate of the workspace
+//! under a stable path (all of `crates/` except the `cardbench` tooling
+//! binary in `crates/bench`).
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
 
 pub use cardbench_datagen as datagen;
 pub use cardbench_engine as engine;
 pub use cardbench_estimators as estimators;
+pub use cardbench_feedback as feedback;
 pub use cardbench_harness as harness;
 pub use cardbench_metrics as metrics;
 pub use cardbench_ml as ml;
+pub use cardbench_obs as obs;
 pub use cardbench_query as query;
+pub use cardbench_serve as serve;
 pub use cardbench_sketch as sketch;
 pub use cardbench_storage as storage;
+pub use cardbench_support as support;
 pub use cardbench_workload as workload;
 
 /// Commonly used items, importable with `use cardbench::prelude::*`.
