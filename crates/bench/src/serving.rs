@@ -75,11 +75,20 @@ impl Fixture {
     }
 
     /// One single-session replay, so no timed phase pays exact execution
-    /// or cold engine memos.
-    pub fn warm_up(&self, est: Arc<dyn CardEst>) -> Result<(), String> {
+    /// or cold engine memos. Its report gives a lower bound on `est`'s
+    /// single-session rate.
+    pub fn warm_up(&self, est: Arc<dyn CardEst>) -> Result<LoadReport, String> {
         let server = self.serve(est, ServeConfig::default());
-        guard("warmup", &run_load(&server, &self.wl, &closed_loop(1, 1)))
+        let report = run_load(&server, &self.wl, &closed_loop(1, 1));
+        guard("warmup", &report)?;
+        Ok(report)
     }
+}
+
+/// Enough sessions to keep a phase on the coalesced route on any host:
+/// the server ticks inline while live sessions ≤ cores.
+pub fn coalescing_sessions() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) + 2
 }
 
 /// `sessions` sessions each replaying the workload `replays` times back

@@ -33,7 +33,7 @@ use cardbench_storage::TableId;
 use cardbench_workload::{stats_ceb, Workload};
 
 use crate::args::{Args, Fail};
-use crate::serving::{closed_loop, guard, stop, Fixture};
+use crate::serving::{closed_loop, coalescing_sessions, guard, stop, Fixture};
 use crate::trace_check::Required;
 
 /// One smoke suite: its name, how to run it, what its trace must hold.
@@ -147,12 +147,9 @@ const SUITES: [Suite; 5] = [
 ];
 
 /// The serving layer's span contract: per-session `session` spans nested
-/// in per-thread `run` spans, drain-tick `coalesced_batch` spans on the
-/// coalescer thread.
+/// in per-thread `run` spans, a `coalesced_batch` span per tick on the
+/// thread that ran it (drainer or inline).
 const SERVE_SPANS: [&str; 5] = ["run", "session", "coalesced_batch", "plan", "subplan_batch"];
-
-/// Concurrent sessions of the two serving suites.
-const SESSIONS: usize = 4;
 
 /// Suite names, for the usage text.
 pub fn targets() -> Vec<&'static str> {
@@ -226,7 +223,7 @@ fn chaos(args: &Args) -> Result<(), Fail> {
     Ok(())
 }
 
-/// One closed-loop phase of [`SESSIONS`] sessions, its outcome on stderr.
+/// One load phase, its outcome on stderr.
 fn load_phase(
     phase: &str,
     srv: &Arc<Server>,
@@ -277,8 +274,9 @@ fn scrape(prom: &PromServer, family: &str) -> Result<(), String> {
 }
 
 /// Stands up the estimation service over MSCN, replays the workload
-/// through concurrent coalesced sessions, and scrapes the live
-/// Prometheus endpoint while the server still exists.
+/// through more concurrent sessions than cores (the coalesced route),
+/// scrapes the live Prometheus endpoint while the server still exists,
+/// then replays it on one session, which must tick inline.
 fn serve(args: &Args) -> Result<(), Fail> {
     let cfg = args.config()?;
     eprintln!("[serve] building benchmark (seed {})...", cfg.settings.seed);
@@ -290,16 +288,30 @@ fn serve(args: &Args) -> Result<(), Fail> {
         &bench.config.settings,
     );
     let fx = Fixture::new(bench.stats_db, bench.stats_wl);
+    let sessions = coalescing_sessions();
     let server = fx.serve(
         Arc::from(built.est),
         ServeConfig {
-            max_sessions: SESSIONS,
+            max_sessions: sessions,
             ..ServeConfig::default()
         },
     );
     let prom = prom_endpoint(None)?;
-    load_phase("serve", &server, &fx.wl, &closed_loop(SESSIONS, 1))?;
+    load_phase("serve", &server, &fx.wl, &closed_loop(sessions, 1))?;
+    let coalesced = server.stats();
+    ensure!(
+        coalesced.coalesced_jobs > 0,
+        "{sessions} sessions must reach the coalescer"
+    );
     scrape(&prom, "cardbench_serve_queries_total")?;
+    load_phase("serve/1 session", &server, &fx.wl, &closed_loop(1, 1))?;
+    let lone = server.stats();
+    ensure!(
+        lone.coalesced_jobs == coalesced.coalesced_jobs && lone.inline_jobs > coalesced.inline_jobs,
+        "a lone session must tick inline: {} more coalesced, {} more inline jobs",
+        lone.coalesced_jobs - coalesced.coalesced_jobs,
+        lone.inline_jobs - coalesced.inline_jobs
+    );
     Ok(stop(server)?)
 }
 
@@ -315,16 +327,17 @@ fn serve(args: &Args) -> Result<(), Fail> {
 fn chaos_serve(args: &Args) -> Result<(), Fail> {
     let (db, wl) = stats_fixture(&args.config()?);
     let fx = Fixture::new(db, wl);
+    let sessions = coalescing_sessions();
     let server = |serve: ServeConfig| {
         fx.serve(
             fx.postgres(),
             ServeConfig {
-                max_sessions: SESSIONS,
+                max_sessions: sessions,
                 ..serve
             },
         )
     };
-    let load = closed_loop(SESSIONS, 2);
+    let load = closed_loop(sessions, 2);
 
     // Phase 1: permanent estimator storm behind a tight breaker. The
     // first tick's slots time out (and are retried — still storming),

@@ -36,7 +36,7 @@ use cardbench_serve::{
 };
 
 use super::write_summary;
-use crate::serving::{closed_loop, guard, Fixture};
+use crate::serving::{closed_loop, coalescing_sessions, guard, Fixture};
 
 /// One phase's merged measurements.
 struct Phase {
@@ -125,7 +125,9 @@ fn phase_json(p: &Phase) -> Json {
 }
 
 pub fn run(smoke: bool) -> Result<(), String> {
-    let sessions = if smoke { 4 } else { 8 };
+    // More sessions than cores, so the drainer machinery (queue
+    // deadlines, watchdog restarts) is on the path on any host.
+    let sessions = coalescing_sessions() * if smoke { 1 } else { 2 };
     let stall = Duration::from_millis(if smoke { 5 } else { 10 });
     let fx = &Fixture::for_sweep(smoke, if smoke { [4, 6, 3] } else { [8, 16, 5] });
     // Chaos phases measure the service's fault handling, not first-touch

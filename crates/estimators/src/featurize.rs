@@ -215,9 +215,11 @@ pub fn card_to_label(card: f64) -> f32 {
     (card.max(0.0) + 1.0).log2() as f32
 }
 
-/// Inverse of [`card_to_label`].
+/// Inverse of [`card_to_label`]. `exp2`, not `2f64.powf`: LLVM rewrites
+/// the latter to `exp2` only when optimizing, so the two build profiles
+/// would round some labels differently.
 pub fn label_to_card(label: f32) -> f64 {
-    (2.0f64.powf(label as f64) - 1.0).max(0.0)
+    ((label as f64).exp2() - 1.0).max(0.0)
 }
 
 #[cfg(test)]

@@ -298,16 +298,6 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// Marks the current thread as about to raise an *expected* panic (fault
-/// injection): the process panic hook stays quiet for it. The serving
-/// layer's chaos injector calls this before deliberately killing the
-/// drainer thread — the panic is the test, not noise. The flag is
-/// thread-local and the panicking thread dies with it.
-pub fn expect_panic_quietly() {
-    install_quiet_panic_hook();
-    SANDBOXED.with(|c| c.set(true));
-}
-
 /// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`).
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

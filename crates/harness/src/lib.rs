@@ -45,8 +45,8 @@ pub use endtoend::{
 };
 pub use factory::{build_estimator, BuiltEstimator};
 pub use fault::{
-    deadline_budget, expect_panic_quietly, guarded_estimate, guarded_estimate_batch, EstFailure,
-    EstimateError, QueryFailure, RunOptions,
+    deadline_budget, guarded_estimate, guarded_estimate_batch, EstFailure, EstimateError,
+    QueryFailure, RunOptions,
 };
 pub use observations::{check_observations, render_checks, ObservationCheck};
 pub use results::{MethodSummary, QueryRecord, RunResults};

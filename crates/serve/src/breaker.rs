@@ -134,8 +134,8 @@ struct Inner {
     stats: BreakerStats,
 }
 
-/// The breaker itself: interior-mutable so the coalescer drainer and
-/// per-session sequential paths can share one per served estimator.
+/// The breaker itself: interior-mutable so drainer and inline ticks can
+/// share one per served estimator.
 pub struct Breaker {
     cfg: BreakerConfig,
     method: &'static str,

@@ -1,7 +1,8 @@
 //! ChaosServe: deterministic **service-level** fault injection.
 //!
 //! PR 3's `ChaosEst` injects faults per estimator *call*; this module
-//! injects them per drainer *tick* — the failure modes a serving layer
+//! injects them per serving *tick* (drainer or inline — one tick
+//! counter for both) — the failure modes a serving layer
 //! has that a batch harness cannot: the coalescer thread dying
 //! mid-flight, a tick wedging long enough to stall every live session,
 //! and bursty estimator storms that should trip the circuit breaker
@@ -16,10 +17,12 @@
 //! same seed see the same storm schedule.
 //!
 //! Fault classes:
-//! - **Panic** — the drainer panics after popping its jobs. In-hand
-//!   jobs' reply senders drop, each waiting session degrades its own
-//!   slots to a typed hard failure (never a hang), and the watchdog
-//!   restarts the drainer. Budgeted by `max_panics` so runs terminate.
+//! - **Panic** — the tick panics with its jobs in hand. On the drainer,
+//!   in-hand jobs' reply senders drop, each waiting session degrades its
+//!   own slots to a typed hard failure (never a hang), and the watchdog
+//!   restarts the drainer; an inline tick's session catches it and
+//!   degrades the same way, restarting nothing. Budgeted by `max_panics`
+//!   so runs terminate.
 //! - **Slow** — the tick stalls for `slow_stall` before estimating:
 //!   models a wedged estimator call. Long stalls trip the watchdog's
 //!   staleness probe; short ones just inflate tail latency.
@@ -42,9 +45,9 @@ use cardbench_support::rand::{Rng, SeedableRng};
 pub struct ChaosServeConfig {
     /// Seed for the per-tick fault stream.
     pub seed: u64,
-    /// Probability a tick kills the drainer (subject to `max_panics`).
+    /// Probability a tick panics (subject to `max_panics`).
     pub panic_rate: f64,
-    /// Total drainer panics allowed over the injector's lifetime.
+    /// Total tick panics allowed over the injector's lifetime.
     pub max_panics: u32,
     /// Probability a tick is a slow tick.
     pub slow_rate: f64,
@@ -80,7 +83,7 @@ impl Default for ChaosServeConfig {
 pub enum TickFault {
     /// No injected fault: the tick runs normally.
     None,
-    /// Kill the drainer thread (panic) with its jobs in hand.
+    /// Panic with the tick's jobs in hand (kills a drainer).
     Panic,
     /// Stall for the duration, then run the tick normally.
     Slow(Duration),
@@ -89,7 +92,7 @@ pub enum TickFault {
     Storm(Duration),
 }
 
-/// The runtime injector: one per server, consulted once per drain tick.
+/// The runtime injector: one per server, consulted once per tick.
 pub(crate) struct ChaosServe {
     cfg: ChaosServeConfig,
     /// Monotone tick counter; survives drainer restarts because the
@@ -148,7 +151,7 @@ impl ChaosServe {
         TickFault::None
     }
 
-    /// Drainer panics injected so far.
+    /// Tick panics injected so far.
     pub(crate) fn panics_injected(&self) -> u32 {
         self.panics.load(Ordering::Acquire)
     }

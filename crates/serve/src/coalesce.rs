@@ -29,8 +29,14 @@
 //! hard error). Each tick additionally consults the circuit breaker
 //! (open → every slot answers [`EstimateError::Shorted`] without
 //! touching the estimator), fast-fails jobs whose end-to-end deadline
-//! already expired in the queue, and asks ChaosServe for injected
-//! service-level faults.
+//! already expired, and asks ChaosServe for injected service-level
+//! faults.
+//!
+//! `run_tick` has two callers: the drainer, over a gathered tick, and
+//! a session serving its own request inline (`Session::estimate_once`),
+//! over that one job. Both get the same chaos draw, deadline fast-fail,
+//! breaker and guarded estimate, so self-healing behaves the same on
+//! either route.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
@@ -51,20 +57,30 @@ use crate::Shared;
 /// its generation. Far below any sane staleness threshold.
 const HEARTBEAT_POLL: Duration = Duration::from_millis(20);
 
-/// One session's estimation request: a query's sub-plan slice plus the
-/// channel its per-slot outcomes go back on.
+/// Per-slot `(outcome, latency)` results of one job, in sub-plan order.
+pub(crate) type SlotResults = Vec<(Result<f64, EstimateError>, Duration)>;
+
+/// `n` slots that all failed with `err` without an estimator call.
+pub(crate) fn typed_slots(n: usize, err: EstimateError) -> SlotResults {
+    vec![(Err(err), Duration::ZERO); n]
+}
+
+/// One job as a tick sees it: a query's sub-plan slice (in
+/// `connected_subsets` order) and the end-to-end deadline the request
+/// carries. A job past its deadline when the tick reaches it is failed
+/// fast with [`EstimateError::DeadlineExceeded`] instead of consuming
+/// estimator slots.
+pub(crate) type TickJob<'a> = (&'a [SubPlanQuery], Option<Instant>);
+
+/// One session's queued estimation request plus the channel its
+/// per-slot outcomes go back on.
 pub(crate) struct EstimateJob {
-    /// Sub-plans in `connected_subsets` order.
     pub(crate) subs: Vec<SubPlanQuery>,
-    /// End-to-end deadline the request carries; a job still queued past
-    /// it is failed fast with [`EstimateError::DeadlineExceeded`]
-    /// instead of consuming estimator slots.
     pub(crate) deadline: Option<Instant>,
-    /// Per-slot `(outcome, latency)` results, same order as `subs`.
     /// Send errors are ignored: a session dropped mid-request simply
     /// stops caring about its answer, and the tick proceeds for everyone
     /// else.
-    pub(crate) reply: Sender<Vec<(Result<f64, EstimateError>, Duration)>>,
+    pub(crate) reply: Sender<SlotResults>,
 }
 
 /// What a queue pop produced.
@@ -341,19 +357,26 @@ pub(crate) fn drain_loop(shared: &Shared, gen: u64) {
                 }
             }
         }
-        run_tick(shared, jobs);
+        let tick: Vec<TickJob<'_>> = jobs.iter().map(|j| (&j.subs[..], j.deadline)).collect();
+        for (job, result) in jobs.iter().zip(run_tick(shared, &tick)) {
+            let _ = job.reply.send(result);
+        }
         shared.set_drainer_busy(false);
         shared.beat();
     }
 }
 
-/// Serves one gathered tick: chaos faults, deadline fast-fail, breaker
-/// admission, the coalesced estimate, and per-job replies. A chaos
-/// `Panic` unwinds out of here with the jobs in hand — their reply
-/// senders drop, each waiting session degrades its own slots to a typed
-/// hard failure, and the watchdog restarts the drainer over the
-/// still-intact queue.
-fn run_tick(shared: &Shared, jobs: Vec<EstimateJob>) {
+/// Serves one tick and returns each job's per-slot results: chaos
+/// faults, deadline fast-fail, breaker admission and the coalesced
+/// estimate. A chaos `Panic` unwinds out of here. On the drainer it
+/// takes the jobs in hand with it — their reply senders drop, each
+/// waiting session degrades its own slots to a typed hard failure, and
+/// the watchdog restarts the drainer over the still-intact queue; an
+/// inline caller catches it and degrades its one job the same way.
+pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults> {
+    let _sp = cardbench_obs::span_with("coalesced_batch", "serve", || {
+        format!("{} jobs", jobs.len())
+    });
     let fault = shared
         .chaos
         .as_ref()
@@ -364,13 +387,12 @@ fn run_tick(shared: &Shared, jobs: Vec<EstimateJob>) {
             &[("class", "panic")],
             1,
         );
-        // An injected panic is the experiment, not noise: keep the
-        // process panic hook quiet for this thread's death.
-        cardbench_harness::expect_panic_quietly();
-        panic!(
-            "chaos-serve: injected drainer panic ({} jobs in hand)",
+        // An injected panic is the experiment, not noise: `resume_unwind`
+        // unwinds without calling the process panic hook.
+        std::panic::resume_unwind(Box::new(format!(
+            "chaos-serve: injected tick panic ({} jobs in hand)",
             jobs.len()
-        );
+        )));
     }
     if let TickFault::Slow(stall) = fault {
         counter_add(
@@ -382,51 +404,43 @@ fn run_tick(shared: &Shared, jobs: Vec<EstimateJob>) {
     }
 
     let now = Instant::now();
-    // Fast-fail jobs whose end-to-end deadline expired while queued:
-    // typed per-slot errors, zero estimator slots consumed.
-    let mut live: Vec<EstimateJob> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        match job.deadline {
+    // Fast-fail jobs whose end-to-end deadline has expired: typed
+    // per-slot errors, zero estimator slots consumed. `live` indexes
+    // the rest.
+    let mut out: Vec<SlotResults> = Vec::with_capacity(jobs.len());
+    let mut live: Vec<usize> = Vec::with_capacity(jobs.len());
+    for (i, &(subs, deadline)) in jobs.iter().enumerate() {
+        match deadline {
             Some(d) if now >= d => {
+                shared.note_deadline_expired(subs.len() as u64);
                 let late = now.duration_since(d);
-                let slots = job.subs.len();
-                shared.note_deadline_expired(slots as u64);
-                let _ = job.reply.send(
-                    job.subs
-                        .iter()
-                        .map(|_| {
-                            (
-                                Err(EstimateError::DeadlineExceeded { late }),
-                                Duration::ZERO,
-                            )
-                        })
-                        .collect(),
-                );
+                out.push(typed_slots(
+                    subs.len(),
+                    EstimateError::DeadlineExceeded { late },
+                ));
             }
-            _ => live.push(job),
+            _ => {
+                live.push(i);
+                out.push(Vec::new());
+            }
         }
     }
     if live.is_empty() {
-        return;
+        return out;
     }
 
-    let total_slots: usize = live.iter().map(|j| j.subs.len()).sum();
+    let total_slots: usize = live.iter().map(|&i| jobs[i].0.len()).sum();
     let admission = shared
         .breaker
         .as_ref()
         .map_or(Admission::Estimate, |b| b.admit(now, total_slots));
 
-    let results: Vec<Vec<(Result<f64, EstimateError>, Duration)>> = match admission {
+    let results: Vec<SlotResults> = match admission {
         // Breaker open: every slot is shorted to the fallback without
         // paying the doomed call's latency.
         Admission::Short => live
             .iter()
-            .map(|job| {
-                job.subs
-                    .iter()
-                    .map(|_| (Err(EstimateError::Shorted), Duration::ZERO))
-                    .collect()
-            })
+            .map(|&i| typed_slots(jobs[i].0.len(), EstimateError::Shorted))
             .collect(),
         Admission::Estimate => {
             if let TickFault::Storm(stall) = fault {
@@ -443,33 +457,23 @@ fn run_tick(shared: &Shared, jobs: Vec<EstimateJob>) {
                 if let Some(b) = &shared.breaker {
                     b.record(Instant::now(), total_slots, total_slots);
                 }
+                let timed_out = Err(EstimateError::TimedOut {
+                    elapsed: stall,
+                    budget: shared.cfg.estimate_timeout.unwrap_or(stall),
+                });
                 let per_slot = stall / (total_slots.max(1) as u32);
                 live.iter()
-                    .map(|job| {
-                        job.subs
-                            .iter()
-                            .map(|_| {
-                                (
-                                    Err(EstimateError::TimedOut {
-                                        elapsed: stall,
-                                        budget: shared.cfg.estimate_timeout.unwrap_or(stall),
-                                    }),
-                                    per_slot,
-                                )
-                            })
-                            .collect()
-                    })
+                    .map(|&i| vec![(timed_out.clone(), per_slot); jobs[i].0.len()])
                     .collect()
             } else {
                 // A lone job's deadline tightens its estimate budget; a
                 // multi-job tick keeps the configured timeout so one
                 // tight deadline never perturbs other sessions' outcomes.
-                let timeout = if live.len() == 1 {
-                    deadline_budget(shared.cfg.estimate_timeout, live[0].deadline, now)
-                } else {
-                    shared.cfg.estimate_timeout
+                let timeout = match live[..] {
+                    [i] => deadline_budget(shared.cfg.estimate_timeout, jobs[i].1, now),
+                    _ => shared.cfg.estimate_timeout,
                 };
-                let slices: Vec<&[SubPlanQuery]> = live.iter().map(|j| j.subs.as_slice()).collect();
+                let slices: Vec<&[SubPlanQuery]> = live.iter().map(|&i| jobs[i].0).collect();
                 let out = coalesce_estimate(shared.est.as_ref(), &shared.db, &slices, timeout);
                 if let Some(b) = &shared.breaker {
                     let hard = out
@@ -500,15 +504,10 @@ fn run_tick(shared: &Shared, jobs: Vec<EstimateJob>) {
             }
         }
     };
-
-    let _sp = cardbench_obs::span_with("coalesced_batch", "serve", || {
-        format!("{} jobs", live.len())
-    });
-    for (job, result) in live.iter().zip(results) {
-        // A dropped session means a dead receiver; everyone else
-        // still gets their answer.
-        let _ = job.reply.send(result);
+    for (&i, result) in live.iter().zip(results) {
+        out[i] = result;
     }
+    out
 }
 
 #[cfg(test)]
@@ -602,19 +601,22 @@ mod tests {
     }
 
     /// A job whose deadline expired while queued is failed fast with
-    /// typed `DeadlineExceeded` slots and consumes no estimator call.
+    /// typed `DeadlineExceeded` slots and consumes no estimator call;
+    /// a live sibling in the same tick is still estimated.
     #[test]
     fn queue_expired_jobs_fail_fast_and_typed() {
         let shared = test_shared(ServeConfig::default());
         let subs = test_subs(&shared);
-        let (reply, rx) = mpsc::channel();
-        let expired = EstimateJob {
-            subs: subs.clone(),
-            deadline: Some(Instant::now() - Duration::from_millis(5)),
-            reply,
-        };
-        run_tick(&shared, vec![expired]);
-        let out = rx.recv().expect("expired job still gets an answer");
+        let past = Instant::now() - Duration::from_millis(5);
+        let mut out = run_tick(&shared, &[(&subs, Some(past)), (&subs, None)]);
+        assert_eq!(out.len(), 2);
+        let live = out.pop().expect("live job answered");
+        assert!(live.iter().all(|(r, _)| r.is_ok()));
+        assert_eq!(
+            shared.breaker.as_ref().map(|b| b.stats().observed_slots),
+            Some(subs.len() as u64)
+        );
+        let out = out.pop().expect("expired job answered");
         assert_eq!(out.len(), subs.len());
         for (r, lat) in &out {
             assert!(

@@ -1,6 +1,6 @@
 //! Estimation-as-a-service: a long-running, thread-per-session serving
 //! layer over the benchmark's planning pipeline, with **cross-session
-//! batch coalescing** as its core performance mechanism and a
+//! batch coalescing** for when sessions outnumber cores and a
 //! **self-healing layer** — circuit breaker, deadline propagation,
 //! drainer watchdog — that keeps it answering under the failure modes
 //! the paper shows learned estimators actually have.
@@ -19,6 +19,19 @@
 //! slot gets its own `Result<f64, EstimateError>` routed back over the
 //! session's reply channel, and a poisoned combined batch degrades only
 //! to the per-job guarded path, never to a whole-tick failure.
+//!
+//! # Routing
+//!
+//! Coalescing costs a queue hand-off, a gather window and a reply
+//! wake-up per request, and it only pays when sessions contend for
+//! cores. So each request is routed by the server's own state, not by a
+//! knob: while `live sessions ≤ available_parallelism()` every session
+//! already has a core, and the request runs the serving tick **inline**
+//! on its own thread — the same `coalesce::run_tick` the drainer runs,
+//! over that one job (chaos draw, deadline fast-fail, breaker, guarded
+//! estimate). Past that, it goes to the coalescer. `ServeConfig::sequential`
+//! pins every request inline. [`ServeStats`] counts jobs per route, and
+//! `cardbench_serve_queries_total{mode}` labels each request's route.
 //!
 //! Correctness rests on the batch contract the estimator crate already
 //! enforces: `estimate_batch` values are per-slot bit-identical to
@@ -56,7 +69,7 @@
 //!   the dead thread). In-flight jobs at crash time degrade per-job with
 //!   typed errors; queued jobs are served by the successor.
 //! - **ChaosServe** ([`chaos`]): deterministic service-level fault
-//!   injection (drainer panics, slow ticks, estimator fault storms) for
+//!   injection (tick panics, slow ticks, estimator fault storms) for
 //!   the chaos bench and the self-healing tests.
 //!
 //! With chaos disabled and no deadlines, all of this is observation
@@ -65,8 +78,9 @@
 //! tests pin that too.
 //!
 //! Observability: sessions open `run` > `session` spans on their own
-//! thread, drain ticks open `coalesced_batch` spans on the drainer
-//! thread, and the service maintains `cardbench_serve_*` counters and
+//! thread, every tick opens a `coalesced_batch` span on the thread that
+//! runs it (the drainer, or the session for an inline tick), and the
+//! service maintains `cardbench_serve_*` counters and
 //! latency histograms (p50/p95/p99 via `Histogram::percentiles`). A
 //! live Prometheus text snapshot plus `/healthz` (drainer heartbeat
 //! fresh) and `/readyz` (under session cap, breaker not open) endpoints
@@ -81,6 +95,7 @@ pub mod loadgen;
 pub mod prom_http;
 pub mod watchdog;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -92,8 +107,7 @@ use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_feedback::{FeedbackEst, FeedbackStore};
 use cardbench_harness::{
-    deadline_budget, estimate_all, observe_query, plan_query_via, record_feedback_metrics,
-    EstimateError, PlannedQuery,
+    observe_query, plan_query_via, record_feedback_metrics, EstimateError, PlannedQuery,
 };
 use cardbench_obs::{counter_add, gauge_set, observe_secs};
 use cardbench_query::{BoundQuery, SubPlanQuery};
@@ -101,9 +115,9 @@ use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 use cardbench_workload::WorkloadQuery;
 
-use breaker::{Admission, Breaker};
+use breaker::Breaker;
 use chaos::ChaosServe;
-use coalesce::EstimateJob;
+use coalesce::{typed_slots, EstimateJob, SlotResults};
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use cardbench_feedback::{FeedbackConfig, FeedbackStats};
@@ -132,12 +146,12 @@ pub struct ServeConfig {
     /// drain tick.
     pub coalesce_max: usize,
     /// How long a drain tick may wait for more sessions' jobs once it
-    /// holds at least one. The drainer only waits while *more sessions
-    /// are live than jobs gathered* — a lone session is always served
-    /// immediately, and a full house stops the clock early. This bounded
-    /// wait is what lets concurrent replays of a shared workload land in
-    /// the same tick and dedup; `Duration::ZERO` disables gathering
-    /// (drain-what's-queued only).
+    /// holds at least one. Only the coalesced route pays it (sessions
+    /// outnumber cores; see the crate docs), and the drainer only waits
+    /// while *more sessions are live than jobs gathered* — a full house
+    /// stops the clock early. This bounded wait is what lets concurrent
+    /// replays of a shared workload land in the same tick and dedup;
+    /// `Duration::ZERO` disables gathering (drain-what's-queued only).
     pub coalesce_window: Duration,
     /// Bound of the submission queue. A full queue back-pressures the
     /// submitting session (blocking send), never grows unboundedly.
@@ -146,9 +160,11 @@ pub struct ServeConfig {
     /// A request deadline tightens this further for lone jobs (see
     /// `cardbench_harness::deadline_budget`).
     pub estimate_timeout: Option<Duration>,
-    /// `true` disables cross-session coalescing: each session estimates
-    /// on its own thread exactly like the batch harness. The load
-    /// generator's baseline mode.
+    /// `true` serves every request inline on its session's thread (the
+    /// same tick as the drainer, over one job) whatever the session
+    /// count; `false` routes by measured state — inline while every live
+    /// session has a core, coalesced otherwise. The load generator's
+    /// baseline mode.
     pub sequential: bool,
     /// Circuit breaker in front of the estimator; `None` disables it.
     /// Enabled by default — with a healthy estimator it is observation
@@ -301,6 +317,11 @@ pub(crate) struct Shared {
     /// one per run; a server *is* one long run).
     pub(crate) fallback: OnceLock<PostgresEst>,
     live: AtomicUsize,
+    /// `available_parallelism()` at start: the live-session count up to
+    /// which a request runs its tick inline.
+    cores: usize,
+    inline_jobs: AtomicU64,
+    coalesced_jobs: AtomicU64,
     /// The bounded submission queue (crash-surviving; see module docs).
     pub(crate) queue: coalesce::JobQueue,
     /// Cross-session execution-feedback store, if enabled. The served
@@ -334,9 +355,8 @@ impl Shared {
         cfg: ServeConfig,
     ) -> Shared {
         let queue = coalesce::JobQueue::new(cfg.queue_cap.max(1));
-        // Feedback wraps the estimator *inside* the service, so both the
-        // coalesced drain path and the inline sequential path resolve
-        // through the same shared store.
+        // Feedback wraps the estimator *inside* the service, so drainer
+        // and inline ticks resolve through the same shared store.
         let (est, feedback) = match cfg.feedback {
             Some(fc) => {
                 let store = Arc::new(FeedbackStore::new(fc));
@@ -360,6 +380,9 @@ impl Shared {
             cfg,
             fallback: OnceLock::new(),
             live: AtomicUsize::new(0),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            inline_jobs: AtomicU64::new(0),
+            coalesced_jobs: AtomicU64::new(0),
             queue,
             breaker,
             chaos,
@@ -452,6 +475,11 @@ pub struct ServeStats {
     pub heartbeat_age: Duration,
     /// Jobs queued and not yet picked up by a tick.
     pub queue_depth: usize,
+    /// Estimate jobs (one per pass over a query's sub-plans, retries
+    /// included) served by an inline tick on the session's own thread.
+    pub inline_jobs: u64,
+    /// Estimate jobs sent through the queue to the coalescer.
+    pub coalesced_jobs: u64,
     /// Times the watchdog replaced the drainer.
     pub watchdog_restarts: u64,
     /// Sub-plan slots re-submitted by transient-fault retries.
@@ -463,7 +491,7 @@ pub struct ServeStats {
     pub breaker_state: Option<BreakerState>,
     /// Breaker counters (zeros when disabled).
     pub breaker: BreakerStats,
-    /// Drainer panics injected by ChaosServe so far.
+    /// Tick panics injected by ChaosServe so far (drainer or inline).
     pub chaos_panics: u32,
     /// Feedback-store counters, `None` when feedback is disabled.
     pub feedback: Option<FeedbackStats>,
@@ -577,6 +605,8 @@ impl Server {
             shutting_down: sh.is_shutting_down(),
             heartbeat_age: sh.heartbeat_age(),
             queue_depth: sh.queue.len(),
+            inline_jobs: sh.inline_jobs.load(Ordering::Acquire),
+            coalesced_jobs: sh.coalesced_jobs.load(Ordering::Acquire),
             watchdog_restarts: sh.watchdog_restarts.load(Ordering::Acquire),
             retries: sh.retries.load(Ordering::Acquire),
             deadline_expired_slots: sh.stats_deadline_expired(),
@@ -633,19 +663,7 @@ impl Server {
             return;
         }
         for job in self.shared.queue.close() {
-            let _ = job.reply.send(
-                job.subs
-                    .iter()
-                    .map(|_| {
-                        (
-                            Err(EstimateError::Panicked {
-                                message: PIPELINE_UNAVAILABLE.to_string(),
-                            }),
-                            Duration::ZERO,
-                        )
-                    })
-                    .collect(),
-            );
+            let _ = job.reply.send(unavailable(job.subs.len()));
         }
     }
 
@@ -693,10 +711,9 @@ pub struct Session {
 
 impl Session {
     /// Plans one workload query through the service with no deadline:
-    /// sub-plan estimation routed through the cross-session coalescer
-    /// (or inline when the server runs sequential), then injection, plan
-    /// choice, and Q-/P-Error — semantically identical to the harness's
-    /// phase 1.
+    /// sub-plan estimation by a tick on this thread or on the coalescer
+    /// (see the crate docs' routing rule), then injection, plan choice,
+    /// and Q-/P-Error — semantically identical to the harness's phase 1.
     ///
     /// Returns [`ServeError::BudgetExhausted`] without estimating when
     /// the query's sub-plan count would exceed the session budget, and
@@ -765,11 +782,10 @@ impl Session {
             });
         }
         self.used += requested;
-        let mode = if sh.cfg.sequential {
-            "sequential"
-        } else {
-            "coalesced"
-        };
+        // The route, decided once per request from the server's own
+        // state: while every live session has a core, gathering could
+        // only win through dedup, so the tick runs on this thread.
+        let inline = sh.cfg.sequential || sh.live_sessions() <= sh.cores;
         // Snapshot before planning: the estimate calls inside
         // `plan_query_via` hit the feedback store (hits/overrides/
         // corrections), and the observation below refreshes it; the
@@ -778,7 +794,7 @@ impl Session {
         let planned = plan_query_via(
             &sh.db,
             wq,
-            &|subs| self.estimate_with_retries(subs, deadline),
+            &|subs| self.estimate_with_retries(subs, deadline, inline),
             &sh.truth,
             &sh.cost,
             &sh.fallback,
@@ -811,6 +827,7 @@ impl Session {
         if planned.plan.is_err() || wholly_degraded {
             self.used = self.used.saturating_sub(requested);
         }
+        let mode = if inline { "inline" } else { "coalesced" };
         counter_add("cardbench_serve_queries_total", &[("mode", mode)], 1);
         observe_secs(
             "cardbench_serve_plan_latency_seconds",
@@ -837,8 +854,9 @@ impl Session {
         &self,
         subs: &[SubPlanQuery],
         deadline: Option<Instant>,
-    ) -> Vec<(Result<f64, EstimateError>, Duration)> {
-        let mut out = self.estimate_once(subs, deadline);
+        inline: bool,
+    ) -> SlotResults {
+        let mut out = self.estimate_once(subs, deadline, inline);
         let cfg = &self.shared.cfg;
         if cfg.max_retries == 0 || subs.is_empty() {
             return out;
@@ -873,7 +891,7 @@ impl Session {
             self.shared.note_retries(timed_out.len() as u64);
             let retry_subs: Vec<SubPlanQuery> =
                 timed_out.iter().map(|&i| subs[i].clone()).collect();
-            let retry_out = self.estimate_once(&retry_subs, deadline);
+            let retry_out = self.estimate_once(&retry_subs, deadline, inline);
             for (k, &i) in timed_out.iter().enumerate() {
                 let waited = out[i].1;
                 out[i] = (retry_out[k].0.clone(), waited + retry_out[k].1);
@@ -882,102 +900,46 @@ impl Session {
         out
     }
 
-    /// One estimate pass: deadline preflight, then the coalescer (or the
-    /// inline sequential path, which consults the same breaker).
+    /// One estimate pass over one job: a tick on this thread (`inline`)
+    /// or on the coalescer. The wait *includes* queue delay — that is
+    /// the latency a client of the service actually sees.
+    ///
+    /// If the tick panics (ChaosServe), the service is torn down
+    /// mid-request, or the drainer dies with this job in hand, the slots
+    /// degrade to typed hard failures (never a hang): `plan_query_via`
+    /// then substitutes the PostgreSQL baseline per sub-plan, the same
+    /// graceful degradation a panicking estimator gets. An inline panic
+    /// restarts nothing — there is no drainer to restart.
     fn estimate_once(
         &self,
         subs: &[SubPlanQuery],
         deadline: Option<Instant>,
-    ) -> Vec<(Result<f64, EstimateError>, Duration)> {
+        inline: bool,
+    ) -> SlotResults {
         if subs.is_empty() {
             return Vec::new();
         }
         let sh = &self.shared;
-        let now = Instant::now();
-        if let Some(d) = deadline {
-            if now >= d {
-                let late = now.duration_since(d);
-                sh.note_deadline_expired(subs.len() as u64);
-                return subs
-                    .iter()
-                    .map(|_| {
-                        (
-                            Err(EstimateError::DeadlineExceeded { late }),
-                            Duration::ZERO,
-                        )
-                    })
-                    .collect();
-            }
-        }
-        if !sh.cfg.sequential {
-            return self.submit_and_wait(subs, deadline);
-        }
-        let t = Instant::now();
-        let admission = sh
-            .breaker
-            .as_ref()
-            .map_or(Admission::Estimate, |b| b.admit(now, subs.len()));
-        let out = match admission {
-            Admission::Short => subs
-                .iter()
-                .map(|_| (Err(EstimateError::Shorted), Duration::ZERO))
-                .collect(),
-            Admission::Estimate => {
-                let timeout = deadline_budget(sh.cfg.estimate_timeout, deadline, now);
-                let out = estimate_all(sh.est.as_ref(), &sh.db, subs, timeout);
-                if let Some(b) = &sh.breaker {
-                    let hard = out
-                        .iter()
-                        .filter(|(r, _)| matches!(r, Err(e) if e.is_hard()))
-                        .count();
-                    b.record(Instant::now(), out.len(), hard);
-                }
-                out
-            }
-        };
-        observe_serve_estimate(sh.est.name(), t.elapsed());
-        out
-    }
-
-    /// Ships one query's sub-plan slice to the coalescer and blocks for
-    /// the per-slot outcomes. The wait *includes* queue delay — that is
-    /// the latency a client of the service actually sees.
-    ///
-    /// If the service is torn down mid-request — or the drainer dies
-    /// with this job in hand — the slots degrade to typed hard failures
-    /// (never a hang): `plan_query_via` then substitutes the PostgreSQL
-    /// baseline per sub-plan, the same graceful degradation a panicking
-    /// estimator gets.
-    fn submit_and_wait(
-        &self,
-        subs: &[SubPlanQuery],
-        deadline: Option<Instant>,
-    ) -> Vec<(Result<f64, EstimateError>, Duration)> {
         let t0 = Instant::now();
-        let (reply, outcome) = mpsc::channel();
-        let job = EstimateJob {
-            subs: subs.to_vec(),
-            deadline,
-            reply,
+        let out = if inline {
+            sh.inline_jobs.fetch_add(1, Ordering::Relaxed);
+            catch_unwind(AssertUnwindSafe(|| {
+                coalesce::run_tick(sh, &[(subs, deadline)])
+            }))
+            .ok()
+            .and_then(|mut results| results.pop())
+        } else {
+            sh.coalesced_jobs.fetch_add(1, Ordering::Relaxed);
+            let (reply, outcome) = mpsc::channel();
+            let job = EstimateJob {
+                subs: subs.to_vec(),
+                deadline,
+                reply,
+            };
+            sh.queue.push(job).ok().and_then(|()| outcome.recv().ok())
         };
-        let received = match self.shared.queue.push(job) {
-            Ok(()) => outcome.recv().ok(),
-            Err(_) => None,
-        };
-        let out = received.unwrap_or_else(|| {
-            subs.iter()
-                .map(|_| {
-                    (
-                        Err(EstimateError::Panicked {
-                            message: PIPELINE_UNAVAILABLE.to_string(),
-                        }),
-                        Duration::ZERO,
-                    )
-                })
-                .collect()
-        });
-        observe_serve_estimate(self.shared.est.name(), t0.elapsed());
-        out
+        observe_serve_estimate(sh.est.name(), t0.elapsed());
+        out.unwrap_or_else(|| unavailable(subs.len()))
     }
 }
 
@@ -990,6 +952,16 @@ impl Drop for Session {
             prev.saturating_sub(1) as f64,
         );
     }
+}
+
+/// `n` typed pipeline-unavailable slots.
+fn unavailable(n: usize) -> SlotResults {
+    typed_slots(
+        n,
+        EstimateError::Panicked {
+            message: PIPELINE_UNAVAILABLE.to_string(),
+        },
+    )
 }
 
 /// Records one service-side estimate wait (queue delay included).

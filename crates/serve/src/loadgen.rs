@@ -19,7 +19,7 @@
 //! **failed-then-degraded** (paid it) — which is the comparison the
 //! chaos bench exists to make.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use cardbench_harness::PlannedQuery;
@@ -116,9 +116,11 @@ fn fault_class(p: &PlannedQuery) -> FaultClass {
     class
 }
 
-/// Runs one load phase: `cfg.sessions` threads each open a session and
-/// replay `wl` `cfg.replays` times, closed- or open-loop. Returns the
-/// merged report (latencies unsorted, in no particular order).
+/// Runs one load phase: `cfg.sessions` threads each open a session and,
+/// once all are open (so the phase's route is that of its session
+/// count), replay `wl` `cfg.replays` times, closed- or open-loop.
+/// Returns the merged report (latencies unsorted, in no particular
+/// order).
 pub fn run_load(server: &Arc<Server>, wl: &Workload, cfg: &LoadConfig) -> LoadReport {
     let sessions = cfg.sessions.max(1);
     let per_session = wl.queries.len() * cfg.replays.max(1);
@@ -126,14 +128,18 @@ pub fn run_load(server: &Arc<Server>, wl: &Workload, cfg: &LoadConfig) -> LoadRe
     // Shared t=0 for the arrival schedule; a small lead so no session
     // starts behind schedule before it even spawns.
     let start = t0 + Duration::from_millis(20);
+    let opened = Arc::new(Barrier::new(sessions));
     let handles: Vec<_> = (0..sessions)
         .map(|s| {
             let server = Arc::clone(server);
             let wl = wl.clone();
             let cfg = cfg.clone();
+            let opened = Arc::clone(&opened);
             std::thread::spawn(move || {
                 let mut report = LoadReport::default();
-                let mut session = match server.session() {
+                let session = server.session();
+                opened.wait();
+                let mut session = match session {
                     Ok(session) => session,
                     Err(_) => {
                         report.rejected = per_session as u64;

@@ -14,7 +14,15 @@
 //! - expired deadlines are typed fast-fails at preflight and per slot
 //!   in the queue — never a consumed estimator call;
 //! - transient (`TimedOut`) faults are retried with backoff and the
-//!   retried run is bit-identical to a never-faulted one.
+//!   retried run is bit-identical to a never-faulted one;
+//! - an injected tick panic on the inline route degrades typed on the
+//!   session's own thread and restarts nothing.
+//!
+//! A lone session ticks inline. Tests of drainer machinery hold
+//! `cores()` idle sessions open so that live sessions exceed the cores
+//! and every request is queued, and they assert the route by the
+//! server's job counters — nothing here depends on the host's core
+//! count or on timing.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -28,7 +36,7 @@ use cardbench_estimators::CardEst;
 use cardbench_harness::{estimate_all, plan_query_via, PlannedQuery};
 use cardbench_query::{connected_subsets, SubPlanQuery};
 use cardbench_serve::{
-    BreakerConfig, BreakerState, ChaosServeConfig, ServeConfig, ServeError, Server,
+    BreakerConfig, BreakerState, ChaosServeConfig, ServeConfig, ServeError, Server, Session,
 };
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig, WorkloadQuery};
 
@@ -55,14 +63,44 @@ fn workload() -> &'static Workload {
     })
 }
 
+/// The server's routing threshold: while live sessions ≤ this, every
+/// request runs its tick inline.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn server_with(est: Arc<dyn CardEst>, cfg: ServeConfig) -> Server {
     Server::start(
         Arc::clone(db()),
         Arc::new(TrueCardService::new()),
         est,
         CostModel::default(),
-        cfg,
+        ServeConfig {
+            max_sessions: cfg.max_sessions.max(cores() + 1),
+            ..cfg
+        },
     )
+}
+
+/// Holds `cores()` idle sessions open: with any session planning beside
+/// them, live sessions exceed the cores and every request goes to the
+/// coalescer.
+fn force_coalesced(srv: &Server) -> Vec<Session> {
+    (0..cores())
+        .map(|_| srv.session().expect("idle sessions fit the cap"))
+        .collect()
+}
+
+/// Asserts from the job counters that every request took one route.
+fn assert_route(srv: &Server, coalesced: bool) {
+    let stats = srv.stats();
+    let (taken, other) = if coalesced {
+        (stats.coalesced_jobs, stats.inline_jobs)
+    } else {
+        (stats.inline_jobs, stats.coalesced_jobs)
+    };
+    assert!(taken > 0, "no job took the expected route");
+    assert_eq!(other, 0, "jobs left the expected route");
 }
 
 fn server(cfg: ServeConfig) -> Server {
@@ -122,6 +160,7 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
         watchdog_interval: Duration::from_millis(5),
         ..ServeConfig::default()
     });
+    let _idle = force_coalesced(&srv);
     let mut session = srv.session().expect("admitted");
     let wq = &wl.queries[0];
 
@@ -153,6 +192,7 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
     );
     assert_bits_eq(&planned, &reference(wq), "post-restart");
 
+    assert_route(&srv, true);
     let stats = srv.stats();
     assert_eq!(stats.chaos_panics, 2, "exactly the budgeted panics fired");
     assert!(
@@ -169,9 +209,15 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
 /// A sustained fault storm must open the breaker, after which slots are
 /// answered `Shorted` without paying the storm's per-call stall, the
 /// degraded values stay bit-identical to the clean fallback, and
-/// `/readyz` reports the open breaker.
+/// `/readyz` reports the open breaker — on both routes.
 #[test]
 fn storm_opens_breaker_and_shorts_to_fallback() {
+    for coalesced in [false, true] {
+        storm_on_route(coalesced);
+    }
+}
+
+fn storm_on_route(coalesced: bool) {
     let wl = workload();
     let srv = server(ServeConfig {
         chaos: Some(ChaosServeConfig {
@@ -191,6 +237,11 @@ fn storm_opens_breaker_and_shorts_to_fallback() {
         max_retries: 0,
         ..ServeConfig::default()
     });
+    let _idle = if coalesced {
+        force_coalesced(&srv)
+    } else {
+        Vec::new()
+    };
     let mut session = srv.session().expect("admitted");
     let wq = &wl.queries[0];
 
@@ -223,6 +274,7 @@ fn storm_opens_breaker_and_shorts_to_fallback() {
     );
     assert_bits_eq(&planned, &reference(wq), "breaker-shorted");
 
+    assert_route(&srv, coalesced);
     let stats = srv.stats();
     assert!(stats.breaker.shorted_slots >= planned.subplans as u64);
     // Not ready while the breaker is open — but still healthy (the
@@ -349,10 +401,10 @@ fn expired_deadline_rejects_at_preflight() {
     assert_eq!(srv.stats().breaker.observed_slots, 0, "no estimator call");
 }
 
-/// A deadline that expires while the job waits in the queue (here:
-/// behind a chaos-slowed tick) fast-fails each slot with a typed
-/// `DeadlineExceeded` — the doomed estimate is never run — and the
-/// query still completes via the fallback.
+/// A deadline that expires while the job is queued (here: its tick is
+/// chaos-slowed) fast-fails each slot with a typed `DeadlineExceeded` —
+/// the doomed estimate is never run — and the query still completes via
+/// the fallback.
 #[test]
 fn queue_expired_slots_fail_fast_and_typed() {
     let wl = workload();
@@ -365,6 +417,7 @@ fn queue_expired_slots_fail_fast_and_typed() {
         }),
         ..ServeConfig::default()
     });
+    let _idle = force_coalesced(&srv);
     let mut session = srv.session().expect("admitted");
     let wq = &wl.queries[0];
     let planned = session
@@ -383,6 +436,7 @@ fn queue_expired_slots_fail_fast_and_typed() {
         srv.stats().deadline_expired_slots > 0,
         "expiry must be counted"
     );
+    assert_route(&srv, true);
 }
 
 /// A flaky estimator: the first call per sub-plan overruns the
@@ -451,4 +505,54 @@ fn transient_timeouts_are_retried_to_clean_answers() {
         "every slot timed out once and was retried exactly once"
     );
     assert_bits_eq(&planned, &reference(wq), "retried");
+}
+
+/// A tick panic on the inline route is what a drainer death is to its
+/// in-hand jobs — every slot of the request a typed `panicked`, the
+/// query degraded to the fallback — but it is caught on the session's
+/// own thread: the next request is served cleanly, bit-identical to the
+/// reference, and the drainer — which never died — serves a queued one
+/// without any watchdog restart.
+#[test]
+fn inline_tick_panic_degrades_typed_without_restart() {
+    let wl = workload();
+    let srv = server(ServeConfig {
+        chaos: Some(ChaosServeConfig {
+            seed: 1,
+            panic_rate: 1.0,
+            max_panics: 1,
+            ..ChaosServeConfig::default()
+        }),
+        ..ServeConfig::default()
+    });
+    let mut session = srv.session().expect("admitted");
+    let wq = &wl.queries[0];
+    let planned = session.plan(wq).expect("degrades, never errors");
+    assert_eq!(planned.fallback_subplans, planned.subplans as u64);
+    assert!(
+        planned
+            .est_failures
+            .iter()
+            .all(|f| f.error.kind() == "panicked"),
+        "inline panic slots must be typed panics, got {:?}",
+        planned.est_failures
+    );
+    let planned = session.plan(wq).expect("clean after the panic budget");
+    assert!(planned.est_failures.is_empty());
+    assert_bits_eq(&planned, &reference(wq), "post-panic");
+
+    assert_route(&srv, false);
+    assert_eq!(srv.stats().chaos_panics, 1);
+
+    // Had the panic killed the drainer, this queued request could only
+    // be answered after a watchdog restart.
+    let _idle = force_coalesced(&srv);
+    let planned = session.plan(wq).expect("the drainer still serves");
+    assert!(planned.est_failures.is_empty());
+    let stats = srv.stats();
+    assert!(stats.coalesced_jobs > 0, "the request was not queued");
+    assert_eq!(
+        stats.watchdog_restarts, 0,
+        "an inline panic restarts nothing"
+    );
 }

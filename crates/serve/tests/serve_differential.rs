@@ -1,15 +1,17 @@
-//! Concurrent-vs-sequential bit-identity: N coalesced sessions replaying
-//! a fixed workload must produce per-query planning results bit-identical
-//! to the sequential harness path, for every registered estimator kind
-//! and under injected chaos faults.
+//! Concurrent-vs-sequential bit-identity: N sessions replaying a fixed
+//! workload must produce per-query planning results bit-identical to the
+//! sequential harness path, for every registered estimator kind and
+//! under injected chaos faults — on both serving routes.
 //!
-//! This is the serving layer's core correctness contract: cross-session
-//! coalescing (batch concatenation + deduplication, arbitrary tick
-//! composition under scheduler nondeterminism) must never perturb any
-//! session's numbers. It holds because per-call RNG is keyed by the
-//! sub-plan's canonical hash and `estimate_batch` is per-slot
-//! composition-independent — both already pinned at the estimator layer;
-//! here we pin the end-to-end service path.
+//! This is the serving layer's core correctness contract: neither the
+//! inline tick nor cross-session coalescing (batch concatenation +
+//! deduplication, arbitrary tick composition under scheduler
+//! nondeterminism) may perturb any session's numbers. It holds because
+//! per-call RNG is keyed by the sub-plan's canonical hash and
+//! `estimate_batch` is per-slot composition-independent — both already
+//! pinned at the estimator layer; here we pin the end-to-end service
+//! path. Which route a test took is asserted by the server's own job
+//! counters, never assumed from the host's core count.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,7 +21,7 @@ use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{
     build_estimator, estimate_all, plan_query_via, Bench, BenchConfig, PlannedQuery,
 };
-use cardbench_serve::{ServeConfig, Server};
+use cardbench_serve::{ServeConfig, ServeStats, Server};
 use cardbench_workload::Workload;
 
 /// Shared fixture: the fast STATS benchmark with the database behind an
@@ -45,6 +47,32 @@ fn ctx() -> &'static Ctx {
 
 const SESSIONS: usize = 4;
 
+/// The server's routing threshold: while live sessions ≤ this, every
+/// request runs its tick inline.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Which serving route a replay must take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// At most `cores()` sessions: every request ticks on its own thread.
+    Inline,
+    /// `SESSIONS` replaying plus `cores()` idle sessions held open: live
+    /// sessions always exceed the cores, so every request is queued.
+    Coalesced,
+}
+
+/// Asserts from the server's job counters that every request took `route`.
+fn assert_route(what: &str, stats: &ServeStats, route: Route) {
+    let (taken, other) = match route {
+        Route::Inline => (stats.inline_jobs, stats.coalesced_jobs),
+        Route::Coalesced => (stats.coalesced_jobs, stats.inline_jobs),
+    };
+    assert!(taken > 0, "{what}: no job took the {route:?} route");
+    assert_eq!(other, 0, "{what}: jobs left the {route:?} route");
+}
+
 /// Sequential reference: the harness's own planning path (phase 1 of
 /// `run_workload`), one query at a time on one thread.
 fn reference(est: &dyn CardEst, truth: &TrueCardService) -> Vec<PlannedQuery> {
@@ -66,26 +94,37 @@ fn reference(est: &dyn CardEst, truth: &TrueCardService) -> Vec<PlannedQuery> {
         .collect()
 }
 
-/// Replays the whole workload in `SESSIONS` concurrent coalesced
-/// sessions; returns each session's per-query results plus the server's
-/// final self-healing stats.
+/// Replays the whole workload in concurrent sessions on `route`;
+/// returns each session's per-query results plus the server's final
+/// self-healing stats (the route already asserted).
 fn concurrent_replay(
     est: Arc<dyn CardEst>,
     truth: Arc<TrueCardService>,
-) -> (Vec<Vec<PlannedQuery>>, cardbench_serve::ServeStats) {
+    route: Route,
+) -> (Vec<Vec<PlannedQuery>>, ServeStats) {
     let c = ctx();
+    let (sessions, idle) = match route {
+        Route::Inline => (SESSIONS.min(cores()), 0),
+        Route::Coalesced => (SESSIONS, cores()),
+    };
     let server = Arc::new(Server::start(
         Arc::clone(&c.db),
         truth,
         est,
         CostModel::default(),
-        ServeConfig::default(),
+        ServeConfig {
+            max_sessions: sessions + idle,
+            ..ServeConfig::default()
+        },
     ));
-    let handles: Vec<_> = (0..SESSIONS)
+    let _idle: Vec<_> = (0..idle)
+        .map(|_| server.session().expect("idle sessions fit the cap"))
+        .collect();
+    let handles: Vec<_> = (0..sessions)
         .map(|_| {
             let server = Arc::clone(&server);
             std::thread::spawn(move || {
-                let mut session = server.session().expect("admission under the default cap");
+                let mut session = server.session().expect("admission under the cap");
                 ctx()
                     .wl
                     .queries
@@ -99,7 +138,9 @@ fn concurrent_replay(
         .into_iter()
         .map(|h| h.join().expect("session thread completes"))
         .collect();
-    (sessions, server.stats())
+    let stats = server.stats();
+    assert_route("replay", &stats, route);
+    (sessions, stats)
 }
 
 /// Bit-level comparison of every value-bearing planning field.
@@ -151,7 +192,7 @@ fn assert_planned_eq(name: &str, sess: usize, got: &PlannedQuery, want: &Planned
     );
 }
 
-/// Every estimator kind: 4 concurrent coalesced sessions are
+/// Every estimator kind, on both routes: concurrent sessions are
 /// bit-identical to the sequential harness path.
 #[test]
 fn concurrent_sessions_bit_identical_for_all_kinds() {
@@ -164,35 +205,40 @@ fn concurrent_sessions_bit_identical_for_all_kinds() {
         let built = build_estimator(kind, &c.db, &c.bench.stats_train, &c.bench.config.settings);
         let est: Arc<dyn CardEst> = Arc::from(built.est);
         let want = reference(est.as_ref(), &truth_ref);
-        let (sessions, stats) = concurrent_replay(Arc::clone(&est), Arc::clone(&truth_srv));
-        assert_eq!(sessions.len(), SESSIONS);
-        for (s, got) in sessions.iter().enumerate() {
-            assert_eq!(got.len(), want.len(), "{} S{s}: query count", kind.name());
-            for (g, w) in got.iter().zip(&want) {
-                assert_planned_eq(kind.name(), s, g, w);
+        for route in [Route::Inline, Route::Coalesced] {
+            let name = &format!("{}/{route:?}", kind.name());
+            let (sessions, stats) =
+                concurrent_replay(Arc::clone(&est), Arc::clone(&truth_srv), route);
+            for (s, got) in sessions.iter().enumerate() {
+                assert_eq!(got.len(), want.len(), "{name} S{s}: query count");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_planned_eq(name, s, g, w);
+                }
             }
+            assert_healthy(name, &stats);
         }
-        // Fault-free serving: the default-on breaker must be observation
-        // only — closed the whole run, nothing shorted, retried, expired,
-        // or restarted.
-        let name = kind.name();
-        assert_eq!(
-            stats.breaker_state,
-            Some(cardbench_serve::BreakerState::Closed),
-            "{name}: breaker left Closed on a healthy run"
-        );
-        assert_eq!(stats.breaker.opens, 0, "{name}: breaker opened");
-        assert_eq!(stats.breaker.shorted_slots, 0, "{name}: slots shorted");
-        assert_eq!(stats.retries, 0, "{name}: slots retried");
-        assert_eq!(stats.deadline_expired_slots, 0, "{name}: slots expired");
-        assert_eq!(stats.watchdog_restarts, 0, "{name}: drainer restarted");
     }
 }
 
-/// Chaos faults under concurrency: value faults and panics injected at a
-/// high rate attribute to exactly the same sub-plans with the same typed
-/// errors as the sequential path — coalesced batches degrade only the
-/// affected requests.
+/// Fault-free serving: the default-on breaker must be observation only —
+/// closed the whole run, nothing shorted, retried, expired, or restarted.
+fn assert_healthy(name: &str, stats: &ServeStats) {
+    assert_eq!(
+        stats.breaker_state,
+        Some(cardbench_serve::BreakerState::Closed),
+        "{name}: breaker left Closed on a healthy run"
+    );
+    assert_eq!(stats.breaker.opens, 0, "{name}: breaker opened");
+    assert_eq!(stats.breaker.shorted_slots, 0, "{name}: slots shorted");
+    assert_eq!(stats.retries, 0, "{name}: slots retried");
+    assert_eq!(stats.deadline_expired_slots, 0, "{name}: slots expired");
+    assert_eq!(stats.watchdog_restarts, 0, "{name}: drainer restarted");
+}
+
+/// Chaos faults under concurrency, on both routes: value faults and
+/// panics injected at a high rate attribute to exactly the same
+/// sub-plans with the same typed errors as the sequential path —
+/// coalesced batches degrade only the affected requests.
 #[test]
 fn concurrent_sessions_bit_identical_under_chaos() {
     let c = ctx();
@@ -214,19 +260,23 @@ fn concurrent_sessions_bit_identical_under_chaos() {
         want.iter().any(|p| !p.est_failures.is_empty()),
         "chaos rate too low: no faults injected"
     );
-    let est: Arc<dyn CardEst> = Arc::new(wrap(7));
-    let (sessions, _) = concurrent_replay(est, Arc::new(TrueCardService::new()));
-    for (s, got) in sessions.iter().enumerate() {
-        for (g, w) in got.iter().zip(&want) {
-            assert_planned_eq("Chaos", s, g, w);
+    for route in [Route::Inline, Route::Coalesced] {
+        let est: Arc<dyn CardEst> = Arc::new(wrap(7));
+        let (sessions, _) = concurrent_replay(est, Arc::new(TrueCardService::new()), route);
+        for (s, got) in sessions.iter().enumerate() {
+            for (g, w) in got.iter().zip(&want) {
+                assert_planned_eq(&format!("Chaos/{route:?}"), s, g, w);
+            }
         }
     }
 }
 
-/// The server's per-session-sequential mode (the load generator's
-/// baseline) is also bit-identical to the harness path.
+/// A lone session never touches the queue — its requests tick inline
+/// whatever the host's core count — and stays bit-identical to the
+/// harness path, exactly like a `sequential: true` server (the load
+/// generator's baseline), which is pinned here too.
 #[test]
-fn sequential_mode_bit_identical() {
+fn lone_session_never_queues_and_matches_sequential_mode() {
     let c = ctx();
     let built = build_estimator(
         EstimatorKind::Mscn,
@@ -237,20 +287,22 @@ fn sequential_mode_bit_identical() {
     let est: Arc<dyn CardEst> = Arc::from(built.est);
     let truth = TrueCardService::new();
     let want = reference(est.as_ref(), &truth);
-    let server = Server::start(
-        Arc::clone(&c.db),
-        Arc::new(TrueCardService::new()),
-        est,
-        CostModel::default(),
-        ServeConfig {
-            sequential: true,
-            ..ServeConfig::default()
-        },
-    );
-    let mut session = server.session().expect("admission");
-    for wq in &c.wl.queries {
-        let got = session.plan(wq).expect("no budget in this test");
-        let w = want.iter().find(|p| p.id == got.id).expect("same ids");
-        assert_planned_eq("MSCN/sequential", 0, &got, w);
+    for sequential in [false, true] {
+        let server = Server::start(
+            Arc::clone(&c.db),
+            Arc::new(TrueCardService::new()),
+            Arc::clone(&est),
+            CostModel::default(),
+            ServeConfig {
+                sequential,
+                ..ServeConfig::default()
+            },
+        );
+        let what = &format!("MSCN/sequential={sequential}");
+        let mut session = server.session().expect("admission");
+        for (got, w) in c.wl.queries.iter().map(|wq| session.plan(wq)).zip(&want) {
+            assert_planned_eq(what, 0, &got.expect("no budget in this test"), w);
+        }
+        assert_route(what, &server.stats(), Route::Inline);
     }
 }
