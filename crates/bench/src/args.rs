@@ -78,8 +78,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the arguments after the program name. An unknown flag or a
-    /// flag without its value is a usage error.
+    /// Parses the arguments after the program name. An unknown flag, a
+    /// flag without its value, or an `N` that is not a number is a usage
+    /// error.
     pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, Fail> {
         let mut args = Args::default();
         let mut argv = argv.into_iter();
@@ -105,6 +106,11 @@ impl Args {
                     return Err(Fail::Usage(format!("`{flag}` takes no value")));
                 }
             };
+            if operand == Some("N") && value.parse::<u64>().is_err() {
+                return Err(Fail::Usage(format!(
+                    "`{flag}`: `{value}` is not a valid number"
+                )));
+            }
             args.flags.push((flag, value));
         }
         Ok(args)
@@ -134,16 +140,9 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The first value of `flag`, parsed; a malformed value is a usage
-    /// error rather than a silently ignored one.
-    fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Fail> {
-        self.values(flag)
-            .next()
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| Fail::Usage(format!("`{flag}`: `{v}` is not a valid number")))
-            })
-            .transpose()
+    /// The first value of an `N` flag (`parse` has checked it is one).
+    fn number<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.values(flag).next().and_then(|v| v.parse().ok())
     }
 
     /// Where `--trace` wants the profile; `None` leaves recording off.
@@ -153,9 +152,8 @@ impl Args {
 
     /// The benchmark configuration: `CARDBENCH_FAST=1` picks the tiny
     /// tier, `CARDBENCH_SEED` the seed (default 7), `CARDBENCH_SCALE`
-    /// overrides the STATS row-count multiplier, `--threads` the planning
-    /// fan-out (the harness resolves `CARDBENCH_THREADS` when it stays 0).
-    pub fn config(&self) -> Result<BenchConfig, Fail> {
+    /// overrides the STATS row-count multiplier.
+    pub fn config(&self) -> BenchConfig {
         let seed = std::env::var("CARDBENCH_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -171,23 +169,22 @@ impl Args {
         {
             cfg.stats.scale = scale;
         }
-        if let Some(threads) = self.number("--threads")? {
-            cfg.threads = threads;
-        }
-        Ok(cfg)
+        cfg
     }
 
-    /// The harness guard rails (`--timeout-ms`, `--mem-budget-mb`,
-    /// `--checkpoint`, `--resume`) on top of a planning thread count.
-    pub fn run_options(&self, threads: usize) -> Result<RunOptions, Fail> {
-        let mut opts = RunOptions::with_threads(threads);
-        opts.timeout = self.number("--timeout-ms")?.map(Duration::from_millis);
-        opts.mem_budget_bytes = self
-            .number::<u64>("--mem-budget-mb")?
-            .map(|mb| mb * (1u64 << 20));
-        opts.checkpoint = self.values("--checkpoint").next().map(PathBuf::from);
-        opts.resume = self.values("--resume").next().is_some();
-        Ok(opts)
+    /// The harness guard rails: `--threads` (the planning fan-out; the
+    /// harness resolves `CARDBENCH_THREADS` when it is 0 or unset),
+    /// `--timeout-ms`, `--mem-budget-mb`, `--checkpoint`, `--resume`.
+    pub fn run_options(&self) -> RunOptions {
+        RunOptions {
+            threads: self.number("--threads").unwrap_or(0),
+            timeout: self.number("--timeout-ms").map(Duration::from_millis),
+            mem_budget_bytes: self
+                .number::<u64>("--mem-budget-mb")
+                .map(|mb| mb * (1u64 << 20)),
+            checkpoint: self.values("--checkpoint").next().map(PathBuf::from),
+            resume: self.values("--resume").next().is_some(),
+        }
     }
 }
 
@@ -217,8 +214,8 @@ mod tests {
         .expect("parses");
         assert_eq!(args.operands, ["smoke", "chaos"]);
         assert_eq!(args.trace(), Some(PathBuf::from("t.json")));
-        assert_eq!(args.config().expect("config").threads, 3);
-        let opts = args.run_options(3).expect("options");
+        let opts = args.run_options();
+        assert_eq!(opts.threads, 3);
         assert!(opts.resume && opts.timeout.is_none());
     }
 
@@ -228,10 +225,10 @@ mod tests {
             &["report", "--sessions", "4"][..],
             &["report", "--trace"],
             &["report", "--resume=yes"],
+            &["report", "--timeout-ms", "soon"],
+            &["dump-dataset", "--threads=-1"],
         ] {
             assert!(matches!(parse(argv), Err(Fail::Usage(_))), "{argv:?}");
         }
-        let args = parse(&["report", "--timeout-ms", "soon"]).expect("parses");
-        assert!(matches!(args.run_options(0), Err(Fail::Usage(_))));
     }
 }

@@ -17,7 +17,7 @@ pub fn run(args: &Args) -> Result<Option<&'static Required>, Fail> {
     if args.operands.len() != 1 {
         return Err(Fail::Usage("dump-dataset takes no operand".into()));
     }
-    let bench = Bench::build(args.config()?);
+    let bench = Bench::build(args.config());
     let root = PathBuf::from("cardbench_export");
     for (dir, db, wl) in [
         ("stats", &bench.stats_db, &bench.stats_wl),

@@ -19,13 +19,13 @@ use cardbench_estimators::mscn::Mscn;
 use cardbench_estimators::neurocard::{NeuroCardConfig, NeuroCardE};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::update_exp::UPDATABLE;
-use cardbench_harness::{build_estimator, run_workload, MethodRun, QueryRun};
+use cardbench_harness::{build_estimator, run_workload, MethodRun, QueryRun, RunOptions};
 use cardbench_metrics::{percentile, percentile_triple, q_error, spearman};
 use cardbench_ml::autoreg::ArConfig;
 use cardbench_query::{
     connected_subsets, BoundQuery, JoinEdge, JoinQuery, Region, SubPlanQuery, TableMask,
 };
-use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableId, TableSchema};
+use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableSchema};
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
@@ -285,6 +285,7 @@ pub fn noise_sensitivity(e: &Eval) -> Result<(), String> {
     let bench = e.bench();
     let truth = TrueCardService::new();
     let cost = CostModel::default();
+    let opts = RunOptions::default();
     println!(
         "{:<8} {:>9} {:>9} {:>9} {:>12}  (median Q-Error implied: 2^(0.67·sigma))",
         "sigma", "P50%", "P90%", "P99%", "E2E"
@@ -295,7 +296,7 @@ pub fn noise_sensitivity(e: &Eval) -> Result<(), String> {
             sigma,
             seed: 99,
         };
-        let queries = run_workload(&bench.stats_db, &bench.stats_wl, &est, &truth, &cost);
+        let queries = run_workload(&bench.stats_db, &bench.stats_wl, &est, &truth, &cost, &opts);
         let run = untrained(EstimatorKind::TrueCard, queries);
         let (p50, p90, p99) = percentile_triple(&run.all_p_errors());
         println!(
@@ -369,6 +370,7 @@ pub fn rd3_calibration(e: &Eval) -> Result<(), String> {
     let db = &bench.stats_db;
     let cost = CostModel::default();
     let truth = TrueCardService::new();
+    let opts = RunOptions::default();
     let summarize = |name: &str, queries: Vec<QueryRun>| {
         let run = untrained(EstimatorKind::Mscn, queries);
         let (p50, p90, p99) = percentile_triple(&run.all_p_errors());
@@ -381,7 +383,7 @@ pub fn rd3_calibration(e: &Eval) -> Result<(), String> {
     let raw = Mscn::fit(db, &bench.stats_train, &bench.config.settings.mscn);
     summarize(
         "MSCN (raw)",
-        run_workload(db, &bench.stats_wl, &raw, &truth, &cost),
+        run_workload(db, &bench.stats_wl, &raw, &truth, &cost, &opts),
     );
 
     // Calibrate on a validation slice of the *training* workload — the
@@ -398,7 +400,7 @@ pub fn rd3_calibration(e: &Eval) -> Result<(), String> {
     println!("learned per-join-count factors: {:?}", calibrated.factors());
     summarize(
         "MSCN (P-calibrated)",
-        run_workload(db, &bench.stats_wl, &calibrated, &truth, &cost),
+        run_workload(db, &bench.stats_wl, &calibrated, &truth, &cost, &opts),
     );
     Ok(())
 }
@@ -432,13 +434,7 @@ pub fn update_scaling(e: &Eval) -> Result<(), String> {
             };
             let mut db = Database::new(stale.clone());
             let mut built = build_estimator(kind, &db, train, settings);
-            for (t, d) in inserts.iter().enumerate() {
-                db.catalog_mut()
-                    .table_mut(TableId(t))
-                    .append_rows(d)
-                    .expect("aligned schemas");
-            }
-            db.refresh();
+            db.append_inserts(&inserts).expect("aligned schemas");
             let t0 = Instant::now();
             built.est.apply_inserts(&db, &inserts);
             let dt = t0.elapsed();

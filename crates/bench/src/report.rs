@@ -13,16 +13,16 @@ use cardbench_harness::case_study::{case_study, pick_case_query};
 use cardbench_harness::report as render;
 use cardbench_harness::update_exp::{run_update_experiment, table6};
 use cardbench_harness::{
-    build_estimator, check_observations, render_checks, run_workload_with_options, Bench,
-    BenchConfig, MethodRun, RunOptions, RunResults,
+    build_estimator, check_observations, render_checks, results_from_json, results_to_json,
+    run_workload, Bench, BenchConfig, MethodRun, RunOptions, RESULT_WORKLOADS,
 };
 
 use crate::args::{Args, Fail};
 use crate::experiments;
 use crate::trace_check::Required;
 
-/// Where `report all` leaves its machine-readable summary and where
-/// `report observations` looks for one.
+/// Where `report all` leaves every run it evaluated, query by query, and
+/// where `report observations` reads them back.
 const RESULTS_PATH: &str = "cardbench_results.json";
 
 /// One report target: its name and how to print it.
@@ -62,10 +62,9 @@ pub fn targets() -> Vec<&'static str> {
 
 pub fn run(args: &Args) -> Result<Option<&'static Required>, Fail> {
     let (_, report) = args.target(&REPORTS, |r| r.0)?;
-    let cfg = args.config()?;
     let eval = Eval {
-        opts: args.run_options(cfg.threads)?,
-        cfg,
+        cfg: args.config(),
+        opts: args.run_options(),
         bench: OnceCell::new(),
         runs: OnceCell::new(),
     };
@@ -121,7 +120,7 @@ impl Eval {
         let mut first_run = true;
         for kind in EstimatorKind::ALL {
             let _est_sp = cardbench_obs::span_with("estimator", "run", || kind.name().to_string());
-            for (out, label) in ["JOB-LIGHT", "STATS-CEB"].into_iter().enumerate() {
+            for (out, label) in RESULT_WORKLOADS.into_iter().enumerate() {
                 let (db, wl, train) = match out {
                     0 => (&bench.imdb_db, &bench.imdb_wl, &bench.imdb_train),
                     _ => (&bench.stats_db, &bench.stats_wl, &bench.stats_train),
@@ -132,8 +131,7 @@ impl Eval {
                 let mut opts = self.opts.clone();
                 opts.resume = opts.resume || !first_run;
                 first_run = false;
-                let queries =
-                    run_workload_with_options(db, wl, built.est.as_ref(), &truth, &cost, &opts);
+                let queries = run_workload(db, wl, built.est.as_ref(), &truth, &cost, &opts);
                 let run = MethodRun {
                     kind,
                     train_time: built.train_time,
@@ -264,32 +262,35 @@ fn figure3(e: &Eval) -> Result<(), String> {
     Ok(())
 }
 
-/// Every table and figure from one evaluation; also writes the
-/// machine-readable summary to [`RESULTS_PATH`].
+/// Every table and figure from one evaluation; also writes its runs to
+/// [`RESULTS_PATH`].
 fn all(e: &Eval) -> Result<(), String> {
     for (_, report) in &REPORTS[..PAPER_REPORTS] {
         report(e)?;
     }
-    let [imdb, stats] = e.runs();
-    match RunResults::collect(imdb, stats).write_json(std::path::Path::new(RESULTS_PATH)) {
+    match std::fs::write(RESULTS_PATH, results_to_json(e.runs())) {
         Ok(()) => eprintln!("[cardbench] wrote {RESULTS_PATH}"),
         Err(err) => eprintln!("[cardbench] could not write {RESULTS_PATH}: {err}"),
     }
     Ok(())
 }
 
-/// Checks the paper's observations (O1-O14 shape assertions) against
-/// [`RESULTS_PATH`], or against a fresh evaluation when it is absent.
+/// Checks the paper's observations (O1-O14 shape assertions) against the
+/// runs in [`RESULTS_PATH`], or against a fresh evaluation when it is
+/// absent.
 fn observations(e: &Eval) -> Result<(), String> {
-    let results = match std::fs::read_to_string(RESULTS_PATH) {
-        Ok(text) => RunResults::from_json(&text).map_err(|e| format!("{RESULTS_PATH}: {e}"))?,
+    let read_back;
+    let runs = match std::fs::read_to_string(RESULTS_PATH) {
+        Ok(text) => {
+            read_back = results_from_json(&text).map_err(|e| format!("{RESULTS_PATH}: {e}"))?;
+            &read_back
+        }
         Err(_) => {
             eprintln!("[observations] {RESULTS_PATH} not found; running the full evaluation");
-            let [imdb, stats] = e.runs();
-            RunResults::collect(imdb, stats)
+            e.runs()
         }
     };
-    let checks = check_observations(&results);
+    let checks = check_observations(runs);
     print!("{}", render_checks(&checks));
     if checks.iter().any(|c| !c.pass) {
         return Err("an observation check failed".into());

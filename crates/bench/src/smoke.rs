@@ -19,8 +19,8 @@ use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::FeedbackConfig;
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
-    build_estimator, median_p_error, median_q_error, run_adaptive_experiment,
-    run_workload_with_options, Bench, BenchConfig, MethodRun,
+    build_estimator, median_p_error, median_q_error, run_adaptive_experiment, run_workload, Bench,
+    BenchConfig, MethodRun,
 };
 use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, SubPlanQuery};
@@ -29,7 +29,6 @@ use cardbench_serve::{
     ServeConfig, Server,
 };
 use cardbench_sketch::SketchEst;
-use cardbench_storage::TableId;
 use cardbench_workload::{stats_ceb, Workload};
 
 use crate::args::{Args, Fail};
@@ -185,8 +184,8 @@ fn stats_fixture(cfg: &BenchConfig) -> (Database, Workload) {
 /// an executor memory budget. The run must complete with typed
 /// failures — no abort.
 fn chaos(args: &Args) -> Result<(), Fail> {
-    let cfg = args.config()?;
-    let mut opts = args.run_options(cfg.threads)?;
+    let cfg = args.config();
+    let mut opts = args.run_options();
     opts.timeout.get_or_insert(Duration::from_millis(10));
     opts.mem_budget_bytes.get_or_insert(512 << 20);
     let (db, wl) = stats_fixture(&cfg);
@@ -202,7 +201,7 @@ fn chaos(args: &Args) -> Result<(), Fail> {
     let chaos = ChaosEst::with_classes(built.est, cfg.settings.seed, 0.2, faults)
         .delay(Duration::from_millis(20));
     let truth = TrueCardService::new();
-    let queries = run_workload_with_options(&db, &wl, &chaos, &truth, &CostModel::default(), &opts);
+    let queries = run_workload(&db, &wl, &chaos, &truth, &CostModel::default(), &opts);
     let run = MethodRun {
         kind: EstimatorKind::Postgres,
         train_time: built.train_time,
@@ -278,7 +277,7 @@ fn scrape(prom: &PromServer, family: &str) -> Result<(), String> {
 /// scrapes the live Prometheus endpoint while the server still exists,
 /// then replays it on one session, which must tick inline.
 fn serve(args: &Args) -> Result<(), Fail> {
-    let cfg = args.config()?;
+    let cfg = args.config();
     eprintln!("[serve] building benchmark (seed {})...", cfg.settings.seed);
     let bench = Bench::build(cfg);
     let built = build_estimator(
@@ -325,7 +324,7 @@ fn serve(args: &Args) -> Result<(), Fail> {
 /// - every injected drainer death is answered by a watchdog restart and
 ///   serving recovers to clean answers.
 fn chaos_serve(args: &Args) -> Result<(), Fail> {
-    let (db, wl) = stats_fixture(&args.config()?);
+    let (db, wl) = stats_fixture(&args.config());
     let fx = Fixture::new(db, wl);
     let sessions = coalescing_sessions();
     let server = |serve: ServeConfig| {
@@ -461,8 +460,8 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
 /// with queries seen and survived the data shift — and the store must
 /// actually have observed and overridden.
 fn adaptive(args: &Args) -> Result<(), Fail> {
-    let cfg = args.config()?;
-    let opts = args.run_options(cfg.threads)?;
+    let cfg = args.config();
+    let opts = args.run_options();
     // The drift experiment regenerates its own pre-/post-cutoff halves
     // from the same config; the workload shares the schema.
     let (_, wl) = stats_fixture(&cfg);
@@ -515,7 +514,7 @@ fn adaptive(args: &Args) -> Result<(), Fail> {
 /// model lands on the from-scratch rebuild, and a churn delete stream is
 /// absorbed.
 fn sketch(args: &Args) -> Result<(), Fail> {
-    let cfg = args.config()?;
+    let cfg = args.config();
     let sketch_cfg = &cfg.settings.sketch;
     let (db, wl) = stats_fixture(&cfg);
 
@@ -554,14 +553,7 @@ fn sketch(args: &Args) -> Result<(), Fail> {
     let (stale_cat, inserts) = temporal_split(&stats_catalog(&cfg.stats), SPLIT_DAY);
     let mut shifted = Database::new(stale_cat);
     let mut refreshed = SketchEst::fit(&shifted, sketch_cfg);
-    for (t, d) in inserts.iter().enumerate() {
-        shifted
-            .catalog_mut()
-            .table_mut(TableId(t))
-            .append_rows(d)
-            .expect("aligned schemas");
-    }
-    shifted.refresh();
+    shifted.append_inserts(&inserts).expect("aligned schemas");
     refreshed.apply_inserts(&shifted, &inserts);
     ensure!(
         refreshed.state_digest() == SketchEst::fit_sharded(&shifted, sketch_cfg, 1).state_digest(),

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
 use cardbench_query::{BoundPredicate, BoundQuery, JoinQuery, Region};
-use cardbench_storage::{Catalog, ColumnStats, Table, TableId};
+use cardbench_storage::{Catalog, ColumnStats, StorageError, Table, TableId};
 
 use crate::topology::JoinTopology;
 
@@ -565,6 +565,18 @@ impl Database {
     /// afterwards.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
+    }
+
+    /// Appends `deltas[t]` to table `t` for every delta (the shape
+    /// `temporal_split` returns), then rebuilds indexes and statistics.
+    /// A delta whose arity differs from its table is an error; the deltas
+    /// before it stay appended and nothing is rebuilt.
+    pub fn append_inserts(&mut self, deltas: &[Table]) -> Result<(), StorageError> {
+        for (t, delta) in deltas.iter().enumerate() {
+            self.catalog.table_mut(TableId(t)).append_rows(delta)?;
+        }
+        self.refresh();
+        Ok(())
     }
 }
 

@@ -162,13 +162,7 @@ mod tests {
         let mut db = Database::new(stale);
         let mut est = BayesCard::fit(&db, 24);
         let before_users = db.row_count(TableId(0));
-        for (t, d) in inserts.iter().enumerate() {
-            db.catalog_mut()
-                .table_mut(TableId(t))
-                .append_rows(d)
-                .unwrap();
-        }
-        db.refresh();
+        db.append_inserts(&inserts).unwrap();
         est.apply_inserts(&db, &inserts);
         assert!(est.inner.row_counts[0] as usize > before_users);
         // Row-count estimate of the unfiltered users table reflects the

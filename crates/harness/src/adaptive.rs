@@ -16,7 +16,6 @@ use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::{FeedbackConfig, FeedbackEst, FeedbackStats, FeedbackStore};
 use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
-use cardbench_storage::TableId;
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
@@ -195,14 +194,9 @@ pub fn run_adaptive_experiment(
     // derived state. The true-cardinality cache keys on query identity,
     // not data, so a *fresh* service is mandatory after the shift.
     let mut shifted_db = stale_db;
-    for (t, d) in inserts.iter().enumerate() {
-        shifted_db
-            .catalog_mut()
-            .table_mut(TableId(t))
-            .append_rows(d)
-            .expect("temporal split halves share schemas");
-    }
-    shifted_db.refresh();
+    shifted_db
+        .append_inserts(&inserts)
+        .expect("temporal split halves share schemas");
     let truth2 = TrueCardService::new();
     let post_shift = run_workload_adaptive(&shifted_db, wl, &wrapped, &store, &truth2, cost, opts);
     let recovered = run_workload_adaptive(&shifted_db, wl, &wrapped, &store, &truth2, cost, opts);
@@ -315,7 +309,14 @@ mod tests {
             &cost,
             &RunOptions::default(),
         );
-        let baseline = run_workload(&b.stats_db, &b.stats_wl, wrapped.inner(), &truth, &cost);
+        let baseline = run_workload(
+            &b.stats_db,
+            &b.stats_wl,
+            wrapped.inner(),
+            &truth,
+            &cost,
+            &RunOptions::default(),
+        );
         assert_eq!(adaptive.len(), baseline.len());
         for (a, r) in adaptive.iter().zip(&baseline) {
             assert_eq!(a.id, r.id);

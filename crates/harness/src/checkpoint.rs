@@ -1,21 +1,30 @@
-//! Append-only JSONL checkpoints for kill/resume recovery.
+//! The one per-query record codec, and the two files written with it.
 //!
-//! Format: one compact JSON object per line, keyed by
-//! `(method, workload, query)`:
+//! [`query_run_to_json`] is a lossless encoding of [`QueryRun`]:
+//! durations are integer nanoseconds, `u64` counters are integers (exact
+//! in f64 below 2^53), and values that may be non-finite (a failed
+//! query's P-Error, fault values) travel as strings because JSON numbers
+//! cannot carry NaN/±inf.
+//!
+//! **Checkpoints** (kill/resume): append-only JSONL, one compact JSON
+//! object per line, keyed by `(method, workload, query)`:
 //!
 //! ```text
 //! {"method":"PostgreSQL","workload":"STATS-CEB","query":3,"run":{...}}
 //! ```
 //!
-//! The `run` object is a lossless encoding of [`QueryRun`]: durations are
-//! integer nanoseconds, `u64` counters are integers (exact in f64 below
-//! 2^53), and fault values that may be non-finite (NaN/±inf) travel as
-//! strings because JSON numbers cannot carry them. Records are appended
-//! and flushed one query at a time, so a killed process loses at most the
-//! line it was writing; the loader tolerates a truncated or corrupt tail
-//! by skipping unparseable lines (those queries are simply recomputed on
-//! resume). Later records win over earlier ones for the same key, so
-//! re-running a method over an old checkpoint self-heals.
+//! Records are appended and flushed one query at a time, so a killed
+//! process loses at most the line it was writing; the loader tolerates a
+//! truncated or corrupt tail by skipping unparseable lines (those queries
+//! are simply recomputed on resume). Later records win over earlier ones
+//! for the same key, so re-running a method over an old checkpoint
+//! self-heals.
+//!
+//! **Results files** (`cardbench report all`): one compact JSON array of
+//! method runs, each `{"method","workload","train_ns","model_bytes",
+//! "queries":[...]}` with every query in the same encoding, so any table
+//! or observation can be recomputed from the file. Unlike a checkpoint,
+//! a results file is read whole: any malformed part is an error.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -23,10 +32,15 @@ use std::path::Path;
 use std::time::Duration;
 
 use cardbench_engine::ExecStats;
-use cardbench_support::json::Json;
+use cardbench_estimators::EstimatorKind;
+use cardbench_support::json::{Json, JsonError};
 
-use crate::endtoend::QueryRun;
+use crate::endtoend::{MethodRun, QueryRun};
 use crate::fault::{EstFailure, EstimateError, QueryFailure};
+
+/// The workloads of a results file, in the order of the
+/// `[Vec<MethodRun>; 2]` it encodes.
+pub const RESULT_WORKLOADS: [&str; 2] = ["JOB-LIGHT", "STATS-CEB"];
 
 /// One parsed checkpoint line.
 #[derive(Debug, Clone)]
@@ -223,20 +237,16 @@ fn est_failure_from_json(v: &Json) -> Option<EstFailure> {
 }
 
 fn query_failure_to_json(f: &QueryFailure) -> Json {
+    let kind = ("kind", Json::String(f.kind().to_string()));
     match f {
-        QueryFailure::Bind { message } => Json::object([
-            ("kind", Json::String("bind".into())),
-            ("message", Json::String(message.clone())),
-        ]),
-        QueryFailure::Truth { message } => Json::object([
-            ("kind", Json::String("truth".into())),
-            ("message", Json::String(message.clone())),
-        ]),
+        QueryFailure::Bind { message } | QueryFailure::Truth { message } => {
+            Json::object([kind, ("message", Json::String(message.clone()))])
+        }
         QueryFailure::ExecBudget {
             peak_bytes,
             budget_bytes,
         } => Json::object([
-            ("kind", Json::String("exec_budget".into())),
+            kind,
             ("peak_bytes", num(*peak_bytes)),
             ("budget_bytes", num(*budget_bytes)),
         ]),
@@ -244,19 +254,20 @@ fn query_failure_to_json(f: &QueryFailure) -> Json {
 }
 
 fn query_failure_from_json(v: &Json) -> Option<QueryFailure> {
-    match v.get("kind").and_then(Json::as_str)? {
-        "bind" => Some(QueryFailure::Bind {
-            message: v.get("message").and_then(Json::as_str)?.to_string(),
-        }),
-        "truth" => Some(QueryFailure::Truth {
-            message: v.get("message").and_then(Json::as_str)?.to_string(),
-        }),
-        "exec_budget" => Some(QueryFailure::ExecBudget {
+    let message = || Some(v.get("message")?.as_str()?.to_string());
+    Some(match v.get("kind").and_then(Json::as_str)? {
+        "bind" => QueryFailure::Bind {
+            message: message()?,
+        },
+        "truth" => QueryFailure::Truth {
+            message: message()?,
+        },
+        "exec_budget" => QueryFailure::ExecBudget {
             peak_bytes: v.get("peak_bytes").and_then(Json::as_f64)? as u64,
             budget_bytes: v.get("budget_bytes").and_then(Json::as_f64)? as u64,
-        }),
-        _ => None,
-    }
+        },
+        _ => return None,
+    })
 }
 
 /// Lossless [`QueryRun`] encoding. Finite metric values are plain JSON
@@ -332,6 +343,62 @@ pub fn query_run_from_json(v: &Json) -> Option<QueryRun> {
             f => Some(query_failure_from_json(f)?),
         },
     })
+}
+
+/// Encodes `[JOB-LIGHT, STATS-CEB]` method runs as a results file.
+pub fn results_to_json(runs: &[Vec<MethodRun>; 2]) -> String {
+    let mut items = Vec::new();
+    for (workload, runs) in RESULT_WORKLOADS.iter().zip(runs) {
+        for run in runs {
+            let queries = run.queries.iter().map(query_run_to_json).collect();
+            items.push(Json::object([
+                ("method", Json::String(run.kind.name().to_string())),
+                ("workload", Json::String(workload.to_string())),
+                ("train_ns", duration_to_json(run.train_time)),
+                ("model_bytes", num(run.model_size as u64)),
+                ("queries", Json::Array(queries)),
+            ]));
+        }
+    }
+    Json::Array(items).compact()
+}
+
+/// Inverse of [`results_to_json`]: an unparseable document, a missing or
+/// mistyped field, or an unknown method or workload is an error.
+pub fn results_from_json(text: &str) -> Result<[Vec<MethodRun>; 2], JsonError> {
+    let shape = |message: String| JsonError { message, offset: 0 };
+    let doc = Json::parse(text)?;
+    let items = doc
+        .as_array()
+        .ok_or_else(|| shape("expected an array of method runs".into()))?;
+    let mut runs = [Vec::new(), Vec::new()];
+    for (i, v) in items.iter().enumerate() {
+        let (slot, run) = method_run_from_json(v)
+            .ok_or_else(|| shape(format!("method run #{i} is malformed")))?;
+        runs[slot].push(run);
+    }
+    Ok(runs)
+}
+
+/// One results-file entry and the index of its workload.
+fn method_run_from_json(v: &Json) -> Option<(usize, MethodRun)> {
+    let method = v.get("method").and_then(Json::as_str)?;
+    let workload = v.get("workload").and_then(Json::as_str)?;
+    let run = MethodRun {
+        kind: EstimatorKind::ALL
+            .into_iter()
+            .chain([EstimatorKind::Feedback])
+            .find(|k| k.name() == method)?,
+        train_time: v.get("train_ns").and_then(duration_from_json)?,
+        model_size: v.get("model_bytes").and_then(Json::as_usize)?,
+        queries: v
+            .get("queries")?
+            .as_array()?
+            .iter()
+            .map(query_run_from_json)
+            .collect::<Option<_>>()?,
+    };
+    Some((RESULT_WORKLOADS.iter().position(|w| *w == workload)?, run))
 }
 
 #[cfg(test)]
@@ -463,5 +530,86 @@ mod tests {
         assert_eq!(recs.len(), 3);
         assert_runs_equal(&recs[2].run, &c);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn results_file_roundtrips_losslessly() {
+        let mut failed = sample_run();
+        failed.id = 8;
+        failed.p_error = f64::NAN;
+        failed.failure = Some(QueryFailure::ExecBudget {
+            peak_bytes: 9_000_000,
+            budget_bytes: 1_000_000,
+        });
+        // The three error kinds `sample_run` lacks.
+        let mut rest = sample_run();
+        rest.id = 9;
+        rest.est_failures = vec![
+            EstFailure {
+                mask: 0b011,
+                error: EstimateError::Degenerate { value: -3.5 },
+            },
+            EstFailure {
+                mask: 0b110,
+                error: EstimateError::Shorted,
+            },
+            EstFailure {
+                mask: 0b111,
+                error: EstimateError::DeadlineExceeded {
+                    late: Duration::from_micros(250),
+                },
+            },
+        ];
+        let run = |kind, queries| MethodRun {
+            kind,
+            train_time: Duration::from_nanos(123_456_789),
+            model_size: 35_200,
+            queries,
+        };
+        let runs = [
+            vec![run(EstimatorKind::Postgres, vec![sample_run()])],
+            vec![
+                run(EstimatorKind::Postgres, vec![sample_run(), failed, rest]),
+                run(EstimatorKind::NeuroCardE, Vec::new()),
+            ],
+        ];
+        let text = results_to_json(&runs);
+        assert!(!text.contains('\n'), "written compact");
+        let back = results_from_json(&text).expect("results file parses");
+        for (a, b) in runs.iter().zip(&back) {
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.kind, y.kind);
+                assert_eq!(x.train_time, y.train_time);
+                assert_eq!(x.model_size, y.model_size);
+                assert_eq!(x.queries.len(), y.queries.len());
+                for (q, r) in x.queries.iter().zip(&y.queries) {
+                    assert_runs_equal(q, r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_results_files_are_errors() {
+        let entry = |method: &str, workload: &str, queries: &str| {
+            format!(
+                r#"[{{"method":"{method}","workload":"{workload}","train_ns":1,"model_bytes":2,"queries":{queries}}}]"#
+            )
+        };
+        for text in [
+            "{}".to_string(),
+            "not json".to_string(),
+            r#"[{"method": 3}]"#.to_string(),
+            entry("PostgreSQL", "STATS-CEB", r#"{"id":1}"#),
+            entry("PostgreSQL", "STATS-CEB", "[{}]"),
+            entry("PostgreSQL", "TPC-H", "[]"),
+            entry("Oracle9000", "STATS-CEB", "[]"),
+        ] {
+            assert!(results_from_json(&text).is_err(), "{text}");
+        }
+        let [imdb, stats] = results_from_json(&entry("PostgreSQL", "STATS-CEB", "[]"))
+            .expect("a run without queries is well-formed");
+        assert!(imdb.is_empty() && stats.len() == 1);
     }
 }

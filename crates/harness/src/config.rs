@@ -130,9 +130,6 @@ pub struct BenchConfig {
     /// Training queries per dataset for the query-driven methods
     /// (paper: 10^5; scaled with the data).
     pub training_queries: usize,
-    /// Planning/estimation threads for the harness fan-out. `0` = auto:
-    /// `CARDBENCH_THREADS`, then all cores.
-    pub threads: usize,
     /// Estimator hyper-parameters.
     pub settings: EstimatorSettings,
 }
@@ -152,7 +149,6 @@ impl BenchConfig {
             stats_workload: WorkloadConfig::stats_ceb(seed ^ 0x51),
             imdb_workload: WorkloadConfig::job_light(seed ^ 0x1f),
             training_queries: 1500,
-            threads: 0,
             settings: EstimatorSettings::standard(seed),
         }
     }
@@ -173,7 +169,6 @@ impl BenchConfig {
                 ..WorkloadConfig::job_light(seed ^ 0x1f)
             },
             training_queries: 120,
-            threads: 0,
             settings: EstimatorSettings::fast(seed),
         }
     }
@@ -204,26 +199,13 @@ impl Bench {
         let imdb_db = Database::new(imdb_catalog(&config.imdb));
         let stats_wl = stats_ceb(&stats_db, &config.stats_workload);
         let imdb_wl = job_light(&imdb_db, &config.imdb_workload);
-        let (qs, cs) = training_workload(
-            &stats_db,
-            config.training_queries,
-            config.stats_workload.max_tables,
-            config.settings.seed ^ 0x7a,
-        );
-        let stats_train = TrainingSet {
-            queries: qs,
-            cards: cs,
+        let train = |db: &Database, max_tables: usize, salt: u64| {
+            let seed = config.settings.seed ^ salt;
+            let (queries, cards) = training_workload(db, config.training_queries, max_tables, seed);
+            TrainingSet { queries, cards }
         };
-        let (qi, ci) = training_workload(
-            &imdb_db,
-            config.training_queries,
-            config.imdb_workload.max_tables,
-            config.settings.seed ^ 0x7b,
-        );
-        let imdb_train = TrainingSet {
-            queries: qi,
-            cards: ci,
-        };
+        let stats_train = train(&stats_db, config.stats_workload.max_tables, 0x7a);
+        let imdb_train = train(&imdb_db, config.imdb_workload.max_tables, 0x7b);
         Bench {
             stats_db,
             imdb_db,

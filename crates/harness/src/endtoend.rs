@@ -154,19 +154,7 @@ impl MethodRun {
     /// Operator counters aggregated over all queries: additive counters
     /// sum; `peak_intermediate_bytes` is the max over queries.
     pub fn exec_stats_total(&self) -> ExecStats {
-        let mut total = ExecStats::default();
-        for q in &self.queries {
-            let s = &q.exec_stats;
-            total.output_rows += s.output_rows;
-            total.intermediate_rows += s.intermediate_rows;
-            total.build_rows += s.build_rows;
-            total.probe_rows += s.probe_rows;
-            total.rows_gathered += s.rows_gathered;
-            total.partitions_spilled += s.partitions_spilled;
-            total.peak_intermediate_bytes =
-                total.peak_intermediate_bytes.max(s.peak_intermediate_bytes);
-        }
-        total
+        exec_stats_total(&self.queries)
     }
 
     /// Improvement over a baseline end-to-end time, in percent
@@ -189,11 +177,6 @@ impl MethodRun {
         self.queries.iter().map(|q| q.est_failures.len()).sum()
     }
 
-    /// Total sub-plan estimates the clamp intervened on.
-    pub fn clamped_total(&self) -> u64 {
-        self.queries.iter().map(|q| q.clamped_subplans).sum()
-    }
-
     /// Total sub-plans degraded to the PostgreSQL baseline.
     pub fn fallback_total(&self) -> u64 {
         self.queries.iter().map(|q| q.fallback_subplans).sum()
@@ -204,6 +187,23 @@ impl MethodRun {
     pub fn excluded_qerror_total(&self) -> u64 {
         self.queries.iter().map(|q| q.excluded_qerrors).sum()
     }
+}
+
+/// [`MethodRun::exec_stats_total`] over any slice of queries.
+fn exec_stats_total(queries: &[QueryRun]) -> ExecStats {
+    let mut total = ExecStats::default();
+    for q in queries {
+        let s = &q.exec_stats;
+        total.output_rows += s.output_rows;
+        total.intermediate_rows += s.intermediate_rows;
+        total.build_rows += s.build_rows;
+        total.probe_rows += s.probe_rows;
+        total.rows_gathered += s.rows_gathered;
+        total.partitions_spilled += s.partitions_spilled;
+        total.peak_intermediate_bytes =
+            total.peak_intermediate_bytes.max(s.peak_intermediate_bytes);
+    }
+    total
 }
 
 /// One query after phase 1: everything except timed execution.
@@ -253,36 +253,12 @@ fn cross_product_bound(db: &Database, bound: &BoundQuery, mask: TableMask) -> f6
 }
 
 /// Runs every workload query through the optimizer with the estimator's
-/// injected cardinalities and executes the chosen plans.
-///
-/// Planning/estimation parallelism defaults to the environment
-/// ([`par::max_threads`]: `CARDBENCH_THREADS`, then all cores); use
-/// [`run_workload_with_threads`] for an explicit count. Results are identical for every thread count.
-pub fn run_workload(
-    db: &Database,
-    wl: &Workload,
-    est: &dyn CardEst,
-    truth: &TrueCardService,
-    cost: &CostModel,
-) -> Vec<QueryRun> {
-    run_workload_with_threads(db, wl, est, truth, cost, 0)
-}
-
-/// [`run_workload`] with an explicit planning thread count (`0` = auto).
-pub fn run_workload_with_threads(
-    db: &Database,
-    wl: &Workload,
-    est: &dyn CardEst,
-    truth: &TrueCardService,
-    cost: &CostModel,
-    threads: usize,
-) -> Vec<QueryRun> {
-    run_workload_with_options(db, wl, est, truth, cost, &RunOptions::with_threads(threads))
-}
-
-/// [`run_workload`] with the full set of guard rails ([`RunOptions`]):
-/// sandboxed estimation with a per-estimate wall-clock budget, a per-query
-/// executor memory budget, and JSONL checkpoint/resume.
+/// injected cardinalities and executes the chosen plans, under the guard
+/// rails of `opts` ([`RunOptions`]): planning threads (`0` =
+/// `CARDBENCH_THREADS`, then all cores; results are identical for every
+/// count), a per-estimate wall-clock budget, a per-query executor memory
+/// budget, and JSONL checkpoint/resume. `&RunOptions::default()` is the
+/// plain run.
 ///
 /// Phase 1 fans queries out over the configured workers: each worker owns
 /// a query end-to-end through sub-plan enumeration, inference (timed per
@@ -297,7 +273,7 @@ pub fn run_workload_with_threads(
 /// verbatim and their queries skipped. Fault decisions, estimates, and
 /// executed results are deterministic, so a killed-and-resumed run equals
 /// an uninterrupted one on every non-timing field.
-pub fn run_workload_with_options(
+pub fn run_workload(
     db: &Database,
     wl: &Workload,
     est: &dyn CardEst,
@@ -461,42 +437,36 @@ fn record_run_metrics(method: &str, runs: &[QueryRun], scratch_bytes: u64) {
         return;
     }
     let m = [("method", method)];
-    let mut clamped = 0u64;
-    let mut fallback = 0u64;
-    let mut excluded = 0u64;
-    let mut failed = 0u64;
-    let mut stats = ExecStats::default();
-    for q in runs {
-        clamped += q.clamped_subplans;
-        fallback += q.fallback_subplans;
-        excluded += q.excluded_qerrors;
-        failed += u64::from(!q.completed());
-        stats.build_rows += q.exec_stats.build_rows;
-        stats.probe_rows += q.exec_stats.probe_rows;
-        stats.intermediate_rows += q.exec_stats.intermediate_rows;
-        stats.rows_gathered += q.exec_stats.rows_gathered;
-        stats.partitions_spilled += q.exec_stats.partitions_spilled;
-        stats.peak_intermediate_bytes = stats
-            .peak_intermediate_bytes
-            .max(q.exec_stats.peak_intermediate_bytes);
+    let total = |count: fn(&QueryRun) -> u64| -> u64 { runs.iter().map(count).sum() };
+    let stats = exec_stats_total(runs);
+    for (family, n) in [
+        (
+            "cardbench_clamped_subplans_total",
+            total(|q| q.clamped_subplans),
+        ),
+        (
+            "cardbench_fallback_subplans_total",
+            total(|q| q.fallback_subplans),
+        ),
+        (
+            "cardbench_excluded_qerrors_total",
+            total(|q| q.excluded_qerrors),
+        ),
+        (
+            "cardbench_failed_queries_total",
+            total(|q| u64::from(!q.completed())),
+        ),
+        ("cardbench_join_build_rows_total", stats.build_rows),
+        ("cardbench_join_probe_rows_total", stats.probe_rows),
+        ("cardbench_intermediate_rows_total", stats.intermediate_rows),
+        ("cardbench_rows_gathered_total", stats.rows_gathered),
+        (
+            "cardbench_partitions_spilled_total",
+            stats.partitions_spilled,
+        ),
+    ] {
+        counter_add(family, &m, n);
     }
-    counter_add("cardbench_clamped_subplans_total", &m, clamped);
-    counter_add("cardbench_fallback_subplans_total", &m, fallback);
-    counter_add("cardbench_excluded_qerrors_total", &m, excluded);
-    counter_add("cardbench_failed_queries_total", &m, failed);
-    counter_add("cardbench_join_build_rows_total", &m, stats.build_rows);
-    counter_add("cardbench_join_probe_rows_total", &m, stats.probe_rows);
-    counter_add(
-        "cardbench_intermediate_rows_total",
-        &m,
-        stats.intermediate_rows,
-    );
-    counter_add("cardbench_rows_gathered_total", &m, stats.rows_gathered);
-    counter_add(
-        "cardbench_partitions_spilled_total",
-        &m,
-        stats.partitions_spilled,
-    );
     gauge_max(
         "cardbench_peak_intermediate_bytes",
         &m,
@@ -846,6 +816,7 @@ mod tests {
             built.est.as_ref(),
             &truth,
             &CostModel::default(),
+            &RunOptions::default(),
         );
         assert_eq!(runs.len(), b.stats_wl.queries.len());
         for (run, wq) in runs.iter().zip(&b.stats_wl.queries) {
@@ -879,6 +850,7 @@ mod tests {
             built.est.as_ref(),
             &truth,
             &CostModel::default(),
+            &RunOptions::default(),
         );
         for run in &runs {
             for &qe in &run.q_errors {

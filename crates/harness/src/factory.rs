@@ -63,8 +63,8 @@ pub fn build_estimator(
         // sequential scan for any value.
         EstimatorKind::Sketch => Box::new(SketchEst::fit(db, &s.sketch)),
         // Bare `Feedback` wraps the PostgreSQL baseline with a fresh
-        // store; use [`build_feedback_estimator`] to pick the inner kind
-        // and share a store across runs/sessions.
+        // store; wrap any built estimator in `FeedbackEst` directly to
+        // pick the inner kind and share a store across runs/sessions.
         EstimatorKind::Feedback => Box::new(FeedbackEst::new(
             Box::new(PostgresEst::fit(db)),
             Arc::new(FeedbackStore::default()),
@@ -77,28 +77,6 @@ pub fn build_estimator(
         est,
         train_time,
         model_size,
-    }
-}
-
-/// Builds the estimator of `inner` and wraps it in a [`FeedbackEst`]
-/// sharing `store`. Training time and model size are the inner
-/// estimator's (the wrapper adds none of either); the reported kind is
-/// [`EstimatorKind::Feedback`] from the wrapper's perspective, but
-/// callers typically keep reporting under `inner` since the wrapper is
-/// transparent until observations accumulate.
-pub fn build_feedback_estimator(
-    inner: EstimatorKind,
-    db: &Database,
-    train: &TrainingSet,
-    s: &EstimatorSettings,
-    store: Arc<FeedbackStore>,
-    enabled: bool,
-) -> BuiltEstimator {
-    let built = build_estimator(inner, db, train, s);
-    BuiltEstimator {
-        est: Box::new(FeedbackEst::new(built.est, store, enabled)),
-        train_time: built.train_time,
-        model_size: built.model_size,
     }
 }
 

@@ -225,8 +225,8 @@ impl std::fmt::Display for QueryFailure {
 /// Guard rails and recovery knobs for one workload run.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Planning/estimation threads (`0` = auto, as in
-    /// [`crate::run_workload_with_threads`]).
+    /// Planning/estimation threads (`0` = `CARDBENCH_THREADS`, then all
+    /// cores).
     pub threads: usize,
     /// Per-sub-plan-estimate wall-clock budget (`None` = unlimited).
     pub timeout: Option<Duration>,
@@ -239,17 +239,6 @@ pub struct RunOptions {
     /// (method, workload, query) triples instead of recomputing them.
     /// Without this flag an existing checkpoint file is truncated.
     pub resume: bool,
-}
-
-impl RunOptions {
-    /// Options matching the historical `run_workload_with_threads`
-    /// behaviour: no budgets, no checkpointing.
-    pub fn with_threads(threads: usize) -> RunOptions {
-        RunOptions {
-            threads,
-            ..RunOptions::default()
-        }
-    }
 }
 
 /// The effective per-estimate wall-clock budget once an end-to-end

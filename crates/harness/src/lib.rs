@@ -8,12 +8,15 @@
 //! - [`fault`]: estimator sandboxing, the typed failure taxonomy, and
 //!   per-run guard-rail options.
 //! - [`endtoend`]: per-query runs (planning time, execution time,
-//!   Q-Errors, P-Error).
+//!   Q-Errors, P-Error) — [`QueryRun`], the one per-query record every
+//!   table and observation is computed from.
 //! - [`adaptive`]: sequential plan→execute→observe runs feeding executed
 //!   true cardinalities back into planning, plus the drift experiment.
-//! - [`checkpoint`]: append-only JSONL per-query records for kill/resume.
+//! - [`checkpoint`]: the lossless [`QueryRun`] codec and its two files —
+//!   append-only JSONL checkpoints for kill/resume, and the results file
+//!   `report all` writes and `report observations` reads back.
 //! - [`report`]: text renderers for Tables 1–7.
-//! - [`results`]: serializable JSON results for downstream analysis.
+//! - [`observations`]: the O1–O14 shape checks over the same runs.
 //! - [`update_exp`]: the dynamic-data experiment (Table 6).
 //! - [`case_study`]: the Figure-2 style plan-tree case study.
 
@@ -30,27 +33,22 @@ pub mod factory;
 pub mod fault;
 pub mod observations;
 pub mod report;
-pub mod results;
 pub mod update_exp;
 
 pub use adaptive::{
     median_p_error, median_q_error, observe_query, record_feedback_metrics,
     run_adaptive_experiment, run_workload_adaptive, AdaptiveExperiment,
 };
-pub use checkpoint::{load_checkpoint, CheckpointRecord, CheckpointWriter};
-pub use config::{Bench, BenchConfig, EstimatorSettings};
-pub use endtoend::{
-    estimate_all, plan_query_via, run_workload, run_workload_with_options,
-    run_workload_with_threads, MethodRun, PlannedQuery, QueryRun,
+pub use checkpoint::{
+    load_checkpoint, results_from_json, results_to_json, CheckpointRecord, CheckpointWriter,
+    RESULT_WORKLOADS,
 };
+pub use config::{Bench, BenchConfig, EstimatorSettings};
+pub use endtoend::{estimate_all, plan_query_via, run_workload, MethodRun, PlannedQuery, QueryRun};
 pub use factory::{build_estimator, BuiltEstimator};
 pub use fault::{
     deadline_budget, guarded_estimate, guarded_estimate_batch, EstFailure, EstimateError,
     QueryFailure, RunOptions,
 };
 pub use observations::{check_observations, render_checks, ObservationCheck};
-pub use results::{MethodSummary, QueryRecord, RunResults};
-pub use update_exp::{
-    run_refresh_experiment, run_update_experiment, RefreshExperiment, UpdateResult, UpdateRow,
-    UPDATABLE,
-};
+pub use update_exp::{run_update_experiment, UpdateResult, UpdateRow, UPDATABLE};

@@ -1,14 +1,19 @@
 //! Programmatic checks of the paper's observations (O1–O14) against a
 //! finished run's results — the "shape" assertions of EXPERIMENTS.md as
 //! executable checks. Each check states the paper's claim, evaluates it
-//! on the measured summaries, and reports pass/fail with the numbers.
+//! on the measured runs, and reports pass/fail with the numbers.
 
 use std::fmt::Write as _;
 
-use crate::results::{MethodSummary, RunResults};
+use cardbench_estimators::EstimatorKind::{
+    self, BayesCard, DeepDb, Flat, NeuroCardE, Postgres, UniSample,
+};
+use cardbench_metrics::{percentile, percentile_triple, spearman};
+
+use crate::endtoend::MethodRun;
 
 /// Outcome of one observation check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservationCheck {
     /// Paper observation id (e.g. "O1").
     pub id: &'static str,
@@ -20,30 +25,28 @@ pub struct ObservationCheck {
     pub evidence: String,
 }
 
-fn find<'a>(rs: &'a RunResults, workload: &str, method: &str) -> Option<&'a MethodSummary> {
-    rs.summaries
-        .iter()
-        .find(|s| s.workload == workload && s.method == method)
+fn find(runs: &[MethodRun], kind: EstimatorKind) -> Option<&MethodRun> {
+    runs.iter().find(|r| r.kind == kind)
 }
 
-fn e2e(s: &MethodSummary) -> f64 {
-    s.exec_secs + s.plan_secs
+/// End-to-end seconds: execution plus planning.
+fn e2e(r: &MethodRun) -> f64 {
+    r.exec_total().as_secs_f64() + r.plan_total().as_secs_f64()
 }
 
-/// Runs every check.
-pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
+/// Runs every check over `[JOB-LIGHT, STATS-CEB]` runs.
+pub fn check_observations(runs: &[Vec<MethodRun>; 2]) -> Vec<ObservationCheck> {
     let mut out = Vec::new();
-    let sc = "STATS-CEB";
-    let jl = "JOB-LIGHT";
+    let [jl, sc] = runs;
 
     // O1: data-driven PGMs beat the PostgreSQL baseline on STATS-CEB;
     // plain histogram/sampling traditional methods do not beat the best
     // data-driven method.
     if let (Some(pg), Some(deep), Some(flat), Some(uni)) = (
-        find(rs, sc, "PostgreSQL"),
-        find(rs, sc, "DeepDB"),
-        find(rs, sc, "FLAT"),
-        find(rs, sc, "UniSample"),
+        find(sc, Postgres),
+        find(sc, DeepDb),
+        find(sc, Flat),
+        find(sc, UniSample),
     ) {
         let best_pgm = e2e(deep).min(e2e(flat));
         out.push(ObservationCheck {
@@ -62,15 +65,16 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
 
     // O2: the spread between methods is larger on STATS-CEB than on
     // JOB-LIGHT (relative to the baseline).
-    let spread = |workload: &str| -> Option<f64> {
-        let base = e2e(find(rs, workload, "PostgreSQL")?);
+    let spread = |runs: &[MethodRun]| -> Option<f64> {
+        let base = e2e(find(runs, Postgres)?);
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
-        for s in rs.summaries.iter().filter(|s| {
-            s.workload == workload && s.method != "NeuroCard^E" && s.method != "UniSample"
-        }) {
-            lo = lo.min(e2e(s) / base);
-            hi = hi.max(e2e(s) / base);
+        for r in runs
+            .iter()
+            .filter(|r| r.kind != NeuroCardE && r.kind != UniSample)
+        {
+            lo = lo.min(e2e(r) / base);
+            hi = hi.max(e2e(r) / base);
         }
         Some(hi - lo)
     };
@@ -86,9 +90,9 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
     // O3: NeuroCard's full-join modelling does not beat the baseline on
     // STATS-CEB while the divide-and-conquer data-driven methods do.
     if let (Some(pg), Some(nc), Some(bc)) = (
-        find(rs, sc, "PostgreSQL"),
-        find(rs, sc, "NeuroCard^E"),
-        find(rs, sc, "BayesCard"),
+        find(sc, Postgres),
+        find(sc, NeuroCardE),
+        find(sc, BayesCard),
     ) {
         out.push(ObservationCheck {
             id: "O3",
@@ -104,17 +108,17 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
     }
 
     // O4: estimation error grows with join count for the data-driven
-    // methods (median per-query Q-Error, small vs large joins).
-    for method in ["BayesCard", "DeepDB", "FLAT"] {
-        if let Some(s) = find(rs, sc, method) {
+    // methods (median of per-query median Q-Errors, small vs large joins).
+    for kind in [BayesCard, DeepDb, Flat] {
+        if let Some(r) = find(sc, kind) {
             let med = |lo: usize, hi: usize| {
-                let v: Vec<f64> = s
+                let v: Vec<f64> = r
                     .queries
                     .iter()
-                    .filter(|q| q.tables >= lo && q.tables <= hi)
-                    .map(|q| q.q_error_median)
+                    .filter(|q| q.n_tables >= lo && q.n_tables <= hi)
+                    .map(|q| percentile(&q.q_errors, 0.5))
                     .collect();
-                cardbench_metrics::percentile(&v, 0.5)
+                percentile(&v, 0.5)
             };
             let small = med(2, 3);
             let large = med(6, 8);
@@ -124,7 +128,8 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
                     claim: "estimation error grows with the number of joined tables",
                     pass: large >= small,
                     evidence: format!(
-                        "{method}: median Q-Error 2-3 tables {small:.2}, 6-8 tables {large:.2}"
+                        "{}: median Q-Error 2-3 tables {small:.2}, 6-8 tables {large:.2}",
+                        kind.name()
                     ),
                 });
             }
@@ -133,16 +138,16 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
 
     // O7: planning share is larger on short (TP) queries than long (AP)
     // ones for the slow-inference methods.
-    if let Some(nc) = find(rs, sc, "NeuroCard^E") {
-        let mut times: Vec<f64> = nc.queries.iter().map(|q| q.exec_secs).collect();
+    if let Some(nc) = find(sc, NeuroCardE) {
+        let mut times: Vec<f64> = nc.queries.iter().map(|q| q.exec.as_secs_f64()).collect();
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];
         let share = |pred: &dyn Fn(f64) -> bool| {
             let (mut p, mut e) = (0.0, 0.0);
             for q in &nc.queries {
-                if pred(q.exec_secs) {
-                    p += q.plan_secs;
-                    e += q.exec_secs;
+                if pred(q.exec.as_secs_f64()) {
+                    p += q.plan.as_secs_f64();
+                    e += q.exec.as_secs_f64();
                 }
             }
             p / (p + e).max(1e-12)
@@ -163,43 +168,38 @@ pub fn check_observations(rs: &RunResults) -> Vec<ObservationCheck> {
 
     // O8/Figure 3: BayesCard trains faster and is smaller than the SPN
     // family, which in turn undercuts NeuroCard's training cost.
-    if let (Some(bc), Some(deep), Some(nc)) = (
-        find(rs, sc, "BayesCard"),
-        find(rs, sc, "DeepDB"),
-        find(rs, sc, "NeuroCard^E"),
-    ) {
+    if let (Some(bc), Some(deep), Some(nc)) =
+        (find(sc, BayesCard), find(sc, DeepDb), find(sc, NeuroCardE))
+    {
+        let [bc, deep, nc] = [bc, deep, nc].map(|r| r.train_time.as_secs_f64());
         out.push(ObservationCheck {
             id: "O8",
             claim: "training cost: BayesCard < DeepDB < NeuroCard^E",
-            pass: bc.train_secs < deep.train_secs && deep.train_secs < nc.train_secs,
-            evidence: format!(
-                "train: BayesCard {:.3}s, DeepDB {:.3}s, NeuroCard^E {:.3}s",
-                bc.train_secs, deep.train_secs, nc.train_secs
-            ),
+            pass: bc < deep && deep < nc,
+            evidence: format!("train: BayesCard {bc:.3}s, DeepDB {deep:.3}s, NeuroCard^E {nc:.3}s"),
         });
     }
 
     // O14: across methods, P-Error medians correlate with execution time
     // at least as strongly as Q-Error medians.
-    {
-        let summaries: Vec<&MethodSummary> =
-            rs.summaries.iter().filter(|s| s.workload == sc).collect();
-        if summaries.len() >= 4 {
-            let exec: Vec<f64> = summaries.iter().map(|s| s.exec_secs).collect();
-            let q50: Vec<f64> = summaries.iter().map(|s| s.q_error.0.ln()).collect();
-            let p50: Vec<f64> = summaries
-                .iter()
-                .map(|s| s.p_error.0.ln().max(-20.0))
-                .collect();
-            let rq = cardbench_metrics::spearman(&exec, &q50);
-            let rp = cardbench_metrics::spearman(&exec, &p50);
-            out.push(ObservationCheck {
-                id: "O14",
-                claim: "P-Error tracks execution time at least as well as Q-Error",
-                pass: rp >= rq - 0.1,
-                evidence: format!("spearman(exec, P50) {rp:.3} vs spearman(exec, Q50) {rq:.3}"),
-            });
-        }
+    if sc.len() >= 4 {
+        let exec: Vec<f64> = sc.iter().map(|r| r.exec_total().as_secs_f64()).collect();
+        let q50: Vec<f64> = sc
+            .iter()
+            .map(|r| percentile_triple(&r.all_q_errors()).0.ln())
+            .collect();
+        let p50: Vec<f64> = sc
+            .iter()
+            .map(|r| percentile_triple(&r.all_p_errors()).0.ln().max(-20.0))
+            .collect();
+        let rq = spearman(&exec, &q50);
+        let rp = spearman(&exec, &p50);
+        out.push(ObservationCheck {
+            id: "O14",
+            claim: "P-Error tracks execution time at least as well as Q-Error",
+            pass: rp >= rq - 0.1,
+            evidence: format!("spearman(exec, P50) {rp:.3} vs spearman(exec, Q50) {rq:.3}"),
+        });
     }
     out
 }
@@ -225,88 +225,84 @@ pub fn render_checks(checks: &[ObservationCheck]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::results::QueryRecord;
+    use std::time::Duration;
 
-    fn summary(workload: &str, method: &str, exec: f64, train: f64) -> MethodSummary {
-        MethodSummary {
-            method: method.into(),
-            class: "x".into(),
-            workload: workload.into(),
-            exec_secs: exec,
-            plan_secs: 0.01,
-            train_secs: train,
-            model_bytes: 100,
-            avg_inference_secs: 1e-5,
-            q_error: (2.0, 10.0, 100.0),
-            p_error: (1.1, 2.0, 5.0),
-            failed_queries: 0,
-            est_failures: 0,
+    use super::*;
+    use crate::checkpoint::{results_from_json, results_to_json};
+    use crate::endtoend::QueryRun;
+
+    fn query(id: usize, n_tables: usize, exec: f64, p_error: f64, q_error: f64) -> QueryRun {
+        QueryRun {
+            id,
+            n_tables,
+            true_card: 10.0,
+            exec: Duration::from_secs_f64(exec),
+            plan: Duration::from_millis(5),
+            subplans: 1,
+            p_error,
+            q_errors: vec![q_error],
+            excluded_qerrors: 0,
+            sub_est_cards: vec![10.0],
+            sub_true_cards: vec![10.0],
+            result_rows: 10,
+            exec_stats: Default::default(),
+            est_failures: Vec::new(),
             clamped_subplans: 0,
             fallback_subplans: 0,
-            excluded_qerrors: 0,
+            failure: None,
+        }
+    }
+
+    /// A small (2-table) and a large (7-table) query, `exec` seconds of
+    /// execution between them.
+    fn run(kind: EstimatorKind, exec: f64, train: f64) -> MethodRun {
+        MethodRun {
+            kind,
+            train_time: Duration::from_secs_f64(train),
+            model_size: 100,
             queries: vec![
-                QueryRecord {
-                    id: 1,
-                    tables: 2,
-                    true_card: 10.0,
-                    exec_secs: exec / 2.0,
-                    plan_secs: 0.005,
-                    p_error: 1.0,
-                    q_error_median: 1.5,
-                    intermediate_rows: 20,
-                    build_rows: 10,
-                    probe_rows: 12,
-                    rows_gathered: 24,
-                    partitions_spilled: 0,
-                    peak_intermediate_bytes: 1024,
-                    failure: None,
-                    est_failures: 0,
-                    clamped_subplans: 0,
-                    fallback_subplans: 0,
-                    excluded_qerrors: 0,
-                },
-                QueryRecord {
-                    id: 2,
-                    tables: 7,
-                    true_card: 1e6,
-                    exec_secs: exec / 2.0,
-                    plan_secs: 0.005,
-                    p_error: 1.5,
-                    q_error_median: 8.0,
-                    intermediate_rows: 2_000_000,
-                    build_rows: 900_000,
-                    probe_rows: 1_100_000,
-                    rows_gathered: 3_000_000,
-                    partitions_spilled: 15,
-                    peak_intermediate_bytes: 16_000_000,
-                    failure: None,
-                    est_failures: 0,
-                    clamped_subplans: 0,
-                    fallback_subplans: 0,
-                    excluded_qerrors: 0,
-                },
+                query(1, 2, exec / 2.0, 1.0, 1.5),
+                query(2, 7, exec / 2.0, 1.5, 8.0),
             ],
         }
     }
 
+    /// Both workloads, each method's exec time given by `exec(workload)`.
+    fn runs(exec: impl Fn(usize, EstimatorKind) -> f64) -> [Vec<MethodRun>; 2] {
+        let methods = [
+            (Postgres, 0.001),
+            (DeepDb, 0.5),
+            (Flat, 0.6),
+            (BayesCard, 0.01),
+            (UniSample, 0.0),
+            (NeuroCardE, 5.0),
+        ];
+        [0, 1].map(|wl| {
+            methods
+                .iter()
+                .map(|&(kind, train)| run(kind, exec(wl, kind), train))
+                .collect()
+        })
+    }
+
+    fn paper_shaped() -> [Vec<MethodRun>; 2] {
+        runs(|wl, kind| {
+            let spread = [0.1, 1.0][wl];
+            10.0 + spread
+                * match kind {
+                    DeepDb => -3.0,
+                    Flat => -3.5,
+                    BayesCard => -2.0,
+                    UniSample => 2.0,
+                    NeuroCardE => 5.0,
+                    _ => 0.0,
+                }
+        })
+    }
+
     #[test]
     fn checks_pass_on_paper_shaped_results() {
-        let mut rs = RunResults::default();
-        for (wl, spread) in [("JOB-LIGHT", 0.1), ("STATS-CEB", 1.0)] {
-            rs.summaries.push(summary(wl, "PostgreSQL", 10.0, 0.001));
-            rs.summaries
-                .push(summary(wl, "DeepDB", 10.0 - 3.0 * spread, 0.5));
-            rs.summaries
-                .push(summary(wl, "FLAT", 10.0 - 3.5 * spread, 0.6));
-            rs.summaries
-                .push(summary(wl, "BayesCard", 10.0 - 2.0 * spread, 0.01));
-            rs.summaries
-                .push(summary(wl, "UniSample", 10.0 + 2.0 * spread, 0.0));
-            rs.summaries
-                .push(summary(wl, "NeuroCard^E", 10.0 + 5.0 * spread, 5.0));
-        }
-        let checks = check_observations(&rs);
+        let checks = check_observations(&paper_shaped());
         assert!(!checks.is_empty());
         for c in &checks {
             assert!(c.pass, "{} failed: {}", c.id, c.evidence);
@@ -317,17 +313,20 @@ mod tests {
 
     #[test]
     fn checks_fail_on_inverted_results() {
-        let mut rs = RunResults::default();
-        for wl in ["JOB-LIGHT", "STATS-CEB"] {
-            rs.summaries.push(summary(wl, "PostgreSQL", 5.0, 0.001));
-            rs.summaries.push(summary(wl, "DeepDB", 10.0, 0.5));
-            rs.summaries.push(summary(wl, "FLAT", 10.0, 0.6));
-            rs.summaries.push(summary(wl, "BayesCard", 10.0, 0.01));
-            rs.summaries.push(summary(wl, "UniSample", 1.0, 0.0));
-            rs.summaries.push(summary(wl, "NeuroCard^E", 1.0, 5.0));
-        }
-        let checks = check_observations(&rs);
+        let runs = runs(|_, kind| match kind {
+            Postgres => 5.0,
+            UniSample | NeuroCardE => 1.0,
+            _ => 10.0,
+        });
+        let checks = check_observations(&runs);
         let o1 = checks.iter().find(|c| c.id == "O1").unwrap();
         assert!(!o1.pass);
+    }
+
+    #[test]
+    fn checks_on_a_read_back_results_file_equal_the_in_memory_checks() {
+        let runs = paper_shaped();
+        let back = results_from_json(&results_to_json(&runs)).expect("results file parses");
+        assert_eq!(check_observations(&back), check_observations(&runs));
     }
 }

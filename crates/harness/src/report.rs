@@ -16,7 +16,7 @@ use cardbench_estimators::EstimatorKind;
 use cardbench_metrics::{pearson, percentile_triple};
 use cardbench_workload::Workload;
 
-use crate::endtoend::MethodRun;
+use crate::endtoend::{MethodRun, QueryRun};
 
 /// Human-friendly duration (µs/ms/s).
 pub fn fmt_duration(d: Duration) -> String {
@@ -294,26 +294,18 @@ pub fn table4(stats_runs: &[MethodRun]) -> String {
     }
     let _ = writeln!(s);
     for (lo, hi, label) in JOIN_BUCKETS {
-        let in_bucket =
-            |r: &&crate::endtoend::QueryRun| r.completed() && r.n_tables >= lo && r.n_tables <= hi;
-        let base_time: f64 = base
-            .queries
-            .iter()
-            .filter(in_bucket)
-            .map(|q| (q.exec + q.plan).as_secs_f64())
-            .sum();
+        let in_bucket = |q: &&QueryRun| q.completed() && q.n_tables >= lo && q.n_tables <= hi;
+        let bucket_secs = |run: &MethodRun| -> f64 {
+            let queries = run.queries.iter().filter(in_bucket);
+            queries.map(|q| (q.exec + q.plan).as_secs_f64()).sum()
+        };
+        let base_time = bucket_secs(base);
         let nq = base.queries.iter().filter(in_bucket).count();
         let _ = write!(s, "{label:<9} {nq:>9}");
         for k in shown {
-            let run = stats_runs.iter().find(|r| r.kind == k);
-            match run {
+            match stats_runs.iter().find(|r| r.kind == k) {
                 Some(run) => {
-                    let t: f64 = run
-                        .queries
-                        .iter()
-                        .filter(in_bucket)
-                        .map(|q| (q.exec + q.plan).as_secs_f64())
-                        .sum();
+                    let t = bucket_secs(run);
                     let impr = if base_time > 0.0 {
                         (base_time - t) / base_time * 100.0
                     } else {
@@ -601,61 +593,6 @@ pub fn table_faults(runs: &[MethodRun], workload_name: &str) -> String {
     s
 }
 
-/// Per-query "where did the time go" breakdown: for each method, the
-/// slowest queries with planning vs execution split and the operator
-/// counters that explain the execution side. `top_n` bounds the rows per
-/// method so a 146-query workload stays readable; pass `usize::MAX` for
-/// everything.
-pub fn table_time_breakdown(runs: &[MethodRun], workload_name: &str, top_n: usize) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Time breakdown ({workload_name}): slowest queries per method"
-    );
-    let _ = writeln!(
-        s,
-        "{:<12} {:>6} {:>10} {:>10} {:>6} | {:>12} {:>12} {:>7} {:>10}",
-        "Method", "Query", "Plan", "Exec", "Plan%", "Build", "Probe", "Spills", "Peak mem"
-    );
-    for run in runs {
-        let mut by_time: Vec<&crate::endtoend::QueryRun> =
-            run.queries.iter().filter(|q| q.completed()).collect();
-        by_time.sort_by_key(|q| std::cmp::Reverse(q.plan + q.exec));
-        for q in by_time.iter().take(top_n) {
-            let plan = q.plan.as_secs_f64();
-            let exec = q.exec.as_secs_f64();
-            let share = if plan + exec > 0.0 {
-                plan / (plan + exec) * 100.0
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                s,
-                "{:<12} {:>6} {:>10} {:>10} {:>5.1}% | {:>12} {:>12} {:>7} {:>10}",
-                run.kind.name(),
-                format!("Q{}", q.id),
-                fmt_duration(q.plan),
-                fmt_duration(q.exec),
-                share,
-                q.exec_stats.build_rows,
-                q.exec_stats.probe_rows,
-                q.exec_stats.partitions_spilled,
-                fmt_bytes(q.exec_stats.peak_intermediate_bytes as usize),
-            );
-        }
-        let skipped = run.queries.iter().filter(|q| !q.completed()).count();
-        if skipped > 0 {
-            let _ = writeln!(
-                s,
-                "{:<12} ({} failed queries omitted)",
-                run.kind.name(),
-                skipped
-            );
-        }
-    }
-    s
-}
-
 /// Figure 3 data: practicality aspects (inference latency, model size,
 /// training time) per method.
 pub fn figure3(runs: &[MethodRun], workload_name: &str) -> String {
@@ -705,7 +642,6 @@ pub fn figure1_dot(db: &Database) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endtoend::QueryRun;
     use crate::fault::QueryFailure;
 
     fn fake_run(kind: EstimatorKind, exec_ms: u64) -> MethodRun {
@@ -867,23 +803,6 @@ mod tests {
         assert!(pg.contains("1200"), "{pg}");
         assert!(pg.contains(" 6 "), "{pg}");
         assert!(pg.contains("8.0KB"), "{pg}");
-    }
-
-    #[test]
-    fn time_breakdown_sorts_and_bounds_rows() {
-        let mut run = fake_run(EstimatorKind::Postgres, 10);
-        run.queries[0].failure = Some(QueryFailure::Bind {
-            message: "x".into(),
-        });
-        let s = table_time_breakdown(&[run], "STATS-CEB", 2);
-        assert!(s.contains("Time breakdown"), "{s}");
-        // Q4 is the slowest fake query and must appear; the failed Q1
-        // must not get a timing row.
-        assert!(s.contains("Q4"), "{s}");
-        assert!(!s.contains("Q1 "), "{s}");
-        assert!(s.contains("(1 failed queries omitted)"), "{s}");
-        // top_n=2 over 3 completed queries drops Q2.
-        assert!(!s.contains("Q2"), "{s}");
     }
 
     #[test]

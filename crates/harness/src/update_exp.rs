@@ -8,20 +8,18 @@ use std::time::{Duration, Instant};
 use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::EstimatorKind;
-use cardbench_storage::{Table, TableId};
+use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
-use crate::endtoend::{run_workload, MethodRun};
+use crate::endtoend::run_workload;
 use crate::factory::build_estimator;
+use crate::fault::RunOptions;
 use crate::report::fmt_duration;
 
 /// Result of the update experiment for one method.
 #[derive(Debug, Clone)]
 pub struct UpdateResult {
-    /// Which estimator.
-    pub kind: EstimatorKind,
     /// Time to absorb the inserts.
     pub update_time: Duration,
     /// End-to-end time of the *fresh* model on the full data (Table 3
@@ -92,6 +90,12 @@ pub fn run_update_experiment(
     // Query-driven training set unused by the updatable (data-driven)
     // methods.
     let empty_train = cardbench_estimators::lw::TrainingSet::default();
+    let e2e = |db: &Database, est: &dyn CardEst| -> Duration {
+        run_workload(db, wl, est, &truth, cost, &RunOptions::default())
+            .iter()
+            .map(|q| q.exec + q.plan)
+            .sum()
+    };
 
     let mut results = Vec::new();
     for kind in EstimatorKind::ALL {
@@ -104,43 +108,23 @@ pub fn run_update_experiment(
         }
         // Fresh model on the full data (the Table 3 number).
         let fresh = build_estimator(kind, &full_db, &empty_train, settings);
-        let fresh_runs = run_workload(&full_db, wl, fresh.est.as_ref(), &truth, cost);
-        let e2e_fresh = MethodRun {
-            kind,
-            train_time: fresh.train_time,
-            model_size: fresh.model_size,
-            queries: fresh_runs,
-        }
-        .e2e_total();
+        let e2e_fresh = e2e(&full_db, fresh.est.as_ref());
 
         // Stale model + inserts + update.
         let stale_db = Database::new(stale_catalog.clone());
-        let mut stale = build_estimator(kind, &stale_db, &empty_train, settings);
+        let mut stale = build_estimator(kind, &stale_db, &empty_train, settings).est;
         let mut updated_db = stale_db;
-        for (t, d) in inserts.iter().enumerate() {
-            updated_db
-                .catalog_mut()
-                .table_mut(TableId(t))
-                .append_rows(d)
-                .expect("aligned schemas");
-        }
-        updated_db.refresh();
+        updated_db
+            .append_inserts(&inserts)
+            .expect("temporal split halves share schemas");
         let t0 = Instant::now();
-        stale.est.apply_inserts(&updated_db, &inserts);
+        stale.apply_inserts(&updated_db, &inserts);
         let update_time = t0.elapsed();
-        let updated_runs = run_workload(&updated_db, wl, stale.est.as_ref(), &truth, cost);
-        let e2e_updated = MethodRun {
-            kind,
-            train_time: stale.train_time,
-            model_size: stale.model_size,
-            queries: updated_runs,
-        }
-        .e2e_total();
+        let e2e_updated = e2e(&updated_db, stale.as_ref());
 
         results.push(UpdateRow {
             kind,
             outcome: Ok(UpdateResult {
-                kind,
                 update_time,
                 e2e_fresh,
                 e2e_updated,
@@ -148,13 +132,6 @@ pub fn run_update_experiment(
         });
     }
     results
-}
-
-/// The measured results of a row set (the [`UPDATABLE`] columns).
-pub fn updated_results(rows: &[UpdateRow]) -> Vec<&UpdateResult> {
-    rows.iter()
-        .filter_map(|r| r.outcome.as_ref().ok())
-        .collect()
 }
 
 /// Renders paper Table 6. Skipped kinds render `—` cells in the timing
@@ -193,87 +170,6 @@ pub fn table6(rows: &[UpdateRow]) -> String {
     s
 }
 
-/// The sketch estimator's three update strategies on one temporal
-/// shift, measured on the post-shift data: keep the stale model, stream
-/// the delta in (refresh-in-place), or rebuild from scratch.
-#[derive(Debug, Clone)]
-pub struct RefreshExperiment {
-    /// Median Q-Error of the stale model on the shifted data.
-    pub stale_q: f64,
-    /// Median Q-Error after streaming the inserts in.
-    pub refreshed_q: f64,
-    /// Median Q-Error of a from-scratch rebuild.
-    pub retrained_q: f64,
-    /// Time to stream the delta (O(1) per row).
-    pub refresh_time: Duration,
-    /// Time of the from-scratch rebuild.
-    pub retrain_time: Duration,
-    /// Rows streamed by the refresh.
-    pub delta_rows: usize,
-    /// Model size after refresh.
-    pub model_bytes: usize,
-    /// Whether the refreshed state is bit-identical to the rebuild (it
-    /// must be: insert streams and scans commute in a mergeable sketch).
-    pub refresh_matches_retrain: bool,
-}
-
-/// Runs the sketch refresh experiment: train on the pre-cutoff half of
-/// STATS, bulk-insert the rest, then compare stale / refresh-in-place /
-/// retrain on the shifted data. This is the update axis the mergeable
-/// sketches make first-class — the refresh needs no retrain pass, yet
-/// lands on exactly the retrained state.
-pub fn run_refresh_experiment(
-    stats_cfg: &StatsConfig,
-    wl: &Workload,
-    settings: &EstimatorSettings,
-    cost: &CostModel,
-) -> RefreshExperiment {
-    let full = stats_catalog(stats_cfg);
-    let (stale_catalog, inserts) = temporal_split(&full, SPLIT_DAY);
-    let delta_rows = inserts.iter().map(Table::row_count).sum();
-
-    let stale_db = Database::new(stale_catalog);
-    let stale = cardbench_sketch::SketchEst::fit(&stale_db, &settings.sketch);
-    let mut shifted_db = stale_db;
-    for (t, d) in inserts.iter().enumerate() {
-        shifted_db
-            .catalog_mut()
-            .table_mut(TableId(t))
-            .append_rows(d)
-            .expect("aligned schemas");
-    }
-    shifted_db.refresh();
-    // Truth on the shifted data needs a fresh cache.
-    let truth = TrueCardService::new();
-    let median_q = |est: &dyn cardbench_estimators::CardEst| {
-        let runs = run_workload(&shifted_db, wl, est, &truth, cost);
-        crate::adaptive::median_q_error(&runs)
-    };
-
-    let stale_q = median_q(&stale);
-    let mut refreshed = stale.clone();
-    let t0 = Instant::now();
-    cardbench_estimators::CardEst::apply_inserts(&mut refreshed, &shifted_db, &inserts);
-    let refresh_time = t0.elapsed();
-    let refreshed_q = median_q(&refreshed);
-
-    let t1 = Instant::now();
-    let retrained = cardbench_sketch::SketchEst::fit(&shifted_db, &settings.sketch);
-    let retrain_time = t1.elapsed();
-    let retrained_q = median_q(&retrained);
-
-    RefreshExperiment {
-        stale_q,
-        refreshed_q,
-        retrained_q,
-        refresh_time,
-        retrain_time,
-        delta_rows,
-        model_bytes: cardbench_estimators::CardEst::model_size_bytes(&refreshed),
-        refresh_matches_retrain: refreshed.state_digest() == retrained.state_digest(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,8 +193,11 @@ mod tests {
         // Every evaluated kind gets a row; exactly the UPDATABLE five
         // carry measurements, the rest are typed skips.
         assert_eq!(rows.len(), EstimatorKind::ALL.len());
-        let measured = updated_results(&rows);
-        assert_eq!(measured.len(), UPDATABLE.len());
+        let measured = |kind| {
+            rows.iter()
+                .find(|r| r.kind == kind)
+                .and_then(|r| r.outcome.as_ref().ok())
+        };
         for row in &rows {
             assert_eq!(
                 row.outcome.is_ok(),
@@ -308,14 +207,8 @@ mod tests {
             );
         }
         // BayesCard's incremental count update beats NeuroCard's retrain.
-        let bc = measured
-            .iter()
-            .find(|r| r.kind == EstimatorKind::BayesCard)
-            .unwrap();
-        let nc = measured
-            .iter()
-            .find(|r| r.kind == EstimatorKind::NeuroCardE)
-            .unwrap();
+        let bc = measured(EstimatorKind::BayesCard).unwrap();
+        let nc = measured(EstimatorKind::NeuroCardE).unwrap();
         assert!(
             bc.update_time < nc.update_time,
             "BayesCard {:?} vs NeuroCard {:?}",
@@ -333,41 +226,8 @@ mod tests {
         // Sketch is measured now, not skip-and-reported.
         assert!(!rendered.contains("skipped: Sketch"), "{rendered}");
         assert!(
-            measured.iter().any(|r| r.kind == EstimatorKind::Sketch),
+            measured(EstimatorKind::Sketch).is_some(),
             "Sketch missing from the measured set"
         );
-    }
-
-    #[test]
-    fn sketch_refresh_beats_stale_and_matches_retrain() {
-        let stats_cfg = StatsConfig::tiny(9);
-        let db = Database::new(stats_catalog(&stats_cfg));
-        let wl = stats_ceb(
-            &db,
-            &WorkloadConfig {
-                templates: 8,
-                queries: 10,
-                max_tables: 4,
-                ..WorkloadConfig::stats_ceb(9)
-            },
-        );
-        let settings = EstimatorSettings::fast(9);
-        let r = run_refresh_experiment(&stats_cfg, &wl, &settings, &CostModel::default());
-        assert!(r.delta_rows > 0);
-        assert!(r.model_bytes > 0);
-        // Streaming the delta lands on exactly the retrained state …
-        assert!(r.refresh_matches_retrain);
-        assert_eq!(r.refreshed_q, r.retrained_q);
-        // … and the refreshed model beats the stale one on the shifted
-        // data (the stale model has never seen half the rows).
-        assert!(
-            r.refreshed_q < r.stale_q,
-            "refreshed {} vs stale {}",
-            r.refreshed_q,
-            r.stale_q
-        );
-        for q in [r.stale_q, r.refreshed_q, r.retrained_q] {
-            assert!(q.is_finite() && q >= 1.0, "q-error {q}");
-        }
     }
 }

@@ -14,8 +14,8 @@ use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
-    build_estimator, estimate_all, plan_query_via, run_workload_with_options, Bench, BenchConfig,
-    MethodRun, QueryRun, RunOptions,
+    build_estimator, estimate_all, plan_query_via, results_from_json, results_to_json,
+    run_workload, Bench, BenchConfig, MethodRun, QueryRun, RunOptions,
 };
 use cardbench_support::proptest::prelude::*;
 
@@ -39,7 +39,7 @@ fn postgres_chaos(rate: f64, classes: Vec<FaultClass>) -> ChaosEst {
 
 fn run_with(est: &dyn CardEst, truth: &TrueCardService, opts: &RunOptions) -> Vec<QueryRun> {
     let b = bench();
-    run_workload_with_options(
+    run_workload(
         &b.stats_db,
         &b.stats_wl,
         est,
@@ -47,6 +47,14 @@ fn run_with(est: &dyn CardEst, truth: &TrueCardService, opts: &RunOptions) -> Ve
         &CostModel::default(),
         opts,
     )
+}
+
+/// Plain run options at two planning threads.
+fn two_threads() -> RunOptions {
+    RunOptions {
+        threads: 2,
+        ..RunOptions::default()
+    }
 }
 
 proptest! {
@@ -84,7 +92,7 @@ fn every_fault_class_survives_at_full_rate() {
     let truth = TrueCardService::new();
     for class in FaultClass::ALL {
         let chaos = postgres_chaos(1.0, vec![class]).delay(Duration::from_millis(5));
-        let mut opts = RunOptions::with_threads(2);
+        let mut opts = two_threads();
         // A 1ms budget converts every 5ms Delay fault into TimedOut.
         // Only set for Delay: the timeout check precedes the value
         // checks, so scheduler jitter on a loaded test machine could
@@ -145,7 +153,7 @@ fn every_fault_class_survives_at_full_rate() {
 fn chaos_run_matches_oracle_executed_results() {
     let b = bench();
     let truth = TrueCardService::new();
-    let opts = RunOptions::with_threads(2);
+    let opts = two_threads();
 
     let oracle = build_estimator(
         EstimatorKind::TrueCard,
@@ -186,7 +194,7 @@ fn killed_and_resumed_run_is_bit_identical() {
     ));
     let _ = std::fs::remove_file(&ckpt);
 
-    let mut opts = RunOptions::with_threads(2);
+    let mut opts = two_threads();
     opts.checkpoint = Some(ckpt.clone());
     let full = run_with(
         &postgres_chaos(0.3, FaultClass::VALUES.to_vec()),
@@ -240,7 +248,7 @@ fn memory_budget_aborts_queries_not_the_run() {
         &b.stats_train,
         &b.config.settings,
     );
-    let mut opts = RunOptions::with_threads(2);
+    let mut opts = two_threads();
     opts.mem_budget_bytes = Some(1);
     let runs = run_with(oracle.est.as_ref(), &truth, &opts);
     assert_eq!(runs.len(), b.stats_wl.queries.len());
@@ -347,7 +355,7 @@ fn all_nonfinite_run_completes_reporting() {
         1.0,
         vec![FaultClass::Nan, FaultClass::PosInf, FaultClass::NegInf],
     );
-    let queries = run_with(&chaos, &truth, &RunOptions::with_threads(2));
+    let queries = run_with(&chaos, &truth, &two_threads());
     let b = bench();
     assert_eq!(queries.len(), b.stats_wl.queries.len());
     for q in &queries {
@@ -376,15 +384,9 @@ fn all_nonfinite_run_completes_reporting() {
     assert!(faults.contains("ExclQE"), "{faults}");
     let t7 = cardbench_harness::report::table7(std::slice::from_ref(&run), "STATS-CEB");
     assert!(t7.contains('—'), "{t7}");
-    let breakdown =
-        cardbench_harness::report::table_time_breakdown(std::slice::from_ref(&run), "STATS-CEB", 3);
-    assert!(breakdown.contains("Time breakdown"), "{breakdown}");
-    let results = cardbench_harness::RunResults::collect(&[run], &[]);
-    let json = results.to_json();
-    let back = cardbench_harness::RunResults::from_json(&json).expect("results roundtrip");
-    assert_eq!(
-        back.summaries[0].excluded_qerrors,
-        results.summaries[0].excluded_qerrors
-    );
-    assert!(back.summaries[0].excluded_qerrors > 0);
+    let excluded = run.excluded_qerror_total();
+    assert!(excluded > 0);
+    let back =
+        results_from_json(&results_to_json(&[Vec::new(), vec![run]])).expect("results roundtrip");
+    assert_eq!(back[1][0].excluded_qerror_total(), excluded);
 }

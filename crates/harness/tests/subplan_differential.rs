@@ -282,7 +282,6 @@ fn independent_fits_and_updates_agree_bit_for_bit() {
     use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
     use cardbench_datagen::stats_catalog;
     use cardbench_engine::Database;
-    use cardbench_storage::TableId;
 
     let b = bench();
     let sets = ceb_subplan_sets();
@@ -305,13 +304,8 @@ fn independent_fits_and_updates_agree_bit_for_bit() {
             if !est.supports_update() {
                 return Vec::new(); // LW-XGB
             }
-            for (t, delta) in inserts.iter().enumerate() {
-                let table = db.catalog_mut().table_mut(TableId(t));
-                table
-                    .append_rows(delta)
-                    .expect("the split keeps the schema");
-            }
-            db.refresh();
+            db.append_inserts(&inserts)
+                .expect("the split keeps the schema");
             est.apply_inserts(&db, &inserts);
             bits(est.as_ref(), &db)
         });

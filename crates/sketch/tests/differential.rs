@@ -6,11 +6,10 @@
 
 use cardbench_datagen::stats::{churn_sample, temporal_split, SPLIT_DAY};
 use cardbench_datagen::{stats_catalog, StatsConfig};
-use cardbench_engine::Database;
+use cardbench_engine::{exact_cardinality, Database};
 use cardbench_estimators::CardEst;
 use cardbench_query::{connected_subsets, JoinQuery, Predicate, Region, SubPlanQuery, TableMask};
 use cardbench_sketch::{SketchConfig, SketchEst};
-use cardbench_storage::TableId;
 use cardbench_workload::{stats_ceb, WorkloadConfig};
 
 fn tiny_db(seed: u64) -> Database {
@@ -40,7 +39,8 @@ fn sharded_build_is_bit_identical_to_sequential() {
 
 /// Streaming the temporal-split delta into the stale model lands on
 /// exactly the state a from-scratch rebuild produces: refresh-in-place
-/// is a rebuild, minus the scan.
+/// is a rebuild, minus the scan. And it pays: on the shifted data the
+/// refreshed model's median sub-plan Q-Error is below the stale one's.
 #[test]
 fn insert_stream_refresh_matches_full_rebuild() {
     let full = stats_catalog(&StatsConfig::tiny(22));
@@ -49,21 +49,48 @@ fn insert_stream_refresh_matches_full_rebuild() {
 
     let stale_db = Database::new(stale_cat);
     let cfg = SketchConfig::with_seed(22);
-    let mut refreshed = SketchEst::fit(&stale_db, &cfg);
+    let stale = SketchEst::fit(&stale_db, &cfg);
+    let mut refreshed = stale.clone();
 
     let mut shifted = stale_db;
-    for (t, d) in inserts.iter().enumerate() {
-        shifted
-            .catalog_mut()
-            .table_mut(TableId(t))
-            .append_rows(d)
-            .unwrap();
-    }
-    shifted.refresh();
+    shifted.append_inserts(&inserts).unwrap();
     refreshed.apply_inserts(&shifted, &inserts);
 
     let rebuilt = SketchEst::fit_sharded(&shifted, &cfg, 1);
     assert_eq!(refreshed.state_digest(), rebuilt.state_digest());
+
+    let wl = stats_ceb(
+        &shifted,
+        &WorkloadConfig {
+            templates: 8,
+            queries: 10,
+            max_tables: 4,
+            ..WorkloadConfig::stats_ceb(22)
+        },
+    );
+    let median_q_error = |est: &SketchEst| {
+        let mut q_errors: Vec<f64> = wl
+            .queries
+            .iter()
+            .flat_map(|wq| {
+                connected_subsets(&wq.query)
+                    .into_iter()
+                    .map(|mask| SubPlanQuery::project(&wq.query, mask))
+            })
+            .map(|sub| {
+                let e = est.estimate(&shifted, &sub).max(1.0);
+                let t = exact_cardinality(&shifted, &sub.query).unwrap().max(1.0);
+                (e / t).max(t / e)
+            })
+            .collect();
+        q_errors.sort_by(f64::total_cmp);
+        q_errors[q_errors.len() / 2]
+    };
+    let (stale_q, refreshed_q) = (median_q_error(&stale), median_q_error(&refreshed));
+    assert!(
+        refreshed_q < stale_q,
+        "refreshed {refreshed_q} vs stale {stale_q}"
+    );
 }
 
 /// Batched estimation is bit-identical to one-at-a-time estimation over

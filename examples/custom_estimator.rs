@@ -9,7 +9,7 @@
 use cardbench::engine::{CostModel, Database, TrueCardService};
 use cardbench::estimators::postgres::PostgresEst;
 use cardbench::estimators::CardEst;
-use cardbench::harness::{run_workload, MethodRun};
+use cardbench::harness::{run_workload, MethodRun, RunOptions};
 use cardbench::metrics::percentile_triple;
 use cardbench::prelude::*;
 
@@ -56,11 +56,12 @@ fn main() {
     );
     let cost = CostModel::default();
     let truth = TrueCardService::new();
+    let opts = RunOptions::default();
 
     let custom = TenPercent;
-    let custom_runs = run_workload(&db, &wl, &custom, &truth, &cost);
+    let custom_runs = run_workload(&db, &wl, &custom, &truth, &cost, &opts);
     let pg = PostgresEst::fit(&db);
-    let pg_runs = run_workload(&db, &wl, &pg, &truth, &cost);
+    let pg_runs = run_workload(&db, &wl, &pg, &truth, &cost, &opts);
 
     for (name, runs) in [("TenPercent", custom_runs), ("PostgreSQL", pg_runs)] {
         let run = MethodRun {

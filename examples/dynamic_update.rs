@@ -14,7 +14,6 @@ use cardbench::estimators::deepdb::DeepDb;
 use cardbench::estimators::CardEst;
 use cardbench::metrics::q_error;
 use cardbench::query::{JoinEdge, JoinQuery, Predicate, Region, SubPlanQuery, TableMask};
-use cardbench::storage::TableId;
 
 fn main() {
     let cfg = StatsConfig {
@@ -36,13 +35,7 @@ fn main() {
 
     // Apply the inserts to the database, then to the models.
     let mut db = stale_db;
-    for (t, d) in inserts.iter().enumerate() {
-        db.catalog_mut()
-            .table_mut(TableId(t))
-            .append_rows(d)
-            .unwrap();
-    }
-    db.refresh();
+    db.append_inserts(&inserts).unwrap();
 
     let query = JoinQuery {
         tables: vec!["users".into(), "comments".into()],

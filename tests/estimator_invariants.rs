@@ -113,7 +113,6 @@ fn updatable_estimators_survive_inserts() {
     use cardbench::datagen::stats::{temporal_split, SPLIT_DAY};
     use cardbench::datagen::{stats_catalog, StatsConfig};
     use cardbench::engine::Database;
-    use cardbench::storage::TableId;
 
     let cfg = StatsConfig::tiny(44);
     let full = stats_catalog(&cfg);
@@ -134,13 +133,7 @@ fn updatable_estimators_survive_inserts() {
         let mut built = build_estimator(kind, &stale_db, &b_train, &settings);
         assert!(built.est.supports_update(), "{}", kind.name());
         let mut db = stale_db;
-        for (t, d) in inserts.iter().enumerate() {
-            db.catalog_mut()
-                .table_mut(TableId(t))
-                .append_rows(d)
-                .unwrap();
-        }
-        db.refresh();
+        db.append_inserts(&inserts).unwrap();
         built.est.apply_inserts(&db, &inserts);
         let sub = SubPlanQuery {
             mask: cardbench::query::TableMask::single(0),

@@ -4,7 +4,7 @@
 
 use cardbench_engine::{exact_cardinality, CostModel, TrueCardService};
 use cardbench_estimators::EstimatorKind;
-use cardbench_harness::{build_estimator, run_workload_with_threads, Bench, BenchConfig};
+use cardbench_harness::{build_estimator, run_workload, Bench, BenchConfig, RunOptions};
 use cardbench_query::{connected_subsets, SubPlanQuery};
 
 /// Sequential and 4-way-parallel runs must agree bit-for-bit on every
@@ -19,13 +19,16 @@ fn thread_count_does_not_change_results() {
         let built = build_estimator(kind, &b.stats_db, &b.stats_train, &b.config.settings);
         let run = |threads: usize| {
             let truth = TrueCardService::new();
-            run_workload_with_threads(
+            run_workload(
                 &b.stats_db,
                 &b.stats_wl,
                 built.est.as_ref(),
                 &truth,
                 &cost,
-                threads,
+                &RunOptions {
+                    threads,
+                    ..RunOptions::default()
+                },
             )
         };
         let seq = run(1);

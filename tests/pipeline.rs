@@ -3,7 +3,9 @@
 //! and assert the structural findings the paper reports.
 
 use cardbench::engine::{CostModel, TrueCardService};
-use cardbench::harness::{build_estimator, run_workload, Bench, BenchConfig, MethodRun};
+use cardbench::harness::{
+    build_estimator, run_workload, Bench, BenchConfig, MethodRun, RunOptions,
+};
 use cardbench::prelude::*;
 
 fn run_kind(b: &Bench, kind: EstimatorKind) -> MethodRun {
@@ -15,6 +17,7 @@ fn run_kind(b: &Bench, kind: EstimatorKind) -> MethodRun {
         built.est.as_ref(),
         &truth,
         &CostModel::default(),
+        &RunOptions::default(),
     );
     MethodRun {
         kind,
