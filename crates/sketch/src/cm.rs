@@ -11,13 +11,17 @@
 //! probes) near zero in expectation instead of accumulating `O(probes ·
 //! mass / width)`.
 
-use crate::{fold, mix64};
+use crate::{fold, mix64, Direction};
 
 /// A plain count-min sketch addressed by a pre-mixed 64-bit value hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountMin {
     depth: usize,
     width: usize,
+    /// `width - 1` when the width is a power of two: the cell index is
+    /// then `hash & mask`, the same number as `hash % width`. Fixed with
+    /// the width.
+    mask: Option<u64>,
     /// Total inserted minus deleted items (the CMM correction baseline).
     mass: u64,
     /// `depth × width` cells, row-major.
@@ -33,6 +37,7 @@ impl CountMin {
         CountMin {
             depth,
             width,
+            mask: width.is_power_of_two().then_some(width as u64 - 1),
             mass: 0,
             cells: vec![0; depth * width],
         }
@@ -43,29 +48,25 @@ impl CountMin {
         // Kirsch-Mitzenmacher style: derive per-row hashes from one
         // mixed base so adds and probes stay O(depth).
         let hr = mix64(h.wrapping_add((row as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-        row * self.width + (hr % self.width as u64) as usize
+        let col = match self.mask {
+            Some(mask) => hr & mask,
+            None => hr % self.width as u64,
+        };
+        row * self.width + col as usize
     }
 
-    /// Counts one occurrence of the item hashed to `h`.
+    /// Counts `n` occurrences of the item hashed to `h` in or out: the
+    /// cells `n` single updates would reach, in one saturating step each.
+    /// Deletes are strict turnstile — callers only delete previously
+    /// inserted items, so saturation never engages in correct use.
     #[inline]
-    pub fn add(&mut self, h: u64) {
+    pub(crate) fn update(&mut self, h: u64, n: u64, dir: Direction) {
+        let step = u32::try_from(n).unwrap_or(u32::MAX);
         for row in 0..self.depth {
             let i = self.cell_index(h, row);
-            self.cells[i] = self.cells[i].saturating_add(1);
+            self.cells[i] = dir.step_cell(self.cells[i], step);
         }
-        self.mass = self.mass.saturating_add(1);
-    }
-
-    /// Removes one occurrence (strict turnstile: callers only delete
-    /// previously inserted items, so saturation never engages in
-    /// correct use).
-    #[inline]
-    pub fn remove(&mut self, h: u64) {
-        for row in 0..self.depth {
-            let i = self.cell_index(h, row);
-            self.cells[i] = self.cells[i].saturating_sub(1);
-        }
-        self.mass = self.mass.saturating_sub(1);
+        self.mass = dir.step(self.mass, n);
     }
 
     /// Count-mean-min frequency estimate for the item hashed to `h`:
@@ -150,22 +151,16 @@ impl DyadicCm {
         }
     }
 
-    /// Counts one occurrence of `v` at every prefix level (O(1): 8
-    /// levels × depth cell touches).
-    #[inline]
-    pub fn add(&mut self, v: i64, seed: u64) {
-        let u = map_value(v);
-        for (level, cm) in self.levels.iter_mut().enumerate() {
-            cm.add(level_hash(seed, level, u >> (LEVEL_BITS as usize * level)));
-        }
-    }
-
-    /// Removes one occurrence of `v`.
-    #[inline]
-    pub fn remove(&mut self, v: i64, seed: u64) {
-        let u = map_value(v);
-        for (level, cm) in self.levels.iter_mut().enumerate() {
-            cm.remove(level_hash(seed, level, u >> (LEVEL_BITS as usize * level)));
+    /// Opens a stream of values into (or out of) this sketch under a
+    /// column seed; [`DyadicStream::finish`] completes it.
+    pub(crate) fn stream(&mut self, seed: u64, dir: Direction) -> DyadicStream<'_> {
+        DyadicStream {
+            cm: self,
+            seed,
+            dir,
+            last: None,
+            pushed: 0,
+            began: [0; LEVELS],
         }
     }
 
@@ -239,16 +234,82 @@ impl DyadicCm {
     }
 }
 
+/// A stream of values into a [`DyadicCm`], counted in runs. Consecutive
+/// values with the same prefix at a level reach the same cells there,
+/// so each level is hashed once per run of its prefix and its cells
+/// take the run's length in one saturating step — the state `n` single
+/// updates leave. A prefix unchanged at level `L` is unchanged at every
+/// level above, so a value closes runs only below the lowest level it
+/// shares with the value before it.
+pub(crate) struct DyadicStream<'a> {
+    cm: &'a mut DyadicCm,
+    seed: u64,
+    dir: Direction,
+    /// Mapped value of the last value pushed: every open run counts one
+    /// of its prefixes.
+    last: Option<u32>,
+    /// Values pushed so far.
+    pushed: u64,
+    /// Per level, the `pushed` count at which its open run began.
+    began: [u64; LEVELS],
+}
+
+impl DyadicStream<'_> {
+    /// Counts one value.
+    #[inline]
+    pub(crate) fn push(&mut self, v: i64) {
+        let u = map_value(v);
+        if let Some(last) = self.last {
+            // Level `l`'s prefix differs iff some bit at or above
+            // `LEVEL_BITS·l` does: the levels up to the highest one.
+            let changed = (32 - (u ^ last).leading_zeros()).div_ceil(LEVEL_BITS) as usize;
+            for level in 0..changed {
+                self.close(level, last);
+                self.began[level] = self.pushed;
+            }
+        }
+        self.last = Some(u);
+        self.pushed += 1;
+    }
+
+    /// Closes every open run.
+    pub(crate) fn finish(mut self) {
+        if let Some(last) = self.last {
+            for level in 0..LEVELS {
+                self.close(level, last);
+            }
+        }
+    }
+
+    /// Counts the open run at `level`, whose prefix is `last`'s.
+    #[inline]
+    fn close(&mut self, level: usize, last: u32) {
+        let prefix = last >> (LEVEL_BITS as usize * level);
+        let h = level_hash(self.seed, level, prefix);
+        self.cm.levels[level].update(h, self.pushed - self.began[level], self.dir);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction::{Delete, Insert};
+
+    /// Streams `values` into `d` in one stream.
+    fn stream_all(d: &mut DyadicCm, values: impl IntoIterator<Item = i64>, seed: u64) {
+        let mut s = d.stream(seed, Insert);
+        for v in values {
+            s.push(v);
+        }
+        s.finish();
+    }
 
     #[test]
     fn point_counts_are_close() {
         let mut cm = CountMin::new(2, 64);
         for v in 0..500u64 {
             for _ in 0..(v % 7 + 1) {
-                cm.add(mix64(v));
+                cm.update(mix64(v), 1, Insert);
             }
         }
         for v in [3u64, 100, 499] {
@@ -262,19 +323,36 @@ mod tests {
     fn remove_undoes_add_bitwise() {
         let mut cm = CountMin::new(3, 32);
         for v in 0..200u64 {
-            cm.add(mix64(v));
+            cm.update(mix64(v), 1, Insert);
         }
         let mut d0 = 0u64;
         cm.digest_into(&mut d0);
         for v in 200..300u64 {
-            cm.add(mix64(v));
+            cm.update(mix64(v), 1, Insert);
         }
         for v in 200..300u64 {
-            cm.remove(mix64(v));
+            cm.update(mix64(v), 1, Delete);
         }
         let mut d1 = 0u64;
         cm.digest_into(&mut d1);
         assert_eq!(d0, d1, "delete stream did not restore the sketch");
+    }
+
+    #[test]
+    fn masked_index_is_the_remainder() {
+        for width in [1usize, 2, 16, 17, 32, 33, 64] {
+            let cm = CountMin::new(3, width);
+            assert_eq!(cm.mask.is_some(), width.is_power_of_two());
+            for v in 0..200u64 {
+                let h = mix64(v);
+                for row in 0..3 {
+                    let hr =
+                        mix64(h.wrapping_add((row as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+                    let want = row * width + (hr % width as u64) as usize;
+                    assert_eq!(cm.cell_index(h, row), want, "width {width}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -284,11 +362,11 @@ mod tests {
         let mut b = CountMin::new(2, 16);
         for v in 0..1000u64 {
             let h = mix64(v);
-            all.add(h);
+            all.update(h, 1, Insert);
             if v % 3 == 0 {
-                a.add(h);
+                a.update(h, 1, Insert);
             } else {
-                b.add(h);
+                b.update(h, 1, Insert);
             }
         }
         a.merge(&b);
@@ -300,9 +378,11 @@ mod tests {
         let mut d = DyadicCm::new(2, 32);
         let seed = 0xfeed;
         // 10k values uniform in [0, 2000).
-        for i in 0..10_000u64 {
-            d.add((mix64(i) % 2000) as i64, seed);
-        }
+        stream_all(
+            &mut d,
+            (0..10_000u64).map(|i| (mix64(i) % 2000) as i64),
+            seed,
+        );
         let est = d.range(0, 999, seed);
         // Half the mass, within a loose sketch tolerance.
         assert!(
@@ -321,9 +401,7 @@ mod tests {
     fn dyadic_extreme_bounds_are_safe() {
         let mut d = DyadicCm::new(1, 8);
         let seed = 1;
-        for v in [i64::MIN, i64::MAX, 0, -1, 1] {
-            d.add(v, seed);
-        }
+        stream_all(&mut d, [i64::MIN, i64::MAX, 0, -1, 1], seed);
         for (lo, hi) in [
             (i64::MIN, i64::MAX),
             (i64::MIN, i64::MIN),

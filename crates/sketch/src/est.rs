@@ -5,13 +5,13 @@ use std::ops::Range;
 use cardbench_engine::Database;
 use cardbench_obs::{counter_add, span_with};
 use cardbench_query::{BoundPredicate, BoundQuery, Region, SubPlanQuery};
-use cardbench_storage::{Table, TableSchema};
+use cardbench_storage::{Column, Table, TableSchema};
 use cardbench_support::hash::FnvHashMap;
 use cardbench_support::par;
 
 use crate::cm::{CountMin, DyadicCm};
 use crate::hll::Hll;
-use crate::{fnv_str, fold, mix64, SketchConfig};
+use crate::{fnv_str, fold, mix64, Direction, SketchConfig};
 
 /// Per-attribute synopsis: distinct count (every column), dyadic
 /// frequency (filterable columns), point frequency (join keys), plus
@@ -47,39 +47,61 @@ impl ColumnSketch {
         }
     }
 
-    #[inline]
-    fn insert(&mut self, d: Option<i64>) {
-        match d {
-            None => self.nulls += 1,
-            Some(v) => {
-                let h = mix64(self.seed ^ v as u64);
-                self.distinct.insert_hash(h);
-                if let Some(f) = &mut self.freq {
-                    f.add(v, self.seed);
+    /// The streaming kernel: moves rows `rows` of `col` into or out of
+    /// every sketch of this column in one pass. A run of equal values is
+    /// hashed once and reaches the key count-min as one update of its
+    /// length; the dyadic sketch counts prefix runs per level (see
+    /// [`crate::cm::DyadicStream`]). The distinct count is refreshed at
+    /// most once, at the end, and only if a register rose. Deletes touch
+    /// counts only: registers and observed bounds cannot shrink
+    /// (documented overestimate).
+    fn stream(&mut self, col: &Column, rows: Range<usize>, dir: Direction) {
+        let insert = dir == Direction::Insert;
+        // Deletes need a value's hash only for the key count-min.
+        let hashed = insert || self.key_freq.is_some();
+        let mut freq = self.freq.as_mut().map(|f| f.stream(self.seed, dir));
+        // The run of equal values being counted: value, hash, length.
+        let mut run: Option<(i64, u64, u64)> = None;
+        let mut nulls = 0u64;
+        let mut rose = false;
+        for r in rows {
+            if col.is_null(r) {
+                nulls += 1;
+                continue;
+            }
+            let v = col.value_unchecked(r);
+            if let Some(f) = &mut freq {
+                f.push(v);
+            }
+            if let Some((last, _, n)) = &mut run {
+                if *last == v {
+                    *n += 1;
+                    continue;
                 }
-                if let Some(k) = &mut self.key_freq {
-                    k.add(h);
-                }
+            }
+            let h = if hashed {
+                mix64(self.seed ^ v as u64)
+            } else {
+                0
+            };
+            if let (Some((_, last_h, n)), Some(k)) = (run.replace((v, h, 1)), &mut self.key_freq) {
+                k.update(last_h, n, dir);
+            }
+            if insert {
+                rose |= self.distinct.raise(h);
                 self.min = self.min.min(v);
                 self.max = self.max.max(v);
             }
         }
-    }
-
-    #[inline]
-    fn remove(&mut self, d: Option<i64>) {
-        match d {
-            None => self.nulls = self.nulls.saturating_sub(1),
-            Some(v) => {
-                // Counts reverse exactly; the HLL registers and observed
-                // bounds cannot shrink (documented overestimate).
-                if let Some(f) = &mut self.freq {
-                    f.remove(v, self.seed);
-                }
-                if let Some(k) = &mut self.key_freq {
-                    k.remove(mix64(self.seed ^ v as u64));
-                }
-            }
+        if let Some(f) = freq {
+            f.finish();
+        }
+        if let (Some((_, h, n)), Some(k)) = (run, &mut self.key_freq) {
+            k.update(h, n, dir);
+        }
+        self.nulls = dir.step(self.nulls, nulls);
+        if rose {
+            self.distinct.refresh();
         }
     }
 
@@ -148,30 +170,20 @@ impl TableSketch {
     /// sharded-scan unit).
     pub fn scan(table: &Table, range: Range<usize>, cfg: &SketchConfig) -> TableSketch {
         let mut ts = TableSketch::empty(table.schema(), cfg);
-        for r in range {
-            ts.insert_row(table, r);
-        }
+        ts.stream(table, range, Direction::Insert);
         ts
     }
 
-    /// Streams one row in: O(1) — a constant number of cell touches per
-    /// column.
-    #[inline]
-    pub fn insert_row(&mut self, table: &Table, r: usize) {
+    /// Streams rows `rows` of `table` in or out, one column at a time:
+    /// O(1) cell touches per row and column, fewer where consecutive
+    /// values repeat or share dyadic prefixes. Deletes reverse counts
+    /// exactly; distinct counts and observed bounds keep their
+    /// high-water marks.
+    pub(crate) fn stream(&mut self, table: &Table, rows: Range<usize>, dir: Direction) {
         for (c, cs) in self.cols.iter_mut().enumerate() {
-            cs.insert(table.column(c).get(r));
+            cs.stream(table.column(c), rows.clone(), dir);
         }
-        self.rows += 1;
-    }
-
-    /// Streams one row out (counts reverse exactly; distinct counts and
-    /// observed bounds keep their high-water marks).
-    #[inline]
-    pub fn remove_row(&mut self, table: &Table, r: usize) {
-        for (c, cs) in self.cols.iter_mut().enumerate() {
-            cs.remove(table.column(c).get(r));
-        }
-        self.rows = self.rows.saturating_sub(1);
+        self.rows = dir.step(self.rows, rows.len() as u64);
     }
 
     /// Merges a partial sketch built over a disjoint row range.
@@ -286,17 +298,19 @@ impl SketchEst {
     /// observed bounds keep their high-water marks, so post-delete
     /// estimates can only err upward.
     pub fn apply_deletes(&mut self, delta: &[Table]) {
-        let mut removed = 0u64;
-        for (t, d) in delta.iter().enumerate() {
-            if t >= self.tables.len() {
-                break;
-            }
-            for r in 0..d.row_count() {
-                self.tables[t].remove_row(d, r);
-            }
-            removed += d.row_count() as u64;
-        }
+        let removed = self.stream_delta(delta, Direction::Delete);
         counter_add("cardbench_sketch_deletes_total", &[], removed);
+    }
+
+    /// Streams every row of `delta` (`delta[i]` aligns with catalog
+    /// table `i`) in or out; returns the rows streamed.
+    fn stream_delta(&mut self, delta: &[Table], dir: Direction) -> u64 {
+        let mut streamed = 0u64;
+        for (ts, d) in self.tables.iter_mut().zip(delta) {
+            ts.stream(d, 0..d.row_count(), dir);
+            streamed += d.row_count() as u64;
+        }
+        streamed
     }
 
     /// FNV digest of the complete integer state — the fingerprint the
@@ -480,16 +494,7 @@ impl cardbench_estimators::CardEst for SketchEst {
     /// bit-identical to a from-scratch rebuild on the union (the
     /// refresh-equals-retrain differential).
     fn apply_inserts(&mut self, _db: &Database, delta: &[Table]) {
-        let mut added = 0u64;
-        for (t, d) in delta.iter().enumerate() {
-            if t >= self.tables.len() {
-                break;
-            }
-            for r in 0..d.row_count() {
-                self.tables[t].insert_row(d, r);
-            }
-            added += d.row_count() as u64;
-        }
+        let added = self.stream_delta(delta, Direction::Insert);
         counter_add("cardbench_sketch_inserts_total", &[], added);
     }
 }
@@ -498,7 +503,10 @@ impl cardbench_estimators::CardEst for SketchEst {
 mod tests {
     use super::*;
     use cardbench_estimators::CardEst;
-    use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, TableId};
+    use cardbench_storage::{Catalog, ColumnDef, ColumnKind, TableId};
+    use cardbench_support::proptest::prelude::*;
+    use cardbench_support::rand::rngs::StdRng;
+    use cardbench_support::rand::Rng;
 
     fn tiny_db() -> Database {
         let mut c = Catalog::new();
@@ -624,5 +632,145 @@ mod tests {
         let kb = est.model_size_bytes() / 1024;
         assert!(kb < 16, "model unexpectedly large: {kb} KB");
         assert!(est.model_size_bytes() > 0);
+    }
+
+    /// Values at and beyond the i32 clamp, where the dyadic mapping
+    /// saturates (±2^31 edges, i64 extremes).
+    const EDGES: [i64; 9] = [
+        i64::MIN,
+        -(1 << 31) - 1,
+        -(1 << 31),
+        -1,
+        0,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 31) + 1,
+        i64::MAX,
+    ];
+
+    /// A random column laid out in runs of the shapes run detection
+    /// cares about: NULL runs, constant runs, sorted runs, shuffled
+    /// values, values alternating in the high prefix bits, and values at
+    /// the i32 clamp.
+    fn shaped_column(rng: &mut StdRng, n: usize) -> Column {
+        let mut datums = Vec::with_capacity(n);
+        while datums.len() < n {
+            let len = rng.gen_range(1..=(n - datums.len()).min(40)) as i64;
+            let shape = rng.gen_range(0..6);
+            let base = rng.gen_range(-3000i64..3000);
+            let step = rng.gen_range(0i64..20);
+            for i in 0..len {
+                datums.push(match shape {
+                    0 => None,
+                    1 => Some(base),
+                    2 => Some(base + i * step),
+                    3 => Some(rng.gen_range(-5000i64..5000)),
+                    4 => Some([base, base ^ (1 << 30), -base - 1][i as usize % 3]),
+                    _ => Some(EDGES[rng.gen_range(0..EDGES.len())]),
+                });
+            }
+        }
+        Column::from_datums(datums)
+    }
+
+    /// A table with one column of every kind, each shaped at random.
+    fn shaped_table(rng: &mut StdRng, n: usize) -> Table {
+        let kinds = [
+            ColumnKind::PrimaryKey,
+            ColumnKind::ForeignKey,
+            ColumnKind::Numeric,
+            ColumnKind::Categorical,
+        ];
+        let defs = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| ColumnDef::new(format!("c{i}"), k))
+            .collect();
+        let cols = kinds.iter().map(|_| shaped_column(rng, n)).collect();
+        Table::from_columns(TableSchema::new("t", defs), cols).unwrap()
+    }
+
+    fn rows_of(table: &Table, rows: Range<usize>) -> Table {
+        table.take_rows(&rows.collect::<Vec<_>>())
+    }
+
+    fn digest(ts: &TableSketch) -> u64 {
+        let mut d = 0;
+        ts.digest_into(&mut d);
+        d
+    }
+
+    /// Streams `table` one row per call: no run spans two rows.
+    fn stream_rowwise(ts: &mut TableSketch, table: &Table, dir: Direction) {
+        for r in 0..table.row_count() {
+            ts.stream(table, r..r + 1, dir);
+        }
+    }
+
+    fn assert_distinct_cached(ts: &TableSketch, after: &str) {
+        for (c, cs) in ts.cols.iter().enumerate() {
+            assert_eq!(
+                cs.distinct.estimate().to_bits(),
+                cs.distinct.fresh_estimate().to_bits(),
+                "column {c} after {after}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Streaming a delta in one call, runs shared, lands on the
+        /// state of streaming it one row per call, for inserts and for
+        /// deletes (saturating ones included); every cached distinct
+        /// count equals a fresh recomputation after each step.
+        #[test]
+        fn streaming_in_runs_equals_row_at_a_time(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            odd in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let table = shaped_table(&mut rng, n);
+            let cfg = if odd {
+                SketchConfig {
+                    cm_width: 17,
+                    key_cm_width: 33,
+                    cm_depth: 3,
+                    hll_precision: 4,
+                    ..SketchConfig::with_seed(seed)
+                }
+            } else {
+                SketchConfig::with_seed(seed)
+            };
+            let whole = TableSketch::scan(&table, 0..n, &cfg);
+            assert_distinct_cached(&whole, "scan");
+
+            // Fit the first rows as two merged shards.
+            let stale_rows = rng.gen_range(0..=n);
+            let split = rng.gen_range(0..=stale_rows);
+            let mut fit = TableSketch::scan(&table, 0..split, &cfg);
+            fit.merge(&TableSketch::scan(&table, split..stale_rows, &cfg));
+            assert_distinct_cached(&fit, "merge");
+
+            let delta = rows_of(&table, stale_rows..n);
+            let mut runs = fit.clone();
+            runs.stream(&delta, 0..delta.row_count(), Direction::Insert);
+            let mut rowwise = fit;
+            stream_rowwise(&mut rowwise, &delta, Direction::Insert);
+            prop_assert_eq!(digest(&runs), digest(&rowwise));
+            prop_assert_eq!(digest(&runs), digest(&whole));
+            assert_distinct_cached(&runs, "inserts");
+
+            // Delete a random run of rows; twice over saturates counts.
+            let lo = rng.gen_range(0..=n);
+            let doomed = rows_of(&table, lo..rng.gen_range(lo..=n));
+            for pass in 0..2 {
+                runs.stream(&doomed, 0..doomed.row_count(), Direction::Delete);
+                stream_rowwise(&mut rowwise, &doomed, Direction::Delete);
+                prop_assert_eq!(digest(&runs), digest(&rowwise), "delete pass {}", pass);
+                assert_distinct_cached(&runs, "deletes");
+            }
+        }
     }
 }

@@ -7,30 +7,50 @@
 //! the sharded build's bit-identity rests on. The estimator applies the
 //! HLL++ linear-counting small-range correction; with 64-bit hashes no
 //! large-range correction is needed.
+//!
+//! The estimate is derived state: it is a pure function of the
+//! registers, kept beside them and recomputed only when a `&mut` call
+//! raised one, so reading it costs a load.
 
 use crate::fold;
 
 /// A dense HyperLogLog++ sketch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Hll {
     precision: u8,
     regs: Vec<u8>,
+    /// [`Hll::fresh_estimate`] of `regs` as of the last `&mut` call.
+    est: f64,
 }
+
+/// Equal registers give equal estimates, so the cache takes no part.
+impl PartialEq for Hll {
+    fn eq(&self, other: &Hll) -> bool {
+        self.precision == other.precision && self.regs == other.regs
+    }
+}
+
+impl Eq for Hll {}
 
 impl Hll {
     /// Creates an empty sketch with `2^precision` registers
     /// (`precision` clamped to `[4, 16]`).
     pub fn new(precision: u8) -> Hll {
         let precision = precision.clamp(4, 16);
-        Hll {
+        let mut hll = Hll {
             precision,
             regs: vec![0; 1 << precision],
-        }
+            est: 0.0,
+        };
+        hll.refresh();
+        hll
     }
 
-    /// Observes one hashed value.
+    /// Observes one hashed value without refreshing the estimate;
+    /// returns whether a register rose. A caller that gets `true` must
+    /// [`Hll::refresh`] before its `&mut` call returns.
     #[inline]
-    pub fn insert_hash(&mut self, h: u64) {
+    pub(crate) fn raise(&mut self, h: u64) -> bool {
         let p = self.precision as u32;
         let idx = (h >> (64 - p)) as usize;
         // Rank of the remaining 64-p bits: leading zeros + 1, where an
@@ -43,22 +63,42 @@ impl Hll {
         };
         if rank > self.regs[idx] {
             self.regs[idx] = rank;
+            true
+        } else {
+            false
         }
+    }
+
+    /// Recomputes the cached estimate from the registers.
+    pub(crate) fn refresh(&mut self) {
+        self.est = self.fresh_estimate();
     }
 
     /// Merges another sketch (element-wise register max). Panics if the
     /// precisions differ — sketches are only mergeable within one config.
     pub fn merge(&mut self, other: &Hll) {
         assert_eq!(self.precision, other.precision, "HLL precision mismatch");
+        let mut rose = false;
         for (a, b) in self.regs.iter_mut().zip(&other.regs) {
             if *b > *a {
                 *a = *b;
+                rose = true;
             }
+        }
+        if rose {
+            self.refresh();
         }
     }
 
     /// Estimated number of distinct inserted values.
+    #[inline]
     pub fn estimate(&self) -> f64 {
+        self.est
+    }
+
+    /// The estimate computed from the registers now, which
+    /// [`Hll::estimate`] caches.
+    pub(crate) fn fresh_estimate(&self) -> f64 {
         let m = self.regs.len() as f64;
         let alpha = match self.regs.len() {
             16 => 0.673,
@@ -77,7 +117,8 @@ impl Hll {
         }
     }
 
-    /// Heap footprint in bytes.
+    /// Heap footprint in bytes (the registers; the cached estimate is
+    /// derived).
     pub fn size_bytes(&self) -> usize {
         self.regs.len()
     }
@@ -95,6 +136,15 @@ impl Hll {
 mod tests {
     use super::*;
     use crate::mix64;
+
+    impl Hll {
+        /// Observes one hashed value, as a `&mut` call of its own.
+        fn insert_hash(&mut self, h: u64) {
+            if self.raise(h) {
+                self.refresh();
+            }
+        }
+    }
 
     #[test]
     fn estimates_within_expected_error() {

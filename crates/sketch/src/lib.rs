@@ -16,21 +16,25 @@
 //!
 //! - **Merge-closed integer state.** All sketch state is integral (u8
 //!   HLL registers combined by `max`, u32 count-min cells combined by
-//!   saturating `+`, u64 counts, i64 min/max); floats appear only at
-//!   estimate time. Every combine is commutative and associative, so a
-//!   sharded build — one sketch set per table row range, scoped threads
-//!   from `cardbench_support::par`, partials merged in shard order — is
-//!   *bit-identical* to the single-threaded scan, for any shard count.
+//!   saturating `+`, u64 counts, i64 min/max); the one float kept, each
+//!   HLL's distinct count, is derived from its registers and recomputed
+//!   by the `&mut` call that raised one. Every combine is commutative
+//!   and associative, so a sharded build — one sketch set per table row
+//!   range, scoped threads from `cardbench_support::par`, partials
+//!   merged in shard order — is *bit-identical* to the single-threaded
+//!   scan, for any shard count.
 //! - **O(1) streaming updates.** Inserting (or deleting) a row touches a
 //!   constant number of cells per column, so `apply_inserts` absorbs a
-//!   `temporal_split` delta in one pass with no retrain; for inserts the
-//!   refreshed state is bit-identical to a from-scratch rebuild on the
-//!   union (deletes keep counts exact but cannot shrink HLL registers or
-//!   observed min/max — a documented overestimate).
-//! - **Microsecond estimates.** An estimate is a few dozen array probes;
-//!   no sampling, no inference pass, and `estimate_batch` memoizes
-//!   per-table selectivities across sub-plans while staying bit-identical
-//!   to the sequential path.
+//!   `temporal_split` delta in one pass with no retrain. One kernel
+//!   streams fit, inserts and deletes a column at a time and counts a
+//!   run of equal values, or of values sharing a dyadic prefix, once.
+//!   For inserts the refreshed state is bit-identical to a from-scratch
+//!   rebuild on the union (deletes keep counts exact but cannot shrink
+//!   HLL registers or observed min/max — a documented overestimate).
+//! - **Microsecond estimates.** An estimate is a few dozen array probes
+//!   over cached distinct counts; no sampling, no inference pass, and
+//!   `estimate_batch` memoizes per-table selectivities across sub-plans
+//!   while staying bit-identical to the sequential path.
 //!
 //! Observability: builds run under a `sketch_build` span; merges,
 //! streamed rows, and estimates tick the
@@ -85,6 +89,38 @@ impl Default for SketchConfig {
             cm_width: 16,
             key_cm_width: 32,
             shards: 0,
+        }
+    }
+}
+
+/// Which way a stream of rows moves the sketches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Rows arrive: counts rise; registers and bounds may rise.
+    Insert,
+    /// Rows leave: counts fall, saturating at zero; registers and bounds
+    /// keep their high-water marks.
+    Delete,
+}
+
+impl Direction {
+    /// One saturating step of `n` on a count. `n` steps of one land on
+    /// the same value, so a run of `n` equal updates may be applied at
+    /// once.
+    #[inline]
+    pub(crate) fn step(self, count: u64, n: u64) -> u64 {
+        match self {
+            Direction::Insert => count.saturating_add(n),
+            Direction::Delete => count.saturating_sub(n),
+        }
+    }
+
+    /// [`Direction::step`] on a 32-bit cell.
+    #[inline]
+    pub(crate) fn step_cell(self, cell: u32, n: u32) -> u32 {
+        match self {
+            Direction::Insert => cell.saturating_add(n),
+            Direction::Delete => cell.saturating_sub(n),
         }
     }
 }

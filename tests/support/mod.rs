@@ -1,5 +1,5 @@
 //! A counting `#[global_allocator]` for the allocation tests
-//! (`exec_alloc`, `infer_alloc`): the system allocator, counting the
+//! (`exec_alloc`, `infer_alloc`, `sketch_alloc`): the system allocator, counting the
 //! requests made while armed. A test binary that declares
 //! `mod support;` runs on it.
 //!
