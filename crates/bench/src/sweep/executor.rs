@@ -1,23 +1,27 @@
 //! Join-kernel scaling sweep.
 //!
 //! - `join_build`: the hash, merge and index-nested-loop kernels at
-//!   build sides from 10^3 to 10^6 rows (probe = 2× build).
+//!   build sides from 10^3 to 10^6 rows (probe = 2× build), on uniform
+//!   keys and on run-heavy keys.
 //! - `root_emit`: a root join that only counts its matches against one
 //!   that writes both match vectors, at 10^5 to 4·10^6 output rows.
-//! - `sort`: the radix `(key, row)` sort of the merge / INL kernels on
-//!   duplicate-heavy and uniform keys, 10^4 to 4·10^6 rows.
+//! - `sort`: the radix run sort of the merge / INL kernels on
+//!   duplicate-heavy, run-heavy and uniform keys, 10^4 to 4·10^6 rows.
 //! - `arena`: a three-table plan through one warm `ExecScratch` against
 //!   a fresh arena per execution.
 //!
-//! That every kernel and emit mode returns the same matches, and that
-//! the radix sort equals a comparison sort, is `tests/executor_differential.rs`.
+//! Run-heavy keys are what STATS-CEB's FK-FK intermediates look like:
+//! the same key repeated in long runs (mean length [`MEAN_RUN`]), few
+//! distinct keys per row. That every kernel and emit mode returns the
+//! same matches in the same order, and that the run sort expands to the
+//! pair sort it replaced, is `tests/executor_differential.rs`.
 
 use cardbench_support::json::Json;
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 
 use cardbench_engine::{
-    execute, execute_with, join_emit_with, join_matches_with, sort_key_pairs, Database, Emit,
+    execute, execute_with, join_emit_with, join_matches_with, sort_key_runs, Database, Emit,
     ExecScratch, ExecStats, JoinAlgo, PhysicalPlan, ScanMethod, HASH_SPILL_ROWS,
 };
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, TableMask};
@@ -31,33 +35,56 @@ fn gen_keys(rng: &mut StdRng, n: usize, domain: i64) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(0..domain)).collect()
 }
 
+/// Generates `n` keys over `0..domain`.
+type KeyGen = fn(&mut StdRng, usize, i64) -> Vec<i64>;
+
+/// Mean run length of run-heavy keys (a `ceb_e2e` plan's 8.0 M-row
+/// build side holds 231 k runs, ~35 rows each).
+const MEAN_RUN: usize = 32;
+
+/// Run-heavy keys: runs of 1..2·[`MEAN_RUN`] copies of one key uniform
+/// in `0..domain`, `n` rows in all.
+fn gen_runs(rng: &mut StdRng, n: usize, domain: i64) -> Vec<i64> {
+    let mut keys = Vec::with_capacity(n);
+    while keys.len() < n {
+        let (key, len) = (rng.gen_range(0..domain), rng.gen_range(1..2 * MEAN_RUN));
+        keys.extend(std::iter::repeat_n(key, len.min(n - keys.len())));
+    }
+    keys
+}
+
 const ALGOS: [(&str, JoinAlgo); 3] = [
     ("hash", JoinAlgo::Hash),
     ("merge", JoinAlgo::Merge),
     ("inl", JoinAlgo::IndexNestedLoop),
 ];
 
-/// Build + probe of `n` build rows against `2n` probe rows, keys uniform
-/// in `0..n`; the hash kernel spills above [`HASH_SPILL_ROWS`].
+/// Build + probe of `n` build rows against `2n` probe rows, keys in
+/// `0..n` — uniform, then in runs (`n / 32` distinct keys per side,
+/// about `2n` matches either way); the hash kernel spills above
+/// [`HASH_SPILL_ROWS`].
 fn sweep_join_build(rng: &mut StdRng, n: usize, samples: usize) -> Json {
-    let rkeys = gen_keys(rng, n, n as i64);
-    let lkeys = gen_keys(rng, 2 * n, n as i64);
     let mut scratch = ExecScratch::new();
     let mut fields = vec![
         ("build_rows".to_string(), Json::Number(n as f64)),
         ("probe_rows".to_string(), Json::Number(2.0 * n as f64)),
     ];
-    for (label, algo) in ALGOS {
-        let spill = match algo {
-            JoinAlgo::Hash => HASH_SPILL_ROWS,
-            _ => usize::MAX,
-        };
-        let secs = median_secs(samples, || {
-            let mut stats = ExecStats::default();
-            join_matches_with(algo, &lkeys, &rkeys, spill, &mut stats, &mut scratch)
-        });
-        println!("build {n:>8} rows {label:>5}: {secs:.6}s");
-        fields.push((format!("{label}_median_secs"), Json::Number(secs)));
+    let gens: [(&str, KeyGen); 2] = [("", gen_keys), ("run_heavy_", gen_runs)];
+    for (shape, gen) in gens {
+        let rkeys = gen(rng, n, n as i64);
+        let lkeys = gen(rng, 2 * n, n as i64);
+        for (label, algo) in ALGOS {
+            let spill = match algo {
+                JoinAlgo::Hash => HASH_SPILL_ROWS,
+                _ => usize::MAX,
+            };
+            let secs = median_secs(samples, || {
+                let mut stats = ExecStats::default();
+                join_matches_with(algo, &lkeys, &rkeys, spill, &mut stats, &mut scratch)
+            });
+            println!("build {n:>8} rows {shape:>10}{label:>5}: {secs:.6}s");
+            fields.push((format!("{shape}{label}_median_secs"), Json::Number(secs)));
+        }
     }
     Json::object(fields)
 }
@@ -100,14 +127,19 @@ fn sweep_root_emit(rng: &mut StdRng, out_rows: usize, samples: usize) -> Json {
     Json::object(fields)
 }
 
-/// Radix sort of `n` `(key, row)` pairs, on duplicate-heavy (1640
-/// distinct values) and uniform (`0..n`) keys.
+/// Radix run sort of `n` keys: duplicate-heavy (1640 distinct values),
+/// run-heavy (the same 1640 values in runs) and uniform (`0..n`).
 fn sweep_sort(rng: &mut StdRng, n: usize, samples: usize) -> Json {
     let mut scratch = ExecScratch::new();
     let mut fields = vec![("rows".to_string(), Json::Number(n as f64))];
-    for (dist, domain) in [("dup_heavy", 1640), ("uniform", n as i64)] {
-        let keys: Vec<i64> = gen_keys(rng, n, domain).iter().map(|k| k + 150).collect();
-        let secs = median_secs(samples, || sort_key_pairs(&keys, &mut scratch).len());
+    let shapes: [(&str, KeyGen, i64); 3] = [
+        ("dup_heavy", gen_keys, 1640),
+        ("run_heavy", gen_runs, 1640),
+        ("uniform", gen_keys, n as i64),
+    ];
+    for (dist, gen, domain) in shapes {
+        let keys: Vec<i64> = gen(rng, n, domain).iter().map(|k| k + 150).collect();
+        let secs = median_secs(samples, || sort_key_runs(&keys, &mut scratch).len());
         println!("sort {n:>8} rows {dist:>9}: radix {secs:.6}s");
         fields.push((format!("{dist}_radix_median_secs"), Json::Number(secs)));
     }

@@ -8,23 +8,36 @@
 //!   columns it probes (straight out of the base columns through the
 //!   selection vectors).
 //! - **Emit modes.** A join emits only what its parent reads
-//!   ([`Emit`]): the root join only counts its matches (hash: per-key
-//!   duplicate counts; merge: products of duplicate-group sizes; INL:
-//!   index-range lengths), a join whose parent needs tables from one
-//!   child writes that child's match vector only, and only a join whose
-//!   parent needs both sides writes both.
-//! - **Flat hash builds.** The hash-join build side is a flat
-//!   open-addressing table (multiplicative hashing on the high bits,
-//!   linear probing) with head/next chaining arrays — or, when the build
-//!   side's row ids are never emitted, slot key + duplicate count. The
-//!   chained table is sized from the optimizer's build-side estimate and
-//!   doubles when the estimate was low.
-//! - **Radix-sorted merge / INL inputs.** Sort inputs are `(key, row)`
-//!   pairs sorted by a stable LSD radix over `key − min` that runs only
-//!   as many digit passes as the key range has bits.
+//!   ([`Emit`]): the root join only counts its matches (hash and INL:
+//!   per-key duplicate counts; merge: products of duplicate-group sizes),
+//!   a join whose parent needs tables from one child writes that child's
+//!   match vector only, and only a join whose parent needs both sides
+//!   writes both.
+//! - **Run-at-a-time kernels.** Join inputs are read as [`Run`]s —
+//!   maximal stretches of one key — because the joins that cost the most
+//!   (FK-FK intermediates) repeat the same key over and over. Every
+//!   kernel pays per run, not per row: one hash insert, count update or
+//!   sort entry per build run, one lookup per run of equal probe keys,
+//!   and emission by slice copies.
+//! - **Flat hash builds.** The hash-join build side gives each distinct
+//!   key an id and counts its rows; a flat open-addressing index
+//!   (multiplicative hashing on the high bits, linear probing) maps keys
+//!   to ids, starts cache-resident, stays under a quarter full and doubles
+//!   by re-inserting ids. When build-side row ids are emitted, the counts
+//!   become offsets and each key's build rows are placed contiguously, in
+//!   build order, so a probe hit copies them as one slice.
+//! - **Run-sorted merge / INL inputs.** Sort inputs are `(key, first row,
+//!   length)` runs sorted by a stable LSD radix over `key − min` that runs
+//!   only as many digit passes as the key range has bits; walking a key's
+//!   runs in order yields its rows in position order. The INL index is
+//!   the sorted distinct keys with their row counts (and, when emitted,
+//!   their rows), probed by binary search.
+//! - **Checked `u32` edges.** Row positions, run lengths, offsets and
+//!   counts are `u32`, each bounded by an input's length, which every
+//!   join checks once, in every build profile.
 //! - **Allocation-free warm path.** Every transient buffer lives in a
-//!   reusable [`ExecScratch`] arena keyed by role (table arrays, key
-//!   gathers, match vectors, sort/partition pair buffers) or by capacity
+//!   reusable [`ExecScratch`] arena keyed by role (hash build arrays, key
+//!   gathers, match vectors, sort/partition run buffers) or by capacity
 //!   class (selection vectors), so re-executing plans the arena has seen
 //!   allocates nothing large.
 //!
@@ -45,16 +58,41 @@ use crate::plan::{JoinAlgo, PhysicalPlan};
 /// NULL sentinel inside key vectors; never joins.
 const NULL_KEY: i64 = i64::MIN;
 
-/// Empty marker in the flat table's head/next chaining arrays.
-const EMPTY: u32 = u32::MAX;
-
 /// Build sides above this many rows use the partitioned (multi-batch)
 /// hash join — the real counterpart of the cost model's spill penalty
 /// ([`crate::cost::CostModel::hash_mem_rows`] mirrors this value).
 pub const HASH_SPILL_ROWS: usize = 60_000;
 
-/// Bytes of one `(key, row-id)` sort / partition pair.
-const PAIR_BYTES: usize = std::mem::size_of::<(i64, u32)>();
+/// A maximal stretch of equal non-NULL keys at consecutive positions of
+/// a key vector: rows `first..first + len` all carry `key`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Run {
+    /// The key of every row in the run.
+    pub key: i64,
+    /// Position of the run's first row.
+    pub first: u32,
+    /// Number of rows in the run (at least 1).
+    pub len: u32,
+}
+
+impl Run {
+    /// The positions of the run's rows.
+    pub fn rows(self) -> std::ops::Range<u32> {
+        self.first..self.first + self.len
+    }
+}
+
+/// Bytes of one sort / partition [`Run`].
+const RUN_BYTES: usize = std::mem::size_of::<Run>();
+
+/// An input length as `u32`: the one narrowing conversion, from which
+/// every row position, run length, group offset and count derives. A
+/// join's inputs are checked to fit once in [`join_into`], so inside a
+/// join this never fails.
+#[inline]
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("join input exceeds u32 row ids")
+}
 
 /// A query execution aborted cleanly by a guard rail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,8 +181,8 @@ pub struct Matches {
     pub left: Vec<u32>,
     /// Right row index of every match, when emitted.
     pub right: Vec<u32>,
-    /// Bytes of kernel-owned transient buffers this join held (sort
-    /// pairs, spill partition buffers) — charged to the memory budget.
+    /// Bytes of kernel-owned transient buffers this join held (sorted
+    /// runs, spill partition runs) — charged to the memory budget.
     pub transient_bytes: u64,
 }
 
@@ -172,29 +210,31 @@ const MIN_SEL_CLASS: u32 = 10;
 /// class exactly what its first execution put there.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    /// Flat-table slot → first build row of the slot's chain (chained
-    /// build) or the key's duplicate count, 0 = empty (counting build).
-    heads: Vec<u32>,
-    /// Flat-table slot → key owning the slot.
-    slot_keys: Vec<i64>,
-    /// Build row → next build row with the same key.
-    next: Vec<u32>,
+    /// The hash join's build side (its grouped rows also hold the INL
+    /// index's rows).
+    build: HashBuild,
     /// Gathered join keys of the node being joined (left, right).
     keys: [Vec<i64>; 2],
     /// The kernels' output.
     matches: Matches,
-    /// `(key, row-id)` buffers: sorted left input / left partitions,
-    /// sorted right input / right partitions, and the radix sort's
-    /// ping-pong partner (also the counting table's rehash staging).
+    /// [`Run`] buffers: sorted left input / left partitions, sorted right
+    /// input / right partitions, and the radix sort's ping-pong partner.
     /// Their `len` is a high-water mark, never cleared: every read is of
     /// a prefix the current join wrote.
-    pairs: [Vec<(i64, u32)>; 3],
-    /// Partition end offsets into `pairs[0]` / `pairs[1]`.
+    runs: [Vec<Run>; 3],
+    /// Partition end offsets into `runs[0]` / `runs[1]`.
     part_ends: [Vec<usize>; 2],
+    /// The INL index's distinct keys.
+    key_groups: Vec<KeyGroup>,
     /// Radix digit histograms, all passes of one sort.
     radix_hist: Vec<u32>,
     /// Recycled selection vectors, by capacity class.
     sel_pool: Vec<Vec<Vec<u32>>>,
+}
+
+/// Bytes of heap capacity `v` holds.
+fn cap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 impl ExecScratch {
@@ -205,19 +245,15 @@ impl ExecScratch {
 
     /// Bytes of heap capacity the arena currently retains.
     pub fn retained_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
-        let pooled: usize = self.sel_pool.iter().flatten().map(cap).sum();
-        let bytes = cap(&self.heads)
-            + cap(&self.slot_keys)
-            + cap(&self.next)
-            + self.keys.iter().map(cap).sum::<usize>()
-            + cap(&self.matches.left)
-            + cap(&self.matches.right)
-            + self.pairs.iter().map(cap).sum::<usize>()
-            + self.part_ends.iter().map(cap).sum::<usize>()
-            + cap(&self.radix_hist)
+        let pooled: usize = self.sel_pool.iter().flatten().map(cap_bytes).sum();
+        let bytes = self.build.retained_bytes()
+            + self.keys.iter().map(cap_bytes).sum::<usize>()
+            + cap_bytes(&self.matches.left)
+            + cap_bytes(&self.matches.right)
+            + self.runs.iter().map(cap_bytes).sum::<usize>()
+            + self.part_ends.iter().map(cap_bytes).sum::<usize>()
+            + cap_bytes(&self.key_groups)
+            + cap_bytes(&self.radix_hist)
             + pooled;
         bytes as u64
     }
@@ -316,7 +352,7 @@ pub fn execute_with(
 
 /// [`execute_with`] under an optional memory budget on live intermediate
 /// bytes (selection vectors, gathered key columns, match vectors) plus
-/// the joining kernel's transient buffers (sort pairs, spill
+/// the joining kernel's transient buffers (sorted runs, spill
 /// partitions). When any join node exceeds `max_intermediate_bytes`, the
 /// query aborts cleanly with [`ExecError::BudgetExceeded`] — buffers are
 /// freed, the process keeps running, and the scratch arena stays
@@ -573,6 +609,13 @@ fn join_into(
     scratch: &mut ExecScratch,
     out: &mut Matches,
 ) {
+    // Row positions, run lengths, group offsets and duplicate counts are
+    // `u32`, each bounded by an input's length: checked once per join,
+    // in every build profile.
+    assert!(
+        u32::try_from(lkeys.len().max(rkeys.len())).is_ok(),
+        "join input exceeds u32 row ids"
+    );
     out.reset();
     match algo {
         JoinAlgo::Hash => hash_join(
@@ -611,17 +654,100 @@ fn slot_hash(k: i64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// A join input in position order — a key vector, or a buffer of its
+/// runs — read run by run (builds, sorts, partitioning) or row by row
+/// (probes, which reuse one lookup while the key repeats).
+trait RunSource: Copy {
+    /// An upper bound on the number of runs.
+    fn max_runs(self) -> usize;
+    /// Each run, in position order.
+    fn for_each_run(self, f: impl FnMut(Run));
+    /// Each row as `(key, position)`, in position order; a NULL row, if
+    /// the source holds any, has key [`NULL_KEY`].
+    fn for_each_row(self, f: impl FnMut(i64, u32));
+}
+
+/// A key vector's runs, NULL keys skipped: a run ends where the key
+/// changes or a NULL interrupts it. The walk calls `f` from two places
+/// (inside the loop, and for the last run), so the kernels mark their
+/// closures `#[inline(always)]`: left to itself the compiler may call a
+/// closure out of line, once per run, which on distinct keys costs as
+/// much as the work.
+impl RunSource for &[i64] {
+    fn max_runs(self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn for_each_run(self, mut f: impl FnMut(Run)) {
+        let n = to_u32(self.len());
+        let Some(&head) = self.first() else {
+            return;
+        };
+        let (mut first, mut key) = (0, head);
+        for (&k, i) in self[1..].iter().zip(1..n) {
+            if k != key {
+                if key != NULL_KEY {
+                    f(Run {
+                        key,
+                        first,
+                        len: i - first,
+                    });
+                }
+                (first, key) = (i, k);
+            }
+        }
+        if key != NULL_KEY {
+            f(Run {
+                key,
+                first,
+                len: n - first,
+            });
+        }
+    }
+
+    #[inline(always)]
+    fn for_each_row(self, mut f: impl FnMut(i64, u32)) {
+        for (&k, row) in self.iter().zip(0..to_u32(self.len())) {
+            f(k, row);
+        }
+    }
+}
+
+impl RunSource for &[Run] {
+    fn max_runs(self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn for_each_run(self, f: impl FnMut(Run)) {
+        self.iter().copied().for_each(f);
+    }
+
+    #[inline(always)]
+    fn for_each_row(self, mut f: impl FnMut(i64, u32)) {
+        for run in self {
+            for row in run.rows() {
+                f(run.key, row);
+            }
+        }
+    }
+}
+
 /// Hash join: build on the right, probe with the left. Build sides over
 /// `spill_rows` take the partitioned multi-batch path (an extra
-/// partitioning pass over both inputs — the genuine cost the optimizer's
-/// spill penalty models). Matches come in probe order, duplicate build
-/// rows in build order.
+/// partitioning pass — the genuine cost the optimizer's spill penalty
+/// models). Matches come in probe order, duplicate build rows in build
+/// order; a spilled join emits partition by partition.
 ///
-/// A counting join never partitions: it emits no row ids, so its build
-/// aggregates to one slot per distinct key — already bounded by the key
-/// domain rather than the row count — and scattering rows it will never
-/// emit would only add work. `partitions_spilled` still records the
-/// batches the plan's build side called for.
+/// Only a join that emits build row ids partitions its build side. A
+/// *Count* or *Left* build aggregates to one counting slot per distinct
+/// key — already bounded by the key domain rather than the row count —
+/// so scattering build rows it never emits would only add work: *Count*
+/// does not partition at all, and a spilled *Left* join partitions only
+/// its probe side, to emit in the partition order a *Both* join has.
+/// `partitions_spilled` records the batches the plan's build side
+/// called for either way.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     lkeys: &[i64],
@@ -639,302 +765,291 @@ fn hash_join(
         0
     };
     stats.partitions_spilled += parts as u64;
-    if emit == Emit::Count || parts == 0 {
-        flat_hash_join(lkeys, rkeys, emit, est_build_rows, scratch, out);
-    } else {
-        partitioned_hash_join(lkeys, rkeys, emit, parts, scratch, out);
-    }
-}
-
-/// Smallest power-of-two capacity keeping ≤ 7/8 occupancy for `rows`
-/// distinct keys.
-fn table_capacity(rows: usize) -> usize {
-    (rows.max(7) * 8 / 7).next_power_of_two()
-}
-
-/// An input element the flat join can read a key and an output row id
-/// from: plain keys (row id = position) for the in-memory path, and
-/// `(key, row-id)` scatter pairs for the partitioned path — which can
-/// then join partitions in place, with no key copy and no remap pass.
-trait KeyRow: Copy {
-    fn key(self) -> i64;
-    fn id(self, pos: usize) -> u32;
-}
-
-impl KeyRow for i64 {
-    #[inline(always)]
-    fn key(self) -> i64 {
-        self
-    }
-    #[inline(always)]
-    fn id(self, pos: usize) -> u32 {
-        pos as u32
-    }
-}
-
-impl KeyRow for (i64, u32) {
-    #[inline(always)]
-    fn key(self) -> i64 {
-        self.0
-    }
-    #[inline(always)]
-    fn id(self, _pos: usize) -> u32 {
-        self.1
-    }
-}
-
-/// One flat-table build + probe, appending to `out` what `emit` asks
-/// for. Modes that never emit build-side row ids use the counting table,
-/// the others the chained one.
-fn flat_hash_join<T: KeyRow>(
-    lrows: &[T],
-    rrows: &[T],
-    emit: Emit,
-    est_build_rows: usize,
-    scratch: &mut ExecScratch,
-    out: &mut Matches,
-) {
-    if lrows.is_empty() || rrows.is_empty() {
+    if lkeys.is_empty() || rkeys.is_empty() {
         return;
     }
-    match emit {
-        Emit::Count => {
-            let table = count_build(rrows, est_build_rows, scratch);
-            for e in lrows {
-                out.len += table.count_of(e.key()) as u64;
-            }
+    let start_keys = est_build_rows.clamp(1, rkeys.len());
+    let build = &mut scratch.build;
+    match (emit, parts) {
+        (Emit::Count, _) | (Emit::Left, 0) => {
+            build.count(rkeys, start_keys);
+            probe(lkeys, emit, |k| build.table.matches(k), out);
         }
-        Emit::Left => {
-            let table = count_build(rrows, est_build_rows, scratch);
-            for (l, e) in lrows.iter().enumerate() {
-                let dups = table.count_of(e.key()) as usize;
-                out.left.resize(out.left.len() + dups, e.id(l));
-            }
-            out.len = out.left.len() as u64;
+        (Emit::Left, _) => {
+            build.count(rkeys, start_keys);
+            let [lbuf, ..] = &mut scratch.runs;
+            let n = partition_runs(lkeys, parts, lbuf, &mut scratch.part_ends[0]);
+            probe(&lbuf[..n], emit, |k| build.table.matches(k), out);
+            out.transient_bytes = (n * RUN_BYTES) as u64;
         }
-        Emit::Right => {
-            chain_join::<T, false>(lrows, rrows, est_build_rows, scratch, out);
-            out.len = out.right.len() as u64;
+        (_, 0) => {
+            build.group(rkeys, start_keys);
+            probe(lkeys, emit, |k| build.group_of(k), out);
         }
-        Emit::Both => {
-            chain_join::<T, true>(lrows, rrows, est_build_rows, scratch, out);
-            out.len = out.right.len() as u64;
-        }
+        _ => partitioned_hash_join(lkeys, rkeys, emit, parts, scratch, out),
     }
 }
 
-/// Build-side rows a counting table is first sized for, at most: its
-/// slots hold distinct keys, which the row estimate only bounds, so it
-/// starts cache-resident and grows by rehashing its (few) entries.
-const COUNT_TABLE_START_ROWS: usize = 1 << 15;
+/// Smallest power-of-two capacity keeping occupancy below 1/4 for `keys`
+/// distinct keys.
+fn table_capacity(keys: usize) -> usize {
+    (4 * keys + 1).next_power_of_two().max(8)
+}
 
-/// A built counting table: slot key + duplicate count, no row chains.
-struct CountTable<'a> {
-    counts: &'a [u32],
-    slot_keys: &'a [i64],
+/// Distinct keys a hash table is first sized for, at most: its slots
+/// hold distinct keys, which the row estimate only bounds, so it starts
+/// cache-resident and grows by rehashing its (few) entries.
+const TABLE_START_KEYS: usize = 1 << 15;
+
+/// The hash build's table of its distinct non-NULL keys and their
+/// duplicate counts. Each key gets an id — 1, 2, … in first-seen order —
+/// and sits with its count at that index of two dense arrays; an
+/// open-addressing index (linear probing) maps keys to ids. The index
+/// is 4 bytes a slot, so it stays sparse cheaply, and growing it moves
+/// ids, not entries.
+#[derive(Debug, Default)]
+struct KeyTable {
+    /// Slot → key id, 0 = empty.
+    slots: Vec<u32>,
+    /// Key id → key (index 0 unused). Sized for every id the index can
+    /// take before it grows; ids past `used` are stale.
+    keys: Vec<i64>,
+    /// Key id → duplicate count (0 at index 0: an absent key's count).
+    counts: Vec<u32>,
+    /// Keys held: ids `1..=used` are live.
+    used: u32,
+    /// Slot = high `64 − shift` bits of [`slot_hash`].
     shift: u32,
 }
 
-impl CountTable<'_> {
-    /// Build rows carrying `k` (0 for NULL and absent keys).
-    #[inline]
-    fn count_of(&self, k: i64) -> u32 {
-        if k == NULL_KEY {
-            return 0;
-        }
-        let mask = self.counts.len() - 1;
+impl KeyTable {
+    /// Empties the table, its index at `cap` slots (a power of two).
+    fn reset(&mut self, cap: usize) {
+        self.used = 0;
+        self.reindex(cap);
+    }
+
+    /// `k`'s id (0 when absent) and the slot holding it, or the empty
+    /// slot it would take.
+    #[inline(always)]
+    fn find(&self, k: i64) -> (usize, u32) {
+        let mask = self.slots.len() - 1;
         let mut slot = (slot_hash(k) >> self.shift) as usize;
         loop {
-            let c = self.counts[slot];
-            if c == 0 || self.slot_keys[slot] == k {
-                return c;
+            let id = self.slots[slot];
+            if id == 0 || self.keys[id as usize] == k {
+                return (slot, id);
             }
             slot = (slot + 1) & mask;
         }
     }
-}
 
-/// Adds `by` to key `k`'s count in a counting table with a free slot
-/// left; returns whether `k` claimed a new slot.
-#[inline]
-fn count_add(counts: &mut [u32], slot_keys: &mut [i64], shift: u32, k: i64, by: u32) -> bool {
-    let mask = counts.len() - 1;
-    let mut slot = (slot_hash(k) >> shift) as usize;
-    loop {
-        let c = counts[slot];
-        if c == 0 {
-            slot_keys[slot] = k;
-            counts[slot] = by;
-            return true;
-        }
-        if slot_keys[slot] == k {
-            counts[slot] = c + by;
-            return false;
-        }
-        slot = (slot + 1) & mask;
+    /// How many build rows carry `k` (counting build: not which).
+    #[inline(always)]
+    fn matches(&self, k: i64) -> (usize, &'static [u32]) {
+        (self.counts[self.find(k).1 as usize] as usize, &[])
     }
-}
 
-/// Aggregating build: one slot per distinct non-NULL key holding its
-/// duplicate count. Sized from the build-side estimate (clamped to the
-/// input and to [`COUNT_TABLE_START_ROWS`]) and quadrupled by rehashing
-/// the aggregated entries whenever it fills — the growth path an
-/// underestimate pays for.
-fn count_build<'a, T: KeyRow>(
-    rrows: &[T],
-    est_build_rows: usize,
-    scratch: &'a mut ExecScratch,
-) -> CountTable<'a> {
-    debug_assert!(
-        rrows.len() < EMPTY as usize,
-        "build side exceeds u32 counts"
-    );
-    let start_rows = est_build_rows
-        .clamp(1, rrows.len())
-        .min(COUNT_TABLE_START_ROWS);
-    let mut cap = table_capacity(start_rows);
-    let counts = &mut scratch.heads;
-    let slot_keys = &mut scratch.slot_keys;
-    let staging = &mut scratch.pairs[2];
-    // `slot_keys` keeps stale values: a slot key is only read once its
-    // count is nonzero, which this build set together with the key.
-    let reset = |counts: &mut Vec<u32>, slot_keys: &mut Vec<i64>, cap: usize| {
-        counts.clear();
-        counts.resize(cap, 0);
-        if slot_keys.len() < cap {
-            slot_keys.resize(cap, 0);
-        }
-        64 - cap.trailing_zeros()
-    };
-    let mut shift = reset(counts, slot_keys, cap);
-    let mut used = 0usize;
-    for e in rrows {
-        let k = e.key();
-        if k == NULL_KEY {
-            continue;
-        }
-        if used == cap / 8 * 7 {
-            // Full: move the entries to a table four times the size.
-            staging.clear();
-            staging.extend(
-                counts
-                    .iter()
-                    .zip(slot_keys.iter())
-                    .filter(|&(&c, _)| c != 0)
-                    .map(|(&c, &sk)| (sk, c)),
-            );
-            cap *= 4;
-            shift = reset(counts, slot_keys, cap);
-            for &(sk, c) in staging.iter() {
-                count_add(counts, slot_keys, shift, sk, c);
+    /// Adds `rows` rows of key `k` and returns its id. A new key that
+    /// would fill a quarter of the index first doubles it: a miss probes
+    /// until an empty slot, and most probes of a selective join miss, so
+    /// the index stays sparse.
+    #[inline(always)]
+    fn add(&mut self, k: i64, rows: u32) -> u32 {
+        let id = match self.find(k) {
+            (mut slot, 0) => {
+                if self.used as usize + 1 >= self.slots.len() / 4 {
+                    self.reindex(self.slots.len() * 2);
+                    slot = self.find(k).0;
+                }
+                self.used += 1;
+                let id = self.used;
+                self.slots[slot] = id;
+                self.keys[id as usize] = k;
+                self.counts[id as usize] = 0;
+                id
             }
-        }
-        used += count_add(counts, slot_keys, shift, k, 1) as usize;
+            (_, id) => id,
+        };
+        self.counts[id as usize] += rows;
+        id
     }
-    CountTable {
-        counts: &scratch.heads[..cap],
-        slot_keys: &scratch.slot_keys[..cap],
-        shift,
-    }
-}
 
-/// Chained build + probe, appending the build-side row id of every
-/// match to `out.right` and, when `LEFT`, the probe-side one to
-/// `out.left`.
-///
-/// The build is a single open-addressing table: `slot_keys[slot]` owns a
-/// key, `heads[slot]` points at the first build row with that key, and
-/// `next[row]` chains duplicates. Sized from `est_build_rows` (clamped
-/// to the actual input) and rebuilt at double capacity whenever the
-/// estimate proves low — the growth path an underestimate pays for.
-fn chain_join<T: KeyRow, const LEFT: bool>(
-    lrows: &[T],
-    rrows: &[T],
-    est_build_rows: usize,
-    scratch: &mut ExecScratch,
-    out: &mut Matches,
-) {
-    let n = rrows.len();
-    debug_assert!(n < EMPTY as usize, "build side exceeds u32 row ids");
-    let mut cap = table_capacity(est_build_rows.clamp(1, n));
-    let mut shift;
-    'build: loop {
-        shift = 64 - cap.trailing_zeros();
+    /// Rebuilds the index at `cap` slots, with room for the ids it can
+    /// take — at the start of a build, and the growth path an
+    /// underestimate pays for.
+    #[cold]
+    #[inline(never)]
+    fn reindex(&mut self, cap: usize) {
+        let ids = cap / 4 + 1;
+        if self.keys.len() < ids {
+            self.keys.resize(ids, NULL_KEY);
+        }
+        if self.counts.len() < ids {
+            self.counts.resize(ids, 0);
+        }
+        self.slots.clear();
+        self.slots.resize(cap, 0);
+        self.shift = 64 - cap.trailing_zeros();
         let mask = cap - 1;
-        let limit = cap / 8 * 7;
-        scratch.heads.clear();
-        scratch.heads.resize(cap, EMPTY);
-        // `slot_keys` and `next` keep stale values from earlier builds:
-        // a slot key is only read once `heads[slot]` is set, and a `next`
-        // link only walked for rows this build inserted — both written
-        // before any read — so neither needs the memset `heads` pays.
-        if scratch.slot_keys.len() < cap {
-            scratch.slot_keys.resize(cap, 0);
-        }
-        if scratch.next.len() < n {
-            scratch.next.resize(n, EMPTY);
-        }
-        let mut used = 0usize;
-        // Reverse insertion + prepend-on-duplicate leaves every chain in
-        // increasing build-row order, matching the map-based emission
-        // order this kernel replaced.
-        for (r, e) in rrows.iter().enumerate().rev() {
-            let k = e.key();
-            if k == NULL_KEY {
-                continue;
-            }
-            let mut slot = (slot_hash(k) >> shift) as usize;
-            loop {
-                let head = scratch.heads[slot];
-                if head == EMPTY {
-                    if used == limit {
-                        // Estimate too low: double and rebuild.
-                        cap *= 2;
-                        continue 'build;
-                    }
-                    scratch.slot_keys[slot] = k;
-                    scratch.heads[slot] = r as u32;
-                    scratch.next[r] = EMPTY;
-                    used += 1;
-                    break;
-                }
-                if scratch.slot_keys[slot] == k {
-                    scratch.next[r] = head;
-                    scratch.heads[slot] = r as u32;
-                    break;
-                }
+        for (id, &k) in (1..=self.used).zip(&self.keys[1..]) {
+            let mut slot = (slot_hash(k) >> self.shift) as usize;
+            while self.slots[slot] != 0 {
                 slot = (slot + 1) & mask;
             }
+            self.slots[slot] = id;
         }
-        break;
     }
-    let mask = cap - 1;
-    for (l, e) in lrows.iter().enumerate() {
-        let k = e.key();
-        if k == NULL_KEY {
-            continue;
+}
+
+/// A hash join's build side: the key table and, for a grouped build, the
+/// build row ids grouped by key.
+#[derive(Debug, Default)]
+struct HashBuild {
+    table: KeyTable,
+    /// Build run → its key's id, in build order (a high-water buffer:
+    /// only the current build's prefix is read).
+    run_ids: Vec<u32>,
+    /// Key id `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<u32>,
+    /// Build row ids grouped by key, in build order within a key (the
+    /// INL index keeps its rows here too).
+    rows: Vec<u32>,
+}
+
+impl HashBuild {
+    fn retained_bytes(&self) -> usize {
+        cap_bytes(&self.table.slots)
+            + cap_bytes(&self.table.keys)
+            + cap_bytes(&self.table.counts)
+            + cap_bytes(&self.run_ids)
+            + cap_bytes(&self.bounds)
+            + cap_bytes(&self.rows)
+    }
+
+    /// Counting build: each distinct key's duplicate count, a whole run
+    /// added by one update. The index starts sized for `est_keys` (at
+    /// most [`TABLE_START_KEYS`]).
+    fn count(&mut self, runs: impl RunSource, est_keys: usize) {
+        let table = &mut self.table;
+        table.reset(table_capacity(est_keys.min(TABLE_START_KEYS)));
+        runs.for_each_run(
+            #[inline(always)]
+            |run| {
+                table.add(run.key, run.len);
+            },
+        );
+    }
+
+    /// Grouped build: the counting build, remembering each run's key id;
+    /// the counts become offsets, and each run's row ids go to its key's
+    /// next free offset — so a key's group holds its build rows in build
+    /// order.
+    fn group(&mut self, runs: impl RunSource, est_keys: usize) {
+        let HashBuild {
+            table,
+            run_ids,
+            bounds,
+            rows,
+        } = self;
+        table.reset(table_capacity(est_keys.min(TABLE_START_KEYS)));
+        if run_ids.len() < runs.max_runs() {
+            run_ids.resize(runs.max_runs(), 0);
         }
-        let mut slot = (slot_hash(k) >> shift) as usize;
-        loop {
-            let head = scratch.heads[slot];
-            if head == EMPTY {
-                break;
-            }
-            if scratch.slot_keys[slot] == k {
-                let lrow = e.id(l);
-                let mut r = head;
-                while r != EMPTY {
-                    if LEFT {
-                        out.left.push(lrow);
-                    }
-                    out.right.push(rrows[r as usize].id(r as usize));
-                    r = scratch.next[r as usize];
+        let mut n = 0;
+        runs.for_each_run(
+            #[inline(always)]
+            |run| {
+                run_ids[n] = table.add(run.key, run.len);
+                n += 1;
+            },
+        );
+        // Counts → start offsets, one past each id; placing a run
+        // advances its key's entry to the key's end — the next one's
+        // start.
+        bounds.clear();
+        bounds.push(0);
+        let mut total = 0;
+        bounds.extend(table.counts[..=table.used as usize].iter().map(|&c| {
+            total += c;
+            total - c
+        }));
+        if rows.len() < total as usize {
+            rows.resize(total as usize, 0);
+        }
+        let mut ids = run_ids[..n].iter();
+        runs.for_each_run(
+            #[inline(always)]
+            |run| {
+                let at = &mut bounds[*ids.next().expect("one id per run") as usize + 1];
+                let start = *at as usize;
+                for (slot, row) in rows[start..start + run.len as usize]
+                    .iter_mut()
+                    .zip(run.rows())
+                {
+                    *slot = row;
                 }
-                break;
-            }
-            slot = (slot + 1) & mask;
-        }
+                *at += run.len;
+            },
+        );
     }
+
+    /// How many build rows carry `k`, and which, in build order (grouped
+    /// build).
+    #[inline(always)]
+    fn group_of(&self, k: i64) -> (usize, &[u32]) {
+        let rows = match self.table.find(k).1 as usize {
+            0 => &[],
+            id => &self.rows[self.bounds[id] as usize..self.bounds[id + 1] as usize],
+        };
+        (rows.len(), rows)
+    }
+}
+
+/// Probes a build side with one `lookup` per run of equal probe keys:
+/// `lookup` gives a key's number of build rows and, when `emit` writes
+/// the right side, the rows themselves. The match count is summed in a
+/// register; each probe row writes itself once per match (left side) and
+/// copies its key's rows as one slice (right side).
+fn probe<'b>(
+    probe: impl RunSource,
+    emit: Emit,
+    lookup: impl Fn(i64) -> (usize, &'b [u32]),
+    out: &mut Matches,
+) {
+    let (mut last, mut hit): (i64, (usize, &[u32])) = (NULL_KEY, (0, &[]));
+    let mut memo = |k: i64| {
+        if k != last {
+            last = k;
+            hit = if k == NULL_KEY { (0, &[]) } else { lookup(k) };
+        }
+        hit
+    };
+    let mut len = 0;
+    if emit == Emit::Count {
+        probe.for_each_row(
+            #[inline(always)]
+            |k, _| len += memo(k).0 as u64,
+        );
+    } else {
+        probe.for_each_row(
+            #[inline(always)]
+            |k, row| {
+                let (matches, rows) = memo(k);
+                if matches == 0 {
+                    return;
+                }
+                len += matches as u64;
+                if emit.left() {
+                    out.left.extend(std::iter::repeat_n(row, matches));
+                }
+                if emit.right() {
+                    out.right.extend(rows.iter().copied());
+                }
+            },
+        );
+    }
+    out.len += len;
 }
 
 /// Maps a hash to `0..parts` using its high bits (Lemire's fast range
@@ -945,18 +1060,17 @@ fn partition_of(k: i64, parts: usize) -> usize {
     (((hash64(k) >> 32) * parts as u64) >> 32) as usize
 }
 
-/// Histogram-partitions the non-NULL `(key, row-id)` pairs of `keys`
-/// into one contiguous run of `buf` per partition (count → prefix-sum →
-/// scatter). Afterwards partition `p` is `buf[ends[p - 1]..ends[p]]`
-/// (from 0 for the first) and `ends[parts - 1]` is the pair count.
-fn partition_pairs(keys: &[i64], parts: usize, buf: &mut Vec<(i64, u32)>, ends: &mut Vec<usize>) {
+/// Histogram-partitions the runs of `keys` into one contiguous stretch of
+/// `buf` per partition (count → prefix-sum → scatter), position order
+/// within each, and returns the run count. Afterwards partition `p` is
+/// `buf[ends[p - 1]..ends[p]]` (from 0 for the first).
+fn partition_runs(keys: &[i64], parts: usize, buf: &mut Vec<Run>, ends: &mut Vec<usize>) -> usize {
     ends.clear();
     ends.resize(parts, 0);
-    for &k in keys {
-        if k != NULL_KEY {
-            ends[partition_of(k, parts)] += 1;
-        }
-    }
+    keys.for_each_run(
+        #[inline(always)]
+        |run| ends[partition_of(run.key, parts)] += 1,
+    );
     // Counts → start offsets; the scatter advances each start to its
     // partition's end.
     let mut total = 0;
@@ -964,20 +1078,23 @@ fn partition_pairs(keys: &[i64], parts: usize, buf: &mut Vec<(i64, u32)>, ends: 
         total += std::mem::replace(e, total);
     }
     if buf.len() < total {
-        buf.resize(total, (0, 0));
+        buf.resize(total, Run::default());
     }
-    for (i, &k) in keys.iter().enumerate() {
-        if k != NULL_KEY {
-            let at = &mut ends[partition_of(k, parts)];
-            buf[*at] = (k, i as u32);
+    keys.for_each_run(
+        #[inline(always)]
+        |run| {
+            let at = &mut ends[partition_of(run.key, parts)];
+            buf[*at] = run;
             *at += 1;
-        }
-    }
+        },
+    );
+    total
 }
 
-/// Multi-batch hash join: partitions both inputs by the high bits of the
-/// key hash so each batch's build side fits the memory budget, then
-/// flat-joins per batch, in place.
+/// Multi-batch hash join of a join that emits build row ids: partitions
+/// both inputs by the high bits of the key hash so each batch's build
+/// side fits the memory budget, then builds and probes per batch, in
+/// place.
 fn partitioned_hash_join(
     lkeys: &[i64],
     rkeys: &[i64],
@@ -986,77 +1103,73 @@ fn partitioned_hash_join(
     scratch: &mut ExecScratch,
     out: &mut Matches,
 ) {
-    // The partition buffers leave the arena while the per-batch joins
-    // borrow it.
-    let [lbuf, rbuf, _] = &mut scratch.pairs;
-    let (mut lbuf, mut rbuf) = (std::mem::take(lbuf), std::mem::take(rbuf));
-    let [mut lends, mut rends] = std::mem::take(&mut scratch.part_ends);
-    partition_pairs(lkeys, parts, &mut lbuf, &mut lends);
-    partition_pairs(rkeys, parts, &mut rbuf, &mut rends);
+    let [lbuf, rbuf, _] = &mut scratch.runs;
+    let [lends, rends] = &mut scratch.part_ends;
+    partition_runs(lkeys, parts, lbuf, lends);
+    partition_runs(rkeys, parts, rbuf, rends);
     let (mut lstart, mut rstart) = (0, 0);
-    for (&lend, &rend) in lends.iter().zip(&rends) {
+    for (&lend, &rend) in lends.iter().zip(rends.iter()) {
         let (ls, rs) = (&lbuf[lstart..lend], &rbuf[rstart..rend]);
-        flat_hash_join(ls, rs, emit, rs.len(), scratch, out);
+        if !ls.is_empty() && !rs.is_empty() {
+            let build = &mut scratch.build;
+            build.group(rs, rs.len());
+            probe(ls, emit, |k| build.group_of(k), out);
+        }
         (lstart, rstart) = (lend, rend);
     }
-    out.transient_bytes = ((lstart + rstart) * PAIR_BYTES) as u64;
-    scratch.pairs[0] = lbuf;
-    scratch.pairs[1] = rbuf;
-    scratch.part_ends = [lends, rends];
+    out.transient_bytes = ((lstart + rstart) * RUN_BYTES) as u64;
 }
 
 /// Widest radix digit: 2048 `u32` counters stay L1-resident.
 const RADIX_BITS: u32 = 11;
 
-/// Inputs below this many rows are comparison-sorted: the histograms
+/// Inputs below this many runs are comparison-sorted: the histograms
 /// cost more than the sort.
-const RADIX_MIN_ROWS: usize = 64;
+const RADIX_MIN_RUNS: usize = 64;
 
-/// Writes the non-NULL `(key, position)` pairs of `keys`, sorted, to
-/// `dst[..n]` and returns `n`.
+/// Writes the runs of `keys`, sorted stably by key, to `dst[..n]` and
+/// returns `n`.
 ///
 /// The sort is a stable LSD radix over `key − min` with as many digit
 /// passes as the key range has bits (digits of at most [`RADIX_BITS`],
-/// evened out over the passes); the first pass scatters straight from
-/// `keys`, so no unsorted pair copy is ever made. Stable passes over
-/// position-ordered input leave equal keys in position order — exactly
-/// the order of sorting `(key, position)` tuples. Already-sorted input
-/// (a scan's key column in row order) is copied through; tiny inputs
-/// and ranges wider than 63 bits fall back to `sort_unstable`.
-fn sorted_pairs(
-    keys: &[i64],
-    dst: &mut Vec<(i64, u32)>,
-    tmp: &mut Vec<(i64, u32)>,
-    hist: &mut Vec<u32>,
-) -> usize {
+/// evened out over the passes); all histograms come from one read of the
+/// keys, and the first pass scatters straight from `keys`, so no
+/// unsorted run copy is ever made. Stable passes over position-ordered
+/// runs leave a key's runs in position order, so expanding them gives
+/// exactly the order of sorting `(key, position)` tuples. Already-sorted
+/// input (a scan's key column in row order) is copied through; inputs of
+/// few runs and ranges wider than 63 bits fall back to `sort_unstable`
+/// (runs never share a first row, so that order is the stable one too).
+fn sort_runs(keys: &[i64], dst: &mut Vec<Run>, tmp: &mut Vec<Run>, hist: &mut Vec<u32>) -> usize {
     let (mut n, mut min, mut max) = (0usize, i64::MAX, i64::MIN);
     let mut ascending = true;
-    for &k in keys {
-        if k != NULL_KEY {
-            ascending &= k >= max;
+    keys.for_each_run(
+        #[inline(always)]
+        |run| {
+            ascending &= run.key >= max;
             n += 1;
-            min = min.min(k);
-            max = max.max(k);
-        }
-    }
+            min = min.min(run.key);
+            max = max.max(run.key);
+        },
+    );
     if dst.len() < n {
-        dst.resize(n, (0, 0));
+        dst.resize(n, Run::default());
     }
     if n == 0 {
         return 0;
     }
-    let pairs = keys
-        .iter()
-        .enumerate()
-        .filter(|&(_, &k)| k != NULL_KEY)
-        .map(|(i, &k)| (k, i as u32));
     // `max ≥ min`, so the wrapped difference is the true one, unsigned.
     let range = max.wrapping_sub(min) as u64;
     let bits = u64::BITS - range.leading_zeros();
-    if ascending || n < RADIX_MIN_ROWS || bits > 63 {
-        for (slot, pair) in dst.iter_mut().zip(pairs) {
-            *slot = pair;
-        }
+    if ascending || n < RADIX_MIN_RUNS || bits > 63 {
+        let mut at = 0;
+        keys.for_each_run(
+            #[inline(always)]
+            |run| {
+                dst[at] = run;
+                at += 1;
+            },
+        );
         if !ascending {
             dst[..n].sort_unstable();
         }
@@ -1073,13 +1186,14 @@ fn sorted_pairs(
     // One read of the keys fills every pass's histogram.
     hist.clear();
     hist.resize(buckets * passes as usize, 0);
-    for &k in keys {
-        if k != NULL_KEY {
+    keys.for_each_run(
+        #[inline(always)]
+        |run| {
             for pass in 0..passes {
-                hist[pass as usize * buckets + digit(k, pass)] += 1;
+                hist[pass as usize * buckets + digit(run.key, pass)] += 1;
             }
-        }
-    }
+        },
+    );
     // Counts → start offsets, per pass.
     for h in hist.chunks_exact_mut(buckets) {
         let mut total = 0;
@@ -1088,21 +1202,24 @@ fn sorted_pairs(
         }
     }
     if passes > 1 && tmp.len() < n {
-        tmp.resize(n, (0, 0));
+        tmp.resize(n, Run::default());
     }
-    // One stable pass: every pair goes to the next free place of its
+    // One stable pass: every run goes to the next free place of its
     // digit's bucket.
     fn scatter(
-        from: impl Iterator<Item = (i64, u32)>,
-        to: &mut [(i64, u32)],
+        from: impl RunSource,
+        to: &mut [Run],
         starts: &mut [u32],
         digit: impl Fn(i64) -> usize,
     ) {
-        for pair in from {
-            let at = &mut starts[digit(pair.0)];
-            to[*at as usize] = pair;
-            *at += 1;
-        }
+        from.for_each_run(
+            #[inline(always)]
+            |run| {
+                let at = &mut starts[digit(run.key)];
+                to[*at as usize] = run;
+                *at += 1;
+            },
+        );
     }
     // Passes alternate buffers; start so that the last one lands in dst.
     let (mut to, mut from) = if passes % 2 == 1 {
@@ -1111,39 +1228,68 @@ fn sorted_pairs(
         (&mut tmp[..n], &mut dst[..n])
     };
     let mut starts = hist.chunks_exact_mut(buckets);
-    scatter(pairs, to, starts.next().expect("passes ≥ 1"), |k| {
+    scatter(keys, to, starts.next().expect("passes ≥ 1"), |k| {
         digit(k, 0)
     });
     for (pass, starts) in (1..passes).zip(starts) {
         std::mem::swap(&mut to, &mut from);
-        scatter(from[..n].iter().copied(), to, starts, |k| digit(k, pass));
+        scatter(&from[..n], to, starts, |k| digit(k, pass));
     }
     n
 }
 
-/// The non-NULL `(key, position)` pairs of `keys` in sorted order — the
-/// merge / INL sort kernel, exposed for micro-benchmarks and
-/// differential tests. The slice lives in the arena.
-pub fn sort_key_pairs<'s>(keys: &[i64], scratch: &'s mut ExecScratch) -> &'s [(i64, u32)] {
-    let [dst, _, tmp] = &mut scratch.pairs;
-    let n = sorted_pairs(keys, dst, tmp, &mut scratch.radix_hist);
+/// The runs of `keys` (NULLs skipped) sorted stably by key — the merge /
+/// INL sort kernel, exposed for micro-benchmarks and differential tests.
+/// Expanding each run into its `(key, position)` rows gives the pairs of
+/// `keys` in sorted order. The slice lives in the arena.
+pub fn sort_key_runs<'s>(keys: &[i64], scratch: &'s mut ExecScratch) -> &'s [Run] {
+    let [dst, _, tmp] = &mut scratch.runs;
+    let n = sort_runs(keys, dst, tmp, &mut scratch.radix_hist);
     &dst[..n]
 }
 
-/// End of the run of pairs keyed `k` that starts at `sorted[start]`:
-/// gallops, then binary-searches the last doubling — O(log run).
+/// End of the group of runs keyed `k` that starts at `sorted[start]`
+/// (gallops, then binary-searches the last doubling — O(log group)), and
+/// the group's row count.
 #[inline]
-fn run_end(sorted: &[(i64, u32)], start: usize, k: i64) -> usize {
+fn group_rows(sorted: &[Run], start: usize, k: i64) -> (usize, usize) {
     let mut step = 1;
-    while start + step < sorted.len() && sorted[start + step].0 == k {
+    while start + step < sorted.len() && sorted[start + step].key == k {
         step *= 2;
     }
     let lo = start + step / 2;
     let hi = (start + step).min(sorted.len());
-    lo + sorted[lo..hi].partition_point(|&(v, _)| v == k)
+    let end = lo + sorted[lo..hi].partition_point(|r| r.key == k);
+    let rows = sorted[start..end].iter().map(|r| r.len as usize).sum();
+    (end, rows)
 }
 
-/// Sort-merge join: sorts both inputs by key then merges duplicate groups.
+/// Emits the cross product of one key's probe-side runs `lg` (`nl`
+/// rows) and build-side runs `rg` (`nr` rows): every probe row, in
+/// position order, against every build row, in position order. The
+/// build rows are expanded once; each further probe row copies them.
+fn emit_cross(lg: &[Run], nl: usize, rg: &[Run], nr: usize, emit: Emit, out: &mut Matches) {
+    out.len += nl as u64 * nr as u64;
+    if emit.left() {
+        for run in lg {
+            for l in run.rows() {
+                out.left.extend(std::iter::repeat_n(l, nr));
+            }
+        }
+    }
+    if emit.right() {
+        let start = out.right.len();
+        for run in rg {
+            out.right.extend(run.rows());
+        }
+        for _ in 1..nl {
+            out.right.extend_from_within(start..start + nr);
+        }
+    }
+}
+
+/// Sort-merge join: sorts both inputs' runs by key, then merges key
+/// groups.
 fn merge_join(
     lkeys: &[i64],
     rkeys: &[i64],
@@ -1151,41 +1297,41 @@ fn merge_join(
     scratch: &mut ExecScratch,
     out: &mut Matches,
 ) {
-    let [lbuf, rbuf, tmp] = &mut scratch.pairs;
-    let nl = sorted_pairs(lkeys, lbuf, tmp, &mut scratch.radix_hist);
-    let nr = sorted_pairs(rkeys, rbuf, tmp, &mut scratch.radix_hist);
-    out.transient_bytes = ((nl + nr) * PAIR_BYTES) as u64;
+    let [lbuf, rbuf, tmp] = &mut scratch.runs;
+    let nl = sort_runs(lkeys, lbuf, tmp, &mut scratch.radix_hist);
+    let nr = sort_runs(rkeys, rbuf, tmp, &mut scratch.radix_hist);
+    out.transient_bytes = ((nl + nr) * RUN_BYTES) as u64;
     let (ls, rs) = (&lbuf[..nl], &rbuf[..nr]);
     let (mut i, mut j) = (0usize, 0usize);
     while i < ls.len() && j < rs.len() {
-        let (lk, rk) = (ls[i].0, rs[j].0);
+        let (lk, rk) = (ls[i].key, rs[j].key);
         if lk < rk {
             i += 1;
         } else if lk > rk {
             j += 1;
         } else {
-            // The cross product of the two duplicate groups.
-            let i_end = run_end(ls, i, lk);
-            let j_end = run_end(rs, j, rk);
-            out.len += ((i_end - i) * (j_end - j)) as u64;
-            if emit != Emit::Count {
-                for &(_, lrow) in &ls[i..i_end] {
-                    if emit.left() {
-                        out.left.resize(out.left.len() + (j_end - j), lrow);
-                    }
-                    if emit.right() {
-                        out.right.extend(rs[j..j_end].iter().map(|&(_, r)| r));
-                    }
-                }
-            }
+            let (i_end, l_rows) = group_rows(ls, i, lk);
+            let (j_end, r_rows) = group_rows(rs, j, rk);
+            emit_cross(&ls[i..i_end], l_rows, &rs[j..j_end], r_rows, emit, out);
             i = i_end;
             j = j_end;
         }
     }
 }
 
-/// Indexed nested-loop join: builds a transient sorted index on the inner
-/// (right) and probes per outer row.
+/// One key of the INL index, and where its rows end in the index's rows
+/// (they start where the previous key's end).
+#[derive(Debug, Clone, Copy)]
+struct KeyGroup {
+    key: i64,
+    rows_end: u32,
+}
+
+/// Indexed nested-loop join: builds a transient sorted index of the
+/// inner (right) side — one [`KeyGroup`] per distinct key, from its runs
+/// sorted by key, and, when build rows are emitted, each key's rows in
+/// position order — then probes it like a hash build, with one binary
+/// search per run of equal probe keys.
 fn inl_join(
     lkeys: &[i64],
     rkeys: &[i64],
@@ -1193,27 +1339,53 @@ fn inl_join(
     scratch: &mut ExecScratch,
     out: &mut Matches,
 ) {
-    let [_, rbuf, tmp] = &mut scratch.pairs;
-    let nr = sorted_pairs(rkeys, rbuf, tmp, &mut scratch.radix_hist);
-    out.transient_bytes = (nr * PAIR_BYTES) as u64;
-    let idx = &rbuf[..nr];
-    for (l, &k) in lkeys.iter().enumerate() {
-        if k == NULL_KEY {
-            continue;
-        }
-        let start = idx.partition_point(|&(v, _)| v < k);
-        if start == idx.len() || idx[start].0 != k {
-            continue;
-        }
-        let end = run_end(idx, start, k);
-        out.len += (end - start) as u64;
-        if emit.left() {
-            out.left.resize(out.left.len() + (end - start), l as u32);
-        }
-        if emit.right() {
-            out.right.extend(idx[start..end].iter().map(|&(_, r)| r));
+    let [_, rbuf, tmp] = &mut scratch.runs;
+    let nr = sort_runs(rkeys, rbuf, tmp, &mut scratch.radix_hist);
+    let runs = &rbuf[..nr];
+    let (groups, rows) = (&mut scratch.key_groups, &mut scratch.build.rows);
+    groups.clear();
+    let mut rows_end = 0;
+    for run in runs {
+        rows_end += run.len;
+        match groups.last_mut() {
+            Some(g) if g.key == run.key => g.rows_end = rows_end,
+            _ => groups.push(KeyGroup {
+                key: run.key,
+                rows_end,
+            }),
         }
     }
+    let rows = if emit.right() {
+        let total = rows_end as usize;
+        if rows.len() < total {
+            rows.resize(total, 0);
+        }
+        let mut at = 0;
+        for run in runs {
+            for (slot, row) in rows[at..].iter_mut().zip(run.rows()) {
+                *slot = row;
+            }
+            at += run.len as usize;
+        }
+        &rows[..total]
+    } else {
+        &[]
+    };
+    out.transient_bytes = (nr * RUN_BYTES
+        + groups.len() * std::mem::size_of::<KeyGroup>()
+        + std::mem::size_of_val(rows)) as u64;
+    let lookup = |k| {
+        let g = groups.partition_point(|g| g.key < k);
+        match groups.get(g) {
+            Some(group) if group.key == k => {
+                let start = g.checked_sub(1).map_or(0, |prev| groups[prev].rows_end);
+                let span = start as usize..group.rows_end as usize;
+                (span.len(), rows.get(span).unwrap_or(&[]))
+            }
+            _ => (0, &[][..]),
+        }
+    };
+    probe(lkeys, emit, lookup, out);
 }
 
 #[cfg(test)]
@@ -1328,8 +1500,8 @@ mod tests {
     #[test]
     fn flat_table_growth_path_agrees() {
         // A severe underestimate (1 expected build row vs 3000 distinct
-        // keys) forces repeated capacity doubling (chained table) and
-        // quadrupling (counting table); matches stay exact.
+        // keys) forces repeated doubling of the key table, grouped
+        // and counting; matches stay exact.
         let lkeys: Vec<i64> = (0..3000).collect();
         let rkeys: Vec<i64> = (0..3000).rev().collect();
         let mut scratch = ExecScratch::new();
@@ -1359,23 +1531,51 @@ mod tests {
 
     #[test]
     fn counting_table_grows_past_its_start_size() {
-        // More distinct keys than the counting table starts with room
-        // for: the rehash path must keep every aggregated count.
-        let distinct = COUNT_TABLE_START_ROWS as i64 * 3;
-        let rkeys: Vec<i64> = (0..distinct).chain(0..distinct / 2).collect();
-        let lkeys: Vec<i64> = (0..distinct + 10).collect();
+        // More distinct keys than the key table starts with room for:
+        // the rehash path must keep every aggregated count and group.
+        let distinct = TABLE_START_KEYS as u32 * 3;
+        let rkeys: Vec<i64> = (0..distinct)
+            .chain(0..distinct / 2)
+            .map(i64::from)
+            .collect();
+        let lkeys: Vec<i64> = (0..i64::from(distinct) + 10).collect();
         let mut scratch = ExecScratch::new();
         let mut stats = ExecStats::default();
-        let m = join_emit_with(
-            JoinAlgo::Hash,
-            &lkeys,
-            &rkeys,
-            Emit::Count,
-            usize::MAX,
-            &mut stats,
-            &mut scratch,
-        );
-        assert_eq!(m.len, (distinct + distinct / 2) as u64);
+        let want: Vec<u32> = (0..distinct)
+            .flat_map(|k| {
+                [k].into_iter()
+                    .chain((k < distinct / 2).then_some(distinct + k))
+            })
+            .collect();
+        for emit in [Emit::Count, Emit::Right] {
+            let m = join_emit_with(
+                JoinAlgo::Hash,
+                &lkeys,
+                &rkeys,
+                emit,
+                usize::MAX,
+                &mut stats,
+                &mut scratch,
+            );
+            assert_eq!(m.len, want.len() as u64, "{emit:?}");
+            if emit == Emit::Right {
+                assert_eq!(m.right, want);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_split_at_key_changes_and_nulls() {
+        let keys = [NULL_KEY, 4, 4, 4, NULL_KEY, 4, 9, 4, 4, NULL_KEY, NULL_KEY];
+        let runs_of = |keys: &[i64]| {
+            let mut runs = Vec::new();
+            keys.for_each_run(|r| runs.push((r.key, r.first, r.len)));
+            runs
+        };
+        assert_eq!(runs_of(&keys), [(4, 1, 3), (4, 5, 1), (9, 6, 1), (4, 7, 2)]);
+        assert_eq!(runs_of(&[4, 4]), [(4, 0, 2)]);
+        assert!(runs_of(&[NULL_KEY; 3]).is_empty());
+        assert!(runs_of(&[]).is_empty());
     }
 
     #[test]
@@ -1599,17 +1799,19 @@ mod tests {
         assert_eq!(count, plain);
 
         // A budget of exactly the peak live bytes admits the hash plan
-        // but not the merge plan over the same live set: its sorted
-        // pairs (4 + 4 non-NULL keys at 16 B) are charged on top.
+        // but not the merge plan over the same live set: its sorted runs
+        // are charged on top — 4 for a.id, 3 for b.aid (`1 1 | 2 | 9`,
+        // the NULL in none), at 16 B.
         let live = stats.peak_intermediate_bytes;
         assert!(try_execute_with(&p, &bound, &db, &mut scratch, Some(live)).is_ok());
         let merge = plan(JoinAlgo::Merge);
         let err = try_execute_with(&merge, &bound, &db, &mut scratch, Some(live))
-            .expect_err("sort pairs exceed the live-only budget");
+            .expect_err("sorted runs exceed the live-only budget");
+        assert_eq!(RUN_BYTES, 16);
         assert_eq!(
             err,
             ExecError::BudgetExceeded {
-                peak_bytes: live + 8 * PAIR_BYTES as u64,
+                peak_bytes: live + 7 * RUN_BYTES as u64,
                 budget_bytes: live,
             }
         );

@@ -43,8 +43,8 @@ pub mod truecard;
 pub use cost::CostModel;
 pub use database::Database;
 pub use executor::{
-    execute, execute_with, join_emit_with, join_matches, join_matches_with, sort_key_pairs,
-    try_execute_with, Emit, ExecError, ExecScratch, ExecStats, Matches, HASH_SPILL_ROWS,
+    execute, execute_with, join_emit_with, join_matches, join_matches_with, sort_key_runs,
+    try_execute_with, Emit, ExecError, ExecScratch, ExecStats, Matches, Run, HASH_SPILL_ROWS,
 };
 pub use explain::explain;
 pub use optimizer::{

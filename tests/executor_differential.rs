@@ -5,13 +5,15 @@
 //! and through the partitioned (spilling) hash join; the kernels must
 //! emit identical sorted row-pair sets whether the build takes the small
 //! flat-table path or the partitioned path, one-sided and count-only
-//! emission must equal the matching column of both-sided emission, the
-//! radix sort must equal a comparison sort, and scratch reuse must be
-//! bit-identical to fresh buffers throughout.
+//! emission must equal the matching column of both-sided emission, every
+//! kernel's emission order must equal its pinned golden, the radix run
+//! sort must expand to the pair sort it replaced (and to a comparison
+//! sort), and scratch reuse must be bit-identical to fresh buffers
+//! throughout.
 
 use cardbench_engine::{
     exact_cardinality, execute, execute_with, join_emit_with, join_matches, join_matches_with,
-    sort_key_pairs, Database, Emit, ExecScratch, ExecStats, JoinAlgo, PhysicalPlan, ScanMethod,
+    sort_key_runs, Database, Emit, ExecScratch, ExecStats, JoinAlgo, PhysicalPlan, Run, ScanMethod,
     HASH_SPILL_ROWS,
 };
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, Predicate, Region, TableMask};
@@ -245,6 +247,54 @@ fn reference_execute(plan: &PhysicalPlan, bound: &BoundQuery, db: &Database) -> 
     (rows as u64, stats)
 }
 
+/// The merge / INL sort the run sort replaced: the non-NULL `(key,
+/// position)` pairs of `keys` by a stable LSD radix over `key − min`,
+/// digits of at most 11 bits evened out over as many passes as the key
+/// range has bits; already-ascending input, fewer than 64 pairs and
+/// ranges wider than 63 bits comparison-sorted (the original copied
+/// ascending input through, which is the same order).
+fn reference_sorted_pairs(keys: &[i64]) -> Vec<(i64, u32)> {
+    let mut pairs: Vec<(i64, u32)> = keys
+        .iter()
+        .enumerate()
+        .filter(|&(_, &k)| k != i64::MIN)
+        .map(|(i, &k)| (k, i as u32))
+        .collect();
+    let ascending = pairs.windows(2).all(|w| w[0].0 <= w[1].0);
+    let (Some(min), Some(max)) = (
+        pairs.iter().map(|p| p.0).min(),
+        pairs.iter().map(|p| p.0).max(),
+    ) else {
+        return pairs;
+    };
+    let bits = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+    if ascending || pairs.len() < 64 || bits > 63 {
+        pairs.sort_unstable();
+        return pairs;
+    }
+    let passes = bits.div_ceil(11);
+    let digit_bits = bits.div_ceil(passes);
+    let mask = (1u64 << digit_bits) - 1;
+    for pass in 0..passes {
+        let digit = |k: i64| ((k.wrapping_sub(min) as u64 >> (pass * digit_bits)) & mask) as usize;
+        let mut starts = vec![0usize; 1 << digit_bits];
+        for &(k, _) in &pairs {
+            starts[digit(k)] += 1;
+        }
+        let mut total = 0;
+        for s in &mut starts {
+            total += std::mem::replace(s, total);
+        }
+        let mut next = vec![(0, 0); pairs.len()];
+        for &pair in &pairs {
+            next[starts[digit(pair.0)]] = pair;
+            starts[digit(pair.0)] += 1;
+        }
+        pairs = next;
+    }
+    pairs
+}
+
 /// `ExecStats` with the one physical counter blanked.
 fn logical(mut stats: ExecStats) -> ExecStats {
     stats.peak_intermediate_bytes = 0;
@@ -362,10 +412,11 @@ proptest! {
         }
     }
 
-    /// The radix sort of `(key, position)` pairs equals `sort_unstable`
-    /// on the tuples: negative keys, the `i64` extremes, single-valued
-    /// inputs, NULLs, and key ranges on either side of every digit-count
-    /// boundary.
+    /// The radix-sorted runs, expanded row by row, equal the pair sort
+    /// they replaced, which equals `sort_unstable` on the `(key,
+    /// position)` tuples: negative keys, the `i64` extremes,
+    /// single-valued inputs, NULLs, long equal-key runs, and key ranges
+    /// on either side of every digit-count boundary.
     #[test]
     fn radix_sorted_pairs_equal_comparison_sort(
         seed in any::<u64>(),
@@ -388,16 +439,20 @@ proptest! {
             _ => rng.gen_range(-1000..1000i64),
         };
         let hi = (lo as i128 + span as i128).min(i64::MAX as i128) as i64;
-        let mut keys: Vec<i64> = (0..n)
-            .map(|i| match rng.gen_range(0..10u32) {
+        let mut keys: Vec<i64> = Vec::with_capacity(n);
+        while keys.len() < n {
+            let k = match rng.gen_range(0..10u32) {
                 0 => i64::MIN, // NULL: dropped
                 1 => lo,
                 2 => hi,
                 // Duplicate-heavy stretch.
-                _ if i % 3 == 0 => lo + (rng.gen_range(0..4u64).min(span)) as i64,
+                _ if keys.len().is_multiple_of(3) => lo + (rng.gen_range(0..4u64).min(span)) as i64,
                 _ => (lo as i128 + (rng.gen::<u64>() % span.max(1)) as i128) as i64,
-            })
-            .collect();
+            };
+            // Runs of 1 (mostly) up to 40 equal keys.
+            let len = if shape == 1 || seed % 3 == 0 { rng.gen_range(1..40usize) } else { 1 };
+            keys.extend(std::iter::repeat_n(k, len.min(n - keys.len())));
+        }
         if n > 100 && seed % 5 == 0 {
             keys.sort_unstable(); // already-ascending input
         }
@@ -408,12 +463,18 @@ proptest! {
             .map(|(i, &k)| (k, i as u32))
             .collect();
         want.sort_unstable();
+        prop_assert_eq!(reference_sorted_pairs(&keys), &want[..]);
+        let expand = |runs: &[Run]| -> Vec<(i64, u32)> {
+            runs.iter().flat_map(|r| r.rows().map(move |row| (r.key, row))).collect()
+        };
         let mut scratch = ExecScratch::new();
-        prop_assert_eq!(sort_key_pairs(&keys, &mut scratch), &want[..]);
+        let runs = sort_key_runs(&keys, &mut scratch);
+        prop_assert!(runs.iter().all(|r| r.len > 0));
+        prop_assert_eq!(expand(runs), &want[..]);
         // A warm arena (stale longer buffers) changes nothing.
         let longer: Vec<i64> = (0..700).rev().collect();
-        sort_key_pairs(&longer, &mut scratch);
-        prop_assert_eq!(sort_key_pairs(&keys, &mut scratch), &want[..]);
+        sort_key_runs(&longer, &mut scratch);
+        prop_assert_eq!(expand(sort_key_runs(&keys, &mut scratch)), &want[..]);
     }
 }
 
@@ -462,6 +523,140 @@ proptest! {
             let fresh = execute(&plan, &bound, &db);
             prop_assert_eq!((fresh.0, logical(fresh.1)), (ref_count, ref_stats));
             prop_assert_eq!(execute_with(&plan, &bound, &db, &mut scratch), fresh);
+        }
+    }
+}
+
+/// Keys laid out as runs: `(key, length)` pairs expanded in order.
+fn runs_of(runs: impl IntoIterator<Item = (i64, usize)>) -> Vec<i64> {
+    runs.into_iter()
+        .flat_map(|(k, len)| std::iter::repeat_n(k, len))
+        .collect()
+}
+
+/// The seeded `(probe, build)` key corpus the emission goldens digest:
+/// uniform keys, duplicate-heavy keys, one constant key, two alternating
+/// keys, runs of length 1..10^4 on either side, long NULL runs, and the
+/// `i64` extremes (a key range wider than 63 bits).
+fn golden_corpus() -> Vec<(Vec<i64>, Vec<i64>)> {
+    const NULL: i64 = i64::MIN;
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let mut corpus = Vec::new();
+    let uniform = |rng: &mut StdRng, n: usize, domain: i64| -> Vec<i64> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0 => NULL,
+                _ => rng.gen_range(0..domain),
+            })
+            .collect()
+    };
+    corpus.push((
+        uniform(&mut rng, 2_000, 3_000),
+        uniform(&mut rng, 1_500, 3_000),
+    ));
+    corpus.push((uniform(&mut rng, 1_500, 40), uniform(&mut rng, 1_200, 40)));
+    corpus.push((vec![7; 600], vec![7; 500]));
+    let alternating = |n: usize| (0..n).map(|i| [-3, 11][i % 2]).collect::<Vec<i64>>();
+    corpus.push((alternating(800), alternating(700)));
+    // Runs of every length 1..10^4 over a small domain, against short
+    // runs: once as the probe side, once as the build side.
+    let long_runs = |rng: &mut StdRng| {
+        let lens = [1, 2, 3, 10, 100, 1_000, 10_000, 5, 300, 1, 1, 2_500];
+        runs_of(lens.map(|len| (rng.gen_range(0..64i64), len)))
+    };
+    let short_runs = |rng: &mut StdRng, n: usize| {
+        runs_of((0..n).map(|_| (rng.gen_range(0..64i64), rng.gen_range(1..20usize))))
+    };
+    let (long, short) = (long_runs(&mut rng), short_runs(&mut rng, 30));
+    corpus.push((long, short));
+    let (long, short) = (long_runs(&mut rng), short_runs(&mut rng, 30));
+    corpus.push((short, long));
+    // NULL runs between key runs, with keys repeating across them.
+    let null_runs = |rng: &mut StdRng, n: usize| {
+        runs_of((0..n).flat_map(|_| {
+            let key = rng.gen_range(0..8i64);
+            [
+                (NULL, rng.gen_range(1..50usize)),
+                (key, rng.gen_range(1..30usize)),
+            ]
+        }))
+    };
+    corpus.push((null_runs(&mut rng, 40), null_runs(&mut rng, 40)));
+    let extremes = [i64::MIN + 1, i64::MAX, i64::MAX - 1, -1, 0, 1, NULL];
+    let pick = |rng: &mut StdRng, n: usize| -> Vec<i64> {
+        (0..n)
+            .map(|_| extremes[rng.gen_range(0..extremes.len())])
+            .collect()
+    };
+    corpus.push((pick(&mut rng, 300), pick(&mut rng, 250)));
+    corpus
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
+        }
+    }
+}
+
+/// `join_emit_with`'s output, order included, pinned per (algorithm,
+/// emit mode, spill threshold) over [`golden_corpus`]: the match count,
+/// both match vectors element by element, and the partitions spilled.
+/// Recorded from the row-at-a-time kernels (chained hash build, `(key,
+/// row)` pair sort) that the run-at-a-time kernels replaced.
+#[test]
+fn emission_order_goldens() {
+    // Count, Left, Right, Both. Probe order (in-memory hash, and INL at
+    // any threshold): probe row, then build row. Spilled hash: partition,
+    // probe row, build row. Merge: key, probe row, build row.
+    const PROBE_ORDER: [u64; 4] = [
+        0x14a4_f14f_3d29_86b2,
+        0x354d_17ab_f3bf_d891,
+        0x653c_8117_013f_7203,
+        0xfb99_bd6e_1b18_2110,
+    ];
+    const SPILLED: [u64; 4] = [
+        0x2faa_2774_89d0_1024,
+        0xdc25_3ec2_1676_1793,
+        0xcad5_0388_3164_43f9,
+        0xd362_66fd_77a9_0f56,
+    ];
+    const KEY_ORDER: [u64; 4] = [
+        0x14a4_f14f_3d29_86b2,
+        0x5560_5cec_ec50_0f79,
+        0xd3f3_4ab8_ba11_5ca7,
+        0xb66d_07e9_0f37_496c,
+    ];
+    const GOLDENS: [(JoinAlgo, usize, [u64; 4]); 6] = [
+        (JoinAlgo::Hash, usize::MAX, PROBE_ORDER),
+        (JoinAlgo::Hash, 100, SPILLED),
+        (JoinAlgo::Merge, usize::MAX, KEY_ORDER),
+        (JoinAlgo::Merge, 100, KEY_ORDER),
+        (JoinAlgo::IndexNestedLoop, usize::MAX, PROBE_ORDER),
+        (JoinAlgo::IndexNestedLoop, 100, PROBE_ORDER),
+    ];
+    let corpus = golden_corpus();
+    let mut scratch = ExecScratch::new();
+    for (algo, spill, want) in GOLDENS {
+        let emits = [Emit::Count, Emit::Left, Emit::Right, Emit::Both];
+        for (emit, want) in emits.into_iter().zip(want) {
+            let mut d = Fnv(0xCBF2_9CE4_8422_2325);
+            for (lkeys, rkeys) in &corpus {
+                let mut stats = ExecStats::default();
+                let m = join_emit_with(algo, lkeys, rkeys, emit, spill, &mut stats, &mut scratch);
+                d.word(m.len);
+                for side in [&m.left, &m.right] {
+                    d.word(side.len() as u64);
+                    side.iter().for_each(|&row| d.word(u64::from(row)));
+                }
+                d.word(stats.partitions_spilled);
+            }
+            assert_eq!(d.0, want, "{algo:?} {emit:?} spill {spill}");
         }
     }
 }
