@@ -2,11 +2,12 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cardbench_query::{BoundPredicate, BoundQuery, JoinQuery, Region};
 use cardbench_storage::{Catalog, ColumnStats, StorageError, Table, TableId};
+use cardbench_support::hash::{word, OFFSET};
+use cardbench_support::memo::Memo;
 
 use crate::topology::JoinTopology;
 
@@ -65,142 +66,9 @@ impl SortedIndex {
     }
 }
 
-/// Shard count of the filtered-scan cache. A power of two so the shard
-/// pick is a mask; 16 keeps cross-thread contention negligible for the
-/// harness's thread counts without over-allocating mutexes.
-const FILTER_SHARDS: usize = 16;
-
-/// A sharded concurrent memo of filtered-row-id scans, keyed by a 64-bit
-/// FNV hash of `(table, predicate set)`. `exact_cardinality` alone asks
-/// for the same `(table, predicates)` scan once per sub-plan containing
-/// the table — `O(2^{n-1})` times per n-way query — and the executor and
-/// sampling estimators repeat it again, so memoizing here collapses all
-/// of that to one scan per distinct filter.
-#[derive(Debug, Default)]
-struct FilterCache {
-    shards: [Mutex<HashMap<u64, Arc<Vec<u32>>>>; FILTER_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl FilterCache {
-    fn get(&self, key: u64) -> Option<Arc<Vec<u32>>> {
-        let found = lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)])
-            .get(&key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.fetch_add(1, AtomicOrdering::Relaxed),
-            None => self.misses.fetch_add(1, AtomicOrdering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: u64, rows: Arc<Vec<u32>>) {
-        lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)]).insert(key, rows);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            lock_shard(s).clear();
-        }
-    }
-}
-
 /// Per-join-key weight totals for one `(table, predicate set, join
 /// column)` triple, shared by reference between sub-plans.
 pub type KeyWeightAgg = Arc<HashMap<i64, f64>>;
-
-/// A sharded concurrent memo of key→weight aggregates: for one `(table,
-/// predicate set, join column)` triple, how many filtered rows carry each
-/// join-key value. These are exactly the `by_key` maps true-cardinality
-/// message passing builds at the leaves of every sub-plan — shared here,
-/// they are built once per distinct triple instead of once per sub-plan,
-/// across queries and threads alike.
-#[derive(Debug, Default)]
-struct AggCache {
-    shards: [Mutex<HashMap<u64, KeyWeightAgg>>; FILTER_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl AggCache {
-    fn get(&self, key: u64) -> Option<KeyWeightAgg> {
-        let found = lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)])
-            .get(&key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.fetch_add(1, AtomicOrdering::Relaxed),
-            None => self.misses.fetch_add(1, AtomicOrdering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: u64, agg: KeyWeightAgg) {
-        lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)]).insert(key, agg);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            lock_shard(s).clear();
-        }
-    }
-}
-
-/// A sharded concurrent memo of [`JoinTopology`] values keyed by
-/// [`JoinTopology::structural_key`]. Plan search runs ~17× per query (15
-/// estimator kinds plus the double optimize inside p-error), and every
-/// run shares the same cardinality-independent query shape; memoizing the
-/// shape here means one lattice enumeration per distinct join structure
-/// — across estimators, repeated templates, and threads alike.
-#[derive(Debug, Default)]
-struct TopologyCache {
-    shards: [Mutex<HashMap<u64, Arc<JoinTopology>>>; FILTER_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl TopologyCache {
-    fn get(&self, key: u64) -> Option<Arc<JoinTopology>> {
-        let found = lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)])
-            .get(&key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.fetch_add(1, AtomicOrdering::Relaxed),
-            None => self.misses.fetch_add(1, AtomicOrdering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: u64, topo: Arc<JoinTopology>) {
-        lock_shard(&self.shards[key as usize & (FILTER_SHARDS - 1)]).insert(key, topo);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            lock_shard(s).clear();
-        }
-    }
-}
-
-/// Locks a cache shard, tolerating poison: the harness sandboxes
-/// estimator panics with `catch_unwind`, and a panic unwinding through a
-/// thread that held a shard lock poisons it. Cached entries are only
-/// ever inserted whole, so a poisoned shard's data is still valid.
-fn lock_shard<T>(shard: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    shard.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Total order on bound predicates: by column, then region (ranges before
 /// IN-lists, each by their values). Used to canonicalize predicate order
@@ -223,55 +91,31 @@ fn cmp_predicates(a: &BoundPredicate, b: &BoundPredicate) -> Ordering {
 /// produced by binding the same filters listed differently — maps to the
 /// same entry instead of paying a duplicate scan.
 fn filter_key(table: TableId, predicates: &[BoundPredicate]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    fnv_word(table.0 as u64, &mut h);
-    let hash_one = |p: &BoundPredicate, h: &mut u64| {
-        fnv_word(p.column as u64, h);
+    let hash_one = |h: u64, p: &BoundPredicate| {
+        let h = word(h, p.column as u64);
         match &p.region {
-            Region::Range { lo, hi } => {
-                fnv_word(1, h);
-                fnv_word(*lo as u64, h);
-                fnv_word(*hi as u64, h);
-            }
-            Region::In(vals) => {
-                fnv_word(2, h);
-                fnv_word(vals.len() as u64, h);
-                for &v in vals {
-                    fnv_word(v as u64, h);
-                }
-            }
+            Region::Range { lo, hi } => word(word(word(h, 1), *lo as u64), *hi as u64),
+            Region::In(vals) => vals
+                .iter()
+                .fold(word(word(h, 2), vals.len() as u64), |h, &v| {
+                    word(h, v as u64)
+                }),
         }
     };
+    let h = word(OFFSET, table.0 as u64);
     if predicates.len() < 2 || predicates.is_sorted_by(|a, b| cmp_predicates(a, b).is_le()) {
-        for p in predicates {
-            hash_one(p, &mut h);
-        }
+        predicates.iter().fold(h, hash_one)
     } else {
         let mut sorted: Vec<&BoundPredicate> = predicates.iter().collect();
         sorted.sort_by(|a, b| cmp_predicates(a, b));
-        for p in sorted {
-            hash_one(p, &mut h);
-        }
-    }
-    h
-}
-
-/// Folds one 64-bit word into an FNV-1a state, byte by byte.
-fn fnv_word(mut w: u64, h: &mut u64) {
-    const PRIME: u64 = 0x100000001b3;
-    for _ in 0..8 {
-        *h ^= w & 0xff;
-        *h = h.wrapping_mul(PRIME);
-        w >>= 8;
+        sorted.into_iter().fold(h, hash_one)
     }
 }
 
 /// Key of one `(table, predicate set, join column)` aggregate: the filter
 /// key extended with the column the weights aggregate over.
 fn agg_key(table: TableId, predicates: &[BoundPredicate], column: usize) -> u64 {
-    let mut h = filter_key(table, predicates);
-    fnv_word(column as u64 ^ 0xa66a_a66a, &mut h);
-    h
+    word(filter_key(table, predicates), column as u64 ^ 0xa66a_a66a)
 }
 
 /// An indexed database: the catalog plus sorted indexes and cached column
@@ -283,12 +127,11 @@ pub struct Database {
     indexes: Vec<Vec<SortedIndex>>,
     /// `stats[table][column]`.
     stats: Vec<Vec<ColumnStats>>,
-    /// Memoized filtered scans; rebuilt (emptied) on [`Database::refresh`].
-    filter_cache: FilterCache,
-    /// Memoized key→weight aggregates; rebuilt on [`Database::refresh`].
-    agg_cache: AggCache,
-    /// Memoized join topologies; rebuilt on [`Database::refresh`].
-    topology_cache: TopologyCache,
+    /// Shared derived data, emptied by [`Database::refresh`]: filtered
+    /// scans, key→weight aggregates and join topologies.
+    filter_cache: Memo<Arc<Vec<u32>>>,
+    agg_cache: Memo<KeyWeightAgg>,
+    topology_cache: Memo<Arc<JoinTopology>>,
 }
 
 impl Database {
@@ -310,9 +153,9 @@ impl Database {
             catalog,
             indexes,
             stats,
-            filter_cache: FilterCache::default(),
-            agg_cache: AggCache::default(),
-            topology_cache: TopologyCache::default(),
+            filter_cache: Memo::default(),
+            agg_cache: Memo::default(),
+            topology_cache: Memo::default(),
         }
     }
 
@@ -429,31 +272,20 @@ impl Database {
     /// Row ids matching all `predicates`, memoized per `(table,
     /// predicate set)`. The first call per key pays one index-assisted
     /// scan; every later call — from another sub-plan, another executor
-    /// run, or another thread — is a shard-local map lookup. Rows come
-    /// back sorted, identical to [`Database::scan_filtered`]. Concurrent
-    /// first calls may both compute; both produce the same value, so the
-    /// race is benign.
+    /// run, or another thread — is a shard-local map lookup.
+    /// `exact_cardinality` alone asks for the same scan once per sub-plan
+    /// containing the table, `O(2^{n-1})` times per n-way query. Rows come
+    /// back sorted, identical to [`Database::scan_filtered`].
     pub fn filtered_rows(&self, table: TableId, predicates: &[BoundPredicate]) -> Arc<Vec<u32>> {
-        let key = filter_key(table, predicates);
-        if let Some(rows) = self.filter_cache.get(key) {
-            return rows;
-        }
-        let rows = Arc::new(self.index_filtered(table, predicates));
-        self.filter_cache.insert(key, rows.clone());
-        rows
-    }
-
-    /// Number of memoized filtered scans currently cached.
-    pub fn filter_cache_len(&self) -> usize {
-        self.filter_cache.len()
+        self.filter_cache
+            .get_or_insert_with(filter_key(table, predicates), || {
+                Arc::new(self.index_filtered(table, predicates))
+            })
     }
 
     /// `(hits, misses)` of the filtered-scan memo since construction.
     pub fn filter_cache_stats(&self) -> (u64, u64) {
-        (
-            self.filter_cache.hits.load(AtomicOrdering::Relaxed),
-            self.filter_cache.misses.load(AtomicOrdering::Relaxed),
-        )
+        self.filter_cache.stats()
     }
 
     /// How many filtered rows of `table` carry each value of `column`,
@@ -470,34 +302,23 @@ impl Database {
         predicates: &[BoundPredicate],
         column: usize,
     ) -> KeyWeightAgg {
-        let key = agg_key(table, predicates, column);
-        if let Some(agg) = self.agg_cache.get(key) {
-            return agg;
-        }
-        let rows = self.filtered_rows(table, predicates);
-        let col = self.catalog.table(table).column(column);
-        let mut by_key: HashMap<i64, f64> = HashMap::new();
-        for &r in rows.iter() {
-            if let Some(v) = col.get(r as usize) {
-                *by_key.entry(v).or_insert(0.0) += 1.0;
-            }
-        }
-        let agg = Arc::new(by_key);
-        self.agg_cache.insert(key, agg.clone());
-        agg
-    }
-
-    /// Number of memoized key→weight aggregates currently cached.
-    pub fn agg_cache_len(&self) -> usize {
-        self.agg_cache.len()
+        self.agg_cache
+            .get_or_insert_with(agg_key(table, predicates, column), || {
+                let rows = self.filtered_rows(table, predicates);
+                let col = self.catalog.table(table).column(column);
+                let mut by_key: HashMap<i64, f64> = HashMap::new();
+                for &r in rows.iter() {
+                    if let Some(v) = col.get(r as usize) {
+                        *by_key.entry(v).or_insert(0.0) += 1.0;
+                    }
+                }
+                Arc::new(by_key)
+            })
     }
 
     /// `(hits, misses)` of the aggregate memo since construction.
     pub fn agg_cache_stats(&self) -> (u64, u64) {
-        (
-            self.agg_cache.hits.load(AtomicOrdering::Relaxed),
-            self.agg_cache.misses.load(AtomicOrdering::Relaxed),
-        )
+        self.agg_cache.stats()
     }
 
     /// The precomputed plan-search shape of `(query, bound)`, memoized by
@@ -505,34 +326,20 @@ impl Database {
     /// structure enumerates the connected-subset lattice and partition
     /// list (under a `topology` span); every later call — from another
     /// estimator, a p-error replay, or another thread — is a shard-local
-    /// map lookup. Concurrent first calls may both build; both produce
-    /// the same value, so the race is benign.
+    /// map lookup.
     pub fn topology(&self, query: &JoinQuery, bound: &BoundQuery) -> Arc<JoinTopology> {
-        let key = JoinTopology::structural_key(query, bound);
-        if let Some(topo) = self.topology_cache.get(key) {
-            return topo;
-        }
-        let topo = {
-            let _sp = cardbench_obs::span_with("topology", "plan", || {
-                format!("n={}", query.table_count())
-            });
-            Arc::new(JoinTopology::build(query, bound, self))
-        };
-        self.topology_cache.insert(key, topo.clone());
-        topo
-    }
-
-    /// Number of memoized join topologies currently cached.
-    pub fn topology_cache_len(&self) -> usize {
-        self.topology_cache.len()
+        self.topology_cache
+            .get_or_insert_with(JoinTopology::structural_key(query, bound), || {
+                let _sp = cardbench_obs::span_with("topology", "plan", || {
+                    format!("n={}", query.table_count())
+                });
+                Arc::new(JoinTopology::build(query, bound, self))
+            })
     }
 
     /// `(hits, misses)` of the topology memo since construction.
     pub fn topology_cache_stats(&self) -> (u64, u64) {
-        (
-            self.topology_cache.hits.load(AtomicOrdering::Relaxed),
-            self.topology_cache.misses.load(AtomicOrdering::Relaxed),
-        )
+        self.topology_cache.stats()
     }
 
     /// Per-table "fanout" degree of a key value: how many rows of
@@ -659,14 +466,14 @@ mod tests {
         }];
         let a = db.filtered_rows(TableId(0), &preds);
         assert_eq!(*a, vec![1, 2, 4]);
-        assert_eq!(db.filter_cache_len(), 1);
+        assert_eq!(db.filter_cache.len(), 1);
         let b = db.filtered_rows(TableId(0), &preds);
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the memo");
         // Distinct predicate sets get distinct entries.
         db.filtered_rows(TableId(0), &[]);
-        assert_eq!(db.filter_cache_len(), 2);
+        assert_eq!(db.filter_cache.len(), 2);
         db.refresh();
-        assert_eq!(db.filter_cache_len(), 0, "refresh must drop stale scans");
+        assert_eq!(db.filter_cache.len(), 0, "refresh must drop stale scans");
     }
 
     #[test]
@@ -678,14 +485,14 @@ mod tests {
         }];
         db.filtered_rows(TableId(0), &preds);
         db.filtered_rows(TableId(0), &preds);
-        assert_eq!(db.filter_cache_len(), 1);
+        assert_eq!(db.filter_cache.len(), 1);
         let (hits, misses) = db.filter_cache_stats();
         assert_eq!((hits, misses), (1, 1));
         // &self: works through a shared reference, unlike `refresh`.
         db.clear_shared_caches();
-        assert_eq!(db.filter_cache_len(), 0);
-        assert_eq!(db.agg_cache_len(), 0);
-        assert_eq!(db.topology_cache_len(), 0);
+        assert_eq!(db.filter_cache.len(), 0);
+        assert_eq!(db.agg_cache.len(), 0);
+        assert_eq!(db.topology_cache.len(), 0);
         // Counters stay monotone so delta-based accounting never
         // underflows.
         assert_eq!(db.filter_cache_stats(), (hits, misses));
@@ -725,7 +532,7 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "permuted bind must hit the memo, not rescan"
         );
-        assert_eq!(db.filter_cache_len(), 1);
+        assert_eq!(db.filter_cache.len(), 1);
         let (hits, misses) = db.filter_cache_stats();
         assert_eq!((hits, misses), (1, 1));
     }
@@ -748,6 +555,51 @@ mod tests {
         assert_ne!(k(&range), k(&inlist));
         assert_ne!(k(&range), k(&other_col));
         assert_ne!(filter_key(TableId(0), &[]), filter_key(TableId(1), &[]));
+    }
+
+    #[test]
+    fn filter_and_agg_keys_match_goldens() {
+        let range = BoundPredicate {
+            column: 0,
+            region: Region::between(i64::MIN, -3),
+        };
+        let inlist = BoundPredicate {
+            column: 1,
+            region: Region::In(vec![5, -1, i64::MAX]),
+        };
+        let same_col = BoundPredicate {
+            column: 1,
+            region: Region::between(2, 9),
+        };
+        let sets = [
+            vec![],
+            vec![range.clone()],
+            vec![inlist.clone(), range.clone()],
+            vec![same_col.clone(), inlist.clone(), range.clone()],
+        ];
+        let mut keys = Vec::new();
+        for (t, set) in sets.iter().enumerate() {
+            let mut rev = set.clone();
+            rev.reverse();
+            let table = TableId(t);
+            assert_eq!(filter_key(table, set), filter_key(table, &rev));
+            assert_eq!(agg_key(table, set, 3), agg_key(table, &rev, 3));
+            keys.push(filter_key(table, set));
+            keys.push(agg_key(table, set, 3));
+        }
+        assert_eq!(
+            keys,
+            [
+                12161962213042174405,
+                6017905575747881766,
+                16368804282485519167,
+                1472064761268188444,
+                12299400057975255977,
+                571767053772080234,
+                18030564890692152195,
+                7616327241652146816,
+            ]
+        );
     }
 
     /// A table shaped so the first-listed predicate is the *wrong* one to
@@ -816,12 +668,12 @@ mod tests {
         assert_eq!(agg.get(&40), Some(&1.0));
         let again = db.key_weight_aggregate(TableId(0), &[], 1);
         assert!(Arc::ptr_eq(&agg, &again), "second call must hit the memo");
-        assert_eq!(db.agg_cache_len(), 1);
+        assert_eq!(db.agg_cache.len(), 1);
         assert_eq!(db.agg_cache_stats(), (1, 1));
         // Different column → different entry.
         let ids = db.key_weight_aggregate(TableId(0), &[], 0);
         assert_eq!(ids.len(), 5);
-        assert_eq!(db.agg_cache_len(), 2);
+        assert_eq!(db.agg_cache.len(), 2);
     }
 
     #[test]
@@ -854,10 +706,10 @@ mod tests {
             Arc::ptr_eq(&t1, &t2),
             "shape-equal queries share one topology"
         );
-        assert_eq!(db.topology_cache_len(), 1);
+        assert_eq!(db.topology_cache.len(), 1);
         assert_eq!(db.topology_cache_stats(), (1, 1));
         db.refresh();
-        assert_eq!(db.topology_cache_len(), 0, "refresh must drop topologies");
+        assert_eq!(db.topology_cache.len(), 0, "refresh must drop topologies");
         assert_eq!(db.topology_cache_stats(), (0, 0));
     }
 
@@ -865,9 +717,9 @@ mod tests {
     fn refresh_clears_agg_cache() {
         let mut db = db();
         db.key_weight_aggregate(TableId(0), &[], 1);
-        assert_eq!(db.agg_cache_len(), 1);
+        assert_eq!(db.agg_cache.len(), 1);
         db.refresh();
-        assert_eq!(db.agg_cache_len(), 0);
+        assert_eq!(db.agg_cache.len(), 0);
         assert_eq!(db.agg_cache_stats(), (0, 0));
     }
 }

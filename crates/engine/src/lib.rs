@@ -48,28 +48,9 @@ pub use executor::{
 };
 pub use explain::explain;
 pub use optimizer::{
-    clamp_row_est, optimize, optimize_costed, optimize_reference, optimize_topo, optimize_with,
-    plan_cost, CardMap, ClampKind,
+    clamp_row_est, optimize, optimize_reference, optimize_topo, optimize_with, plan_cost, CardMap,
+    ClampKind,
 };
 pub use plan::{JoinAlgo, PhysicalPlan, ScanMethod};
 pub use topology::{JoinTopology, Partition};
 pub use truecard::{exact_cardinality, subplan_true_cards, TrueCardService};
-
-/// A convenience facade bundling a database with a cost model.
-#[derive(Debug)]
-pub struct Engine {
-    /// The indexed database.
-    pub db: Database,
-    /// Cost model used for planning and P-Error costing.
-    pub cost: CostModel,
-}
-
-impl Engine {
-    /// Creates an engine with the default cost model.
-    pub fn new(db: Database) -> Engine {
-        Engine {
-            db,
-            cost: CostModel::default(),
-        }
-    }
-}

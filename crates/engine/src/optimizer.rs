@@ -187,21 +187,6 @@ pub fn optimize_with(
     optimize_topo(&topo, bound, db, &dense, cost, left_deep).1
 }
 
-/// Like [`optimize`], but also returns the DP's own cost of the winning
-/// plan (the cost under the *injected* cardinalities), sparing callers a
-/// [`plan_cost`] recomputation.
-pub fn optimize_costed(
-    query: &JoinQuery,
-    bound: &BoundQuery,
-    db: &Database,
-    cards: &CardMap,
-    cost: &CostModel,
-) -> (f64, PhysicalPlan) {
-    let topo = db.topology(query, bound);
-    let dense = cards.dense_view(&topo);
-    optimize_topo(&topo, bound, db, &dense, cost, false)
-}
-
 /// Sentinel child index marking a DP cell as a scan node.
 const SCAN_CHILD: u32 = u32::MAX;
 
@@ -699,13 +684,14 @@ mod tests {
     }
 
     #[test]
-    fn optimize_costed_cost_matches_plan_cost() {
+    fn optimize_topo_cost_matches_plan_cost() {
         let db = db();
         let q = chain_query();
         let bound = BoundQuery::bind(&q, db.catalog()).unwrap();
         let cm = CostModel::default();
         let cards = cards_for(&q, |m| 3.0 + m.0 as f64);
-        let (c, plan) = optimize_costed(&q, &bound, &db, &cards, &cm);
+        let topo = db.topology(&q, &bound);
+        let (c, plan) = optimize_topo(&topo, &bound, &db, &cards.dense_view(&topo), &cm, false);
         let recosted = plan_cost(&plan, &db, &bound, &cm, &|m| cards.rows(m));
         assert!((c - recosted).abs() <= 1e-9 * recosted.abs().max(1.0));
     }

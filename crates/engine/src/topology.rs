@@ -17,6 +17,7 @@
 //! and all estimator kinds share one enumeration.
 
 use cardbench_query::{connected_subsets, BoundQuery, JoinQuery, TableMask};
+use cardbench_support::hash::{word, OFFSET};
 
 use crate::database::Database;
 
@@ -120,24 +121,12 @@ impl JoinTopology {
     /// table *positions*, so an order-invariant key would alias permuted
     /// queries whose masks mean different tables.
     pub fn structural_key(query: &JoinQuery, bound: &BoundQuery) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = 0xcbf29ce484222325u64;
-        let mut word = |mut w: u64| {
-            for _ in 0..8 {
-                h ^= w & 0xff;
-                h = h.wrapping_mul(PRIME);
-                w >>= 8;
-            }
-        };
-        word(query.table_count() as u64);
-        for t in &bound.tables {
-            word(t.id.0 as u64);
-        }
-        for e in &bound.joins {
-            word(e.left as u64);
-            word(e.right as u64);
-        }
-        h
+        let h = word(OFFSET, query.table_count() as u64);
+        let h = bound.tables.iter().fold(h, |h, t| word(h, t.id.0 as u64));
+        bound
+            .joins
+            .iter()
+            .fold(h, |h, e| word(word(h, e.left as u64), e.right as u64))
     }
 
     /// Enumerates the full topology of `(query, bound)` on `db`. One-time

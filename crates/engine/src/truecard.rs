@@ -7,39 +7,22 @@
 //! exactly like the paper's pre-computed true cardinalities.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cardbench_query::{connected_subsets, BoundQuery, JoinQuery, SubPlanQuery, TableMask};
 use cardbench_storage::StorageError;
+use cardbench_support::memo::Memo;
 
 use crate::database::{Database, KeyWeightAgg};
-
-/// Shard count of the true-cardinality cache (power of two). With the
-/// harness fanning queries out across threads, a single map-wide lock
-/// would serialize every lookup; 16 shards keep collisions rare at the
-/// thread counts the harness uses.
-const SHARDS: usize = 16;
 
 /// Caching true-cardinality oracle, safe to share across threads.
 ///
 /// Entries are keyed by [`JoinQuery::canonical_hash`] — a 64-bit hash
 /// invariant under table/join/predicate reordering — so the hot lookup
-/// path allocates nothing (the old implementation rendered a canonical
-/// `String` per probe). Lookups for distinct queries land on distinct
-/// shards and proceed in parallel.
+/// path allocates nothing.
 #[derive(Debug, Default)]
 pub struct TrueCardService {
-    shards: [Mutex<HashMap<u64, f64>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Locks a cache shard, tolerating poison: estimator panics sandboxed by
-/// the harness can unwind through a thread holding a shard lock. Entries
-/// are inserted whole, so a poisoned shard's map is still consistent.
-fn lock_shard<T>(shard: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    shard.lock().unwrap_or_else(|e| e.into_inner())
+    cache: Memo<f64>,
 }
 
 impl TrueCardService {
@@ -50,15 +33,12 @@ impl TrueCardService {
 
     /// Number of cached entries.
     pub fn cached(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
+        self.cache.len()
     }
 
     /// `(hits, misses)` of the true-cardinality cache since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(AtomicOrdering::Relaxed),
-            self.misses.load(AtomicOrdering::Relaxed),
-        )
+        self.cache.stats()
     }
 
     /// Exact cardinality of `query` on `db`, cached by canonical hash.
@@ -66,14 +46,11 @@ impl TrueCardService {
     /// insert the same value, so the race is benign.
     pub fn cardinality(&self, db: &Database, query: &JoinQuery) -> Result<f64, StorageError> {
         let key = query.canonical_hash();
-        let shard = &self.shards[key as usize & (SHARDS - 1)];
-        if let Some(&v) = lock_shard(shard).get(&key) {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+        if let Some(v) = self.cache.get(key) {
             return Ok(v);
         }
-        self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         let v = exact_cardinality(db, query)?;
-        lock_shard(shard).insert(key, v);
+        self.cache.insert(key, v);
         Ok(v)
     }
 
@@ -105,34 +82,27 @@ impl TrueCardService {
         query: &JoinQuery,
         subs: &[SubPlanQuery],
     ) -> Result<Vec<(TableMask, f64)>, StorageError> {
-        let masks: Vec<TableMask> = subs.iter().map(|s| s.mask).collect();
-        debug_assert_eq!(masks, connected_subsets(query));
-        let keys: Vec<u64> = subs.iter().map(|s| s.query.canonical_hash()).collect();
-        let cached: Vec<Option<f64>> = keys
+        debug_assert!(subs.iter().map(|s| s.mask).eq(connected_subsets(query)));
+        let cached: Vec<(u64, Option<f64>)> = subs
             .iter()
-            .map(|&k| {
-                lock_shard(&self.shards[k as usize & (SHARDS - 1)])
-                    .get(&k)
-                    .copied()
+            .map(|s| {
+                let key = s.query.canonical_hash();
+                (key, self.cache.get(key))
             })
             .collect();
-        let hit_count = cached.iter().filter(|c| c.is_some()).count() as u64;
-        self.hits.fetch_add(hit_count, AtomicOrdering::Relaxed);
-        if hit_count == masks.len() as u64 {
-            return Ok(masks
-                .into_iter()
-                .zip(cached)
-                .map(|(m, c)| (m, c.expect("all cached")))
-                .collect());
+        if let Some(all) = subs
+            .iter()
+            .zip(&cached)
+            .map(|(s, &(_, v))| Some((s.mask, v?)))
+            .collect()
+        {
+            return Ok(all);
         }
-        self.misses
-            .fetch_add(masks.len() as u64 - hit_count, AtomicOrdering::Relaxed);
         let all = subplan_true_cards(db, query)?;
-        debug_assert_eq!(all.len(), masks.len());
-        for ((&key, cached), &(mask, v)) in keys.iter().zip(&cached).zip(&all) {
-            debug_assert!(masks.contains(&mask));
+        debug_assert!(all.iter().map(|&(m, _)| m).eq(subs.iter().map(|s| s.mask)));
+        for (&(key, cached), &(_, v)) in cached.iter().zip(&all) {
             if cached.is_none() {
-                lock_shard(&self.shards[key as usize & (SHARDS - 1)]).insert(key, v);
+                self.cache.insert(key, v);
             }
         }
         Ok(all)

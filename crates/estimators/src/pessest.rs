@@ -9,11 +9,9 @@
 //! partitioning). Single-table counts are exact (index-assisted), playing
 //! the role of the method's count sketches.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use cardbench_engine::{exact_cardinality, Database};
 use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
+use cardbench_support::memo::Memo;
 
 use crate::CardEst;
 
@@ -25,7 +23,7 @@ pub struct PessEst {
     /// bounds (filters only shrink), the sketch-tightening stand-in.
     /// Interior-mutable so `estimate(&self)` can fill it from any thread;
     /// keyed by the template's canonical hash.
-    template_cache: Mutex<HashMap<u64, f64>>,
+    template_cache: Memo<f64>,
 }
 
 impl PessEst {
@@ -56,7 +54,7 @@ impl PessEst {
         }
         PessEst {
             max_degree,
-            template_cache: Mutex::new(HashMap::new()),
+            template_cache: Memo::default(),
         }
     }
 
@@ -64,13 +62,10 @@ impl PessEst {
     fn template_bound(&self, db: &Database, query: &JoinQuery) -> f64 {
         let mut template = query.clone();
         template.predicates.clear();
-        let key = template.canonical_hash();
-        if let Some(&v) = self.template_cache.lock().unwrap().get(&key) {
-            return v;
-        }
-        let v = exact_cardinality(db, &template).unwrap_or(f64::INFINITY);
-        self.template_cache.lock().unwrap().insert(key, v);
-        v
+        self.template_cache
+            .get_or_insert_with(template.canonical_hash(), || {
+                exact_cardinality(db, &template).unwrap_or(f64::INFINITY)
+            })
     }
 
     fn bound_from_root(

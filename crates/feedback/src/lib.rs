@@ -33,17 +33,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use cardbench_engine::Database;
 use cardbench_estimators::CardEst;
 use cardbench_query::{JoinQuery, SubPlanQuery};
 use cardbench_storage::Table;
-
-/// Shard count for both maps: small power of two, index by low hash bits.
-const SHARDS: usize = 16;
+use cardbench_support::memo::Memo;
 
 /// Tuning knobs of the feedback cache.
 #[derive(Debug, Clone, Copy)]
@@ -107,24 +104,19 @@ pub struct FeedbackStats {
 }
 
 /// The concurrent feedback cache. Shared across sessions/threads behind
-/// an `Arc`; all methods take `&self`.
+/// an `Arc`; all methods take `&self`. Both maps are read with
+/// [`Memo::peek`] and written in place with [`Memo::with`], neither
+/// counted: the store counts its hits and misses itself.
 pub struct FeedbackStore {
     cfg: FeedbackConfig,
-    exact: Vec<Mutex<HashMap<u64, ExactEntry>>>,
-    templates: Vec<Mutex<HashMap<u64, TemplateEntry>>>,
+    exact: Memo<ExactEntry>,
+    templates: Memo<TemplateEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     overrides: AtomicU64,
     corrections: AtomicU64,
     observations: AtomicU64,
     rejected: AtomicU64,
-}
-
-/// Poison-recovering lock: a panicked holder cannot have left the maps
-/// structurally inconsistent (every critical section is a few field
-/// writes), so the data stays usable.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl Default for FeedbackStore {
@@ -139,8 +131,8 @@ impl FeedbackStore {
         assert!(cfg.max_correction > 1.0, "max_correction must exceed 1");
         FeedbackStore {
             cfg,
-            exact: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            templates: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            exact: Memo::default(),
+            templates: Memo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             overrides: AtomicU64::new(0),
@@ -173,34 +165,31 @@ impl FeedbackStore {
         }
         self.observations.fetch_add(1, Ordering::Relaxed);
         let ch = q.canonical_hash();
-        let newly = {
-            let mut map = lock(&self.exact[ch as usize % SHARDS]);
-            match map.entry(ch) {
-                Entry::Occupied(mut e) => {
-                    let e = e.get_mut();
-                    e.rows = truth;
-                    e.count += 1;
-                    false
-                }
-                Entry::Vacant(v) => {
-                    v.insert(ExactEntry {
-                        rows: truth,
-                        count: 1,
-                    });
-                    true
-                }
+        let newly = self.exact.with(ch, |entry| match entry {
+            Entry::Occupied(mut e) => {
+                let e = e.get_mut();
+                e.rows = truth;
+                e.count += 1;
+                false
             }
-        };
+            Entry::Vacant(v) => {
+                v.insert(ExactEntry {
+                    rows: truth,
+                    count: 1,
+                });
+                true
+            }
+        });
         if newly {
             if seen_est.is_finite() && seen_est > 0.0 {
                 let ratio = truth.max(1.0) / seen_est.max(1.0);
                 let max_log = self.cfg.max_correction.ln();
                 let log_r = ratio.ln().clamp(-max_log, max_log);
-                let th = q.template_hash();
-                let mut map = lock(&self.templates[th as usize % SHARDS]);
-                let t = map.entry(th).or_default();
-                t.sum_log_ratio += log_r;
-                t.count += 1;
+                self.templates.with(q.template_hash(), |entry| {
+                    let t = entry.or_default();
+                    t.sum_log_ratio += log_r;
+                    t.count += 1;
+                });
             } else {
                 // A poisoned estimate (NaN/±inf/≤0) still refreshed the
                 // exact entry but is useless as a correction sample.
@@ -230,22 +219,14 @@ impl FeedbackStore {
     /// every `f64` bit pattern — a non-finite `inner` is passed through
     /// untouched (the harness's sanitizer owns that failure mode).
     pub fn apply(&self, q: &JoinQuery, inner: f64) -> f64 {
-        let ch = q.canonical_hash();
-        {
-            let map = lock(&self.exact[ch as usize % SHARDS]);
-            if let Some(e) = map.get(&ch) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.overrides.fetch_add(1, Ordering::Relaxed);
-                return e.rows;
-            }
+        if let Some(e) = self.exact.peek(q.canonical_hash()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.overrides.fetch_add(1, Ordering::Relaxed);
+            return e.rows;
         }
         if inner.is_finite() && inner >= 0.0 {
-            let th = q.template_hash();
-            let hit = {
-                let map = lock(&self.templates[th as usize % SHARDS]);
-                map.get(&th).copied().filter(|t| t.count >= self.cfg.warmup)
-            };
-            if let Some(t) = hit {
+            let hit = self.templates.peek(q.template_hash());
+            if let Some(t) = hit.filter(|t| t.count >= self.cfg.warmup) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.corrections.fetch_add(1, Ordering::Relaxed);
                 let factor = (t.sum_log_ratio / t.count as f64)
@@ -270,14 +251,14 @@ impl FeedbackStore {
             corrections: self.corrections.load(Ordering::Relaxed),
             observations: self.observations.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            exact_entries: self.exact.iter().map(|s| lock(s).len() as u64).sum(),
-            template_entries: self.templates.iter().map(|s| lock(s).len() as u64).sum(),
+            exact_entries: self.exact.len() as u64,
+            template_entries: self.templates.len() as u64,
         }
     }
 
     /// True when no observation has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.exact.iter().all(|s| lock(s).is_empty())
+        self.exact.is_empty()
     }
 }
 

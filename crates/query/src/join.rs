@@ -1,30 +1,14 @@
 //! Join queries: tables + acyclic equi-join edges + filter predicates.
 
+use cardbench_support::hash::{bytes, fold, word, OFFSET};
+
 use crate::predicate::{Predicate, Region};
 
-/// FNV-1a offset basis.
-const FNV_SEED: u64 = 0xcbf29ce484222325;
-
-/// FNV-1a over one 64-bit word.
+/// FNV-1a over a name, with a terminator so `("ab","c")` and `("a","bc")`
+/// differ.
 #[inline]
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for i in 0..8 {
-        h ^= (v >> (8 * i)) & 0xff;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// FNV-1a over a string (with a terminator so `("ab","c")` and
-/// `("a","bc")` differ).
-#[inline]
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^= 0xff;
-    h.wrapping_mul(0x100000001b3)
+fn name(h: u64, s: &str) -> u64 {
+    fold(bytes(h, s.as_bytes()), 0xff)
 }
 
 /// One equi-join edge between two tables of a query.
@@ -126,54 +110,14 @@ impl JoinQuery {
     }
 
     /// A stable 64-bit canonical hash of the query's identity, invariant
-    /// under reordering of tables, joins, and predicates. This is the
-    /// allocation-free counterpart of [`JoinQuery::canonical_key`]: the
-    /// true-cardinality and filtered-scan caches key on it directly so the
-    /// hot lookup path never builds a `String`.
+    /// under reordering of tables, joins, and predicates. The
+    /// true-cardinality cache and the feedback store key on it, and
+    /// WJSample, NeuroCard^E and ChaosEst seed their per-call RNGs from it.
     pub fn canonical_hash(&self) -> u64 {
-        // Per-component hashes are combined order-invariantly (sorted,
-        // then chained through FNV), so permuted-but-equal queries agree.
-        let mut tabs: Vec<u64> = self.tables.iter().map(|t| fnv_str(FNV_SEED, t)).collect();
-        tabs.sort_unstable();
-        let mut joins: Vec<u64> = self
-            .joins
-            .iter()
-            .map(|e| {
-                let a = fnv_str(fnv_str(FNV_SEED, &self.tables[e.left]), &e.left_col);
-                let b = fnv_str(fnv_str(FNV_SEED, &self.tables[e.right]), &e.right_col);
-                // Undirected edge: side order must not matter.
-                fnv_u64(fnv_u64(FNV_SEED, a.min(b)), a.max(b))
-            })
-            .collect();
-        joins.sort_unstable();
-        let mut preds: Vec<u64> = self
-            .predicates
-            .iter()
-            .map(|p| {
-                let mut h = fnv_str(fnv_str(FNV_SEED, &self.tables[p.table]), &p.column);
-                match &p.region {
-                    Region::Range { lo, hi } => {
-                        h = fnv_u64(h, 1);
-                        h = fnv_u64(h, *lo as u64);
-                        h = fnv_u64(h, *hi as u64);
-                    }
-                    Region::In(vals) => {
-                        h = fnv_u64(h, 2);
-                        for &v in vals {
-                            h = fnv_u64(h, v as u64);
-                        }
-                    }
-                }
-                h
-            })
-            .collect();
-        preds.sort_unstable();
-        let mut h = FNV_SEED;
-        h = fnv_u64(h, self.tables.len() as u64);
-        for v in tabs.iter().chain(&joins).chain(&preds) {
-            h = fnv_u64(h, *v);
-        }
-        h
+        self.shape_hash(|h, region| match region {
+            Region::Range { lo, hi } => word(word(word(h, 1), *lo as u64), *hi as u64),
+            Region::In(vals) => vals.iter().fold(word(h, 2), |h, &v| word(h, v as u64)),
+        })
     }
 
     /// A stable 64-bit *template* hash: like [`JoinQuery::canonical_hash`]
@@ -184,15 +128,27 @@ impl JoinQuery {
     /// "structural siblings" for the execution-feedback cache, which
     /// transfers a multiplicative correction between them.
     pub fn template_hash(&self) -> u64 {
-        let mut tabs: Vec<u64> = self.tables.iter().map(|t| fnv_str(FNV_SEED, t)).collect();
+        self.shape_hash(|h, region| match region {
+            Region::Range { .. } => word(h, 1),
+            Region::In(_) => word(h, 2),
+        })
+    }
+
+    /// The body both hashes share: per-component hashes of tables, joins
+    /// and predicates (`region` folds in a predicate's region after its
+    /// `table.column`), each list sorted and then chained, so
+    /// permuted-but-equal queries agree.
+    fn shape_hash(&self, region: impl Fn(u64, &Region) -> u64) -> u64 {
+        let mut tabs: Vec<u64> = self.tables.iter().map(|t| name(OFFSET, t)).collect();
         tabs.sort_unstable();
         let mut joins: Vec<u64> = self
             .joins
             .iter()
             .map(|e| {
-                let a = fnv_str(fnv_str(FNV_SEED, &self.tables[e.left]), &e.left_col);
-                let b = fnv_str(fnv_str(FNV_SEED, &self.tables[e.right]), &e.right_col);
-                fnv_u64(fnv_u64(FNV_SEED, a.min(b)), a.max(b))
+                let a = name(name(OFFSET, &self.tables[e.left]), &e.left_col);
+                let b = name(name(OFFSET, &self.tables[e.right]), &e.right_col);
+                // Undirected edge: side order must not matter.
+                word(word(OFFSET, a.min(b)), a.max(b))
             })
             .collect();
         joins.sort_unstable();
@@ -200,54 +156,17 @@ impl JoinQuery {
             .predicates
             .iter()
             .map(|p| {
-                let h = fnv_str(fnv_str(FNV_SEED, &self.tables[p.table]), &p.column);
-                // Region kind only — the literals are deliberately omitted.
-                match &p.region {
-                    Region::Range { .. } => fnv_u64(h, 1),
-                    Region::In(_) => fnv_u64(h, 2),
-                }
+                region(
+                    name(name(OFFSET, &self.tables[p.table]), &p.column),
+                    &p.region,
+                )
             })
             .collect();
         preds.sort_unstable();
-        let mut h = FNV_SEED;
-        h = fnv_u64(h, self.tables.len() as u64);
-        for v in tabs.iter().chain(&joins).chain(&preds) {
-            h = fnv_u64(h, *v);
-        }
-        h
-    }
-
-    /// A stable canonical key for caching results keyed by query identity
-    /// (sorted tables/joins/predicates rendered to text).
-    pub fn canonical_key(&self) -> String {
-        let mut tabs: Vec<&str> = self.tables.iter().map(String::as_str).collect();
-        tabs.sort_unstable();
-        let mut joins: Vec<String> = self
-            .joins
-            .iter()
-            .map(|e| {
-                let a = format!("{}.{}", self.tables[e.left], e.left_col);
-                let b = format!("{}.{}", self.tables[e.right], e.right_col);
-                if a <= b {
-                    format!("{a}={b}")
-                } else {
-                    format!("{b}={a}")
-                }
-            })
-            .collect();
-        joins.sort_unstable();
-        let mut preds: Vec<String> = self
-            .predicates
-            .iter()
-            .map(|p| format!("{}.{}:{:?}", self.tables[p.table], p.column, p.region))
-            .collect();
-        preds.sort_unstable();
-        format!(
-            "T[{}] J[{}] P[{}]",
-            tabs.join(","),
-            joins.join(","),
-            preds.join(",")
-        )
+        tabs.iter()
+            .chain(&joins)
+            .chain(&preds)
+            .fold(word(OFFSET, self.tables.len() as u64), |h, &v| word(h, v))
     }
 }
 
@@ -281,14 +200,6 @@ mod tests {
         let mut q = chain3();
         q.joins.push(JoinEdge::new(0, "id", 2, "aid"));
         assert!(!q.is_acyclic());
-    }
-
-    #[test]
-    fn canonical_key_order_invariant() {
-        let q1 = chain3();
-        let mut q2 = chain3();
-        q2.joins.reverse();
-        assert_eq!(q1.canonical_key(), q2.canonical_key());
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl SubPlanQuery {
         }
     }
 
-    /// Canonical cache key (delegates to the projected query).
-    pub fn canonical_key(&self) -> String {
-        self.query.canonical_key()
-    }
-
     /// Projects every connected subset of `parent`, in
     /// [`connected_subsets`] order — the order the engine's topology
     /// dense indices follow, so `project_all(q)[i]` always corresponds

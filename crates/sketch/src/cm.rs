@@ -11,7 +11,9 @@
 //! probes) near zero in expectation instead of accumulating `O(probes ·
 //! mass / width)`.
 
-use crate::{fold, mix64, Direction};
+use cardbench_support::hash::fold;
+
+use crate::{mix64, Direction};
 
 /// A plain count-min sketch addressed by a pre-mixed 64-bit value hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,9 +105,9 @@ impl CountMin {
 
     /// Folds every cell into a running state digest.
     pub fn digest_into(&self, d: &mut u64) {
-        fold(d, self.mass);
+        *d = fold(*d, self.mass);
         for &c in &self.cells {
-            fold(d, c as u64);
+            *d = fold(*d, c as u64);
         }
     }
 }

@@ -6,12 +6,12 @@ use cardbench_engine::Database;
 use cardbench_obs::{counter_add, span_with};
 use cardbench_query::{BoundPredicate, BoundQuery, Region, SubPlanQuery};
 use cardbench_storage::{Column, Table, TableSchema};
-use cardbench_support::hash::FnvHashMap;
+use cardbench_support::hash::{self, fold, FnvHashMap};
 use cardbench_support::par;
 
 use crate::cm::{CountMin, DyadicCm};
 use crate::hll::Hll;
-use crate::{fnv_str, fold, mix64, Direction, SketchConfig};
+use crate::{mix64, Direction, SketchConfig};
 
 /// Per-attribute synopsis: distinct count (every column), dyadic
 /// frequency (filterable columns), point frequency (join keys), plus
@@ -126,8 +126,8 @@ impl ColumnSketch {
     }
 
     fn digest_into(&self, d: &mut u64) {
-        fold(d, self.seed);
-        fold(d, self.nulls);
+        *d = fold(*d, self.seed);
+        *d = fold(*d, self.nulls);
         self.distinct.digest_into(d);
         if let Some(f) = &self.freq {
             f.digest_into(d);
@@ -135,8 +135,8 @@ impl ColumnSketch {
         if let Some(k) = &self.key_freq {
             k.digest_into(d);
         }
-        fold(d, self.min as u64);
-        fold(d, self.max as u64);
+        *d = fold(*d, self.min as u64);
+        *d = fold(*d, self.max as u64);
     }
 }
 
@@ -153,7 +153,9 @@ pub struct TableSketch {
 impl TableSketch {
     /// An empty sketch set shaped for `schema`.
     pub fn empty(schema: &TableSchema, cfg: &SketchConfig) -> TableSketch {
-        let tseed = mix64(cfg.seed ^ fnv_str(&schema.name));
+        // Seeded by the table's name, so a stale build and a full build of
+        // one catalog agree (the refresh-equals-retrain differential).
+        let tseed = mix64(cfg.seed ^ hash::bytes(hash::OFFSET, schema.name.as_bytes()));
         let cols = schema
             .columns
             .iter()
@@ -213,7 +215,7 @@ impl TableSketch {
 
     /// Folds the full integer state into a running digest.
     pub fn digest_into(&self, d: &mut u64) {
-        fold(d, self.rows);
+        *d = fold(*d, self.rows);
         for c in &self.cols {
             c.digest_into(d);
         }
@@ -316,7 +318,7 @@ impl SketchEst {
     /// FNV digest of the complete integer state — the fingerprint the
     /// merge- and refresh-bit-identity differentials compare.
     pub fn state_digest(&self) -> u64 {
-        let mut d = 0xcbf2_9ce4_8422_2325;
+        let mut d = hash::OFFSET;
         for t in &self.tables {
             t.digest_into(&mut d);
         }

@@ -12,7 +12,7 @@
 //! registers, kept beside them and recomputed only when a `&mut` call
 //! raised one, so reading it costs a load.
 
-use crate::fold;
+use cardbench_support::hash::fold;
 
 /// A dense HyperLogLog++ sketch.
 #[derive(Debug, Clone)]
@@ -125,9 +125,9 @@ impl Hll {
 
     /// Folds every register into a running state digest.
     pub fn digest_into(&self, d: &mut u64) {
-        fold(d, self.precision as u64);
+        *d = fold(*d, self.precision as u64);
         for &r in &self.regs {
-            fold(d, r as u64);
+            *d = fold(*d, r as u64);
         }
     }
 }

@@ -138,24 +138,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a over a string (stable per-column seed derivation: column seeds
-/// must match between a stale build and a full build so the
-/// refresh-equals-retrain differential holds across catalogs).
-pub(crate) fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Folds one word into a running FNV-1a digest (state fingerprinting for
-/// the merge/refresh bit-identity differentials).
-#[inline]
-pub(crate) fn fold(digest: &mut u64, word: u64) {
-    *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,11 +149,5 @@ mod tests {
         // Single-bit input changes flip about half the output bits.
         let d = (mix64(7) ^ mix64(6)).count_ones();
         assert!(d > 16, "poor avalanche: {d} bits");
-    }
-
-    #[test]
-    fn fnv_str_stable() {
-        assert_eq!(fnv_str("users"), fnv_str("users"));
-        assert_ne!(fnv_str("users"), fnv_str("posts"));
     }
 }

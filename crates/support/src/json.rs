@@ -83,14 +83,11 @@ impl Json {
 
     /// Parses a JSON document.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text: s, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -224,7 +221,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -237,7 +234,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -247,7 +244,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -260,7 +257,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -354,11 +351,10 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates are replaced; the printer never
@@ -371,15 +367,24 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape whole.
+                    // Both are ASCII bytes, which never occur inside a
+                    // multi-byte character, so the run is valid UTF-8.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(self.slice(start)?);
                 }
             }
         }
+    }
+
+    /// The text from `start` to the cursor.
+    fn slice(&self, start: usize) -> Result<&'a str, JsonError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8"))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -393,8 +398,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
+        self.slice(start)?
+            .parse::<f64>()
             .map(Json::Number)
             .map_err(|_| self.err("bad number"))
     }
@@ -455,6 +460,33 @@ mod tests {
         assert!(!line.contains('\n'));
         assert_eq!(line, r#"{"a":[1,null],"b":"x y","c":{}}"#);
         assert_eq!(Json::parse(&line).unwrap(), doc);
+    }
+
+    #[test]
+    fn large_document_with_multibyte_text_and_escapes_roundtrips() {
+        // ~1 MB: string decoding is linear in the document size.
+        let records: Vec<Json> = (0..10_000)
+            .map(|i| {
+                Json::object([
+                    ("method", Json::String(format!("NeuroCard^E ✓ naïve {i}"))),
+                    (
+                        "note",
+                        Json::String(format!("q\"{i}\"\\\n\t\u{1} 数据库 🦀")),
+                    ),
+                    ("v", Json::Number(i as f64 * 0.5 - 7.0)),
+                ])
+            })
+            .collect();
+        let doc = Json::Array(records);
+        for text in [doc.compact(), doc.pretty()] {
+            assert!(text.len() > 900_000);
+            assert_eq!(Json::parse(&text).unwrap(), doc);
+        }
+        assert_eq!(
+            Json::parse(r#""\u00e9\u4e2d""#).unwrap(),
+            Json::String("é中".into())
+        );
+        assert!(Json::parse(r#""\u12""#).is_err());
     }
 
     #[test]

@@ -13,11 +13,17 @@
 //!   (the `serde_json` role for the results schema).
 //! - [`proptest`]: a property-testing harness compatible with the
 //!   `proptest!` macro subset used by the workspace's tests.
-//! - [`hash`]: an FNV-1a hasher (the `fxhash` role) for hot hash maps
+//! - [`hash`]: FNV-1a, the one key hash: step functions for cache keys
+//!   and digests, and a hasher (the `fxhash` role) for hot hash maps
 //!   keyed by small trusted values.
+//! - [`memo`]: a sharded concurrent memo (the `dashmap` role) for
+//!   shared derived data.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod hash;
 pub mod json;
+pub mod memo;
 pub mod par;
 pub mod proptest;
 pub mod rand;

@@ -5,7 +5,7 @@
 //! stay deterministic regardless of thread count or interleaving.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Number of worker threads to use when the caller does not pin one:
 /// the `CARDBENCH_THREADS` environment variable when it holds a
@@ -60,7 +60,10 @@ where
                         }
                         local.push((i, f(i, &items[i])));
                     }
-                    collected.lock().unwrap().extend(local);
+                    collected
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .extend(local);
                 })
             })
             .collect();
@@ -74,7 +77,9 @@ where
             }
         }
     });
-    let mut indexed = collected.into_inner().unwrap();
+    let mut indexed = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     indexed.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(indexed.len(), items.len());
     indexed.into_iter().map(|(_, r)| r).collect()

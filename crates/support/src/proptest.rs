@@ -31,13 +31,8 @@ impl Default for ProptestConfig {
 
 /// Deterministic seed for a named property test.
 pub fn seed_for(name: &str) -> u64 {
-    // FNV-1a; any stable hash works — it only decouples sibling tests.
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    // Any stable hash works — it only decouples sibling tests.
+    crate::hash::bytes(crate::hash::OFFSET, name.as_bytes())
 }
 
 /// A value generator (the `proptest::strategy::Strategy` role).

@@ -502,7 +502,7 @@ mod tests {
         let a = stats_ceb(&db, &cfg);
         let b = stats_ceb(&db, &cfg);
         for (x, y) in a.queries.iter().zip(&b.queries) {
-            assert_eq!(x.query.canonical_key(), y.query.canonical_key());
+            assert_eq!(x.query, y.query);
             assert_eq!(x.true_card, y.true_card);
         }
     }

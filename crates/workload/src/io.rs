@@ -137,7 +137,7 @@ mod tests {
         for (a, b) in back.queries.iter().zip(&wl.queries) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.true_card, b.true_card);
-            assert_eq!(a.query.canonical_key(), b.query.canonical_key());
+            assert_eq!(a.query.canonical_hash(), b.query.canonical_hash());
         }
     }
 

@@ -29,7 +29,7 @@ pub use cardbench_workload as workload;
 
 /// Commonly used items, importable with `use cardbench::prelude::*`.
 pub mod prelude {
-    pub use cardbench_engine::{CostModel, Engine, PhysicalPlan};
+    pub use cardbench_engine::{CostModel, PhysicalPlan};
     pub use cardbench_estimators::{CardEst, EstimatorKind};
     pub use cardbench_metrics::{p_error, q_error};
     pub use cardbench_query::{JoinQuery, Predicate, SubPlanQuery};
