@@ -79,7 +79,7 @@ impl Fixture {
     /// single-session rate.
     pub fn warm_up(&self, est: Arc<dyn CardEst>) -> Result<LoadReport, String> {
         let server = self.serve(est, ServeConfig::default());
-        let report = run_load(&server, &self.wl, &closed_loop(1, 1));
+        let report = run_load(&server, &self.wl, &closed_loop(1, 1))?;
         guard("warmup", &report)?;
         Ok(report)
     }
@@ -126,12 +126,17 @@ pub fn guard(phase: &str, r: &LoadReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Shuts `server` down and joins its drainer, so the spans that thread
-/// recorded are flushed before the trace is written (a dropped server
-/// only detaches its threads).
-pub fn stop(server: Arc<Server>) -> Result<(), String> {
-    Arc::into_inner(server)
-        .ok_or("a load thread still holds the server")?
-        .shutdown();
+/// Plans the workload's first query on a fresh session: once a chaos
+/// budget is spent, serving must be clean again.
+pub fn plans_clean(server: &Server, wl: &Workload) -> Result<(), String> {
+    let planned = server
+        .session()
+        .map_err(|e| format!("post-chaos admission failed: {e}"))?
+        .plan(&wl.queries[0])
+        .map_err(|e| format!("post-chaos plan failed: {e}"))?;
+    ensure!(
+        planned.est_failures.is_empty() && planned.plan.is_ok(),
+        "serving must recover to clean answers once the panic budget is spent"
+    );
     Ok(())
 }

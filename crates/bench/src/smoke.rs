@@ -25,14 +25,14 @@ use cardbench_harness::{
 use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, SubPlanQuery};
 use cardbench_serve::{
-    run_load, BreakerConfig, BreakerState, ChaosServeConfig, HealthProbes, LoadConfig, PromServer,
-    ServeConfig, Server,
+    run_load, BreakerConfig, BreakerState, ChaosServeConfig, HealthProbes, LoadConfig, LoadReport,
+    PromServer, ServeConfig, Server,
 };
 use cardbench_sketch::SketchEst;
 use cardbench_workload::{stats_ceb, Workload};
 
 use crate::args::{Args, Fail};
-use crate::serving::{closed_loop, coalescing_sessions, guard, stop, Fixture};
+use crate::serving::{closed_loop, coalescing_sessions, guard, plans_clean, Fixture};
 use crate::trace_check::Required;
 
 /// One smoke suite: its name, how to run it, what its trace must hold.
@@ -111,7 +111,6 @@ const SUITES: [Suite; 5] = [
                 "cardbench_serve_chaos_faults_total",
                 "cardbench_serve_retries_total",
                 "cardbench_serve_deadline_exceeded_total",
-                "cardbench_serve_watchdog_restarts_total",
             ],
         },
     },
@@ -147,7 +146,7 @@ const SUITES: [Suite; 5] = [
 
 /// The serving layer's span contract: per-session `session` spans nested
 /// in per-thread `run` spans, a `coalesced_batch` span per tick on the
-/// thread that ran it (drainer or inline).
+/// session thread that ran it (a coalesced tick's leader, or inline).
 const SERVE_SPANS: [&str; 5] = ["run", "session", "coalesced_batch", "plan", "subplan_batch"];
 
 /// Suite names, for the usage text.
@@ -228,8 +227,8 @@ fn load_phase(
     srv: &Arc<Server>,
     wl: &Workload,
     load: &LoadConfig,
-) -> Result<(), String> {
-    let r = run_load(srv, wl, load);
+) -> Result<LoadReport, String> {
+    let r = run_load(srv, wl, load)?;
     eprintln!(
         "[{phase}] {} completed ({:.0} qps, p50 {:.4}s p99 {:.4}s), {} typed failures, \
          {} clean / {} shorted / {} degraded",
@@ -242,7 +241,8 @@ fn load_phase(
         r.shorted_latencies.len(),
         r.degraded_latencies.len(),
     );
-    guard(phase, &r)
+    guard(phase, &r)?;
+    Ok(r)
 }
 
 /// Binds the live metrics endpoint on an ephemeral loopback port.
@@ -311,18 +311,18 @@ fn serve(args: &Args) -> Result<(), Fail> {
         lone.coalesced_jobs - coalesced.coalesced_jobs,
         lone.inline_jobs - coalesced.inline_jobs
     );
-    Ok(stop(server)?)
+    Ok(())
 }
 
 /// Drives the service through the three chaos regimes — estimator fault
 /// storms (circuit breaker), slow ticks against request deadlines, and
-/// drainer panics (watchdog):
+/// tick panics on the coalesced route:
 ///
 /// - a total storm trips the breaker, slots short, and transient faults
 ///   are retried; `/healthz` stays 200 while `/readyz` reports 503;
 /// - queue-expired deadlines fast-fail typed without estimator calls;
-/// - every injected drainer death is answered by a watchdog restart and
-///   serving recovers to clean answers.
+/// - injected tick panics degrade their queries typed and serving
+///   recovers to clean answers.
 fn chaos_serve(args: &Args) -> Result<(), Fail> {
     let (db, wl) = stats_fixture(&args.config());
     let fx = Fixture::new(db, wl);
@@ -372,8 +372,8 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
         stats.retries > 0,
         "first-tick transient timeouts must be retried"
     );
-    // Probes against the live (storming) server: still healthy — the
-    // drainer heartbeat is fresh — but not ready.
+    // Probes against the live (storming) server: still healthy — no
+    // tick is wedged — but not ready.
     let probe = |path: &str| {
         prom.get(path)
             .map_err(|e| format!("{path} request failed: {e}"))
@@ -390,9 +390,9 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
     );
     scrape(&prom, "cardbench_serve_breaker_state")?;
     drop(prom);
-    stop(srv)?;
+    drop(srv);
 
-    // Phase 2: chaos-slowed drain ticks against a per-request deadline;
+    // Phase 2: chaos-slowed ticks against a per-request deadline;
     // slots expire in the queue and fast-fail typed.
     let srv = server(ServeConfig {
         chaos: Some(ChaosServeConfig {
@@ -414,10 +414,10 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
         srv.stats().deadline_expired_slots > 0,
         "slow ticks against a tight deadline must expire slots in the queue"
     );
-    stop(srv)?;
+    drop(srv);
 
-    // Phase 3: the chaos injector kills the drainer (bounded budget);
-    // the watchdog replaces it every time and serving ends clean.
+    // Phase 3: the chaos injector panics coalesced ticks (bounded
+    // budget); each degrades its jobs typed and serving ends clean.
     let srv = server(ServeConfig {
         chaos: Some(ChaosServeConfig {
             seed: 23,
@@ -425,32 +425,14 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
             max_panics: 2,
             ..ChaosServeConfig::default()
         }),
-        watchdog_interval: Duration::from_millis(5),
         ..ServeConfig::default()
     });
-    load_phase("drainer-panics", &srv, &fx.wl, &load)?;
-    let stats = srv.stats();
+    let r = load_phase("tick-panics", &srv, &fx.wl, &load)?;
     ensure!(
-        stats.chaos_panics > 0,
-        "the panic phase must actually kill the drainer"
+        srv.stats().chaos_panics > 0 && !r.degraded_latencies.is_empty(),
+        "the panic phase must panic ticks and degrade their queries"
     );
-    ensure!(
-        stats.watchdog_restarts >= u64::from(stats.chaos_panics),
-        "every drainer death needs a watchdog restart: {} panics, {} restarts",
-        stats.chaos_panics,
-        stats.watchdog_restarts
-    );
-    // Panic budget spent: a final session must plan cleanly.
-    let planned = srv
-        .session()
-        .map_err(|e| format!("post-chaos admission failed: {e}"))?
-        .plan(&fx.wl.queries[0])
-        .map_err(|e| format!("post-chaos plan failed: {e}"))?;
-    ensure!(
-        planned.est_failures.is_empty() && planned.plan.is_ok(),
-        "serving must recover to clean answers once the panic budget is spent"
-    );
-    Ok(stop(srv)?)
+    Ok(plans_clean(&srv, &fx.wl)?)
 }
 
 /// Runs the four-pass drift experiment (warmup, warm replay, post-shift,

@@ -15,17 +15,18 @@
 //!    *breaker-shorted* to the fallback without the doomed call. The
 //!    headline comparison is phase 3's shorted p99 vs phase 2's
 //!    degraded p99.
-//! 4. **deadline under slow ticks** — chaos-slowed drain ticks against a
+//! 4. **deadline under slow ticks** — chaos-slowed ticks against a
 //!    per-request deadline: slots whose deadline expired in the queue
 //!    fast-fail typed (`deadline_exceeded`) instead of running doomed
 //!    estimates.
-//! 5. **drainer panics** — the chaos injector kills the drainer
-//!    mid-tick (panic budget bounded); the watchdog must replace it
-//!    every time, in-hand queries degrade typed, and goodput survives.
+//! 5. **tick panics** — the chaos injector panics coalesced ticks
+//!    (panic budget bounded); the queries in a panicked tick degrade
+//!    typed, goodput survives, and a plan after the phase is clean.
 //!
 //! Every phase asserts the service's core fault story: zero
 //! unattributed faults, zero hangs, zero failed plans.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cardbench_support::json::Json;
@@ -33,16 +34,18 @@ use cardbench_support::json::Json;
 use cardbench_metrics::percentile;
 use cardbench_serve::{
     run_load, BreakerConfig, ChaosServeConfig, LoadConfig, LoadReport, ServeConfig, ServeStats,
+    Server,
 };
 
 use super::write_summary;
-use crate::serving::{closed_loop, coalescing_sessions, guard, Fixture};
+use crate::serving::{closed_loop, coalescing_sessions, guard, plans_clean, Fixture};
 
-/// One phase's merged measurements.
+/// One phase's merged measurements, and the server it ran on.
 struct Phase {
     name: &'static str,
     report: LoadReport,
     stats: ServeStats,
+    server: Arc<Server>,
 }
 
 fn run_phase(
@@ -52,17 +55,18 @@ fn run_phase(
     load: &LoadConfig,
 ) -> Result<Phase, String> {
     let server = fx.serve(fx.postgres(), serve);
-    let report = run_load(&server, &fx.wl, load);
+    let report = run_load(&server, &fx.wl, load)?;
     let stats = server.stats();
     let p = Phase {
         name,
         report,
         stats,
+        server,
     };
     guard(name, &p.report)?;
     println!(
         "{name:>18}: {:>5} done | {:>6.1} qps | p99 {:>7.4}s | clean/shorted/degraded {}/{}/{} | \
-         breaker opens {} shorted {} | retries {} | expired {} | restarts {}",
+         breaker opens {} shorted {} | retries {} | expired {} | tick panics {}",
         p.report.completed,
         p.report.qps,
         percentile(&p.report.latencies, 0.99),
@@ -73,7 +77,7 @@ fn run_phase(
         p.stats.breaker.shorted_slots,
         p.stats.retries,
         p.stats.deadline_expired_slots,
-        p.stats.watchdog_restarts,
+        p.stats.chaos_panics,
     );
     Ok(p)
 }
@@ -119,14 +123,14 @@ fn phase_json(p: &Phase) -> Json {
         ),
         ("retried_slots", count(st.retries)),
         ("deadline_expired_slots", count(st.deadline_expired_slots)),
-        ("watchdog_restarts", count(st.watchdog_restarts)),
         ("chaos_panics", count(u64::from(st.chaos_panics))),
     ])
 }
 
 pub fn run(smoke: bool) -> Result<(), String> {
-    // More sessions than cores, so the drainer machinery (queue
-    // deadlines, watchdog restarts) is on the path on any host.
+    // More sessions than cores, so the coalesced route (queue
+    // deadlines, panics with other sessions' jobs in hand) is on the
+    // path on any host.
     let sessions = coalescing_sessions() * if smoke { 1 } else { 2 };
     let stall = Duration::from_millis(if smoke { 5 } else { 10 });
     let fx = &Fixture::for_sweep(smoke, if smoke { [4, 6, 3] } else { [8, 16, 5] });
@@ -227,7 +231,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     );
 
     let panics = run_phase(
-        "drainer-panics",
+        "tick-panics",
         fx,
         ServeConfig {
             chaos: Some(ChaosServeConfig {
@@ -236,19 +240,15 @@ pub fn run(smoke: bool) -> Result<(), String> {
                 max_panics: if smoke { 2 } else { 5 },
                 ..ChaosServeConfig::default()
             }),
-            watchdog_interval: Duration::from_millis(5),
             ..ServeConfig::default()
         },
         &load,
     )?;
     ensure!(
-        panics.stats.chaos_panics >= 1,
-        "the panic phase must actually kill the drainer"
+        panics.stats.chaos_panics >= 1 && !panics.report.degraded_latencies.is_empty(),
+        "the panic phase must panic ticks and degrade their queries"
     );
-    ensure!(
-        panics.stats.watchdog_restarts >= u64::from(panics.stats.chaos_panics),
-        "every drainer death must be answered by a watchdog restart"
-    );
+    plans_clean(&panics.server, &fx.wl)?;
 
     // The headline: shorting a doomed call must be materially cheaper at
     // the tail than paying for it and then degrading.

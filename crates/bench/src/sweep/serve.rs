@@ -77,7 +77,7 @@ fn run_points(
     let mut qps = [Vec::new(), Vec::new()];
     for _ in 0..rounds {
         for ((mode, _), (server, qps)) in modes.iter().zip(servers.iter().zip(&mut qps)) {
-            let closed = run_load(server, &fx.wl, &cfg);
+            let closed = run_load(server, &fx.wl, &cfg)?;
             guard(&format!("{mode}/{sessions} closed"), &closed)?;
             qps.push(closed.qps);
         }
@@ -95,7 +95,7 @@ fn run_points(
                     arrival_qps: Some(arrival_qps),
                     ..cfg.clone()
                 },
-            );
+            )?;
             guard(&format!("{mode}/{sessions} open"), &open)?;
             Ok(RunPoint {
                 sessions,

@@ -2,7 +2,7 @@
 //! six batched families writes, kept per thread.
 //!
 //! [`crate::CardEst`] is called through `&self` from harness workers and
-//! the serve drainer at once, and its signature has no room for a
+//! concurrent serve sessions at once, and its signature has no room for a
 //! caller's arena, so the arena is thread-local: reached without a lock,
 //! grown to the largest batch the thread has served and then reused. A
 //! warm call allocates its returned `Vec<f64>` and nothing else. The

@@ -134,8 +134,8 @@ struct Inner {
     stats: BreakerStats,
 }
 
-/// The breaker itself: interior-mutable so drainer and inline ticks can
-/// share one per served estimator.
+/// The breaker itself: interior-mutable so ticks on every session
+/// thread can share one per served estimator.
 pub struct Breaker {
     cfg: BreakerConfig,
     method: &'static str,
@@ -279,7 +279,7 @@ impl Breaker {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panicking drainer tick can poison this lock mid-update; the
+        // A panicking tick can poison this lock mid-update; the
         // breaker's state is a heuristic, so recover rather than wedge.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }

@@ -1,10 +1,10 @@
 //! ChaosServe: deterministic **service-level** fault injection.
 //!
 //! PR 3's `ChaosEst` injects faults per estimator *call*; this module
-//! injects them per serving *tick* (drainer or inline — one tick
+//! injects them per serving *tick* (coalesced or inline — one tick
 //! counter for both) — the failure modes a serving layer
-//! has that a batch harness cannot: the coalescer thread dying
-//! mid-flight, a tick wedging long enough to stall every live session,
+//! has that a batch harness cannot: a tick dying with other sessions'
+//! jobs in hand, a tick wedging long enough to stall every live session,
 //! and bursty estimator storms that should trip the circuit breaker
 //! rather than make every request pay the doomed call's latency.
 //!
@@ -17,15 +17,15 @@
 //! same seed see the same storm schedule.
 //!
 //! Fault classes:
-//! - **Panic** — the tick panics with its jobs in hand. On the drainer,
-//!   in-hand jobs' reply senders drop, each waiting session degrades its
-//!   own slots to a typed hard failure (never a hang), and the watchdog
-//!   restarts the drainer; an inline tick's session catches it and
-//!   degrades the same way, restarting nothing. Budgeted by `max_panics`
-//!   so runs terminate.
+//! - **Panic** — the tick panics with its jobs in hand. The session
+//!   that ran it catches the panic; the gathered jobs' reply senders
+//!   drop, so each waiting session degrades its own slots to a typed
+//!   hard failure (never a hang), and the lease moves on as after any
+//!   tick. Budgeted by `max_panics` so runs terminate.
 //! - **Slow** — the tick stalls for `slow_stall` before estimating:
-//!   models a wedged estimator call. Long stalls trip the watchdog's
-//!   staleness probe; short ones just inflate tail latency.
+//!   models a wedged estimator call. Stalls past
+//!   `heartbeat_stale_after` get the tick taken over by a queued
+//!   session; short ones just inflate tail latency.
 //! - **Storm** — for `storm_ticks` consecutive ticks the estimator
 //!   hard-faults every slot *after* paying `storm_stall` of latency.
 //!   This is the breaker's reason to exist: requests served while the
@@ -83,7 +83,7 @@ impl Default for ChaosServeConfig {
 pub enum TickFault {
     /// No injected fault: the tick runs normally.
     None,
-    /// Panic with the tick's jobs in hand (kills a drainer).
+    /// Panic with the tick's jobs in hand.
     Panic,
     /// Stall for the duration, then run the tick normally.
     Slow(Duration),
@@ -95,8 +95,7 @@ pub enum TickFault {
 /// The runtime injector: one per server, consulted once per tick.
 pub(crate) struct ChaosServe {
     cfg: ChaosServeConfig,
-    /// Monotone tick counter; survives drainer restarts because the
-    /// injector lives in `Shared`, not in the drainer.
+    /// Monotone tick counter, shared by every session's ticks.
     tick: AtomicU64,
     /// First tick index *past* the current storm (0 = no storm yet).
     storm_until: AtomicU64,

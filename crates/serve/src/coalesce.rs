@@ -20,26 +20,33 @@
 //!    query degrades only that query's slots, identically to what the
 //!    batch harness would have produced.
 //!
-//! Since the self-healing PR the submission queue is a crate-local
-//! [`JobQueue`] instead of an `mpsc` channel: queued jobs live in
-//! `Shared`, so they **survive a drainer crash** — the watchdog's
-//! replacement drainer picks up exactly where the dead one stopped, and
-//! only the jobs the dead drainer held in hand degrade (their reply
-//! senders drop, each waiting session fails its own slots with a typed
-//! hard error). Each tick additionally consults the circuit breaker
-//! (open → every slot answers [`EstimateError::Shorted`] without
-//! touching the estimator), fast-fails jobs whose end-to-end deadline
-//! already expired, and asks ChaosServe for injected service-level
-//! faults.
+//! The submission queue is a crate-local [`JobQueue`] instead of an
+//! `mpsc` channel, and it carries the **lease** of the coalesced route:
+//! no thread serves it. A request that finds no tick running leads one
+//! on its own thread ([`serve_queued`]): it gathers the queued jobs,
+//! runs the tick, answers them, and hands the lease to the owner of the
+//! next queued job (or frees it when nothing is queued). A request that
+//! finds a tick running queues its job and waits for a [`Reply`]: its
+//! answer, or the lease. Once a running tick is older than
+//! `heartbeat_stale_after`, a session whose job is still queued (or
+//! blocked on a full queue) takes the lease over and leads its own job;
+//! the superseded leader, if it ever wakes, answers the jobs it holds
+//! and hands off nothing. Each tick additionally consults the circuit
+//! breaker (open → every slot answers [`EstimateError::Shorted`]
+//! without touching the estimator), fast-fails jobs whose end-to-end
+//! deadline already expired, and asks ChaosServe for injected
+//! service-level faults.
 //!
-//! `run_tick` has two callers: the drainer, over a gathered tick, and
-//! a session serving its own request inline (`Session::estimate_once`),
-//! over that one job. Both get the same chaos draw, deadline fast-fail,
-//! breaker and guarded estimate, so self-healing behaves the same on
-//! either route.
+//! `run_tick` has two callers, both under `catch_unwind` on the
+//! requesting session's thread: a leader over its gathered tick, and a
+//! session serving its own request inline (`Session::estimate_once`),
+//! the degenerate tick of one job with no lease. Both get the same
+//! chaos draw, deadline fast-fail, breaker and guarded estimate, so
+//! self-healing behaves the same on either route.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -53,9 +60,15 @@ use crate::breaker::Admission;
 use crate::chaos::TickFault;
 use crate::Shared;
 
-/// How often a blocked drainer wakes to beat its heartbeat and re-check
-/// its generation. Far below any sane staleness threshold.
-const HEARTBEAT_POLL: Duration = Duration::from_millis(20);
+/// Maximum jobs (one job = one query's sub-plan slice) in one tick.
+const COALESCE_MAX: usize = 64;
+
+/// How long a leader may wait for more sessions' jobs once it holds its
+/// own — only while *more sessions are live than jobs gathered*, so a
+/// full house stops the clock early. This bounded wait is what lets
+/// concurrent replays of a shared workload land in the same tick and
+/// dedup.
+const COALESCE_WINDOW: Duration = Duration::from_micros(500);
 
 /// Per-slot `(outcome, latency)` results of one job, in sub-plan order.
 pub(crate) type SlotResults = Vec<(Result<f64, EstimateError>, Duration)>;
@@ -72,38 +85,89 @@ pub(crate) fn typed_slots(n: usize, err: EstimateError) -> SlotResults {
 /// estimator slots.
 pub(crate) type TickJob<'a> = (&'a [SubPlanQuery], Option<Instant>);
 
+/// What a queued job's owner receives.
+pub(crate) enum Reply {
+    /// The job's per-slot results.
+    Answer(SlotResults),
+    /// The lease, handed off at generation `.0`: lead the next tick with
+    /// this job.
+    Lead(u64),
+}
+
 /// One session's queued estimation request plus the channel its
-/// per-slot outcomes go back on.
+/// [`Reply`] goes back on.
 pub(crate) struct EstimateJob {
     pub(crate) subs: Vec<SubPlanQuery>,
     pub(crate) deadline: Option<Instant>,
     /// Send errors are ignored: a session dropped mid-request simply
     /// stops caring about its answer, and the tick proceeds for everyone
     /// else.
-    pub(crate) reply: Sender<SlotResults>,
+    pub(crate) reply: Sender<Reply>,
+    /// Queue-assigned identity, so a waiting owner can withdraw its job
+    /// to take over a wedged tick.
+    ticket: u64,
 }
 
-/// What a queue pop produced.
-pub(crate) enum Pop {
-    /// A job.
-    Job(EstimateJob),
-    /// Timed out with the queue still open: poll again (heartbeat tick).
-    Empty,
-    /// The queue is closed and drained: the drainer should exit.
-    Closed,
+/// The running tick's leader: its generation and when the lease reached
+/// it.
+#[derive(Clone, Copy)]
+struct Lease {
+    gen: u64,
+    since: Instant,
+}
+
+/// What [`JobQueue::submit`] made of a request.
+enum Submitted {
+    /// The request holds the lease at this generation: lead.
+    Lead(u64),
+    /// The job is queued under this ticket: wait for its reply.
+    Queued(u64),
 }
 
 struct QueueInner {
     jobs: VecDeque<EstimateJob>,
     closed: bool,
+    /// `Some` while a tick is running (or the lease is on its way to
+    /// the next leader). Held whenever a job is queued.
+    lease: Option<Lease>,
+    /// Latest lease generation; a takeover bumps it.
+    gen: u64,
+    next_ticket: u64,
+    takeovers: u64,
 }
 
-/// The bounded submission queue. Crate-local (Mutex + two Condvars)
-/// rather than `mpsc` for one load-bearing reason: the buffer lives
-/// *here*, in `Shared`, not inside a channel owned by a thread — so
-/// queued jobs survive a drainer panic, a replacement drainer resumes
-/// them, and `close()` can hand the unserved remainder back for typed
-/// fast-failure at teardown.
+impl QueueInner {
+    /// Supersedes a tick running longer than `stale_after` (never, when
+    /// zero): bumps the generation, counts the takeover and returns the
+    /// new generation. Otherwise returns how long the caller may wait
+    /// before asking again (`Duration::MAX`: indefinitely).
+    fn take_over(&mut self, stale_after: Duration) -> Result<u64, Duration> {
+        if stale_after.is_zero() {
+            return Err(Duration::MAX);
+        }
+        let age = self.lease.map_or(Duration::ZERO, |l| l.since.elapsed());
+        if age <= stale_after {
+            return Err(stale_after - age);
+        }
+        self.gen += 1;
+        self.lease = Some(Lease {
+            gen: self.gen,
+            since: Instant::now(),
+        });
+        self.takeovers += 1;
+        counter_add(
+            "cardbench_serve_watchdog_restarts_total",
+            &[("reason", "wedged")],
+            1,
+        );
+        Ok(self.gen)
+    }
+}
+
+/// The bounded submission queue and the coalesced route's lease. The
+/// buffer lives *here*, in `Shared`, not in any thread, so a tick panic
+/// loses only the jobs its leader held, and `close()` can hand the
+/// unserved remainder back for typed fast-failure at teardown.
 pub(crate) struct JobQueue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
@@ -117,6 +181,10 @@ impl JobQueue {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
                 closed: false,
+                lease: None,
+                gen: 0,
+                next_ticket: 0,
+                takeovers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -124,62 +192,107 @@ impl JobQueue {
         }
     }
 
-    /// Blocking bounded push: waits while the queue is full (the slow
-    /// estimator back-pressures sessions, the queue never grows
-    /// unboundedly). Returns the job back if the queue is closed.
-    pub(crate) fn push(&self, job: EstimateJob) -> Result<(), EstimateJob> {
+    /// Lead or queue: takes the free lease, or queues `job` (blocking
+    /// while the queue is full — the slow estimator back-pressures
+    /// sessions, the queue never grows unboundedly — unless the running
+    /// tick goes stale, which this request then takes over). `None`
+    /// when the queue is closed.
+    fn submit(&self, mut job: EstimateJob, stale_after: Duration) -> Option<Submitted> {
         let mut g = self.lock();
         loop {
             if g.closed {
-                return Err(job);
+                return None;
+            }
+            if g.lease.is_none() {
+                g.lease = Some(Lease {
+                    gen: g.gen,
+                    since: Instant::now(),
+                });
+                return Some(Submitted::Lead(g.gen));
             }
             if g.jobs.len() < self.cap {
+                job.ticket = g.next_ticket;
+                g.next_ticket += 1;
                 g.jobs.push_back(job);
                 self.not_empty.notify_one();
-                return Ok(());
+                return Some(Submitted::Queued(g.next_ticket - 1));
             }
-            g = self.not_full.wait(g).unwrap_or_else(|p| p.into_inner());
+            g = match g.take_over(stale_after) {
+                Ok(gen) => return Some(Submitted::Lead(gen)),
+                Err(left) => self
+                    .not_full
+                    .wait_timeout(g, left)
+                    .map_or_else(|p| p.into_inner().0, |(g, _)| g),
+            };
         }
     }
 
-    /// Pops one job, waiting up to `timeout`. [`Pop::Empty`] means "no
-    /// job yet, queue still open" — the drainer's cue to beat its
-    /// heartbeat and wait again.
-    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Pop {
+    /// Takes job `ticket` back out of the queue to lead it, if it is
+    /// still queued and the running tick is stale; otherwise how long
+    /// to wait before asking again (`Duration::MAX`: until the reply
+    /// comes, the job being in a leader's hands).
+    fn withdraw(&self, ticket: u64, stale_after: Duration) -> Result<u64, Duration> {
         let mut g = self.lock();
-        if let Some(job) = g.jobs.pop_front() {
-            self.not_full.notify_one();
-            return Pop::Job(job);
-        }
-        if g.closed {
-            return Pop::Closed;
-        }
-        let (mut g, _) = self
-            .not_empty
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(|p| p.into_inner());
-        match g.jobs.pop_front() {
-            Some(job) => {
-                self.not_full.notify_one();
-                Pop::Job(job)
+        let Some(pos) = g.jobs.iter().position(|j| j.ticket == ticket) else {
+            return Err(Duration::MAX);
+        };
+        let gen = g.take_over(stale_after)?;
+        g.jobs.remove(pos);
+        self.not_full.notify_one();
+        Ok(gen)
+    }
+
+    /// A leader's gather: up to `COALESCE_MAX - 1` queued jobs beside
+    /// its own, waiting up to `COALESCE_WINDOW` while more sessions are
+    /// live than jobs held.
+    fn gather(&self, live: &dyn Fn() -> usize) -> Vec<EstimateJob> {
+        let mut jobs = Vec::new();
+        let deadline = Instant::now() + COALESCE_WINDOW;
+        let mut g = self.lock();
+        loop {
+            let room = COALESCE_MAX - 1 - jobs.len();
+            let take = room.min(g.jobs.len());
+            if take > 0 {
+                jobs.extend(g.jobs.drain(..take));
+                self.not_full.notify_all();
             }
-            None if g.closed => Pop::Closed,
-            None => Pop::Empty,
+            let held = jobs.len() + 1;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if g.closed || held >= COALESCE_MAX || held >= live() || left.is_zero() {
+                return jobs;
+            }
+            g = self
+                .not_empty
+                .wait_timeout(g, left)
+                .map_or_else(|p| p.into_inner().0, |(g, _)| g);
         }
     }
 
-    /// Non-blocking pop (tick gathering).
-    pub(crate) fn try_pop(&self) -> Option<EstimateJob> {
-        let job = self.lock().jobs.pop_front();
-        if job.is_some() {
-            self.not_full.notify_one();
+    /// Ends generation `gen`'s tick: hands the lease to the owner of
+    /// the next queued job, or frees it when nothing is queued. A
+    /// superseded leader does neither.
+    fn finish(&self, gen: u64) {
+        let mut g = self.lock();
+        if g.lease.map(|l| l.gen) != Some(gen) {
+            return;
         }
-        job
+        while let Some(next) = g.jobs.pop_front() {
+            self.not_full.notify_one();
+            g.lease = Some(Lease {
+                gen,
+                since: Instant::now(),
+            });
+            // An owner that is gone cannot lead: try the next one.
+            if next.reply.send(Reply::Lead(gen)).is_ok() {
+                return;
+            }
+        }
+        g.lease = None;
     }
 
     /// Closes the queue and returns every unserved job so the caller
-    /// can fail them with typed per-slot errors. Pushes after this
-    /// return `Err`; the drainer exits at its next pop.
+    /// can fail them with typed per-slot errors. Later submissions
+    /// return `None`; a gathering leader stops waiting.
     pub(crate) fn close(&self) -> Vec<EstimateJob> {
         let mut g = self.lock();
         g.closed = true;
@@ -194,12 +307,84 @@ impl JobQueue {
         self.lock().jobs.len()
     }
 
+    /// How long the running tick has held the lease, `None` when no
+    /// tick is running.
+    pub(crate) fn tick_age(&self) -> Option<Duration> {
+        self.lock().lease.map(|l| l.since.elapsed())
+    }
+
+    /// Wedged ticks taken over so far.
+    pub(crate) fn takeovers(&self) -> u64 {
+        self.lock().takeovers
+    }
+
     fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        // A drainer panicking while holding this lock would poison it;
-        // the queue's state is plain data, so recover rather than wedge
-        // every session.
+        // The queue's state is plain data, so recover rather than wedge
+        // every session if a holder ever panicked.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
+}
+
+/// Serves one request on the coalesced route: lead a tick if none is
+/// running, else queue the job and wait for its answer — or for the
+/// lease, handed off or taken over from a stale tick, and then lead.
+/// `None` when the service is torn down under the request or the tick
+/// holding its job panicked.
+pub(crate) fn serve_queued(
+    shared: &Shared,
+    subs: &[SubPlanQuery],
+    deadline: Option<Instant>,
+) -> Option<SlotResults> {
+    let stale_after = shared.cfg.heartbeat_stale_after;
+    let (reply, outcome) = mpsc::channel();
+    let job = EstimateJob {
+        subs: subs.to_vec(),
+        deadline,
+        reply,
+        ticket: 0,
+    };
+    let gen = match shared.queue.submit(job, stale_after)? {
+        Submitted::Lead(gen) => gen,
+        Submitted::Queued(ticket) => {
+            let mut wait = stale_after;
+            loop {
+                match outcome.recv_timeout(wait) {
+                    Ok(Reply::Answer(results)) => return Some(results),
+                    Ok(Reply::Lead(gen)) => break gen,
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                    Err(RecvTimeoutError::Timeout) => {
+                        match shared.queue.withdraw(ticket, stale_after) {
+                            Ok(gen) => break gen,
+                            Err(left) => wait = left,
+                        }
+                    }
+                }
+            }
+        }
+    };
+    let others = shared.queue.gather(&|| shared.live_sessions());
+    let mut tick: Vec<TickJob<'_>> = Vec::with_capacity(others.len() + 1);
+    tick.push((subs, deadline));
+    tick.extend(others.iter().map(|j| (&j.subs[..], j.deadline)));
+    let mut own = None;
+    // After a caught panic the gathered jobs drop unanswered: each
+    // owner's receiver disconnects and it degrades its own slots.
+    if let Some(results) = run_tick_caught(shared, &tick) {
+        let mut results = results.into_iter();
+        own = results.next();
+        for (job, result) in others.iter().zip(results) {
+            let _ = job.reply.send(Reply::Answer(result));
+        }
+    }
+    drop(others);
+    shared.queue.finish(gen);
+    own
+}
+
+/// [`run_tick`] with its panic caught where it happens: `None` means
+/// the tick panicked and every job in it degrades.
+pub(crate) fn run_tick_caught(shared: &Shared, jobs: &[TickJob<'_>]) -> Option<Vec<SlotResults>> {
+    catch_unwind(AssertUnwindSafe(|| run_tick(shared, jobs))).ok()
 }
 
 /// Per-tick outcome of [`coalesce_estimate`], for accounting.
@@ -296,83 +481,13 @@ pub fn coalesce_estimate(
     }
 }
 
-/// The drainer loop for generation `gen`: pop one job (beating the
-/// heartbeat while idle), gather whatever else is queued — only while
-/// more sessions are live than jobs gathered, up to `coalesce_window` —
-/// then run the tick. A lone session is always served immediately, and
-/// the tick doubles as a barrier that keeps concurrent replays of a
-/// shared workload aligned on the same query, which is what makes
-/// cross-session dedup actually fire.
-///
-/// Exits when the queue closes (teardown) or when `Shared::drainer_gen`
-/// moves past `gen` — the watchdog superseded this drainer as wedged; a
-/// superseded drainer finishes answering the jobs it holds (each job is
-/// popped by exactly one drainer, so answers never duplicate) and then
-/// stands down.
-pub(crate) fn drain_loop(shared: &Shared, gen: u64) {
-    let cap = shared.cfg.coalesce_max.max(1);
-    let window = shared.cfg.coalesce_window;
-    loop {
-        if shared.superseded(gen) {
-            return;
-        }
-        shared.beat();
-        let first = match shared.queue.pop_timeout(HEARTBEAT_POLL) {
-            Pop::Job(job) => job,
-            Pop::Empty => continue,
-            Pop::Closed => return,
-        };
-        shared.set_drainer_busy(true);
-        shared.beat();
-        let mut jobs = vec![first];
-        while jobs.len() < cap {
-            match shared.queue.try_pop() {
-                Some(job) => jobs.push(job),
-                None => break,
-            }
-        }
-        if !window.is_zero() {
-            let deadline = Instant::now() + window;
-            'gather: while jobs.len() < cap && jobs.len() < shared.live_sessions() {
-                let now = Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                shared.beat();
-                match shared.queue.pop_timeout(left.min(HEARTBEAT_POLL)) {
-                    Pop::Job(job) => {
-                        jobs.push(job);
-                        while jobs.len() < cap {
-                            match shared.queue.try_pop() {
-                                Some(job) => jobs.push(job),
-                                None => break,
-                            }
-                        }
-                    }
-                    Pop::Empty => continue,
-                    Pop::Closed => break 'gather,
-                }
-            }
-        }
-        let tick: Vec<TickJob<'_>> = jobs.iter().map(|j| (&j.subs[..], j.deadline)).collect();
-        for (job, result) in jobs.iter().zip(run_tick(shared, &tick)) {
-            let _ = job.reply.send(result);
-        }
-        shared.set_drainer_busy(false);
-        shared.beat();
-    }
-}
-
 /// Serves one tick and returns each job's per-slot results: chaos
 /// faults, deadline fast-fail, breaker admission and the coalesced
-/// estimate. A chaos `Panic` unwinds out of here. On the drainer it
-/// takes the jobs in hand with it — their reply senders drop, each
-/// waiting session degrades its own slots to a typed hard failure, and
-/// the watchdog restarts the drainer over the still-intact queue; an
-/// inline caller catches it and degrades its one job the same way.
+/// estimate. A chaos `Panic` unwinds out of here into
+/// [`run_tick_caught`] on the requesting session's thread: a leader's
+/// gathered jobs drop unanswered (each waiting session degrades its own
+/// slots to a typed hard failure) and the lease moves on as after any
+/// tick; an inline caller degrades its one job the same way.
 pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults> {
     let _sp = cardbench_obs::span_with("coalesced_batch", "serve", || {
         format!("{} jobs", jobs.len())
@@ -555,49 +670,75 @@ mod tests {
             .collect()
     }
 
-    /// A session that vanishes mid-request (its reply receiver is
-    /// already gone when the drainer answers) must not stall or poison
-    /// the drainer: the next job still gets served.
-    #[test]
-    fn dropped_reply_receiver_never_stalls_the_drainer() {
-        let shared = test_shared(ServeConfig::default());
-        let subs = test_subs(&shared);
-        let drainer = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || drain_loop(&shared, 0))
+    fn job(subs: &[SubPlanQuery]) -> (EstimateJob, mpsc::Receiver<Reply>) {
+        let (reply, rx) = mpsc::channel();
+        let job = EstimateJob {
+            subs: subs.to_vec(),
+            deadline: None,
+            reply,
+            ticket: 0,
         };
+        (job, rx)
+    }
 
-        // Job 1: the "session" is already gone.
-        let (dead_reply, dead_rx) = mpsc::channel();
+    /// A session that vanishes with its job queued (its reply receiver
+    /// is already gone at hand-off) must not strand the lease: it passes
+    /// to the next live owner, and frees once nothing is queued.
+    #[test]
+    fn dropped_reply_receiver_never_strands_the_lease() {
+        let queue = JobQueue::new(4);
+        let stale = Duration::from_secs(5);
+        let (leader, _leader_rx) = job(&[]);
+        let Some(Submitted::Lead(gen)) = queue.submit(leader, stale) else {
+            panic!("a free lease goes to the first request");
+        };
+        let (dead, dead_rx) = job(&[]);
         drop(dead_rx);
-        shared
-            .queue
-            .push(EstimateJob {
-                subs: subs.clone(),
-                deadline: None,
-                reply: dead_reply,
-            })
-            .unwrap_or_else(|_| panic!("queue accepts"));
+        let (live, live_rx) = job(&[]);
+        for j in [dead, live] {
+            assert!(matches!(queue.submit(j, stale), Some(Submitted::Queued(_))));
+        }
+        assert!(queue.tick_age().is_some());
 
-        // Job 2: a live session; it must still be answered promptly.
-        let (reply, live_rx) = mpsc::channel();
-        shared
-            .queue
-            .push(EstimateJob {
-                subs: subs.clone(),
-                deadline: None,
-                reply,
-            })
-            .unwrap_or_else(|_| panic!("queue accepts"));
-        let out = live_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("drainer survived the dead receiver");
-        assert_eq!(out.len(), subs.len());
-        assert!(out.iter().all(|(r, _)| r.is_ok()));
+        queue.finish(gen);
+        assert!(matches!(live_rx.try_recv(), Ok(Reply::Lead(g)) if g == gen));
+        assert_eq!(queue.len(), 0);
+        assert!(queue.tick_age().is_some(), "the lease passed, never freed");
+        queue.finish(gen);
+        assert!(
+            queue.tick_age().is_none(),
+            "nothing queued: the lease frees"
+        );
+        assert_eq!(queue.takeovers(), 0);
+    }
 
-        let unserved = shared.queue.close();
-        assert!(unserved.is_empty());
-        drainer.join().expect("drainer exits cleanly");
+    /// A queued owner takes over a tick that outlived `stale_after`;
+    /// the superseded leader then hands off nothing.
+    #[test]
+    fn stale_tick_is_taken_over_by_a_queued_owner() {
+        let queue = JobQueue::new(4);
+        let stale = Duration::from_millis(5);
+        let (leader, _leader_rx) = job(&[]);
+        let Some(Submitted::Lead(old)) = queue.submit(leader, stale) else {
+            panic!("a free lease goes to the first request");
+        };
+        let (waiter, _waiter_rx) = job(&[]);
+        let Some(Submitted::Queued(ticket)) = queue.submit(waiter, stale) else {
+            panic!("a held lease queues the job");
+        };
+        assert!(matches!(queue.withdraw(ticket, stale), Err(left) if left <= stale));
+        std::thread::sleep(2 * stale);
+        let gen = queue
+            .withdraw(ticket, stale)
+            .expect("stale tick taken over");
+        assert_ne!(gen, old);
+        assert_eq!((queue.len(), queue.takeovers()), (0, 1));
+        assert_eq!(queue.withdraw(ticket, stale), Err(Duration::MAX));
+
+        queue.finish(old);
+        assert!(queue.tick_age().is_some(), "a superseded leader keeps out");
+        queue.finish(gen);
+        assert!(queue.tick_age().is_none());
     }
 
     /// A job whose deadline expired while queued is failed fast with
@@ -629,28 +770,20 @@ mod tests {
     }
 
     /// Closing the queue hands unserved jobs back and fails later
-    /// pushes, so teardown can fast-fail everything typed.
+    /// submissions, so teardown can fast-fail everything typed.
     #[test]
-    fn close_returns_unserved_jobs_and_rejects_pushes() {
+    fn close_returns_unserved_jobs_and_rejects_submissions() {
         let queue = JobQueue::new(4);
-        let (reply, _rx) = mpsc::channel();
-        queue
-            .push(EstimateJob {
-                subs: Vec::new(),
-                deadline: None,
-                reply: reply.clone(),
-            })
-            .unwrap_or_else(|_| panic!("open queue accepts"));
+        let stale = Duration::from_secs(5);
+        for expect_lead in [true, false] {
+            let (j, _rx) = job(&[]);
+            let got = queue.submit(j, stale);
+            assert_eq!(matches!(got, Some(Submitted::Lead(_))), expect_lead);
+        }
         assert_eq!(queue.len(), 1);
         let unserved = queue.close();
         assert_eq!(unserved.len(), 1);
-        assert!(queue
-            .push(EstimateJob {
-                subs: Vec::new(),
-                deadline: None,
-                reply,
-            })
-            .is_err());
-        assert!(matches!(queue.pop_timeout(Duration::ZERO), Pop::Closed));
+        let (j, _rx) = job(&[]);
+        assert!(queue.submit(j, stale).is_none());
     }
 }

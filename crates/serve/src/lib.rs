@@ -2,8 +2,10 @@
 //! layer over the benchmark's planning pipeline, with **cross-session
 //! batch coalescing** for when sessions outnumber cores and a
 //! **self-healing layer** — circuit breaker, deadline propagation,
-//! drainer watchdog — that keeps it answering under the failure modes
-//! the paper shows learned estimators actually have.
+//! wedged-tick takeover — that keeps it answering under the failure
+//! modes the paper shows learned estimators actually have. The server
+//! runs no thread of its own: every tick runs on the thread of a
+//! request that asked for an estimate.
 //!
 //! The batch harness measures inference one query stream at a time; a
 //! production estimator serves many concurrent streams against one
@@ -12,9 +14,9 @@
 //! sub-plan space) and the shared engine memos (filtered scans,
 //! key-weight aggregates, true-cardinality cache, topology cache) —
 //! both compose naturally across sessions, and this crate adds the
-//! third: concurrent sessions' sub-plan batches are drained from a
+//! third: concurrent sessions' sub-plan batches are gathered from a
 //! bounded submission queue into **one** `CardEst::estimate_batch` call
-//! per drain tick, with duplicate sub-plans across sessions estimated
+//! per tick, with duplicate sub-plans across sessions estimated
 //! once. Per-request fault attribution is preserved — each submitted
 //! slot gets its own `Result<f64, EstimateError>` routed back over the
 //! session's reply channel, and a poisoned combined batch degrades only
@@ -27,11 +29,14 @@
 //! cores. So each request is routed by the server's own state, not by a
 //! knob: while `live sessions ≤ available_parallelism()` every session
 //! already has a core, and the request runs the serving tick **inline**
-//! on its own thread — the same `coalesce::run_tick` the drainer runs,
-//! over that one job (chaos draw, deadline fast-fail, breaker, guarded
-//! estimate). Past that, it goes to the coalescer. `ServeConfig::sequential`
-//! pins every request inline. [`ServeStats`] counts jobs per route, and
-//! `cardbench_serve_queries_total{mode}` labels each request's route.
+//! on its own thread — `coalesce::run_tick` over that one job (chaos
+//! draw, deadline fast-fail, breaker, guarded estimate). Past that it
+//! takes the **coalesced** route, whose inline case this is: it leads a
+//! tick over every queued job if none is running, else queues its job
+//! for the running tick's leader (see [`coalesce`]).
+//! `ServeConfig::sequential` pins every request inline. [`ServeStats`]
+//! counts jobs per route, and `cardbench_serve_queries_total{mode}`
+//! labels each request's route.
 //!
 //! Correctness rests on the batch contract the estimator crate already
 //! enforces: `estimate_batch` values are per-slot bit-identical to
@@ -63,11 +68,10 @@
 //!   (`deadline_budget` tightens the timeout for lone jobs). Transient
 //!   (`TimedOut`) faults get a bounded retry with decorrelated-jitter
 //!   backoff while deadline budget remains.
-//! - **Watchdog** ([`watchdog`]): heartbeat + `JoinHandle` probing
-//!   detects a dead or wedged drainer and restarts it over the intact
-//!   submission queue ([`coalesce::JobQueue`] lives in `Shared`, not in
-//!   the dead thread). In-flight jobs at crash time degrade per-job with
-//!   typed errors; queued jobs are served by the successor.
+//! - **Tick panics and wedges**: a tick panic is caught on the thread
+//!   that ran it, on either route, and only that tick's jobs degrade
+//!   (typed). A coalesced tick older than `heartbeat_stale_after` is
+//!   taken over by a session whose job is still queued.
 //! - **ChaosServe** ([`chaos`]): deterministic service-level fault
 //!   injection (tick panics, slow ticks, estimator fault storms) for
 //!   the chaos bench and the self-healing tests.
@@ -78,13 +82,13 @@
 //! tests pin that too.
 //!
 //! Observability: sessions open `run` > `session` spans on their own
-//! thread, every tick opens a `coalesced_batch` span on the thread that
-//! runs it (the drainer, or the session for an inline tick), and the
-//! service maintains `cardbench_serve_*` counters and
-//! latency histograms (p50/p95/p99 via `Histogram::percentiles`). A
-//! live Prometheus text snapshot plus `/healthz` (drainer heartbeat
-//! fresh) and `/readyz` (under session cap, breaker not open) endpoints
-//! are served on demand by [`prom_http::PromServer`].
+//! thread, every tick opens a `coalesced_batch` span on the session
+//! thread that runs it, and the service maintains `cardbench_serve_*`
+//! counters and latency histograms (p50/p95/p99 via
+//! `Histogram::percentiles`). A live Prometheus text snapshot plus
+//! `/healthz` (no wedged tick) and `/readyz` (under session cap,
+//! breaker not open) endpoints are served on demand by
+//! [`prom_http::PromServer`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -93,13 +97,9 @@ pub mod chaos;
 pub mod coalesce;
 pub mod loadgen;
 pub mod prom_http;
-pub mod watchdog;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cardbench_engine::{CostModel, Database, TrueCardService};
@@ -117,7 +117,7 @@ use cardbench_workload::WorkloadQuery;
 
 use breaker::Breaker;
 use chaos::ChaosServe;
-use coalesce::{typed_slots, EstimateJob, SlotResults};
+use coalesce::{typed_slots, Reply, SlotResults};
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use cardbench_feedback::{FeedbackConfig, FeedbackStats};
@@ -131,6 +131,12 @@ pub use prom_http::{HealthProbes, PromServer};
 /// `plan_query_via` substitutes the PostgreSQL baseline per sub-plan.
 const PIPELINE_UNAVAILABLE: &str = "serve: estimation pipeline unavailable";
 
+/// Decorrelated-jitter backoff floor between retry attempts.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_micros(500);
+
+/// Decorrelated-jitter backoff ceiling.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(20);
+
 /// Service tuning knobs. Every bound is a hard limit, not a hint.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -142,17 +148,6 @@ pub struct ServeConfig {
     /// degraded queries (no plan, or every slot hard-failed to the
     /// fallback) refund their charge.
     pub session_subplan_budget: u64,
-    /// Maximum jobs (one job = one query's sub-plan slice) combined per
-    /// drain tick.
-    pub coalesce_max: usize,
-    /// How long a drain tick may wait for more sessions' jobs once it
-    /// holds at least one. Only the coalesced route pays it (sessions
-    /// outnumber cores; see the crate docs), and the drainer only waits
-    /// while *more sessions are live than jobs gathered* — a full house
-    /// stops the clock early. This bounded wait is what lets concurrent
-    /// replays of a shared workload land in the same tick and dedup;
-    /// `Duration::ZERO` disables gathering (drain-what's-queued only).
-    pub coalesce_window: Duration,
     /// Bound of the submission queue. A full queue back-pressures the
     /// submitting session (blocking send), never grows unboundedly.
     pub queue_cap: usize,
@@ -161,7 +156,7 @@ pub struct ServeConfig {
     /// `cardbench_harness::deadline_budget`).
     pub estimate_timeout: Option<Duration>,
     /// `true` serves every request inline on its session's thread (the
-    /// same tick as the drainer, over one job) whatever the session
+    /// same tick as a leader's, over one job) whatever the session
     /// count; `false` routes by measured state — inline while every live
     /// session has a core, coalesced otherwise. The load generator's
     /// baseline mode.
@@ -177,14 +172,10 @@ pub struct ServeConfig {
     /// Retries per query for transient (`TimedOut`) sub-plan faults,
     /// attempted only while deadline budget remains. `0` disables.
     pub max_retries: u32,
-    /// Decorrelated-jitter backoff floor between retry attempts.
-    pub retry_backoff_base: Duration,
-    /// Decorrelated-jitter backoff ceiling.
-    pub retry_backoff_cap: Duration,
-    /// How often the watchdog probes the drainer.
-    pub watchdog_interval: Duration,
-    /// Heartbeat age past which a *busy* drainer counts as wedged and is
-    /// superseded. Must comfortably exceed an honest tick's duration.
+    /// Age past which a coalesced-route tick counts as wedged: a
+    /// session whose job is still queued then takes the lease over, and
+    /// `/healthz` fails. Must comfortably exceed an honest tick's
+    /// duration; `Duration::ZERO` disables takeovers.
     pub heartbeat_stale_after: Duration,
     /// Execution-feedback cache shared by every session: `Some` wraps
     /// the served estimator in a [`FeedbackEst`] over one
@@ -200,17 +191,12 @@ impl Default for ServeConfig {
         ServeConfig {
             max_sessions: 64,
             session_subplan_budget: u64::MAX,
-            coalesce_max: 64,
-            coalesce_window: Duration::from_micros(500),
             queue_cap: 256,
             estimate_timeout: None,
             sequential: false,
             breaker: Some(BreakerConfig::default()),
             chaos: None,
             max_retries: 1,
-            retry_backoff_base: Duration::from_micros(500),
-            retry_backoff_cap: Duration::from_millis(20),
-            watchdog_interval: Duration::from_millis(25),
             heartbeat_stale_after: Duration::from_secs(5),
             feedback: None,
         }
@@ -302,10 +288,9 @@ impl CardEst for SharedEst {
     }
 }
 
-/// State shared by the server, every session, the drainer, and the
-/// watchdog. The submission queue lives *here* — not inside a channel
-/// owned by the drainer thread — so queued jobs survive a drainer crash
-/// and a replacement drainer resumes them.
+/// State shared by the server and every session. The submission queue
+/// and its lease live *here*, not in any thread, so whichever session
+/// leads the next tick finds every queued job.
 pub(crate) struct Shared {
     pub(crate) db: Arc<Database>,
     pub(crate) truth: Arc<TrueCardService>,
@@ -322,7 +307,7 @@ pub(crate) struct Shared {
     cores: usize,
     inline_jobs: AtomicU64,
     coalesced_jobs: AtomicU64,
-    /// The bounded submission queue (crash-surviving; see module docs).
+    /// The bounded submission queue and the coalesced route's lease.
     pub(crate) queue: coalesce::JobQueue,
     /// Cross-session execution-feedback store, if enabled. The served
     /// `est` is then already the [`FeedbackEst`] wrapper over it.
@@ -332,18 +317,8 @@ pub(crate) struct Shared {
     /// Service-level fault injector, if enabled.
     pub(crate) chaos: Option<ChaosServe>,
     shutting_down: AtomicBool,
-    /// Epoch for the heartbeat clock (nanos are relative to this).
-    epoch: Instant,
-    /// Last drainer heartbeat, nanos since `epoch`.
-    heartbeat_ns: AtomicU64,
-    /// The drainer is inside a tick (gather + estimate + reply).
-    drainer_busy: AtomicBool,
-    /// Current drainer generation; a drainer whose generation is stale
-    /// has been superseded by the watchdog and must stand down.
-    drainer_gen: AtomicU64,
     retries: AtomicU64,
     deadline_expired: AtomicU64,
-    watchdog_restarts: AtomicU64,
 }
 
 impl Shared {
@@ -355,8 +330,8 @@ impl Shared {
         cfg: ServeConfig,
     ) -> Shared {
         let queue = coalesce::JobQueue::new(cfg.queue_cap.max(1));
-        // Feedback wraps the estimator *inside* the service, so drainer
-        // and inline ticks resolve through the same shared store.
+        // Feedback wraps the estimator *inside* the service, so
+        // coalesced and inline ticks resolve through the same shared store.
         let (est, feedback) = match cfg.feedback {
             Some(fc) => {
                 let store = Arc::new(FeedbackStore::new(fc));
@@ -387,51 +362,13 @@ impl Shared {
             breaker,
             chaos,
             shutting_down: AtomicBool::new(false),
-            epoch: Instant::now(),
-            heartbeat_ns: AtomicU64::new(0),
-            drainer_busy: AtomicBool::new(false),
-            drainer_gen: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            watchdog_restarts: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn live_sessions(&self) -> usize {
         self.live.load(Ordering::Acquire)
-    }
-
-    /// Beats the drainer heartbeat: "I am making progress".
-    pub(crate) fn beat(&self) {
-        self.heartbeat_ns
-            .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Release);
-    }
-
-    /// Time since the last heartbeat.
-    pub(crate) fn heartbeat_age(&self) -> Duration {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        Duration::from_nanos(now.saturating_sub(self.heartbeat_ns.load(Ordering::Acquire)))
-    }
-
-    pub(crate) fn set_drainer_busy(&self, busy: bool) {
-        self.drainer_busy.store(busy, Ordering::Release);
-    }
-
-    /// A busy drainer with a stale heartbeat is wedged (an idle one
-    /// beats on every queue poll, so staleness there means death — the
-    /// `JoinHandle` probe's territory).
-    pub(crate) fn drainer_wedged(&self) -> bool {
-        !self.cfg.heartbeat_stale_after.is_zero()
-            && self.drainer_busy.load(Ordering::Acquire)
-            && self.heartbeat_age() > self.cfg.heartbeat_stale_after
-    }
-
-    pub(crate) fn superseded(&self, gen: u64) -> bool {
-        self.drainer_gen.load(Ordering::Acquire) != gen
-    }
-
-    pub(crate) fn bump_drainer_gen(&self) -> u64 {
-        self.drainer_gen.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     pub(crate) fn is_shutting_down(&self) -> bool {
@@ -456,10 +393,6 @@ impl Shared {
         self.retries.fetch_add(slots, Ordering::AcqRel);
         counter_add("cardbench_serve_retries_total", &[], slots);
     }
-
-    pub(crate) fn note_watchdog_restart(&self) {
-        self.watchdog_restarts.fetch_add(1, Ordering::AcqRel);
-    }
 }
 
 /// A point-in-time view of the service's self-healing machinery, from
@@ -471,16 +404,17 @@ pub struct ServeStats {
     pub live_sessions: usize,
     /// Teardown has begun.
     pub shutting_down: bool,
-    /// Age of the drainer's last heartbeat.
-    pub heartbeat_age: Duration,
+    /// How long the running coalesced-route tick has held the lease;
+    /// `None` when no tick is running.
+    pub tick_age: Option<Duration>,
     /// Jobs queued and not yet picked up by a tick.
     pub queue_depth: usize,
     /// Estimate jobs (one per pass over a query's sub-plans, retries
     /// included) served by an inline tick on the session's own thread.
     pub inline_jobs: u64,
-    /// Estimate jobs sent through the queue to the coalescer.
+    /// Estimate jobs served on the coalesced route (led or queued).
     pub coalesced_jobs: u64,
-    /// Times the watchdog replaced the drainer.
+    /// Wedged ticks whose lease a waiting session took over.
     pub watchdog_restarts: u64,
     /// Sub-plan slots re-submitted by transient-fault retries.
     pub retries: u64,
@@ -491,32 +425,23 @@ pub struct ServeStats {
     pub breaker_state: Option<BreakerState>,
     /// Breaker counters (zeros when disabled).
     pub breaker: BreakerStats,
-    /// Tick panics injected by ChaosServe so far (drainer or inline).
+    /// Tick panics injected by ChaosServe so far (either route).
     pub chaos_panics: u32,
     /// Feedback-store counters, `None` when feedback is disabled.
     pub feedback: Option<FeedbackStats>,
 }
 
-/// The estimation service: owns the shared engine state, the coalescer
-/// drainer, and the watchdog that keeps the drainer alive; hands out
-/// [`Session`]s.
+/// The estimation service: owns the shared engine state and hands out
+/// [`Session`]s. It runs no thread: every tick runs on a requesting
+/// session's thread.
 pub struct Server {
     shared: Arc<Shared>,
-    drainer: watchdog::DrainerCell,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the service: spawns the drainer thread over the bounded
-    /// submission queue and the watchdog that restarts it on death or
-    /// wedge. All sessions share `db`, `truth`, and `est` by reference —
-    /// the engine memos and the true-cardinality cache warm up across
-    /// *users*, not just across queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either service thread cannot be spawned: a service
-    /// that cannot estimate must never start silently degraded.
+    /// Starts the service. All sessions share `db`, `truth`, and `est`
+    /// by reference — the engine memos and the true-cardinality cache
+    /// warm up across *users*, not just across queries.
     pub fn start(
         db: Arc<Database>,
         truth: Arc<TrueCardService>,
@@ -524,22 +449,8 @@ impl Server {
         cost: CostModel,
         cfg: ServeConfig,
     ) -> Server {
-        let shared = Arc::new(Shared::new(db, truth, est, cost, cfg));
-        shared.beat();
-        let drainer: watchdog::DrainerCell =
-            Arc::new(Mutex::new(Some(watchdog::spawn_drainer(&shared, 0))));
-        let wd = {
-            let shared = Arc::clone(&shared);
-            let cell = Arc::clone(&drainer);
-            std::thread::Builder::new()
-                .name("serve-watchdog".into())
-                .spawn(move || watchdog::watchdog_loop(&shared, &cell))
-                .expect("serve: failed to spawn the watchdog thread")
-        };
         Server {
-            shared,
-            drainer,
-            watchdog: Some(wd),
+            shared: Arc::new(Shared::new(db, truth, est, cost, cfg)),
         }
     }
 
@@ -603,11 +514,11 @@ impl Server {
         ServeStats {
             live_sessions: sh.live_sessions(),
             shutting_down: sh.is_shutting_down(),
-            heartbeat_age: sh.heartbeat_age(),
+            tick_age: sh.queue.tick_age(),
             queue_depth: sh.queue.len(),
             inline_jobs: sh.inline_jobs.load(Ordering::Acquire),
             coalesced_jobs: sh.coalesced_jobs.load(Ordering::Acquire),
-            watchdog_restarts: sh.watchdog_restarts.load(Ordering::Acquire),
+            watchdog_restarts: sh.queue.takeovers(),
             retries: sh.retries.load(Ordering::Acquire),
             deadline_expired_slots: sh.stats_deadline_expired(),
             breaker_state: sh.breaker.as_ref().map(Breaker::state),
@@ -618,8 +529,8 @@ impl Server {
     }
 
     /// Liveness/readiness probes for [`PromServer::bind_with_probes`]:
-    /// `/healthz` is the drainer heartbeat (fresh unless dead or wedged
-    /// past `heartbeat_stale_after`), `/readyz` is "will a new request
+    /// `/healthz` fails while a coalesced-route tick older than
+    /// `heartbeat_stale_after` is running, `/readyz` is "will a new request
     /// be served well" (under the session cap, breaker not open, not
     /// shutting down).
     pub fn probes(&self) -> HealthProbes {
@@ -630,9 +541,10 @@ impl Server {
                 if live.is_shutting_down() {
                     return Err("shutting down".to_string());
                 }
-                let age = live.heartbeat_age();
-                if age > live.cfg.heartbeat_stale_after {
-                    return Err(format!("drainer heartbeat stale ({age:?})"));
+                if let Some(age) = live.queue.tick_age() {
+                    if age > live.cfg.heartbeat_stale_after {
+                        return Err(format!("tick wedged ({age:?})"));
+                    }
                 }
                 Ok(())
             }),
@@ -663,39 +575,21 @@ impl Server {
             return;
         }
         for job in self.shared.queue.close() {
-            let _ = job.reply.send(unavailable(job.subs.len()));
+            let _ = job.reply.send(Reply::Answer(unavailable(job.subs.len())));
         }
     }
 
-    /// Graceful shutdown: begins teardown, then joins the watchdog
-    /// (which joins the drainer — the drainer finishes its in-hand tick
-    /// and exits at its next pop of the closed queue). Sessions still
+    /// Graceful shutdown: begins teardown. There is no thread to join —
+    /// a tick in flight finishes on its session's thread. Sessions still
     /// live get typed errors, never hangs.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.begin_teardown();
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
-        }
-        let handle = self
-            .drainer
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Same teardown as `shutdown()` but without the joins: dropping
-        // must never block on an in-flight tick (tests drop servers with
-        // sessions still live; those sessions get typed errors). The
-        // detached threads observe the closed queue / shutdown flag and
-        // exit on their own.
         self.begin_teardown();
-        self.watchdog.take();
     }
 }
 
@@ -711,7 +605,7 @@ pub struct Session {
 
 impl Session {
     /// Plans one workload query through the service with no deadline:
-    /// sub-plan estimation by a tick on this thread or on the coalescer
+    /// sub-plan estimation by an inline tick, or on the coalesced route
     /// (see the crate docs' routing rule), then injection, plan choice,
     /// and Q-/P-Error — semantically identical to the harness's phase 1.
     ///
@@ -820,7 +714,7 @@ impl Session {
         // either produced no plan at all (bind/truth failure) or every
         // sub-plan slot hard-failed to the fallback — the session got
         // nothing from the estimator it is budgeted against, and a
-        // transient fault (drainer crash, storm, teardown race) must not
+        // transient fault (tick panic, storm, teardown race) must not
         // permanently eat its quota.
         let wholly_degraded =
             planned.subplans > 0 && planned.fallback_subplans == planned.subplans as u64;
@@ -861,7 +755,7 @@ impl Session {
         if cfg.max_retries == 0 || subs.is_empty() {
             return out;
         }
-        let mut prev = cfg.retry_backoff_base;
+        let mut prev = RETRY_BACKOFF_BASE;
         for attempt in 1..=cfg.max_retries {
             let timed_out: Vec<usize> = out
                 .iter()
@@ -874,8 +768,7 @@ impl Session {
             }
             let now = Instant::now();
             let left = deadline.map(|d| d.saturating_duration_since(now));
-            let base = cfg.retry_backoff_base;
-            let cap = cfg.retry_backoff_cap.max(base);
+            let (base, cap) = (RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP);
             let hi = (prev.saturating_mul(3)).clamp(base, cap);
             let mut rng = StdRng::seed_from_u64(
                 subs[timed_out[0]].query.canonical_hash() ^ u64::from(attempt),
@@ -900,16 +793,16 @@ impl Session {
         out
     }
 
-    /// One estimate pass over one job: a tick on this thread (`inline`)
-    /// or on the coalescer. The wait *includes* queue delay — that is
-    /// the latency a client of the service actually sees.
+    /// One estimate pass over one job: an inline tick on this thread, or
+    /// the coalesced route (lead a tick, or queue and wait). The wait
+    /// *includes* queue delay — that is the latency a client of the
+    /// service actually sees.
     ///
-    /// If the tick panics (ChaosServe), the service is torn down
-    /// mid-request, or the drainer dies with this job in hand, the slots
-    /// degrade to typed hard failures (never a hang): `plan_query_via`
-    /// then substitutes the PostgreSQL baseline per sub-plan, the same
-    /// graceful degradation a panicking estimator gets. An inline panic
-    /// restarts nothing — there is no drainer to restart.
+    /// If the tick holding this job panics (ChaosServe) or the service
+    /// is torn down mid-request, the slots degrade to typed hard
+    /// failures (never a hang): `plan_query_via` then substitutes the
+    /// PostgreSQL baseline per sub-plan, the same graceful degradation a
+    /// panicking estimator gets.
     fn estimate_once(
         &self,
         subs: &[SubPlanQuery],
@@ -923,20 +816,10 @@ impl Session {
         let t0 = Instant::now();
         let out = if inline {
             sh.inline_jobs.fetch_add(1, Ordering::Relaxed);
-            catch_unwind(AssertUnwindSafe(|| {
-                coalesce::run_tick(sh, &[(subs, deadline)])
-            }))
-            .ok()
-            .and_then(|mut results| results.pop())
+            coalesce::run_tick_caught(sh, &[(subs, deadline)]).and_then(|mut results| results.pop())
         } else {
             sh.coalesced_jobs.fetch_add(1, Ordering::Relaxed);
-            let (reply, outcome) = mpsc::channel();
-            let job = EstimateJob {
-                subs: subs.to_vec(),
-                deadline,
-                reply,
-            };
-            sh.queue.push(job).ok().and_then(|()| outcome.recv().ok())
+            coalesce::serve_queued(sh, subs, deadline)
         };
         observe_serve_estimate(sh.est.name(), t0.elapsed());
         out.unwrap_or_else(|| unavailable(subs.len()))

@@ -116,12 +116,46 @@ fn fault_class(p: &PlannedQuery) -> FaultClass {
     class
 }
 
+impl LoadReport {
+    /// Merges one joined session thread's report. A thread that
+    /// panicked counts all its `per_session` queries as unattributed,
+    /// so a load phase that lost a session can never pass as clean.
+    fn absorb(&mut self, joined: std::thread::Result<LoadReport>, per_session: u64) {
+        let r = joined.unwrap_or_else(|_| LoadReport {
+            unattributed: per_session,
+            ..LoadReport::default()
+        });
+        self.completed += r.completed;
+        self.failed += r.failed;
+        self.rejected += r.rejected;
+        self.deadline_rejected += r.deadline_rejected;
+        self.est_failures += r.est_failures;
+        self.unattributed += r.unattributed;
+        self.latencies.extend(r.latencies);
+        self.clean_latencies.extend(r.clean_latencies);
+        self.shorted_latencies.extend(r.shorted_latencies);
+        self.degraded_latencies.extend(r.degraded_latencies);
+    }
+}
+
 /// Runs one load phase: `cfg.sessions` threads each open a session and,
 /// once all are open (so the phase's route is that of its session
 /// count), replay `wl` `cfg.replays` times, closed- or open-loop.
 /// Returns the merged report (latencies unsorted, in no particular
-/// order).
-pub fn run_load(server: &Arc<Server>, wl: &Workload, cfg: &LoadConfig) -> LoadReport {
+/// order), or an error before any thread starts when the open-loop
+/// arrival rate is not a positive finite number.
+pub fn run_load(
+    server: &Arc<Server>,
+    wl: &Workload,
+    cfg: &LoadConfig,
+) -> Result<LoadReport, String> {
+    if let Some(rate) = cfg.arrival_qps {
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!(
+                "open-loop arrival rate must be positive and finite, got {rate}"
+            ));
+        }
+    }
     let sessions = cfg.sessions.max(1);
     let per_session = wl.queries.len() * cfg.replays.max(1);
     let t0 = Instant::now();
@@ -198,17 +232,7 @@ pub fn run_load(server: &Arc<Server>, wl: &Workload, cfg: &LoadConfig) -> LoadRe
         .collect();
     let mut merged = LoadReport::default();
     for h in handles {
-        let r = h.join().unwrap_or_default();
-        merged.completed += r.completed;
-        merged.failed += r.failed;
-        merged.rejected += r.rejected;
-        merged.deadline_rejected += r.deadline_rejected;
-        merged.est_failures += r.est_failures;
-        merged.unattributed += r.unattributed;
-        merged.latencies.extend(r.latencies);
-        merged.clean_latencies.extend(r.clean_latencies);
-        merged.shorted_latencies.extend(r.shorted_latencies);
-        merged.degraded_latencies.extend(r.degraded_latencies);
+        merged.absorb(h.join(), per_session as u64);
     }
     merged.wall = t0.elapsed();
     merged.qps = if merged.wall.is_zero() {
@@ -216,5 +240,66 @@ pub fn run_load(server: &Arc<Server>, wl: &Workload, cfg: &LoadConfig) -> LoadRe
     } else {
         merged.completed as f64 / merged.wall.as_secs_f64()
     };
-    merged
+    Ok(merged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeConfig;
+    use cardbench_datagen::{stats_catalog, StatsConfig};
+    use cardbench_engine::{CostModel, Database, TrueCardService};
+    use cardbench_estimators::postgres::PostgresEst;
+
+    /// A zero, negative or non-finite arrival rate would panic every
+    /// session thread at its first query; it is refused up front.
+    #[test]
+    fn bad_arrival_rate_is_rejected_before_any_session_starts() {
+        let db = Arc::new(Database::new(stats_catalog(&StatsConfig::tiny(3))));
+        let est = Arc::new(PostgresEst::fit(&db));
+        let server = Arc::new(Server::start(
+            db,
+            Arc::new(TrueCardService::new()),
+            est,
+            CostModel::default(),
+            ServeConfig::default(),
+        ));
+        let wl = Workload {
+            name: "empty".to_string(),
+            queries: Vec::new(),
+            template_count: 0,
+        };
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = LoadConfig {
+                sessions: 2,
+                arrival_qps: Some(rate),
+                replays: 1,
+                deadline: None,
+            };
+            let err = run_load(&server, &wl, &cfg).expect_err("rate refused");
+            assert!(err.contains("arrival rate"), "{err}");
+        }
+        assert_eq!(server.live_sessions(), 0, "no session was opened");
+    }
+
+    /// A session thread that panicked counts every query it owed as
+    /// unattributed instead of vanishing from the merged report.
+    #[test]
+    fn panicked_session_counts_as_unattributed() {
+        let mut merged = LoadReport::default();
+        merged.absorb(
+            Ok(LoadReport {
+                completed: 3,
+                ..LoadReport::default()
+            }),
+            3,
+        );
+        let died = std::thread::spawn(|| -> LoadReport {
+            std::panic::resume_unwind(Box::new("session thread died"))
+        })
+        .join();
+        assert!(died.is_err());
+        merged.absorb(died, 3);
+        assert_eq!((merged.completed, merged.unattributed), (3, 3));
+    }
 }

@@ -1,8 +1,8 @@
 //! A minimal std-only HTTP endpoint serving the live Prometheus
 //! snapshot plus Kubernetes-style health probes:
 //!
-//! - `GET /healthz` — liveness: the drainer heartbeat is fresh (`200
-//!   ok` / `503 <reason>`).
+//! - `GET /healthz` — liveness: no serving tick is wedged (`200 ok` /
+//!   `503 <reason>`).
 //! - `GET /readyz` — readiness: under the session cap and the circuit
 //!   breaker is not open (`200 ok` / `503 <reason>`).
 //! - any other path — the `cardbench_obs::prometheus_snapshot()` text
@@ -211,7 +211,7 @@ mod tests {
                     if healthy.load(Ordering::Acquire) {
                         Ok(())
                     } else {
-                        Err("drainer heartbeat stale".to_string())
+                        Err("tick wedged".to_string())
                     }
                 })
             },
@@ -223,7 +223,7 @@ mod tests {
         healthy.store(false, Ordering::Release);
         let (status, body) = srv.get("/healthz").expect("healthz");
         assert_eq!(status, 503);
-        assert!(body.contains("heartbeat stale"), "{body}");
+        assert!(body.contains("tick wedged"), "{body}");
         let (status, body) = srv.get("/readyz").expect("readyz");
         assert_eq!(status, 503);
         assert!(body.contains("breaker open"), "{body}");

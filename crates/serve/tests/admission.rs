@@ -8,7 +8,7 @@
 //!   affected requests (PR 5's batch→per-call fallback semantics hold
 //!   under concurrency);
 //! - abrupt session teardown mid-flight leaves the service serving
-//!   everyone else (no deadlock, no poisoned drainer).
+//!   everyone else (no deadlock, no stranded lease).
 
 use std::sync::{Arc, OnceLock};
 
@@ -196,7 +196,7 @@ fn abrupt_session_teardown_leaves_service_live() {
         h.join().expect("session threads finish (no deadlock)");
     }
     assert_eq!(srv.live_sessions(), 0);
-    // The drainer is still serving: a fresh session completes a query.
+    // The service still serves: a fresh session completes a query.
     let mut session = srv.session().expect("post-churn admission");
     let planned = session.plan(&wl.queries[0]).expect("service still live");
     assert!(planned.plan.is_ok());

@@ -1,8 +1,12 @@
 //! The self-healing serving contract, end to end:
 //!
-//! - a dead drainer is detected and replaced by the watchdog, queued
-//!   jobs survive the crash, and post-restart serving is bit-identical
-//!   to a clean sequential reference;
+//! - a tick panic on the coalesced route degrades its queries typed,
+//!   and later serving is bit-identical to a clean sequential
+//!   reference;
+//! - a wedged tick is taken over by a queued session, `/healthz` fails
+//!   while it is stale, and both sessions' answers are bit-identical;
+//! - under random tick panics and a teardown mid-run, every request
+//!   answers typed within a bounded time;
 //! - a fault storm opens the circuit breaker, after which requests
 //!   *short* to the fallback (typed `Shorted`, no doomed call paid)
 //!   instead of timing out one by one;
@@ -16,16 +20,17 @@
 //! - transient (`TimedOut`) faults are retried with backoff and the
 //!   retried run is bit-identical to a never-faulted one;
 //! - an injected tick panic on the inline route degrades typed on the
-//!   session's own thread and restarts nothing.
+//!   session's own thread and takes nothing over.
 //!
-//! A lone session ticks inline. Tests of drainer machinery hold
+//! A lone session ticks inline. Tests of the coalesced route hold
 //! `cores()` idle sessions open so that live sessions exceed the cores
 //! and every request is queued, and they assert the route by the
 //! server's job counters — nothing here depends on the host's core
 //! count or on timing.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
@@ -143,12 +148,12 @@ fn assert_bits_eq(got: &PlannedQuery, want: &PlannedQuery, what: &str) {
     );
 }
 
-/// Chaos kills the drainer twice; both affected queries must degrade
-/// with *typed* panic slots (never hang, never silently wrong), the
-/// watchdog must replace the drainer each time, and once the panic
-/// budget is spent serving must return to clean bit-identical answers.
+/// Chaos panics two coalesced ticks; both affected queries must degrade
+/// with *typed* panic slots (never hang, never silently wrong), and
+/// once the panic budget is spent serving must return to clean
+/// bit-identical answers.
 #[test]
-fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
+fn coalesced_tick_panic_degrades_typed_and_recovers_bit_identical() {
     let wl = workload();
     let srv = server(ServeConfig {
         chaos: Some(ChaosServeConfig {
@@ -157,7 +162,6 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
             max_panics: 2,
             ..ChaosServeConfig::default()
         }),
-        watchdog_interval: Duration::from_millis(5),
         ..ServeConfig::default()
     });
     let _idle = force_coalesced(&srv);
@@ -170,7 +174,7 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
         let planned = session.plan(wq).expect("degrades, never errors");
         assert_eq!(
             planned.fallback_subplans, planned.subplans as u64,
-            "round {round}: a drainer crash degrades every slot"
+            "round {round}: a tick panic degrades every slot"
         );
         assert!(
             planned
@@ -182,25 +186,21 @@ fn watchdog_restarts_dead_drainer_and_recovers_bit_identical() {
         );
     }
 
-    // Panic budget spent: the replacement drainer serves cleanly and the
-    // answers are bit-identical to the sequential reference.
-    let planned = session.plan(wq).expect("post-restart serving is clean");
+    // Panic budget spent: the next tick serves cleanly and the answers
+    // are bit-identical to the sequential reference.
+    let planned = session.plan(wq).expect("post-panic serving is clean");
     assert!(
         planned.est_failures.is_empty(),
-        "post-restart query must be fault-free, got {:?}",
+        "post-panic query must be fault-free, got {:?}",
         planned.est_failures
     );
-    assert_bits_eq(&planned, &reference(wq), "post-restart");
+    assert_bits_eq(&planned, &reference(wq), "post-panic");
 
     assert_route(&srv, true);
     let stats = srv.stats();
     assert_eq!(stats.chaos_panics, 2, "exactly the budgeted panics fired");
-    assert!(
-        stats.watchdog_restarts >= 2,
-        "each drainer death must be answered by a restart, saw {}",
-        stats.watchdog_restarts
-    );
-    // The service is healthy again: a fresh heartbeat, nothing queued.
+    // The service is healthy again: no tick running, nothing queued.
+    assert_eq!((stats.tick_age, stats.queue_depth), (None, 0));
     let probes = srv.probes();
     assert_eq!((probes.healthy)(), Ok(()));
     assert_eq!((probes.ready)(), Ok(()));
@@ -277,8 +277,8 @@ fn storm_on_route(coalesced: bool) {
     assert_route(&srv, coalesced);
     let stats = srv.stats();
     assert!(stats.breaker.shorted_slots >= planned.subplans as u64);
-    // Not ready while the breaker is open — but still healthy (the
-    // drainer heartbeat is fresh; shorting *is* the service working).
+    // Not ready while the breaker is open — but still healthy (no tick
+    // is wedged; shorting *is* the service working).
     let probes = srv.probes();
     assert_eq!((probes.healthy)(), Ok(()));
     assert!((probes.ready)().is_err(), "open breaker must fail /readyz");
@@ -507,14 +507,13 @@ fn transient_timeouts_are_retried_to_clean_answers() {
     assert_bits_eq(&planned, &reference(wq), "retried");
 }
 
-/// A tick panic on the inline route is what a drainer death is to its
-/// in-hand jobs — every slot of the request a typed `panicked`, the
-/// query degraded to the fallback — but it is caught on the session's
-/// own thread: the next request is served cleanly, bit-identical to the
-/// reference, and the drainer — which never died — serves a queued one
-/// without any watchdog restart.
+/// A tick panic on the inline route is what a coalesced tick panic is
+/// to its gathered jobs — every slot of the request a typed `panicked`,
+/// the query degraded to the fallback — caught on the session's own
+/// thread: the next request is served cleanly, bit-identical to the
+/// reference, and a later coalesced one too, with no takeover.
 #[test]
-fn inline_tick_panic_degrades_typed_without_restart() {
+fn inline_tick_panic_degrades_typed_without_takeover() {
     let wl = workload();
     let srv = server(ServeConfig {
         chaos: Some(ChaosServeConfig {
@@ -544,15 +543,172 @@ fn inline_tick_panic_degrades_typed_without_restart() {
     assert_route(&srv, false);
     assert_eq!(srv.stats().chaos_panics, 1);
 
-    // Had the panic killed the drainer, this queued request could only
-    // be answered after a watchdog restart.
+    // The coalesced route is unaffected: this request leads its own
+    // tick.
     let _idle = force_coalesced(&srv);
-    let planned = session.plan(wq).expect("the drainer still serves");
+    let planned = session.plan(wq).expect("the coalesced route serves");
     assert!(planned.est_failures.is_empty());
     let stats = srv.stats();
     assert!(stats.coalesced_jobs > 0, "the request was not queued");
     assert_eq!(
         stats.watchdog_restarts, 0,
-        "an inline panic restarts nothing"
+        "an inline panic takes nothing over"
+    );
+}
+
+/// PostgreSQL whose first `estimate_batch` reports that it entered and
+/// then blocks until released: a wedged estimator call.
+struct GatedEst {
+    inner: PostgresEst,
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl CardEst for GatedEst {
+    fn name(&self) -> &'static str {
+        "gated-postgres"
+    }
+    fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
+        self.inner.estimate(db, sub)
+    }
+    fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
+        let gate = self.gate.lock().expect("gate lock").take();
+        if let Some((entered, release)) = gate {
+            let _ = entered.send(());
+            let _ = release.recv();
+        }
+        self.inner.estimate_batch(db, subs)
+    }
+}
+
+/// One session planning `wq` on its own thread; the answer comes back
+/// on the returned channel.
+fn plan_on_thread(srv: &Arc<Server>, wq: &WorkloadQuery) -> Receiver<PlannedQuery> {
+    let (tx, rx) = mpsc::channel();
+    let (srv, wq) = (Arc::clone(srv), wq.clone());
+    std::thread::spawn(move || {
+        let mut session = srv.session().expect("admitted");
+        drop(srv);
+        let _ = tx.send(session.plan(&wq).expect("plans"));
+    });
+    rx
+}
+
+/// A coalesced tick wedged in the estimator: `/healthz` fails once it
+/// is stale, a session whose job is queued behind it takes the lease
+/// over and is answered, the service is healthy again, and the wedged
+/// leader's own answer arrives once the estimator is released — both
+/// bit-identical to the reference, nothing hung.
+#[test]
+fn wedged_tick_is_taken_over_by_a_queued_session() {
+    let wl = workload();
+    let wq = &wl.queries[0];
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let est: Arc<dyn CardEst> = Arc::new(GatedEst {
+        inner: PostgresEst::fit(db()),
+        gate: Mutex::new(Some((entered_tx, release_rx))),
+    });
+    let stale = Duration::from_millis(50);
+    let srv = Arc::new(server_with(
+        est,
+        ServeConfig {
+            heartbeat_stale_after: stale,
+            breaker: None,
+            ..ServeConfig::default()
+        },
+    ));
+    let _idle = force_coalesced(&srv);
+    let probes = srv.probes();
+    let limit = Duration::from_secs(30);
+
+    let wedged = plan_on_thread(&srv, wq);
+    entered
+        .recv_timeout(limit)
+        .expect("the first tick reached the estimator");
+    std::thread::sleep(2 * stale);
+    assert!(
+        (probes.healthy)().is_err_and(|e| e.contains("wedged")),
+        "a stale tick must fail /healthz"
+    );
+
+    let queued = plan_on_thread(&srv, wq);
+    let planned = queued.recv_timeout(limit).expect("the takeover answered");
+    assert_bits_eq(&planned, &reference(wq), "taken over");
+    assert_eq!(srv.stats().watchdog_restarts, 1);
+    assert_eq!((probes.healthy)(), Ok(()), "healthy after the takeover");
+
+    release.send(()).expect("the wedged tick waits");
+    let planned = wedged
+        .recv_timeout(limit)
+        .expect("the wedged leader answered");
+    assert_bits_eq(&planned, &reference(wq), "wedged leader");
+    assert_route(&srv, true);
+    let stats = srv.stats();
+    assert_eq!((stats.watchdog_restarts, stats.tick_age), (1, None));
+}
+
+/// More sessions than cores under random coalesced tick panics, torn
+/// down mid-run: every request answers typed — planned, possibly with
+/// typed `panicked` slots, or `ShuttingDown` — within a bounded time.
+#[test]
+fn tick_panics_and_teardown_answer_every_request_typed() {
+    let wl = workload();
+    let sessions = cores() + 2;
+    let srv = Arc::new(server(ServeConfig {
+        chaos: Some(ChaosServeConfig {
+            seed: 29,
+            panic_rate: 0.2,
+            max_panics: u32::MAX,
+            ..ChaosServeConfig::default()
+        }),
+        ..ServeConfig::default()
+    }));
+    let opened = Arc::new(Barrier::new(sessions + 1));
+    let bound = Duration::from_secs(10);
+    let (done, finished) = mpsc::channel();
+    for s in 0..sessions {
+        let (srv, opened, done) = (Arc::clone(&srv), Arc::clone(&opened), done.clone());
+        std::thread::spawn(move || {
+            let mut session = srv.session().expect("admitted");
+            drop(srv);
+            opened.wait();
+            let mut planned = 0u64;
+            for k in s.. {
+                let t0 = Instant::now();
+                let outcome = session.plan(&wl.queries[k % wl.queries.len()]);
+                assert!(t0.elapsed() < bound, "a request took {:?}", t0.elapsed());
+                match outcome {
+                    Ok(p) => {
+                        assert!(
+                            p.est_failures.iter().all(|f| f.error.kind() == "panicked"),
+                            "only typed panics degrade, got {:?}",
+                            p.est_failures
+                        );
+                        planned += 1;
+                    }
+                    Err(ServeError::ShuttingDown) => break,
+                    Err(other) => panic!("expected ShuttingDown, got {other:?}"),
+                }
+            }
+            let _ = done.send(planned);
+        });
+    }
+    drop(done);
+    opened.wait();
+    std::thread::sleep(Duration::from_millis(100));
+    let stats = srv.stats();
+    Arc::into_inner(srv)
+        .expect("sessions hold no server handle")
+        .shutdown();
+    let mut planned = 0;
+    for _ in 0..sessions {
+        planned += finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every session ends with ShuttingDown");
+    }
+    assert!(planned > 0, "sessions planned before the teardown");
+    assert!(
+        stats.coalesced_jobs > 0,
+        "the coalesced route was exercised"
     );
 }
