@@ -13,7 +13,7 @@ use std::time::Duration;
 use cardbench_datagen::stats::{churn_sample, temporal_split, SPLIT_DAY};
 use cardbench_datagen::stats_catalog;
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::FeedbackConfig;
@@ -25,8 +25,8 @@ use cardbench_harness::{
 use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, SubPlanQuery};
 use cardbench_serve::{
-    run_load, BreakerConfig, BreakerState, ChaosServeConfig, HealthProbes, LoadConfig, LoadReport,
-    PromServer, ServeConfig, Server,
+    run_load, BreakerConfig, BreakerState, HealthProbes, LoadConfig, LoadReport, PromServer,
+    ServeConfig, Server, TickFault,
 };
 use cardbench_sketch::SketchEst;
 use cardbench_workload::{stats_ceb, Workload};
@@ -109,7 +109,6 @@ const SUITES: [Suite; 5] = [
                 "cardbench_serve_breaker_state",
                 "cardbench_serve_breaker_shorted_total",
                 "cardbench_serve_chaos_faults_total",
-                "cardbench_serve_retries_total",
                 "cardbench_serve_deadline_exceeded_total",
             ],
         },
@@ -196,9 +195,14 @@ fn chaos(args: &Args) -> Result<(), Fail> {
         &TrainingSet::default(),
         &cfg.settings,
     );
-    let faults = FaultClass::ALL.to_vec();
-    let chaos = ChaosEst::with_classes(built.est, cfg.settings.seed, 0.2, faults)
-        .delay(Duration::from_millis(20));
+    let faults = ChaosConfig {
+        seed: cfg.settings.seed,
+        rate: 0.2,
+        classes: FaultClass::ALL.to_vec(),
+        stall: Duration::from_millis(20),
+        ..ChaosConfig::default()
+    };
+    let chaos = ChaosEst::new(built.est, faults);
     let truth = TrueCardService::new();
     let queries = run_workload(&db, &wl, &chaos, &truth, &CostModel::default(), &opts);
     let run = MethodRun {
@@ -318,8 +322,8 @@ fn serve(args: &Args) -> Result<(), Fail> {
 /// storms (circuit breaker), slow ticks against request deadlines, and
 /// tick panics on the coalesced route:
 ///
-/// - a total storm trips the breaker, slots short, and transient faults
-///   are retried; `/healthz` stays 200 while `/readyz` reports 503;
+/// - a total storm trips the breaker and slots short; `/healthz` stays
+///   200 while `/readyz` reports 503;
 /// - queue-expired deadlines fast-fail typed without estimator calls;
 /// - injected tick panics degrade their queries typed and serving
 ///   recovers to clean answers.
@@ -339,15 +343,15 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
     let load = closed_loop(sessions, 2);
 
     // Phase 1: permanent estimator storm behind a tight breaker. The
-    // first tick's slots time out (and are retried — still storming),
-    // the breaker opens, and everything after shorts to the fallback.
+    // first ticks' slots time out, the breaker opens, and everything
+    // after shorts to the fallback.
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 17,
-            storm_rate: 1.0,
-            storm_ticks: u32::MAX,
-            storm_stall: Duration::from_millis(5),
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Storm],
+            stall: Duration::from_millis(5),
+            ..ChaosConfig::default()
         }),
         breaker: Some(BreakerConfig {
             window: 32,
@@ -367,10 +371,6 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
     ensure!(
         stats.breaker.shorted_slots > 0,
         "an open breaker must short slots"
-    );
-    ensure!(
-        stats.retries > 0,
-        "first-tick transient timeouts must be retried"
     );
     // Probes against the live (storming) server: still healthy — no
     // tick is wedged — but not ready.
@@ -395,14 +395,14 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
     // Phase 2: chaos-slowed ticks against a per-request deadline;
     // slots expire in the queue and fast-fail typed.
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 19,
-            slow_rate: 1.0,
-            slow_stall: Duration::from_millis(20),
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Slow],
+            stall: Duration::from_millis(20),
+            ..ChaosConfig::default()
         }),
         breaker: None,
-        max_retries: 0,
         ..ServeConfig::default()
     });
     let deadlined = LoadConfig {
@@ -419,11 +419,12 @@ fn chaos_serve(args: &Args) -> Result<(), Fail> {
     // Phase 3: the chaos injector panics coalesced ticks (bounded
     // budget); each degrades its jobs typed and serving ends clean.
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 23,
-            panic_rate: 0.5,
-            max_panics: 2,
-            ..ChaosServeConfig::default()
+            rate: 0.5,
+            classes: vec![TickFault::Panic],
+            max_panics: Some(2),
+            ..ChaosConfig::default()
         }),
         ..ServeConfig::default()
     });

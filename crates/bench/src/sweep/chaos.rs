@@ -31,10 +31,10 @@ use std::time::Duration;
 
 use cardbench_support::json::Json;
 
+use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_metrics::percentile;
 use cardbench_serve::{
-    run_load, BreakerConfig, ChaosServeConfig, LoadConfig, LoadReport, ServeConfig, ServeStats,
-    Server,
+    run_load, BreakerConfig, LoadConfig, LoadReport, ServeConfig, ServeStats, Server, TickFault,
 };
 
 use super::write_summary;
@@ -66,7 +66,7 @@ fn run_phase(
     guard(name, &p.report)?;
     println!(
         "{name:>18}: {:>5} done | {:>6.1} qps | p99 {:>7.4}s | clean/shorted/degraded {}/{}/{} | \
-         breaker opens {} shorted {} | retries {} | expired {} | tick panics {}",
+         breaker opens {} shorted {} | expired {} | tick panics {}",
         p.report.completed,
         p.report.qps,
         percentile(&p.report.latencies, 0.99),
@@ -75,7 +75,6 @@ fn run_phase(
         p.report.degraded_latencies.len(),
         p.stats.breaker.opens,
         p.stats.breaker.shorted_slots,
-        p.stats.retries,
         p.stats.deadline_expired_slots,
         p.stats.chaos_panics,
     );
@@ -121,7 +120,6 @@ fn phase_json(p: &Phase) -> Json {
                 ("observed_slots", count(br.observed_slots)),
             ]),
         ),
-        ("retried_slots", count(st.retries)),
         ("deadline_expired_slots", count(st.deadline_expired_slots)),
         ("chaos_panics", count(u64::from(st.chaos_panics))),
     ])
@@ -140,12 +138,12 @@ pub fn run(smoke: bool) -> Result<(), String> {
 
     let replays = 256usize.div_ceil(sessions * fx.wl.queries.len()).max(2);
     let load = closed_loop(sessions, replays);
-    let storm = ChaosServeConfig {
+    let storm = ChaosConfig {
         seed: 17,
-        storm_rate: 1.0,
-        storm_ticks: u32::MAX,
-        storm_stall: stall,
-        ..ChaosServeConfig::default()
+        rate: 1.0,
+        classes: vec![TickFault::Storm],
+        stall,
+        ..ChaosConfig::default()
     };
     // A breaker sized so the storm trips it within the first queries and
     // probes keep re-testing (and re-failing) during the phase.
@@ -172,11 +170,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
         ServeConfig {
             chaos: Some(storm.clone()),
             breaker: None,
-            // No retries in either storm phase: the phases differ only in
-            // the breaker, so the tail comparison is pure stall-paid vs
-            // shorted (a retry against a live storm just pays twice, and
-            // a retry after the breaker opens re-attributes the slot).
-            max_retries: 0,
             ..ServeConfig::default()
         },
         &load,
@@ -192,7 +185,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
         ServeConfig {
             chaos: Some(storm.clone()),
             breaker: Some(tight_breaker),
-            max_retries: 0,
             ..ServeConfig::default()
         },
         &load,
@@ -210,14 +202,14 @@ pub fn run(smoke: bool) -> Result<(), String> {
         "slow/deadline",
         fx,
         ServeConfig {
-            chaos: Some(ChaosServeConfig {
+            chaos: Some(ChaosConfig {
                 seed: 19,
-                slow_rate: 1.0,
-                slow_stall: 4 * stall,
-                ..ChaosServeConfig::default()
+                rate: 1.0,
+                classes: vec![TickFault::Slow],
+                stall: 4 * stall,
+                ..ChaosConfig::default()
             }),
             breaker: None,
-            max_retries: 0,
             ..ServeConfig::default()
         },
         &LoadConfig {
@@ -234,11 +226,12 @@ pub fn run(smoke: bool) -> Result<(), String> {
         "tick-panics",
         fx,
         ServeConfig {
-            chaos: Some(ChaosServeConfig {
+            chaos: Some(ChaosConfig {
                 seed: 23,
-                panic_rate: 0.2,
-                max_panics: if smoke { 2 } else { 5 },
-                ..ChaosServeConfig::default()
+                rate: 0.2,
+                classes: vec![TickFault::Panic],
+                max_panics: Some(if smoke { 2 } else { 5 }),
+                ..ChaosConfig::default()
             }),
             ..ServeConfig::default()
         },
@@ -287,9 +280,9 @@ pub fn run(smoke: bool) -> Result<(), String> {
                  failed-then-degraded (typed Panicked/TimedOut, the doomed call was paid). \
                  The headline is the storm phases' tail: with the breaker open, requests \
                  short to the shared PostgreSQL fallback instantly instead of paying the \
-                 storm stall per tick (retries are disabled in both storm phases so the \
-                 comparison is pure). unattributed is asserted zero everywhere: every \
-                 degradation carries a typed error"
+                 storm stall per tick; the two storm phases differ only in the breaker. \
+                 unattributed is asserted zero everywhere: every degradation carries a \
+                 typed error"
                     .to_string(),
             ),
         ),

@@ -328,9 +328,9 @@ mod tests {
         assert_eq!(
             check_prometheus(
                 PROM,
-                &["cardbench_x_total", "cardbench_serve_retries_total"]
+                &["cardbench_x_total", "cardbench_serve_chaos_faults_total"]
             ),
-            Err("required metric family `cardbench_serve_retries_total` missing".to_string())
+            Err("required metric family `cardbench_serve_chaos_faults_total` missing".to_string())
         );
     }
 }

@@ -132,7 +132,11 @@ pub fn imdb_catalog(cfg: &ImdbConfig) -> Catalog {
         title_latent.push(z);
     }
     let mut order: Vec<usize> = (0..n_title).collect();
-    order.sort_by(|&a, &b| title_latent[b].partial_cmp(&title_latent[a]).unwrap());
+    order.sort_by(|&a, &b| {
+        title_latent[b]
+            .partial_cmp(&title_latent[a])
+            .expect("latents are finite")
+    });
     let pop = Zipf::new(n_title, cfg.key_skew);
 
     let mut catalog = Catalog::new();

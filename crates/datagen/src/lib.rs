@@ -13,6 +13,8 @@
 //! - [`imdb`]: the 6-table simplified-IMDB star-schema dataset (JOB-LIGHT).
 //! - [`profile`]: dataset statistics reported in paper Table 1.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod dist;
 pub mod imdb;
 pub mod profile;

@@ -242,7 +242,11 @@ struct Popularity {
 impl Popularity {
     fn new(latents: &[f64], key_skew: f64) -> Popularity {
         let mut order: Vec<usize> = (0..latents.len()).collect();
-        order.sort_by(|&a, &b| latents[b].partial_cmp(&latents[a]).unwrap());
+        order.sort_by(|&a, &b| {
+            latents[b]
+                .partial_cmp(&latents[a])
+                .expect("latents are finite")
+        });
         Popularity {
             zipf: Zipf::new(latents.len().max(1), key_skew),
             order,

@@ -18,6 +18,8 @@
 //! NeuroCard). [`calibrate`] implements the paper's RD3 future direction:
 //! tuning any estimator toward P-Error.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod bayescard;
 pub mod calibrate;
 pub mod chaos;

@@ -110,7 +110,7 @@ impl ColumnHist {
         if v < b[0] {
             return 0.0;
         }
-        if v >= *b.last().unwrap() {
+        if v >= *b.last().expect("at least one bound") {
             return 1.0;
         }
         // Find the bucket containing v.

@@ -99,14 +99,6 @@ impl EstimateError {
                 | EstimateError::DeadlineExceeded { .. }
         )
     }
-
-    /// True for transient faults worth retrying when deadline budget
-    /// remains: the call was slow, not wrong, so a bounded retry with
-    /// backoff can still land a usable value. Panics, breaker shorts,
-    /// and value faults are not transient — repeating them buys nothing.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, EstimateError::TimedOut { .. })
-    }
 }
 
 impl std::fmt::Display for EstimateError {
@@ -315,7 +307,7 @@ pub fn guarded_estimate(
     let elapsed = t0.elapsed();
     SANDBOXED.with(|c| c.set(false));
     drop(sp);
-    let result = match outcome {
+    let raw = match outcome {
         Err(payload) => Err(EstimateError::Panicked {
             message: panic_message(payload),
         }),
@@ -323,21 +315,38 @@ pub fn guarded_estimate(
             elapsed,
             budget: timeout.unwrap_or_default(),
         }),
-        Ok(v) if !v.is_finite() => Err(EstimateError::NonFinite { value: v }),
-        Ok(v) if v < 0.0 || (v > 0.0 && !v.is_normal()) => {
-            Err(EstimateError::Degenerate { value: v })
-        }
         Ok(v) => Ok(v),
     };
+    settle(est.name(), raw, elapsed)
+}
+
+/// Settles one sub-plan outcome: sorts a returned value into `Ok`,
+/// [`EstimateError::NonFinite`] or [`EstimateError::Degenerate`], and
+/// records the latency histogram and the failure counter.
+#[inline]
+fn settle(
+    method: &str,
+    raw: Result<f64, EstimateError>,
+    elapsed: Duration,
+) -> (Result<f64, EstimateError>, Duration) {
+    let result = raw.and_then(|v| {
+        if !v.is_finite() {
+            Err(EstimateError::NonFinite { value: v })
+        } else if v < 0.0 || (v > 0.0 && !v.is_normal()) {
+            Err(EstimateError::Degenerate { value: v })
+        } else {
+            Ok(v)
+        }
+    });
     cardbench_obs::observe_secs(
         "cardbench_estimate_latency_seconds",
-        &[("method", est.name())],
+        &[("method", method)],
         elapsed.as_secs_f64(),
     );
     if let Err(e) = &result {
         cardbench_obs::counter_add(
             "cardbench_est_failures_total",
-            &[("method", est.name()), ("kind", e.kind())],
+            &[("method", method), ("kind", e.kind())],
             1,
         );
     }
@@ -394,32 +403,12 @@ pub fn guarded_estimate_batch(
         return None;
     }
     let per_sub = elapsed / subs.len() as u32;
-    let results = values
-        .into_iter()
-        .map(|v| {
-            let result = if !v.is_finite() {
-                Err(EstimateError::NonFinite { value: v })
-            } else if v < 0.0 || (v > 0.0 && !v.is_normal()) {
-                Err(EstimateError::Degenerate { value: v })
-            } else {
-                Ok(v)
-            };
-            cardbench_obs::observe_secs(
-                "cardbench_estimate_latency_seconds",
-                &[("method", est.name())],
-                per_sub.as_secs_f64(),
-            );
-            if let Err(e) = &result {
-                cardbench_obs::counter_add(
-                    "cardbench_est_failures_total",
-                    &[("method", est.name()), ("kind", e.kind())],
-                    1,
-                );
-            }
-            (result, per_sub)
-        })
-        .collect();
-    Some(results)
+    Some(
+        values
+            .into_iter()
+            .map(|v| settle(est.name(), Ok(v), per_sub))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -540,21 +529,13 @@ mod tests {
         let shorted = EstimateError::Shorted;
         assert_eq!(shorted.kind(), "shorted");
         assert!(shorted.is_hard());
-        assert!(!shorted.is_transient());
         assert_eq!(shorted, EstimateError::Shorted);
         let late = EstimateError::DeadlineExceeded {
             late: Duration::from_millis(3),
         };
         assert_eq!(late.kind(), "deadline_exceeded");
         assert!(late.is_hard());
-        assert!(!late.is_transient());
         assert_ne!(late, shorted);
-        // Only timeouts are worth a retry.
-        assert!(EstimateError::TimedOut {
-            elapsed: Duration::from_millis(2),
-            budget: Duration::from_millis(1),
-        }
-        .is_transient());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use cardbench_engine::{
     clamp_row_est, try_execute_with, CostModel, ExecError, ExecScratch, JoinAlgo, PhysicalPlan,
     TrueCardService,
 };
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::report::table_faults;
@@ -26,6 +26,7 @@ fn bench() -> &'static Bench {
     B.get_or_init(|| Bench::build(BenchConfig::fast(5)))
 }
 
+/// PostgreSQL under chaos; a `Delay` fault stalls 5ms.
 fn postgres_chaos(rate: f64, classes: Vec<FaultClass>) -> ChaosEst {
     let b = bench();
     let built = build_estimator(
@@ -34,7 +35,14 @@ fn postgres_chaos(rate: f64, classes: Vec<FaultClass>) -> ChaosEst {
         &b.stats_train,
         &b.config.settings,
     );
-    ChaosEst::with_classes(built.est, b.config.settings.seed, rate, classes)
+    let cfg = ChaosConfig {
+        seed: b.config.settings.seed,
+        rate,
+        classes,
+        stall: Duration::from_millis(5),
+        ..ChaosConfig::default()
+    };
+    ChaosEst::new(built.est, cfg)
 }
 
 fn run_with(est: &dyn CardEst, truth: &TrueCardService, opts: &RunOptions) -> Vec<QueryRun> {
@@ -91,7 +99,7 @@ proptest! {
 fn every_fault_class_survives_at_full_rate() {
     let truth = TrueCardService::new();
     for class in FaultClass::ALL {
-        let chaos = postgres_chaos(1.0, vec![class]).delay(Duration::from_millis(5));
+        let chaos = postgres_chaos(1.0, vec![class]);
         let mut opts = two_threads();
         // A 1ms budget converts every 5ms Delay fault into TimedOut.
         // Only set for Delay: the timeout check precedes the value

@@ -14,8 +14,8 @@
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
-use cardbench_engine::{exact_cardinality, subplan_true_cards, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_engine::{exact_cardinality, subplan_true_cards, Database, TrueCardService};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{build_estimator, Bench, BenchConfig};
 use cardbench_query::{connected_subsets, JoinQuery, SubPlanQuery};
@@ -86,6 +86,24 @@ fn assert_batch_matches(name: &str, est: &dyn CardEst, subs: &[SubPlanQuery]) {
             "{name} mask {:?}: sequential {s} vs batched {b}",
             sub.mask
         );
+    }
+}
+
+/// A built estimator lent to a wrapper that takes ownership.
+struct Borrowed(&'static dyn CardEst);
+
+impl CardEst for Borrowed {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
+        self.0.estimate(db, sub)
+    }
+    fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
+        self.0.estimate_batch(db, subs)
+    }
+    fn batch_leverage(&self) -> bool {
+        self.0.batch_leverage()
     }
 }
 
@@ -272,6 +290,58 @@ fn rewritten_families_answer_what_the_parent_answered() {
     }
 }
 
+/// What `ChaosEst::fault_for` decided at the commit before the serving
+/// and estimator fault injectors shared one draw: the FNV digest, over
+/// class sets `ALL`, `VALUES` and `[Panic]` × seeds 7 and 8 at rate 0.5,
+/// of each sub-plan query's fault (`0` clean, `1 + ` its index in
+/// `FaultClass::ALL`), for every sub-plan of [`random_queries`] 0..16.
+const CHAOS_SCHEDULE_GOLDEN: (u64, usize) = (0x74ad691d2952c303, 309);
+
+#[test]
+fn chaos_schedule_matches_the_golden() {
+    let queries: Vec<JoinQuery> = (0..16)
+        .flat_map(random_queries)
+        .flat_map(|q| subplans(&q))
+        .map(|s| s.query)
+        .collect();
+    assert!(queries.len() >= 256, "{} queries", queries.len());
+    let mut words = Vec::new();
+    for classes in [
+        FaultClass::ALL.to_vec(),
+        FaultClass::VALUES.to_vec(),
+        vec![FaultClass::Panic],
+    ] {
+        for seed in [7, 8] {
+            let inner = build_estimator(
+                EstimatorKind::Postgres,
+                &bench().stats_db,
+                &bench().stats_train,
+                &bench().config.settings,
+            )
+            .est;
+            let cfg = ChaosConfig {
+                seed,
+                rate: 0.5,
+                classes: classes.clone(),
+                ..ChaosConfig::default()
+            };
+            let est = ChaosEst::new(inner, cfg);
+            words.extend(queries.iter().map(|q| {
+                est.fault_for(q).map_or(0, |c| {
+                    1 + FaultClass::ALL.iter().position(|&a| a == c).unwrap() as u64
+                })
+            }));
+        }
+    }
+    assert_eq!(
+        (digest(&words), queries.len()),
+        CHAOS_SCHEDULE_GOLDEN,
+        "digest {:#018x} over {} queries",
+        digest(&words),
+        queries.len()
+    );
+}
+
 /// Same seed, same bits: two independent fits of each rewritten family
 /// answer every sub-plan identically, and so do two independent
 /// fit → `apply_inserts` sequences. FLAT used to fail the first half —
@@ -281,7 +351,6 @@ fn rewritten_families_answer_what_the_parent_answered() {
 fn independent_fits_and_updates_agree_bit_for_bit() {
     use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
     use cardbench_datagen::stats_catalog;
-    use cardbench_engine::Database;
 
     let b = bench();
     let sets = ceb_subplan_sets();
@@ -369,21 +438,27 @@ proptest! {
     }
 
     /// Chaos value faults (NaN, ±inf, negative, zero) flow through the
-    /// batch path unchanged: a faulted wrapper's batch equals its
-    /// per-sub-plan answers bit for bit.
+    /// batch path unchanged: a faulted wrapper over a batching kind
+    /// answers its batch, faulted slots and the inner batch's alike,
+    /// bit for bit as it answers each sub-plan.
     #[test]
     fn estimate_batch_bit_identical_under_chaos_values(
         seed in 0u64..1000,
         chaos_seed in 0u64..1000,
     ) {
-        let b = bench();
-        let built = build_estimator(
-            EstimatorKind::Postgres,
-            &b.stats_db,
-            &b.stats_train,
-            &b.config.settings,
-        );
-        let est = ChaosEst::with_classes(built.est, chaos_seed, 0.6, FaultClass::VALUES.to_vec());
+        let inner = &estimators()
+            .iter()
+            .find(|(k, _)| *k == EstimatorKind::BayesCard)
+            .expect("built")
+            .1;
+        let cfg = ChaosConfig {
+            seed: chaos_seed,
+            rate: 0.6,
+            classes: FaultClass::VALUES.to_vec(),
+            ..ChaosConfig::default()
+        };
+        let est = ChaosEst::new(Box::new(Borrowed(inner.as_ref())), cfg);
+        prop_assert!(est.batch_leverage());
         for q in random_queries(seed) {
             assert_batch_matches("Chaos", &est, &subplans(&q));
         }

@@ -75,7 +75,7 @@ impl Discretizer {
     /// Inclusive bin range covered by the value range `[lo, hi]`, or
     /// `None` when the range misses all bins.
     pub fn bin_range(&self, lo: i64, hi: i64) -> Option<(usize, usize)> {
-        if hi < lo || hi < self.min || lo > *self.edges.last().unwrap() {
+        if hi < lo || hi < self.min || lo > *self.edges.last().expect("at least one bin edge") {
             return None;
         }
         Some((self.bin_of(lo.max(self.min)), self.bin_of(hi)))

@@ -54,7 +54,7 @@ fn build_tree(
     let mut best: Option<(f32, usize, f32)> = None; // (score, feature, threshold)
     for f in 0..xs.cols {
         let mut vals: Vec<(f32, f32)> = rows.iter().map(|&r| (xs.get(r, f), ys[r])).collect();
-        vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        vals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("features are not NaN"));
         let total_sum: f32 = vals.iter().map(|v| v.1).sum();
         let total_sq: f32 = vals.iter().map(|v| v.1 * v.1).sum();
         let n = vals.len() as f32;

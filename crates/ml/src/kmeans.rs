@@ -29,7 +29,7 @@ pub fn kmeans(xs: &Matrix, k: usize, iters: usize, seed: u64) -> Vec<usize> {
                 let db = nearest_dist(xs.row(b), &centroids);
                 da.total_cmp(&db)
             })
-            .unwrap();
+            .expect("at least one row");
         centroids.push(xs.row(far).to_vec());
     }
     let mut assign = vec![0usize; n];

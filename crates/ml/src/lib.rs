@@ -1,5 +1,6 @@
 // Indexed loops are the clearest idiom in the numeric kernels below.
 #![allow(clippy::needless_range_loop)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 //! Minimal ML substrate for the cardinality estimators.
 //!

@@ -85,7 +85,7 @@ impl Mlp {
 
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
-        *self.dims.last().unwrap()
+        *self.dims.last().expect("an input and an output dimension")
     }
 
     /// Parameter bytes (for model-size accounting).
@@ -98,7 +98,11 @@ impl Mlp {
 
     /// Forward pass returning the raw output (linear head).
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        self.forward_pass(x).acts.last().unwrap().clone()
+        self.forward_pass(x)
+            .acts
+            .last()
+            .expect("the input activation")
+            .clone()
     }
 
     /// Forward pass returning softmax probabilities.
@@ -298,7 +302,7 @@ impl Mlp {
             for chunk in order.chunks(MINIBATCH) {
                 for &i in chunk {
                     let pass = self.forward_pass(xs.row(i));
-                    let pred = pass.acts.last().unwrap()[0];
+                    let pred = pass.acts.last().expect("the input activation")[0];
                     let grad = vec![2.0 * (pred - ys[i])];
                     self.backward_into(&pass, grad, &mut grads);
                 }
@@ -326,7 +330,7 @@ impl Mlp {
             for chunk in order.chunks(MINIBATCH) {
                 for &i in chunk {
                     let pass = self.forward_pass(xs.row(i));
-                    let mut grad = softmax(pass.acts.last().unwrap());
+                    let mut grad = softmax(pass.acts.last().expect("the input activation"));
                     debug_assert!(labels[i] < k);
                     grad[labels[i]] -= 1.0;
                     self.backward_into(&pass, grad, &mut grads);

@@ -631,7 +631,7 @@ impl Spn {
                     .iter()
                     .enumerate()
                     .map(|(i, &c)| (i, self.row_likelihood(c as usize, row)))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("likelihoods are not NaN"))
                     .map(|(i, _)| i)
                     .unwrap_or(0);
                 self.kid_counts[lo + best] += 1.0;

@@ -34,8 +34,8 @@
 //! and hands off nothing. Each tick additionally consults the circuit
 //! breaker (open → every slot answers [`EstimateError::Shorted`]
 //! without touching the estimator), fast-fails jobs whose end-to-end
-//! deadline already expired, and asks ChaosServe for injected
-//! service-level faults.
+//! deadline already expired, and draws its injected service-level
+//! fault ([`TickFault`]) from `ServeConfig::chaos`.
 //!
 //! `run_tick` has two callers, both under `catch_unwind` on the
 //! requesting session's thread: a leader over its gathered tick, and a
@@ -46,6 +46,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -57,7 +58,6 @@ use cardbench_obs::counter_add;
 use cardbench_query::SubPlanQuery;
 
 use crate::breaker::Admission;
-use crate::chaos::TickFault;
 use crate::Shared;
 
 /// Maximum jobs (one job = one query's sub-plan slice) in one tick.
@@ -137,11 +137,11 @@ struct QueueInner {
 }
 
 impl QueueInner {
-    /// Supersedes a tick running longer than `stale_after` (never, when
-    /// zero): bumps the generation, counts the takeover and returns the
-    /// new generation. Otherwise returns how long the caller may wait
-    /// before asking again (`Duration::MAX`: indefinitely).
-    fn take_over(&mut self, stale_after: Duration) -> Result<u64, Duration> {
+    /// The one "is this tick wedged" rule: `Ok(age)` when the running
+    /// tick has held the lease longer than `stale_after` (never, when
+    /// zero); otherwise how long until it would be (`Duration::MAX`:
+    /// never).
+    fn wedged(&self, stale_after: Duration) -> Result<Duration, Duration> {
         if stale_after.is_zero() {
             return Err(Duration::MAX);
         }
@@ -149,6 +149,14 @@ impl QueueInner {
         if age <= stale_after {
             return Err(stale_after - age);
         }
+        Ok(age)
+    }
+
+    /// Supersedes a wedged tick: bumps the generation, counts the
+    /// takeover and returns the new generation. Otherwise returns how
+    /// long the caller may wait before asking again.
+    fn take_over(&mut self, stale_after: Duration) -> Result<u64, Duration> {
+        self.wedged(stale_after)?;
         self.gen += 1;
         self.lease = Some(Lease {
             gen: self.gen,
@@ -311,6 +319,12 @@ impl JobQueue {
     /// tick is running.
     pub(crate) fn tick_age(&self) -> Option<Duration> {
         self.lock().lease.map(|l| l.since.elapsed())
+    }
+
+    /// The running tick's age when it is wedged by the takeover rule,
+    /// `None` otherwise.
+    pub(crate) fn wedged(&self, stale_after: Duration) -> Option<Duration> {
+        self.lock().wedged(stale_after).ok()
     }
 
     /// Wedged ticks taken over so far.
@@ -481,6 +495,33 @@ pub fn coalesce_estimate(
     }
 }
 
+/// One injectable serving-tick fault class, drawn once per tick from
+/// `ServeConfig::chaos` (keyed by the tick index); its duration is the
+/// config's `stall`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickFault {
+    /// The tick panics with its jobs in hand (bounded by `max_panics`).
+    Panic,
+    /// The tick stalls for `stall` before estimating: a wedged estimator
+    /// call. Past `heartbeat_stale_after` a queued session takes it over.
+    Slow,
+    /// The estimator is storming: an admitted call pays `stall`, then
+    /// every slot hard-faults — the breaker's reason to exist.
+    Storm,
+}
+
+/// This tick's injected fault: the next tick index's draw, with a drawn
+/// panic past the budget dropped.
+fn tick_fault(shared: &Shared) -> Option<(TickFault, Duration)> {
+    let chaos = shared.cfg.chaos.as_ref()?;
+    let tick = shared.chaos_ticks.fetch_add(1, Ordering::AcqRel);
+    let fault = chaos.draw(tick)?;
+    if fault == TickFault::Panic && !chaos.spend_panic(&shared.chaos_panics) {
+        return None;
+    }
+    Some((fault, chaos.stall))
+}
+
 /// Serves one tick and returns each job's per-slot results: chaos
 /// faults, deadline fast-fail, breaker admission and the coalesced
 /// estimate. A chaos `Panic` unwinds out of here into
@@ -492,11 +533,8 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
     let _sp = cardbench_obs::span_with("coalesced_batch", "serve", || {
         format!("{} jobs", jobs.len())
     });
-    let fault = shared
-        .chaos
-        .as_ref()
-        .map_or(TickFault::None, |c| c.fault_for_tick());
-    if fault == TickFault::Panic {
+    let fault = tick_fault(shared);
+    if let Some((TickFault::Panic, _)) = fault {
         counter_add(
             "cardbench_serve_chaos_faults_total",
             &[("class", "panic")],
@@ -509,7 +547,7 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
             jobs.len()
         )));
     }
-    if let TickFault::Slow(stall) = fault {
+    if let Some((TickFault::Slow, stall)) = fault {
         counter_add(
             "cardbench_serve_chaos_faults_total",
             &[("class", "slow")],
@@ -558,7 +596,7 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
             .map(|&i| typed_slots(jobs[i].0.len(), EstimateError::Shorted))
             .collect(),
         Admission::Estimate => {
-            if let TickFault::Storm(stall) = fault {
+            if let Some((TickFault::Storm, stall)) = fault {
                 // Injected estimator storm: the admitted call pays the
                 // stall, then hard-faults every slot ("failed, then
                 // degraded") — exactly the latency profile the breaker
@@ -574,19 +612,19 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
                 }
                 let timed_out = Err(EstimateError::TimedOut {
                     elapsed: stall,
-                    budget: shared.cfg.estimate_timeout.unwrap_or(stall),
+                    budget: stall,
                 });
                 let per_slot = stall / (total_slots.max(1) as u32);
                 live.iter()
                     .map(|&i| vec![(timed_out.clone(), per_slot); jobs[i].0.len()])
                     .collect()
             } else {
-                // A lone job's deadline tightens its estimate budget; a
-                // multi-job tick keeps the configured timeout so one
-                // tight deadline never perturbs other sessions' outcomes.
+                // A lone job's estimate may take the time left before its
+                // deadline; a multi-job tick has no budget, so one tight
+                // deadline never perturbs other sessions' outcomes.
                 let timeout = match live[..] {
-                    [i] => deadline_budget(shared.cfg.estimate_timeout, jobs[i].1, now),
-                    _ => shared.cfg.estimate_timeout,
+                    [i] => deadline_budget(None, jobs[i].1, now),
+                    _ => None,
                 };
                 let slices: Vec<&[SubPlanQuery]> = live.iter().map(|&i| jobs[i].0).collect();
                 let out = coalesce_estimate(shared.est.as_ref(), &shared.db, &slices, timeout);
@@ -631,6 +669,7 @@ mod tests {
     use crate::ServeConfig;
     use cardbench_datagen::{stats_catalog, StatsConfig};
     use cardbench_engine::{CostModel, TrueCardService};
+    use cardbench_estimators::chaos::ChaosConfig;
     use cardbench_estimators::postgres::PostgresEst;
     use cardbench_query::{connected_subsets, SubPlanQuery};
     use cardbench_workload::{stats_ceb, WorkloadConfig};
@@ -767,6 +806,58 @@ mod tests {
             assert_eq!(*lat, Duration::ZERO);
         }
         assert_eq!(shared.stats_deadline_expired(), subs.len() as u64);
+    }
+
+    fn chaos_shared(chaos: ChaosConfig<TickFault>) -> Arc<Shared> {
+        test_shared(ServeConfig {
+            chaos: Some(chaos),
+            ..ServeConfig::default()
+        })
+    }
+
+    const TICK_FAULTS: [TickFault; 3] = [TickFault::Panic, TickFault::Slow, TickFault::Storm];
+
+    #[test]
+    fn same_seed_same_schedule() {
+        let schedule = |seed| {
+            let shared = chaos_shared(ChaosConfig {
+                seed,
+                rate: 0.3,
+                classes: TICK_FAULTS.to_vec(),
+                ..ChaosConfig::default()
+            });
+            (0..256)
+                .map(|_| tick_fault(&shared).map(|(f, _)| f))
+                .collect::<Vec<_>>()
+        };
+        let (a, b, c) = (schedule(7), schedule(7), schedule(8));
+        assert_eq!(a, b, "same seed must fault identically");
+        assert_ne!(a, c, "different seed must fault differently");
+        assert!(a.contains(&Some(TickFault::Storm)));
+    }
+
+    #[test]
+    fn panic_budget_is_enforced() {
+        let shared = chaos_shared(ChaosConfig {
+            seed: 11,
+            rate: 0.5,
+            classes: vec![TickFault::Panic],
+            max_panics: Some(2),
+            ..ChaosConfig::default()
+        });
+        let panics = (0..256).filter(|_| tick_fault(&shared).is_some()).count();
+        assert_eq!(panics, 2);
+        assert_eq!(shared.chaos_panics.load(Ordering::Acquire), 2);
+    }
+
+    #[test]
+    fn zero_rates_never_fault() {
+        let shared = chaos_shared(ChaosConfig {
+            seed: 42,
+            classes: TICK_FAULTS.to_vec(),
+            ..ChaosConfig::default()
+        });
+        assert!((0..1024).all(|_| tick_fault(&shared).is_none()));
     }
 
     /// Closing the queue hands unserved jobs back and fails later

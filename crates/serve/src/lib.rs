@@ -64,22 +64,22 @@
 //! - **Deadline propagation**: [`Session::plan_with_deadline`] carries a
 //!   per-request deadline through queue wait ([`EstimateError::DeadlineExceeded`]
 //!   fast-fail for jobs that expired while queued — no estimator slot
-//!   consumed), coalesce gather, and the per-call estimate budget
-//!   (`deadline_budget` tightens the timeout for lone jobs). Transient
-//!   (`TimedOut`) faults get a bounded retry with decorrelated-jitter
-//!   backoff while deadline budget remains.
+//!   consumed), coalesce gather, and the estimate budget (a lone job's
+//!   estimate may take the time left before its deadline). Faults are
+//!   not retried: an injected fault repeats on the same key, and a storm
+//!   outlasts any backoff.
 //! - **Tick panics and wedges**: a tick panic is caught on the thread
 //!   that ran it, on either route, and only that tick's jobs degrade
 //!   (typed). A coalesced tick older than `heartbeat_stale_after` is
 //!   taken over by a session whose job is still queued.
-//! - **ChaosServe** ([`chaos`]): deterministic service-level fault
-//!   injection (tick panics, slow ticks, estimator fault storms) for
-//!   the chaos bench and the self-healing tests.
+//! - **Tick chaos** ([`ServeConfig::chaos`]): deterministic
+//!   service-level fault injection (tick panics, slow ticks, estimator
+//!   fault storms) for the chaos bench and the self-healing tests, drawn
+//!   by the estimators crate's one injector keyed by the tick index.
 //!
 //! With chaos disabled and no deadlines, all of this is observation
-//! only: the breaker never opens, retries never fire, and serving stays
-//! bit-identical to the pre-self-healing service — the differential
-//! tests pin that too.
+//! only: the breaker never opens, and serving stays bit-identical to the
+//! pre-self-healing service — the differential tests pin that too.
 //!
 //! Observability: sessions open `run` > `session` spans on their own
 //! thread, every tick opens a `coalesced_batch` span on the session
@@ -93,16 +93,16 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod breaker;
-pub mod chaos;
 pub mod coalesce;
 pub mod loadgen;
 pub mod prom_http;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cardbench_engine::{CostModel, Database, TrueCardService};
+use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_feedback::{FeedbackEst, FeedbackStore};
@@ -111,18 +111,14 @@ use cardbench_harness::{
 };
 use cardbench_obs::{counter_add, gauge_set, observe_secs};
 use cardbench_query::{BoundQuery, SubPlanQuery};
-use cardbench_support::rand::rngs::StdRng;
-use cardbench_support::rand::{Rng, SeedableRng};
 use cardbench_workload::WorkloadQuery;
 
 use breaker::Breaker;
-use chaos::ChaosServe;
 use coalesce::{typed_slots, Reply, SlotResults};
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
 pub use cardbench_feedback::{FeedbackConfig, FeedbackStats};
-pub use chaos::{ChaosServeConfig, TickFault};
-pub use coalesce::{coalesce_estimate, CoalesceOutcome};
+pub use coalesce::{coalesce_estimate, CoalesceOutcome, TickFault};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use prom_http::{HealthProbes, PromServer};
 
@@ -130,12 +126,6 @@ pub use prom_http::{HealthProbes, PromServer};
 /// torn down (or crashes) under its request: a hard failure, so
 /// `plan_query_via` substitutes the PostgreSQL baseline per sub-plan.
 const PIPELINE_UNAVAILABLE: &str = "serve: estimation pipeline unavailable";
-
-/// Decorrelated-jitter backoff floor between retry attempts.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_micros(500);
-
-/// Decorrelated-jitter backoff ceiling.
-const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(20);
 
 /// Service tuning knobs. Every bound is a hard limit, not a hint.
 #[derive(Debug, Clone)]
@@ -151,10 +141,6 @@ pub struct ServeConfig {
     /// Bound of the submission queue. A full queue back-pressures the
     /// submitting session (blocking send), never grows unboundedly.
     pub queue_cap: usize,
-    /// Per-estimate wall-clock budget, as in the harness's `RunOptions`.
-    /// A request deadline tightens this further for lone jobs (see
-    /// `cardbench_harness::deadline_budget`).
-    pub estimate_timeout: Option<Duration>,
     /// `true` serves every request inline on its session's thread (the
     /// same tick as a leader's, over one job) whatever the session
     /// count; `false` routes by measured state — inline while every live
@@ -167,15 +153,14 @@ pub struct ServeConfig {
     /// the difference between "every request pays the doomed call" and
     /// "requests short to the fallback instantly".
     pub breaker: Option<BreakerConfig>,
-    /// Service-level fault injection; `None` (the default) disables it.
-    pub chaos: Option<ChaosServeConfig>,
-    /// Retries per query for transient (`TimedOut`) sub-plan faults,
-    /// attempted only while deadline budget remains. `0` disables.
-    pub max_retries: u32,
+    /// Service-level fault injection, one draw per tick keyed by the
+    /// tick index; `None` (the default) disables it.
+    pub chaos: Option<ChaosConfig<TickFault>>,
     /// Age past which a coalesced-route tick counts as wedged: a
     /// session whose job is still queued then takes the lease over, and
     /// `/healthz` fails. Must comfortably exceed an honest tick's
-    /// duration; `Duration::ZERO` disables takeovers.
+    /// duration; `Duration::ZERO` never counts a tick wedged (no
+    /// takeovers, and `/healthz` ignores tick age).
     pub heartbeat_stale_after: Duration,
     /// Execution-feedback cache shared by every session: `Some` wraps
     /// the served estimator in a [`FeedbackEst`] over one
@@ -192,11 +177,9 @@ impl Default for ServeConfig {
             max_sessions: 64,
             session_subplan_budget: u64::MAX,
             queue_cap: 256,
-            estimate_timeout: None,
             sequential: false,
             breaker: Some(BreakerConfig::default()),
             chaos: None,
-            max_retries: 1,
             heartbeat_stale_after: Duration::from_secs(5),
             feedback: None,
         }
@@ -314,10 +297,11 @@ pub(crate) struct Shared {
     pub(crate) feedback: Option<Arc<FeedbackStore>>,
     /// Circuit breaker for the served estimator, if enabled.
     pub(crate) breaker: Option<Breaker>,
-    /// Service-level fault injector, if enabled.
-    pub(crate) chaos: Option<ChaosServe>,
+    /// Ticks drawn by the chaos injector: the next tick's draw key.
+    pub(crate) chaos_ticks: AtomicU64,
+    /// Tick panics injected so far, against `ChaosConfig::max_panics`.
+    pub(crate) chaos_panics: AtomicU32,
     shutting_down: AtomicBool,
-    retries: AtomicU64,
     deadline_expired: AtomicU64,
 }
 
@@ -345,7 +329,6 @@ impl Shared {
             None => (est, None),
         };
         let breaker = cfg.breaker.clone().map(|bc| Breaker::new(bc, est.name()));
-        let chaos = cfg.chaos.clone().map(ChaosServe::new);
         Shared {
             db,
             truth,
@@ -360,9 +343,9 @@ impl Shared {
             coalesced_jobs: AtomicU64::new(0),
             queue,
             breaker,
-            chaos,
+            chaos_ticks: AtomicU64::new(0),
+            chaos_panics: AtomicU32::new(0),
             shutting_down: AtomicBool::new(false),
-            retries: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
         }
     }
@@ -388,11 +371,6 @@ impl Shared {
     pub(crate) fn stats_deadline_expired(&self) -> u64 {
         self.deadline_expired.load(Ordering::Acquire)
     }
-
-    pub(crate) fn note_retries(&self, slots: u64) {
-        self.retries.fetch_add(slots, Ordering::AcqRel);
-        counter_add("cardbench_serve_retries_total", &[], slots);
-    }
 }
 
 /// A point-in-time view of the service's self-healing machinery, from
@@ -409,14 +387,15 @@ pub struct ServeStats {
     pub tick_age: Option<Duration>,
     /// Jobs queued and not yet picked up by a tick.
     pub queue_depth: usize,
-    /// Estimate jobs (one per pass over a query's sub-plans, retries
-    /// included) served by an inline tick on the session's own thread.
+    /// Estimate jobs (one per query's sub-plan set) served by an inline
+    /// tick on the session's own thread.
     pub inline_jobs: u64,
     /// Estimate jobs served on the coalesced route (led or queued).
     pub coalesced_jobs: u64,
     /// Wedged ticks whose lease a waiting session took over.
     pub watchdog_restarts: u64,
-    /// Sub-plan slots re-submitted by transient-fault retries.
+    /// Always 0: the service does not retry faulted slots. Kept for
+    /// readers of the field.
     pub retries: u64,
     /// Sub-plan slots fast-failed because their deadline expired in the
     /// queue (plus estimate batches skipped for the same reason).
@@ -425,7 +404,7 @@ pub struct ServeStats {
     pub breaker_state: Option<BreakerState>,
     /// Breaker counters (zeros when disabled).
     pub breaker: BreakerStats,
-    /// Tick panics injected by ChaosServe so far (either route).
+    /// Tick panics injected by tick chaos so far (either route).
     pub chaos_panics: u32,
     /// Feedback-store counters, `None` when feedback is disabled.
     pub feedback: Option<FeedbackStats>,
@@ -519,20 +498,20 @@ impl Server {
             inline_jobs: sh.inline_jobs.load(Ordering::Acquire),
             coalesced_jobs: sh.coalesced_jobs.load(Ordering::Acquire),
             watchdog_restarts: sh.queue.takeovers(),
-            retries: sh.retries.load(Ordering::Acquire),
+            retries: 0,
             deadline_expired_slots: sh.stats_deadline_expired(),
             breaker_state: sh.breaker.as_ref().map(Breaker::state),
             breaker: sh.breaker.as_ref().map(Breaker::stats).unwrap_or_default(),
-            chaos_panics: sh.chaos.as_ref().map_or(0, ChaosServe::panics_injected),
+            chaos_panics: sh.chaos_panics.load(Ordering::Acquire),
             feedback: sh.feedback.as_ref().map(|s| s.stats()),
         }
     }
 
     /// Liveness/readiness probes for [`PromServer::bind_with_probes`]:
-    /// `/healthz` fails while a coalesced-route tick older than
-    /// `heartbeat_stale_after` is running, `/readyz` is "will a new request
-    /// be served well" (under the session cap, breaker not open, not
-    /// shutting down).
+    /// `/healthz` fails while a coalesced-route tick is wedged (older
+    /// than a nonzero `heartbeat_stale_after`), `/readyz` is "will a new
+    /// request be served well" (under the session cap, breaker not open,
+    /// not shutting down).
     pub fn probes(&self) -> HealthProbes {
         let live = Arc::clone(&self.shared);
         let ready = Arc::clone(&self.shared);
@@ -541,10 +520,8 @@ impl Server {
                 if live.is_shutting_down() {
                     return Err("shutting down".to_string());
                 }
-                if let Some(age) = live.queue.tick_age() {
-                    if age > live.cfg.heartbeat_stale_after {
-                        return Err(format!("tick wedged ({age:?})"));
-                    }
+                if let Some(age) = live.queue.wedged(live.cfg.heartbeat_stale_after) {
+                    return Err(format!("tick wedged ({age:?})"));
                 }
                 Ok(())
             }),
@@ -688,7 +665,7 @@ impl Session {
         let planned = plan_query_via(
             &sh.db,
             wq,
-            &|subs| self.estimate_with_retries(subs, deadline, inline),
+            &|subs| self.estimate(subs, deadline, inline),
             &sh.truth,
             &sh.cost,
             &sh.fallback,
@@ -736,74 +713,17 @@ impl Session {
         self.used
     }
 
-    /// One estimate pass plus up to `max_retries` bounded re-submissions
-    /// of slots that failed *transiently* (`TimedOut`) — other faults
-    /// (panics, shorted, deadline) are not retryable. Backoff between
-    /// attempts is decorrelated jitter (`sleep = min(cap, uniform(base,
-    /// 3·prev))`) from a deterministic per-query stream, and a retry is
-    /// attempted only while the request's deadline budget remains (an
-    /// undeadlined request always has budget). Retried slots keep their
-    /// accumulated latency across attempts.
-    fn estimate_with_retries(
-        &self,
-        subs: &[SubPlanQuery],
-        deadline: Option<Instant>,
-        inline: bool,
-    ) -> SlotResults {
-        let mut out = self.estimate_once(subs, deadline, inline);
-        let cfg = &self.shared.cfg;
-        if cfg.max_retries == 0 || subs.is_empty() {
-            return out;
-        }
-        let mut prev = RETRY_BACKOFF_BASE;
-        for attempt in 1..=cfg.max_retries {
-            let timed_out: Vec<usize> = out
-                .iter()
-                .enumerate()
-                .filter(|(_, (r, _))| matches!(r, Err(e) if e.is_transient()))
-                .map(|(i, _)| i)
-                .collect();
-            if timed_out.is_empty() {
-                break;
-            }
-            let now = Instant::now();
-            let left = deadline.map(|d| d.saturating_duration_since(now));
-            let (base, cap) = (RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP);
-            let hi = (prev.saturating_mul(3)).clamp(base, cap);
-            let mut rng = StdRng::seed_from_u64(
-                subs[timed_out[0]].query.canonical_hash() ^ u64::from(attempt),
-            );
-            let sleep = base + (hi - base).mul_f64(rng.gen::<f64>());
-            // Out of deadline budget (or the backoff alone would blow
-            // it): the transient failure stands and degrades normally.
-            if left.is_some_and(|l| l <= sleep) {
-                break;
-            }
-            std::thread::sleep(sleep);
-            prev = sleep;
-            self.shared.note_retries(timed_out.len() as u64);
-            let retry_subs: Vec<SubPlanQuery> =
-                timed_out.iter().map(|&i| subs[i].clone()).collect();
-            let retry_out = self.estimate_once(&retry_subs, deadline, inline);
-            for (k, &i) in timed_out.iter().enumerate() {
-                let waited = out[i].1;
-                out[i] = (retry_out[k].0.clone(), waited + retry_out[k].1);
-            }
-        }
-        out
-    }
-
     /// One estimate pass over one job: an inline tick on this thread, or
     /// the coalesced route (lead a tick, or queue and wait). The wait
     /// *includes* queue delay — that is the latency a client of the
     /// service actually sees.
     ///
-    /// If the tick holding this job panics (ChaosServe) or the service
+    /// If the tick holding this job panics (tick chaos) or the service
     /// is torn down mid-request, the slots degrade to typed hard
     /// failures (never a hang): `plan_query_via` then substitutes the
     /// PostgreSQL baseline per sub-plan, the same graceful degradation a
     /// panicking estimator gets.
-    fn estimate_once(
+    fn estimate(
         &self,
         subs: &[SubPlanQuery],
         deadline: Option<Instant>,

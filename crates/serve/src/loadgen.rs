@@ -45,7 +45,7 @@ pub struct LoadConfig {
 
 /// How a completed query's sub-plan estimation fared, worst case wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultClass {
+enum LatencyClass {
     Clean,
     Shorted,
     Degraded,
@@ -102,14 +102,14 @@ fn unattributed(p: &PlannedQuery) -> u64 {
 /// Classifies a completed query by its worst sub-plan fault:
 /// failed-then-degraded (paid the doomed call's latency) dominates
 /// breaker-shorted (skipped it), which dominates clean.
-fn fault_class(p: &PlannedQuery) -> FaultClass {
-    let mut class = FaultClass::Clean;
+fn latency_class(p: &PlannedQuery) -> LatencyClass {
+    let mut class = LatencyClass::Clean;
     for f in &p.est_failures {
         match f.error.kind() {
-            "shorted" | "deadline_exceeded" if class == FaultClass::Clean => {
-                class = FaultClass::Shorted;
+            "shorted" | "deadline_exceeded" if class == LatencyClass::Clean => {
+                class = LatencyClass::Shorted;
             }
-            "panicked" | "timed_out" => return FaultClass::Degraded,
+            "panicked" | "timed_out" => return LatencyClass::Degraded,
             _ => {}
         }
     }
@@ -207,10 +207,10 @@ pub fn run_load(
                             report.unattributed += unattributed(&p);
                             if p.plan.is_ok() {
                                 report.completed += 1;
-                                match fault_class(&p) {
-                                    FaultClass::Clean => report.clean_latencies.push(latency),
-                                    FaultClass::Shorted => report.shorted_latencies.push(latency),
-                                    FaultClass::Degraded => {
+                                match latency_class(&p) {
+                                    LatencyClass::Clean => report.clean_latencies.push(latency),
+                                    LatencyClass::Shorted => report.shorted_latencies.push(latency),
+                                    LatencyClass::Degraded => {
                                         report.degraded_latencies.push(latency);
                                     }
                                 }

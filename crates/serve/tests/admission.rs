@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_harness::EstimateError;
@@ -126,7 +126,15 @@ fn coalesced_panic_degrades_only_affected_requests() {
     let clean = PostgresEst::fit(db());
     let (est, faulted_a) = (0..200u64)
         .find_map(|seed| {
-            let est = ChaosEst::with_classes(inner(), seed, 0.25, vec![FaultClass::Panic]);
+            let est = ChaosEst::new(
+                inner(),
+                ChaosConfig {
+                    seed,
+                    rate: 0.25,
+                    classes: vec![FaultClass::Panic],
+                    ..ChaosConfig::default()
+                },
+            );
             let hit_a: Vec<usize> = job_a
                 .iter()
                 .enumerate()

@@ -6,7 +6,7 @@
 use std::sync::{Arc, OnceLock};
 
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{build_estimator, Bench, BenchConfig, PlannedQuery};
 use cardbench_serve::{FeedbackConfig, ServeConfig, Server};
@@ -116,11 +116,14 @@ fn poisoned_observations_never_produce_non_finite_estimates() {
         &c.bench.stats_train,
         &c.bench.config.settings,
     );
-    let chaotic: Arc<dyn CardEst> = Arc::new(ChaosEst::with_classes(
+    let chaotic: Arc<dyn CardEst> = Arc::new(ChaosEst::new(
         built.est,
-        41,
-        0.4,
-        FaultClass::VALUES.to_vec(),
+        ChaosConfig {
+            seed: 41,
+            rate: 0.4,
+            classes: FaultClass::VALUES.to_vec(),
+            ..ChaosConfig::default()
+        },
     ));
     let server = feedback_server(chaotic);
 

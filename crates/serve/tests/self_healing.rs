@@ -17,8 +17,9 @@
 //!   transient faults don't permanently eat a session's quota;
 //! - expired deadlines are typed fast-fails at preflight and per slot
 //!   in the queue — never a consumed estimator call;
-//! - transient (`TimedOut`) faults are retried with backoff and the
-//!   retried run is bit-identical to a never-faulted one;
+//! - with takeovers disabled (`heartbeat_stale_after` zero) a blocked
+//!   tick never counts as wedged: `/healthz` stays healthy and nothing
+//!   takes it over;
 //! - an injected tick panic on the inline route degrades typed on the
 //!   session's own thread and takes nothing over.
 //!
@@ -28,20 +29,19 @@
 //! server's job counters — nothing here depends on the host's core
 //! count or on timing.
 
-use std::collections::HashSet;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_harness::{estimate_all, plan_query_via, PlannedQuery};
 use cardbench_query::{connected_subsets, SubPlanQuery};
 use cardbench_serve::{
-    BreakerConfig, BreakerState, ChaosServeConfig, ServeConfig, ServeError, Server, Session,
+    BreakerConfig, BreakerState, ServeConfig, ServeError, Server, Session, TickFault,
 };
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig, WorkloadQuery};
 
@@ -156,11 +156,12 @@ fn assert_bits_eq(got: &PlannedQuery, want: &PlannedQuery, what: &str) {
 fn coalesced_tick_panic_degrades_typed_and_recovers_bit_identical() {
     let wl = workload();
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 1,
-            panic_rate: 1.0,
-            max_panics: 2,
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Panic],
+            max_panics: Some(2),
+            ..ChaosConfig::default()
         }),
         ..ServeConfig::default()
     });
@@ -220,12 +221,12 @@ fn storm_opens_breaker_and_shorts_to_fallback() {
 fn storm_on_route(coalesced: bool) {
     let wl = workload();
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 7,
-            storm_rate: 1.0,
-            storm_ticks: 100_000,
-            storm_stall: Duration::from_millis(5),
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Storm],
+            stall: Duration::from_millis(5),
+            ..ChaosConfig::default()
         }),
         breaker: Some(BreakerConfig {
             window: 8,
@@ -234,7 +235,6 @@ fn storm_on_route(coalesced: bool) {
             // No probes during this test: once open, stays open.
             cooldown: Duration::from_secs(600),
         }),
-        max_retries: 0,
         ..ServeConfig::default()
     });
     let _idle = if coalesced {
@@ -339,11 +339,14 @@ fn wholly_degraded_queries_refund_subplan_budget() {
     let n = connected_subsets(&wq.query).len() as u64;
 
     // Every estimate panics: every plan is wholly degraded.
-    let est: Arc<dyn CardEst> = Arc::new(ChaosEst::with_classes(
+    let est: Arc<dyn CardEst> = Arc::new(ChaosEst::new(
         Box::new(PostgresEst::fit(db())),
-        3,
-        1.0,
-        vec![FaultClass::Panic],
+        ChaosConfig {
+            seed: 3,
+            rate: 1.0,
+            classes: vec![FaultClass::Panic],
+            ..ChaosConfig::default()
+        },
     ));
     let srv = server_with(
         est,
@@ -409,11 +412,12 @@ fn expired_deadline_rejects_at_preflight() {
 fn queue_expired_slots_fail_fast_and_typed() {
     let wl = workload();
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 11,
-            slow_rate: 1.0,
-            slow_stall: Duration::from_millis(60),
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Slow],
+            stall: Duration::from_millis(60),
+            ..ChaosConfig::default()
         }),
         ..ServeConfig::default()
     });
@@ -439,74 +443,6 @@ fn queue_expired_slots_fail_fast_and_typed() {
     assert_route(&srv, true);
 }
 
-/// A flaky estimator: the first call per sub-plan overruns the
-/// configured timeout (a *transient* fault), every later call is the
-/// clean inner estimator. Retries must recover bit-identical answers.
-struct FlakyEst {
-    inner: PostgresEst,
-    seen: Mutex<HashSet<(u64, u64)>>,
-}
-
-impl CardEst for FlakyEst {
-    fn name(&self) -> &'static str {
-        "flaky-postgres"
-    }
-    fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let key = (sub.query.canonical_hash(), sub.mask.0);
-        let first = {
-            let mut seen = self.seen.lock().expect("seen lock");
-            seen.insert(key)
-        };
-        if first {
-            // Overrun the serving layer's per-call budget → `TimedOut`.
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        self.inner.estimate(db, sub)
-    }
-    fn estimate_batch(&self, _db: &Database, _subs: &[SubPlanQuery]) -> Vec<f64> {
-        // Wrong arity makes the batch path unusable, forcing the guarded
-        // per-call path — without consuming the "first call" markers.
-        Vec::new()
-    }
-}
-
-/// Transient (`TimedOut`) slots are retried with backoff; the second
-/// attempt lands clean, the retry counter advances, and the final
-/// answers are bit-identical to a never-faulted run.
-#[test]
-fn transient_timeouts_are_retried_to_clean_answers() {
-    let wl = workload();
-    let wq = &wl.queries[0];
-    let est: Arc<dyn CardEst> = Arc::new(FlakyEst {
-        inner: PostgresEst::fit(db()),
-        seen: Mutex::new(HashSet::new()),
-    });
-    let srv = server_with(
-        est,
-        ServeConfig {
-            sequential: true,
-            estimate_timeout: Some(Duration::from_millis(10)),
-            max_retries: 2,
-            breaker: None,
-            ..ServeConfig::default()
-        },
-    );
-    let mut session = srv.session().expect("admitted");
-    let planned = session.plan(wq).expect("retries recover the query");
-    assert!(
-        planned.est_failures.is_empty(),
-        "retried slots must end clean, got {:?}",
-        planned.est_failures
-    );
-    assert_eq!(planned.fallback_subplans, 0);
-    assert_eq!(
-        srv.stats().retries,
-        planned.subplans as u64,
-        "every slot timed out once and was retried exactly once"
-    );
-    assert_bits_eq(&planned, &reference(wq), "retried");
-}
-
 /// A tick panic on the inline route is what a coalesced tick panic is
 /// to its gathered jobs — every slot of the request a typed `panicked`,
 /// the query degraded to the fallback — caught on the session's own
@@ -516,11 +452,12 @@ fn transient_timeouts_are_retried_to_clean_answers() {
 fn inline_tick_panic_degrades_typed_without_takeover() {
     let wl = workload();
     let srv = server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 1,
-            panic_rate: 1.0,
-            max_panics: 1,
-            ..ChaosServeConfig::default()
+            rate: 1.0,
+            classes: vec![TickFault::Panic],
+            max_panics: Some(1),
+            ..ChaosConfig::default()
         }),
         ..ServeConfig::default()
     });
@@ -647,6 +584,52 @@ fn wedged_tick_is_taken_over_by_a_queued_session() {
     assert_eq!((stats.watchdog_restarts, stats.tick_age), (1, None));
 }
 
+/// With takeovers disabled (a zero `heartbeat_stale_after`) a tick
+/// blocked in the estimator is never wedged: `/healthz` stays healthy,
+/// the session queued behind it waits instead of taking it over, and
+/// both answer bit-identical once the estimator is released.
+#[test]
+fn zero_stale_bound_never_calls_a_tick_wedged() {
+    let wl = workload();
+    let wq = &wl.queries[0];
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let est: Arc<dyn CardEst> = Arc::new(GatedEst {
+        inner: PostgresEst::fit(db()),
+        gate: Mutex::new(Some((entered_tx, release_rx))),
+    });
+    let srv = Arc::new(server_with(
+        est,
+        ServeConfig {
+            heartbeat_stale_after: Duration::ZERO,
+            breaker: None,
+            ..ServeConfig::default()
+        },
+    ));
+    let _idle = force_coalesced(&srv);
+    let probes = srv.probes();
+    let limit = Duration::from_secs(30);
+
+    let blocked = plan_on_thread(&srv, wq);
+    entered
+        .recv_timeout(limit)
+        .expect("the first tick reached the estimator");
+    let queued = plan_on_thread(&srv, wq);
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(srv.stats().tick_age.is_some(), "the tick is still running");
+    assert_eq!((probes.healthy)(), Ok(()), "a zero bound wedges nothing");
+    assert!(queued.try_recv().is_err(), "the queued session waits");
+    assert_eq!(srv.stats().watchdog_restarts, 0);
+
+    release.send(()).expect("the blocked tick waits");
+    for (rx, what) in [(blocked, "blocked leader"), (queued, "queued")] {
+        let planned = rx.recv_timeout(limit).expect("answered after release");
+        assert_bits_eq(&planned, &reference(wq), what);
+    }
+    assert_route(&srv, true);
+    assert_eq!(srv.stats().watchdog_restarts, 0, "nothing was taken over");
+}
+
 /// More sessions than cores under random coalesced tick panics, torn
 /// down mid-run: every request answers typed — planned, possibly with
 /// typed `panicked` slots, or `ShuttingDown` — within a bounded time.
@@ -655,11 +638,11 @@ fn tick_panics_and_teardown_answer_every_request_typed() {
     let wl = workload();
     let sessions = cores() + 2;
     let srv = Arc::new(server(ServeConfig {
-        chaos: Some(ChaosServeConfig {
+        chaos: Some(ChaosConfig {
             seed: 29,
-            panic_rate: 0.2,
-            max_panics: u32::MAX,
-            ..ChaosServeConfig::default()
+            rate: 0.2,
+            classes: vec![TickFault::Panic],
+            ..ChaosConfig::default()
         }),
         ..ServeConfig::default()
     }));

@@ -16,7 +16,7 @@
 use std::sync::{Arc, OnceLock};
 
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{
     build_estimator, estimate_all, plan_query_via, Bench, BenchConfig, PlannedQuery,
@@ -251,7 +251,15 @@ fn concurrent_sessions_bit_identical_under_chaos() {
             &c.bench.stats_train,
             &c.bench.config.settings,
         );
-        ChaosEst::with_classes(built.est, rate_seed, 0.4, classes.clone())
+        ChaosEst::new(
+            built.est,
+            ChaosConfig {
+                seed: rate_seed,
+                rate: 0.4,
+                classes: classes.clone(),
+                ..ChaosConfig::default()
+            },
+        )
     };
     let truth_ref = TrueCardService::new();
     let want = reference(&wrap(7), &truth_ref);

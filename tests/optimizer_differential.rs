@@ -13,7 +13,7 @@ use cardbench_engine::{
     exact_cardinality, optimize_reference, optimize_with, plan_cost, CardMap, CostModel, Database,
     PhysicalPlan,
 };
-use cardbench_estimators::chaos::{ChaosEst, FaultClass};
+use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::CardEst;
 use cardbench_query::{
     connected_subsets, BoundQuery, JoinEdge, JoinQuery, Predicate, Region, SubPlanQuery, TableMask,
@@ -193,11 +193,14 @@ proptest! {
         let db = random_db(&mut rng, n_tables);
         let q = random_tree_query(&mut rng, n_tables);
         let bound = BoundQuery::bind(&q, db.catalog()).unwrap();
-        let chaos = ChaosEst::with_classes(
+        let chaos = ChaosEst::new(
             Box::new(Synthetic),
-            seed,
-            0.5,
-            FaultClass::VALUES.to_vec(),
+            ChaosConfig {
+                seed,
+                rate: 0.5,
+                classes: FaultClass::VALUES.to_vec(),
+                ..ChaosConfig::default()
+            },
         );
         let mut cards = CardMap::new();
         for mask in connected_subsets(&q) {
