@@ -202,38 +202,6 @@ impl TableCoder {
         self.fanout_index.get(edge).copied()
     }
 
-    /// Indicator/coverage weights of a filter region over a model
-    /// column's bins (NULL bin weight 0).
-    pub fn filter_weights(&self, model_col: usize, region: &Region) -> Vec<f64> {
-        let mut w = Vec::new();
-        self.filter_weights_into(model_col, region, &mut w);
-        w
-    }
-
-    /// [`TableCoder::filter_weights`] into a buffer the caller keeps.
-    pub fn filter_weights_into(&self, model_col: usize, region: &Region, w: &mut Vec<f64>) {
-        let d = &self.discretizers[model_col];
-        let nb = d.bin_count();
-        w.clear();
-        w.resize(nb + 1, 0.0);
-        match region {
-            Region::Range { lo, hi } => {
-                if let Some((b_lo, b_hi)) = d.bin_range(*lo, *hi) {
-                    for (b, wb) in w.iter_mut().enumerate().take(b_hi + 1).skip(b_lo) {
-                        *wb = d.coverage(b, *lo, *hi);
-                    }
-                }
-            }
-            Region::In(vals) => {
-                for &v in vals {
-                    if let Some((b, _)) = d.bin_range(v, v) {
-                        w[b] = (w[b] + d.coverage(b, v, v)).min(1.0);
-                    }
-                }
-            }
-        }
-    }
-
     /// Expectation weights for a fanout column: the per-bin mean fanout
     /// (NULL bin contributes 0 — a row with no match joins nothing).
     pub fn fanout_weights(&self, model_col: usize) -> &[f64] {
@@ -247,6 +215,32 @@ impl TableCoder {
             .map(Discretizer::heap_size)
             .sum::<usize>()
             + self.bin_means.iter().map(|m| m.len() * 8).sum::<usize>()
+    }
+}
+
+/// Indicator/coverage weights of a filter region over the bins of `d`,
+/// plus a trailing NULL bin of weight 0, into `w`: the one coder from a
+/// region to the per-bin weights a model multiplies in.
+#[inline]
+pub fn region_weights(d: &Discretizer, region: &Region, w: &mut Vec<f64>) {
+    let nb = d.bin_count();
+    w.clear();
+    w.resize(nb + 1, 0.0);
+    match region {
+        Region::Range { lo, hi } => {
+            if let Some((b_lo, b_hi)) = d.bin_range(*lo, *hi) {
+                for (b, wb) in w.iter_mut().enumerate().take(b_hi + 1).skip(b_lo) {
+                    *wb = d.coverage(b, *lo, *hi);
+                }
+            }
+        }
+        Region::In(vals) => {
+            for &v in vals {
+                if let Some((b, _)) = d.bin_range(v, v) {
+                    w[b] = (w[b] + d.coverage(b, v, v)).min(1.0);
+                }
+            }
+        }
     }
 }
 
@@ -356,7 +350,12 @@ mod tests {
         let null_bin = (coder.bins[a] - 1) as u16;
         assert_eq!(binned[a][2], null_bin);
         // Filters never match the NULL bin.
-        let w = coder.filter_weights(a, &Region::between(i64::MIN, i64::MAX));
+        let mut w = Vec::new();
+        region_weights(
+            &coder.discretizers[a],
+            &Region::between(i64::MIN, i64::MAX),
+            &mut w,
+        );
         assert_eq!(w[null_bin as usize], 0.0);
     }
 
@@ -365,7 +364,8 @@ mod tests {
         let db = db();
         let coder = TableCoder::fit(&db, TableId(0), 16, true);
         let a = coder.attr_column(1).unwrap();
-        let w = coder.filter_weights(a, &Region::eq(10));
+        let mut w = Vec::new();
+        region_weights(&coder.discretizers[a], &Region::eq(10), &mut w);
         // Lossless bins: exactly the bin of value 10 is weighted 1.
         assert_eq!(w.iter().filter(|&&x| x > 0.0).count(), 1);
         assert_eq!(w.iter().copied().fold(0.0, f64::max), 1.0);

@@ -20,7 +20,7 @@ use cardbench_query::{BoundQuery, JoinQuery, Predicate, Region, ResolvedNames, S
 use cardbench_storage::TableId;
 use cardbench_support::hash::FnvHasher;
 
-use crate::common::{DirectedEdge, TableCoder};
+use crate::common::{region_weights, DirectedEdge, TableCoder};
 use crate::scratch::with_scratch;
 
 /// A per-table probabilistic model supporting weighted expectations over
@@ -319,7 +319,7 @@ impl<M: TableModel> FanoutEstimator<M> {
         // Filters.
         for (p, col) in preds_of(query, &s.names, t) {
             let mc = coder.attr_column(col).expect("checked just above");
-            coder.filter_weights_into(mc, &p.region, &mut s.filter);
+            region_weights(&coder.discretizers[mc], &p.region, &mut s.filter);
             weights.merge(item, mc, &s.filter);
         }
         // Downward fanouts.
@@ -360,18 +360,6 @@ impl<M: TableModel> FanoutEstimator<M> {
                 .iter()
                 .map(TableCoder::size_bytes)
                 .sum::<usize>()
-    }
-}
-
-/// Elementwise-product merge of weight vectors (`None` = all ones).
-pub fn merge_weights(slot: &mut Option<Vec<f64>>, w: Vec<f64>) {
-    match slot {
-        None => *slot = Some(w),
-        Some(cur) => {
-            for (c, v) in cur.iter_mut().zip(w) {
-                *c *= v;
-            }
-        }
     }
 }
 
@@ -618,13 +606,5 @@ mod tests {
         let db = db();
         let sel = exact_selectivity(&db, TableId(0), &[(1, Region::ge(20))]);
         assert!((sel - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_weights_products() {
-        let mut slot = None;
-        merge_weights(&mut slot, vec![0.5, 1.0]);
-        merge_weights(&mut slot, vec![0.5, 0.0]);
-        assert_eq!(slot, Some(vec![0.25, 0.0]));
     }
 }

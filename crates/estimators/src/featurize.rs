@@ -95,7 +95,8 @@ impl Featurizer {
         (self.n_tables, self.n_edges, 3 * self.attrs.len())
     }
 
-    /// Featurizes `query` as the next row of `rows`. Unknown tables and
+    /// Featurizes `query` into the open row of `rows`, leaving it open
+    /// for entries past [`Featurizer::dim`]. Unknown tables and
     /// attributes are ignored (zeros); of two predicates on one
     /// attribute the later one is kept.
     pub fn push_row(
@@ -168,7 +169,6 @@ impl Featurizer {
                 bits &= bits - 1;
             }
         }
-        rows.end_row();
     }
 
     /// Featurizes every query as one row of `rows`, replacing what it
@@ -183,6 +183,7 @@ impl Featurizer {
         rows.clear();
         for q in queries {
             self.push_row(db, q, scratch, rows);
+            rows.end_row();
         }
     }
 

@@ -41,6 +41,25 @@ pub(crate) fn featurize_batch(
     f.push_rows(db, queries, &mut scratch.feat, &mut scratch.rows);
 }
 
+/// The estimates of an MLP over query features (LW-NN, UAE-Q) into
+/// `out`: one sparse forward pass over the featurized sub-plans; a row's
+/// output does not depend on the rest of the batch.
+pub(crate) fn mlp_estimates(
+    db: &Database,
+    f: &Featurizer,
+    model: &Mlp,
+    subs: &[SubPlanQuery],
+    out: &mut [f64],
+) {
+    with_scratch(|scratch| {
+        featurize_batch(db, f, subs, scratch);
+        let labels = model.forward_sparse(&scratch.rows, &mut scratch.mlp);
+        for (o, &label) in out.iter_mut().zip(labels) {
+            *o = label_to_card(label);
+        }
+    })
+}
+
 /// LW-XGB: gradient-boosted trees on query features.
 pub struct LwXgb {
     featurizer: Featurizer,
@@ -156,20 +175,6 @@ impl LwNn {
     }
 }
 
-impl LwNn {
-    /// One batched forward pass over the sparse feature rows; a row's
-    /// output does not depend on the rest of the batch.
-    fn estimate_into(&self, db: &Database, subs: &[SubPlanQuery], out: &mut [f64]) {
-        with_scratch(|scratch| {
-            featurize_batch(db, &self.featurizer, subs, scratch);
-            let labels = self.model.forward_sparse(&scratch.rows, &mut scratch.mlp);
-            for (o, &label) in out.iter_mut().zip(labels) {
-                *o = label_to_card(label);
-            }
-        })
-    }
-}
-
 impl CardEst for LwNn {
     fn name(&self) -> &'static str {
         "LW-NN"
@@ -178,13 +183,14 @@ impl CardEst for LwNn {
     /// The one-row case of [`CardEst::estimate_batch`].
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
         let mut out = [0.0];
-        self.estimate_into(db, std::slice::from_ref(sub), &mut out);
+        let subs = std::slice::from_ref(sub);
+        mlp_estimates(db, &self.featurizer, &self.model, subs, &mut out);
         out[0]
     }
 
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         let mut out = vec![0.0; subs.len()];
-        self.estimate_into(db, subs, &mut out);
+        mlp_estimates(db, &self.featurizer, &self.model, subs, &mut out);
         out
     }
 

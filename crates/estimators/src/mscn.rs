@@ -257,6 +257,7 @@ mod tests {
         let mut scratch = InferScratch::default();
         est.featurizer
             .push_row(&db, &train.queries[0], &mut scratch.feat, &mut scratch.rows);
+        scratch.rows.end_row();
         est.pool(&mut scratch);
         // Only the table one-hot is set: the join and predicate modules
         // pool to zero, and every kept entry passed a ReLU.

@@ -1,15 +1,15 @@
 //! MultiHist: multi-dimensional histograms over correlated attribute
 //! groups (Poosala & Ioannidis style), join uniformity across tables.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use cardbench_engine::Database;
-use cardbench_ml::dependence_matrix;
-use cardbench_query::{BoundQuery, SubPlanQuery};
+use cardbench_ml::{dependence_matrix, WeightBatch};
+use cardbench_query::{BoundQuery, BoundTable, SubPlanQuery};
 use cardbench_storage::TableId;
 
-use crate::common::TableCoder;
-use crate::fanout::{merge_weights, uniform_join_card};
+use crate::common::{region_weights, TableCoder};
+use crate::fanout::uniform_join_card;
 use crate::CardEst;
 
 /// One attribute group's joint histogram over coarse bins.
@@ -17,24 +17,26 @@ use crate::CardEst;
 struct GroupHist {
     /// Model-column indices (into the table's coder) of the group.
     cols: Vec<usize>,
-    /// Joint bin counts.
-    counts: HashMap<Vec<u16>, f64>,
+    /// The non-empty cells' bin keys and row counts, sorted by key: the
+    /// sum over cells runs in one order on every fit.
+    cells: Vec<(Vec<u16>, f64)>,
     total: f64,
 }
 
 impl GroupHist {
-    /// `E[Π w]` over the group's joint distribution.
-    fn expectation(&self, weights: &[Option<Vec<f64>>]) -> f64 {
+    /// `E[Π w]` over the group's joint distribution, for the weights of
+    /// `item`.
+    fn expectation(&self, weights: &WeightBatch, item: usize) -> f64 {
         if self.total <= 0.0 {
             return 0.0;
         }
-        self.counts
+        self.cells
             .iter()
             .map(|(key, cnt)| {
                 let mut w = cnt / self.total;
-                for (i, &mc) in self.cols.iter().enumerate() {
-                    if let Some(wv) = &weights[mc] {
-                        w *= wv[key[i] as usize];
+                for (&bin, &mc) in key.iter().zip(&self.cols) {
+                    if let Some(wv) = weights.get(item, mc) {
+                        w *= wv[bin as usize];
                     }
                 }
                 w
@@ -88,17 +90,17 @@ impl MultiHist {
                     .into_iter()
                     .map(|cols| {
                         let rows = data[0].len();
-                        let mut counts: HashMap<Vec<u16>, f64> = HashMap::new();
+                        let mut cells: BTreeMap<Vec<u16>, f64> = BTreeMap::new();
                         // `r` walks rows across several columns at once;
                         // there is no single slice to iterate.
                         #[allow(clippy::needless_range_loop)]
                         for r in 0..rows {
                             let key: Vec<u16> = cols.iter().map(|&c| data[c][r]).collect();
-                            *counts.entry(key).or_insert(0.0) += 1.0;
+                            *cells.entry(key).or_insert(0.0) += 1.0;
                         }
                         GroupHist {
                             cols,
-                            counts,
+                            cells: cells.into_iter().collect(),
                             total: rows as f64,
                         }
                     })
@@ -110,22 +112,28 @@ impl MultiHist {
         MultiHist { coders, groups }
     }
 
-    fn table_selectivity(&self, table: TableId, bound: &cardbench_query::BoundTable) -> f64 {
-        let coder = &self.coders[table.0];
-        let mut weights: Vec<Option<Vec<f64>>> = vec![None; coder.columns.len()];
-        for p in &bound.predicates {
-            match coder.attr_column(p.column) {
-                Some(mc) => merge_weights(&mut weights[mc], coder.filter_weights(mc, &p.region)),
-                None => return 1.0,
-            }
+    /// One table's selectivity: its predicates' weights as the one item
+    /// of `weights`, then the product of the constrained groups'
+    /// expectations; 1.0 when a predicate is on an unmodeled attribute.
+    fn table_selectivity(&self, bt: &BoundTable) -> f64 {
+        let coder = &self.coders[bt.id.0];
+        let (mut weights, mut region) = (WeightBatch::default(), Vec::new());
+        weights.reset(coder.columns.len());
+        let item = weights.push_item();
+        for p in &bt.predicates {
+            let Some(mc) = coder.attr_column(p.column) else {
+                return 1.0;
+            };
+            region_weights(&coder.discretizers[mc], &p.region, &mut region);
+            weights.merge(item, mc, &region);
         }
-        self.groups[table.0]
+        self.groups[bt.id.0]
             .iter()
             .map(|g| {
-                if g.cols.iter().all(|&c| weights[c].is_none()) {
+                if g.cols.iter().all(|&c| weights.get(item, c).is_none()) {
                     1.0
                 } else {
-                    g.expectation(&weights)
+                    g.expectation(&weights, item)
                 }
             })
             .product()
@@ -144,7 +152,7 @@ impl CardEst for MultiHist {
         let sels: Vec<f64> = bound
             .tables
             .iter()
-            .map(|bt| self.table_selectivity(bt.id, bt))
+            .map(|bt| self.table_selectivity(bt))
             .collect();
         uniform_join_card(db, &bound, &sels)
     }
@@ -153,7 +161,7 @@ impl CardEst for MultiHist {
         self.groups
             .iter()
             .flatten()
-            .map(|g| g.counts.len() * (g.cols.len() * 2 + 8))
+            .map(|g| g.cells.len() * (g.cols.len() * 2 + 8))
             .sum::<usize>()
             + self
                 .coders

@@ -14,17 +14,19 @@
 //! spanning partitions are stitched with join-uniformity factors — the
 //! information loss behind the paper's observation O3.
 
+use std::collections::BTreeMap;
+
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::SeedableRng;
 
 use cardbench_engine::Database;
 use cardbench_ml::autoreg::ArConfig;
-use cardbench_ml::{AutoRegModel, Discretizer};
-use cardbench_query::{BoundQuery, SubPlanQuery};
+use cardbench_ml::{AutoRegModel, Discretizer, WeightBatch};
+use cardbench_query::{BoundQuery, Region, SubPlanQuery};
 use cardbench_storage::TableId;
 
-use crate::common::DirectedEdge;
-use crate::fanout::{merge_weights, uniformity_factor};
+use crate::common::{region_weights, DirectedEdge};
+use crate::fanout::uniformity_factor;
 use crate::foj::{partition_schema, sample_foj, TreePartition};
 use crate::CardEst;
 
@@ -182,63 +184,44 @@ impl PartitionModel {
     }
 
     /// Plans a connected query whose tables all live in this partition
-    /// (given as local indices + per-local filter weights over raw
-    /// attribute regions): returns the AR weight vector and the empirical
-    /// join-scale factor. The model query itself is deferred to the
-    /// caller so a batch of sub-plans can share one progressive-sampling
-    /// pass per model.
+    /// (given as local indices + filter regions by model column):
+    /// appends its AR weights to `weights` as one item and returns the
+    /// empirical join-scale factor. The model query itself is deferred
+    /// to the caller so a batch of sub-plans can share one
+    /// progressive-sampling pass per model.
     fn plan_query(
         &self,
         locals: &[usize],
-        filters: &[(usize, usize, cardbench_query::Region)],
-    ) -> (Vec<Option<Vec<f64>>>, f64) {
+        filters: &[(usize, &Region)],
+        weights: &mut WeightBatch,
+        w: &mut Vec<f64>,
+    ) -> f64 {
         let depths = self.partition.depths();
         let top = *locals
             .iter()
             .min_by_key(|&&l| depths[l])
             .expect("non-empty query");
-        let in_j = |l: usize| locals.contains(&l);
-        let mut weights: Vec<Option<Vec<f64>>> = vec![None; self.columns.len()];
+        let item = weights.push_item();
         for (ci, col) in self.columns.iter().enumerate() {
             match col {
-                FojColumn::Present(l) if in_j(*l) => {
+                FojColumn::Present(l) if locals.contains(l) => {
                     // present bit: bins are the discretizer's (0/1 values).
                     let d = &self.discretizers[ci];
-                    let nb = d.bin_count();
-                    let mut w = vec![0.0; nb + 1];
+                    w.clear();
+                    w.resize(d.bin_count() + 1, 0.0);
                     if let Some((b, _)) = d.bin_range(1, 1) {
                         w[b] = 1.0;
                     }
-                    weights[ci] = Some(w);
+                    weights.merge(item, ci, w);
                 }
                 _ => {}
             }
         }
-        for (local, base_col, region) in filters {
-            let ci = self
-                .columns
-                .iter()
-                .position(|c| matches!(c, FojColumn::Attr(l, b) if l == local && b == base_col))
-                .expect("filter on modeled attribute");
-            let d = &self.discretizers[ci];
-            let nb = d.bin_count();
-            let mut w = vec![0.0; nb + 1];
-            if let cardbench_query::Region::Range { lo, hi } = region {
-                if let Some((b_lo, b_hi)) = d.bin_range(*lo, *hi) {
-                    for (b, wb) in w.iter_mut().enumerate().take(b_hi + 1).skip(b_lo) {
-                        *wb = d.coverage(b, *lo, *hi);
-                    }
-                }
-            } else if let cardbench_query::Region::In(vals) = region {
-                for &v in vals {
-                    if let Some((b, _)) = d.bin_range(v, v) {
-                        w[b] = (w[b] + d.coverage(b, v, v)).min(1.0);
-                    }
-                }
-            }
-            merge_weights(&mut weights[ci], w);
+        for &(ci, region) in filters {
+            region_weights(&self.discretizers[ci], region, w);
+            weights.merge(item, ci, w);
         }
-        (weights, self.scale_factor(locals, top))
+        self.scale_factor(locals, top)
     }
 
     fn size_bytes(&self) -> usize {
@@ -261,16 +244,24 @@ impl PartitionModel {
 /// while keeping per-sub-plan results bit-identical to the sequential
 /// path.
 enum NcOp {
-    /// Multiply by `total · E[filters] · scale` of partition `pi`; the
-    /// expectation is the (RNG-consuming) AR model query over `weights`.
-    Model {
-        pi: usize,
-        weights: Vec<Option<Vec<f64>>>,
-        scale: f64,
-    },
+    /// Multiply by `total · E[filters] · scale` of a partition; the
+    /// weights and scale are the sub-plan's item of its [`ModelGroup`].
+    Model,
     /// Multiply by a precomputed constant (uniformity bridge factors).
     Mul(f64),
 }
+
+/// The model ops of one partition at one op position, in sub-plan
+/// order: one AR query batch.
+#[derive(Default)]
+struct ModelGroup {
+    weights: WeightBatch,
+    /// Per item: its sub-plan and join-scale factor.
+    items: Vec<(usize, f64)>,
+}
+
+/// Model groups by `(op position, partition)`.
+type ModelGroups = BTreeMap<(usize, usize), ModelGroup>;
 
 /// The NeuroCard^E estimator.
 pub struct NeuroCardE {
@@ -309,8 +300,19 @@ impl NeuroCardE {
 
     /// Greedily covers the query's edges with partitions (leftover edges
     /// get uniformity factors) and emits the multiplicative steps in
-    /// evaluation order. `None` means "bail out safely with 1.0".
-    fn plan(&self, db: &Database, sub: &SubPlanQuery) -> Option<Vec<NcOp>> {
+    /// evaluation order; a model step appends sub-plan `i`'s weights to
+    /// the group of its partition and position. `None` means "bail out
+    /// safely with 1.0" — also for a filter on an attribute no partition
+    /// models (a key column), as the fanout families do; items it
+    /// appended before are evaluated and ignored.
+    fn plan(
+        &self,
+        db: &Database,
+        sub: &SubPlanQuery,
+        i: usize,
+        groups: &mut ModelGroups,
+        w: &mut Vec<f64>,
+    ) -> Option<Vec<NcOp>> {
         let bound = BoundQuery::bind(&sub.query, db.catalog()).ok()?;
         let n = sub.query.table_count();
         let mut remaining_edges: Vec<usize> = (0..bound.joins.len()).collect();
@@ -347,11 +349,19 @@ impl NeuroCardE {
                     .expect("covered table in partition");
                 local_list.push(local);
                 for p in &bound.tables[t].predicates {
-                    filters.push((local, p.column, p.region.clone()));
+                    let ci = pm.columns.iter().position(
+                        |c| matches!(c, FojColumn::Attr(l, b) if *l == local && *b == p.column),
+                    )?;
+                    filters.push((ci, &p.region));
                 }
             }
-            let (weights, scale) = pm.plan_query(&local_list, &filters);
-            ops.push(NcOp::Model { pi, weights, scale });
+            let group = groups.entry((ops.len(), pi)).or_default();
+            if group.items.is_empty() {
+                group.weights.reset(pm.columns.len());
+            }
+            let scale = pm.plan_query(&local_list, &filters, &mut group.weights, w);
+            group.items.push((i, scale));
+            ops.push(NcOp::Model);
             // Remove covered tables/edges; bridge uncovered edges between
             // covered and uncovered tables with uniformity.
             remaining_tables.retain(|t| !covered_tables.contains(t));
@@ -401,59 +411,46 @@ impl CardEst for NeuroCardE {
     }
 
     /// Batched inference: plans every sub-plan, then walks the op lists
-    /// position by position, grouping same-partition model queries into
-    /// one [`AutoRegModel::query_batch`] call with each sub-plan's own
-    /// RNG threaded through. Each sub-plan has at most one op per
+    /// position by position, each partition's model ops at a position
+    /// being one [`AutoRegModel::query_batch`] call with each sub-plan's
+    /// own RNG threaded through. Each sub-plan has at most one op per
     /// position, so its multiplications happen in op-list order, and
-    /// `query_batch` advances each RNG exactly as the per-item `query`
-    /// would — an answer does not depend on what shares its batch.
+    /// `query_batch` advances each RNG exactly as a query of that
+    /// sub-plan alone would — an answer does not depend on what shares
+    /// its batch.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let plans: Vec<Option<Vec<NcOp>>> = subs.iter().map(|s| self.plan(db, s)).collect();
+        let mut groups = ModelGroups::new();
+        let mut w = Vec::new();
+        let plans: Vec<Option<Vec<NcOp>>> = subs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| self.plan(db, s, i, &mut groups, &mut w))
+            .collect();
         let mut rngs: Vec<StdRng> = subs.iter().map(|s| self.rng_for(s)).collect();
         let mut cards = vec![1.0f64; subs.len()];
         let max_ops = plans.iter().flatten().map(Vec::len).max().unwrap_or(0);
         for pos in 0..max_ops {
-            // Constants apply inline; model ops group by partition.
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (i, plan) in plans.iter().enumerate() {
-                let Some(ops) = plan else { continue };
-                match ops.get(pos) {
-                    Some(NcOp::Mul(f)) => cards[i] *= f,
-                    Some(NcOp::Model { pi, .. }) => {
-                        if let Some(g) = groups.iter_mut().find(|(p, _)| p == pi) {
-                            g.1.push(i);
-                        } else {
-                            groups.push((*pi, vec![i]));
-                        }
-                    }
-                    None => {}
+            for (card, plan) in cards.iter_mut().zip(&plans) {
+                if let Some(NcOp::Mul(f)) = plan.as_deref().and_then(|ops| ops.get(pos)) {
+                    *card *= f;
                 }
             }
-            for (pi, items) in groups {
+            for (&(_, pi), g) in groups.range((pos, 0)..(pos + 1, 0)) {
                 let pm = &self.partitions[pi];
-                let batch: Vec<&[Option<Vec<f64>>]> = items
-                    .iter()
-                    .map(
-                        |&i| match plans[i].as_deref().and_then(|ops| ops.get(pos)) {
-                            Some(NcOp::Model { weights, .. }) => weights.as_slice(),
-                            _ => unreachable!("grouped item has a model op"),
-                        },
-                    )
-                    .collect();
-                let mut grp_rngs: Vec<StdRng> = items.iter().map(|&i| rngs[i].clone()).collect();
-                let qs = pm.model.query_batch(&batch, &mut grp_rngs);
-                for ((&i, q), r) in items.iter().zip(qs).zip(grp_rngs) {
-                    let Some(NcOp::Model { scale, .. }) =
-                        plans[i].as_deref().and_then(|ops| ops.get(pos))
-                    else {
-                        unreachable!("grouped item has a model op");
-                    };
-                    cards[i] *= pm.total * q * *scale;
+                let mut grp_rngs: Vec<StdRng> =
+                    g.items.iter().map(|&(i, _)| rngs[i].clone()).collect();
+                let qs = pm.model.query_batch(&g.weights, &mut grp_rngs);
+                for ((&(i, scale), q), r) in g.items.iter().zip(qs).zip(grp_rngs) {
+                    cards[i] *= pm.total * q * scale;
                     rngs[i] = r;
                 }
             }
         }
-        cards.into_iter().map(|c| c.max(0.0)).collect()
+        cards
+            .into_iter()
+            .zip(&plans)
+            .map(|(c, plan)| if plan.is_some() { c.max(0.0) } else { 1.0 })
+            .collect()
     }
 
     fn batch_leverage(&self) -> bool {

@@ -1,13 +1,14 @@
 //! The inference scratch: every buffer a warm `estimate_batch` of the
-//! six batched families writes, kept per thread.
+//! six batched families writes, kept per thread; UAE-Q and UAE use it
+//! too.
 //!
 //! [`crate::CardEst`] is called through `&self` from harness workers and
 //! concurrent serve sessions at once, and its signature has no room for a
 //! caller's arena, so the arena is thread-local: reached without a lock,
 //! grown to the largest batch the thread has served and then reused. A
-//! warm call allocates its returned `Vec<f64>` and nothing else. The
-//! scratch carries buffers, never results: nothing computed for one call
-//! is read by the next.
+//! warm call of the six allocates its returned `Vec<f64>` and nothing
+//! else. The scratch carries buffers, never results: nothing computed
+//! for one call is read by the next.
 
 use std::cell::RefCell;
 
@@ -26,7 +27,8 @@ pub(crate) struct InferScratch {
     /// MSCN: pooled module embeddings, one sparse row per sub-plan.
     pub pooled: SparseRows,
     /// MSCN: one sub-plan's pooled embedding before ReLU. LW-XGB: the
-    /// dense feature rows the trees index.
+    /// dense feature rows the trees index. UAE: one sub-plan's per-table
+    /// selectivities.
     pub dense: Vec<f32>,
     /// LW-XGB: one prediction per sub-plan.
     pub preds: Vec<f32>,

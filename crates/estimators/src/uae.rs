@@ -11,11 +11,12 @@
 
 use cardbench_engine::Database;
 use cardbench_ml::{Matrix, Mlp};
-use cardbench_query::{BoundQuery, Region, SubPlanQuery};
+use cardbench_query::{BoundQuery, JoinQuery, Region, SubPlanQuery};
 
 use crate::featurize::{card_to_label, label_to_card, Featurizer};
-use crate::lw::TrainingSet;
+use crate::lw::{mlp_estimates, TrainingSet};
 use crate::postgres::PostgresEst;
+use crate::scratch::{with_scratch, InferScratch};
 use crate::CardEst;
 
 /// Shared configuration.
@@ -75,16 +76,10 @@ impl CardEst for UaeQ {
         self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
-    /// One batched forward pass over the featurized sub-plan set; rows of
-    /// `forward_batch` do not depend on each other.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let xs = self
-            .featurizer
-            .dense_rows(db, subs.iter().map(|sub| &sub.query));
-        let out = self.model.forward_batch(&xs);
-        (0..subs.len())
-            .map(|r| label_to_card(out.get(r, 0)))
-            .collect()
+        let mut out = vec![0.0; subs.len()];
+        mlp_estimates(db, &self.featurizer, &self.model, subs, &mut out);
+        out
     }
 
     fn batch_leverage(&self) -> bool {
@@ -108,51 +103,62 @@ impl Uae {
     /// Trains on the workload plus histogram statistics of the data.
     pub fn fit(db: &Database, train: &TrainingSet, cfg: &UaeConfig) -> Uae {
         let featurizer = Featurizer::fit(db);
-        let hists = PostgresEst::fit(db);
         let n_tables = db.catalog().table_count();
         let dim = featurizer.dim() + n_tables;
-        let mut xs = Matrix::zeros(train.queries.len(), dim);
-        for (r, q) in train.queries.iter().enumerate() {
-            let v = data_augmented_features(db, &featurizer, &hists, n_tables, q);
-            for (c, &val) in v.iter().enumerate() {
-                xs.set(r, c, val);
-            }
-        }
-        let ys: Vec<f32> = train.cards.iter().map(|&c| card_to_label(c)).collect();
-        let mut model = Mlp::new(&[dim, cfg.hidden1, cfg.hidden2, 1], cfg.seed ^ 0xEA);
-        model.train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed);
-        Uae {
+        let mut uae = Uae {
             featurizer,
-            hists,
-            model,
+            hists: PostgresEst::fit(db),
+            model: Mlp::new(&[dim, cfg.hidden1, cfg.hidden2, 1], cfg.seed ^ 0xEA),
             n_tables,
-        }
+        };
+        let mut scratch = InferScratch::default();
+        uae.featurize(db, train.queries.iter(), &mut scratch);
+        let mut xs = Matrix::zeros(0, dim);
+        xs.rows = train.queries.len();
+        scratch.rows.scatter_dense(dim, &mut xs.data);
+        let ys: Vec<f32> = train.cards.iter().map(|&c| card_to_label(c)).collect();
+        uae.model
+            .train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed);
+        uae
     }
-}
 
-/// Query features with per-table histogram selectivities appended (the
-/// "data information" channel).
-fn data_augmented_features(
-    db: &Database,
-    featurizer: &Featurizer,
-    hists: &PostgresEst,
-    n_tables: usize,
-    q: &cardbench_query::JoinQuery,
-) -> Vec<f32> {
-    let mut v = featurizer.dense_rows(db, std::iter::once(q)).data;
-    let mut sels = vec![0.0f32; n_tables];
-    if let Ok(bound) = BoundQuery::bind(q, db.catalog()) {
-        for bt in &bound.tables {
-            let preds: Vec<(usize, &Region)> = bt
-                .predicates
-                .iter()
-                .map(|p| (p.column, &p.region))
-                .collect();
-            sels[bt.id.0] = hists.table_selectivity(bt.id, &preds) as f32;
+    /// Featurizes every query as one row of `scratch.rows`: the query
+    /// features, then per table its histogram selectivity (the "data
+    /// information" channel; 0 for a table the query does not touch).
+    fn featurize<'q>(
+        &self,
+        db: &Database,
+        queries: impl Iterator<Item = &'q JoinQuery>,
+        scratch: &mut InferScratch,
+    ) {
+        let InferScratch {
+            feat,
+            rows,
+            dense: sels,
+            ..
+        } = scratch;
+        let base = self.featurizer.dim() as u32;
+        rows.clear();
+        for q in queries {
+            self.featurizer.push_row(db, q, feat, rows);
+            sels.clear();
+            sels.resize(self.n_tables, 0.0);
+            if let Ok(bound) = BoundQuery::bind(q, db.catalog()) {
+                for bt in &bound.tables {
+                    let preds: Vec<(usize, &Region)> = bt
+                        .predicates
+                        .iter()
+                        .map(|p| (p.column, &p.region))
+                        .collect();
+                    sels[bt.id.0] = self.hists.table_selectivity(bt.id, &preds) as f32;
+                }
+            }
+            for (t, &sel) in sels.iter().enumerate() {
+                rows.push(base + t as u32, sel);
+            }
+            rows.end_row();
         }
     }
-    v.extend(sels);
-    v
 }
 
 impl CardEst for Uae {
@@ -165,26 +171,15 @@ impl CardEst for Uae {
         self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }
 
-    /// Builds the augmented feature matrix for the whole sub-plan set and
-    /// runs one batched forward pass; rows of `forward_batch` do not
-    /// depend on each other.
+    /// One sparse forward pass over the augmented feature rows of the
+    /// sub-plan set; a row's output does not depend on the rest of the
+    /// batch.
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        let dim = self.featurizer.dim() + self.n_tables;
-        let mut xs = Matrix::zeros(subs.len(), dim);
-        for (r, sub) in subs.iter().enumerate() {
-            let v = data_augmented_features(
-                db,
-                &self.featurizer,
-                &self.hists,
-                self.n_tables,
-                &sub.query,
-            );
-            xs.data[r * xs.cols..(r + 1) * xs.cols].copy_from_slice(&v);
-        }
-        let out = self.model.forward_batch(&xs);
-        (0..subs.len())
-            .map(|r| label_to_card(out.get(r, 0)))
-            .collect()
+        with_scratch(|scratch| {
+            self.featurize(db, subs.iter().map(|sub| &sub.query), scratch);
+            let labels = self.model.forward_sparse(&scratch.rows, &mut scratch.mlp);
+            labels.iter().map(|&label| label_to_card(label)).collect()
+        })
     }
 
     fn batch_leverage(&self) -> bool {

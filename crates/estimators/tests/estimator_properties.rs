@@ -4,7 +4,7 @@
 use cardbench_support::proptest::prelude::*;
 
 use cardbench_engine::{exact_cardinality, Database};
-use cardbench_estimators::common::TableCoder;
+use cardbench_estimators::common::{region_weights, TableCoder};
 use cardbench_estimators::fanout::exact_fanout_estimator;
 use cardbench_query::{JoinEdge, JoinQuery, Predicate, Region, SubPlanQuery, TableMask};
 use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableId, TableSchema};
@@ -96,7 +96,8 @@ proptest! {
         let db = two_table_db(&keys_a, va, &[0], &[0]);
         let coder = TableCoder::fit(&db, TableId(0), 8, true);
         let mc = coder.attr_column(1).unwrap();
-        let w = coder.filter_weights(mc, &Region::between(lo, lo + width));
+        let mut w = Vec::new();
+        region_weights(&coder.discretizers[mc], &Region::between(lo, lo + width), &mut w);
         prop_assert!(w.iter().all(|&x| (0.0..=1.0).contains(&x)));
         prop_assert_eq!(w[w.len() - 1], 0.0); // NULL bin
     }

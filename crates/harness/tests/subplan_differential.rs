@@ -258,10 +258,107 @@ const FLAT_PARENT_BITS: [u64; 308] = [
     0x4082f00000000000, 0x3fe917a6f4de9bd2, 0x4002dbf6f3de4724, 0x400186dbc4079df0,
 ];
 
+/// MultiHist at `BenchConfig::fast(9)`: the FNV digest of its
+/// `estimate_batch` bits over the same 308 sub-plans, and its
+/// `model_size_bytes`. Its joint histograms used to sum their cells in
+/// `HashMap` iteration order, and two fits in one process differed on
+/// ~60 of the 308 in the last place (see [`MULTIHIST_PARENT_BITS`]);
+/// since the cells are sorted by key it is one number. The sort left the
+/// model bytes as they were.
+const MULTIHIST_GOLDEN: (EstimatorKind, u64, usize) =
+    (EstimatorKind::MultiHist, 0xc9b58057148c0fe4, 8304);
+
+/// One run of MultiHist at the commit before its cells were sorted, like
+/// [`FLAT_PARENT_BITS`]: 1e-12 relative.
+#[rustfmt::skip]
+const MULTIHIST_PARENT_BITS: [u64; 308] = [
+    0x4052c00000000003, 0x402ad90b21642c87, 0x40271a4dc0719012, 0x4054400000000000,
+    0x401e39588f3e6d60, 0x406810c19b806fd1, 0x401c16af851f94f4, 0x401f9fc580a0e5c3,
+    0x401d63c9a2abca65, 0x4050bfffffffffff, 0x40263b3cbcd99096, 0x4084800000000000,
+    0x40426c7c2bf41528, 0x40216347dfbf37f3, 0x40689ba781948b0f, 0x4001cedf1ad96e79,
+    0x40398b8932975884, 0x3ffbdb3fec99bfd9, 0x401476631ad6133e, 0x4046e91840ac7691,
+    0x4064000000000000, 0x4084800000000000, 0x4043c00000000000, 0x4067000000000000,
+    0x4056a0afa82bea0a, 0x4060d44f71e0a945, 0x4059c2218a2e49b5, 0x4043c00000000000,
+    0x40709f1f0e7f12a2, 0x404d247e92c11834, 0x4059c2218a2e49b5, 0x4065683d5f28b48b,
+    0x404d247e92c11833, 0x4065683d5f28b48b, 0x4054400000000000, 0x4067000000000000,
+    0x4075d00000000000, 0x4036000000000000, 0x4020000000000000, 0x4064000000000000,
+    0x4065600000000000, 0x4075d00000000000, 0x4036000000000000, 0x4010000000000000,
+    0x408c72c234f72c23, 0x4074457a6f4de9bd, 0x4034721642c8590b, 0x4044dd37a6f4de9c,
+    0x400dbd37a6f4de9c, 0x401e590b21642c85, 0x3fde9bd37a6f4dea, 0x408c72c234f72c23,
+    0x404363d94912df93, 0x401c3424c7614533, 0x3fdc72353b860c95, 0x3fed07424c761453,
+    0x408a703744b39f47, 0x405b361defe14b9d, 0x4033ca44515e0871, 0x3feafa3970cc5873,
+    0x405949f2153160b3, 0x40326452f823e93d, 0x4002edfe909cba2a, 0x4001979d466521e1,
+    0x4030a2c3f35ba781, 0x40405d4e1bbd2f7c, 0x4064000000000000, 0x40592dbf1d3f49b5,
+    0x4067000000000000, 0x4072700000000000, 0x4020000000000000, 0x40196c798c69bd3d,
+    0x40406e302614fdee, 0x4030c26e13be6a3a, 0x40592dbf1d3f49b5, 0x4072700000000000,
+    0x4010000000000000, 0x40291c1f8dd70d13, 0x40199cddc48d43be, 0x40408d76331ae104,
+    0x4030c26e13be6a3a, 0x40642f1b4a3a62bc, 0x400183ff62424989, 0x4019a6f4de9bd37a,
+    0x40294bead5169513, 0x40199cddc48d43be, 0x40408d76331ae103, 0x403adeadb321fb01,
+    0x3fd7514b3cdc6745, 0x400c150493cbaac3, 0x40294bead5169513, 0x4024882efe41f00a,
+    0x404a89c1adc2bf04, 0x3fc1d14c5c35bfd2, 0x3fe70799523ba85d, 0x3fe2b12aebeb1dea,
+    0x4034474adb837e75, 0x3fd198fc67b6aa7c, 0x3fcc90f37802b224, 0x3ff276176dbf20b5,
+    0x3fdc36aaeea0aff0, 0x4036000000000000, 0x4064000000000000, 0x404cb15c73096f45,
+    0x3fa2a541ae288c54, 0x40525d3a8cc480d5, 0x4064000000000000, 0x3f9ffa26484f3c9d,
+    0x4067f36e7bbf0cd9, 0x3fb4da4403bfd325, 0x4054400000000000, 0x40456fca372117af,
+    0x407c0c6317f57fba, 0x4036000000000000, 0x4043ec10cc471a2f, 0x40645a28af0b1cae,
+    0x40148130ba4c2cea, 0x405405cd0e2f3371, 0x40130e52d9a82f4e, 0x402326f0a964cd08,
+    0x4054400000000000, 0x4067000000000000, 0x4059884575c4b6d5, 0x4020000000000000,
+    0x4064000000000000, 0x4065600000000000, 0x4059884575c4b6d5, 0x4010000000000000,
+    0x4070a65d4daee55b, 0x4057ba78346782f6, 0x400dbd37a6f4de9c, 0x4001c2f8aaf82625,
+    0x4070a65d4daee55b, 0x400081b7cb69663c, 0x406ef2703490356f, 0x40172a3f07e833f8,
+    0x40158742ece9e264, 0x4054400000000000, 0x3f938c957211b945, 0x4064000000000000,
+    0x4074c00000000000, 0x4036000000000000, 0x4075d00000000000, 0x3f922affc1a983d5,
+    0x4064000000000000, 0x405e1ce0c7ce0c7d, 0x3f62b2fe409684b1, 0x408c72c234f72c23,
+    0x3fa1f1944d7e55f5, 0x3f9b04472269f66b, 0x406dbdb4eb439a8e, 0x3f6160c81d6a7e1a,
+    0x408c72c234f72c23, 0x3faaaee447ea3c11, 0x3f7129dbc48f1a91, 0x3f69d791f4655b03,
+    0x3fc985f8770e2f3c, 0x409526ebb490148b, 0x3f7985e57c70bf05, 0x3fd2fa2d63b2ba2a,
+    0x3f9869e28823d424, 0x3fa226f3c38990af, 0x4054400000000000, 0x4067000000000000,
+    0x4064000000000000, 0x4075d00000000000, 0x4082f00000000000, 0x4036000000000000,
+    0x4020000000000000, 0x4065600000000000, 0x4064000000000000, 0x4075d00000000000,
+    0x4082f00000000000, 0x4036000000000000, 0x4010000000000000, 0x40751c71c71c71c7,
+    0x4074457a6f4de9bd, 0x4081997a6f4de9bd, 0x4091f5b21642c859, 0x4034721642c8590b,
+    0x4044dd37a6f4de9c, 0x40521d37a6f4de9c, 0x400dbd37a6f4de9c, 0x401e590b21642c85,
+    0x402a590b21642c85, 0x3fde9bd37a6f4dea, 0x408405691eeaf9d1, 0x409161dae6076b98,
+    0x4090b0dbc3fe1074, 0x40443177f61b352d, 0x404363d94912df93, 0x4050d59680b9d472,
+    0x40612dcbbc3fe107, 0x401d5f3a2027932b, 0x401c3424c7614533, 0x40287c7dd282a960,
+    0x4038fccb405cea39, 0x3fdc72353b860c95, 0x3fed07424c761453, 0x3ff933c7dd282a96,
+    0x40a07c1b6c3d4c4c, 0x4053269112717484, 0x4060a06213ae0ddf, 0x405fee29fc81dcb2,
+    0x402bdb018f30a97c, 0x40382f1a4b2bb716, 0x403738d8b7a4436a, 0x3fec184ddbf9551d,
+    0x3feafa3970cc5873, 0x3ff76bf2c95b96e1, 0x4007e6ac274dbea5, 0x406f893f976a22a9,
+    0x4046ef7411075f05, 0x3ffaa4f65c715432, 0x400721eca0f2298f, 0x4006365ffd91fdb3,
+    0x4015f02c3ccf6606, 0x40149c0d1bf91517, 0x4034916872b020c4, 0x4082f00000000000,
+    0x404f800000000001, 0x4078d00000000000, 0x4033000000000000, 0x4020000000000000,
+    0x4068900000000000, 0x3ff4eee79de430b9, 0x403f3b7f52affc67, 0x4069efa6f4de9bd5,
+    0x4060fdbd37a6f4df, 0x401a0590b21642ca, 0x3ff5e9bd37a6f4df, 0x405078eae5d43059,
+    0x401fb90e68299c02, 0x4025632d730ec5e3, 0x407bfae2b8dcac4a, 0x40356cee18325435,
+    0x402c1286887803e0, 0x40120ae372b11e7e, 0x4007a3cf9b579779, 0x3fc21a21e00f7c60,
+    0x4010c3cbe72d5b92, 0x4005b928796a680d, 0x403712a53478fb0c, 0x3ff1aaf9060112c6,
+    0x40471d2a98b64b8a, 0x3fcdc1a3686d98e3, 0x402376e0809982fc, 0x3fddcf35004605da,
+    0x3fd38752753218f5, 0x403967ed1997b310, 0x40176f66cb54e0f2, 0x3fd1f2000b41a3de,
+    0x40030f671516070a, 0x3fae394371462176, 0x3fe00cf87d8bd008, 0x3f9894d4e6f65ce7,
+    0x3ff0144a2773aefc, 0x402165c6892d7246, 0x3fe35c07010355a7, 0x3fc04d7f29462d2e,
+    0x3f78f7a70487d8dc, 0x3faa84bbf0d0bbe1, 0x4032c4c09dba123b, 0x3fecbe696834d30d,
+    0x3fc8348ea89845f1, 0x3f8aef57a85daed2, 0x3fff02495da2b9f4, 0x3fda1cdf7745aa0f,
+    0x3f93fee527199df2, 0x3fa592494c44ade1, 0x405e092492492495, 0x4020000000000000,
+    0x4004e4f80cb8727e, 0x4054400000000000, 0x4067000000000000, 0x40657fffffffffff,
+    0x4065600000000000, 0x4064545af4ff4437, 0x4075757c7462c801, 0x4054400000000000,
+    0x4048de50d79435e4, 0x4084800000000000, 0x4020000000000000, 0x40471c8590b21642,
+    0x40662a532f7367af, 0x3ff14cbdcd9ec151, 0x4064996beab4fd94, 0x3ff013d75987045a,
+    0x400ed6b684cd15d2, 0x400ca8ef3049b9d9, 0x4054400000000000, 0x4025000000000000,
+    0x4023842c8590b217, 0x404cc7a34acc60ed, 0x404eef9834fd334c, 0x40446e278d6c4ef7,
+    0x403166334cc00662, 0x4067000000000000, 0x4082f00000000000, 0x40425da7ed755c12,
+    0x4082f00000000000, 0x405e3e669eaf2c7d, 0x4054400000000000, 0x3fc0c4c0478bbcec,
+    0x4082f00000000000, 0x3fbf2aeaf4494bac, 0x3fdb9d0a8c140668, 0x3fd9a9991b399117,
+];
+
 #[test]
 fn rewritten_families_answer_what_the_parent_answered() {
     let all = estimators();
-    for (kind, golden, bytes) in GOLDEN.into_iter().chain(ONE_ROW_GOLDEN) {
+    for (kind, golden, bytes) in GOLDEN
+        .into_iter()
+        .chain(ONE_ROW_GOLDEN)
+        .chain([MULTIHIST_GOLDEN])
+    {
         let est = &all.iter().find(|(k, _)| *k == kind).expect("built").1;
         let bits = ceb_estimate_bits(est.as_ref());
         assert_eq!(bits.len(), 308, "{}: sub-plans", kind.name());
@@ -278,14 +375,18 @@ fn rewritten_families_answer_what_the_parent_answered() {
             "{}: model bytes",
             kind.name()
         );
-        if kind == EstimatorKind::Flat {
-            for (i, (&new, &old)) in bits.iter().zip(&FLAT_PARENT_BITS).enumerate() {
-                let (new, old) = (f64::from_bits(new), f64::from_bits(old));
-                assert!(
-                    (new - old).abs() <= 1e-12 * old.abs(),
-                    "FLAT sub-plan {i}: {new} vs the parent's {old}"
-                );
-            }
+        let parent = match kind {
+            EstimatorKind::Flat => &FLAT_PARENT_BITS,
+            EstimatorKind::MultiHist => &MULTIHIST_PARENT_BITS,
+            _ => continue,
+        };
+        for (i, (&new, &old)) in bits.iter().zip(parent).enumerate() {
+            let (new, old) = (f64::from_bits(new), f64::from_bits(old));
+            assert!(
+                (new - old).abs() <= 1e-12 * old.abs(),
+                "{} sub-plan {i}: {new} vs the parent's {old}",
+                kind.name()
+            );
         }
     }
 }
@@ -343,10 +444,11 @@ fn chaos_schedule_matches_the_golden() {
 }
 
 /// Same seed, same bits: two independent fits of each rewritten family
-/// answer every sub-plan identically, and so do two independent
-/// fit → `apply_inserts` sequences. FLAT used to fail the first half —
-/// its joint tables summed in `HashMap` iteration order, and two fits in
-/// one process differed in the last place on a few sub-plans.
+/// and of MultiHist answer every sub-plan identically, and so do two
+/// independent fit → `apply_inserts` sequences. FLAT and MultiHist used
+/// to fail the first half — their joint tables summed in `HashMap`
+/// iteration order, and two fits in one process differed in the last
+/// place on some sub-plans.
 #[test]
 fn independent_fits_and_updates_agree_bit_for_bit() {
     use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
@@ -356,7 +458,7 @@ fn independent_fits_and_updates_agree_bit_for_bit() {
     let sets = ceb_subplan_sets();
     let (stale, inserts) = temporal_split(&stats_catalog(&b.config.stats), SPLIT_DAY);
     assert!(inserts.iter().any(|t| t.row_count() > 0));
-    for (kind, ..) in GOLDEN {
+    for (kind, ..) in GOLDEN.into_iter().chain([MULTIHIST_GOLDEN]) {
         let fit = |db: &Database| build_estimator(kind, db, &b.stats_train, &b.config.settings).est;
         let bits = |est: &dyn CardEst, db: &Database| -> Vec<u64> {
             sets.iter()
@@ -371,7 +473,7 @@ fn independent_fits_and_updates_agree_bit_for_bit() {
             let mut db = Database::new(stale.clone());
             let mut est = fit(&db);
             if !est.supports_update() {
-                return Vec::new(); // LW-XGB
+                return Vec::new(); // LW-XGB, MultiHist
             }
             db.append_inserts(&inserts)
                 .expect("the split keeps the schema");

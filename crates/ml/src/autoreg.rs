@@ -11,8 +11,9 @@
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::Rng;
 
-use crate::matrix::Matrix;
-use crate::mlp::Mlp;
+use crate::matrix::{Matrix, SparseRows};
+use crate::mlp::{softmax, Mlp, MlpScratch};
+use crate::weights::WeightBatch;
 
 /// Autoregressive model configuration.
 #[derive(Debug, Clone)]
@@ -83,84 +84,77 @@ impl AutoRegModel {
         self.bins.len()
     }
 
-    /// `E[Π_i w_i(X_i)]` by progressive sampling; `weights[i]` is a
-    /// per-bin weight vector (`None` = constant 1).
-    pub fn query(&self, weights: &[Option<Vec<f64>>], rng: &mut StdRng) -> f64 {
-        assert_eq!(weights.len(), self.bins.len());
-        let mut total = 0.0;
-        for _ in 0..self.cfg.samples {
-            total += self.one_sample(weights, rng);
-        }
-        total / self.cfg.samples as f64
-    }
-
-    /// Batched [`AutoRegModel::query`]: evaluates every weight set in
-    /// lockstep — sample-major, then column-major, with items innermost —
-    /// so each column's conditionals for all still-active items run as
-    /// one [`Mlp::forward_softmax_batch`] call instead of one forward
-    /// pass per item. `rngs[j]` must be the exact generator (state
-    /// included) the caller would have passed to a per-item `query` for
-    /// `batch[j]`: each item draws from its own generator at exactly the
-    /// `(sample, column)` points the per-item walk would, so results and
-    /// final RNG states are bit-identical to the sequential path.
-    pub fn query_batch(&self, batch: &[&[Option<Vec<f64>>]], rngs: &mut [StdRng]) -> Vec<f64> {
+    /// `E[Π_i w_i(X_i)]` by progressive sampling for every item of
+    /// `batch`, in order. The items run in lockstep — sample-major, then
+    /// column-major, with items innermost — so each column's conditionals
+    /// for all still-active items are one [`Mlp::forward_sparse`] call.
+    /// `rngs[j]` is item `j`'s own generator: the item draws from it at
+    /// exactly the `(sample, column)` points a walk of that item alone
+    /// would, so an answer and the generator's final state do not depend
+    /// on what else is in the batch.
+    pub fn query_batch(&self, batch: &WeightBatch, rngs: &mut [StdRng]) -> Vec<f64> {
+        assert_eq!(batch.cols(), self.bins.len());
         assert_eq!(batch.len(), rngs.len());
-        for weights in batch {
-            assert_eq!(weights.len(), self.bins.len());
-        }
         let n = batch.len();
         let k = self.bins.len();
+        let total: f64 = self.marginal0.iter().sum();
+        let dist0: Vec<f64> = self
+            .marginal0
+            .iter()
+            .map(|&c| (c + 0.1) / (total + 0.1 * self.bins[0] as f64))
+            .collect();
         let mut totals = vec![0.0f64; n];
         let mut prefixes: Vec<Vec<f32>> = vec![Vec::with_capacity(k); n];
         let mut ws = vec![1.0f64; n];
         let mut active = vec![true; n];
-        let mut scratch: Vec<f64> = Vec::new();
+        let mut act = Vec::with_capacity(n);
+        let mut dist: Vec<f64> = Vec::new();
+        let mut rows = SparseRows::default();
+        let mut mlp = MlpScratch::default();
         for _ in 0..self.cfg.samples {
             for p in &mut prefixes {
                 p.clear();
             }
             ws.fill(1.0);
             active.fill(true);
-            for i in 0..k {
-                if i == 0 {
-                    for j in 0..n {
-                        let total: f64 = self.marginal0.iter().sum();
-                        scratch.clear();
-                        scratch.extend(
-                            self.marginal0
-                                .iter()
-                                .map(|&c| (c + 0.1) / (total + 0.1 * self.bins[0] as f64)),
-                        );
-                        self.advance_item(
-                            i,
-                            batch[j],
-                            &mut scratch,
-                            &mut ws[j],
-                            &mut active[j],
-                            &mut prefixes[j],
-                            &mut rngs[j],
-                        );
+            for j in 0..n {
+                dist.clone_from(&dist0);
+                self.advance_item(
+                    0,
+                    batch.get(j, 0),
+                    &mut dist,
+                    &mut ws[j],
+                    &mut active[j],
+                    &mut prefixes[j],
+                    &mut rngs[j],
+                );
+            }
+            for i in 1..k {
+                act.clear();
+                act.extend((0..n).filter(|&j| active[j]));
+                if act.is_empty() {
+                    break;
+                }
+                rows.clear();
+                for &j in &act {
+                    for (c, &v) in prefixes[j].iter().enumerate() {
+                        rows.push(c as u32, v);
                     }
-                } else {
-                    let act: Vec<usize> = (0..n).filter(|&j| active[j]).collect();
-                    if act.is_empty() {
-                        break;
-                    }
-                    let xs = Matrix::from_fn(act.len(), i, |r, c| prefixes[act[r]][c]);
-                    let probs = self.mlps[i - 1].forward_softmax_batch(&xs);
-                    for (r, &j) in act.iter().enumerate() {
-                        scratch.clear();
-                        scratch.extend(probs.row(r).iter().map(|&p| p as f64));
-                        self.advance_item(
-                            i,
-                            batch[j],
-                            &mut scratch,
-                            &mut ws[j],
-                            &mut active[j],
-                            &mut prefixes[j],
-                            &mut rngs[j],
-                        );
-                    }
+                    rows.end_row();
+                }
+                let logits = self.mlps[i - 1].forward_sparse(&rows, &mut mlp);
+                for (row, &j) in logits.chunks_exact(self.bins[i]).zip(&act) {
+                    dist.clear();
+                    dist.extend(softmax(row).iter().map(|&p| p as f64));
+                    self.advance_item(
+                        i,
+                        batch.get(j, i),
+                        &mut dist,
+                        &mut ws[j],
+                        &mut active[j],
+                        &mut prefixes[j],
+                        &mut rngs[j],
+                    );
                 }
             }
             for j in 0..n {
@@ -175,84 +169,41 @@ impl AutoRegModel {
             .collect()
     }
 
-    /// One item's column step of progressive sampling, shared verbatim
-    /// with the per-item path's loop body: fold the constrained mass into
-    /// `w`, sample the next bin, extend the prefix. `scratch` holds the
-    /// conditional distribution of column `i` and is consumed.
+    /// One item's step at column `i`: fold the constrained mass of the
+    /// conditional `dist` into `w` (an item without mass goes inactive),
+    /// sample a bin ∝ p·w — importance sampling keeps the estimator
+    /// unbiased for the product of weights — and extend the prefix.
+    /// `dist` is consumed.
     #[allow(clippy::too_many_arguments)] // lockstep state is inherently wide
     fn advance_item(
         &self,
         i: usize,
-        weights: &[Option<Vec<f64>>],
-        scratch: &mut [f64],
+        weights: Option<&[f64]>,
+        dist: &mut [f64],
         w: &mut f64,
         active: &mut bool,
         prefix: &mut Vec<f32>,
         rng: &mut StdRng,
     ) {
-        let mass: f64 = match &weights[i] {
+        let mass: f64 = match weights {
             None => 1.0,
-            Some(wv) => scratch.iter().zip(wv).map(|(p, wv)| p * wv).sum(),
+            Some(wv) => dist.iter().zip(wv).map(|(p, wv)| p * wv).sum(),
         };
         if mass <= 0.0 {
             *active = false;
             return;
         }
         *w *= mass;
-        let bin = match &weights[i] {
-            None => sample_from(scratch, 1.0, rng),
+        let bin = match weights {
+            None => sample_from(dist, 1.0, rng),
             Some(wv) => {
-                for (p, wv) in scratch.iter_mut().zip(wv) {
+                for (p, wv) in dist.iter_mut().zip(wv) {
                     *p *= wv;
                 }
-                sample_from(scratch, mass, rng)
+                sample_from(dist, mass, rng)
             }
         };
         prefix.push(bin as f32 / self.bins[i].max(1) as f32);
-    }
-
-    fn one_sample(&self, weights: &[Option<Vec<f64>>], rng: &mut StdRng) -> f64 {
-        let k = self.bins.len();
-        let mut prefix = Vec::with_capacity(k);
-        let mut w = 1.0f64;
-        let mut scratch: Vec<f64> = Vec::new();
-        for i in 0..k {
-            // Conditional distribution of column i.
-            scratch.clear();
-            if i == 0 {
-                let total: f64 = self.marginal0.iter().sum();
-                scratch.extend(
-                    self.marginal0
-                        .iter()
-                        .map(|&c| (c + 0.1) / (total + 0.1 * self.bins[0] as f64)),
-                );
-            } else {
-                let probs = self.mlps[i - 1].forward_softmax(&prefix);
-                scratch.extend(probs.iter().map(|&p| p as f64));
-            }
-            // Constrained (weighted) mass.
-            let mass: f64 = match &weights[i] {
-                None => 1.0,
-                Some(wv) => scratch.iter().zip(wv).map(|(p, wv)| p * wv).sum(),
-            };
-            if mass <= 0.0 {
-                return 0.0;
-            }
-            w *= mass;
-            // Sample the next bin ∝ p·w (importance sampling keeps the
-            // estimator unbiased for the product of weights).
-            let bin = match &weights[i] {
-                None => sample_from(&scratch, 1.0, rng),
-                Some(wv) => {
-                    for (p, wv) in scratch.iter_mut().zip(wv) {
-                        *p *= wv;
-                    }
-                    sample_from(&scratch, mass, rng)
-                }
-            };
-            prefix.push(bin as f32 / self.bins[i].max(1) as f32);
-        }
-        w
     }
 
     /// Approximate model size in bytes.
@@ -276,7 +227,66 @@ fn sample_from(weights: &[f64], total: f64, rng: &mut StdRng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::tests::batch_of;
     use cardbench_support::rand::SeedableRng;
+
+    /// Reference: one item alone, sample by sample and column by column,
+    /// each conditional a per-row [`Mlp::forward`] — the walk
+    /// [`AutoRegModel::query_batch`] must reproduce bit for bit, RNG
+    /// state included.
+    fn reference(m: &AutoRegModel, weights: &[Option<Vec<f64>>], rng: &mut StdRng) -> f64 {
+        let mut total = 0.0;
+        for _ in 0..m.cfg.samples {
+            total += one_sample(m, weights, rng);
+        }
+        total / m.cfg.samples as f64
+    }
+
+    fn one_sample(m: &AutoRegModel, weights: &[Option<Vec<f64>>], rng: &mut StdRng) -> f64 {
+        let mut prefix = Vec::new();
+        let mut w = 1.0f64;
+        let mut dist: Vec<f64> = Vec::new();
+        for i in 0..m.bins.len() {
+            // Conditional distribution of column i.
+            dist.clear();
+            if i == 0 {
+                let total: f64 = m.marginal0.iter().sum();
+                dist.extend(
+                    m.marginal0
+                        .iter()
+                        .map(|&c| (c + 0.1) / (total + 0.1 * m.bins[0] as f64)),
+                );
+            } else {
+                let probs = softmax(&m.mlps[i - 1].forward(&prefix));
+                dist.extend(probs.iter().map(|&p| p as f64));
+            }
+            let mass: f64 = match &weights[i] {
+                None => 1.0,
+                Some(wv) => dist.iter().zip(wv).map(|(p, wv)| p * wv).sum(),
+            };
+            if mass <= 0.0 {
+                return 0.0;
+            }
+            w *= mass;
+            let bin = match &weights[i] {
+                None => sample_from(&dist, 1.0, rng),
+                Some(wv) => {
+                    for (p, wv) in dist.iter_mut().zip(wv) {
+                        *p *= wv;
+                    }
+                    sample_from(&dist, mass, rng)
+                }
+            };
+            prefix.push(bin as f32 / m.bins[i].max(1) as f32);
+        }
+        w
+    }
+
+    /// [`AutoRegModel::query_batch`] of one weight set.
+    fn query(m: &AutoRegModel, weights: &[Option<Vec<f64>>], rng: &mut StdRng) -> f64 {
+        let batch = batch_of(weights.len(), &[weights]);
+        m.query_batch(&batch, std::slice::from_mut(rng))[0]
+    }
 
     fn fit_simple() -> AutoRegModel {
         // Two perfectly correlated ternary columns.
@@ -305,7 +315,7 @@ mod tests {
     fn marginal_close_to_third() {
         let m = fit_simple();
         let mut rng = StdRng::seed_from_u64(5);
-        let p = m.query(&[indicator(3, &[0]), None], &mut rng);
+        let p = query(&m, &[indicator(3, &[0]), None], &mut rng);
         assert!((p - 1.0 / 3.0).abs() < 0.05, "p = {p}");
     }
 
@@ -314,8 +324,8 @@ mod tests {
         let m = fit_simple();
         let mut rng = StdRng::seed_from_u64(6);
         // P(a=0 ∧ b=0) ≈ 1/3 (not 1/9) because b == a.
-        let p_same = m.query(&[indicator(3, &[0]), indicator(3, &[0])], &mut rng);
-        let p_diff = m.query(&[indicator(3, &[0]), indicator(3, &[1])], &mut rng);
+        let p_same = query(&m, &[indicator(3, &[0]), indicator(3, &[0])], &mut rng);
+        let p_diff = query(&m, &[indicator(3, &[0]), indicator(3, &[1])], &mut rng);
         assert!(p_same > 3.0 * p_diff, "same {p_same} diff {p_diff}");
     }
 
@@ -323,7 +333,7 @@ mod tests {
     fn unconstrained_query_is_one() {
         let m = fit_simple();
         let mut rng = StdRng::seed_from_u64(7);
-        assert!((m.query(&[None, None], &mut rng) - 1.0).abs() < 1e-9);
+        assert!((query(&m, &[None, None], &mut rng) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -331,7 +341,7 @@ mod tests {
         let m = fit_simple();
         let mut rng = StdRng::seed_from_u64(8);
         let w = vec![Some(vec![0.0, 0.0, 0.0]), None];
-        assert_eq!(m.query(&w, &mut rng), 0.0);
+        assert_eq!(query(&m, &w, &mut rng), 0.0);
     }
 
     #[test]
@@ -361,14 +371,14 @@ mod tests {
             vec![Some(vec![0.0, 0.0, 0.0]), None], // goes inactive at col 0
             vec![None, indicator(3, &[2])],
         ];
-        let refs: Vec<&[Option<Vec<f64>>]> = queries.iter().map(|q| q.as_slice()).collect();
+        let sets: Vec<&[Option<Vec<f64>>]> = queries.iter().map(Vec::as_slice).collect();
         let mut batch_rngs: Vec<StdRng> = (0..queries.len())
             .map(|j| StdRng::seed_from_u64(90 + j as u64))
             .collect();
-        let batched = m.query_batch(&refs, &mut batch_rngs);
+        let batched = m.query_batch(&batch_of(2, &sets), &mut batch_rngs);
         for (j, q) in queries.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(90 + j as u64);
-            let single = m.query(q, &mut rng);
+            let single = reference(&m, q, &mut rng);
             assert_eq!(single.to_bits(), batched[j].to_bits(), "query {j}");
             // The generator must land in the same state, so later queries
             // sharing it stay deterministic too.

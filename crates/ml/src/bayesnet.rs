@@ -252,23 +252,6 @@ impl TreeBayesNet {
         }
     }
 
-    /// [`TreeBayesNet::query_batch`] of one weight set (`None` = the
-    /// constant 1).
-    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        let mut batch = WeightBatch::default();
-        batch.reset(self.parent.len());
-        batch.push_options(weights);
-        let mut out = Vec::with_capacity(1);
-        self.query_batch(&batch, &mut ModelScratch::default(), &mut out);
-        out[0]
-    }
-
-    /// Probability that each constrained node falls in its allowed bins
-    /// (indicator-weight convenience over [`TreeBayesNet::query`]).
-    pub fn probability(&self, allowed: &[Option<Vec<f64>>]) -> f64 {
-        self.query(allowed)
-    }
-
     /// Approximate model size in bytes: the counts.
     pub fn size_bytes(&self) -> usize {
         self.cpt
@@ -281,6 +264,18 @@ impl TreeBayesNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::tests::batch_of;
+
+    /// `E[Π w]` of one weight set, through a one-item batch.
+    fn query(net: &TreeBayesNet, w: &[Option<Vec<f64>>]) -> f64 {
+        let mut out = Vec::new();
+        net.query_batch(
+            &batch_of(w.len(), &[w]),
+            &mut ModelScratch::default(),
+            &mut out,
+        );
+        out[0]
+    }
 
     /// Two perfectly correlated binary columns plus one independent.
     fn cols() -> Vec<Vec<u16>> {
@@ -295,7 +290,7 @@ mod tests {
         let net = TreeBayesNet::fit(&cols(), &[2, 2, 2]);
         // P(a = 0) ≈ 0.5.
         let w = vec![Some(vec![1.0, 0.0]), None, None];
-        let p = net.probability(&w);
+        let p = query(&net, &w);
         assert!((p - 0.5).abs() < 0.02, "p = {p}");
     }
 
@@ -304,18 +299,18 @@ mod tests {
         let net = TreeBayesNet::fit(&cols(), &[2, 2, 2]);
         // P(a=0 ∧ b=1) is ~0 because b == a, while independence would say 0.25.
         let w = vec![Some(vec![1.0, 0.0]), Some(vec![0.0, 1.0]), None];
-        let p = net.probability(&w);
+        let p = query(&net, &w);
         assert!(p < 0.05, "p = {p}");
         // P(a=0 ∧ b=0) ≈ 0.5.
         let w = vec![Some(vec![1.0, 0.0]), Some(vec![1.0, 0.0]), None];
-        assert!((net.probability(&w) - 0.5).abs() < 0.05);
+        assert!((query(&net, &w) - 0.5).abs() < 0.05);
     }
 
     #[test]
     fn independent_column_factorizes() {
         let net = TreeBayesNet::fit(&cols(), &[2, 2, 2]);
         let w = vec![Some(vec![1.0, 0.0]), None, Some(vec![1.0, 0.0])];
-        let p = net.probability(&w);
+        let p = query(&net, &w);
         assert!((p - 0.25).abs() < 0.03, "p = {p}");
     }
 
@@ -324,7 +319,7 @@ mod tests {
         // E[f(a)] with f(0)=0, f(1)=10 and P(a=1)=0.5 → 5.
         let net = TreeBayesNet::fit(&cols(), &[2, 2, 2]);
         let w = vec![Some(vec![0.0, 10.0]), None, None];
-        let e = net.query(&w);
+        let e = query(&net, &w);
         assert!((e - 5.0).abs() < 0.2, "e = {e}");
     }
 
@@ -332,7 +327,7 @@ mod tests {
     fn unconstrained_query_is_one() {
         let net = TreeBayesNet::fit(&cols(), &[2, 2, 2]);
         let w = vec![None, None, None];
-        assert!((net.query(&w) - 1.0).abs() < 1e-9);
+        assert!((query(&net, &w) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -342,7 +337,7 @@ mod tests {
         let extra = vec![vec![1u16; 400], vec![1u16; 400], vec![0u16; 400]];
         net.observe(&extra);
         let w = vec![Some(vec![0.0, 1.0]), None, None];
-        let p = net.probability(&w);
+        let p = query(&net, &w);
         assert!((p - 0.75).abs() < 0.02, "p = {p}");
         assert_eq!(net.rows(), 800.0);
     }

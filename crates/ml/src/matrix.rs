@@ -142,18 +142,6 @@ impl SparseRows {
         (&self.idx[lo..hi], &self.val[lo..hi])
     }
 
-    /// Replaces the batch by the rows of a dense row-major `data` of
-    /// width `cols`.
-    pub fn fill_from_dense(&mut self, data: &[f32], cols: usize) {
-        self.clear();
-        for row in data.chunks_exact(cols.max(1)) {
-            for (c, &v) in row.iter().enumerate() {
-                self.push(c as u32, v);
-            }
-            self.end_row();
-        }
-    }
-
     /// Replaces `out` by the batch as dense row-major rows of width
     /// `cols`.
     pub fn scatter_dense(&self, cols: usize, out: &mut Vec<f32>) {
@@ -205,7 +193,13 @@ mod tests {
         assert_eq!(rows.row(0), (&[0u32, 4, 8][..], &[1.0f32, 2.0, 0.5][..]));
 
         let dense = Matrix::from_fn(2, 3, |r, c| if r == c { 0.0 } else { (r + c) as f32 });
-        rows.fill_from_dense(&dense.data, 3);
+        rows.clear();
+        for r in 0..dense.rows {
+            for (c, &v) in dense.row(r).iter().enumerate() {
+                rows.push(c as u32, v);
+            }
+            rows.end_row();
+        }
         assert_eq!(rows.row(0), (&[1u32, 2][..], &[1.0f32, 2.0][..]));
         assert_eq!(rows.row(1), (&[0u32, 2][..], &[1.0f32, 3.0][..]));
         let mut back = vec![9.0f32; 6];

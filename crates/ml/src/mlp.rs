@@ -96,18 +96,14 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass returning the raw output (linear head).
+    /// Forward pass of one dense row, returning the raw output: the
+    /// per-row reference [`Mlp::forward_sparse`] is checked against.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         self.forward_pass(x)
             .acts
             .last()
             .expect("the input activation")
             .clone()
-    }
-
-    /// Forward pass returning softmax probabilities.
-    pub fn forward_softmax(&self, x: &[f32]) -> Vec<f32> {
-        softmax(&self.forward(x))
     }
 
     /// Batched forward pass over sparse input rows, returning the
@@ -150,33 +146,6 @@ impl Mlp {
                 }
                 std::mem::swap(cur, next);
             }
-        }
-        out
-    }
-
-    /// [`Mlp::forward_sparse`] over a dense `n × input_dim` matrix, for
-    /// callers that keep no scratch.
-    pub fn forward_batch(&self, xs: &Matrix) -> Matrix {
-        assert_eq!(xs.cols, self.dims[0]);
-        let mut rows = SparseRows::default();
-        rows.fill_from_dense(&xs.data, xs.cols);
-        let mut scratch = MlpScratch::default();
-        let data = self.forward_sparse(&rows, &mut scratch).to_vec();
-        Matrix {
-            rows: xs.rows,
-            cols: self.output_dim(),
-            data,
-        }
-    }
-
-    /// Batched forward pass returning per-row softmax probabilities,
-    /// bit-identical to [`Mlp::forward_softmax`] per row.
-    pub fn forward_softmax_batch(&self, xs: &Matrix) -> Matrix {
-        let mut out = self.forward_batch(xs);
-        for r in 0..out.rows {
-            let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
-            let p = softmax(row);
-            row.copy_from_slice(&p);
         }
         out
     }
@@ -456,7 +425,7 @@ mod tests {
         let mut net = Mlp::new(&[2, 16, 2], 3);
         net.train_softmax(&xs, &labels, 800, 0.02, 2);
         for r in 0..4 {
-            let p = net.forward_softmax(xs.row(r));
+            let p = softmax(&net.forward(xs.row(r)));
             let pred = if p[1] > p[0] { 1 } else { 0 };
             assert_eq!(pred, labels[r], "row {r} probs {p:?}");
         }
@@ -473,26 +442,6 @@ mod tests {
     fn param_bytes_positive() {
         let net = Mlp::new(&[4, 8, 1], 0);
         assert_eq!(net.param_bytes(), (4 * 8 + 8 + 8 + 1) * 4);
-    }
-
-    #[test]
-    fn forward_batch_bit_identical_to_per_item() {
-        let net = Mlp::new(&[3, 8, 4], 5);
-        // Include exact zeros to exercise the skip-zero short-circuit.
-        let xs = Matrix::from_fn(7, 3, |r, c| {
-            if (r + c) % 3 == 0 {
-                0.0
-            } else {
-                (r as f32 - 2.5) * 0.3 + c as f32
-            }
-        });
-        let batched = net.forward_batch(&xs);
-        for r in 0..xs.rows {
-            let single = net.forward(xs.row(r));
-            for (o, &v) in single.iter().enumerate() {
-                assert_eq!(v.to_bits(), batched.get(r, o).to_bits(), "row {r} out {o}");
-            }
-        }
     }
 
     #[test]
@@ -513,19 +462,6 @@ mod tests {
                     acc += x * w[i as usize * out_dim + o];
                 }
                 assert_eq!(out[o].to_bits(), acc.to_bits(), "output {o}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_softmax_batch_bit_identical() {
-        let net = Mlp::new(&[2, 6, 3], 11);
-        let xs = Matrix::from_fn(5, 2, |r, c| (r * 2 + c) as f32 * 0.25);
-        let batched = net.forward_softmax_batch(&xs);
-        for r in 0..xs.rows {
-            let single = net.forward_softmax(xs.row(r));
-            for (o, &v) in single.iter().enumerate() {
-                assert_eq!(v.to_bits(), batched.get(r, o).to_bits(), "row {r} out {o}");
             }
         }
     }

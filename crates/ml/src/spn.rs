@@ -549,16 +549,6 @@ impl Spn {
         }
     }
 
-    /// [`Spn::query_batch`] of one weight set (`None` = constant 1).
-    pub fn query(&self, weights: &[Option<Vec<f64>>]) -> f64 {
-        let mut batch = WeightBatch::default();
-        batch.reset(self.bins.len());
-        batch.push_options(weights);
-        let mut out = Vec::with_capacity(1);
-        self.query_batch(&batch, &mut ModelScratch::default(), &mut out);
-        out[0]
-    }
-
     /// Likelihood of a single fully observed row (used to route updates).
     /// Reads the counts, not the derived tables: an update bumps counts
     /// between calls.
@@ -717,6 +707,18 @@ impl<I: Iterator<Item = (usize, u32)>> PartitionMap for I {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::tests::batch_of;
+
+    /// `E[Π w]` of one weight set, through a one-item batch.
+    fn query(spn: &Spn, w: &[Option<Vec<f64>>]) -> f64 {
+        let mut out = Vec::new();
+        spn.query_batch(
+            &batch_of(w.len(), &[w]),
+            &mut ModelScratch::default(),
+            &mut out,
+        );
+        out[0]
+    }
 
     fn correlated_data(n: usize) -> (Vec<Vec<u16>>, Vec<usize>) {
         // a and b perfectly correlated; c independent.
@@ -740,7 +742,7 @@ mod tests {
         let spn = Spn::fit(&cols, &bins, SpnConfig::default());
         for a in 0..3 {
             let w = vec![indicator(3, &[a]), None, None];
-            let p = spn.query(&w);
+            let p = query(&spn, &w);
             assert!((0.0..=1.0).contains(&p), "p = {p}");
             assert!((p - 1.0 / 3.0).abs() < 0.05);
         }
@@ -750,7 +752,7 @@ mod tests {
     fn unconstrained_is_one() {
         let (cols, bins) = correlated_data(300);
         let spn = Spn::fit(&cols, &bins, SpnConfig::default());
-        assert!((spn.query(&[None, None, None]) - 1.0).abs() < 1e-9);
+        assert!((query(&spn, &[None, None, None]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -776,8 +778,8 @@ mod tests {
         // P(a=0 ∧ b=0) is 0 in the data (b = 2-a). With forced-independent
         // leaves plain SPN says ~1/9; the multi-leaf is exact.
         let w = vec![indicator(3, &[0]), indicator(3, &[0]), None];
-        let p_plain = plain.query(&w);
-        let p_flat = flat.query(&w);
+        let p_plain = query(&plain, &w);
+        let p_flat = query(&flat, &w);
         assert!(p_flat < 0.01, "flat p = {p_flat}");
         assert!(p_plain > 0.05, "plain p = {p_plain}");
     }
@@ -795,7 +797,7 @@ mod tests {
         );
         let w = vec![indicator(3, &[0]), indicator(3, &[0]), None];
         // Row clustering should reduce the independence error well below 1/9.
-        assert!(spn.query(&w) < 0.09, "p = {}", spn.query(&w));
+        assert!(query(&spn, &w) < 0.09, "p = {}", query(&spn, &w));
     }
 
     #[test]
@@ -804,7 +806,7 @@ mod tests {
         let spn = Spn::fit(&cols, &bins, SpnConfig::default());
         // E[f(c)] with f(0)=0, f(1)=6 and P(c=1)=0.5 → 3.
         let w = vec![None, None, Some(vec![0.0, 6.0])];
-        assert!((spn.query(&w) - 3.0).abs() < 0.3);
+        assert!((query(&spn, &w) - 3.0).abs() < 0.3);
     }
 
     #[test]
@@ -815,7 +817,7 @@ mod tests {
         let extra = vec![vec![1u16; 300], vec![1u16; 300], vec![0u16; 300]];
         spn.update(&extra);
         let w = vec![indicator(3, &[1]), None, None];
-        let p = spn.query(&w);
+        let p = query(&spn, &w);
         assert!(p > 0.5, "p = {p}");
         assert_eq!(spn.rows(), 600.0);
     }
@@ -843,15 +845,15 @@ mod tests {
                 vec![None, indicator(3, &[1, 2]), Some(vec![0.0, 6.0])],
                 vec![indicator(3, &[2]), indicator(3, &[0]), indicator(2, &[1])],
             ];
-            let mut batch = WeightBatch::default();
-            batch.reset(bins.len());
-            for q in &queries {
-                batch.push_options(q);
-            }
+            let sets: Vec<&[Option<Vec<f64>>]> = queries.iter().map(Vec::as_slice).collect();
             let mut batched = Vec::new();
-            spn.query_batch(&batch, &mut ModelScratch::default(), &mut batched);
+            spn.query_batch(
+                &batch_of(bins.len(), &sets),
+                &mut ModelScratch::default(),
+                &mut batched,
+            );
             for (q, &b) in queries.iter().zip(&batched) {
-                let single = spn.query(q);
+                let single = query(&spn, q);
                 assert_eq!(single.to_bits(), b.to_bits(), "query {q:?}");
             }
         }

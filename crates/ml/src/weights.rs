@@ -1,10 +1,10 @@
 //! Packed per-bin weight vectors: the query format of the per-table
 //! models ([`crate::TreeBayesNet`], [`crate::Spn`]).
 //!
-//! A query over a model with `k` columns is `k` optional weight vectors
-//! (`None` = the constant 1, column unconstrained). A batch of them is
-//! one offset table into one `f64` slab, which a caller refills without
-//! allocating.
+//! A query over a model with `k` columns is one weight vector per
+//! constrained column; an unconstrained column is the constant 1. A
+//! batch of them is one offset table into one `f64` slab, which a caller
+//! refills without allocating. It is the only way weights reach a model.
 
 /// The weight sets of a batch of queries over one model's columns.
 #[derive(Debug, Clone, Default)]
@@ -65,17 +65,6 @@ impl WeightBatch {
         }
     }
 
-    /// Appends an item from one optional weight vector per column.
-    pub fn push_options(&mut self, weights: &[Option<Vec<f64>>]) {
-        assert_eq!(weights.len(), self.cols);
-        let item = self.push_item();
-        for (col, w) in weights.iter().enumerate() {
-            if let Some(w) = w {
-                self.merge(item, col, w);
-            }
-        }
-    }
-
     /// The weights of column `col` of `item`; `None` = unconstrained.
     #[inline]
     pub fn get(&self, item: usize, col: usize) -> Option<&[f64]> {
@@ -99,4 +88,27 @@ pub struct ModelScratch {
     pub(crate) acc: Vec<f64>,
     /// One node's current terms.
     pub(crate) term: Vec<f64>,
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::WeightBatch;
+
+    /// A batch of one item per weight set, written as one optional
+    /// vector per column (`None` = unconstrained): the format the tests
+    /// and their references state queries in.
+    pub(crate) fn batch_of(cols: usize, sets: &[&[Option<Vec<f64>>]]) -> WeightBatch {
+        let mut batch = WeightBatch::default();
+        batch.reset(cols);
+        for set in sets {
+            assert_eq!(set.len(), cols);
+            let item = batch.push_item();
+            for (col, w) in set.iter().enumerate() {
+                if let Some(w) = w {
+                    batch.merge(item, col, w);
+                }
+            }
+        }
+        batch
+    }
 }

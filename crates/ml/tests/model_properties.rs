@@ -6,7 +6,8 @@
 //! algorithms they replaced, which live here as references: a tree-BN
 //! query that recomputes every conditional per term and walks every
 //! node, a recursive SPN evaluation that divides counts per visit, and
-//! the per-row MLP forward pass. The kernels read tables derived at
+//! the per-row MLP forward pass. The references take a query as one
+//! optional weight vector per column; the models take a `WeightBatch`. The kernels read tables derived at
 //! fit/update time, skip what a query does not constrain and tile their
 //! loops — and must return the references' bits, before and after an
 //! update, whatever else shares the batch.
@@ -16,7 +17,9 @@ use cardbench_support::proptest::prelude::*;
 use cardbench_ml::autoreg::ArConfig;
 use cardbench_ml::bayesnet::SMOOTHING;
 use cardbench_ml::spn::{SpnConfig, SpnNode};
-use cardbench_ml::{AutoRegModel, Matrix, Mlp, ModelScratch, Spn, TreeBayesNet, WeightBatch};
+use cardbench_ml::{
+    AutoRegModel, Matrix, Mlp, MlpScratch, ModelScratch, SparseRows, Spn, TreeBayesNet, WeightBatch,
+};
 
 /// Deterministic pseudo-random stream for building test structures.
 struct Lcg(u64);
@@ -193,6 +196,43 @@ fn reference_spn(spn: &Spn, id: usize, weights: &[Option<Vec<f64>>]) -> f64 {
     }
 }
 
+/// A batch of one item per weight set (`None` = unconstrained column).
+fn batch_of(cols: usize, sets: &[&[Option<Vec<f64>>]]) -> WeightBatch {
+    let mut batch = WeightBatch::default();
+    batch.reset(cols);
+    for set in sets {
+        let item = batch.push_item();
+        for (col, w) in set.iter().enumerate() {
+            if let Some(w) = w {
+                batch.merge(item, col, w);
+            }
+        }
+    }
+    batch
+}
+
+/// A tree-BN's answer to one weight set, through a one-item batch.
+fn bn_query(net: &TreeBayesNet, w: &[Option<Vec<f64>>]) -> f64 {
+    let mut out = Vec::new();
+    net.query_batch(
+        &batch_of(w.len(), &[w]),
+        &mut ModelScratch::default(),
+        &mut out,
+    );
+    out[0]
+}
+
+/// An SPN's answer to one weight set, through a one-item batch.
+fn spn_query(spn: &Spn, w: &[Option<Vec<f64>>]) -> f64 {
+    let mut out = Vec::new();
+    spn.query_batch(
+        &batch_of(w.len(), &[w]),
+        &mut ModelScratch::default(),
+        &mut out,
+    );
+    out[0]
+}
+
 /// A batch holding `queries` shuffled and with duplicates, as
 /// `(batch, source query of each item)`.
 fn mixed_batch(
@@ -200,15 +240,11 @@ fn mixed_batch(
     cols: usize,
     queries: &[Vec<Option<Vec<f64>>>],
 ) -> (WeightBatch, Vec<usize>) {
-    let mut batch = WeightBatch::default();
-    batch.reset(cols);
     let picks: Vec<usize> = (0..2 * queries.len())
         .map(|_| rng.below(queries.len()))
         .collect();
-    for &q in &picks {
-        batch.push_options(&queries[q]);
-    }
-    (batch, picks)
+    let sets: Vec<&[Option<Vec<f64>>]> = picks.iter().map(|&q| queries[q].as_slice()).collect();
+    (batch_of(cols, &sets), picks)
 }
 
 /// Random binned dataset: 3 columns with small domains.
@@ -263,9 +299,9 @@ proptest! {
     #[test]
     fn bn_probabilities_behave((cols, bins) in dataset()) {
         let net = TreeBayesNet::fit(&cols, &bins);
-        prop_assert!((net.query(&[None, None, None]) - 1.0).abs() < 1e-9);
+        prop_assert!((bn_query(&net, &[None, None, None]) - 1.0).abs() < 1e-9);
         for v in 0..bins[0] as u16 {
-            let p = net.probability(&[indicator(bins[0], v), None, None]);
+            let p = bn_query(&net, &[indicator(bins[0], v), None, None]);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&p));
             let emp = empirical(&cols, &[(0, v)]);
             prop_assert!((p - emp).abs() < 0.1, "p {p} vs emp {emp}");
@@ -276,10 +312,10 @@ proptest! {
     #[test]
     fn spn_probabilities_behave((cols, bins) in dataset()) {
         let spn = Spn::fit(&cols, &bins, SpnConfig { min_rows: 16, ..SpnConfig::default() });
-        prop_assert!((spn.query(&[None, None, None]) - 1.0).abs() < 1e-9);
+        prop_assert!((spn_query(&spn, &[None, None, None]) - 1.0).abs() < 1e-9);
         let mut total = 0.0;
         for v in 0..bins[1] as u16 {
-            let p = spn.query(&[None, indicator(bins[1], v), None]);
+            let p = spn_query(&spn, &[None, indicator(bins[1], v), None]);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&p));
             total += p;
         }
@@ -296,7 +332,7 @@ proptest! {
             SpnConfig { min_rows: 16, multileaf: true, ..SpnConfig::default() },
         );
         for v in 0..bins[0] as u16 {
-            let p = spn.query(&[indicator(bins[0], v), None, None]);
+            let p = spn_query(&spn, &[indicator(bins[0], v), None, None]);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&p));
             let emp = empirical(&cols, &[(0, v)]);
             prop_assert!((p - emp).abs() < 0.12, "p {p} vs emp {emp}");
@@ -312,10 +348,10 @@ proptest! {
             &bins,
             ArConfig { epochs: 1, samples: 80, ..ArConfig::default() },
         );
-        let mut rng = cardbench_support::rand::SeedableRng::seed_from_u64(5);
-        let p = ar.query(&[indicator(bins[0], 0), None, None], &mut rng);
+        let mut rng = [cardbench_support::rand::SeedableRng::seed_from_u64(5)];
+        let p = ar.query_batch(&batch_of(3, &[&[indicator(bins[0], 0), None, None]]), &mut rng)[0];
         prop_assert!((0.0..=1.0 + 1e-9).contains(&p));
-        let zero = ar.query(&[Some(vec![0.0; bins[0]]), None, None], &mut rng);
+        let zero = ar.query_batch(&batch_of(3, &[&[Some(vec![0.0; bins[0]]), None, None]]), &mut rng)[0];
         prop_assert_eq!(zero, 0.0);
     }
 
@@ -351,7 +387,7 @@ proptest! {
             let mut queries: Vec<_> = (0..6).map(|_| rng.weights(&bins)).collect();
             queries.push(vec![None; k]);
             for q in &queries {
-                prop_assert_eq!(net.query(q).to_bits(), reference.query(q).to_bits(), "{:?}", q);
+                prop_assert_eq!(bn_query(&net, q).to_bits(), reference.query(q).to_bits(), "{:?}", q);
             }
             let (batch, picks) = mixed_batch(&mut rng, k, &queries);
             let mut out = Vec::new();
@@ -390,7 +426,7 @@ proptest! {
             queries.push(vec![None; k]);
             for q in &queries {
                 let reference = reference_spn(&spn, spn.root(), q);
-                prop_assert_eq!(spn.query(q).to_bits(), reference.to_bits(), "{:?}", q);
+                prop_assert_eq!(spn_query(&spn, q).to_bits(), reference.to_bits(), "{:?}", q);
             }
             let (batch, picks) = mixed_batch(&mut rng, k, &queries);
             let mut out = Vec::new();
@@ -407,7 +443,7 @@ proptest! {
         }
     }
 
-    /// The tiled batch forward pass returns the per-row pass's bits on
+    /// The tiled sparse forward pass returns the per-row pass's bits on
     /// inputs with exact zeros and `-0.0`, for layer widths on both
     /// sides of every tile width, trained biases, and 1-row batches.
     #[test]
@@ -418,7 +454,8 @@ proptest! {
         for _ in 0..1 + rng.below(2) {
             dims.push(widths[rng.below(widths.len())]);
         }
-        dims.push(1 + rng.below(3));
+        let out_dim = 1 + rng.below(3);
+        dims.push(out_dim);
         let mut net = Mlp::new(&dims, seed);
         let n = 1 + rng.below(6);
         let xs = Matrix::from_fn(n, dims[0], |_, _| match rng.below(6) {
@@ -426,23 +463,30 @@ proptest! {
             2 => -0.0,
             v => (rng.below(200) as f32 - 100.0) / (16.0 * v as f32),
         });
-        if *dims.last().unwrap() == 1 {
+        if out_dim == 1 {
             // Move the biases off their zero initialisation.
             let ys: Vec<f32> = (0..n).map(|r| r as f32 - 1.5).collect();
             net.train_regression(&xs, &ys, 3, 0.05, seed);
         }
-        let batched = net.forward_batch(&xs);
-        prop_assert_eq!((batched.rows, batched.cols), (n, *dims.last().unwrap()));
+        let sparse = |rows: std::ops::Range<usize>| {
+            let mut sparse = SparseRows::default();
+            for r in rows {
+                for (c, &v) in xs.row(r).iter().enumerate() {
+                    sparse.push(c as u32, v);
+                }
+                sparse.end_row();
+            }
+            sparse
+        };
+        let mut scratch = MlpScratch::default();
+        let batched = net.forward_sparse(&sparse(0..n), &mut scratch).to_vec();
+        prop_assert_eq!(batched.len(), n * out_dim);
         for r in 0..n {
             let single = net.forward(xs.row(r));
-            let one_row = net.forward_batch(&Matrix {
-                rows: 1,
-                cols: dims[0],
-                data: xs.row(r).to_vec(),
-            });
+            let one_row = net.forward_sparse(&sparse(r..r + 1), &mut scratch);
             for (o, &v) in single.iter().enumerate() {
-                prop_assert_eq!(v.to_bits(), batched.get(r, o).to_bits(), "row {} out {}", r, o);
-                prop_assert_eq!(v.to_bits(), one_row.get(0, o).to_bits());
+                prop_assert_eq!(v.to_bits(), batched[r * out_dim + o].to_bits(), "row {} out {}", r, o);
+                prop_assert_eq!(v.to_bits(), one_row[o].to_bits());
             }
         }
     }

@@ -4,32 +4,44 @@
 use cardbench::engine::TrueCardService;
 use cardbench::harness::{build_estimator, Bench, BenchConfig};
 use cardbench::prelude::*;
-use cardbench::query::connected_subsets;
+use cardbench::query::{connected_subsets, Region, TableMask};
 
 /// Every estimator returns finite, non-negative estimates on every
-/// sub-plan of every workload query, on both schemas.
+/// sub-plan of every workload query, on both schemas — and on a
+/// predicate over a key column, which the data-driven models do not
+/// model and must answer neutrally rather than panic on.
 #[test]
 fn all_estimates_finite_and_nonnegative() {
     let b = Bench::build(BenchConfig::fast(41));
+    let key_predicate = SubPlanQuery {
+        mask: TableMask::single(0),
+        query: JoinQuery::single("users", vec![Predicate::new(0, "Id", Region::ge(5))]),
+    };
     for kind in EstimatorKind::ALL {
-        for (db, wl, train) in [
-            (&b.stats_db, &b.stats_wl, &b.stats_train),
-            (&b.imdb_db, &b.imdb_wl, &b.imdb_train),
+        for (db, wl, train, extra) in [
+            (
+                &b.stats_db,
+                &b.stats_wl,
+                &b.stats_train,
+                Some(&key_predicate),
+            ),
+            (&b.imdb_db, &b.imdb_wl, &b.imdb_train, None),
         ] {
             let built = build_estimator(kind, db, train, &b.config.settings);
-            for wq in &wl.queries {
-                for mask in connected_subsets(&wq.query) {
-                    let sp = SubPlanQuery::project(&wq.query, mask);
-                    let e = built.est.estimate(db, &sp);
-                    assert!(
-                        e.is_finite() && e >= 0.0,
-                        "{} on {} Q{} {:?}: {e}",
-                        kind.name(),
-                        wl.name,
-                        wq.id,
-                        sp.query.tables
-                    );
-                }
+            let subs = wl.queries.iter().flat_map(|wq| {
+                connected_subsets(&wq.query)
+                    .into_iter()
+                    .map(|mask| SubPlanQuery::project(&wq.query, mask))
+            });
+            for sp in subs.chain(extra.cloned()) {
+                let e = built.est.estimate(db, &sp);
+                assert!(
+                    e.is_finite() && e >= 0.0,
+                    "{} on {}: {e} for {:?}",
+                    kind.name(),
+                    wl.name,
+                    sp.query
+                );
             }
         }
     }
@@ -56,7 +68,7 @@ fn unfiltered_single_table_near_row_count() {
         for name in ["users", "posts", "comments"] {
             let rows = db.catalog().table_by_name(name).unwrap().row_count() as f64;
             let sub = SubPlanQuery {
-                mask: cardbench::query::TableMask::single(0),
+                mask: TableMask::single(0),
                 query: JoinQuery::single(name, vec![]),
             };
             let e = built.est.estimate(db, &sub);
@@ -90,7 +102,7 @@ fn data_driven_unfiltered_joins_tight() {
             let mut q = wq.query.clone();
             q.predicates.clear();
             let sub = SubPlanQuery {
-                mask: cardbench::query::TableMask::full(2),
+                mask: TableMask::full(2),
                 query: q.clone(),
             };
             let t = truth.cardinality(db, &q).unwrap().max(1.0);
@@ -136,7 +148,7 @@ fn updatable_estimators_survive_inserts() {
         db.append_inserts(&inserts).unwrap();
         built.est.apply_inserts(&db, &inserts);
         let sub = SubPlanQuery {
-            mask: cardbench::query::TableMask::single(0),
+            mask: TableMask::single(0),
             query: JoinQuery::single("users", vec![]),
         };
         let e = built.est.estimate(&db, &sub);
