@@ -16,7 +16,6 @@ use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_feedback::FeedbackConfig;
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
     build_estimator, median_p_error, median_q_error, run_adaptive_experiment, run_workload, Bench,
@@ -455,7 +454,6 @@ fn adaptive(args: &Args) -> Result<(), Fail> {
         &TrainingSet::default(),
         &cfg.settings,
         &CostModel::default(),
-        FeedbackConfig::default(),
         &opts,
     );
     let (qw, qr, qp, qc) = (

@@ -368,12 +368,6 @@ impl Database {
         *self = Database::new(catalog);
     }
 
-    /// Mutable catalog access for bulk inserts; call [`Database::refresh`]
-    /// afterwards.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Appends `deltas[t]` to table `t` for every delta (the shape
     /// `temporal_split` returns), then rebuilds indexes and statistics.
     /// A delta whose arity differs from its table is an error; the deltas

@@ -644,35 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_bit_identical_to_sequential() {
-        let db = Database::new(stats_catalog(&StatsConfig::tiny(1)));
-        let est = NeuroCardE::fit(&db, &fast_cfg());
-        let q = JoinQuery {
-            tables: vec!["users".into(), "comments".into(), "badges".into()],
-            joins: vec![
-                JoinEdge::new(0, "Id", 1, "UserId"),
-                JoinEdge::new(1, "UserId", 2, "UserId"),
-            ],
-            predicates: vec![Predicate::new(0, "Reputation", Region::ge(5))],
-        };
-        let subs: Vec<SubPlanQuery> = cardbench_query::connected_subsets(&q)
-            .into_iter()
-            .map(|m| SubPlanQuery::project(&q, m))
-            .collect();
-        let batched = est.estimate_batch(&db, &subs);
-        assert_eq!(batched.len(), subs.len());
-        for (sub, b) in subs.iter().zip(&batched) {
-            let s = est.estimate(&db, sub);
-            assert_eq!(
-                s.to_bits(),
-                b.to_bits(),
-                "mask {:?}: sequential {s} vs batched {b}",
-                sub.mask
-            );
-        }
-    }
-
-    #[test]
     fn cross_partition_query_still_estimates() {
         let db = Database::new(stats_catalog(&StatsConfig::tiny(1)));
         let est = NeuroCardE::fit(&db, &fast_cfg());

@@ -25,10 +25,12 @@
 //! negative, or astronomically wrong estimates into the observation
 //! path): non-finite truths are rejected, non-finite/non-positive
 //! estimates contribute no correction sample, every log-ratio sample is
-//! clamped to `±ln(max_correction)`, the applied factor is clamped to
-//! `[1/max_correction, max_correction]`, and the corrected product
+//! clamped to `±ln(MAX_CORRECTION)`, the applied factor is clamped to
+//! `[1/MAX_CORRECTION, MAX_CORRECTION]`, and the corrected product
 //! saturates at `f64::MAX` — a correction can therefore never produce a
 //! non-finite or negative estimate from a finite non-negative input.
+//! The policy has no knobs: [`WARMUP`] and [`MAX_CORRECTION`] are
+//! constants.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -42,27 +44,14 @@ use cardbench_query::{JoinQuery, SubPlanQuery};
 use cardbench_storage::Table;
 use cardbench_support::memo::Memo;
 
-/// Tuning knobs of the feedback cache.
-#[derive(Debug, Clone, Copy)]
-pub struct FeedbackConfig {
-    /// Minimum correction samples on a template before sibling
-    /// corrections apply (the warmup: a single noisy sample must not
-    /// steer every sibling).
-    pub warmup: u64,
-    /// Clamp for the multiplicative correction factor and for each
-    /// log-ratio sample (`> 1`). Exact overrides are not clamped — they
-    /// are observed truths.
-    pub max_correction: f64,
-}
+/// Correction samples a template needs before sibling corrections
+/// apply: a single noisy sample must not steer every sibling.
+pub const WARMUP: u64 = 4;
 
-impl Default for FeedbackConfig {
-    fn default() -> FeedbackConfig {
-        FeedbackConfig {
-            warmup: 4,
-            max_correction: 1e4,
-        }
-    }
-}
+/// Clamp for the multiplicative correction factor and for each
+/// log-ratio sample. Exact overrides are not clamped — they are
+/// observed truths.
+pub const MAX_CORRECTION: f64 = 1e4;
 
 /// Last observed truth for one exact sub-plan.
 #[derive(Debug, Clone, Copy)]
@@ -107,8 +96,8 @@ pub struct FeedbackStats {
 /// an `Arc`; all methods take `&self`. Both maps are read with
 /// [`Memo::peek`] and written in place with [`Memo::with`], neither
 /// counted: the store counts its hits and misses itself.
+#[derive(Default)]
 pub struct FeedbackStore {
-    cfg: FeedbackConfig,
     exact: Memo<ExactEntry>,
     templates: Memo<TemplateEntry>,
     hits: AtomicU64,
@@ -119,34 +108,7 @@ pub struct FeedbackStore {
     rejected: AtomicU64,
 }
 
-impl Default for FeedbackStore {
-    fn default() -> FeedbackStore {
-        FeedbackStore::new(FeedbackConfig::default())
-    }
-}
-
 impl FeedbackStore {
-    /// An empty store with the given knobs.
-    pub fn new(cfg: FeedbackConfig) -> FeedbackStore {
-        assert!(cfg.max_correction > 1.0, "max_correction must exceed 1");
-        FeedbackStore {
-            cfg,
-            exact: Memo::default(),
-            templates: Memo::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            overrides: AtomicU64::new(0),
-            corrections: AtomicU64::new(0),
-            observations: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> FeedbackConfig {
-        self.cfg
-    }
-
     /// Records one executed observation: the sub-plan's true cardinality
     /// `truth`, and the estimate `seen_est` the planner actually used for
     /// it. Returns `false` when the truth was unusable and nothing was
@@ -183,7 +145,7 @@ impl FeedbackStore {
         if newly {
             if seen_est.is_finite() && seen_est > 0.0 {
                 let ratio = truth.max(1.0) / seen_est.max(1.0);
-                let max_log = self.cfg.max_correction.ln();
+                let max_log = MAX_CORRECTION.ln();
                 let log_r = ratio.ln().clamp(-max_log, max_log);
                 self.templates.with(q.template_hash(), |entry| {
                     let t = entry.or_default();
@@ -226,12 +188,12 @@ impl FeedbackStore {
         }
         if inner.is_finite() && inner >= 0.0 {
             let hit = self.templates.peek(q.template_hash());
-            if let Some(t) = hit.filter(|t| t.count >= self.cfg.warmup) {
+            if let Some(t) = hit.filter(|t| t.count >= WARMUP) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.corrections.fetch_add(1, Ordering::Relaxed);
                 let factor = (t.sum_log_ratio / t.count as f64)
                     .exp()
-                    .clamp(1.0 / self.cfg.max_correction, self.cfg.max_correction);
+                    .clamp(1.0 / MAX_CORRECTION, MAX_CORRECTION);
                 // factor is finite and positive; saturate the product so
                 // a huge-but-finite inner can never correct to +inf.
                 return (inner * factor).min(f64::MAX);
@@ -263,33 +225,24 @@ impl FeedbackStore {
 }
 
 /// The feedback wrapper estimator: any inner [`CardEst`] plus a shared
-/// [`FeedbackStore`]. With feedback `enabled == false` (or a store that
-/// has seen zero observations) every method is a bit-identical
-/// passthrough to the inner estimator — pinned by differential tests.
+/// [`FeedbackStore`]. Over a store that has seen zero observations every
+/// method is a bit-identical passthrough to the inner estimator —
+/// pinned by differential tests. To measure without feedback, use the
+/// inner estimator itself.
 pub struct FeedbackEst {
     inner: Box<dyn CardEst>,
     store: Arc<FeedbackStore>,
-    enabled: bool,
 }
 
 impl FeedbackEst {
     /// Wraps `inner` with the shared store.
-    pub fn new(inner: Box<dyn CardEst>, store: Arc<FeedbackStore>, enabled: bool) -> FeedbackEst {
-        FeedbackEst {
-            inner,
-            store,
-            enabled,
-        }
+    pub fn new(inner: Box<dyn CardEst>, store: Arc<FeedbackStore>) -> FeedbackEst {
+        FeedbackEst { inner, store }
     }
 
     /// The shared store (for observation recording and stats).
     pub fn store(&self) -> &Arc<FeedbackStore> {
         &self.store
-    }
-
-    /// Whether feedback resolution is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The wrapped estimator.
@@ -304,19 +257,13 @@ impl CardEst for FeedbackEst {
     }
 
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        let e = self.inner.estimate(db, sub);
-        if !self.enabled {
-            return e;
-        }
-        self.store.apply(&sub.query, e)
+        self.store.apply(&sub.query, self.inner.estimate(db, sub))
     }
 
     fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
         let mut out = self.inner.estimate_batch(db, subs);
-        if self.enabled {
-            for (v, sub) in out.iter_mut().zip(subs) {
-                *v = self.store.apply(&sub.query, *v);
-            }
+        for (v, sub) in out.iter_mut().zip(subs) {
+            *v = self.store.apply(&sub.query, *v);
         }
         out
     }
@@ -369,57 +316,55 @@ mod tests {
 
     #[test]
     fn sibling_correction_after_warmup() {
-        let cfg = FeedbackConfig {
-            warmup: 2,
-            max_correction: 1e4,
-        };
-        let s = FeedbackStore::new(cfg);
-        // Two siblings, each observed 10x underestimated.
-        s.observe(&q(1), 10.0, 100.0);
-        s.observe(&q(2), 20.0, 200.0);
-        // A third, unseen sibling: corrected by the geometric mean (10x).
-        let corrected = s.apply(&q(3), 50.0);
+        let s = FeedbackStore::default();
+        // WARMUP - 1 siblings, each observed 10x underestimated: below
+        // the warmup nothing happens.
+        for lit in 1..WARMUP as i64 {
+            s.observe(&q(lit), 10.0, 100.0);
+        }
+        assert_eq!(s.apply(&q(100), 50.0), 50.0);
+        assert_eq!(s.stats().misses, 1);
+        // One more: an unseen sibling is corrected by the geometric
+        // mean (10x).
+        s.observe(&q(WARMUP as i64), 20.0, 200.0);
+        let corrected = s.apply(&q(100), 50.0);
         assert!((corrected - 500.0).abs() < 1e-6, "corrected {corrected}");
         let st = s.stats();
         assert_eq!(st.corrections, 1);
         assert_eq!(st.template_entries, 1);
-        // Below warmup nothing happens.
-        let s2 = FeedbackStore::new(FeedbackConfig { warmup: 3, ..cfg });
-        s2.observe(&q(1), 10.0, 100.0);
-        s2.observe(&q(2), 20.0, 200.0);
-        assert_eq!(s2.apply(&q(3), 50.0), 50.0);
-        assert_eq!(s2.stats().misses, 1);
     }
 
     #[test]
     fn corrections_are_clamped_and_total() {
-        let s = FeedbackStore::new(FeedbackConfig {
-            warmup: 1,
-            max_correction: 100.0,
-        });
-        // A 10^6x underestimate: the sample clamps to ln(100).
-        s.observe(&q(1), 1.0, 1e6);
-        let corrected = s.apply(&q(2), 3.0);
-        assert!((corrected - 300.0).abs() < 1e-6, "corrected {corrected}");
+        let s = FeedbackStore::default();
+        // 10^6x underestimates: each sample clamps to ln(MAX_CORRECTION).
+        for lit in 1..=WARMUP as i64 {
+            s.observe(&q(lit), 1.0, 1e6);
+        }
+        let corrected = s.apply(&q(100), 3.0);
+        assert!(
+            (corrected - 3.0 * MAX_CORRECTION).abs() < 1e-6,
+            "corrected {corrected}"
+        );
         // Poisoned truths are rejected outright.
-        assert!(!s.observe(&q(3), 5.0, f64::NAN));
-        assert!(!s.observe(&q(3), 5.0, f64::INFINITY));
-        assert!(!s.observe(&q(3), 5.0, -1.0));
+        assert!(!s.observe(&q(101), 5.0, f64::NAN));
+        assert!(!s.observe(&q(101), 5.0, f64::INFINITY));
+        assert!(!s.observe(&q(101), 5.0, -1.0));
         // Poisoned estimates record the truth but no correction sample.
-        assert!(s.observe(&q(4), f64::NAN, 9.0));
-        assert_eq!(s.apply(&q(4), 123.0), 9.0);
+        assert!(s.observe(&q(102), f64::NAN, 9.0));
+        assert_eq!(s.apply(&q(102), 123.0), 9.0);
         // Non-finite inner estimates pass through a template miss
         // untouched rather than turning into NaN corrections.
-        assert!(s.apply(&q(5), f64::INFINITY).is_infinite());
+        assert!(s.apply(&q(103), f64::INFINITY).is_infinite());
         // A huge finite inner saturates instead of overflowing to +inf.
-        let sat = s.apply(&q(6), f64::MAX);
+        let sat = s.apply(&q(104), f64::MAX);
         assert!(sat.is_finite());
         let st = s.stats();
         assert_eq!(st.rejected, 4);
     }
 
     #[test]
-    fn wrapper_passthrough_when_disabled_or_empty() {
+    fn wrapper_passthrough_when_empty() {
         struct Fixed;
         impl CardEst for Fixed {
             fn name(&self) -> &'static str {
@@ -435,14 +380,11 @@ mod tests {
             mask: cardbench_query::TableMask::full(1),
             query: q(1),
         };
-        let on = FeedbackEst::new(Box::new(Fixed), Arc::clone(&store), true);
-        // Empty store: passthrough even when enabled.
+        let on = FeedbackEst::new(Box::new(Fixed), Arc::clone(&store));
+        // Empty store: passthrough.
         assert_eq!(on.estimate(&db, &sub).to_bits(), 321.5f64.to_bits());
         store.observe(&q(1), 321.5, 7.0);
         assert_eq!(on.estimate(&db, &sub), 7.0);
-        // Disabled wrapper ignores a warm store.
-        let off = FeedbackEst::new(Box::new(Fixed), Arc::clone(&store), false);
-        assert_eq!(off.estimate(&db, &sub).to_bits(), 321.5f64.to_bits());
         assert_eq!(on.name(), "Feedback");
         assert!(!on.is_oracle() && !on.supports_update() && !on.batch_leverage());
     }

@@ -14,7 +14,7 @@ use cardbench_engine::{CostModel, Database, ExecScratch, TrueCardService};
 use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_feedback::{FeedbackConfig, FeedbackEst, FeedbackStats, FeedbackStore};
+use cardbench_feedback::{FeedbackEst, FeedbackStats, FeedbackStore};
 use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
 use cardbench_workload::Workload;
 
@@ -167,7 +167,6 @@ pub struct AdaptiveExperiment {
 /// post-cutoff rows, and stream it twice more. The inner model is *not*
 /// updated at the shift — recovery is carried entirely by re-observed
 /// feedback.
-#[allow(clippy::too_many_arguments)] // one knob per experimental axis
 pub fn run_adaptive_experiment(
     stats_cfg: &StatsConfig,
     wl: &Workload,
@@ -175,16 +174,15 @@ pub fn run_adaptive_experiment(
     train: &TrainingSet,
     settings: &EstimatorSettings,
     cost: &CostModel,
-    fb_cfg: FeedbackConfig,
     opts: &RunOptions,
 ) -> AdaptiveExperiment {
     let full = stats_catalog(stats_cfg);
     let (stale_catalog, inserts) = temporal_split(&full, SPLIT_DAY);
     let stale_db = Database::new(stale_catalog);
 
-    let store = Arc::new(FeedbackStore::new(fb_cfg));
+    let store = Arc::new(FeedbackStore::default());
     let BuiltEstimator { est, .. } = build_estimator(inner, &stale_db, train, settings);
-    let wrapped = FeedbackEst::new(est, Arc::clone(&store), true);
+    let wrapped = FeedbackEst::new(est, Arc::clone(&store));
 
     let truth = TrueCardService::new();
     let warmup = run_workload_adaptive(&stale_db, wl, &wrapped, &store, &truth, cost, opts);
@@ -236,14 +234,14 @@ mod tests {
     #[test]
     fn replay_with_warm_store_reaches_oracle_accuracy() {
         let b = Bench::build(BenchConfig::fast(7));
-        let store = Arc::new(FeedbackStore::new(FeedbackConfig::default()));
+        let store = Arc::new(FeedbackStore::default());
         let built = build_estimator(
             EstimatorKind::Postgres,
             &b.stats_db,
             &b.stats_train,
             &b.config.settings,
         );
-        let wrapped = FeedbackEst::new(built.est, Arc::clone(&store), true);
+        let wrapped = FeedbackEst::new(built.est, Arc::clone(&store));
         let truth = TrueCardService::new();
         let cost = CostModel::default();
         let opts = RunOptions::default();
@@ -287,8 +285,9 @@ mod tests {
 
     #[test]
     fn adaptive_run_without_feedback_matches_parallel_harness() {
-        // The sequential adaptive loop with a disabled wrapper must be
-        // bit-identical (non-timing fields) to the parallel harness.
+        // The sequential adaptive loop over the bare inner estimator
+        // must be bit-identical (non-timing fields) to the parallel
+        // harness.
         let b = Bench::build(BenchConfig::fast(9));
         let store = Arc::new(FeedbackStore::default());
         let built = build_estimator(
@@ -297,13 +296,12 @@ mod tests {
             &b.stats_train,
             &b.config.settings,
         );
-        let wrapped = FeedbackEst::new(built.est, Arc::clone(&store), false);
         let truth = TrueCardService::new();
         let cost = CostModel::default();
         let adaptive = run_workload_adaptive(
             &b.stats_db,
             &b.stats_wl,
-            &wrapped,
+            built.est.as_ref(),
             &store,
             &truth,
             &cost,
@@ -312,7 +310,7 @@ mod tests {
         let baseline = run_workload(
             &b.stats_db,
             &b.stats_wl,
-            wrapped.inner(),
+            built.est.as_ref(),
             &truth,
             &cost,
             &RunOptions::default(),
@@ -333,10 +331,8 @@ mod tests {
             assert_eq!(a.p_error.to_bits(), r.p_error.to_bits());
             assert_eq!(a.result_rows, r.result_rows);
         }
-        // Disabled wrapper still *observes* nothing — the store stayed
-        // untouched because observation is the runner's job and the
-        // disabled flag only gates resolution; but resolution counters
-        // must be zero.
+        // The runner observed into the store, but nothing resolved
+        // through it.
         assert_eq!(store.stats().hits, 0);
     }
 
@@ -361,7 +357,6 @@ mod tests {
             &TrainingSet::default(),
             &settings,
             &CostModel::default(),
-            FeedbackConfig::default(),
             &RunOptions::default(),
         );
         // Warm replay on unchanged data is oracle-accurate.

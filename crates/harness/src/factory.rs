@@ -68,7 +68,6 @@ pub fn build_estimator(
         EstimatorKind::Feedback => Box::new(FeedbackEst::new(
             Box::new(PostgresEst::fit(db)),
             Arc::new(FeedbackStore::default()),
-            true,
         )),
     };
     let train_time = t0.elapsed();

@@ -9,17 +9,17 @@
 //!   q-error worse than the warmup pass (warmup monotonicity);
 //! - poisoned observations (NaN/±inf/negative estimates or truths) can
 //!   never make the store emit a non-finite or negative estimate, and
-//!   corrections stay within the configured clamp band.
+//!   corrections stay within the clamp band.
 
 use std::sync::{Arc, OnceLock};
 
 use cardbench_engine::{CostModel, TrueCardService};
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_feedback::{FeedbackConfig, FeedbackEst, FeedbackStore};
+use cardbench_feedback::{FeedbackEst, FeedbackStore, MAX_CORRECTION, WARMUP};
 use cardbench_harness::{
     build_estimator, median_q_error, run_workload_adaptive, Bench, BenchConfig, RunOptions,
 };
-use cardbench_query::{connected_subsets, JoinQuery, SubPlanQuery};
+use cardbench_query::{connected_subsets, JoinQuery, Region, SubPlanQuery};
 use cardbench_support::proptest::prelude::*;
 use cardbench_workload::{stats_ceb, WorkloadConfig};
 
@@ -62,7 +62,7 @@ fn empty_store_is_bit_identical_to_inner_for_all_kinds() {
     let db = &b.stats_db;
     for kind in EstimatorKind::ALL {
         let built = build_estimator(kind, db, &b.stats_train, &b.config.settings);
-        let wrapped = FeedbackEst::new(built.est, Arc::new(FeedbackStore::default()), true);
+        let wrapped = FeedbackEst::new(built.est, Arc::new(FeedbackStore::default()));
         for q in random_queries(31) {
             let subs = subplans(&q);
             let inner_batch = wrapped.inner().estimate_batch(db, &subs);
@@ -110,8 +110,8 @@ proptest! {
             &b.stats_train,
             &b.config.settings,
         );
-        let store = Arc::new(FeedbackStore::new(FeedbackConfig::default()));
-        let est = FeedbackEst::new(built.est, Arc::clone(&store), true);
+        let store = Arc::new(FeedbackStore::default());
+        let est = FeedbackEst::new(built.est, Arc::clone(&store));
         let truth = TrueCardService::new();
         let cost = CostModel::default();
         let wl = {
@@ -136,7 +136,10 @@ proptest! {
     /// Poisoning: arbitrary garbage observations (non-finite or negative
     /// estimates and truths, plus wild-but-valid magnitudes) never make
     /// `apply` return a non-finite or negative value, and any correction
-    /// stays inside the configured clamp band around the inner estimate.
+    /// stays inside the clamp band around the inner estimate. The garbage
+    /// arrives on distinct structural siblings of one query, followed by
+    /// `WARMUP` wild ones, so the template is warm and the band is
+    /// checked on every case.
     #[test]
     fn poisoned_store_never_emits_non_finite_or_unclamped(
         seed in 0u64..1000,
@@ -149,53 +152,64 @@ proptest! {
         const TRUTH_POISON: [f64; 6] = [
             f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0, 0.0, 1e18,
         ];
-        let ests: Vec<f64> = est_picks.iter().map(|&i| EST_POISON[i]).collect();
-        let truths: Vec<f64> = truth_picks.iter().map(|&i| TRUTH_POISON[i]).collect();
-        let cfg = FeedbackConfig { warmup: 1, ..FeedbackConfig::default() };
-        let max_c = cfg.max_correction;
-        let store = FeedbackStore::new(cfg);
+        let picks = est_picks.iter().zip(&truth_picks).map(|(&e, &t)| (EST_POISON[e], TRUTH_POISON[t]));
+        let wild = std::iter::repeat_n((1e-300, 1e18), WARMUP as usize);
+        let values: Vec<(f64, f64)> = picks.chain(wild).collect();
+        let store = FeedbackStore::default();
         let queries = random_queries(seed);
-        let q = &queries[0];
-        // Poison the store: same structural template, garbage values.
-        for (e, t) in ests.iter().zip(&truths) {
-            store.observe(q, *e, *t);
+        let q = queries.iter().find(|q| !q.predicates.is_empty()).expect("a filtered query");
+        for (i, &(e, t)) in values.iter().enumerate() {
+            store.observe(&sibling(q, i as i64), e, t);
         }
         for inner in [0.0, 1.0, 42.5, 1e12, f64::MAX] {
             let out = store.apply(q, inner);
+            prop_assert!(out.is_finite() && out >= 0.0, "apply({inner}) produced {out}");
+        }
+        // A structural sibling with no exact entry only ever sees a
+        // clamped multiplicative correction.
+        let sib = sibling(q, 1_000_000);
+        let before = store.stats().corrections;
+        for inner in [1.0, 1e6] {
+            let out = store.apply(&sib, inner);
+            prop_assert!(out.is_finite() && out >= 0.0);
+            let ratio = out / inner;
             prop_assert!(
-                out.is_finite() && out >= 0.0,
-                "apply({inner}) produced {out}"
+                (1.0 / MAX_CORRECTION - 1e-12..=MAX_CORRECTION + 1e-12).contains(&ratio),
+                "correction ratio {ratio} escaped the clamp band"
             );
         }
-        // A structural sibling (no exact entry) only ever sees a clamped
-        // multiplicative correction.
-        if queries.len() > 1 && queries[1].template_hash() == q.template_hash() {
-            let sib = &queries[1];
-            for inner in [1.0, 1e6] {
-                let out = store.apply(sib, inner);
-                prop_assert!(out.is_finite() && out >= 0.0);
-                if out != inner {
-                    let ratio = out / inner;
-                    prop_assert!(
-                        ratio >= 1.0 / max_c - 1e-12 && ratio <= max_c + 1e-12,
-                        "correction ratio {ratio} escaped the clamp band"
-                    );
-                }
-            }
-        }
-        // Every call is accounted for: each either counts as an
-        // observation or a rejected truth, plus at most one extra
-        // `rejected` tick when the first accepted truth arrived with a
-        // poisoned estimate (recorded but useless as a correction).
         let stats = store.stats();
-        let total = stats.observations + stats.rejected;
-        let n = ests.len() as u64;
-        prop_assert!(
-            total == n || total == n + 1,
-            "observations {} + rejected {} vs {} calls",
-            stats.observations,
-            stats.rejected,
-            n
-        );
+        prop_assert_eq!(stats.corrections - before, 2, "the template was warm");
+        // Every call is accounted for: a poisoned truth is rejected; an
+        // accepted one is an observation, and its sample is rejected too
+        // when the estimate beside it is poisoned.
+        let bad_truth = |t: f64| !t.is_finite() || t < 0.0;
+        let bad_est = |e: f64| !e.is_finite() || e <= 0.0;
+        let rejected = values.iter().filter(|&&(e, t)| bad_truth(t) || bad_est(e)).count();
+        let observed = values.iter().filter(|&&(_, t)| !bad_truth(t)).count();
+        prop_assert_eq!((stats.observations, stats.rejected), (observed as u64, rejected as u64));
     }
+}
+
+/// `q` with every literal moved by `by`: a structural sibling (same
+/// template, other constants), and `q` itself for `by == 0`.
+fn sibling(q: &JoinQuery, by: i64) -> JoinQuery {
+    let shift = |v: i64| {
+        if v == i64::MIN || v == i64::MAX {
+            v
+        } else {
+            v + by
+        }
+    };
+    let mut s = q.clone();
+    for p in &mut s.predicates {
+        p.region = match &p.region {
+            Region::Range { lo, hi } => Region::Range {
+                lo: shift(*lo),
+                hi: shift(*hi),
+            },
+            Region::In(values) => Region::In(values.iter().map(|&v| shift(v)).collect()),
+        };
+    }
+    s
 }

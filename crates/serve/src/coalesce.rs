@@ -55,7 +55,7 @@ use cardbench_engine::Database;
 use cardbench_estimators::CardEst;
 use cardbench_harness::{deadline_budget, estimate_all, guarded_estimate_batch, EstimateError};
 use cardbench_obs::counter_add;
-use cardbench_query::SubPlanQuery;
+use cardbench_query::{JoinQuery, SubPlanQuery};
 
 use crate::breaker::Admission;
 use crate::Shared;
@@ -419,11 +419,11 @@ pub struct CoalesceOutcome {
 /// A single job takes the harness's own per-query path
 /// ([`estimate_all`]: batch-first, guarded, oracle warm-timing) — a tick
 /// with no concurrency behaves exactly like the batch harness. Multiple
-/// jobs are deduplicated by sub-plan identity `(canonical_hash, mask)`
-/// and estimated in one guarded combined batch; each slot's value is
-/// then routed back to every job that asked for it. On a poisoned
-/// combined batch every job degrades independently through
-/// [`estimate_all`], preserving per-sub-plan fault attribution.
+/// jobs are deduplicated by sub-plan identity (the projected query, in
+/// its table order, and its mask) and estimated in one guarded combined
+/// batch; each slot's value is then routed back to every job that asked
+/// for it. On a poisoned combined batch every job degrades independently
+/// through [`estimate_all`], preserving per-sub-plan fault attribution.
 ///
 /// Values are bit-identical to the sequential path in all cases (see
 /// the module docs); only latency attribution differs — combined-batch
@@ -449,18 +449,20 @@ pub fn coalesce_estimate(
         };
     }
 
-    // Dedup across sessions: identical sub-plans (same canonical query
-    // hash and table mask — sessions replaying a shared workload overlap
-    // heavily) are estimated once. `slot_of[job][i]` maps each original
-    // slot to its index in the unique batch.
+    // Dedup across sessions: identical sub-plans (sessions replaying a
+    // shared workload overlap heavily) are estimated once. The key is the
+    // sub-plan itself, not its order-free `canonical_hash`: estimators
+    // that root a join tree at the first table answer a reordered query
+    // differently. `slot_of[job][i]` maps each original slot to its
+    // index in the unique batch.
     let mut unique: Vec<SubPlanQuery> = Vec::with_capacity(total_subplans);
-    let mut index: std::collections::HashMap<(u64, u64), usize> =
+    let mut index: std::collections::HashMap<(&JoinQuery, u64), usize> =
         std::collections::HashMap::with_capacity(total_subplans);
     let mut slot_of: Vec<Vec<usize>> = Vec::with_capacity(jobs.len());
     for subs in jobs {
         let mut slots = Vec::with_capacity(subs.len());
         for sub in *subs {
-            let key = (sub.query.canonical_hash(), sub.mask.0);
+            let key = (&sub.query, sub.mask.0);
             let idx = *index.entry(key).or_insert_with(|| {
                 unique.push(sub.clone());
                 unique.len() - 1

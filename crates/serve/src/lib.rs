@@ -117,7 +117,7 @@ use breaker::Breaker;
 use coalesce::{typed_slots, Reply, SlotResults};
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
-pub use cardbench_feedback::{FeedbackConfig, FeedbackStats};
+pub use cardbench_feedback::FeedbackStats;
 pub use coalesce::{coalesce_estimate, CoalesceOutcome, TickFault};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use prom_http::{HealthProbes, PromServer};
@@ -162,13 +162,13 @@ pub struct ServeConfig {
     /// duration; `Duration::ZERO` never counts a tick wedged (no
     /// takeovers, and `/healthz` ignores tick age).
     pub heartbeat_stale_after: Duration,
-    /// Execution-feedback cache shared by every session: `Some` wraps
+    /// Execution-feedback cache shared by every session: `true` wraps
     /// the served estimator in a [`FeedbackEst`] over one
     /// [`FeedbackStore`], and each planned query's true sub-plan
-    /// cardinalities are observed back into the store. `None` (the
+    /// cardinalities are observed back into the store. `false` (the
     /// default) leaves the service bit-identical to a feedback-less
     /// build — pinned by the differential tests.
-    pub feedback: Option<FeedbackConfig>,
+    pub feedback: bool,
 }
 
 impl Default for ServeConfig {
@@ -181,7 +181,7 @@ impl Default for ServeConfig {
             breaker: Some(BreakerConfig::default()),
             chaos: None,
             heartbeat_stale_after: Duration::from_secs(5),
-            feedback: None,
+            feedback: false,
         }
     }
 }
@@ -316,17 +316,15 @@ impl Shared {
         let queue = coalesce::JobQueue::new(cfg.queue_cap.max(1));
         // Feedback wraps the estimator *inside* the service, so
         // coalesced and inline ticks resolve through the same shared store.
-        let (est, feedback) = match cfg.feedback {
-            Some(fc) => {
-                let store = Arc::new(FeedbackStore::new(fc));
-                let wrapped: Arc<dyn CardEst> = Arc::new(FeedbackEst::new(
-                    Box::new(SharedEst(est)),
-                    Arc::clone(&store),
-                    true,
-                ));
-                (wrapped, Some(store))
-            }
-            None => (est, None),
+        let (est, feedback) = if cfg.feedback {
+            let store = Arc::new(FeedbackStore::default());
+            let wrapped: Arc<dyn CardEst> = Arc::new(FeedbackEst::new(
+                Box::new(SharedEst(est)),
+                Arc::clone(&store),
+            ));
+            (wrapped, Some(store))
+        } else {
+            (est, None)
         };
         let breaker = cfg.breaker.clone().map(|bc| Breaker::new(bc, est.name()));
         Shared {
@@ -474,11 +472,6 @@ impl Server {
     /// Live session count (tests and load reporting).
     pub fn live_sessions(&self) -> usize {
         self.shared.live_sessions()
-    }
-
-    /// The served estimator's display name.
-    pub fn estimator_name(&self) -> &'static str {
-        self.shared.est.name()
     }
 
     /// Whether the served estimator has real batch leverage (coalescing

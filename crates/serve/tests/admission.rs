@@ -7,6 +7,8 @@
 //! - a panicking estimator inside a coalesced batch degrades only the
 //!   affected requests (PR 5's batch→per-call fallback semantics hold
 //!   under concurrency);
+//! - cross-session dedup merges only identical sub-plans, never two
+//!   table orders of one query;
 //! - abrupt session teardown mid-flight leaves the service serving
 //!   everyone else (no deadlock, no stranded lease).
 
@@ -14,11 +16,14 @@ use std::sync::{Arc, OnceLock};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
+use cardbench_estimators::bayescard::BayesCard;
 use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_harness::EstimateError;
-use cardbench_query::{connected_subsets, SubPlanQuery};
+use cardbench_query::{
+    connected_subsets, JoinEdge, JoinQuery, Predicate, Region, SubPlanQuery, TableMask,
+};
 use cardbench_serve::{coalesce_estimate, ServeConfig, Server};
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
 
@@ -173,6 +178,49 @@ fn coalesced_panic_degrades_only_affected_requests() {
             want.to_bits(),
             "job B slot {i} perturbed by a sibling job's panic"
         );
+    }
+}
+
+/// Cross-session dedup never merges two orders of the same tables: the
+/// order-free `canonical_hash` is equal for `[users, posts]` and
+/// `[posts, users]`, but BayesCard roots its join tree at the first
+/// table, so each order has an answer of its own and each job must get
+/// it.
+#[test]
+fn coalesced_dedup_keeps_each_table_order() {
+    let est = BayesCard::fit(db(), 16);
+    for predicates in [vec![], vec![Predicate::new(0, "Reputation", Region::ge(5))]] {
+        let users_first = JoinQuery {
+            tables: vec!["users".into(), "posts".into()],
+            joins: vec![JoinEdge::new(0, "Id", 1, "OwnerUserId")],
+            predicates: predicates.clone(),
+        };
+        let posts_first = JoinQuery {
+            tables: vec!["posts".into(), "users".into()],
+            joins: vec![JoinEdge::new(1, "Id", 0, "OwnerUserId")],
+            predicates: predicates
+                .iter()
+                .map(|p| Predicate {
+                    table: 1,
+                    ..p.clone()
+                })
+                .collect(),
+        };
+        assert_eq!(users_first.canonical_hash(), posts_first.canonical_hash());
+        let jobs =
+            [users_first, posts_first].map(|q| vec![SubPlanQuery::project(&q, TableMask::full(2))]);
+        let out = coalesce_estimate(&est, db(), &[&jobs[0], &jobs[1]], None);
+        assert!(!out.fell_back);
+        for (job, result) in jobs.iter().zip(&out.results) {
+            let got = result[0].0.as_ref().expect("a clean slot");
+            let alone = est.estimate(db(), &job[0]);
+            assert_eq!(
+                got.to_bits(),
+                alone.to_bits(),
+                "{:?}: {got} vs {alone} alone",
+                job[0].query.tables
+            );
+        }
     }
 }
 

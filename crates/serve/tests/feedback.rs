@@ -9,7 +9,7 @@ use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{build_estimator, Bench, BenchConfig, PlannedQuery};
-use cardbench_serve::{FeedbackConfig, ServeConfig, Server};
+use cardbench_serve::{ServeConfig, Server};
 use cardbench_workload::Workload;
 
 struct Ctx {
@@ -39,7 +39,7 @@ fn feedback_server(est: Arc<dyn CardEst>) -> Arc<Server> {
         est,
         CostModel::default(),
         ServeConfig {
-            feedback: Some(FeedbackConfig::default()),
+            feedback: true,
             ..ServeConfig::default()
         },
     ))

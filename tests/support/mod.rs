@@ -3,17 +3,25 @@
 //! requests made while armed. A test binary that declares
 //! `mod support;` runs on it.
 //!
-//! The counter is process-wide, so such a binary holds one test only: a
-//! second test thread would allocate into the count.
+//! Only the thread that armed the counter counts. Other threads would
+//! allocate into it at any time: a second test, and the test harness
+//! itself, whose "has been running for over 60 seconds" notice
+//! allocates. The totals are still process-wide, so such a binary holds
+//! one test only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size are the ones that page-fault when
 /// they come back from the operating system.
 pub const LARGE_BYTES: usize = 64 << 10;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialized and without a destructor: reading it from inside
+    // the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -21,7 +29,7 @@ static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 struct Counting;
 
 fn note(size: usize) {
-    if ARMED.load(Ordering::Relaxed) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         if size >= LARGE_BYTES {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -31,7 +39,7 @@ fn note(size: usize) {
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counting touches only
-// atomics and never allocates.
+// atomics and a thread-local flag, and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -73,9 +81,9 @@ pub struct Counted {
 pub fn counting<R>(f: impl FnOnce() -> R) -> (R, Counted) {
     ALLOCS.store(0, Ordering::Relaxed);
     LARGE_ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
     let out = f();
-    ARMED.store(false, Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(false));
     let counted = Counted {
         allocs: ALLOCS.load(Ordering::Relaxed),
         large: LARGE_ALLOCS.load(Ordering::Relaxed),
