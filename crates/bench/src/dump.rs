@@ -3,12 +3,11 @@
 //! workload, under `./cardbench_export/` — for loading into an external
 //! DBMS.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cardbench_harness::Bench;
-use cardbench_query::sql::to_sql;
 use cardbench_storage::csv::write_table;
+use cardbench_workload::write_workload;
 
 use crate::args::{Args, Fail};
 use crate::trace_check::Required;
@@ -31,20 +30,8 @@ pub fn run(args: &Args) -> Result<Option<&'static Required>, Fail> {
             write_table(table, &path).map_err(|e| format!("{}: {e}", path.display()))?;
             println!("wrote {} ({} rows)", path.display(), table.row_count());
         }
-        let mut sql = String::new();
-        for wq in &wl.queries {
-            writeln!(
-                sql,
-                "-- Q{} (template {}, true card {})\n{}",
-                wq.id,
-                wq.template_id,
-                wq.true_card,
-                to_sql(&wq.query)
-            )
-            .expect("writing to a String");
-        }
         let path = d.join(format!("{}.sql", wl.name.to_lowercase()));
-        std::fs::write(&path, sql).map_err(io)?;
+        write_workload(wl, &path).map_err(|e| e.to_string())?;
         println!("wrote {} ({} queries)", path.display(), wl.queries.len());
     }
     Ok(None)

@@ -71,7 +71,7 @@ pub struct LatentRowModel {
 
 impl LatentRowModel {
     /// `levels`: resolution of the latent variable; `latent_alpha`: skew of
-    /// the latent itself; `coupling`: attribute-latent coupling in [0,1].
+    /// the latent itself; `coupling`: attribute-latent coupling in `[0, 1]`.
     pub fn new(levels: usize, latent_alpha: f64, coupling: f64) -> LatentRowModel {
         LatentRowModel {
             latent: Zipf::new(levels, latent_alpha),

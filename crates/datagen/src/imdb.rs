@@ -29,7 +29,7 @@ const BASE_ROWS: [(&str, usize); 6] = [
 /// Configuration of the simplified-IMDB generator.
 #[derive(Debug, Clone)]
 pub struct ImdbConfig {
-    /// Row-count multiplier versus [`BASE_ROWS`].
+    /// Row-count multiplier versus `BASE_ROWS`.
     pub scale: f64,
     /// RNG seed.
     pub seed: u64,

@@ -2,7 +2,7 @@
 //!
 //! The executor is vectorized and does only the work `COUNT(*)` needs:
 //!
-//! - **Late materialization.** An intermediate [`Chunk`] carries one
+//! - **Late materialization.** An intermediate `Chunk` carries one
 //!   row-id selection vector per base table still needed above — never
 //!   gathered value columns. Each join gathers exactly the two key
 //!   columns it probes (straight out of the base columns through the

@@ -5,10 +5,11 @@ use cardbench_query::BoundQuery;
 
 use crate::cost::CostModel;
 use crate::database::Database;
-use crate::optimizer::CardMap;
+use crate::optimizer::{plan_cost, CardMap};
 use crate::plan::PhysicalPlan;
 
-/// Renders a plan with estimated rows and cumulative cost per node:
+/// Renders a plan with estimated rows and cumulative cost per node (the
+/// subtree's [`plan_cost`] under `cards`):
 ///
 /// ```text
 /// HashJoin  (rows=4352 cost=312.4)
@@ -23,85 +24,11 @@ pub fn explain(
     cost: &CostModel,
     cards: &CardMap,
 ) -> String {
-    let mut out = String::new();
-    render(plan, db, bound, tables, cost, cards, 0, &mut out);
-    out
-}
-
-/// Returns the cumulative cost of the subtree while rendering it.
-#[allow(clippy::too_many_arguments)]
-fn render(
-    plan: &PhysicalPlan,
-    db: &Database,
-    bound: &BoundQuery,
-    tables: &[String],
-    cost: &CostModel,
-    cards: &CardMap,
-    depth: usize,
-    out: &mut String,
-) -> f64 {
-    let pad = "  ".repeat(depth);
-    match plan {
-        PhysicalPlan::Scan {
-            table_pos,
-            method,
-            mask,
-            ..
-        } => {
-            let table_rows = db.row_count(bound.tables[*table_pos].id) as f64;
-            let rows = cards.rows(*mask);
-            let c = cost.scan_cost(*method, table_rows, rows);
-            out.push_str(&format!(
-                "{pad}{method:?}Scan {}  (rows={rows:.0} cost={c:.1})\n",
-                tables[*table_pos]
-            ));
-            c
-        }
-        PhysicalPlan::Join {
-            algo,
-            left,
-            right,
-            mask,
-            ..
-        } => {
-            let rows = cards.rows(*mask);
-            // Children are rendered after the header, but their cost is
-            // needed first — render into a scratch buffer.
-            let mut scratch = String::new();
-            let lc = render(
-                left,
-                db,
-                bound,
-                tables,
-                cost,
-                cards,
-                depth + 1,
-                &mut scratch,
-            );
-            let rc = render(
-                right,
-                db,
-                bound,
-                tables,
-                cost,
-                cards,
-                depth + 1,
-                &mut scratch,
-            );
-            let own = cost.join_cost(
-                *algo,
-                cards.rows(left.mask()),
-                cards.rows(right.mask()),
-                rows,
-            );
-            let total = lc + rc + own;
-            out.push_str(&format!(
-                "{pad}{algo:?}Join  (rows={rows:.0} cost={total:.1})\n"
-            ));
-            out.push_str(&scratch);
-            total
-        }
-    }
+    let rows = |m| cards.rows(m);
+    plan.render(tables, &|node| {
+        let c = plan_cost(node, db, bound, cost, &rows);
+        format!(" (rows={:.0} cost={c:.1})", rows(node.mask()))
+    })
 }
 
 #[cfg(test)]

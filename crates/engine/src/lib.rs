@@ -17,7 +17,7 @@
 //!   `calc_joinrel_size_estimate` — replayed densely over a cached
 //!   [`topology::JoinTopology`].
 //! - [`executor`]: real execution of physical plans over column data.
-//! - [`explain`]: EXPLAIN-style plan rendering with costs.
+//! - [`explain`](mod@explain): EXPLAIN-style plan rendering with costs.
 //! - [`truecard`]: exact sub-plan cardinalities via join-tree message
 //!   passing (the oracle behind TrueCard, Q-Error and P-Error).
 //!

@@ -137,9 +137,10 @@ impl PhysicalPlan {
         f(self);
     }
 
-    /// Pretty-prints the tree with row annotations, one node per line
-    /// (used by the Figure-2 case-study renderer).
-    pub fn render(&self, tables: &[String], annotate: &impl Fn(TableMask) -> String) -> String {
+    /// Pretty-prints the tree, one node per line, each followed by
+    /// `annotate` of that node: the Figure-2 case study's estimated and
+    /// true rows, or [`explain`](fn@crate::explain)'s rows and subtree cost.
+    pub fn render(&self, tables: &[String], annotate: &impl Fn(&PhysicalPlan) -> String) -> String {
         let mut out = String::new();
         self.render_into(tables, annotate, 0, &mut out);
         out
@@ -148,32 +149,25 @@ impl PhysicalPlan {
     fn render_into(
         &self,
         tables: &[String],
-        annotate: &impl Fn(TableMask) -> String,
+        annotate: &impl Fn(&PhysicalPlan) -> String,
         depth: usize,
         out: &mut String,
     ) {
         let pad = "  ".repeat(depth);
         match self {
             PhysicalPlan::Scan {
-                table_pos,
-                method,
-                mask,
-                ..
+                table_pos, method, ..
             } => {
                 out.push_str(&format!(
                     "{pad}{method:?}Scan {} {}\n",
                     tables[*table_pos],
-                    annotate(*mask)
+                    annotate(self)
                 ));
             }
             PhysicalPlan::Join {
-                algo,
-                left,
-                right,
-                mask,
-                ..
+                algo, left, right, ..
             } => {
-                out.push_str(&format!("{pad}{algo:?}Join {}\n", annotate(*mask)));
+                out.push_str(&format!("{pad}{algo:?}Join {}\n", annotate(self)));
                 left.render_into(tables, annotate, depth + 1, out);
                 right.render_into(tables, annotate, depth + 1, out);
             }
@@ -246,7 +240,9 @@ mod tests {
     #[test]
     fn render_contains_tables() {
         let p = sample();
-        let s = p.render(&["a".into(), "b".into()], &|m| format!("[{}]", m.count()));
+        let s = p.render(&["a".into(), "b".into()], &|n| {
+            format!("[{}]", n.mask().count())
+        });
         assert!(s.contains("SeqScan a [1]"));
         assert!(s.contains("IndexScan b [1]"));
         assert!(s.contains("HashJoin [2]"));

@@ -10,9 +10,13 @@
 //! plans — unlike a Q-Error-minimizing calibration, which would weight
 //! all sub-plans equally (paper O12/O13).
 
-use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_metrics::p_error;
-use cardbench_query::{connected_subsets, BoundQuery, JoinQuery, SubPlanQuery};
+use std::sync::Arc;
+
+use cardbench_engine::{
+    clamp_row_est, optimize_topo, CardMap, CostModel, Database, TrueCardService,
+};
+use cardbench_metrics::TruthCost;
+use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
 use cardbench_storage::Table;
 
 use crate::CardEst;
@@ -45,31 +49,35 @@ impl<E: CardEst> PErrorCalibrated<E> {
             .max()
             .unwrap_or(1);
         let mut factors = vec![1.0; max_tables];
-        // Pre-compute raw estimates and truths per query/sub-plan.
+        // Per query, once: the raw estimate and table count of each
+        // sub-plan (dense over the query's topology) and the truth half of
+        // P-Error, which no trial's factors can move.
         let mut prepared = Vec::new();
         for q in validation {
             let Ok(bound) = BoundQuery::bind(q, db.catalog()) else {
                 continue;
             };
-            let mut subs = Vec::new();
-            for mask in connected_subsets(q) {
+            let topo = db.topology(q, &bound);
+            let (mut ests, mut true_rows) = (Vec::new(), CardMap::new());
+            for &mask in topo.masks() {
                 let sp = SubPlanQuery::project(q, mask);
-                let raw = inner.estimate(db, &sp);
-                let t = truth.cardinality(db, &sp.query).unwrap_or(1.0);
-                subs.push((mask, sp.query.table_count(), raw, t));
+                ests.push((sp.query.table_count(), inner.estimate(db, &sp)));
+                true_rows.insert(mask, truth.cardinality(db, &sp.query).unwrap_or(1.0));
             }
-            prepared.push((q.clone(), bound, subs));
+            let dense_true = true_rows.dense_view(&topo);
+            let truth = TruthCost::new(db, cost, Arc::clone(&topo), &bound, dense_true);
+            prepared.push((bound, topo, ests, truth));
         }
         let objective = |factors: &[f64]| -> f64 {
             let mut total = 0.0;
-            for (q, bound, subs) in &prepared {
-                let mut est_cards = cardbench_engine::CardMap::new();
-                let mut true_cards = cardbench_engine::CardMap::new();
-                for &(mask, k, raw, t) in subs {
-                    est_cards.insert(mask, raw * factors[k - 1]);
-                    true_cards.insert(mask, t);
-                }
-                total += p_error(db, cost, q, bound, &est_cards, &true_cards);
+            for (bound, topo, ests, truth) in &prepared {
+                // What `CardMap::insert` would store, without the map.
+                let dense: Vec<f64> = ests
+                    .iter()
+                    .map(|&(k, raw)| clamp_row_est(raw * factors[k - 1], f64::MAX).0)
+                    .collect();
+                let (_, plan) = optimize_topo(topo, bound, db, &dense, cost, false);
+                total += truth.p_error(db, cost, bound, &plan);
             }
             total
         };
@@ -191,6 +199,9 @@ mod tests {
         // output estimate changes nothing downstream): its factor must
         // move up toward the 100× truth.
         assert!(cal.factors()[1] > 1.0, "factors {:?}", cal.factors());
+        // Pinned: computing each query's truth half once per
+        // calibration, not once per trial, moves no factor.
+        assert_eq!(cal.factors(), [0.5, 64.0, 1.0]);
     }
 
     #[test]

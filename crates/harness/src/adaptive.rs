@@ -15,7 +15,7 @@ use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::{FeedbackEst, FeedbackStats, FeedbackStore};
-use cardbench_query::{BoundQuery, JoinQuery, SubPlanQuery};
+use cardbench_query::SubPlanQuery;
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
@@ -50,53 +50,21 @@ pub fn run_workload_adaptive(
     let fallback: OnceLock<PostgresEst> = OnceLock::new();
     let mut scratch = ExecScratch::new();
     let mut runs = Vec::with_capacity(wl.queries.len());
+    let estimate = |subs: &[SubPlanQuery]| estimate_all(est, db, subs, opts.timeout);
     for wq in &wl.queries {
-        let planned = plan_query_via(
-            db,
-            wq,
-            &|subs| estimate_all(est, db, subs, opts.timeout),
-            truth,
-            cost,
-            &fallback,
-        );
+        let mut planned = plan_query_via(db, wq, &estimate, truth, cost, &fallback);
+        // The sub-plans the record was planned over are the ones to feed
+        // back: slot `i` of the run's cards is `subs[i]`.
+        let subs = std::mem::take(&mut planned.subs);
         let run = execute_one(db, planned, opts, &mut scratch);
         if run.completed() {
             let _fb = cardbench_obs::span_with("feedback", "adaptive", || format!("Q{}", run.id));
-            if let Ok(bound) = BoundQuery::bind(&wq.query, db.catalog()) {
-                observe_query(
-                    db,
-                    store,
-                    &wq.query,
-                    &bound,
-                    &run.sub_est_cards,
-                    &run.sub_true_cards,
-                );
-            }
+            store.observe_subplans(&subs, &run.sub_est_cards, &run.sub_true_cards);
         }
         runs.push(run);
     }
     record_feedback_metrics(est.name(), &before, &store.stats());
     runs
-}
-
-/// Feeds one planned query's (estimate seen, truth) pairs into `store`.
-/// Re-projects the sub-plan space (the topology is cached) so dense slot
-/// `i` of the recorded cards aligns with its sub-query.
-pub fn observe_query(
-    db: &Database,
-    store: &FeedbackStore,
-    query: &JoinQuery,
-    bound: &BoundQuery,
-    est_cards: &[f64],
-    true_cards: &[f64],
-) {
-    let topo = db.topology(query, bound);
-    let subs: Vec<SubPlanQuery> = topo
-        .masks()
-        .iter()
-        .map(|&mask| SubPlanQuery::project(query, mask))
-        .collect();
-    store.observe_subplans(&subs, est_cards, true_cards);
 }
 
 /// Folds this run's feedback-store traffic into the observability

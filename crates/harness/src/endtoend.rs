@@ -31,7 +31,7 @@ use cardbench_engine::{
 };
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_metrics::{p_error, q_error_checked, MetricInput};
+use cardbench_metrics::{q_error_checked, MetricInput, TruthCost};
 use cardbench_query::{BoundQuery, SubPlanQuery, TableMask};
 use cardbench_support::par;
 use cardbench_workload::{Workload, WorkloadQuery};
@@ -206,11 +206,13 @@ fn exec_stats_total(queries: &[QueryRun]) -> ExecStats {
     total
 }
 
-/// One query after phase 1: everything except timed execution.
+/// One query after phase 1: everything except timed execution. The one
+/// planning record: P-Error, feedback, the Figure 2 case study and
+/// serving all read it instead of planning again.
 ///
 /// Public so serving layers ([`plan_query_via`]) can run the planning
 /// pipeline without the harness's sequential execution phase; the fields
-/// mirror [`QueryRun`]'s planning-side subset.
+/// mirror [`QueryRun`]'s planning-side subset, plus the sub-plans.
 #[derive(Debug)]
 pub struct PlannedQuery {
     /// Workload query id.
@@ -239,6 +241,11 @@ pub struct PlannedQuery {
     pub clamped_subplans: u64,
     /// Sub-plans degraded to the PostgreSQL baseline estimate.
     pub fallback_subplans: u64,
+    /// The projected sub-plans, `connected_subsets` order (slot `i` of
+    /// `sub_est_cards` and `sub_true_cards` is `subs[i]`; its `mask`
+    /// keys the plan's nodes). Empty when planning failed; execution
+    /// drops them.
+    pub subs: Vec<SubPlanQuery>,
     /// `Ok`: ready to execute. `Err`: the query failed before planning
     /// completed (bind or truth error) and must not execute.
     pub plan: Result<(BoundQuery, PhysicalPlan), QueryFailure>,
@@ -327,8 +334,9 @@ pub fn run_workload(
     let fallback: OnceLock<PostgresEst> = OnceLock::new();
 
     // Phase 1: plan every query (parallel, order-preserving).
+    let estimate = |subs: &[SubPlanQuery]| estimate_all(est, db, subs, opts.timeout);
     let planned: Vec<PlannedQuery> = par::map(&todo, threads, |_, wq| {
-        plan_one(db, wq, est, truth, cost, opts, &fallback)
+        plan_query_via(db, wq, &estimate, truth, cost, &fallback)
     });
 
     // Phase 2: execute the chosen plans (sequential, timed). One scratch
@@ -523,27 +531,6 @@ pub fn estimate_all(
         .collect()
 }
 
-/// Phase-1 work for one query: sandboxed estimation over the sub-plan
-/// space, sanitized injection, plan choice, and metrics.
-pub(crate) fn plan_one(
-    db: &Database,
-    wq: &WorkloadQuery,
-    est: &dyn CardEst,
-    truth: &TrueCardService,
-    cost: &CostModel,
-    opts: &RunOptions,
-    fallback: &OnceLock<PostgresEst>,
-) -> PlannedQuery {
-    plan_query_via(
-        db,
-        wq,
-        &|subs| estimate_all(est, db, subs, opts.timeout),
-        truth,
-        cost,
-        fallback,
-    )
-}
-
 /// Per-sub-plan `(outcome, latency)` results, in the same order as the
 /// sub-plan slice they were computed from.
 pub type SubPlanOutcomes = Vec<(Result<f64, EstimateError>, Duration)>;
@@ -584,6 +571,7 @@ pub fn plan_query_via(
         est_failures: Vec::new(),
         clamped_subplans: 0,
         fallback_subplans: 0,
+        subs: Vec::new(),
         plan: Err(failure),
     };
 
@@ -698,18 +686,18 @@ pub fn plan_query_via(
         sub_est_cards.push(seen);
         sub_true_cards.push(t);
     }
-    // Replay the dense DP directly over the topology in hand; `p_error`
-    // refetches it from the cache (a hit) and shares it across its own
-    // two optimize calls and both costings.
+    // One DP over the estimates chooses the plan, and P-Error scores that
+    // plan against the truth half: the estimate DP runs once per query.
     let dense_est = est_cards.dense_view(&topo);
     let (_, plan) = optimize_topo(&topo, &bound, db, &dense_est, cost, false);
-    let pe = p_error(db, cost, query, &bound, &est_cards, &true_cards);
+    let dense_true = true_cards.dense_view(&topo);
+    let pe = TruthCost::new(db, cost, topo, &bound, dense_true).p_error(db, cost, &bound, &plan);
     PlannedQuery {
         id: wq.id,
         n_tables: query.table_count(),
         true_card: wq.true_card,
         plan_time,
-        subplans: masks.len(),
+        subplans: subs.len(),
         p_error: pe,
         q_errors,
         excluded_qerrors,
@@ -718,12 +706,14 @@ pub fn plan_query_via(
         est_failures,
         clamped_subplans: est_cards.clamped(),
         fallback_subplans,
+        subs,
         plan: Ok((bound, plan)),
     }
 }
 
 /// Phase-2 work for one planned query: warm-up plus median-of-three
-/// timed executions, under the optional memory budget.
+/// timed executions, under the optional memory budget. The sub-plans are
+/// dropped: a [`QueryRun`] does not keep them.
 pub(crate) fn execute_one(
     db: &Database,
     p: PlannedQuery,

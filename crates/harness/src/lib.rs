@@ -36,8 +36,8 @@ pub mod report;
 pub mod update_exp;
 
 pub use adaptive::{
-    median_p_error, median_q_error, observe_query, record_feedback_metrics,
-    run_adaptive_experiment, run_workload_adaptive, AdaptiveExperiment,
+    median_p_error, median_q_error, record_feedback_metrics, run_adaptive_experiment,
+    run_workload_adaptive, AdaptiveExperiment,
 };
 pub use checkpoint::{
     load_checkpoint, results_from_json, results_to_json, CheckpointRecord, CheckpointWriter,

@@ -10,8 +10,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use cardbench_engine::{optimize_topo, plan_cost, CardMap, CostModel, Database, PhysicalPlan};
-use cardbench_query::{BoundQuery, JoinQuery};
+use std::sync::Arc;
+
+use cardbench_engine::{
+    optimize_topo, plan_cost, CardMap, CostModel, Database, JoinTopology, PhysicalPlan,
+};
+use cardbench_query::{BoundQuery, JoinQuery, TableMask};
 
 /// Q-Error of one estimate: `max(est/true, true/est)` with both sides
 /// clamped to at least one row (PostgreSQL's clamp), so Q-Error ≥ 1.
@@ -84,10 +88,11 @@ pub fn ppc(
 /// estimates, costed with the truth, relative to the truth-chosen plan.
 /// ≥ 1 whenever the optimizer is exact over its own cost model.
 ///
-/// One [`cardbench_engine::JoinTopology`] is fetched from the database's
-/// topology cache and shared by all four steps: both optimize calls
-/// replay the dense DP over it, and both PPC costings read true rows
-/// through its dense index instead of hashing masks.
+/// One [`JoinTopology`] is fetched from the database's topology cache and
+/// shared by all four steps: both optimize calls replay the dense DP over
+/// it, and both PPC costings read true rows through its dense index. A
+/// caller that already holds the estimate plan scores it with
+/// [`TruthCost::p_error`] instead and skips the estimate DP.
 pub fn p_error(
     db: &Database,
     cost: &CostModel,
@@ -98,25 +103,75 @@ pub fn p_error(
 ) -> f64 {
     let topo = db.topology(query, bound);
     let dense_e = est_cards.dense_view(&topo);
-    let dense_t = true_cards.dense_view(&topo);
     let (_, plan_e) = optimize_topo(&topo, bound, db, &dense_e, cost, false);
-    let (ppc_t_own, plan_t) = optimize_topo(&topo, bound, db, &dense_t, cost, false);
-    // Dense truth lookup; 1.0 default for unindexed masks matches
-    // `CardMap::rows` (plans only ever carry connected masks, so the
-    // default is never hit in practice).
-    let rows_t =
-        |m: cardbench_query::TableMask| topo.index_of(m).map(|i| dense_t[i]).unwrap_or(1.0);
-    let ppc_e = plan_cost(&plan_e, db, bound, cost, &rows_t);
-    let ppc_t = plan_cost(&plan_t, db, bound, cost, &rows_t);
-    debug_assert_eq!(
-        ppc_t.to_bits(),
-        ppc_t_own.to_bits(),
-        "truth-planned cost must equal the DP's own cost under truth"
-    );
-    if ppc_t <= 0.0 {
-        1.0
-    } else {
-        ppc_e / ppc_t
+    let dense_t = true_cards.dense_view(&topo);
+    TruthCost::new(db, cost, topo, bound, dense_t).p_error(db, cost, bound, &plan_e)
+}
+
+/// The truth half of P-Error for one query: its true rows, dense over its
+/// topology, and `PPC(P(C^T), C^T)`, the true cost of the plan they
+/// choose. It does not depend on the estimates, so a caller that scores
+/// several estimate plans of one query computes it once.
+#[derive(Debug)]
+pub struct TruthCost {
+    topo: Arc<JoinTopology>,
+    rows: Vec<f64>,
+    optimal: f64,
+}
+
+impl TruthCost {
+    /// Plans the query from `rows` (the true cards, dense over `topo`,
+    /// as [`CardMap::dense_view`] gives them) and costs that plan.
+    pub fn new(
+        db: &Database,
+        cost: &CostModel,
+        topo: Arc<JoinTopology>,
+        bound: &BoundQuery,
+        rows: Vec<f64>,
+    ) -> TruthCost {
+        let (own, plan) = optimize_topo(&topo, bound, db, &rows, cost, false);
+        let mut truth = TruthCost {
+            topo,
+            rows,
+            optimal: 0.0,
+        };
+        truth.optimal = truth.cost_of(db, cost, bound, &plan);
+        debug_assert_eq!(
+            truth.optimal.to_bits(),
+            own.to_bits(),
+            "truth-planned cost must equal the DP's own cost under truth"
+        );
+        truth
+    }
+
+    /// P-Error of `plan`, the plan chosen from the estimates: its cost
+    /// under the true rows over the truth-chosen plan's.
+    pub fn p_error(
+        &self,
+        db: &Database,
+        cost: &CostModel,
+        bound: &BoundQuery,
+        plan: &PhysicalPlan,
+    ) -> f64 {
+        if self.optimal <= 0.0 {
+            1.0
+        } else {
+            self.cost_of(db, cost, bound, plan) / self.optimal
+        }
+    }
+
+    /// `PPC(plan, C^T)` through the dense index; 1.0 for unindexed masks
+    /// matches `CardMap::rows` (plans only ever carry connected masks, so
+    /// the default is never hit in practice).
+    fn cost_of(
+        &self,
+        db: &Database,
+        cost: &CostModel,
+        bound: &BoundQuery,
+        plan: &PhysicalPlan,
+    ) -> f64 {
+        let rows = |m: TableMask| self.topo.index_of(m).map_or(1.0, |i| self.rows[i]);
+        plan_cost(plan, db, bound, cost, &rows)
     }
 }
 

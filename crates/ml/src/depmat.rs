@@ -1,6 +1,6 @@
 //! Pairwise dependence scores between discretized columns.
 //!
-//! Plays the role RDC plays in DeepDB/FLAT: a [0,1] score used to decide
+//! Plays the role RDC plays in DeepDB/FLAT: a `[0, 1]` score used to decide
 //! independence splits (below ~0.3) and "highly correlated" grouping
 //! (above ~0.7). We use mutual information normalized by the smaller
 //! marginal entropy, which is 0 for independent columns and 1 when one

@@ -8,7 +8,7 @@
 //! XGBoost, SPFlow). This crate provides from-scratch Rust equivalents
 //! sized for the benchmark: dense feedforward networks with manual
 //! backprop and Adam ([`mlp`]), gradient-boosted regression trees
-//! ([`gbdt`]), discretization ([`discretize`]), k-means ([`kmeans`]),
+//! ([`gbdt`]), discretization ([`discretize`]), k-means ([`kmeans`](mod@kmeans)),
 //! pairwise dependence scores ([`depmat`]), Chow-Liu tree learning
 //! ([`chowliu`]) with tree-BN weighted-query inference ([`bayesnet`]),
 //! sum-product networks with joint multi-leaves ([`spn`]), and a discrete

@@ -51,11 +51,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
     /// Heap size in bytes (for model-size accounting).
     pub fn heap_size(&self) -> usize {
         self.data.len() * 4
@@ -163,15 +158,6 @@ impl SparseRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-        let t = a.transpose();
-        assert_eq!(t.rows, 3);
-        assert_eq!(t.get(2, 1), a.get(1, 2));
-        assert_eq!(t.transpose(), a);
-    }
 
     #[test]
     fn sparse_rows_keep_non_zeros_in_order() {

@@ -45,12 +45,6 @@ impl TableMask {
         self.0 & other.0 == 0
     }
 
-    /// True when `other` is a subset of `self`.
-    #[inline]
-    pub fn contains_all(self, other: TableMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-
     /// Number of tables present.
     #[inline]
     pub fn count(self) -> u32 {
@@ -333,7 +327,6 @@ mod tests {
         assert!(a.contains(0) && a.contains(2) && !a.contains(1));
         assert_eq!(a.count(), 2);
         assert!(a.disjoint(TableMask::single(1)));
-        assert!(TableMask::full(3).contains_all(a));
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 }

@@ -8,7 +8,8 @@
 //! PostgreSQL baseline ("failed, then degraded"). The breaker watches a
 //! rolling window of per-slot hard-fault outcomes and, once the rate
 //! crosses a threshold, **opens**: subsequent slots are shorted straight
-//! to the shared fallback with a typed [`EstimateError::Shorted`],
+//! to the shared fallback with a typed
+//! [`EstimateError::Shorted`](cardbench_harness::EstimateError::Shorted),
 //! skipping the estimator entirely. After a cooldown the breaker goes
 //! **half-open** and admits a single probe tick; a clean probe closes
 //! the circuit, a faulted one re-opens it.

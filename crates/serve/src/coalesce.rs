@@ -20,13 +20,13 @@
 //!    query degrades only that query's slots, identically to what the
 //!    batch harness would have produced.
 //!
-//! The submission queue is a crate-local [`JobQueue`] instead of an
+//! The submission queue is a crate-local `JobQueue` instead of an
 //! `mpsc` channel, and it carries the **lease** of the coalesced route:
 //! no thread serves it. A request that finds no tick running leads one
-//! on its own thread ([`serve_queued`]): it gathers the queued jobs,
+//! on its own thread (`serve_queued`): it gathers the queued jobs,
 //! runs the tick, answers them, and hands the lease to the owner of the
 //! next queued job (or frees it when nothing is queued). A request that
-//! finds a tick running queues its job and waits for a [`Reply`]: its
+//! finds a tick running queues its job and waits for a `Reply`: its
 //! answer, or the lease. Once a running tick is older than
 //! `heartbeat_stale_after`, a session whose job is still queued (or
 //! blocked on a full queue) takes the lease over and leads its own job;

@@ -106,9 +106,7 @@ use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_feedback::{FeedbackEst, FeedbackStore};
-use cardbench_harness::{
-    observe_query, plan_query_via, record_feedback_metrics, EstimateError, PlannedQuery,
-};
+use cardbench_harness::{plan_query_via, record_feedback_metrics, EstimateError, PlannedQuery};
 use cardbench_obs::{counter_add, gauge_set, observe_secs};
 use cardbench_query::{BoundQuery, SubPlanQuery};
 use cardbench_workload::WorkloadQuery;
@@ -664,17 +662,11 @@ impl Session {
             &sh.fallback,
         );
         if let Some(store) = &sh.feedback {
-            if let Ok((bound, _)) = &planned.plan {
+            if planned.plan.is_ok() {
                 let _fb =
                     cardbench_obs::span_with("feedback", "serve", || format!("Q{}", planned.id));
-                observe_query(
-                    &sh.db,
-                    store,
-                    &wq.query,
-                    bound,
-                    &planned.sub_est_cards,
-                    &planned.sub_true_cards,
-                );
+                let p = &planned;
+                store.observe_subplans(&p.subs, &p.sub_est_cards, &p.sub_true_cards);
             }
             if let Some(before) = &fb_before {
                 record_feedback_metrics(sh.est.name(), before, &store.stats());

@@ -1,4 +1,5 @@
-//! [`SketchEst`]: the sketch-backed [`CardEst`] implementation.
+//! [`SketchEst`]: the sketch-backed
+//! [`CardEst`](cardbench_estimators::CardEst) implementation.
 
 use std::ops::Range;
 
@@ -141,7 +142,7 @@ impl ColumnSketch {
 }
 
 /// The sketch set of one table: exact row count plus one
-/// [`ColumnSketch`] per attribute. All state merges exactly, so partial
+/// `ColumnSketch` per attribute. All state merges exactly, so partial
 /// sketches built over disjoint row ranges combine into the same bits
 /// as one sequential scan.
 #[derive(Debug, Clone)]
@@ -437,7 +438,8 @@ impl cardbench_estimators::CardEst for SketchEst {
         "Sketch"
     }
 
-    /// The one-row case of [`CardEst::estimate_batch`].
+    /// The one-row case of
+    /// [`CardEst::estimate_batch`](cardbench_estimators::CardEst::estimate_batch).
     fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
         self.estimate_batch(db, std::slice::from_ref(sub))[0]
     }

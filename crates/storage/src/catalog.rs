@@ -82,14 +82,6 @@ impl Catalog {
         &self.joins
     }
 
-    /// Join relations incident to the named table.
-    pub fn joins_of(&self, table: &str) -> Vec<&JoinRelation> {
-        self.joins
-            .iter()
-            .filter(|j| j.left_table == table || j.right_table == table)
-            .collect()
-    }
-
     /// Total rows across all tables.
     pub fn total_rows(&self) -> usize {
         self.tables.iter().map(Table::row_count).sum()
@@ -133,7 +125,5 @@ mod tests {
         let ok = JoinRelation::new("a", "id", "b", "id", JoinKind::PkFk);
         c.add_join(ok).unwrap();
         assert_eq!(c.joins().len(), 1);
-        assert_eq!(c.joins_of("a").len(), 1);
-        assert_eq!(c.joins_of("b").len(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Layout:
 //! - [`value`]: nullable datum type and helpers.
-//! - [`column`]: columns with null bitmaps and cached statistics.
+//! - [`column`](mod@column): columns with null bitmaps and cached statistics.
 //! - [`schema`]: column/table schemas and join-relation metadata.
 
 // Load/append paths surface typed errors, never unwraps (tests may).

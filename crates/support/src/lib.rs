@@ -11,7 +11,7 @@
 //!   from `--threads`-style knobs and `CARDBENCH_THREADS`.
 //! - [`json`]: a small JSON value type with parser and pretty-printer
 //!   (the `serde_json` role for the results schema).
-//! - [`proptest`]: a property-testing harness compatible with the
+//! - [`proptest`](mod@proptest): a property-testing harness compatible with the
 //!   `proptest!` macro subset used by the workspace's tests.
 //! - [`hash`]: FNV-1a, the one key hash: step functions for cache keys
 //!   and digests, and a hasher (the `fxhash` role) for hot hash maps

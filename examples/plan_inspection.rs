@@ -36,7 +36,10 @@ fn run(name: &str, est: &dyn CardEst, db: &Database, query: &JoinQuery) {
     );
     print!(
         "{}",
-        plan.render(&query.tables, &|m| format!("[est {:.0}]", cards.rows(m)))
+        plan.render(&query.tables, &|n| format!(
+            "[est {:.0}]",
+            cards.rows(n.mask())
+        ))
     );
     println!();
 }

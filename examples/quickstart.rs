@@ -66,9 +66,9 @@ fn main() {
     let (rows, stats) = execute(&plan, &bound, &db);
     println!(
         "\nchosen plan:\n{}",
-        plan.render(&query.tables, &|m| format!(
+        plan.render(&query.tables, &|n| format!(
             "[est {:.0}]",
-            est_cards.rows(m)
+            est_cards.rows(n.mask())
         ))
     );
     println!(

@@ -2,7 +2,9 @@
 //! `kinds::TABLE` for every row; `tests/estimator_invariants.rs` checks
 //! the `ROWS` and `JOINS` columns. What the other rows measure is printed
 //! by an optimized build (`cargo test --release --test conformance --
-//! --nocapture`).
+//! --nocapture`). The last two tests plan every query with every row's
+//! fit: the planned P-Error is `metrics::p_error`, and the EXPLAIN text
+//! of the TrueCard and PostgreSQL plans is pinned.
 
 mod kinds;
 
@@ -11,9 +13,12 @@ use std::sync::OnceLock;
 
 use cardbench::datagen::stats::{temporal_split, SPLIT_DAY};
 use cardbench::datagen::{stats_catalog, StatsConfig};
-use cardbench::engine::Database;
+use cardbench::engine::{explain, CardMap, Database, TrueCardService};
 use cardbench::estimators::lw::TrainingSet;
-use cardbench::harness::{build_estimator, Bench, BenchConfig, EstimatorSettings};
+use cardbench::harness::{
+    build_estimator, estimate_all, plan_query_via, Bench, BenchConfig, EstimatorSettings,
+    PlannedQuery,
+};
 use cardbench::prelude::*;
 use cardbench::query::{JoinEdge, Region, TableMask};
 use cardbench::workload::{stats_ceb, training_workload, WorkloadConfig};
@@ -380,4 +385,79 @@ fn widening_a_range_never_lowers_the_estimate() {
 #[test]
 fn table_order_does_not_matter() {
     check_law(ORDER, "reversing the table order");
+}
+
+/// FNV-1a of every row's planned P-Error bits, rows in table order and
+/// queries in workload order.
+const PLANNED_P_ERROR_DIGEST: u64 = 0x3c496492e062aaf0;
+
+/// FNV-1a of the EXPLAIN text of the TrueCard and PostgreSQL plans of
+/// every query, each costed with the estimated and then the true cards.
+const EXPLAIN_DIGEST: u64 = 0x268db2dc753b3f5b;
+
+/// Every STATS-CEB query planned with `est` as Table 2 plans it, beside
+/// the estimated and true `CardMap`s its record carries (keyed by the
+/// masks of its sub-plans).
+fn planned(est: &dyn CardEst) -> Vec<(&'static WorkloadQuery, PlannedQuery, CardMap, CardMap)> {
+    let b = bench();
+    let (db, truth, cost) = (&b.stats_db, TrueCardService::new(), CostModel::default());
+    let fallback = OnceLock::new();
+    let estimate = |subs: &[SubPlanQuery]| estimate_all(est, db, subs, None);
+    let plan = |wq| plan_query_via(db, wq, &estimate, &truth, &cost, &fallback);
+    b.stats_wl
+        .queries
+        .iter()
+        .map(|wq| {
+            let p = plan(wq);
+            let (bound, _) = p.plan.as_ref().expect("planned");
+            let topo = db.topology(&wq.query, bound);
+            let (mut est_cards, mut true_cards) = (CardMap::new(), CardMap::new());
+            for (i, sub) in p.subs.iter().enumerate() {
+                assert_eq!(sub.mask, topo.masks()[i], "the record is in topology order");
+                est_cards.insert_bounded(sub.mask, p.sub_est_cards[i], topo.cross_bound(i));
+                true_cards.insert(sub.mask, p.sub_true_cards[i]);
+            }
+            (wq, p, est_cards, true_cards)
+        })
+        .collect()
+}
+
+#[test]
+fn planned_p_error_is_metrics_p_error() {
+    let (db, cost) = (&bench().stats_db, CostModel::default());
+    let bits = par_rows(|row, est, _| {
+        let planned = planned(est).into_iter();
+        let each = planned.map(|(wq, p, est_cards, true_cards)| {
+            let (bound, _) = p.plan.as_ref().expect("planned");
+            let pe = p_error(db, &cost, &wq.query, bound, &est_cards, &true_cards);
+            let name = row.kind.name();
+            assert_eq!(p.p_error.to_bits(), pe.to_bits(), "{name} Q{}", wq.id);
+            pe.to_bits()
+        });
+        each.collect::<Vec<u64>>()
+    });
+    let mut h = FnvHasher::default();
+    bits.iter().flatten().for_each(|&b| h.write_u64(b));
+    assert_eq!(h.finish(), PLANNED_P_ERROR_DIGEST, "{:#018x}", h.finish());
+}
+
+#[test]
+fn explain_text_is_pinned() {
+    let (db, cost) = (&bench().stats_db, CostModel::default());
+    let texts = par_rows(|row, est, _| {
+        if !matches!(row.kind, EstimatorKind::TrueCard | EstimatorKind::Postgres) {
+            return String::new();
+        }
+        let mut text = String::new();
+        for (wq, p, est_cards, true_cards) in planned(est) {
+            let (bound, plan) = p.plan.as_ref().expect("planned");
+            for cards in [&est_cards, &true_cards] {
+                text += &explain(plan, db, bound, &wq.query.tables, &cost, cards);
+            }
+        }
+        text
+    });
+    let mut h = FnvHasher::default();
+    texts.iter().for_each(|t| h.write(t.as_bytes()));
+    assert_eq!(h.finish(), EXPLAIN_DIGEST, "{:#018x}", h.finish());
 }
