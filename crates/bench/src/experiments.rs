@@ -491,17 +491,14 @@ pub fn workload_shift(e: &Eval) -> Result<(), String> {
     let heldout_c = &bench.stats_train.cards[split..];
 
     // The benchmark workload (different distribution: hand-shaped
-    // templates, coverage predicates, non-empty results).
-    let bench_q: Vec<JoinQuery> = bench
+    // templates, coverage predicates, non-empty results), with the true
+    // cardinalities it was generated with.
+    let (bench_q, bench_c): (Vec<JoinQuery>, Vec<f64>) = bench
         .stats_wl
         .queries
         .iter()
-        .map(|w| w.query.clone())
-        .collect();
-    let bench_c: Vec<f64> = bench_q
-        .iter()
-        .map(|q| exact_cardinality(db, q).unwrap())
-        .collect();
+        .map(|w| (w.query.clone(), w.true_card))
+        .unzip();
 
     println!(
         "{:<8} {:>30} {:>30}",

@@ -10,8 +10,9 @@
 //! - the span hierarchy holds: every `execute` span is time-contained in
 //!   a `workload` span on the same thread, every `estimate` and
 //!   `topology` span (a shared-topology build on a cache miss) in a
-//!   `plan` span when that thread planned anything, every `session` span
-//!   in a `run` span, and (when a `run` span exists on that thread)
+//!   `plan` span when that thread planned anything, every `feedback`
+//!   span in a `workload` span when that thread ran one, every `session`
+//!   span in a `run` span, and (when a `run` span exists on that thread)
 //!   every `workload` span in a `run` span;
 //! - the sidecar parses line-wise: every series line belongs to a family
 //!   announced by a `# TYPE` line.
@@ -132,24 +133,18 @@ pub fn check_trace(text: &str, required: &[&str]) -> Result<usize, String> {
     for child in &spans {
         let parents: &[&str] = match child.name.as_str() {
             "execute" => &["workload"],
-            // Estimates normally run on the thread that planned the
-            // query, inside its `plan` span — but the serve crate's
-            // coalescer drains cross-session batches on a dedicated
-            // thread that never plans, so the rule is guarded like
-            // `topology`'s.
+            // Estimates run inside the `plan` span of the thread that
+            // planned the query, serve ticks included: a tick runs on
+            // the thread of a session that is planning. A thread that
+            // never planned (a direct `estimate_all` caller) may
+            // estimate bare — hence the guard.
             "estimate" if tid_has("plan", child.tid) => &["plan"],
             // Topology builds are memoized: a miss inside planning emits
-            // the span under `plan`; a serve session's budget gate counts
-            // the sub-plan space (a possible cold miss) before its plan
-            // span opens, so inside a session the `session` span is the
-            // containing parent. A thread that never planned (tests, case
-            // studies) may build one bare — hence the guard.
-            "topology" if tid_has("session", child.tid) => &["plan", "session"],
+            // the span under `plan`. A thread that never planned (tests,
+            // case studies) may build one bare — hence the guard.
             "topology" if tid_has("plan", child.tid) => &["plan"],
-            // Feedback observation runs after execution: inside the
-            // adaptive runner's `workload` span, or inside a serve
-            // session's `session` span (sessions never open `workload`).
-            "feedback" if tid_has("session", child.tid) => &["session"],
+            // Feedback observation runs after execution, inside the
+            // adaptive runner's `workload` span.
             "feedback" if tid_has("workload", child.tid) => &["workload"],
             "workload" if tid_has("run", child.tid) => &["run"],
             // A serve session always opens its own per-thread `run` span,
@@ -292,6 +287,25 @@ mod tests {
         assert!(
             err.contains("`session` span") && err.contains("(tid 1)") && err.contains("`run`"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn session_topology_outside_plan_is_rejected() {
+        // A serve session's topology lookup happens inside `plan`; one
+        // before the plan span opens is out of place, even inside
+        // `session`.
+        let t = trace(&[
+            event("run", 1, "0", "100"),
+            event("session", 1, "1", "90"),
+            event("topology", 1, "2", "3"),
+            event("plan", 1, "10", "20"),
+            event("topology", 1, "11", "3"),
+        ]);
+        let err = check_trace(&t, &[]).expect_err("topology outside plan");
+        assert_eq!(
+            err,
+            "`topology` span at ts=2 (tid 1) not contained in any `plan` span"
         );
     }
 

@@ -68,9 +68,9 @@ pub fn run_workload_adaptive(
 }
 
 /// Folds this run's feedback-store traffic into the observability
-/// registry as before/after deltas (the store is shared across runs and
-/// sessions, so absolutes would double-count).
-pub fn record_feedback_metrics(method: &str, before: &FeedbackStats, after: &FeedbackStats) {
+/// registry as before/after deltas (the store is shared across runs, so
+/// absolutes would double-count).
+fn record_feedback_metrics(method: &str, before: &FeedbackStats, after: &FeedbackStats) {
     use cardbench_obs::counter_add;
     if !cardbench_obs::enabled() {
         return;

@@ -32,7 +32,7 @@ use cardbench_engine::{
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_metrics::{q_error_checked, MetricInput, TruthCost};
-use cardbench_query::{BoundQuery, SubPlanQuery, TableMask};
+use cardbench_query::{BoundQuery, SubPlanQuery};
 use cardbench_support::par;
 use cardbench_workload::{Workload, WorkloadQuery};
 
@@ -249,14 +249,6 @@ pub struct PlannedQuery {
     /// `Ok`: ready to execute. `Err`: the query failed before planning
     /// completed (bind or truth error) and must not execute.
     pub plan: Result<(BoundQuery, PhysicalPlan), QueryFailure>,
-}
-
-/// Cross-product cardinality of the masked tables: the PostgreSQL-style
-/// upper bound no sub-plan estimate may exceed.
-fn cross_product_bound(db: &Database, bound: &BoundQuery, mask: TableMask) -> f64 {
-    mask.iter()
-        .map(|pos| db.row_count(bound.tables[pos].id) as f64)
-        .product()
 }
 
 /// Runs every workload query through the optimizer with the estimator's
@@ -628,13 +620,9 @@ pub fn plan_query_via(
         .enumerate()
     {
         plan_time += dt;
-        // Dense index i aligns with `masks` by construction; the cached
-        // bound is the same product `cross_product_bound` computes.
+        // Dense index i aligns with `masks` by construction: the
+        // cross-product upper bound no sub-plan estimate may exceed.
         let upper = topo.cross_bound(i);
-        debug_assert_eq!(
-            upper.to_bits(),
-            cross_product_bound(db, &bound, mask).to_bits()
-        );
         // Decide what the optimizer sees and what the metrics score.
         // Clean estimates keep their raw value for Q-Error; hard failures
         // score the baseline actually substituted (the plan ran on it);

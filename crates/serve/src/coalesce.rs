@@ -1,5 +1,5 @@
 //! The cross-session batch coalescer: drains concurrent sessions'
-//! sub-plan estimation jobs from one bounded queue into a single
+//! sub-plan estimation jobs from one shared queue into a single
 //! `CardEst::estimate_batch` call per tick, deduplicating identical
 //! sub-plans across sessions, and routes per-slot results (or typed
 //! faults) back over each job's reply channel.
@@ -28,8 +28,8 @@
 //! next queued job (or frees it when nothing is queued). A request that
 //! finds a tick running queues its job and waits for a `Reply`: its
 //! answer, or the lease. Once a running tick is older than
-//! `heartbeat_stale_after`, a session whose job is still queued (or
-//! blocked on a full queue) takes the lease over and leads its own job;
+//! `heartbeat_stale_after`, a session whose job is still queued takes
+//! the lease over and leads its own job;
 //! the superseded leader, if it ever wakes, answers the jobs it holds
 //! and hands off nothing. Each tick additionally consults the circuit
 //! breaker (open → every slot answers [`EstimateError::Shorted`]
@@ -39,7 +39,7 @@
 //!
 //! `run_tick` has two callers, both under `catch_unwind` on the
 //! requesting session's thread: a leader over its gathered tick, and a
-//! session serving its own request inline (`Session::estimate_once`),
+//! session serving its own request inline (`Session::estimate`),
 //! the degenerate tick of one job with no lease. Both get the same
 //! chaos draw, deadline fast-fail, breaker and guarded estimate, so
 //! self-healing behaves the same on either route.
@@ -172,19 +172,19 @@ impl QueueInner {
     }
 }
 
-/// The bounded submission queue and the coalesced route's lease. The
-/// buffer lives *here*, in `Shared`, not in any thread, so a tick panic
-/// loses only the jobs its leader held, and `close()` can hand the
-/// unserved remainder back for typed fast-failure at teardown.
+/// The submission queue and the coalesced route's lease. The buffer
+/// lives *here*, in `Shared`, not in any thread, so a tick panic loses
+/// only the jobs its leader held, and `close()` can hand the unserved
+/// remainder back for typed fast-failure at teardown. It needs no cap:
+/// a session has one job in flight at most, and admission caps the live
+/// sessions, so fewer jobs than live sessions are ever queued.
 pub(crate) struct JobQueue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
 }
 
 impl JobQueue {
-    pub(crate) fn new(cap: usize) -> JobQueue {
+    pub(crate) fn new() -> JobQueue {
         JobQueue {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
@@ -195,44 +195,29 @@ impl JobQueue {
                 takeovers: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
         }
     }
 
-    /// Lead or queue: takes the free lease, or queues `job` (blocking
-    /// while the queue is full — the slow estimator back-pressures
-    /// sessions, the queue never grows unboundedly — unless the running
-    /// tick goes stale, which this request then takes over). `None`
-    /// when the queue is closed.
-    fn submit(&self, mut job: EstimateJob, stale_after: Duration) -> Option<Submitted> {
+    /// Lead or queue: takes the free lease, or queues `job` behind the
+    /// running tick. `None` when the queue is closed.
+    fn submit(&self, mut job: EstimateJob) -> Option<Submitted> {
         let mut g = self.lock();
-        loop {
-            if g.closed {
-                return None;
-            }
-            if g.lease.is_none() {
-                g.lease = Some(Lease {
-                    gen: g.gen,
-                    since: Instant::now(),
-                });
-                return Some(Submitted::Lead(g.gen));
-            }
-            if g.jobs.len() < self.cap {
-                job.ticket = g.next_ticket;
-                g.next_ticket += 1;
-                g.jobs.push_back(job);
-                self.not_empty.notify_one();
-                return Some(Submitted::Queued(g.next_ticket - 1));
-            }
-            g = match g.take_over(stale_after) {
-                Ok(gen) => return Some(Submitted::Lead(gen)),
-                Err(left) => self
-                    .not_full
-                    .wait_timeout(g, left)
-                    .map_or_else(|p| p.into_inner().0, |(g, _)| g),
-            };
+        if g.closed {
+            return None;
         }
+        if g.lease.is_none() {
+            g.lease = Some(Lease {
+                gen: g.gen,
+                since: Instant::now(),
+            });
+            return Some(Submitted::Lead(g.gen));
+        }
+        let ticket = g.next_ticket;
+        g.next_ticket += 1;
+        job.ticket = ticket;
+        g.jobs.push_back(job);
+        self.not_empty.notify_one();
+        Some(Submitted::Queued(ticket))
     }
 
     /// Takes job `ticket` back out of the queue to lead it, if it is
@@ -246,7 +231,6 @@ impl JobQueue {
         };
         let gen = g.take_over(stale_after)?;
         g.jobs.remove(pos);
-        self.not_full.notify_one();
         Ok(gen)
     }
 
@@ -260,10 +244,7 @@ impl JobQueue {
         loop {
             let room = COALESCE_MAX - 1 - jobs.len();
             let take = room.min(g.jobs.len());
-            if take > 0 {
-                jobs.extend(g.jobs.drain(..take));
-                self.not_full.notify_all();
-            }
+            jobs.extend(g.jobs.drain(..take));
             let held = jobs.len() + 1;
             let left = deadline.saturating_duration_since(Instant::now());
             if g.closed || held >= COALESCE_MAX || held >= live() || left.is_zero() {
@@ -285,7 +266,6 @@ impl JobQueue {
             return;
         }
         while let Some(next) = g.jobs.pop_front() {
-            self.not_full.notify_one();
             g.lease = Some(Lease {
                 gen,
                 since: Instant::now(),
@@ -306,7 +286,6 @@ impl JobQueue {
         g.closed = true;
         let drained = g.jobs.drain(..).collect();
         self.not_empty.notify_all();
-        self.not_full.notify_all();
         drained
     }
 
@@ -357,7 +336,7 @@ pub(crate) fn serve_queued(
         reply,
         ticket: 0,
     };
-    let gen = match shared.queue.submit(job, stale_after)? {
+    let gen = match shared.queue.submit(job)? {
         Submitted::Lead(gen) => gen,
         Submitted::Queued(ticket) => {
             let mut wait = stale_after;
@@ -727,17 +706,16 @@ mod tests {
     /// to the next live owner, and frees once nothing is queued.
     #[test]
     fn dropped_reply_receiver_never_strands_the_lease() {
-        let queue = JobQueue::new(4);
-        let stale = Duration::from_secs(5);
+        let queue = JobQueue::new();
         let (leader, _leader_rx) = job(&[]);
-        let Some(Submitted::Lead(gen)) = queue.submit(leader, stale) else {
+        let Some(Submitted::Lead(gen)) = queue.submit(leader) else {
             panic!("a free lease goes to the first request");
         };
         let (dead, dead_rx) = job(&[]);
         drop(dead_rx);
         let (live, live_rx) = job(&[]);
         for j in [dead, live] {
-            assert!(matches!(queue.submit(j, stale), Some(Submitted::Queued(_))));
+            assert!(matches!(queue.submit(j), Some(Submitted::Queued(_))));
         }
         assert!(queue.tick_age().is_some());
 
@@ -757,14 +735,14 @@ mod tests {
     /// the superseded leader then hands off nothing.
     #[test]
     fn stale_tick_is_taken_over_by_a_queued_owner() {
-        let queue = JobQueue::new(4);
+        let queue = JobQueue::new();
         let stale = Duration::from_millis(5);
         let (leader, _leader_rx) = job(&[]);
-        let Some(Submitted::Lead(old)) = queue.submit(leader, stale) else {
+        let Some(Submitted::Lead(old)) = queue.submit(leader) else {
             panic!("a free lease goes to the first request");
         };
         let (waiter, _waiter_rx) = job(&[]);
-        let Some(Submitted::Queued(ticket)) = queue.submit(waiter, stale) else {
+        let Some(Submitted::Queued(ticket)) = queue.submit(waiter) else {
             panic!("a held lease queues the job");
         };
         assert!(matches!(queue.withdraw(ticket, stale), Err(left) if left <= stale));
@@ -866,17 +844,16 @@ mod tests {
     /// submissions, so teardown can fast-fail everything typed.
     #[test]
     fn close_returns_unserved_jobs_and_rejects_submissions() {
-        let queue = JobQueue::new(4);
-        let stale = Duration::from_secs(5);
+        let queue = JobQueue::new();
         for expect_lead in [true, false] {
             let (j, _rx) = job(&[]);
-            let got = queue.submit(j, stale);
+            let got = queue.submit(j);
             assert_eq!(matches!(got, Some(Submitted::Lead(_))), expect_lead);
         }
         assert_eq!(queue.len(), 1);
         let unserved = queue.close();
         assert_eq!(unserved.len(), 1);
         let (j, _rx) = job(&[]);
-        assert!(queue.submit(j, stale).is_none());
+        assert!(queue.submit(j).is_none());
     }
 }

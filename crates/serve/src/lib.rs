@@ -15,7 +15,7 @@
 //! key-weight aggregates, true-cardinality cache, topology cache) —
 //! both compose naturally across sessions, and this crate adds the
 //! third: concurrent sessions' sub-plan batches are gathered from a
-//! bounded submission queue into **one** `CardEst::estimate_batch` call
+//! shared submission queue into **one** `CardEst::estimate_batch` call
 //! per tick, with duplicate sub-plans across sessions estimated
 //! once. Per-request fault attribution is preserved — each submitted
 //! slot gets its own `Result<f64, EstimateError>` routed back over the
@@ -46,12 +46,18 @@
 //! differential tests pin this for every estimator kind.
 //!
 //! Admission control keeps the service loss-tolerant instead of
-//! unboundedly queued: a hard cap on live sessions (typed
-//! [`ServeError::Overloaded`] rejection) plus a per-session sub-plan
-//! budget (typed [`ServeError::BudgetExhausted`]), reusing the fault
-//! taxonomy's philosophy that overload is a *typed response*, not a
-//! hang. The submission queue itself is bounded, so a slow estimator
-//! back-pressures sessions rather than growing a queue.
+//! unboundedly queued: a hard cap on live sessions is a typed
+//! [`ServeError::Overloaded`] rejection, reusing the fault taxonomy's
+//! philosophy that overload is a *typed response*, not a hang. It also
+//! bounds the submission queue: a session has at most one job in flight
+//! ([`Session::plan`] takes `&mut self`), so fewer jobs than live
+//! sessions are ever queued.
+//!
+//! Execution feedback is the caller's loop, not a service option: wrap
+//! the estimator in a `FeedbackEst` before [`Server::start`] and feed
+//! each returned [`PlannedQuery`]'s `subs`, `sub_est_cards` and
+//! `sub_true_cards` to `FeedbackStore::observe_subplans`; every session
+//! then resolves through the one shared store.
 //!
 //! # Self-healing
 //!
@@ -105,17 +111,15 @@ use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
-use cardbench_feedback::{FeedbackEst, FeedbackStore};
-use cardbench_harness::{plan_query_via, record_feedback_metrics, EstimateError, PlannedQuery};
+use cardbench_harness::{plan_query_via, EstimateError, PlannedQuery};
 use cardbench_obs::{counter_add, gauge_set, observe_secs};
-use cardbench_query::{BoundQuery, SubPlanQuery};
+use cardbench_query::SubPlanQuery;
 use cardbench_workload::WorkloadQuery;
 
 use breaker::Breaker;
 use coalesce::{typed_slots, Reply, SlotResults};
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats};
-pub use cardbench_feedback::FeedbackStats;
 pub use coalesce::{coalesce_estimate, CoalesceOutcome, TickFault};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use prom_http::{HealthProbes, PromServer};
@@ -131,14 +135,6 @@ pub struct ServeConfig {
     /// Maximum live sessions; the next [`Server::session`] past this is
     /// rejected with [`ServeError::Overloaded`].
     pub max_sessions: usize,
-    /// Maximum sub-plan estimates one session may submit over its
-    /// lifetime; exceeded → [`ServeError::BudgetExhausted`]. Wholly
-    /// degraded queries (no plan, or every slot hard-failed to the
-    /// fallback) refund their charge.
-    pub session_subplan_budget: u64,
-    /// Bound of the submission queue. A full queue back-pressures the
-    /// submitting session (blocking send), never grows unboundedly.
-    pub queue_cap: usize,
     /// `true` serves every request inline on its session's thread (the
     /// same tick as a leader's, over one job) whatever the session
     /// count; `false` routes by measured state — inline while every live
@@ -160,26 +156,16 @@ pub struct ServeConfig {
     /// duration; `Duration::ZERO` never counts a tick wedged (no
     /// takeovers, and `/healthz` ignores tick age).
     pub heartbeat_stale_after: Duration,
-    /// Execution-feedback cache shared by every session: `true` wraps
-    /// the served estimator in a [`FeedbackEst`] over one
-    /// [`FeedbackStore`], and each planned query's true sub-plan
-    /// cardinalities are observed back into the store. `false` (the
-    /// default) leaves the service bit-identical to a feedback-less
-    /// build — pinned by the differential tests.
-    pub feedback: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_sessions: 64,
-            session_subplan_budget: u64::MAX,
-            queue_cap: 256,
             sequential: false,
             breaker: Some(BreakerConfig::default()),
             chaos: None,
             heartbeat_stale_after: Duration::from_secs(5),
-            feedback: false,
         }
     }
 }
@@ -195,15 +181,6 @@ pub enum ServeError {
         live: usize,
         /// The configured cap.
         limit: usize,
-    },
-    /// The session spent its sub-plan budget; this query would exceed it.
-    BudgetExhausted {
-        /// Sub-plans already estimated by this session.
-        used: u64,
-        /// Sub-plans this query needs.
-        requested: u64,
-        /// The configured budget.
-        budget: u64,
     },
     /// The service is tearing down: no new work is accepted.
     ShuttingDown,
@@ -221,14 +198,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded { live, limit } => {
                 write!(f, "overloaded: {live} live sessions (limit {limit})")
             }
-            ServeError::BudgetExhausted {
-                used,
-                requested,
-                budget,
-            } => write!(
-                f,
-                "session sub-plan budget exhausted: {used} used + {requested} requested > {budget}"
-            ),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::DeadlineExceeded { late } => {
                 write!(f, "request deadline already exceeded ({late:?} late)")
@@ -238,36 +207,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Delegating adapter so an `Arc<dyn CardEst>` can sit inside the boxed
-/// [`FeedbackEst`] wrapper. Inference-side methods forward; the
-/// `&mut self` update entry point is unreachable through the shared
-/// `Arc` and keeps the trait's no-op default.
-struct SharedEst(Arc<dyn CardEst>);
-
-impl CardEst for SharedEst {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn estimate(&self, db: &Database, sub: &SubPlanQuery) -> f64 {
-        self.0.estimate(db, sub)
-    }
-    fn estimate_batch(&self, db: &Database, subs: &[SubPlanQuery]) -> Vec<f64> {
-        self.0.estimate_batch(db, subs)
-    }
-    fn batch_leverage(&self) -> bool {
-        self.0.batch_leverage()
-    }
-    fn model_size_bytes(&self) -> usize {
-        self.0.model_size_bytes()
-    }
-    fn is_oracle(&self) -> bool {
-        self.0.is_oracle()
-    }
-    fn supports_update(&self) -> bool {
-        false
-    }
-}
 
 /// State shared by the server and every session. The submission queue
 /// and its lease live *here*, not in any thread, so whichever session
@@ -288,11 +227,8 @@ pub(crate) struct Shared {
     cores: usize,
     inline_jobs: AtomicU64,
     coalesced_jobs: AtomicU64,
-    /// The bounded submission queue and the coalesced route's lease.
+    /// The submission queue and the coalesced route's lease.
     pub(crate) queue: coalesce::JobQueue,
-    /// Cross-session execution-feedback store, if enabled. The served
-    /// `est` is then already the [`FeedbackEst`] wrapper over it.
-    pub(crate) feedback: Option<Arc<FeedbackStore>>,
     /// Circuit breaker for the served estimator, if enabled.
     pub(crate) breaker: Option<Breaker>,
     /// Ticks drawn by the chaos injector: the next tick's draw key.
@@ -311,25 +247,11 @@ impl Shared {
         cost: CostModel,
         cfg: ServeConfig,
     ) -> Shared {
-        let queue = coalesce::JobQueue::new(cfg.queue_cap.max(1));
-        // Feedback wraps the estimator *inside* the service, so
-        // coalesced and inline ticks resolve through the same shared store.
-        let (est, feedback) = if cfg.feedback {
-            let store = Arc::new(FeedbackStore::default());
-            let wrapped: Arc<dyn CardEst> = Arc::new(FeedbackEst::new(
-                Box::new(SharedEst(est)),
-                Arc::clone(&store),
-            ));
-            (wrapped, Some(store))
-        } else {
-            (est, None)
-        };
         let breaker = cfg.breaker.clone().map(|bc| Breaker::new(bc, est.name()));
         Shared {
             db,
             truth,
             est,
-            feedback,
             cost,
             cfg,
             fallback: OnceLock::new(),
@@ -337,7 +259,7 @@ impl Shared {
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             inline_jobs: AtomicU64::new(0),
             coalesced_jobs: AtomicU64::new(0),
-            queue,
+            queue: coalesce::JobQueue::new(),
             breaker,
             chaos_ticks: AtomicU64::new(0),
             chaos_panics: AtomicU32::new(0),
@@ -402,8 +324,6 @@ pub struct ServeStats {
     pub breaker: BreakerStats,
     /// Tick panics injected by tick chaos so far (either route).
     pub chaos_panics: u32,
-    /// Feedback-store counters, `None` when feedback is disabled.
-    pub feedback: Option<FeedbackStats>,
 }
 
 /// The estimation service: owns the shared engine state and hands out
@@ -451,7 +371,6 @@ impl Server {
                 let session = cardbench_obs::span("session", "run");
                 Ok(Session {
                     shared: Arc::clone(&self.shared),
-                    used: 0,
                     _session: session,
                     _run: run,
                 })
@@ -472,12 +391,6 @@ impl Server {
         self.shared.live_sessions()
     }
 
-    /// Whether the served estimator has real batch leverage (coalescing
-    /// can amortize more than queueing costs).
-    pub fn batch_leverage(&self) -> bool {
-        self.shared.est.batch_leverage()
-    }
-
     /// Self-healing machinery snapshot.
     pub fn stats(&self) -> ServeStats {
         let sh = &self.shared;
@@ -494,7 +407,6 @@ impl Server {
             breaker_state: sh.breaker.as_ref().map(Breaker::state),
             breaker: sh.breaker.as_ref().map(Breaker::stats).unwrap_or_default(),
             chaos_panics: sh.chaos_panics.load(Ordering::Acquire),
-            feedback: sh.feedback.as_ref().map(|s| s.stats()),
         }
     }
 
@@ -565,7 +477,6 @@ impl Drop for Server {
 /// thread): its spans record on the dropping thread's timeline.
 pub struct Session {
     shared: Arc<Shared>,
-    used: u64,
     // Declaration order = drop order: close `session` before `run`.
     _session: cardbench_obs::Span,
     _run: cardbench_obs::Span,
@@ -576,10 +487,12 @@ impl Session {
     /// sub-plan estimation by an inline tick, or on the coalesced route
     /// (see the crate docs' routing rule), then injection, plan choice,
     /// and Q-/P-Error — semantically identical to the harness's phase 1.
+    /// The query is bound once, inside `plan_query_via`. `&mut self`
+    /// keeps a session to one job in flight, which is what bounds the
+    /// submission queue below the live-session count.
     ///
-    /// Returns [`ServeError::BudgetExhausted`] without estimating when
-    /// the query's sub-plan count would exceed the session budget, and
-    /// [`ServeError::ShuttingDown`] once the server begins teardown.
+    /// Returns [`ServeError::ShuttingDown`] once the server begins
+    /// teardown.
     pub fn plan(&mut self, wq: &WorkloadQuery) -> Result<PlannedQuery, ServeError> {
         self.plan_by(wq, None)
     }
@@ -599,12 +512,12 @@ impl Session {
     }
 
     fn plan_by(
-        &mut self,
+        &self,
         wq: &WorkloadQuery,
         deadline: Option<Instant>,
     ) -> Result<PlannedQuery, ServeError> {
         let t0 = Instant::now();
-        let sh = Arc::clone(&self.shared);
+        let sh = &self.shared;
         if sh.is_shutting_down() {
             counter_add(
                 "cardbench_serve_rejected_total",
@@ -626,33 +539,10 @@ impl Session {
                 });
             }
         }
-        // Budget gate: the topology is memoized, so counting the
-        // sub-plan space here costs one shard lookup on the warm path
-        // and `plan_query_via` reuses the same entry below. Bind errors
-        // surface as a typed `PlannedQuery` failure, not a budget hit.
-        let requested = match BoundQuery::bind(&wq.query, sh.db.catalog()) {
-            Ok(bound) => sh.db.topology(&wq.query, &bound).masks().len() as u64,
-            Err(_) => 0,
-        };
-        let budget = sh.cfg.session_subplan_budget;
-        if self.used.saturating_add(requested) > budget {
-            counter_add("cardbench_serve_rejected_total", &[("reason", "budget")], 1);
-            return Err(ServeError::BudgetExhausted {
-                used: self.used,
-                requested,
-                budget,
-            });
-        }
-        self.used += requested;
         // The route, decided once per request from the server's own
         // state: while every live session has a core, gathering could
         // only win through dedup, so the tick runs on this thread.
         let inline = sh.cfg.sequential || sh.live_sessions() <= sh.cores;
-        // Snapshot before planning: the estimate calls inside
-        // `plan_query_via` hit the feedback store (hits/overrides/
-        // corrections), and the observation below refreshes it; the
-        // folded delta must cover both sides.
-        let fb_before = sh.feedback.as_ref().map(|s| s.stats());
         let planned = plan_query_via(
             &sh.db,
             wq,
@@ -661,28 +551,6 @@ impl Session {
             &sh.cost,
             &sh.fallback,
         );
-        if let Some(store) = &sh.feedback {
-            if planned.plan.is_ok() {
-                let _fb =
-                    cardbench_obs::span_with("feedback", "serve", || format!("Q{}", planned.id));
-                let p = &planned;
-                store.observe_subplans(&p.subs, &p.sub_est_cards, &p.sub_true_cards);
-            }
-            if let Some(before) = &fb_before {
-                record_feedback_metrics(sh.est.name(), before, &store.stats());
-            }
-        }
-        // Refund the budget charge on full-query degradation: the query
-        // either produced no plan at all (bind/truth failure) or every
-        // sub-plan slot hard-failed to the fallback — the session got
-        // nothing from the estimator it is budgeted against, and a
-        // transient fault (tick panic, storm, teardown race) must not
-        // permanently eat its quota.
-        let wholly_degraded =
-            planned.subplans > 0 && planned.fallback_subplans == planned.subplans as u64;
-        if planned.plan.is_err() || wholly_degraded {
-            self.used = self.used.saturating_sub(requested);
-        }
         let mode = if inline { "inline" } else { "coalesced" };
         counter_add("cardbench_serve_queries_total", &[("mode", mode)], 1);
         observe_secs(
@@ -691,11 +559,6 @@ impl Session {
             t0.elapsed().as_secs_f64(),
         );
         Ok(planned)
-    }
-
-    /// Sub-plans this session has spent of its budget.
-    pub fn subplans_used(&self) -> u64 {
-        self.used
     }
 
     /// One estimate pass over one job: an inline tick on this thread, or

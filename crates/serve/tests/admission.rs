@@ -2,8 +2,9 @@
 //!
 //! - past the live-session cap, `session()` answers with a typed
 //!   [`ServeError::Overloaded`] — never queues unboundedly;
-//! - a spent per-session sub-plan budget answers with a typed
-//!   [`ServeError::BudgetExhausted`] without touching the estimator;
+//! - that cap also bounds the submission queue: with one job in flight
+//!   per session, fewer jobs than live sessions are ever queued, even
+//!   behind a slow tick;
 //! - a panicking estimator inside a coalesced batch degrades only the
 //!   affected requests (PR 5's batch→per-call fallback semantics hold
 //!   under concurrency);
@@ -12,7 +13,9 @@
 //! - abrupt session teardown mid-flight leaves the service serving
 //!   everyone else (no deadlock, no stranded lease).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
+use std::time::Duration;
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
@@ -24,7 +27,7 @@ use cardbench_harness::EstimateError;
 use cardbench_query::{
     connected_subsets, JoinEdge, JoinQuery, Predicate, Region, SubPlanQuery, TableMask,
 };
-use cardbench_serve::{coalesce_estimate, ServeConfig, Server};
+use cardbench_serve::{coalesce_estimate, ServeConfig, Server, TickFault};
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
 
 fn db() -> &'static Arc<Database> {
@@ -82,33 +85,85 @@ fn session_cap_rejects_with_typed_overloaded() {
     let _s3 = srv.session().expect("slot freed by dropped session");
 }
 
+/// The queue needs no cap of its own: a session has at most one job in
+/// flight and admission caps the live sessions, so while more sessions
+/// than cores pile up behind chaos-slowed ticks, fewer jobs than live
+/// sessions are ever queued.
 #[test]
-fn subplan_budget_rejects_typed_without_estimating() {
-    let wl = workload();
-    let first = &wl.queries[0];
-    let first_subs = connected_subsets(&first.query).len() as u64;
-    let srv = server(ServeConfig {
-        session_subplan_budget: first_subs,
+fn queue_depth_stays_below_live_sessions() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sessions = cores + 2;
+    let srv = Arc::new(server(ServeConfig {
+        chaos: Some(ChaosConfig {
+            seed: 13,
+            rate: 1.0,
+            classes: vec![TickFault::Slow],
+            stall: Duration::from_millis(10),
+            ..ChaosConfig::default()
+        }),
         ..ServeConfig::default()
-    });
-    let mut session = srv.session().expect("admitted");
-    let planned = session.plan(first).expect("first query fits its budget");
-    assert!(planned.plan.is_ok());
-    assert_eq!(session.subplans_used(), first_subs);
-    match session.plan(&wl.queries[1]) {
-        Err(cardbench_serve::ServeError::BudgetExhausted {
-            used,
-            requested,
-            budget,
-        }) => {
-            assert_eq!(used, first_subs);
-            assert_eq!(budget, first_subs);
-            assert!(requested > 0);
+    }));
+    let wl = workload();
+    // Every session is admitted before any plans and stays open until
+    // all have planned, so every request takes the coalesced route.
+    // Sessions replay the workload until a queued job has been seen.
+    let start = Arc::new(Barrier::new(sessions + 1));
+    let done = Arc::new(Barrier::new(sessions));
+    let seen_queued = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..sessions)
+        .map(|i| {
+            let (srv, start, done, seen) = (
+                Arc::clone(&srv),
+                Arc::clone(&start),
+                Arc::clone(&done),
+                Arc::clone(&seen_queued),
+            );
+            std::thread::spawn(move || {
+                let mut session = srv.session().expect("admitted");
+                start.wait();
+                for _ in 0..10 {
+                    for wq in &wl.queries {
+                        // Staggered arrivals land while a tick stalls,
+                        // after its leader's gather window closed.
+                        std::thread::sleep(Duration::from_millis(2 * i as u64));
+                        let planned = session.plan(wq).expect("service live");
+                        assert!(planned.est_failures.is_empty());
+                    }
+                    if seen.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+                done.wait();
+            })
+        })
+        .collect();
+    start.wait();
+    while !handles.iter().all(|h| h.is_finished()) {
+        let stats = srv.stats();
+        assert!(
+            stats.queue_depth == 0 || stats.queue_depth < stats.live_sessions,
+            "{} jobs queued with {} live sessions",
+            stats.queue_depth,
+            stats.live_sessions
+        );
+        if stats.queue_depth > 0 {
+            seen_queued.store(true, Ordering::Release);
         }
-        other => panic!("expected BudgetExhausted, got {other:?}"),
+        std::thread::sleep(Duration::from_micros(200));
     }
-    // The rejection consumed nothing: the budget state is unchanged.
-    assert_eq!(session.subplans_used(), first_subs);
+    for h in handles {
+        h.join().expect("session threads finish");
+    }
+    assert!(
+        seen_queued.load(Ordering::Acquire),
+        "no job ever queued behind a slow tick"
+    );
+    let stats = srv.stats();
+    assert!(
+        stats.coalesced_jobs > 0,
+        "no request took the coalesced route"
+    );
+    assert_eq!(stats.inline_jobs, 0, "a request ticked inline");
 }
 
 /// A panic injected into one job of a coalesced batch must fault exactly
@@ -231,7 +286,6 @@ fn coalesced_dedup_keeps_each_table_order() {
 fn abrupt_session_teardown_leaves_service_live() {
     let srv = Arc::new(server(ServeConfig {
         max_sessions: 8,
-        queue_cap: 2, // tiny queue: teardown under backpressure
         ..ServeConfig::default()
     }));
     let wl = workload();

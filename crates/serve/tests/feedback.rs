@@ -1,13 +1,16 @@
-//! Serve-layer adaptive feedback: the shared cross-session store turns
-//! executed truths from one session into overrides for every later
-//! session, survives estimator poisoning with clamped corrections, and
-//! stays completely inert (absent from stats) when disabled.
+//! Execution feedback composed at the call site: the caller wraps its
+//! estimator in a `FeedbackEst` before `Server::start` and observes each
+//! returned `PlannedQuery` into the store. The one store is shared by
+//! every session, so executed truths from one session become overrides
+//! for every later session, and estimator poisoning is survived with
+//! clamped corrections.
 
 use std::sync::{Arc, OnceLock};
 
 use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
 use cardbench_estimators::{CardEst, EstimatorKind};
+use cardbench_feedback::{FeedbackEst, FeedbackStore};
 use cardbench_harness::{build_estimator, Bench, BenchConfig, PlannedQuery};
 use cardbench_serve::{ServeConfig, Server};
 use cardbench_workload::Workload;
@@ -31,27 +34,36 @@ fn ctx() -> &'static Ctx {
     })
 }
 
-fn feedback_server(est: Arc<dyn CardEst>) -> Arc<Server> {
+/// A server whose estimator resolves through one shared feedback
+/// store, and that store.
+fn feedback_server(est: Box<dyn CardEst>) -> (Server, Arc<FeedbackStore>) {
     let c = ctx();
-    Arc::new(Server::start(
+    let store = Arc::new(FeedbackStore::default());
+    let server = Server::start(
         Arc::clone(&c.db),
         Arc::new(TrueCardService::new()),
-        est,
+        Arc::new(FeedbackEst::new(est, Arc::clone(&store))),
         CostModel::default(),
-        ServeConfig {
-            feedback: true,
-            ..ServeConfig::default()
-        },
-    ))
+        ServeConfig::default(),
+    );
+    (server, store)
 }
 
-fn replay_session(server: &Arc<Server>) -> Vec<PlannedQuery> {
+/// One session replays the workload, observing every planned query's
+/// true sub-plan cardinalities back into `store`.
+fn replay_session(server: &Server, store: &FeedbackStore) -> Vec<PlannedQuery> {
     let mut session = server.session().expect("admission under the default cap");
     ctx()
         .wl
         .queries
         .iter()
-        .map(|wq| session.plan(wq).expect("no budget in this test"))
+        .map(|wq| {
+            let p = session.plan(wq).expect("the server is live");
+            if p.plan.is_ok() {
+                store.observe_subplans(&p.subs, &p.sub_est_cards, &p.sub_true_cards);
+            }
+            p
+        })
         .collect()
 }
 
@@ -67,9 +79,9 @@ fn warm_store_from_one_session_makes_the_next_oracle_exact() {
         &c.bench.stats_train,
         &c.bench.config.settings,
     );
-    let server = feedback_server(Arc::from(built.est));
+    let (server, store) = feedback_server(built.est);
 
-    let warm = replay_session(&server);
+    let warm = replay_session(&server, &store);
     // The raw estimator must actually be wrong somewhere, or the test
     // proves nothing.
     assert!(
@@ -77,7 +89,7 @@ fn warm_store_from_one_session_makes_the_next_oracle_exact() {
         "Postgres was already oracle-exact on the warm pass"
     );
 
-    let replay = replay_session(&server);
+    let replay = replay_session(&server, &store);
     for p in &replay {
         for (i, (&e, &t)) in p.sub_est_cards.iter().zip(&p.sub_true_cards).enumerate() {
             assert_eq!(
@@ -95,8 +107,7 @@ fn warm_store_from_one_session_makes_the_next_oracle_exact() {
         );
     }
 
-    let stats = server.stats();
-    let fb = stats.feedback.expect("feedback enabled");
+    let fb = store.stats();
     assert!(fb.observations > 0, "warm pass recorded nothing");
     assert!(fb.overrides > 0, "replay pass never hit an exact entry");
     assert_eq!(fb.rejected, 0, "oracle truths were rejected");
@@ -116,7 +127,7 @@ fn poisoned_observations_never_produce_non_finite_estimates() {
         &c.bench.stats_train,
         &c.bench.config.settings,
     );
-    let chaotic: Arc<dyn CardEst> = Arc::new(ChaosEst::new(
+    let chaotic = Box::new(ChaosEst::new(
         built.est,
         ChaosConfig {
             seed: 41,
@@ -125,15 +136,15 @@ fn poisoned_observations_never_produce_non_finite_estimates() {
             ..ChaosConfig::default()
         },
     ));
-    let server = feedback_server(chaotic);
+    let (server, store) = feedback_server(chaotic);
 
-    let warm = replay_session(&server);
+    let warm = replay_session(&server, &store);
     assert!(
         warm.iter().any(|p| !p.est_failures.is_empty()),
         "chaos rate too low: no value faults injected"
     );
 
-    let replay = replay_session(&server);
+    let replay = replay_session(&server, &store);
     for p in warm.iter().chain(&replay) {
         for (i, &e) in p.sub_est_cards.iter().enumerate() {
             assert!(
@@ -153,30 +164,6 @@ fn poisoned_observations_never_produce_non_finite_estimates() {
             p.q_errors
         );
     }
-    let fb = server.stats().feedback.expect("feedback enabled");
+    let fb = store.stats();
     assert!(fb.observations > 0);
-}
-
-/// With feedback disabled (the default), the store never exists: stats
-/// report `None` and the estimator keeps its own name — the serve
-/// differential suite separately pins bit-identity of every number.
-#[test]
-fn disabled_feedback_is_absent_from_stats() {
-    let c = ctx();
-    let built = build_estimator(
-        EstimatorKind::Postgres,
-        &c.db,
-        &c.bench.stats_train,
-        &c.bench.config.settings,
-    );
-    let server = Server::start(
-        Arc::clone(&c.db),
-        Arc::new(TrueCardService::new()),
-        Arc::from(built.est),
-        CostModel::default(),
-        ServeConfig::default(),
-    );
-    let server = Arc::new(server);
-    let _ = replay_session(&server);
-    assert!(server.stats().feedback.is_none());
 }

@@ -13,8 +13,6 @@
 //! - dropping the `Server` with live sessions mid-flight never
 //!   deadlocks and answers every subsequent request with a typed
 //!   `ShuttingDown`;
-//! - wholly degraded queries refund their sub-plan budget charge, so
-//!   transient faults don't permanently eat a session's quota;
 //! - expired deadlines are typed fast-fails at preflight and per slot
 //!   in the queue — never a consumed estimator call;
 //! - with takeovers disabled (`heartbeat_stale_after` zero) a blocked
@@ -35,11 +33,11 @@ use std::time::{Duration, Instant};
 
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
-use cardbench_estimators::chaos::{ChaosConfig, ChaosEst, FaultClass};
+use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
 use cardbench_harness::{estimate_all, plan_query_via, PlannedQuery};
-use cardbench_query::{connected_subsets, SubPlanQuery};
+use cardbench_query::SubPlanQuery;
 use cardbench_serve::{
     BreakerConfig, BreakerState, ServeConfig, ServeError, Server, Session, TickFault,
 };
@@ -329,65 +327,8 @@ fn server_drop_with_live_sessions_is_deadlock_free_and_typed() {
     ));
 }
 
-/// A query that degrades wholly to the fallback refunds its budget
-/// charge: transient faults must not permanently consume a session's
-/// quota. A clean control server still charges normally.
-#[test]
-fn wholly_degraded_queries_refund_subplan_budget() {
-    let wl = workload();
-    let wq = &wl.queries[0];
-    let n = connected_subsets(&wq.query).len() as u64;
-
-    // Every estimate panics: every plan is wholly degraded.
-    let est: Arc<dyn CardEst> = Arc::new(ChaosEst::new(
-        Box::new(PostgresEst::fit(db())),
-        ChaosConfig {
-            seed: 3,
-            rate: 1.0,
-            classes: vec![FaultClass::Panic],
-            ..ChaosConfig::default()
-        },
-    ));
-    let srv = server_with(
-        est,
-        ServeConfig {
-            session_subplan_budget: n,
-            breaker: None,
-            ..ServeConfig::default()
-        },
-    );
-    let mut session = srv.session().expect("admitted");
-    for round in 0..3 {
-        let planned = session.plan(wq).expect("degrades, never errors");
-        assert_eq!(planned.fallback_subplans, planned.subplans as u64);
-        assert_eq!(
-            session.subplans_used(),
-            0,
-            "round {round}: a wholly degraded query must refund its charge"
-        );
-    }
-
-    // Control: a healthy server charges and exhausts the same budget.
-    let srv = server(ServeConfig {
-        session_subplan_budget: n,
-        ..ServeConfig::default()
-    });
-    let mut session = srv.session().expect("admitted");
-    let planned = session.plan(wq).expect("clean plan");
-    assert_eq!(planned.fallback_subplans, 0);
-    assert_eq!(
-        session.subplans_used(),
-        n,
-        "clean queries keep their charge"
-    );
-    assert!(matches!(
-        session.plan(wq),
-        Err(ServeError::BudgetExhausted { .. })
-    ));
-}
-
 /// A deadline that has already passed is rejected at preflight — typed,
-/// instantly, without consuming any estimator slot or budget.
+/// instantly, without consuming any estimator slot.
 #[test]
 fn expired_deadline_rejects_at_preflight() {
     let wl = workload();
@@ -400,7 +341,6 @@ fn expired_deadline_rejects_at_preflight() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    assert_eq!(session.subplans_used(), 0, "preflight rejection is free");
     assert_eq!(srv.stats().breaker.observed_slots, 0, "no estimator call");
 }
 
