@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 use cardbench_datagen::stats::{temporal_split, DAYS_MAX};
 use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{
-    exact_cardinality, execute_with, optimize_with, plan_cost, CardMap, CostModel, Database,
-    ExecScratch, JoinAlgo, PhysicalPlan, ScanMethod, TrueCardService,
+    execute_with, optimize_with, plan_cost, CardMap, CostModel, Database, ExecScratch, JoinAlgo,
+    PhysicalPlan, ScanMethod, TrueCardService,
 };
 use cardbench_estimators::bayescard::BayesCard;
 use cardbench_estimators::calibrate::PErrorCalibrated;
@@ -22,9 +22,7 @@ use cardbench_harness::update_exp::UPDATABLE;
 use cardbench_harness::{build_estimator, run_workload, MethodRun, QueryRun, RunOptions};
 use cardbench_metrics::{percentile, percentile_triple, q_error, spearman};
 use cardbench_ml::autoreg::ArConfig;
-use cardbench_query::{
-    connected_subsets, BoundQuery, JoinEdge, JoinQuery, Region, SubPlanQuery, TableMask,
-};
+use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, Region, SubPlanQuery, TableMask};
 use cardbench_storage::{Catalog, Column, ColumnDef, ColumnKind, Table, TableSchema};
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
@@ -32,18 +30,22 @@ use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
 
 use crate::report::Eval;
 
-/// Median sub-plan Q-Error of a closure-estimator over the workload.
+/// Median sub-plan Q-Error of a closure-estimator over the workload;
+/// each query's truths come from one pass of `truth`.
 fn median_q_error(
     db: &Database,
+    truth: &TrueCardService,
     wl: &Workload,
     mut estimate: impl FnMut(&SubPlanQuery) -> f64,
 ) -> f64 {
     let mut errs = Vec::new();
     for wq in &wl.queries {
-        for mask in connected_subsets(&wq.query) {
-            let sp = SubPlanQuery::project(&wq.query, mask);
-            let t = exact_cardinality(db, &sp.query).unwrap();
-            errs.push(q_error(estimate(&sp), t));
+        let subs = SubPlanQuery::project_all(&wq.query);
+        let cards = truth
+            .cardinalities_for_subplans(db, &wq.query, &subs)
+            .unwrap();
+        for (sp, (_, t)) in subs.iter().zip(cards) {
+            errs.push(q_error(estimate(sp), t));
         }
     }
     percentile(&errs, 0.5)
@@ -66,6 +68,7 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
         ..StatsConfig::default()
     };
     let db = Database::new(stats_catalog(&cfg));
+    let truth = TrueCardService::new();
     let wl = stats_ceb(
         &db,
         &WorkloadConfig {
@@ -84,8 +87,8 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
     // A1: multi-leaves.
     let deep = DeepDb::fit(&db, 24, 0);
     let flat = Flat::fit(&db, 24, 0);
-    let q_deep = median_q_error(&db, &wl, |sp| deep.estimate(&db, sp));
-    let q_flat = median_q_error(&db, &wl, |sp| flat.estimate(&db, sp));
+    let q_deep = median_q_error(&db, &truth, &wl, |sp| deep.estimate(&db, sp));
+    let q_flat = median_q_error(&db, &truth, &wl, |sp| flat.estimate(&db, sp));
     println!(
         "A1  SPN plain (DeepDB): median q-error {q_deep:.3}, {} nodes, {}B",
         deep.node_count(),
@@ -99,8 +102,8 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
 
     // A2: fanout framework vs join uniformity with exact per-table info.
     let fanout = exact_fanout_estimator(&db, 24);
-    let q_fanout = median_q_error(&db, &wl, |sp| fanout.estimate(&db, sp));
-    let q_uniform = median_q_error(&db, &wl, |sp| {
+    let q_fanout = median_q_error(&db, &truth, &wl, |sp| fanout.estimate(&db, sp));
+    let q_uniform = median_q_error(&db, &truth, &wl, |sp| {
         let bound = BoundQuery::bind(&sp.query, db.catalog()).unwrap();
         let sels: Vec<f64> = bound
             .tables
@@ -129,12 +132,11 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
                 ar: ArConfig {
                     epochs: 2,
                     samples: 150,
-                    ..ArConfig::default()
                 },
                 seed: 3,
             },
         );
-        let q = median_q_error(&db, &wl, |sp| nc.estimate(&db, sp));
+        let q = median_q_error(&db, &truth, &wl, |sp| nc.estimate(&db, sp));
         println!("A3  NeuroCard^E FOJ sample {sample_rows:>5}: median q-error {q:.3}");
     }
     println!();
@@ -142,7 +144,7 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
     // A4: BayesCard bin budget.
     for bins in [8usize, 24, 64] {
         let bc = BayesCard::fit(&db, bins);
-        let q = median_q_error(&db, &wl, |sp| bc.estimate(&db, sp));
+        let q = median_q_error(&db, &truth, &wl, |sp| bc.estimate(&db, sp));
         println!(
             "A4  BayesCard bins {bins:>3}: median q-error {q:.3}, size {}B",
             bc.model_size_bytes()
@@ -316,6 +318,7 @@ pub fn noise_sensitivity(e: &Eval) -> Result<(), String> {
 pub fn optimizer_shapes(e: &Eval) -> Result<(), String> {
     let bench = e.bench();
     let db = &bench.stats_db;
+    let truth = TrueCardService::new();
     let cost = CostModel::default();
     // One arena for every timed run, as the harness executes plans.
     let mut scratch = ExecScratch::new();
@@ -325,9 +328,8 @@ pub fn optimizer_shapes(e: &Eval) -> Result<(), String> {
     for wq in &bench.stats_wl.queries {
         let bound = BoundQuery::bind(&wq.query, db.catalog()).unwrap();
         let mut cards = CardMap::new();
-        for mask in connected_subsets(&wq.query) {
-            let sp = SubPlanQuery::project(&wq.query, mask);
-            cards.insert(mask, exact_cardinality(db, &sp.query).unwrap());
+        for (mask, card) in truth.cardinalities_for_query(db, &wq.query).unwrap() {
+            cards.insert(mask, card);
         }
         let mut costs = [0.0f64; 2];
         for (i, left_deep) in [false, true].into_iter().enumerate() {

@@ -45,11 +45,9 @@ const SUITES: [Suite; 5] = [
     Suite {
         name: "chaos",
         run: chaos,
-        // Cache families are required on the side guaranteed nonzero
-        // (zero deltas are never emitted): the truth-path caches (agg
-        // memo, truecard) are first exercised inside the measured run so
-        // they must miss, while the filter cache is warmed during
-        // workload generation so runs only ever hit it.
+        // A zero delta still registers its series, so both families of
+        // every engine cache say the run folded that cache's counters,
+        // whether the cache hit, missed or was warm already.
         required: Required {
             spans: &[
                 "run",
@@ -74,7 +72,10 @@ const SUITES: [Suite; 5] = [
                 "cardbench_peak_intermediate_bytes",
                 "cardbench_exec_scratch_bytes",
                 "cardbench_filter_cache_hits_total",
+                "cardbench_filter_cache_misses_total",
+                "cardbench_agg_memo_hits_total",
                 "cardbench_agg_memo_misses_total",
+                "cardbench_truecard_cache_hits_total",
                 "cardbench_truecard_cache_misses_total",
                 "cardbench_topology_cache_hits_total",
                 "cardbench_topology_cache_misses_total",
@@ -115,14 +116,13 @@ const SUITES: [Suite; 5] = [
     Suite {
         name: "adaptive",
         run: adaptive,
-        // Corrections can legitimately be zero when exact overrides
-        // dominate, so that family is not required.
         required: Required {
             spans: &["run", "workload", "feedback", "plan", "execute"],
             families: &[
                 "cardbench_feedback_hits_total",
                 "cardbench_feedback_misses_total",
                 "cardbench_feedback_overrides_total",
+                "cardbench_feedback_corrections_total",
                 "cardbench_feedback_observations_total",
             ],
         },

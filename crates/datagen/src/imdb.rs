@@ -26,6 +26,13 @@ const BASE_ROWS: [(&str, usize); 6] = [
     ("movie_keyword", 108_000),
 ];
 
+/// Zipf exponent of attribute marginals (milder than STATS).
+const ATTR_SKEW: f64 = 1.1;
+/// Zipf exponent of join-key degrees.
+const KEY_SKEW: f64 = 0.35;
+/// Latent coupling (milder than STATS).
+const COUPLING: f64 = 0.4;
+
 /// Configuration of the simplified-IMDB generator.
 #[derive(Debug, Clone)]
 pub struct ImdbConfig {
@@ -33,12 +40,6 @@ pub struct ImdbConfig {
     pub scale: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Zipf exponent of attribute marginals (milder than STATS).
-    pub attr_skew: f64,
-    /// Zipf exponent of join-key degrees.
-    pub key_skew: f64,
-    /// Latent coupling (milder than STATS).
-    pub coupling: f64,
 }
 
 impl Default for ImdbConfig {
@@ -46,9 +47,6 @@ impl Default for ImdbConfig {
         ImdbConfig {
             scale: 0.05,
             seed: 0xBEEF,
-            attr_skew: 1.1,
-            key_skew: 0.35,
-            coupling: 0.4,
         }
     }
 }
@@ -56,11 +54,7 @@ impl Default for ImdbConfig {
 impl ImdbConfig {
     /// A tiny configuration for unit tests.
     pub fn tiny(seed: u64) -> ImdbConfig {
-        ImdbConfig {
-            scale: 0.005,
-            seed,
-            ..ImdbConfig::default()
-        }
+        ImdbConfig { scale: 0.005, seed }
     }
 
     /// Scaled row count of a table.
@@ -102,12 +96,12 @@ fn satellite_schema(name: &str, attrs: &[&str]) -> TableSchema {
 /// Generates the simplified-IMDB catalog.
 pub fn imdb_catalog(cfg: &ImdbConfig) -> Catalog {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let model = LatentRowModel::new(128, 0.0, cfg.coupling);
+    let model = LatentRowModel::new(128, 0.0, COUPLING);
 
     let n_title = cfg.rows_of("title");
     let mut title_latent = Vec::with_capacity(n_title);
     let kind_zipf = Zipf::new(7, 1.0);
-    let year_zipf = Zipf::new(130, cfg.attr_skew);
+    let year_zipf = Zipf::new(130, ATTR_SKEW);
     let mut title = Table::empty(TableSchema::new(
         "title",
         vec![
@@ -120,7 +114,7 @@ pub fn imdb_catalog(cfg: &ImdbConfig) -> Catalog {
         let z = model.draw_latent(&mut rng);
         let kind = kind_zipf.sample(&mut rng) as i64 + 1;
         // Years cluster toward the recent end (rank 0 = most recent).
-        let year = 2019 - model.draw_attr(&mut rng, z, 130, cfg.attr_skew, &year_zipf);
+        let year = 2019 - model.draw_attr(&mut rng, z, 130, ATTR_SKEW, &year_zipf);
         let year: Datum = if rng.gen::<f64>() < 0.05 {
             None
         } else {
@@ -137,7 +131,7 @@ pub fn imdb_catalog(cfg: &ImdbConfig) -> Catalog {
             .partial_cmp(&title_latent[a])
             .expect("latents are finite")
     });
-    let pop = Zipf::new(n_title, cfg.key_skew);
+    let pop = Zipf::new(n_title, KEY_SKEW);
 
     let mut catalog = Catalog::new();
     catalog.add_table(title);
@@ -152,17 +146,14 @@ pub fn imdb_catalog(cfg: &ImdbConfig) -> Catalog {
     for (name, attrs, domain) in satellites {
         let schema = satellite_schema(name, attrs);
         let mut t = Table::empty(schema);
-        let attr_zipfs: Vec<Zipf> = attrs
-            .iter()
-            .map(|_| Zipf::new(domain, cfg.attr_skew))
-            .collect();
+        let attr_zipfs: Vec<Zipf> = attrs.iter().map(|_| Zipf::new(domain, ATTR_SKEW)).collect();
         for rid in 0..cfg.rows_of(name) {
             let movie = order[pop.sample(&mut rng)];
             let z = title_latent[movie];
             let mut row: Vec<Datum> = vec![Some(rid as i64 + 1), Some(movie as i64 + 1)];
             for az in &attr_zipfs {
                 row.push(Some(
-                    model.draw_attr(&mut rng, z, domain, cfg.attr_skew, az) + 1,
+                    model.draw_attr(&mut rng, z, domain, ATTR_SKEW, az) + 1,
                 ));
             }
             t.append_row(&row).expect("arity");

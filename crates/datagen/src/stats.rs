@@ -44,6 +44,12 @@ pub const DAYS_MAX: i64 = 2920;
 /// Table 6 trains on tuples "created before 2014, roughly 50%").
 pub const SPLIT_DAY: i64 = DAYS_MAX / 2;
 
+/// Zipf exponent of attribute marginals. Over bounded domains it caps
+/// the average moment skewness near 3, well under real STATS' ≈21.8.
+const ATTR_SKEW: f64 = 1.6;
+/// Zipf exponent of join-key degree distributions.
+const KEY_SKEW: f64 = 1.1;
+
 /// Configuration of the STATS-profile generator.
 #[derive(Debug, Clone)]
 pub struct StatsConfig {
@@ -52,10 +58,6 @@ pub struct StatsConfig {
     pub scale: f64,
     /// RNG seed; the dataset is a pure function of the config.
     pub seed: u64,
-    /// Zipf exponent of attribute marginals (paper STATS: avg skew ≈21.8).
-    pub attr_skew: f64,
-    /// Zipf exponent of join-key degree distributions.
-    pub key_skew: f64,
     /// Latent coupling planting intra-table correlation (≈0.22 avg |r|).
     pub coupling: f64,
 }
@@ -65,8 +67,6 @@ impl Default for StatsConfig {
         StatsConfig {
             scale: 0.02,
             seed: 0xC0FFEE,
-            attr_skew: 1.6,
-            key_skew: 1.1,
             coupling: 0.75,
         }
     }
@@ -240,7 +240,7 @@ struct Popularity {
 }
 
 impl Popularity {
-    fn new(latents: &[f64], key_skew: f64) -> Popularity {
+    fn new(latents: &[f64]) -> Popularity {
         let mut order: Vec<usize> = (0..latents.len()).collect();
         order.sort_by(|&a, &b| {
             latents[b]
@@ -248,7 +248,7 @@ impl Popularity {
                 .expect("latents are finite")
         });
         Popularity {
-            zipf: Zipf::new(latents.len().max(1), key_skew),
+            zipf: Zipf::new(latents.len().max(1), KEY_SKEW),
             order,
         }
     }
@@ -270,18 +270,18 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
     // --- users -----------------------------------------------------------
     let mut user_latent = Vec::with_capacity(n_users);
     let mut user_date = Vec::with_capacity(n_users);
-    let rep_zipf = Zipf::new(1000, cfg.attr_skew);
-    let views_zipf = Zipf::new(400, cfg.attr_skew);
-    let upv_zipf = Zipf::new(300, cfg.attr_skew);
+    let rep_zipf = Zipf::new(1000, ATTR_SKEW);
+    let views_zipf = Zipf::new(400, ATTR_SKEW);
+    let upv_zipf = Zipf::new(300, ATTR_SKEW);
     let mut users = Table::empty(schema_users());
     for uid in 0..n_users {
         let z = model.draw_latent(&mut rng);
         // Active users tend to be early adopters.
         let date_span = (DAYS_MAX as f64 * (1.0 - 0.5 * z)) as i64;
         let date = rng.gen_range(0..date_span.max(1));
-        let rep = heavy_map(model.draw_attr(&mut rng, z, 1000, cfg.attr_skew, &rep_zipf));
-        let views = model.draw_attr(&mut rng, z, 400, cfg.attr_skew, &views_zipf);
-        let upv = model.draw_attr(&mut rng, z, 300, cfg.attr_skew, &upv_zipf);
+        let rep = heavy_map(model.draw_attr(&mut rng, z, 1000, ATTR_SKEW, &rep_zipf));
+        let views = model.draw_attr(&mut rng, z, 400, ATTR_SKEW, &views_zipf);
+        let upv = model.draw_attr(&mut rng, z, 300, ATTR_SKEW, &upv_zipf);
         users
             .append_row(&[
                 Some(uid as i64 + 1),
@@ -294,16 +294,16 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
         user_latent.push(z);
         user_date.push(date);
     }
-    let user_pop = Popularity::new(&user_latent, cfg.key_skew);
+    let user_pop = Popularity::new(&user_latent);
 
     // --- posts -----------------------------------------------------------
     let mut post_latent = Vec::with_capacity(n_posts);
     let mut post_date = Vec::with_capacity(n_posts);
-    let score_zipf = Zipf::new(120, cfg.attr_skew);
-    let view_zipf = Zipf::new(800, cfg.attr_skew);
-    let ac_zipf = Zipf::new(30, cfg.attr_skew + 0.4);
-    let cc_zipf = Zipf::new(40, cfg.attr_skew + 0.4);
-    let fav_zipf = Zipf::new(60, cfg.attr_skew + 0.6);
+    let score_zipf = Zipf::new(120, ATTR_SKEW);
+    let view_zipf = Zipf::new(800, ATTR_SKEW);
+    let ac_zipf = Zipf::new(30, ATTR_SKEW + 0.4);
+    let cc_zipf = Zipf::new(40, ATTR_SKEW + 0.4);
+    let fav_zipf = Zipf::new(60, ATTR_SKEW + 0.6);
     let ptype_zipf = Zipf::new(6, 1.1);
     let mut posts = Table::empty(schema_posts());
     for pid in 0..n_posts {
@@ -323,14 +323,14 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
         } else {
             ptype_zipf.sample(&mut rng) as i64 + 1
         };
-        let score = model.draw_attr(&mut rng, z, 120, cfg.attr_skew, &score_zipf) - 3;
-        let views = heavy_map(model.draw_attr(&mut rng, z, 800, cfg.attr_skew, &view_zipf));
-        let ans = model.draw_attr(&mut rng, z, 30, cfg.attr_skew, &ac_zipf);
-        let cc = model.draw_attr(&mut rng, z, 40, cfg.attr_skew, &cc_zipf);
+        let score = model.draw_attr(&mut rng, z, 120, ATTR_SKEW, &score_zipf) - 3;
+        let views = heavy_map(model.draw_attr(&mut rng, z, 800, ATTR_SKEW, &view_zipf));
+        let ans = model.draw_attr(&mut rng, z, 30, ATTR_SKEW, &ac_zipf);
+        let cc = model.draw_attr(&mut rng, z, 40, ATTR_SKEW, &cc_zipf);
         let fav: Datum = if rng.gen::<f64>() < 0.45 {
             None
         } else {
-            Some(model.draw_attr(&mut rng, z, 60, cfg.attr_skew, &fav_zipf))
+            Some(model.draw_attr(&mut rng, z, 60, ATTR_SKEW, &fav_zipf))
         };
         posts
             .append_row(&[
@@ -349,10 +349,10 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
         post_latent.push(z);
         post_date.push(date);
     }
-    let post_pop = Popularity::new(&post_latent, cfg.key_skew);
+    let post_pop = Popularity::new(&post_latent);
 
     // --- comments ----------------------------------------------------------
-    let cscore_zipf = Zipf::new(25, cfg.attr_skew + 0.5);
+    let cscore_zipf = Zipf::new(25, ATTR_SKEW + 0.5);
     let mut comments = Table::empty(schema_comments());
     for cid in 0..cfg.rows_of("comments") {
         let p = post_pop.sample(&mut rng);
@@ -364,7 +364,7 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
         } else {
             Some(u as i64 + 1)
         };
-        let score = model.draw_attr(&mut rng, z, 25, cfg.attr_skew, &cscore_zipf);
+        let score = model.draw_attr(&mut rng, z, 25, ATTR_SKEW, &cscore_zipf);
         comments
             .append_row(&[
                 Some(cid as i64 + 1),
@@ -461,7 +461,7 @@ pub fn stats_catalog(cfg: &StatsConfig) -> Catalog {
 
     // --- tags ----------------------------------------------------------------
     let mut tags = Table::empty(schema_tags());
-    let tag_count_zipf = Zipf::new(500, cfg.attr_skew);
+    let tag_count_zipf = Zipf::new(500, ATTR_SKEW);
     for tid in 0..cfg.rows_of("tags") {
         let excerpt: Datum = if rng.gen::<f64>() < 0.35 {
             None

@@ -51,7 +51,6 @@ pub fn fit_spn_family(
             min_rows: (rows / 100).max(48),
             multileaf,
             seed: seed ^ t as u64,
-            ..SpnConfig::default()
         };
         let spn = Spn::fit(&binned, &coder.bins, cfg);
         coders.push(coder);

@@ -135,15 +135,16 @@ pub struct LwNn {
     train: TrainingSet,
 }
 
+/// LW-NN hidden width.
+const LW_NN_HIDDEN: usize = 64;
+/// LW-NN learning rate.
+const LW_NN_LR: f32 = 0.003;
+
 /// LW-NN hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct LwNnConfig {
-    /// Hidden width.
-    pub hidden: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Seed.
     pub seed: u64,
 }
@@ -151,9 +152,7 @@ pub struct LwNnConfig {
 impl Default for LwNnConfig {
     fn default() -> Self {
         LwNnConfig {
-            hidden: 64,
             epochs: 20,
-            lr: 0.003,
             seed: 0,
         }
     }
@@ -164,8 +163,8 @@ impl LwNn {
     pub fn fit(db: &Database, train: &TrainingSet, cfg: &LwNnConfig) -> LwNn {
         let featurizer = Featurizer::fit(db);
         let (xs, ys) = train.features(db, &featurizer);
-        let mut model = Mlp::new(&[featurizer.dim(), cfg.hidden, 1], cfg.seed);
-        model.train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed ^ 0xAB);
+        let mut model = Mlp::new(&[featurizer.dim(), LW_NN_HIDDEN, 1], cfg.seed);
+        model.train_regression(&xs, &ys, cfg.epochs, LW_NN_LR, cfg.seed ^ 0xAB);
         LwNn {
             featurizer,
             model,
@@ -247,14 +246,7 @@ mod tests {
     fn xgb_learns_monotone_workload() {
         let db = Database::new(stats_catalog(&StatsConfig::tiny(1)));
         let train = training(&db);
-        let est = LwXgb::fit(
-            &db,
-            &train,
-            &GbdtConfig {
-                rounds: 30,
-                ..GbdtConfig::default()
-            },
-        );
+        let est = LwXgb::fit(&db, &train, &GbdtConfig { rounds: 30 });
         // In-distribution prediction should be within 2× for mid-range k.
         let q = &train.queries[30];
         let truth = train.cards[30].max(1.0);

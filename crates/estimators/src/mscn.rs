@@ -22,6 +22,9 @@ use crate::lw::TrainingSet;
 use crate::scratch::{with_scratch, InferScratch};
 use crate::CardEst;
 
+/// Learning rate.
+const LR: f32 = 0.003;
+
 /// MSCN hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct MscnConfig {
@@ -31,8 +34,6 @@ pub struct MscnConfig {
     pub hidden: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Seed.
     pub seed: u64,
 }
@@ -43,7 +44,6 @@ impl Default for MscnConfig {
             embed: 32,
             hidden: 64,
             epochs: 25,
-            lr: 0.003,
             seed: 0,
         }
     }
@@ -99,7 +99,7 @@ impl Mscn {
         scratch.pooled.scatter_dense(xs.cols, &mut xs.data);
         let ys: Vec<f32> = train.cards.iter().map(|&c| card_to_label(c)).collect();
         mscn.head
-            .train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed ^ 0x22);
+            .train_regression(&xs, &ys, cfg.epochs, LR, cfg.seed ^ 0x22);
         mscn
     }
 

@@ -52,41 +52,27 @@ pub struct MultiHist {
     groups: Vec<Vec<GroupHist>>,
 }
 
-/// MultiHist configuration.
-#[derive(Debug, Clone)]
-pub struct MultiHistConfig {
-    /// Bins per dimension.
-    pub bins: usize,
-    /// Attributes with dependence above this are grouped together.
-    pub group_threshold: f64,
-    /// Maximum attributes per multi-dimensional histogram.
-    pub max_group: usize,
-}
-
-impl Default for MultiHistConfig {
-    fn default() -> Self {
-        MultiHistConfig {
-            bins: 12,
-            group_threshold: 0.25,
-            max_group: 3,
-        }
-    }
-}
+/// Bins per dimension.
+const BINS: usize = 12;
+/// Attributes with dependence above this are grouped together.
+const GROUP_THRESHOLD: f64 = 0.25;
+/// Maximum attributes per multi-dimensional histogram.
+const MAX_GROUP: usize = 3;
 
 impl MultiHist {
     /// Builds multi-dimensional histograms for every table.
-    pub fn fit(db: &Database, cfg: &MultiHistConfig) -> MultiHist {
+    pub fn fit(db: &Database) -> MultiHist {
         let nt = db.catalog().table_count();
         let mut coders = Vec::with_capacity(nt);
         let mut groups = Vec::with_capacity(nt);
         for t in 0..nt {
-            let coder = TableCoder::fit(db, TableId(t), cfg.bins, false);
+            let coder = TableCoder::fit(db, TableId(t), BINS, false);
             let data = coder.binned(db, None);
             let table_groups = if data.is_empty() {
                 Vec::new()
             } else {
                 let dep = dependence_matrix(&data);
-                greedy_groups(&dep, cfg.group_threshold, cfg.max_group)
+                greedy_groups(&dep, GROUP_THRESHOLD, MAX_GROUP)
                     .into_iter()
                     .map(|cols| {
                         let rows = data[0].len();

@@ -581,7 +581,6 @@ mod tests {
             ar: ArConfig {
                 epochs: 2,
                 samples: 120,
-                ..ArConfig::default()
             },
             seed: 1,
         }

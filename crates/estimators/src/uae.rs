@@ -19,17 +19,18 @@ use crate::postgres::PostgresEst;
 use crate::scratch::{with_scratch, InferScratch};
 use crate::CardEst;
 
+/// First hidden width.
+const HIDDEN1: usize = 128;
+/// Second hidden width.
+const HIDDEN2: usize = 64;
+/// Learning rate.
+const LR: f32 = 0.002;
+
 /// Shared configuration.
 #[derive(Debug, Clone)]
 pub struct UaeConfig {
-    /// First hidden width.
-    pub hidden1: usize,
-    /// Second hidden width.
-    pub hidden2: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Seed.
     pub seed: u64,
 }
@@ -37,10 +38,7 @@ pub struct UaeConfig {
 impl Default for UaeConfig {
     fn default() -> Self {
         UaeConfig {
-            hidden1: 128,
-            hidden2: 64,
             epochs: 30,
-            lr: 0.002,
             seed: 0,
         }
     }
@@ -57,11 +55,8 @@ impl UaeQ {
     pub fn fit(db: &Database, train: &TrainingSet, cfg: &UaeConfig) -> UaeQ {
         let featurizer = Featurizer::fit(db);
         let (xs, ys) = train.features(db, &featurizer);
-        let mut model = Mlp::new(
-            &[featurizer.dim(), cfg.hidden1, cfg.hidden2, 1],
-            cfg.seed ^ 0xAE,
-        );
-        model.train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed);
+        let mut model = Mlp::new(&[featurizer.dim(), HIDDEN1, HIDDEN2, 1], cfg.seed ^ 0xAE);
+        model.train_regression(&xs, &ys, cfg.epochs, LR, cfg.seed);
         UaeQ { featurizer, model }
     }
 }
@@ -108,7 +103,7 @@ impl Uae {
         let mut uae = Uae {
             featurizer,
             hists: PostgresEst::fit(db),
-            model: Mlp::new(&[dim, cfg.hidden1, cfg.hidden2, 1], cfg.seed ^ 0xEA),
+            model: Mlp::new(&[dim, HIDDEN1, HIDDEN2, 1], cfg.seed ^ 0xEA),
             n_tables,
         };
         let mut scratch = InferScratch::default();
@@ -118,7 +113,7 @@ impl Uae {
         scratch.rows.scatter_dense(dim, &mut xs.data);
         let ys: Vec<f32> = train.cards.iter().map(|&c| card_to_label(c)).collect();
         uae.model
-            .train_regression(&xs, &ys, cfg.epochs, cfg.lr, cfg.seed);
+            .train_regression(&xs, &ys, cfg.epochs, LR, cfg.seed);
         uae
     }
 

@@ -34,8 +34,7 @@ pub struct EstimatorSettings {
     pub uae: UaeConfig,
     /// NeuroCard hyper-parameters.
     pub neurocard: NeuroCardConfig,
-    /// Sketch-estimator hyper-parameters (HLL precision, count-min
-    /// shape, build shards).
+    /// Sketch-estimator settings (hash seed, build shards).
     pub sketch: SketchConfig,
 }
 
@@ -52,7 +51,6 @@ impl EstimatorSettings {
                 embed: 64,
                 hidden: 96,
                 epochs: 40,
-                ..MscnConfig::default()
             },
             lw_nn: LwNnConfig {
                 seed,
@@ -87,27 +85,15 @@ impl EstimatorSettings {
                 seed,
                 ..MscnConfig::default()
             },
-            lw_nn: LwNnConfig {
-                epochs: 4,
-                seed,
-                ..LwNnConfig::default()
-            },
-            gbdt: GbdtConfig {
-                rounds: 10,
-                ..GbdtConfig::default()
-            },
-            uae: UaeConfig {
-                epochs: 4,
-                seed,
-                ..UaeConfig::default()
-            },
+            lw_nn: LwNnConfig { epochs: 4, seed },
+            gbdt: GbdtConfig { rounds: 10 },
+            uae: UaeConfig { epochs: 4, seed },
             neurocard: NeuroCardConfig {
                 sample_rows: 1200,
                 max_bins: 12,
                 ar: ArConfig {
                     epochs: 1,
                     samples: 60,
-                    ..ArConfig::default()
                 },
                 seed,
             },

@@ -9,7 +9,7 @@ use cardbench_estimators::deepdb::DeepDb;
 use cardbench_estimators::flat::Flat;
 use cardbench_estimators::lw::{LwNn, LwXgb, TrainingSet};
 use cardbench_estimators::mscn::Mscn;
-use cardbench_estimators::multihist::{MultiHist, MultiHistConfig};
+use cardbench_estimators::multihist::MultiHist;
 use cardbench_estimators::neurocard::NeuroCardE;
 use cardbench_estimators::pessest::PessEst;
 use cardbench_estimators::postgres::PostgresEst;
@@ -45,7 +45,7 @@ pub fn build_estimator(
     let est: Box<dyn CardEst> = match kind {
         EstimatorKind::TrueCard => Box::new(TrueCardEst::new()),
         EstimatorKind::Postgres => Box::new(PostgresEst::fit(db)),
-        EstimatorKind::MultiHist => Box::new(MultiHist::fit(db, &MultiHistConfig::default())),
+        EstimatorKind::MultiHist => Box::new(MultiHist::fit(db)),
         EstimatorKind::UniSample => Box::new(UniSample::fit(db, s.sample_size, s.seed)),
         EstimatorKind::WjSample => Box::new(WjSample::new(s.wj_walks, s.seed)),
         EstimatorKind::PessEst => Box::new(PessEst::fit(db)),

@@ -15,29 +15,28 @@ use crate::matrix::{Matrix, SparseRows};
 use crate::mlp::{softmax, Mlp, MlpScratch};
 use crate::weights::WeightBatch;
 
+/// Hidden width of each conditional MLP.
+const HIDDEN: usize = 32;
+/// Adam learning rate.
+const LR: f32 = 0.01;
+/// Seed of every conditional's training order; column `i`'s weights are
+/// seeded by `i`.
+const TRAIN_SEED: u64 = 0x5eed;
+
 /// Autoregressive model configuration.
 #[derive(Debug, Clone)]
 pub struct ArConfig {
-    /// Hidden width of each conditional MLP.
-    pub hidden: usize,
     /// Training epochs over the data sample.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Progressive samples per query.
     pub samples: usize,
-    /// RNG seed for weight init and training order.
-    pub seed: u64,
 }
 
 impl Default for ArConfig {
     fn default() -> Self {
         ArConfig {
-            hidden: 32,
             epochs: 2,
-            lr: 0.01,
             samples: 200,
-            seed: 0,
         }
     }
 }
@@ -67,8 +66,8 @@ impl AutoRegModel {
         for i in 1..cols.len() {
             let xs = Matrix::from_fn(n, i, |r, c| cols[c][r] as f32 / bins[c].max(1) as f32);
             let labels: Vec<usize> = cols[i].iter().map(|&b| b as usize).collect();
-            let mut net = Mlp::new(&[i, cfg.hidden, bins[i]], cfg.seed.wrapping_add(i as u64));
-            net.train_softmax(&xs, &labels, cfg.epochs, cfg.lr, cfg.seed ^ 0x5eed);
+            let mut net = Mlp::new(&[i, HIDDEN, bins[i]], i as u64);
+            net.train_softmax(&xs, &labels, cfg.epochs, LR, TRAIN_SEED);
             mlps.push(net);
         }
         AutoRegModel {
@@ -298,7 +297,6 @@ mod tests {
             ArConfig {
                 epochs: 12,
                 samples: 400,
-                ..ArConfig::default()
             },
         )
     }
@@ -361,7 +359,6 @@ mod tests {
             ArConfig {
                 epochs: 2,
                 samples: 23,
-                ..ArConfig::default()
             },
         );
         let queries: Vec<Vec<Option<Vec<f64>>>> = vec![

@@ -27,16 +27,16 @@ struct Node {
 /// not about this array's packing).
 const NODE_MODEL_BYTES: usize = 32;
 
+/// Maximum tree depth.
+const DEPTH: usize = 5;
+/// Learning rate.
+const SHRINKAGE: f32 = 0.2;
+/// Minimum rows to split a node.
+const MIN_ROWS: usize = 4;
+
 /// Builds one depth-limited regression tree into `nodes`, returning
 /// its root.
-fn build_tree(
-    xs: &Matrix,
-    ys: &[f32],
-    rows: &[usize],
-    depth: usize,
-    min_rows: usize,
-    nodes: &mut Vec<Node>,
-) -> u32 {
+fn build_tree(xs: &Matrix, ys: &[f32], rows: &[usize], depth: usize, nodes: &mut Vec<Node>) -> u32 {
     let leaf = |value: f32, nodes: &mut Vec<Node>| {
         let id = nodes.len() as u32;
         nodes.push(Node {
@@ -47,7 +47,7 @@ fn build_tree(
         id
     };
     let mean = rows.iter().map(|&r| ys[r]).sum::<f32>() / rows.len().max(1) as f32;
-    if depth == 0 || rows.len() < min_rows {
+    if depth == 0 || rows.len() < MIN_ROWS {
         return leaf(mean, nodes);
     }
     // Greedy best split by variance reduction.
@@ -85,8 +85,8 @@ fn build_tree(
     if lrows.is_empty() || rrows.is_empty() {
         return leaf(mean, nodes);
     }
-    let left = build_tree(xs, ys, &lrows, depth - 1, min_rows, nodes);
-    let right = build_tree(xs, ys, &rrows, depth - 1, min_rows, nodes);
+    let left = build_tree(xs, ys, &lrows, depth - 1, nodes);
+    let right = build_tree(xs, ys, &rrows, depth - 1, nodes);
     nodes.push(Node {
         feature: feature as u32,
         value: threshold,
@@ -102,10 +102,7 @@ pub struct Gbdt {
     nodes: Vec<Node>,
     /// Root node of each tree, in boosting order.
     roots: Vec<u32>,
-    /// Steps that take any root to a leaf: the configured tree depth.
-    depth: usize,
     base: f32,
-    shrinkage: f32,
 }
 
 /// GBDT hyper-parameters.
@@ -113,22 +110,11 @@ pub struct Gbdt {
 pub struct GbdtConfig {
     /// Boosting rounds.
     pub rounds: usize,
-    /// Maximum tree depth.
-    pub depth: usize,
-    /// Learning rate.
-    pub shrinkage: f32,
-    /// Minimum rows to split a node.
-    pub min_rows: usize,
 }
 
 impl Default for GbdtConfig {
     fn default() -> Self {
-        GbdtConfig {
-            rounds: 60,
-            depth: 5,
-            shrinkage: 0.2,
-            min_rows: 4,
-        }
+        GbdtConfig { rounds: 60 }
     }
 }
 
@@ -144,33 +130,24 @@ impl Gbdt {
         let mut gbdt = Gbdt {
             nodes: Vec::new(),
             roots: Vec::with_capacity(cfg.rounds),
-            depth: cfg.depth,
             base,
-            shrinkage: cfg.shrinkage,
         };
         for _ in 0..cfg.rounds {
-            let root = build_tree(
-                xs,
-                &residual,
-                &rows,
-                cfg.depth,
-                cfg.min_rows,
-                &mut gbdt.nodes,
-            );
+            let root = build_tree(xs, &residual, &rows, DEPTH, &mut gbdt.nodes);
             for (r, res) in residual.iter_mut().enumerate() {
-                *res -= cfg.shrinkage * gbdt.leaf_value(root, xs.row(r));
+                *res -= SHRINKAGE * gbdt.leaf_value(root, xs.row(r));
             }
             gbdt.roots.push(root);
         }
         gbdt
     }
 
-    /// The prediction of the tree rooted at `root` for `x`: `depth`
+    /// The prediction of the tree rooted at `root` for `x`: [`DEPTH`]
     /// branch-free steps (a leaf steps onto itself).
     #[inline]
     fn leaf_value(&self, root: u32, x: &[f32]) -> f32 {
         let mut at = root as usize;
-        for _ in 0..self.depth {
+        for _ in 0..DEPTH {
             let node = &self.nodes[at];
             // NaN fails the test and goes right, like everything `>`.
             let left = x[node.feature as usize] <= node.value;
@@ -199,7 +176,7 @@ impl Gbdt {
             }
         }
         for sum in out.iter_mut() {
-            *sum = self.base + self.shrinkage * *sum;
+            *sum = self.base + SHRINKAGE * *sum;
         }
     }
 
@@ -269,14 +246,7 @@ mod tests {
     fn size_accounting() {
         let xs = Matrix::from_fn(20, 1, |r, _| r as f32);
         let ys: Vec<f32> = (0..20).map(|r| r as f32).collect();
-        let g = Gbdt::fit(
-            &xs,
-            &ys,
-            &GbdtConfig {
-                rounds: 3,
-                ..GbdtConfig::default()
-            },
-        );
+        let g = Gbdt::fit(&xs, &ys, &GbdtConfig { rounds: 3 });
         assert!(g.size_bytes() > 0);
     }
 }

@@ -2,10 +2,10 @@
 //! with optional joint multi-leaves (the FLAT/FSPN substrate).
 //!
 //! Structure learning follows LearnSPN: recursively try an independence
-//! split of the columns (dependence below `dep_threshold` ⇒ product node);
+//! split of the columns (dependence below `DEP_THRESHOLD` ⇒ product node);
 //! otherwise cluster the rows (k-means ⇒ sum node). In `multileaf` mode
 //! (FLAT), groups of highly correlated columns (pairwise dependence above
-//! `joint_threshold`) are modeled *exactly* by a joint count table instead
+//! `JOINT_THRESHOLD`) are modeled *exactly* by a joint count table instead
 //! of being chased down long sum-node chains — the FSPN factorize/multi-
 //! leaf idea, which is why FLAT is more accurate and compact than DeepDB
 //! on correlated data (paper O8).
@@ -18,25 +18,26 @@ use crate::kmeans::kmeans;
 use crate::matrix::Matrix;
 use crate::weights::{ModelScratch, WeightBatch};
 
+/// Below this pairwise dependence, columns are split independently
+/// (the paper's RDC threshold).
+const DEP_THRESHOLD: f64 = 0.3;
+/// Above this pairwise dependence, columns are grouped into a joint
+/// multi-leaf when `multileaf` is on (the paper's threshold).
+const JOINT_THRESHOLD: f64 = 0.7;
+/// Maximum columns a multi-leaf may cover.
+const MAX_MULTILEAF_COLS: usize = 4;
+/// Maximum recursion depth before forcing leaves.
+const MAX_DEPTH: usize = 24;
+/// k-means iterations for row clustering.
+const CLUSTER_ITERS: usize = 8;
+
 /// SPN learning configuration.
 #[derive(Debug, Clone)]
 pub struct SpnConfig {
-    /// Below this pairwise dependence, columns are split independently
-    /// (the paper uses RDC threshold 0.3).
-    pub dep_threshold: f64,
-    /// Above this pairwise dependence, columns are grouped into a joint
-    /// multi-leaf when `multileaf` is on (paper threshold 0.7).
-    pub joint_threshold: f64,
     /// Stop recursing below this many rows (paper: 1% of input).
     pub min_rows: usize,
     /// Enable FSPN-style multi-leaves (FLAT) instead of pure SPN (DeepDB).
     pub multileaf: bool,
-    /// Maximum columns a multi-leaf may cover.
-    pub max_multileaf_cols: usize,
-    /// Maximum recursion depth before forcing leaves.
-    pub max_depth: usize,
-    /// k-means iterations for row clustering.
-    pub cluster_iters: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -44,13 +45,8 @@ pub struct SpnConfig {
 impl Default for SpnConfig {
     fn default() -> Self {
         SpnConfig {
-            dep_threshold: 0.3,
-            joint_threshold: 0.7,
             min_rows: 64,
             multileaf: false,
-            max_multileaf_cols: 4,
-            max_depth: 24,
-            cluster_iters: 8,
             seed: 0,
         }
     }
@@ -258,7 +254,7 @@ impl Spn {
         if scope.len() == 1 {
             return self.push_leaf(cols, rows, scope[0]);
         }
-        if rows.len() < self.cfg.min_rows || depth >= self.cfg.max_depth {
+        if rows.len() < self.cfg.min_rows || depth >= MAX_DEPTH {
             return self.fallback(cols, rows, scope);
         }
         // Dependence over the row subset.
@@ -267,7 +263,7 @@ impl Spn {
             .map(|&c| rows.iter().map(|&r| cols[c][r as usize]).collect())
             .collect();
         let dep = dependence_matrix(&sub);
-        let comps = components(&dep, self.cfg.dep_threshold);
+        let comps = components(&dep, DEP_THRESHOLD);
         if comps.len() > 1 {
             let children: Vec<usize> = comps
                 .iter()
@@ -280,8 +276,8 @@ impl Spn {
         }
         // FLAT: tightly coupled small groups become exact joint leaves.
         if self.cfg.multileaf
-            && scope.len() <= self.cfg.max_multileaf_cols
-            && min_offdiag(&dep) >= self.cfg.joint_threshold
+            && scope.len() <= MAX_MULTILEAF_COLS
+            && min_offdiag(&dep) >= JOINT_THRESHOLD
         {
             return self.push_multileaf(cols, rows, scope);
         }
@@ -290,12 +286,7 @@ impl Spn {
             let col = scope[c];
             cols[col][rows[r] as usize] as f32 / self.bins[col].max(1) as f32
         });
-        let assign = kmeans(
-            &feats,
-            2,
-            self.cfg.cluster_iters,
-            self.cfg.seed ^ depth as u64,
-        );
+        let assign = kmeans(&feats, 2, CLUSTER_ITERS, self.cfg.seed ^ depth as u64);
         let (a_rows, b_rows): (Vec<u32>, Vec<u32>) = rows
             .iter()
             .enumerate()
@@ -315,7 +306,7 @@ impl Spn {
     /// Independence fallback: product of univariate leaves, or a joint
     /// multi-leaf when allowed and small.
     fn fallback(&mut self, cols: &[Vec<u16>], rows: &[u32], scope: &[usize]) -> usize {
-        if self.cfg.multileaf && scope.len() <= self.cfg.max_multileaf_cols {
+        if self.cfg.multileaf && scope.len() <= MAX_MULTILEAF_COLS {
             return self.push_multileaf(cols, rows, scope);
         }
         let children: Vec<usize> = scope

@@ -13,6 +13,9 @@
 //! update, whatever else shares the batch.
 
 use cardbench_support::proptest::prelude::*;
+use cardbench_support::proptest::seed_for;
+use cardbench_support::rand::rngs::StdRng;
+use cardbench_support::rand::{Rng, SeedableRng};
 
 use cardbench_ml::autoreg::ArConfig;
 use cardbench_ml::bayesnet::SMOOTHING;
@@ -33,14 +36,14 @@ impl Lcg {
         (self.0 >> 33) as usize % m
     }
 
-    /// Random binned columns.
-    fn columns(&mut self, bins: &[usize], rows: usize) -> Vec<Vec<u16>> {
+    /// Random binned columns: a cell of column `c > 0` follows column 0
+    /// with probability `follow.0 / follow.1`, else is drawn on its own.
+    fn columns(&mut self, bins: &[usize], rows: usize, follow: (usize, usize)) -> Vec<Vec<u16>> {
         let mut cols = vec![Vec::with_capacity(rows); bins.len()];
         for _ in 0..rows {
             let first = self.below(bins[0]);
             for (c, col) in cols.iter_mut().enumerate() {
-                // Half of the cells follow column 0: something to learn.
-                let v = if c > 0 && self.below(2) == 0 {
+                let v = if c > 0 && self.below(follow.1) < follow.0 {
                     first % bins[c]
                 } else {
                     self.below(bins[c])
@@ -346,7 +349,7 @@ proptest! {
         let ar = AutoRegModel::fit(
             &cols,
             &bins,
-            ArConfig { epochs: 1, samples: 80, ..ArConfig::default() },
+            ArConfig { epochs: 1, samples: 80 },
         );
         let mut rng = [cardbench_support::rand::SeedableRng::seed_from_u64(5)];
         let p = ar.query_batch(&batch_of(3, &[&[indicator(bins[0], 0), None, None]]), &mut rng)[0];
@@ -381,7 +384,8 @@ proptest! {
         let mut reference = ReferenceBn::new(&parent, &bins);
         let mut scratch = ModelScratch::default();
         for rows in [0, 40 + rng.below(80), 1 + rng.below(30)] {
-            let cols = rng.columns(&bins, rows);
+            // Half of the cells follow column 0: something to learn.
+            let cols = rng.columns(&bins, rows, (1, 2));
             net.observe(&cols);
             reference.observe(&cols);
             let mut queries: Vec<_> = (0..6).map(|_| rng.weights(&bins)).collect();
@@ -394,51 +398,6 @@ proptest! {
             net.query_batch(&batch, &mut scratch, &mut out);
             for (&q, v) in picks.iter().zip(&out) {
                 prop_assert_eq!(v.to_bits(), reference.query(&queries[q]).to_bits());
-            }
-        }
-    }
-
-    /// The flat SPN/FSPN evaluation — one bottom-up pass over the node
-    /// array reading derived probabilities, skipping nodes out of scope —
-    /// returns the bits of the recursive reference that recomputes
-    /// totals from the counts: for random structures and scope patterns,
-    /// before and after an `update` (so every derived table was
-    /// rebuilt), alone and inside a mixed batch.
-    #[test]
-    fn flat_spn_query_matches_reference(seed in any::<u64>()) {
-        let mut rng = Lcg(seed);
-        let k = 2 + rng.below(4);
-        let bins: Vec<usize> = (0..k).map(|_| 2 + rng.below(4)).collect();
-        let rows = 60 + rng.below(200);
-        let cols = rng.columns(&bins, rows);
-        let cfg = SpnConfig {
-            min_rows: 8 + rng.below(40),
-            multileaf: rng.below(2) == 0,
-            dep_threshold: [0.05, 0.3][rng.below(2)],
-            joint_threshold: [0.2, 0.7][rng.below(2)],
-            seed,
-            ..SpnConfig::default()
-        };
-        let mut spn = Spn::fit(&cols, &bins, cfg);
-        let mut scratch = ModelScratch::default();
-        for round in 0..2 {
-            let mut queries: Vec<_> = (0..6).map(|_| rng.weights(&bins)).collect();
-            queries.push(vec![None; k]);
-            for q in &queries {
-                let reference = reference_spn(&spn, spn.root(), q);
-                prop_assert_eq!(spn_query(&spn, q).to_bits(), reference.to_bits(), "{:?}", q);
-            }
-            let (batch, picks) = mixed_batch(&mut rng, k, &queries);
-            let mut out = Vec::new();
-            spn.query_batch(&batch, &mut scratch, &mut out);
-            for (&q, v) in picks.iter().zip(&out) {
-                let reference = reference_spn(&spn, spn.root(), &queries[q]);
-                prop_assert_eq!(v.to_bits(), reference.to_bits());
-            }
-            if round == 0 {
-                // New rows, some with joint keys the tables have not seen.
-                let rows = 1 + rng.below(60);
-                spn.update(&rng.columns(&bins, rows));
             }
         }
     }
@@ -490,4 +449,68 @@ proptest! {
             }
         }
     }
+}
+
+/// The flat SPN/FSPN evaluation — one bottom-up pass over the node
+/// array reading derived probabilities, skipping nodes out of scope —
+/// returns the bits of the recursive reference that recomputes totals
+/// from the counts: for random structures and scope patterns, before and
+/// after an `update` (so every derived table was rebuilt), alone and
+/// inside a mixed batch. The split thresholds are fixed, so the
+/// structures the cases reached are counted: sum, product and multi-leaf
+/// nodes must each occur.
+#[test]
+fn flat_spn_query_matches_reference() {
+    let mut seeds = StdRng::seed_from_u64(seed_for("flat_spn_query_matches_reference"));
+    let (mut sums, mut products, mut multis) = (0, 0, 0);
+    for _ in 0..24 {
+        let seed: u64 = seeds.gen();
+        let mut rng = Lcg(seed);
+        let k = 2 + rng.below(4);
+        let bins: Vec<usize> = (0..k).map(|_| 2 + rng.below(4)).collect();
+        let rows = 60 + rng.below(200);
+        // From half the cells following column 0 (splits into products)
+        // to all of them (sum nodes, and joint multi-leaves).
+        let follow = [(1, 2), (3, 4), (7, 8), (1, 1)][rng.below(4)];
+        let cols = rng.columns(&bins, rows, follow);
+        let cfg = SpnConfig {
+            min_rows: 8 + rng.below(40),
+            multileaf: rng.below(2) == 0,
+            seed,
+        };
+        let mut spn = Spn::fit(&cols, &bins, cfg);
+        for id in 0..spn.node_count() {
+            match spn.node(id) {
+                SpnNode::Sum { .. } => sums += 1,
+                SpnNode::Product { .. } => products += 1,
+                SpnNode::MultiLeaf { .. } => multis += 1,
+                SpnNode::Leaf { .. } => {}
+            }
+        }
+        let mut scratch = ModelScratch::default();
+        for round in 0..2 {
+            let mut queries: Vec<_> = (0..6).map(|_| rng.weights(&bins)).collect();
+            queries.push(vec![None; k]);
+            for q in &queries {
+                let reference = reference_spn(&spn, spn.root(), q);
+                assert_eq!(spn_query(&spn, q).to_bits(), reference.to_bits(), "{q:?}");
+            }
+            let (batch, picks) = mixed_batch(&mut rng, k, &queries);
+            let mut out = Vec::new();
+            spn.query_batch(&batch, &mut scratch, &mut out);
+            for (&q, v) in picks.iter().zip(&out) {
+                let reference = reference_spn(&spn, spn.root(), &queries[q]);
+                assert_eq!(v.to_bits(), reference.to_bits());
+            }
+            if round == 0 {
+                // New rows, some with joint keys the tables have not seen.
+                let rows = 1 + rng.below(60);
+                spn.update(&rng.columns(&bins, rows, follow));
+            }
+        }
+    }
+    assert!(
+        sums > 0 && products > 0 && multis > 0,
+        "sum {sums}, product {products}, multi-leaf {multis} nodes"
+    );
 }

@@ -139,9 +139,11 @@ fn with_registry(f: impl FnOnce(&mut Registry)) {
     f(guard.get_or_insert_with(Registry::default));
 }
 
-/// Adds `v` to the counter `family{labels}`. No-op while disabled.
+/// Adds `v` to the counter `family{labels}`. No-op while disabled. A
+/// zero `v` still registers the series (at 0), so a family's presence
+/// says the code that counts it ran, not that it counted anything.
 pub fn counter_add(family: &'static str, labels: &[(&'static str, &str)], v: u64) {
-    if !enabled() || v == 0 {
+    if !enabled() {
         return;
     }
     let labels = own(labels);
@@ -319,6 +321,20 @@ mod tests {
         // Out-of-range quantiles clamp instead of panicking.
         assert!(h.percentile(-3.0) >= 0.0);
         assert!(h.percentile(7.0) <= LATENCY_BUCKETS[LATENCY_BUCKETS.len() - 1]);
+    }
+
+    #[test]
+    fn zero_increment_registers_the_series() {
+        let _g = serial();
+        set_enabled(true);
+        reset();
+        counter_add("misses_total", &[("cache", "filter")], 0);
+        set_enabled(false);
+        let s = snapshot();
+        assert_eq!(s.counters.len(), 1);
+        assert_eq!(s.counters[0].0, "misses_total");
+        assert_eq!(s.counters[0].2, 0);
+        reset();
     }
 
     #[test]

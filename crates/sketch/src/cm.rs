@@ -20,10 +20,9 @@ use crate::{mix64, Direction};
 pub struct CountMin {
     depth: usize,
     width: usize,
-    /// `width - 1` when the width is a power of two: the cell index is
-    /// then `hash & mask`, the same number as `hash % width`. Fixed with
-    /// the width.
-    mask: Option<u64>,
+    /// `width - 1`: the width is a power of two, so the cell index
+    /// `hash & mask` is `hash % width`.
+    mask: u64,
     /// Total inserted minus deleted items (the CMM correction baseline).
     mass: u64,
     /// `depth × width` cells, row-major.
@@ -31,15 +30,16 @@ pub struct CountMin {
 }
 
 impl CountMin {
-    /// Creates an empty `depth × width` sketch (both clamped to ≥ 1;
-    /// width 1 disables the CMM correction).
+    /// Creates an empty `depth × width` sketch (depth clamped to ≥ 1;
+    /// width 1 disables the CMM correction). Panics unless `width` is a
+    /// power of two.
     pub fn new(depth: usize, width: usize) -> CountMin {
+        assert!(width.is_power_of_two(), "count-min width {width}");
         let depth = depth.max(1);
-        let width = width.max(1);
         CountMin {
             depth,
             width,
-            mask: width.is_power_of_two().then_some(width as u64 - 1),
+            mask: width as u64 - 1,
             mass: 0,
             cells: vec![0; depth * width],
         }
@@ -50,11 +50,7 @@ impl CountMin {
         // Kirsch-Mitzenmacher style: derive per-row hashes from one
         // mixed base so adds and probes stay O(depth).
         let hr = mix64(h.wrapping_add((row as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-        let col = match self.mask {
-            Some(mask) => hr & mask,
-            None => hr % self.width as u64,
-        };
-        row * self.width + col as usize
+        row * self.width + (hr & self.mask) as usize
     }
 
     /// Counts `n` occurrences of the item hashed to `h` in or out: the
@@ -342,9 +338,8 @@ mod tests {
 
     #[test]
     fn masked_index_is_the_remainder() {
-        for width in [1usize, 2, 16, 17, 32, 33, 64] {
+        for width in [1usize, 2, 16, 32, 64] {
             let cm = CountMin::new(3, width);
-            assert_eq!(cm.mask.is_some(), width.is_power_of_two());
             for v in 0..200u64 {
                 let h = mix64(v);
                 for row in 0..3 {
@@ -355,6 +350,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "count-min width 17")]
+    fn width_must_be_a_power_of_two() {
+        CountMin::new(2, 17);
     }
 
     #[test]

@@ -17,6 +17,15 @@ use crate::{mix64, Direction, SketchConfig};
 /// Per-attribute synopsis: distinct count (every column), dyadic
 /// frequency (filterable columns), point frequency (join keys), plus
 /// exact null count and observed value bounds.
+/// HyperLogLog precision `p` (`2^p` one-byte registers per column).
+const HLL_PRECISION: u8 = 7;
+/// Count-min depth (hash rows) for both the dyadic and key sketches.
+const CM_DEPTH: usize = 2;
+/// Count-min width (cells per hash row) per dyadic level.
+const CM_WIDTH: usize = 16;
+/// Width of the plain count-min on join-key columns.
+const KEY_CM_WIDTH: usize = 32;
+
 #[derive(Debug, Clone)]
 struct ColumnSketch {
     /// Per-column hash seed, derived from table + column name so stale
@@ -36,13 +45,13 @@ struct ColumnSketch {
 }
 
 impl ColumnSketch {
-    fn new(cfg: &SketchConfig, seed: u64, filterable: bool, key: bool) -> ColumnSketch {
+    fn new(seed: u64, filterable: bool, key: bool) -> ColumnSketch {
         ColumnSketch {
             seed,
             nulls: 0,
-            distinct: Hll::new(cfg.hll_precision),
-            freq: filterable.then(|| DyadicCm::new(cfg.cm_depth, cfg.cm_width)),
-            key_freq: key.then(|| CountMin::new(cfg.cm_depth, cfg.key_cm_width)),
+            distinct: Hll::new(HLL_PRECISION),
+            freq: filterable.then(|| DyadicCm::new(CM_DEPTH, CM_WIDTH)),
+            key_freq: key.then(|| CountMin::new(CM_DEPTH, KEY_CM_WIDTH)),
             min: i64::MAX,
             max: i64::MIN,
         }
@@ -163,7 +172,7 @@ impl TableSketch {
             .enumerate()
             .map(|(i, c)| {
                 let seed = mix64(tseed ^ (i as u64 + 1));
-                ColumnSketch::new(cfg, seed, c.kind.is_filterable(), c.kind.is_key())
+                ColumnSketch::new(seed, c.kind.is_filterable(), c.kind.is_key())
             })
             .collect();
         TableSketch { rows: 0, cols }
@@ -732,21 +741,10 @@ mod tests {
         fn streaming_in_runs_equals_row_at_a_time(
             seed in any::<u64>(),
             n in 1usize..300,
-            odd in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let table = shaped_table(&mut rng, n);
-            let cfg = if odd {
-                SketchConfig {
-                    cm_width: 17,
-                    key_cm_width: 33,
-                    cm_depth: 3,
-                    hll_precision: 4,
-                    ..SketchConfig::with_seed(seed)
-                }
-            } else {
-                SketchConfig::with_seed(seed)
-            };
+            let cfg = SketchConfig::with_seed(seed);
             let whole = TableSketch::scan(&table, 0..n, &cfg);
             assert_distinct_cached(&whole, "scan");
 

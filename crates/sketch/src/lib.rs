@@ -49,21 +49,14 @@ pub mod hll;
 
 pub use est::{SketchEst, TableSketch};
 
-/// Hyper-parameters of the sketch estimator. All sizes are deliberately
-/// small: the whole model is kilobytes where the learned methods are
-/// hundreds of kilobytes to megabytes.
-#[derive(Debug, Clone)]
+/// Settings of the sketch estimator. The sketch shapes are fixed
+/// constants of [`est`] and deliberately small: the whole model is
+/// kilobytes where the learned methods are hundreds of kilobytes to
+/// megabytes.
+#[derive(Debug, Clone, Default)]
 pub struct SketchConfig {
     /// Hash seed (mixed into every per-column hash stream).
     pub seed: u64,
-    /// HyperLogLog precision `p` (`2^p` one-byte registers per column).
-    pub hll_precision: u8,
-    /// Count-min depth (hash rows) for both the dyadic and key sketches.
-    pub cm_depth: usize,
-    /// Count-min width (cells per hash row) per dyadic level.
-    pub cm_width: usize,
-    /// Width of the plain count-min on join-key columns.
-    pub key_cm_width: usize,
     /// Build shards (row ranges per table). `0` = auto: the
     /// `CARDBENCH_THREADS` env knob, then all cores — the same
     /// resolution as the harness `--threads` flag.
@@ -76,19 +69,6 @@ impl SketchConfig {
         SketchConfig {
             seed,
             ..SketchConfig::default()
-        }
-    }
-}
-
-impl Default for SketchConfig {
-    fn default() -> SketchConfig {
-        SketchConfig {
-            seed: 0,
-            hll_precision: 7,
-            cm_depth: 2,
-            cm_width: 16,
-            key_cm_width: 32,
-            shards: 0,
         }
     }
 }

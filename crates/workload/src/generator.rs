@@ -4,7 +4,7 @@
 use cardbench_support::rand::rngs::StdRng;
 use cardbench_support::rand::{Rng, SeedableRng};
 
-use cardbench_engine::{exact_cardinality, Database};
+use cardbench_engine::{exact_cardinality, subplan_true_cards, Database};
 use cardbench_query::{JoinQuery, Predicate, Region};
 use cardbench_storage::ColumnKind;
 
@@ -307,16 +307,12 @@ fn instantiate(
 }
 
 /// Largest true cardinality over the query's connected sub-plans — the
-/// worst intermediate any join order can materialize.
+/// worst intermediate any join order can materialize — from one
+/// enumeration pass over every sub-plan.
 fn max_subplan_card(db: &Database, query: &JoinQuery) -> f64 {
-    use cardbench_query::{connected_subsets, SubPlanQuery};
-    connected_subsets(query)
-        .into_iter()
-        .map(|mask| {
-            let sp = SubPlanQuery::project(query, mask);
-            exact_cardinality(db, &sp.query).unwrap_or(f64::INFINITY)
-        })
-        .fold(0.0, f64::max)
+    subplan_true_cards(db, query).map_or(f64::INFINITY, |all| {
+        all.into_iter().map(|(_, card)| card).fold(0.0, f64::max)
+    })
 }
 
 fn filterable_slots(db: &Database, template: &JoinTemplate) -> usize {

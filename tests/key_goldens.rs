@@ -272,3 +272,51 @@ fn support_hashes_match_goldens() {
         [15206853884339345963, 13347978656702531905]
     );
 }
+
+/// Digest of every cell of a catalog, table by table in catalog order:
+/// the row and column counts, then each column's cells, a NULL as one
+/// word and a value as a marker word followed by the value.
+fn catalog_digest(cat: &Catalog) -> u64 {
+    let mut d = Digest::new();
+    for t in cat.tables() {
+        d.word(t.row_count() as u64);
+        d.word(t.column_count() as u64);
+        for c in t.columns() {
+            for v in c.iter() {
+                match v {
+                    None => d.word(u64::MAX),
+                    Some(v) => {
+                        d.word(1);
+                        d.word(v as u64);
+                    }
+                }
+            }
+        }
+    }
+    d.0
+}
+
+/// Every cell of both generated datasets, at `tiny(9)` and at the default
+/// scale: `[STATS tiny, STATS default, IMDB tiny, IMDB default]`. The
+/// generators' skew and coupling are fixed calibrations; this pins them.
+/// Debug and release builds agree.
+#[test]
+fn dataset_digests_match_goldens() {
+    use cardbench::datagen::{imdb_catalog, stats_catalog, ImdbConfig, StatsConfig};
+    let digests = [
+        catalog_digest(&stats_catalog(&StatsConfig::tiny(9))),
+        catalog_digest(&stats_catalog(&StatsConfig::default())),
+        catalog_digest(&imdb_catalog(&ImdbConfig::tiny(9))),
+        catalog_digest(&imdb_catalog(&ImdbConfig::default())),
+    ];
+    assert_eq!(
+        digests,
+        [
+            10977352600957645179,
+            11741617353429812946,
+            7170435207289520883,
+            9819063561624974998,
+        ],
+        "a generated dataset moved"
+    );
+}
