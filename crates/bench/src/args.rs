@@ -188,7 +188,7 @@ impl Args {
     }
 }
 
-/// `CARDBENCH_FAST=1`: CI-sized data, workloads and sweeps (seconds).
+/// `CARDBENCH_FAST=1`: CI-sized data, workloads and studies (seconds).
 pub fn fast() -> bool {
     std::env::var("CARDBENCH_FAST").is_ok_and(|v| v == "1")
 }

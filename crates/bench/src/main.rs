@@ -1,18 +1,18 @@
 //! `cardbench` — the workspace's one tooling binary. Timings anyone
 //! compares come from `benchmark/` (see `BENCHMARK.json`); this binary
-//! prints the paper's reports, gates CI with smoke suites, and runs the
-//! scaling sweeps that benchmark cannot express.
+//! prints the paper's reports and gates CI with smoke suites, three of
+//! which are the scaling studies that benchmark cannot express.
 //!
 //! ```text
 //! cardbench report <target>         tables, figures, observation checks, auxiliary experiments
-//! cardbench smoke <suite>           end-to-end CI gates; with --trace, validates its own profile
-//! cardbench sweep <name>            executor / serve / chaos scaling studies -> BENCH_<name>.json
+//! cardbench smoke <suite>           end-to-end CI gates; with --trace, validates its own profile;
+//!                                   executor / serve / chaos-serve write BENCH_*.json unless FAST
 //! cardbench dump-dataset            CSV + SQL export under ./cardbench_export/
 //! cardbench validate-trace <trace>  structural check of a --trace profile pair
 //! ```
 //!
 //! Scale knobs (environment variables):
-//! - `CARDBENCH_FAST=1`  — tiny datasets/workloads/sweeps (CI-sized, seconds).
+//! - `CARDBENCH_FAST=1`  — tiny datasets/workloads/studies (CI-sized, seconds).
 //! - `CARDBENCH_SEED`    — global seed (default 7).
 //! - `CARDBENCH_SCALE`   — STATS row-count multiplier override.
 //! - `CARDBENCH_THREADS` — planning fan-out width when `--threads` is
@@ -63,7 +63,7 @@ type Command = (
 );
 
 /// The table both the usage text and the dispatch read.
-const COMMANDS: [Command; 5] = [
+const COMMANDS: [Command; 4] = [
     (
         "report",
         Some(report::targets),
@@ -73,14 +73,9 @@ const COMMANDS: [Command; 5] = [
     (
         "smoke",
         Some(smoke::targets),
-        "run one CI gate end to end; with --trace, validate the profile it wrote",
+        "run one CI gate end to end; with --trace, validate the profile it wrote; \
+         executor, serve and chaos-serve write BENCH_<name>.json unless CARDBENCH_FAST=1",
         smoke::run,
-    ),
-    (
-        "sweep",
-        Some(sweep::targets),
-        "run one scaling study and write BENCH_<name>.json",
-        sweep::run,
     ),
     (
         "dump-dataset",

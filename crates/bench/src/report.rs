@@ -118,6 +118,9 @@ impl Eval {
         // workload) run appends — their records are keyed by method and
         // workload, so they never collide.
         let mut first_run = true;
+        // Truth is estimator-free: one service per dataset serves every
+        // estimator's sub-plan truths.
+        let truths = [TrueCardService::new(), TrueCardService::new()];
         for kind in EstimatorKind::ALL {
             let _est_sp = cardbench_obs::span_with("estimator", "run", || kind.name().to_string());
             for (out, label) in RESULT_WORKLOADS.into_iter().enumerate() {
@@ -127,11 +130,10 @@ impl Eval {
                 };
                 let t0 = Instant::now();
                 let built = build_estimator(kind, db, train, &bench.config.settings);
-                let truth = TrueCardService::new();
                 let mut opts = self.opts.clone();
                 opts.resume = opts.resume || !first_run;
                 first_run = false;
-                let queries = run_workload(db, wl, built.est.as_ref(), &truth, &cost, &opts);
+                let queries = run_workload(db, wl, built.est.as_ref(), &truths[out], &cost, &opts);
                 let run = MethodRun {
                     kind,
                     train_time: built.train_time,

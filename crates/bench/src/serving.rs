@@ -1,6 +1,6 @@
-//! What the serving suites and sweeps share: the fixture a server is
-//! started over, closed-loop load, and the invariants every load phase
-//! must keep.
+//! What the `serve` and `chaos-serve` suites share: the fixture a server
+//! is started over, closed-loop load, the invariants every load phase
+//! must keep, and the live metrics endpoint they scrape.
 
 use std::sync::Arc;
 
@@ -8,7 +8,9 @@ use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::CardEst;
-use cardbench_serve::{run_load, LoadConfig, LoadReport, ServeConfig, Server};
+use cardbench_serve::{
+    run_load, HealthProbes, LoadConfig, LoadReport, PromServer, ServeConfig, Server,
+};
 use cardbench_workload::{stats_ceb, Workload, WorkloadConfig};
 
 /// A database, its workload and one truth cache (truth is
@@ -20,19 +22,10 @@ pub struct Fixture {
 }
 
 impl Fixture {
-    pub fn new(db: Database, wl: Workload) -> Fixture {
-        assert!(!wl.queries.is_empty(), "serving workload is empty");
-        Fixture {
-            db: Arc::new(db),
-            truth: Arc::new(TrueCardService::new()),
-            wl,
-        }
-    }
-
-    /// The sweeps' fixture: STATS at seed 3 (the tiny tier in smoke
-    /// mode) and a seed-5 STATS-CEB analog workload of the given
-    /// `[templates, queries, max_tables]` shape.
-    pub fn for_sweep(smoke: bool, shape: [usize; 3]) -> Fixture {
+    /// STATS at seed 3 (the tiny tier in smoke mode) and a seed-5
+    /// STATS-CEB analog workload of the given `[templates, queries,
+    /// max_tables]` shape.
+    pub fn new(smoke: bool, shape: [usize; 3]) -> Fixture {
         let stats = if smoke {
             StatsConfig::tiny(3)
         } else {
@@ -55,7 +48,12 @@ impl Fixture {
                 max_subplan_card: 1e7,
             },
         );
-        Fixture::new(db, wl)
+        assert!(!wl.queries.is_empty(), "serving workload is empty");
+        Fixture {
+            db: Arc::new(db),
+            truth: Arc::new(TrueCardService::new()),
+            wl,
+        }
     }
 
     /// A fresh PostgreSQL-baseline estimator over the fixture's data.
@@ -137,6 +135,31 @@ pub fn plans_clean(server: &Server, wl: &Workload) -> Result<(), String> {
     ensure!(
         planned.est_failures.is_empty() && planned.plan.is_ok(),
         "serving must recover to clean answers once the panic budget is spent"
+    );
+    Ok(())
+}
+
+/// Binds the live metrics endpoint, with `probes` behind `/healthz` and
+/// `/readyz`, on an ephemeral loopback port.
+pub fn prom_endpoint(probes: HealthProbes) -> Result<PromServer, String> {
+    PromServer::bind_with_probes("127.0.0.1:0", probes)
+        .map_err(|e| format!("cannot bind the prometheus endpoint: {e}"))
+}
+
+/// Scrapes the live endpoint; while recording is on, `family` must be in
+/// the answer.
+pub fn scrape(prom: &PromServer, family: &str) -> Result<(), String> {
+    let body = prom
+        .scrape()
+        .map_err(|e| format!("self-scrape failed: {e}"))?;
+    ensure!(
+        !cardbench_obs::enabled() || body.contains(family),
+        "scrape lacks {family}"
+    );
+    eprintln!(
+        "[serve] scrape of http://{} OK ({} bytes)",
+        prom.local_addr(),
+        body.len()
     );
     Ok(())
 }

@@ -1,13 +1,16 @@
-//! `cardbench smoke <suite>`: the five CI gates. Each suite drives one
-//! subsystem end to end on the configured (CI: `CARDBENCH_FAST=1`)
-//! dataset, fails on any violated invariant, and — run with `--trace` —
-//! must have emitted the spans and metric families of its [`Required`]
-//! table, which the binary validates on the written profile before it
-//! exits. Contracts that a test pins bit for bit (kill/resume,
-//! feedback-off, all-non-finite estimates, the sketch poison grid) live
-//! in those tests, not here; DESIGN.md §4 has the ledger.
+//! `cardbench smoke <suite>`: the six CI gates, one driver per study.
+//! Each suite drives one subsystem end to end on the configured (CI:
+//! `CARDBENCH_FAST=1`) dataset, fails on any violated invariant, and —
+//! run with `--trace` — must have emitted the spans and metric families
+//! of its [`Required`] table, which the binary validates on the written
+//! profile before it exits. `executor`, `serve` and `chaos-serve` are the
+//! scaling studies of [`crate::sweep`]: smoke-sized under
+//! `CARDBENCH_FAST=1`, full-sized otherwise, when they also write
+//! `BENCH_<name>.json`. Contracts that a test pins bit for bit
+//! (kill/resume, feedback-off, all-non-finite estimates, the sketch
+//! poison grid) live in those tests, not here; DESIGN.md §4 has the
+//! ledger.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use cardbench_datagen::stats::{churn_sample, temporal_split, SPLIT_DAY};
@@ -18,20 +21,15 @@ use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
-    build_estimator, median_p_error, median_q_error, run_adaptive_experiment, run_workload, Bench,
+    build_estimator, median_p_error, median_q_error, run_adaptive_experiment, run_workload,
     BenchConfig, MethodRun,
 };
-use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, SubPlanQuery};
-use cardbench_serve::{
-    run_load, BreakerConfig, BreakerState, HealthProbes, LoadConfig, LoadReport, PromServer,
-    ServeConfig, Server, TickFault,
-};
 use cardbench_sketch::SketchEst;
 use cardbench_workload::{stats_ceb, Workload};
 
-use crate::args::{Args, Fail};
-use crate::serving::{closed_loop, coalescing_sessions, guard, plans_clean, Fixture};
+use crate::args::{fast, Args, Fail};
+use crate::sweep;
 use crate::trace_check::Required;
 
 /// One smoke suite: its name, how to run it, what its trace must hold.
@@ -41,7 +39,7 @@ struct Suite {
     required: Required,
 }
 
-const SUITES: [Suite; 5] = [
+const SUITES: [Suite; 6] = [
     Suite {
         name: "chaos",
         run: chaos,
@@ -84,7 +82,7 @@ const SUITES: [Suite; 5] = [
     },
     Suite {
         name: "serve",
-        run: serve,
+        run: |_| Ok(sweep::serve::run(fast())?),
         required: Required {
             spans: &SERVE_SPANS,
             families: &[
@@ -100,7 +98,7 @@ const SUITES: [Suite; 5] = [
     },
     Suite {
         name: "chaos-serve",
-        run: chaos_serve,
+        run: |_| Ok(sweep::chaos::run(fast())?),
         required: Required {
             spans: &SERVE_SPANS,
             families: &[
@@ -138,6 +136,16 @@ const SUITES: [Suite; 5] = [
                 "cardbench_sketch_deletes_total",
                 "cardbench_sketch_estimates_total",
             ],
+        },
+    },
+    Suite {
+        name: "executor",
+        run: |_| Ok(sweep::executor::run(fast())?),
+        // The kernels are timed bare; only the arena section runs whole
+        // plans through the executor.
+        required: Required {
+            spans: &["run", "scan", "join"],
+            families: &[],
         },
     },
 ];
@@ -222,217 +230,6 @@ fn chaos(args: &Args) -> Result<(), Fail> {
         run.failed_queries(),
     );
     Ok(())
-}
-
-/// One load phase, its outcome on stderr.
-fn load_phase(
-    phase: &str,
-    srv: &Arc<Server>,
-    wl: &Workload,
-    load: &LoadConfig,
-) -> Result<LoadReport, String> {
-    let r = run_load(srv, wl, load)?;
-    eprintln!(
-        "[{phase}] {} completed ({:.0} qps, p50 {:.4}s p99 {:.4}s), {} typed failures, \
-         {} clean / {} shorted / {} degraded",
-        r.completed,
-        r.qps,
-        percentile(&r.latencies, 0.50),
-        percentile(&r.latencies, 0.99),
-        r.est_failures,
-        r.clean_latencies.len(),
-        r.shorted_latencies.len(),
-        r.degraded_latencies.len(),
-    );
-    guard(phase, &r)?;
-    Ok(r)
-}
-
-/// Binds the live metrics endpoint on an ephemeral loopback port.
-fn prom_endpoint(probes: Option<HealthProbes>) -> Result<PromServer, String> {
-    match probes {
-        Some(probes) => PromServer::bind_with_probes("127.0.0.1:0", probes),
-        None => PromServer::bind("127.0.0.1:0"),
-    }
-    .map_err(|e| format!("cannot bind the prometheus endpoint: {e}"))
-}
-
-/// Scrapes the live endpoint; while recording is on, `family` must be in
-/// the answer.
-fn scrape(prom: &PromServer, family: &str) -> Result<(), String> {
-    let body = prom
-        .scrape()
-        .map_err(|e| format!("self-scrape failed: {e}"))?;
-    ensure!(
-        !cardbench_obs::enabled() || body.contains(family),
-        "scrape lacks {family}"
-    );
-    eprintln!(
-        "[smoke] scrape of http://{} OK ({} bytes)",
-        prom.local_addr(),
-        body.len()
-    );
-    Ok(())
-}
-
-/// Stands up the estimation service over MSCN, replays the workload
-/// through more concurrent sessions than cores (the coalesced route),
-/// scrapes the live Prometheus endpoint while the server still exists,
-/// then replays it on one session, which must tick inline.
-fn serve(args: &Args) -> Result<(), Fail> {
-    let cfg = args.config();
-    eprintln!("[serve] building benchmark (seed {})...", cfg.settings.seed);
-    let bench = Bench::build(cfg);
-    let built = build_estimator(
-        EstimatorKind::Mscn,
-        &bench.stats_db,
-        &bench.stats_train,
-        &bench.config.settings,
-    );
-    let fx = Fixture::new(bench.stats_db, bench.stats_wl);
-    let sessions = coalescing_sessions();
-    let server = fx.serve(
-        Arc::from(built.est),
-        ServeConfig {
-            max_sessions: sessions,
-            ..ServeConfig::default()
-        },
-    );
-    let prom = prom_endpoint(None)?;
-    load_phase("serve", &server, &fx.wl, &closed_loop(sessions, 1))?;
-    let coalesced = server.stats();
-    ensure!(
-        coalesced.coalesced_jobs > 0,
-        "{sessions} sessions must reach the coalescer"
-    );
-    scrape(&prom, "cardbench_serve_queries_total")?;
-    load_phase("serve/1 session", &server, &fx.wl, &closed_loop(1, 1))?;
-    let lone = server.stats();
-    ensure!(
-        lone.coalesced_jobs == coalesced.coalesced_jobs && lone.inline_jobs > coalesced.inline_jobs,
-        "a lone session must tick inline: {} more coalesced, {} more inline jobs",
-        lone.coalesced_jobs - coalesced.coalesced_jobs,
-        lone.inline_jobs - coalesced.inline_jobs
-    );
-    Ok(())
-}
-
-/// Drives the service through the three chaos regimes — estimator fault
-/// storms (circuit breaker), slow ticks against request deadlines, and
-/// tick panics on the coalesced route:
-///
-/// - a total storm trips the breaker and slots short; `/healthz` stays
-///   200 while `/readyz` reports 503;
-/// - queue-expired deadlines fast-fail typed without estimator calls;
-/// - injected tick panics degrade their queries typed and serving
-///   recovers to clean answers.
-fn chaos_serve(args: &Args) -> Result<(), Fail> {
-    let (db, wl) = stats_fixture(&args.config());
-    let fx = Fixture::new(db, wl);
-    let sessions = coalescing_sessions();
-    let server = |serve: ServeConfig| {
-        fx.serve(
-            fx.postgres(),
-            ServeConfig {
-                max_sessions: sessions,
-                ..serve
-            },
-        )
-    };
-    let load = closed_loop(sessions, 2);
-
-    // Phase 1: permanent estimator storm behind a tight breaker. The
-    // first ticks' slots time out, the breaker opens, and everything
-    // after shorts to the fallback.
-    let srv = server(ServeConfig {
-        chaos: Some(ChaosConfig {
-            seed: 17,
-            rate: 1.0,
-            classes: vec![TickFault::Storm],
-            stall: Duration::from_millis(5),
-            ..ChaosConfig::default()
-        }),
-        breaker: Some(BreakerConfig {
-            window: 32,
-            open_threshold: 0.5,
-            min_samples: 4,
-            cooldown: Duration::from_secs(600),
-        }),
-        ..ServeConfig::default()
-    });
-    let prom = prom_endpoint(Some(srv.probes()))?;
-    load_phase("storm/breaker", &srv, &fx.wl, &load)?;
-    let stats = srv.stats();
-    ensure!(
-        stats.breaker.opens > 0 && stats.breaker_state == Some(BreakerState::Open),
-        "a total storm must trip the breaker"
-    );
-    ensure!(
-        stats.breaker.shorted_slots > 0,
-        "an open breaker must short slots"
-    );
-    // Probes against the live (storming) server: still healthy — no
-    // tick is wedged — but not ready.
-    let probe = |path: &str| {
-        prom.get(path)
-            .map_err(|e| format!("{path} request failed: {e}"))
-    };
-    let (code, body) = probe("/healthz")?;
-    ensure!(
-        code == 200,
-        "/healthz under storm must be 200, got {code} ({body})"
-    );
-    let (code, body) = probe("/readyz")?;
-    ensure!(
-        code == 503 && body.contains("breaker"),
-        "/readyz with the breaker open must be 503 naming the breaker, got {code} ({body})"
-    );
-    scrape(&prom, "cardbench_serve_breaker_state")?;
-    drop(prom);
-    drop(srv);
-
-    // Phase 2: chaos-slowed ticks against a per-request deadline;
-    // slots expire in the queue and fast-fail typed.
-    let srv = server(ServeConfig {
-        chaos: Some(ChaosConfig {
-            seed: 19,
-            rate: 1.0,
-            classes: vec![TickFault::Slow],
-            stall: Duration::from_millis(20),
-            ..ChaosConfig::default()
-        }),
-        breaker: None,
-        ..ServeConfig::default()
-    });
-    let deadlined = LoadConfig {
-        deadline: Some(Duration::from_millis(4)),
-        ..load.clone()
-    };
-    load_phase("slow/deadline", &srv, &fx.wl, &deadlined)?;
-    ensure!(
-        srv.stats().deadline_expired_slots > 0,
-        "slow ticks against a tight deadline must expire slots in the queue"
-    );
-    drop(srv);
-
-    // Phase 3: the chaos injector panics coalesced ticks (bounded
-    // budget); each degrades its jobs typed and serving ends clean.
-    let srv = server(ServeConfig {
-        chaos: Some(ChaosConfig {
-            seed: 23,
-            rate: 0.5,
-            classes: vec![TickFault::Panic],
-            max_panics: Some(2),
-            ..ChaosConfig::default()
-        }),
-        ..ServeConfig::default()
-    });
-    let r = load_phase("tick-panics", &srv, &fx.wl, &load)?;
-    ensure!(
-        srv.stats().chaos_panics > 0 && !r.degraded_latencies.is_empty(),
-        "the panic phase must panic ticks and degrade their queries"
-    );
-    Ok(plans_clean(&srv, &fx.wl)?)
 }
 
 /// Runs the four-pass drift experiment (warmup, warm replay, post-shift,

@@ -1,9 +1,10 @@
-//! `cardbench sweep <name>`: the three scaling studies no `benchmark/`
-//! workload can express — executor kernels over 10^3..4·10^6 rows, the
-//! estimation service over 1..64 sessions, and the five-phase chaos
-//! storm. Timings are plain `std::time` medians; each sweep leaves its
-//! summary in `BENCH_<name>.json` at the repository root.
-//! `CARDBENCH_FAST=1` runs the smallest points once and writes nothing.
+//! The three scaling studies no `benchmark/` workload can express, run
+//! as the `executor`, `serve` and `chaos-serve` smoke suites: executor
+//! kernels over 10^3..4·10^6 rows, the estimation service over 1..64
+//! sessions, and the five-phase chaos storm. Timings are plain
+//! `std::time` medians; each study leaves its summary in
+//! `BENCH_<name>.json` at the repository root. `CARDBENCH_FAST=1` runs
+//! the smallest points once and writes nothing.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -11,32 +12,9 @@ use std::time::{Duration, Instant};
 
 use cardbench_support::json::Json;
 
-use crate::args::{Args, Fail};
-use crate::trace_check::Required;
-
-mod chaos;
-mod executor;
-mod serve;
-
-/// One sweep: its name and how to run it (`true` = smoke-sized).
-type Sweep = (&'static str, fn(bool) -> Result<(), String>);
-
-const SWEEPS: [Sweep; 3] = [
-    ("executor", executor::run),
-    ("serve", serve::run),
-    ("chaos", chaos::run),
-];
-
-/// Sweep names, for the usage text.
-pub fn targets() -> Vec<&'static str> {
-    SWEEPS.iter().map(|&(name, _)| name).collect()
-}
-
-pub fn run(args: &Args) -> Result<Option<&'static Required>, Fail> {
-    let (_, sweep) = args.target(&SWEEPS, |s| s.0)?;
-    sweep(crate::args::fast())?;
-    Ok(None)
-}
+pub mod chaos;
+pub mod executor;
+pub mod serve;
 
 /// Median seconds per call of `f` over `samples` timed batches. The
 /// batch size doubles until one batch takes at least 2 ms, so short
@@ -61,7 +39,8 @@ fn median_secs<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
     per_call[per_call.len() / 2]
 }
 
-/// Writes `BENCH_<name>.json` at the repository root, or says why not.
+/// Writes `BENCH_<name>.json` at the repository root, or, smoke-sized,
+/// says why not.
 fn write_summary(smoke: bool, name: &str, summary: Json) {
     let file = format!("BENCH_{name}.json");
     if smoke {
@@ -71,6 +50,6 @@ fn write_summary(smoke: bool, name: &str, summary: Json) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(file);
-    std::fs::write(&path, summary.pretty()).expect("write the sweep summary");
+    std::fs::write(&path, summary.pretty()).expect("write the study summary");
     println!("wrote {}", path.display());
 }

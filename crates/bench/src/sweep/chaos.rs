@@ -12,9 +12,11 @@
 //!    after the doomed call's latency is paid).
 //! 3. **storm, breaker on** — the same storm behind the circuit
 //!    breaker: after `min_samples` slots the breaker opens and slots are
-//!    *breaker-shorted* to the fallback without the doomed call. The
-//!    headline comparison is phase 3's shorted p99 vs phase 2's
-//!    degraded p99.
+//!    *breaker-shorted* to the fallback without the doomed call. After
+//!    the phase the breaker still reads open (it half-opens only at the
+//!    next admission), so the live endpoint answers `/healthz` 200 and
+//!    `/readyz` 503. The headline comparison is phase 3's shorted p99
+//!    vs phase 2's degraded p99.
 //! 4. **deadline under slow ticks** — chaos-slowed ticks against a
 //!    per-request deadline: slots whose deadline expired in the queue
 //!    fast-fail typed (`deadline_exceeded`) instead of running doomed
@@ -34,11 +36,14 @@ use cardbench_support::json::Json;
 use cardbench_estimators::chaos::ChaosConfig;
 use cardbench_metrics::percentile;
 use cardbench_serve::{
-    run_load, BreakerConfig, LoadConfig, LoadReport, ServeConfig, ServeStats, Server, TickFault,
+    run_load, BreakerConfig, BreakerState, LoadConfig, LoadReport, ServeConfig, ServeStats, Server,
+    TickFault,
 };
 
 use super::write_summary;
-use crate::serving::{closed_loop, coalescing_sessions, guard, plans_clean, Fixture};
+use crate::serving::{
+    closed_loop, coalescing_sessions, guard, plans_clean, prom_endpoint, scrape, Fixture,
+};
 
 /// One phase's merged measurements, and the server it ran on.
 struct Phase {
@@ -79,6 +84,28 @@ fn run_phase(
         p.stats.chaos_panics,
     );
     Ok(p)
+}
+
+/// Probes the live endpoint of a server whose breaker is open: still
+/// healthy (no tick is wedged) but not ready, and the scrape carries the
+/// breaker state.
+fn probes_under_storm(server: &Server) -> Result<(), String> {
+    let prom = prom_endpoint(server.probes())?;
+    let probe = |path: &str| {
+        prom.get(path)
+            .map_err(|e| format!("{path} request failed: {e}"))
+    };
+    let (code, body) = probe("/healthz")?;
+    ensure!(
+        code == 200,
+        "/healthz under storm must be 200, got {code} ({body})"
+    );
+    let (code, body) = probe("/readyz")?;
+    ensure!(
+        code == 503 && body.contains("breaker"),
+        "/readyz with the breaker open must be 503 naming the breaker, got {code} ({body})"
+    );
+    scrape(&prom, "cardbench_serve_breaker_state")
 }
 
 /// A counter as a JSON number.
@@ -131,7 +158,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     // path on any host.
     let sessions = coalescing_sessions() * if smoke { 1 } else { 2 };
     let stall = Duration::from_millis(if smoke { 5 } else { 10 });
-    let fx = &Fixture::for_sweep(smoke, if smoke { [4, 6, 3] } else { [8, 16, 5] });
+    let fx = &Fixture::new(smoke, if smoke { [4, 6, 3] } else { [8, 16, 5] });
     // Chaos phases measure the service's fault handling, not first-touch
     // execution.
     fx.warm_up(fx.postgres())?;
@@ -160,7 +187,8 @@ pub fn run(smoke: bool) -> Result<(), String> {
         "baseline: clean serving must be fault-free"
     );
     ensure!(
-        baseline.stats.breaker.opens == 0,
+        baseline.stats.breaker.opens == 0
+            && baseline.stats.breaker_state == Some(BreakerState::Closed),
         "baseline: the breaker is observation-only when healthy"
     );
 
@@ -190,13 +218,16 @@ pub fn run(smoke: bool) -> Result<(), String> {
         &load,
     )?;
     ensure!(
-        storm_shorted.stats.breaker.opens >= 1,
+        storm_shorted.stats.breaker.opens >= 1
+            && storm_shorted.stats.breaker_state == Some(BreakerState::Open),
         "a total storm must trip the breaker"
     );
     ensure!(
-        !storm_shorted.report.shorted_latencies.is_empty(),
+        storm_shorted.stats.breaker.shorted_slots > 0
+            && !storm_shorted.report.shorted_latencies.is_empty(),
         "an open breaker must short slots"
     );
+    probes_under_storm(&storm_shorted.server)?;
 
     let deadline = run_phase(
         "slow/deadline",

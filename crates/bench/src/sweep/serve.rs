@@ -19,8 +19,10 @@
 //!
 //! The "coalesced" mode is the default (routed) server: at or below the
 //! host's core count its requests tick inline, above it they coalesce;
-//! each run records the jobs each route served. Smoke mode is tiny
-//! data, one estimator, and cores + 2 sessions, so it coalesces.
+//! each run records the jobs each route served. At cores + 2 sessions
+//! or more the routed server must have coalesced, and a lone session
+//! replaying on it afterwards must tick inline. Smoke mode is tiny data,
+//! one estimator, and cores + 2 sessions, so it coalesces.
 
 use std::sync::Arc;
 
@@ -30,11 +32,13 @@ use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::{build_estimator, EstimatorSettings};
 use cardbench_metrics::percentile;
-use cardbench_serve::{run_load, LoadConfig, LoadReport, ServeConfig, ServeStats};
+use cardbench_serve::{
+    run_load, HealthProbes, LoadConfig, LoadReport, ServeConfig, ServeStats, Server,
+};
 use cardbench_workload::training_workload;
 
 use super::write_summary;
-use crate::serving::{closed_loop, coalescing_sessions, guard, Fixture};
+use crate::serving::{closed_loop, coalescing_sessions, guard, prom_endpoint, scrape, Fixture};
 
 /// One measured (sessions, mode) point.
 struct RunPoint {
@@ -82,7 +86,7 @@ fn run_points(
             qps.push(closed.qps);
         }
     }
-    modes
+    let points = modes
         .iter()
         .zip(servers.iter().zip(&qps))
         .map(|(&(mode, _), (server, qps))| {
@@ -106,7 +110,38 @@ fn run_points(
                 stats: server.stats(),
             })
         })
-        .collect()
+        .collect::<Result<Vec<_>, String>>()?;
+    if sessions >= coalescing_sessions() {
+        lone_session_ticks_inline(&servers[1], fx, sessions)?; // the routed mode
+    }
+    Ok(points)
+}
+
+/// The routed server after a phase of `sessions` (more than cores)
+/// sessions: it must have coalesced, and a lone session replaying on it
+/// must tick inline.
+fn lone_session_ticks_inline(
+    server: &Arc<Server>,
+    fx: &Fixture,
+    sessions: usize,
+) -> Result<(), String> {
+    let before = server.stats();
+    ensure!(
+        before.coalesced_jobs > 0,
+        "{sessions} sessions must reach the coalescer"
+    );
+    guard(
+        "coalesced/1 session",
+        &run_load(server, &fx.wl, &closed_loop(1, 1))?,
+    )?;
+    let after = server.stats();
+    ensure!(
+        after.coalesced_jobs == before.coalesced_jobs && after.inline_jobs > before.inline_jobs,
+        "a lone session must tick inline: {} more coalesced, {} more inline jobs",
+        after.coalesced_jobs - before.coalesced_jobs,
+        after.inline_jobs - before.inline_jobs
+    );
+    Ok(())
 }
 
 pub fn run(smoke: bool) -> Result<(), String> {
@@ -115,7 +150,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
     } else {
         vec![1, 4, 16, 64]
     };
-    let fx = &Fixture::for_sweep(smoke, if smoke { [4, 8, 3] } else { [12, 24, 8] });
+    let fx = &Fixture::new(smoke, if smoke { [4, 8, 3] } else { [12, 24, 8] });
     let settings = EstimatorSettings::fast(3);
     let (train_qs, train_cards) = training_workload(&fx.db, 120, 5, 3 ^ 0x7a);
     let train = TrainingSet {
@@ -138,6 +173,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         ]
     };
 
+    let prom = prom_endpoint(HealthProbes::always_ok())?;
     let mut method_entries: Vec<Json> = Vec::new();
     for &kind in ml_kinds {
         let built = build_estimator(kind, &fx.db, &train, &settings);
@@ -234,6 +270,8 @@ pub fn run(smoke: bool) -> Result<(), String> {
             ("throughput_speedup", Json::Array(speedups)),
         ]));
     }
+
+    scrape(&prom, "cardbench_serve_queries_total")?;
 
     let summary = Json::object([
         ("bench", Json::String("serve".to_string())),

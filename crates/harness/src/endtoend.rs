@@ -812,6 +812,38 @@ mod tests {
         }
     }
 
+    /// Truth is estimator-free, so one service shared by every estimator
+    /// (as `report all` shares one per dataset) answers bit for bit what
+    /// a fresh service per estimator answers.
+    #[test]
+    fn a_shared_truth_service_changes_no_run() {
+        let b = Bench::build(BenchConfig::fast(9));
+        let shared = TrueCardService::new();
+        for kind in [EstimatorKind::TrueCard, EstimatorKind::Postgres] {
+            let built = build_estimator(kind, &b.stats_db, &b.stats_train, &b.config.settings);
+            let run = |truth: &TrueCardService| {
+                run_workload(
+                    &b.stats_db,
+                    &b.stats_wl,
+                    built.est.as_ref(),
+                    truth,
+                    &CostModel::default(),
+                    &RunOptions::default(),
+                )
+            };
+            let (fresh, reused) = (run(&TrueCardService::new()), run(&shared));
+            assert_eq!(fresh.len(), reused.len());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (f, r) in fresh.iter().zip(&reused) {
+                let q = (kind.name(), f.id);
+                assert_eq!(bits(&f.sub_true_cards), bits(&r.sub_true_cards), "{q:?}");
+                assert_eq!(bits(&f.sub_est_cards), bits(&r.sub_est_cards), "{q:?}");
+                assert_eq!(f.p_error.to_bits(), r.p_error.to_bits(), "{q:?}");
+                assert_eq!(f.result_rows, r.result_rows, "{q:?}");
+            }
+        }
+    }
+
     #[test]
     fn postgres_baseline_q_errors_ge_one() {
         let b = Bench::build(BenchConfig::fast(2));

@@ -1,6 +1,6 @@
 //! The catalog: named tables plus the schema-level join graph.
 
-use crate::schema::{JoinRelation, NameIndex};
+use crate::schema::JoinRelation;
 use crate::table::Table;
 use crate::{Result, StorageError};
 
@@ -15,8 +15,6 @@ pub struct TableId(pub usize);
 pub struct Catalog {
     tables: Vec<Table>,
     joins: Vec<JoinRelation>,
-    /// Table name → id, rebuilt by [`Catalog::add_table`].
-    by_name: NameIndex,
 }
 
 impl Catalog {
@@ -28,8 +26,6 @@ impl Catalog {
     /// Adds a table and returns its id.
     pub fn add_table(&mut self, table: Table) -> TableId {
         self.tables.push(table);
-        let names: Vec<&str> = self.tables.iter().map(Table::name).collect();
-        self.by_name = NameIndex::build(&names);
         TableId(self.tables.len() - 1)
     }
 
@@ -56,13 +52,11 @@ impl Catalog {
         &mut self.tables[id.0]
     }
 
-    /// Id of a table by name: one hashed probe; the scan only runs for
-    /// a name the index does not know ([`Catalog::table_mut`] can swap a
-    /// table for one of another name).
+    /// Id of a table by name (the first, if names repeat).
     pub fn table_id(&self, name: &str) -> Result<TableId> {
-        self.by_name
-            .get(name, |i| self.tables.get(i).map(Table::name))
-            .or_else(|| self.tables.iter().position(|t| t.name() == name))
+        self.tables
+            .iter()
+            .position(|t| t.name() == name)
             .map(TableId)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
