@@ -1,7 +1,7 @@
 //! The auxiliary experiments behind `cardbench report`: studies beyond
 //! the paper's tables that DESIGN.md and EXPERIMENTS.md quote.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cardbench_datagen::stats::{temporal_split, DAYS_MAX};
 use cardbench_datagen::{stats_catalog, StatsConfig};
@@ -19,7 +19,7 @@ use cardbench_estimators::mscn::Mscn;
 use cardbench_estimators::neurocard::{NeuroCardConfig, NeuroCardE};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::update_exp::UPDATABLE;
-use cardbench_harness::{build_estimator, run_workload, MethodRun, QueryRun, RunOptions};
+use cardbench_harness::{build_estimator, pass, run_workload, QueryRun, RunOptions};
 use cardbench_metrics::{percentile, percentile_triple, q_error, spearman};
 use cardbench_ml::autoreg::ArConfig;
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, Region, SubPlanQuery, TableMask};
@@ -266,16 +266,6 @@ impl CardEst for NoisyOracle {
     }
 }
 
-/// A run that only carries its queries (P-Error and end-to-end time).
-fn untrained(kind: EstimatorKind, queries: Vec<QueryRun>) -> MethodRun {
-    MethodRun {
-        kind,
-        train_time: Duration::ZERO,
-        model_size: 0,
-        queries,
-    }
-}
-
 /// How much estimation accuracy does the optimizer actually need?
 /// Injects multiplicative log-normal noise around the *true*
 /// cardinalities at increasing magnitudes and reports the resulting
@@ -299,11 +289,10 @@ pub fn noise_sensitivity(e: &Eval) -> Result<(), String> {
             seed: 99,
         };
         let queries = run_workload(&bench.stats_db, &bench.stats_wl, &est, &truth, &cost, &opts);
-        let run = untrained(EstimatorKind::TrueCard, queries);
-        let (p50, p90, p99) = percentile_triple(&run.all_p_errors());
+        let (p50, p90, p99) = percentile_triple(&pass::p_errors(&queries));
         println!(
             "{sigma:<8} {p50:>9.3} {p90:>9.3} {p99:>9.3} {:>12.3?}",
-            run.e2e_total()
+            pass::e2e(&queries)
         );
     }
     println!("\nP-Error and end-to-end time degrade smoothly with noise — but");
@@ -374,11 +363,10 @@ pub fn rd3_calibration(e: &Eval) -> Result<(), String> {
     let truth = TrueCardService::new();
     let opts = RunOptions::default();
     let summarize = |name: &str, queries: Vec<QueryRun>| {
-        let run = untrained(EstimatorKind::Mscn, queries);
-        let (p50, p90, p99) = percentile_triple(&run.all_p_errors());
+        let (p50, p90, p99) = percentile_triple(&pass::p_errors(&queries));
         println!(
             "{name:<22} e2e {:>10.3?}  P-Error 50/90/99%: {p50:.3}/{p90:.3}/{p99:.3}",
-            run.e2e_total()
+            pass::e2e(&queries)
         );
     };
 
@@ -425,8 +413,7 @@ pub fn update_scaling(e: &Eval) -> Result<(), String> {
     // batch; sweep the insert batch from ~10% to ~60% of the data.
     for cutoff_frac in [0.9, 0.7, 0.4] {
         let cutoff = (DAYS_MAX as f64 * cutoff_frac) as i64;
-        let full = stats_catalog(&e.cfg.stats);
-        let (stale, inserts) = temporal_split(&full, cutoff);
+        let (stale, inserts) = temporal_split(bench.stats_db.catalog(), cutoff);
         let batch: usize = inserts.iter().map(|t| t.row_count()).sum();
         for &kind in &methods {
             let train = if kind == EstimatorKind::Mscn {

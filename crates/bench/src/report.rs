@@ -202,7 +202,7 @@ fn table5(e: &Eval) -> Result<(), String> {
 /// Table 6: the dynamic-update experiment on STATS.
 fn table6_update(e: &Eval) -> Result<(), String> {
     let updates = run_update_experiment(
-        &e.cfg.stats,
+        e.bench().stats_db.catalog(),
         &e.bench().stats_wl,
         &e.cfg.settings,
         &CostModel::default(),

@@ -21,9 +21,9 @@ use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_harness::report::table_faults;
 use cardbench_harness::{
-    build_estimator, median_p_error, median_q_error, run_adaptive_experiment, run_workload,
-    BenchConfig, MethodRun,
+    build_estimator, pass, run_adaptive_experiment, run_workload, BenchConfig, MethodRun, QueryRun,
 };
+use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, SubPlanQuery};
 use cardbench_sketch::SketchEst;
 use cardbench_workload::{stats_ceb, Workload};
@@ -141,10 +141,18 @@ const SUITES: [Suite; 6] = [
     Suite {
         name: "executor",
         run: |_| Ok(sweep::executor::run(fast())?),
-        // The kernels are timed bare; only the arena section runs whole
-        // plans through the executor.
+        // One span per measured point of each section; the arena
+        // section also runs whole plans through the executor.
         required: Required {
-            spans: &["run", "scan", "join"],
+            spans: &[
+                "run",
+                "join_build",
+                "root_emit",
+                "sort",
+                "arena",
+                "scan",
+                "join",
+            ],
             families: &[],
         },
     },
@@ -241,11 +249,11 @@ fn chaos(args: &Args) -> Result<(), Fail> {
 fn adaptive(args: &Args) -> Result<(), Fail> {
     let cfg = args.config();
     let opts = args.run_options();
-    // The drift experiment regenerates its own pre-/post-cutoff halves
-    // from the same config; the workload shares the schema.
-    let (_, wl) = stats_fixture(&cfg);
+    // The drift experiment splits the fixture's catalog into its
+    // pre-/post-cutoff halves.
+    let (db, wl) = stats_fixture(&cfg);
     let exp = run_adaptive_experiment(
-        &cfg.stats,
+        db.catalog(),
         &wl,
         EstimatorKind::Postgres,
         &TrainingSet::default(),
@@ -253,11 +261,12 @@ fn adaptive(args: &Args) -> Result<(), Fail> {
         &CostModel::default(),
         &opts,
     );
+    let median_q = |runs: &[QueryRun]| percentile(&pass::q_errors(runs), 0.5);
     let (qw, qr, qp, qc) = (
-        median_q_error(&exp.warmup),
-        median_q_error(&exp.replay),
-        median_q_error(&exp.post_shift),
-        median_q_error(&exp.recovered),
+        median_q(&exp.warmup),
+        median_q(&exp.replay),
+        median_q(&exp.post_shift),
+        median_q(&exp.recovered),
     );
     eprintln!(
         "[adaptive] median q-error: warmup {qw:.4} | replay {qr:.4} | post-shift {qp:.4} \
@@ -268,7 +277,8 @@ fn adaptive(args: &Args) -> Result<(), Fail> {
         exp.stats.observations, exp.stats.overrides, exp.stats.corrections, exp.stats.rejected
     );
     ensure!(
-        (qr - 1.0).abs() <= 1e-9 && (median_p_error(&exp.replay) - 1.0).abs() <= 1e-9,
+        (qr - 1.0).abs() <= 1e-9
+            && (percentile(&pass::p_errors(&exp.replay), 0.5) - 1.0).abs() <= 1e-9,
         "warm replay is not oracle-exact"
     );
     ensure!(
@@ -328,7 +338,7 @@ fn sketch(args: &Args) -> Result<(), Fail> {
     );
     eprintln!("[sketch] {} sub-plan estimates finite", subs.len());
 
-    let (stale_cat, inserts) = temporal_split(&stats_catalog(&cfg.stats), SPLIT_DAY);
+    let (stale_cat, inserts) = temporal_split(db.catalog(), SPLIT_DAY);
     let mut shifted = Database::new(stale_cat);
     let mut refreshed = SketchEst::fit(&shifted, sketch_cfg);
     shifted.append_inserts(&inserts).expect("aligned schemas");

@@ -12,10 +12,11 @@
 //!    after the doomed call's latency is paid).
 //! 3. **storm, breaker on** — the same storm behind the circuit
 //!    breaker: after `min_samples` slots the breaker opens and slots are
-//!    *breaker-shorted* to the fallback without the doomed call. After
-//!    the phase the breaker still reads open (it half-opens only at the
-//!    next admission), so the live endpoint answers `/healthz` 200 and
-//!    `/readyz` 503. The headline comparison is phase 3's shorted p99
+//!    *breaker-shorted* to the fallback without the doomed call. Every
+//!    [`PROBE_COOLDOWN`] it half-opens, and the probe fails and re-opens
+//!    it. After the phase the breaker still reads open (it half-opens
+//!    only at the next admission), so the live endpoint answers
+//!    `/healthz` 200 and `/readyz` 503. The headline comparison is phase 3's shorted p99
 //!    vs phase 2's degraded p99.
 //! 4. **deadline under slow ticks** — chaos-slowed ticks against a
 //!    per-request deadline: slots whose deadline expired in the queue
@@ -45,6 +46,11 @@ use crate::serving::{
     closed_loop, coalescing_sessions, guard, plans_clean, prom_endpoint, scrape, Fixture,
 };
 
+/// How long the storm phase's breaker stays open before it admits a
+/// probe: a fraction of the storm stall a failing probe pays, so the
+/// Open → HalfOpen → Open cycle repeats within the phase.
+const PROBE_COOLDOWN: Duration = Duration::from_millis(1);
+
 /// One phase's merged measurements, and the server it ran on.
 struct Phase {
     name: &'static str,
@@ -71,7 +77,7 @@ fn run_phase(
     guard(name, &p.report)?;
     println!(
         "{name:>18}: {:>5} done | {:>6.1} qps | p99 {:>7.4}s | clean/shorted/degraded {}/{}/{} | \
-         breaker opens {} shorted {} | expired {} | tick panics {}",
+         breaker opens {} half-opens {} shorted {} | expired {} | tick panics {}",
         p.report.completed,
         p.report.qps,
         percentile(&p.report.latencies, 0.99),
@@ -79,6 +85,7 @@ fn run_phase(
         p.report.shorted_latencies.len(),
         p.report.degraded_latencies.len(),
         p.stats.breaker.opens,
+        p.stats.breaker.half_opens,
         p.stats.breaker.shorted_slots,
         p.stats.deadline_expired_slots,
         p.stats.chaos_panics,
@@ -178,7 +185,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         window: 32,
         open_threshold: 0.5,
         min_samples: 8,
-        cooldown: Duration::from_millis(100),
+        cooldown: PROBE_COOLDOWN,
     };
 
     let baseline = run_phase("baseline", fx, ServeConfig::default(), &load)?;
@@ -221,6 +228,10 @@ pub fn run(smoke: bool) -> Result<(), String> {
         storm_shorted.stats.breaker.opens >= 1
             && storm_shorted.stats.breaker_state == Some(BreakerState::Open),
         "a total storm must trip the breaker"
+    );
+    ensure!(
+        storm_shorted.stats.breaker.half_opens >= 1,
+        "the breaker must half-open and re-test during the storm"
     );
     ensure!(
         storm_shorted.stats.breaker.shorted_slots > 0

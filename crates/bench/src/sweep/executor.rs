@@ -10,6 +10,10 @@
 //! - `arena`: a three-table plan through one warm `ExecScratch` against
 //!   a fresh arena per execution.
 //!
+//! Each measured point opens one span named after its section, around
+//! (never inside) the calls [`median_secs`] times, so a trace shows
+//! where the study spent its time and no span cost enters a timing.
+//!
 //! Run-heavy keys are what STATS-CEB's FK-FK intermediates look like:
 //! the same key repeated in long runs (mean length [`MEAN_RUN`]), few
 //! distinct keys per row. That every kernel and emit mode returns the
@@ -64,6 +68,7 @@ const ALGOS: [(&str, JoinAlgo); 3] = [
 /// about `2n` matches either way); the hash kernel spills above
 /// [`HASH_SPILL_ROWS`].
 fn sweep_join_build(rng: &mut StdRng, n: usize, samples: usize) -> Json {
+    let _sp = cardbench_obs::span_with("join_build", "executor", || format!("{n} build rows"));
     let mut scratch = ExecScratch::new();
     let mut fields = vec![
         ("build_rows".to_string(), Json::Number(n as f64)),
@@ -92,6 +97,7 @@ fn sweep_join_build(rng: &mut StdRng, n: usize, samples: usize) -> Json {
 /// Count-only against both-sides emission of one root join: 10^4 build
 /// rows, 2·10^4 probe rows, the key domain sized for `out_rows` matches.
 fn sweep_root_emit(rng: &mut StdRng, out_rows: usize, samples: usize) -> Json {
+    let _sp = cardbench_obs::span_with("root_emit", "executor", || format!("{out_rows} rows"));
     let domain = (2e8 / out_rows as f64).round() as i64;
     let rkeys = gen_keys(rng, 10_000, domain);
     let lkeys = gen_keys(rng, 20_000, domain);
@@ -130,6 +136,7 @@ fn sweep_root_emit(rng: &mut StdRng, out_rows: usize, samples: usize) -> Json {
 /// Radix run sort of `n` keys: duplicate-heavy (1640 distinct values),
 /// run-heavy (the same 1640 values in runs) and uniform (`0..n`).
 fn sweep_sort(rng: &mut StdRng, n: usize, samples: usize) -> Json {
+    let _sp = cardbench_obs::span_with("sort", "executor", || format!("{n} rows"));
     let mut scratch = ExecScratch::new();
     let mut fields = vec![("rows".to_string(), Json::Number(n as f64))];
     let shapes: [(&str, KeyGen, i64); 3] = [
@@ -150,6 +157,7 @@ fn sweep_sort(rng: &mut StdRng, n: usize, samples: usize) -> Json {
 /// (ten duplicates per key, so the intermediate holds `10 · rows` rows):
 /// one warm arena against a fresh one per execution.
 fn sweep_arena(rng: &mut StdRng, rows: usize, samples: usize) -> Json {
+    let _sp = cardbench_obs::span_with("arena", "executor", || format!("{rows} rows per table"));
     let domain = (rows / 10).max(1) as i64;
     let mut cat = Catalog::new();
     for (name, n) in [("t0", rows), ("t1", rows), ("t2", domain as usize)] {

@@ -9,13 +9,13 @@
 use std::sync::{Arc, OnceLock};
 
 use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
-use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, ExecScratch, TrueCardService};
 use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::postgres::PostgresEst;
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::{FeedbackEst, FeedbackStats, FeedbackStore};
 use cardbench_query::SubPlanQuery;
+use cardbench_storage::Catalog;
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
@@ -134,9 +134,9 @@ pub struct AdaptiveExperiment {
 /// update experiment), stream the workload twice, bulk-insert the
 /// post-cutoff rows, and stream it twice more. The inner model is *not*
 /// updated at the shift — recovery is carried entirely by re-observed
-/// feedback.
+/// feedback. `full` is the STATS catalog the workload was built on.
 pub fn run_adaptive_experiment(
-    stats_cfg: &StatsConfig,
+    full: &Catalog,
     wl: &Workload,
     inner: EstimatorKind,
     train: &TrainingSet,
@@ -144,8 +144,7 @@ pub fn run_adaptive_experiment(
     cost: &CostModel,
     opts: &RunOptions,
 ) -> AdaptiveExperiment {
-    let full = stats_catalog(stats_cfg);
-    let (stale_catalog, inserts) = temporal_split(&full, SPLIT_DAY);
+    let (stale_catalog, inserts) = temporal_split(full, SPLIT_DAY);
     let stale_db = Database::new(stale_catalog);
 
     let store = Arc::new(FeedbackStore::default());
@@ -177,27 +176,15 @@ pub fn run_adaptive_experiment(
     }
 }
 
-/// Median valid sub-plan Q-Error of a pass (NaN when nothing is valid).
-pub fn median_q_error(runs: &[QueryRun]) -> f64 {
-    let all: Vec<f64> = runs.iter().flat_map(|q| q.q_errors.clone()).collect();
-    cardbench_metrics::percentile(&all, 0.5)
-}
-
-/// Median P-Error over completed queries of a pass.
-pub fn median_p_error(runs: &[QueryRun]) -> f64 {
-    let all: Vec<f64> = runs
-        .iter()
-        .filter(|q| q.completed())
-        .map(|q| q.p_error)
-        .collect();
-    cardbench_metrics::percentile(&all, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
+    use cardbench_datagen::{stats_catalog, StatsConfig};
+    use cardbench_metrics::percentile;
+
     use super::*;
     use crate::config::{Bench, BenchConfig};
     use crate::endtoend::run_workload;
+    use crate::pass;
 
     #[test]
     fn replay_with_warm_store_reaches_oracle_accuracy() {
@@ -246,7 +233,10 @@ mod tests {
             );
         }
         // And no worse than the cold first pass in aggregate.
-        assert!(median_q_error(&second) <= median_q_error(&first) + 1e-9);
+        assert!(
+            percentile(&pass::q_errors(&second), 0.5)
+                <= percentile(&pass::q_errors(&first), 0.5) + 1e-9
+        );
         let st = store.stats();
         assert!(st.observations > 0 && st.overrides > 0);
     }
@@ -306,8 +296,7 @@ mod tests {
 
     #[test]
     fn drift_experiment_spikes_then_recovers() {
-        let stats_cfg = StatsConfig::tiny(5);
-        let db = Database::new(stats_catalog(&stats_cfg));
+        let db = Database::new(stats_catalog(&StatsConfig::tiny(5)));
         let wl = cardbench_workload::stats_ceb(
             &db,
             &cardbench_workload::WorkloadConfig {
@@ -319,7 +308,7 @@ mod tests {
         );
         let settings = EstimatorSettings::fast(5);
         let exp = run_adaptive_experiment(
-            &stats_cfg,
+            db.catalog(),
             &wl,
             EstimatorKind::Postgres,
             &TrainingSet::default(),
@@ -328,11 +317,11 @@ mod tests {
             &RunOptions::default(),
         );
         // Warm replay on unchanged data is oracle-accurate.
-        let q_replay = median_q_error(&exp.replay);
+        let q_replay = percentile(&pass::q_errors(&exp.replay), 0.5);
         assert!((q_replay - 1.0).abs() < 1e-9, "replay median {q_replay}");
         // After the shift the stale overrides err; after re-observation
         // the second shifted pass is oracle-accurate again.
-        let q_recovered = median_q_error(&exp.recovered);
+        let q_recovered = percentile(&pass::q_errors(&exp.recovered), 0.5);
         assert!(
             (q_recovered - 1.0).abs() < 1e-9,
             "recovered median {q_recovered}"

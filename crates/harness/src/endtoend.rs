@@ -38,6 +38,7 @@ use cardbench_workload::{Workload, WorkloadQuery};
 
 use crate::checkpoint::{load_checkpoint, CheckpointWriter};
 use crate::fault::{EstFailure, EstimateError, QueryFailure, RunOptions};
+use crate::pass;
 
 /// Result of one query under one estimator.
 #[derive(Debug, Clone)]
@@ -111,17 +112,17 @@ pub struct MethodRun {
 impl MethodRun {
     /// Total execution time.
     pub fn exec_total(&self) -> Duration {
-        self.queries.iter().map(|q| q.exec).sum()
+        pass::exec(&self.queries)
     }
 
     /// Total planning (inference) time.
     pub fn plan_total(&self) -> Duration {
-        self.queries.iter().map(|q| q.plan).sum()
+        pass::plan(&self.queries)
     }
 
     /// End-to-end time (execution + planning).
     pub fn e2e_total(&self) -> Duration {
-        self.exec_total() + self.plan_total()
+        pass::e2e(&self.queries)
     }
 
     /// Mean inference latency per sub-plan estimate.
@@ -136,19 +137,12 @@ impl MethodRun {
 
     /// All sub-plan Q-Errors.
     pub fn all_q_errors(&self) -> Vec<f64> {
-        self.queries
-            .iter()
-            .flat_map(|q| q.q_errors.iter().copied())
-            .collect()
+        pass::q_errors(&self.queries)
     }
 
     /// All per-query P-Errors (completed queries only).
     pub fn all_p_errors(&self) -> Vec<f64> {
-        self.queries
-            .iter()
-            .filter(|q| q.completed())
-            .map(|q| q.p_error)
-            .collect()
+        pass::p_errors(&self.queries)
     }
 
     /// Operator counters aggregated over all queries: additive counters
@@ -160,11 +154,7 @@ impl MethodRun {
     /// Improvement over a baseline end-to-end time, in percent
     /// (positive = faster than baseline).
     pub fn improvement_over(&self, baseline: Duration) -> f64 {
-        let own = self.e2e_total();
-        if baseline.is_zero() {
-            return 0.0;
-        }
-        (baseline.as_secs_f64() - own.as_secs_f64()) / baseline.as_secs_f64() * 100.0
+        pass::improvement(self.e2e_total(), baseline)
     }
 
     /// Queries that produced no executed result.

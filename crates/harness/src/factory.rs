@@ -59,7 +59,7 @@ pub fn build_estimator(
         EstimatorKind::Flat => Box::new(Flat::fit(db, s.max_bins, s.seed)),
         EstimatorKind::Uae => Box::new(Uae::fit(db, train, &s.uae)),
         // Sharded mergeable build: shard count from `s.sketch.shards`
-        // (0 = the `--threads`/env auto-resolution), bit-identical to a
+        // (0 = `CARDBENCH_THREADS`, then all cores), bit-identical to a
         // sequential scan for any value.
         EstimatorKind::Sketch => Box::new(SketchEst::fit(db, &s.sketch)),
         // Bare `Feedback` wraps the PostgreSQL baseline with a fresh

@@ -15,8 +15,13 @@
 //! - [`checkpoint`]: the lossless [`QueryRun`] codec and its two files —
 //!   append-only JSONL checkpoints for kill/resume, and the results file
 //!   `report all` writes and `report observations` reads back.
-//! - [`report`]: text renderers for Tables 1–7.
-//! - [`observations`]: the O1–O14 shape checks over the same runs.
+//! - [`pass`]: the aggregates of a pass of [`QueryRun`]s (end-to-end
+//!   time, improvement, pooled Q-/P-Errors) — the one definition every
+//!   table, check and experiment aggregates through.
+//! - [`report`]: text renderers for Tables 1–7, and the functions that
+//!   compute the cells the observation checks read.
+//! - [`observations`]: the O1–O14 shape checks, read off the tables'
+//!   cells.
 //! - [`update_exp`]: the dynamic-data experiment (Table 6).
 //! - [`case_study`]: the Figure-2 style plan-tree case study.
 
@@ -32,13 +37,11 @@ pub mod endtoend;
 pub mod factory;
 pub mod fault;
 pub mod observations;
+pub mod pass;
 pub mod report;
 pub mod update_exp;
 
-pub use adaptive::{
-    median_p_error, median_q_error, run_adaptive_experiment, run_workload_adaptive,
-    AdaptiveExperiment,
-};
+pub use adaptive::{run_adaptive_experiment, run_workload_adaptive, AdaptiveExperiment};
 pub use checkpoint::{
     load_checkpoint, results_from_json, results_to_json, CheckpointRecord, CheckpointWriter,
     RESULT_WORKLOADS,

@@ -2,15 +2,21 @@
 //! finished run's results — the "shape" assertions of EXPERIMENTS.md as
 //! executable checks. Each check states the paper's claim, evaluates it
 //! on the measured runs, and reports pass/fail with the numbers.
+//!
+//! A check computes no statistic of its own: it reads the cells that
+//! [`crate::report`] prints — Table 3's E2E and Impr columns (O1–O3),
+//! the Table 4 supplement (O4), Table 5's plan shares (O7), Figure 3's
+//! training times (O8) and Table 7's correlations (O14) — so a verdict
+//! is always about a number a table shows.
 
 use std::fmt::Write as _;
 
-use cardbench_estimators::EstimatorKind::{
-    self, BayesCard, DeepDb, Flat, NeuroCardE, Postgres, UniSample,
-};
-use cardbench_metrics::{percentile, percentile_triple, spearman};
+use cardbench_estimators::EstimatorKind::{BayesCard, DeepDb, Flat, NeuroCardE, UniSample};
 
 use crate::endtoend::MethodRun;
+use crate::report::{
+    baseline, bucket_q_error_medians, error_table, fmt_duration, method, tp_ap_rows, JOIN_BUCKETS,
+};
 
 /// Outcome of one observation check.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,15 +31,6 @@ pub struct ObservationCheck {
     pub evidence: String,
 }
 
-fn find(runs: &[MethodRun], kind: EstimatorKind) -> Option<&MethodRun> {
-    runs.iter().find(|r| r.kind == kind)
-}
-
-/// End-to-end seconds: execution plus planning.
-fn e2e(r: &MethodRun) -> f64 {
-    r.exec_total().as_secs_f64() + r.plan_total().as_secs_f64()
-}
-
 /// Runs every check over `[JOB-LIGHT, STATS-CEB]` runs.
 pub fn check_observations(runs: &[Vec<MethodRun>; 2]) -> Vec<ObservationCheck> {
     let mut out = Vec::new();
@@ -41,41 +38,40 @@ pub fn check_observations(runs: &[Vec<MethodRun>; 2]) -> Vec<ObservationCheck> {
 
     // O1: data-driven PGMs beat the PostgreSQL baseline on STATS-CEB;
     // plain histogram/sampling traditional methods do not beat the best
-    // data-driven method.
+    // data-driven method. Table 3's SC E2E cells.
     if let (Some(pg), Some(deep), Some(flat), Some(uni)) = (
-        find(sc, Postgres),
-        find(sc, DeepDb),
-        find(sc, Flat),
-        find(sc, UniSample),
+        baseline(sc),
+        method(sc, DeepDb),
+        method(sc, Flat),
+        method(sc, UniSample),
     ) {
-        let best_pgm = e2e(deep).min(e2e(flat));
+        let [pg, deep, flat, uni] = [pg, deep, flat, uni].map(MethodRun::e2e_total);
+        let best_pgm = deep.min(flat);
         out.push(ObservationCheck {
             id: "O1",
             claim: "data-driven PGM methods improve over PostgreSQL; naive sampling does not beat them",
-            pass: best_pgm < e2e(pg) && e2e(uni) > best_pgm,
+            pass: best_pgm < pg && uni > best_pgm,
             evidence: format!(
-                "PG {:.3}s, DeepDB {:.3}s, FLAT {:.3}s, UniSample {:.3}s",
-                e2e(pg),
-                e2e(deep),
-                e2e(flat),
-                e2e(uni)
+                "SC E2E: PG {}, DeepDB {}, FLAT {}, UniSample {}",
+                fmt_duration(pg),
+                fmt_duration(deep),
+                fmt_duration(flat),
+                fmt_duration(uni)
             ),
         });
     }
 
     // O2: the spread between methods is larger on STATS-CEB than on
-    // JOB-LIGHT (relative to the baseline).
+    // JOB-LIGHT: the range of Table 3's Impr column on each workload.
     let spread = |runs: &[MethodRun]| -> Option<f64> {
-        let base = e2e(find(runs, Postgres)?);
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for r in runs
+        let base = baseline(runs)?.e2e_total();
+        let impr = runs
             .iter()
             .filter(|r| r.kind != NeuroCardE && r.kind != UniSample)
-        {
-            lo = lo.min(e2e(r) / base);
-            hi = hi.max(e2e(r) / base);
-        }
+            .map(|r| r.improvement_over(base));
+        let (lo, hi) = impr.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
         Some(hi - lo)
     };
     if let (Some(s_sc), Some(s_jl)) = (spread(sc), spread(jl)) {
@@ -83,122 +79,100 @@ pub fn check_observations(runs: &[Vec<MethodRun>; 2]) -> Vec<ObservationCheck> {
             id: "O2",
             claim: "STATS-CEB separates methods more than JOB-LIGHT",
             pass: s_sc > s_jl * 0.8, // allow noise; the paper's gap is large
-            evidence: format!("relative spread STATS-CEB {s_sc:.3} vs JOB-LIGHT {s_jl:.3}"),
+            evidence: format!(
+                "Impr range STATS-CEB {s_sc:.1} points vs JOB-LIGHT {s_jl:.1} points"
+            ),
         });
     }
 
     // O3: NeuroCard's full-join modelling does not beat the baseline on
     // STATS-CEB while the divide-and-conquer data-driven methods do.
-    if let (Some(pg), Some(nc), Some(bc)) = (
-        find(sc, Postgres),
-        find(sc, NeuroCardE),
-        find(sc, BayesCard),
-    ) {
+    // Table 3's SC E2E cells.
+    if let (Some(pg), Some(nc), Some(bc)) =
+        (baseline(sc), method(sc, NeuroCardE), method(sc, BayesCard))
+    {
+        let [pg, nc, bc] = [pg, nc, bc].map(MethodRun::e2e_total);
         out.push(ObservationCheck {
             id: "O3",
             claim: "one-model-on-full-join (NeuroCard^E) loses on STATS while per-table models win",
-            pass: e2e(nc) > e2e(pg) && e2e(bc) < e2e(pg),
+            pass: nc > pg && bc < pg,
             evidence: format!(
-                "NeuroCard^E {:.3}s vs PG {:.3}s vs BayesCard {:.3}s",
-                e2e(nc),
-                e2e(pg),
-                e2e(bc)
+                "SC E2E: NeuroCard^E {} vs PG {} vs BayesCard {}",
+                fmt_duration(nc),
+                fmt_duration(pg),
+                fmt_duration(bc)
             ),
         });
     }
 
     // O4: estimation error grows with join count for the data-driven
-    // methods (median of per-query median Q-Errors, small vs large joins).
+    // methods: the Table 4 supplement's first and last bucket.
+    let (small, large) = (JOIN_BUCKETS[0].2, JOIN_BUCKETS[JOIN_BUCKETS.len() - 1].2);
     for kind in [BayesCard, DeepDb, Flat] {
-        if let Some(r) = find(sc, kind) {
-            let med = |lo: usize, hi: usize| {
-                let v: Vec<f64> = r
-                    .queries
-                    .iter()
-                    .filter(|q| q.n_tables >= lo && q.n_tables <= hi)
-                    .map(|q| percentile(&q.q_errors, 0.5))
-                    .collect();
-                percentile(&v, 0.5)
-            };
-            let small = med(2, 3);
-            let large = med(6, 8);
-            if small.is_finite() && large.is_finite() {
-                out.push(ObservationCheck {
-                    id: "O4",
-                    claim: "estimation error grows with the number of joined tables",
-                    pass: large >= small,
-                    evidence: format!(
-                        "{}: median Q-Error 2-3 tables {small:.2}, 6-8 tables {large:.2}",
-                        kind.name()
-                    ),
-                });
-            }
+        let Some(r) = method(sc, kind) else { continue };
+        let cells = bucket_q_error_medians(r);
+        let (q_small, q_large) = (cells[0], cells[cells.len() - 1]);
+        if q_small.is_finite() && q_large.is_finite() {
+            out.push(ObservationCheck {
+                id: "O4",
+                claim: "estimation error grows with the number of joined tables",
+                pass: q_large >= q_small,
+                evidence: format!(
+                    "{}: median sub-plan Q-Error {small} tables {q_small:.3}, {large} tables {q_large:.3}",
+                    kind.name()
+                ),
+            });
         }
     }
 
     // O7: planning share is larger on short (TP) queries than long (AP)
-    // ones for the slow-inference methods.
-    if let Some(nc) = find(sc, NeuroCardE) {
-        let mut times: Vec<f64> = nc.queries.iter().map(|q| q.exec.as_secs_f64()).collect();
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let share = |pred: &dyn Fn(f64) -> bool| {
-            let (mut p, mut e) = (0.0, 0.0);
-            for q in &nc.queries {
-                if pred(q.exec.as_secs_f64()) {
-                    p += q.plan.as_secs_f64();
-                    e += q.exec.as_secs_f64();
-                }
-            }
-            p / (p + e).max(1e-12)
-        };
-        let tp = share(&|t| t <= median);
-        let ap = share(&|t| t > median);
+    // ones for the slow-inference methods: Table 5's NeuroCard^E row.
+    if let Some(nc) = tp_ap_rows(sc)
+        .ok()
+        .and_then(|rows| rows.into_iter().find(|r| r.kind == NeuroCardE))
+    {
+        let (tp, ap) = (nc.tp_plan_share(), nc.ap_plan_share());
         out.push(ObservationCheck {
             id: "O7",
             claim: "inference latency dominates short (TP) queries more than long (AP) ones",
             pass: tp > ap,
-            evidence: format!(
-                "NeuroCard^E plan share: TP {:.1}% vs AP {:.1}%",
-                tp * 100.0,
-                ap * 100.0
-            ),
+            evidence: format!("NeuroCard^E plan share: TP {tp:.1}% vs AP {ap:.2}%"),
         });
     }
 
     // O8/Figure 3: BayesCard trains faster and is smaller than the SPN
     // family, which in turn undercuts NeuroCard's training cost.
-    if let (Some(bc), Some(deep), Some(nc)) =
-        (find(sc, BayesCard), find(sc, DeepDb), find(sc, NeuroCardE))
-    {
-        let [bc, deep, nc] = [bc, deep, nc].map(|r| r.train_time.as_secs_f64());
+    if let (Some(bc), Some(deep), Some(nc)) = (
+        method(sc, BayesCard),
+        method(sc, DeepDb),
+        method(sc, NeuroCardE),
+    ) {
+        let [bc, deep, nc] = [bc, deep, nc].map(|r| r.train_time);
         out.push(ObservationCheck {
             id: "O8",
             claim: "training cost: BayesCard < DeepDB < NeuroCard^E",
             pass: bc < deep && deep < nc,
-            evidence: format!("train: BayesCard {bc:.3}s, DeepDB {deep:.3}s, NeuroCard^E {nc:.3}s"),
+            evidence: format!(
+                "train: BayesCard {}, DeepDB {}, NeuroCard^E {}",
+                fmt_duration(bc),
+                fmt_duration(deep),
+                fmt_duration(nc)
+            ),
         });
     }
 
     // O14: across methods, P-Error medians correlate with execution time
-    // at least as strongly as Q-Error medians.
+    // at least as strongly as Q-Error medians: Table 7's correlations.
     if sc.len() >= 4 {
-        let exec: Vec<f64> = sc.iter().map(|r| r.exec_total().as_secs_f64()).collect();
-        let q50: Vec<f64> = sc
-            .iter()
-            .map(|r| percentile_triple(&r.all_q_errors()).0.ln())
-            .collect();
-        let p50: Vec<f64> = sc
-            .iter()
-            .map(|r| percentile_triple(&r.all_p_errors()).0.ln().max(-20.0))
-            .collect();
-        let rq = spearman(&exec, &q50);
-        let rp = spearman(&exec, &p50);
+        let t = error_table(sc);
         out.push(ObservationCheck {
             id: "O14",
             claim: "P-Error tracks execution time at least as well as Q-Error",
-            pass: rp >= rq - 0.1,
-            evidence: format!("spearman(exec, P50) {rp:.3} vs spearman(exec, Q50) {rq:.3}"),
+            pass: t.corr_p50 >= t.corr_q50 - 0.1,
+            evidence: format!(
+                "corr(exec, P50)={:.3} vs corr(exec, Q50)={:.3}",
+                t.corr_p50, t.corr_q50
+            ),
         });
     }
     out
@@ -227,9 +201,12 @@ pub fn render_checks(checks: &[ObservationCheck]) -> String {
 mod tests {
     use std::time::Duration;
 
+    use cardbench_estimators::EstimatorKind::{self, Postgres};
+
     use super::*;
     use crate::checkpoint::{results_from_json, results_to_json};
     use crate::endtoend::QueryRun;
+    use crate::report;
 
     fn query(id: usize, n_tables: usize, exec: f64, p_error: f64, q_error: f64) -> QueryRun {
         QueryRun {
@@ -328,5 +305,37 @@ mod tests {
         let runs = paper_shaped();
         let back = results_from_json(&results_to_json(&runs)).expect("results file parses");
         assert_eq!(check_observations(&back), check_observations(&runs));
+    }
+
+    /// A results file whose NeuroCard^E runs hold no queries renders
+    /// every table and runs every check without panicking.
+    #[test]
+    fn an_empty_run_in_a_results_file_renders_and_checks() {
+        let mut runs = paper_shaped();
+        for wl in &mut runs {
+            for r in wl.iter_mut().filter(|r| r.kind == NeuroCardE) {
+                r.queries.clear();
+            }
+        }
+        let json = results_to_json(&runs);
+        assert!(json.contains(r#""queries":[]"#), "{json}");
+        let [jl, sc] = results_from_json(&json).expect("results file parses");
+        let texts = [
+            report::table3(&jl, &sc),
+            report::table4(&sc),
+            report::table4_qerrors(&sc),
+            report::table5(&sc),
+            report::table7(&sc, "STATS-CEB"),
+            report::table_exec_counters(&sc, "STATS-CEB"),
+            report::table_faults(&sc, "STATS-CEB"),
+            report::figure3(&sc, "STATS-CEB"),
+        ];
+        // Tables 5 and 7 list the empty run; its aggregates print `—`.
+        for t in [&texts[3], &texts[4]] {
+            assert!(t.contains("NeuroCard^E"), "{t}");
+        }
+        let checks = check_observations(&[jl, sc]);
+        let o7 = checks.iter().find(|c| c.id == "O7").expect("O7 runs");
+        assert!(!o7.pass, "{}", o7.evidence);
     }
 }

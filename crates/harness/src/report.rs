@@ -13,10 +13,11 @@ use std::time::Duration;
 use cardbench_datagen::DatasetProfile;
 use cardbench_engine::Database;
 use cardbench_estimators::EstimatorKind;
-use cardbench_metrics::{pearson, percentile_triple};
+use cardbench_metrics::{pearson, percentile, percentile_triple};
 use cardbench_workload::Workload;
 
 use crate::endtoend::{MethodRun, QueryRun};
+use crate::pass;
 
 /// Human-friendly duration (µs/ms/s).
 pub fn fmt_duration(d: Duration) -> String {
@@ -67,66 +68,28 @@ pub fn table1(imdb: &DatasetProfile, stats: &DatasetProfile) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Table 1: Comparison of IMDB and STATS datasets");
     let _ = writeln!(s, "{:<34} {:>14} {:>14}", "Item", imdb.name, stats.name);
-    let row = |s: &mut String, item: &str, a: String, b: String| {
-        let _ = writeln!(s, "{item:<34} {a:>14} {b:>14}");
+    let mut row = |item: &str, cell: fn(&DatasetProfile) -> String| {
+        let _ = writeln!(s, "{item:<34} {:>14} {:>14}", cell(imdb), cell(stats));
     };
-    row(
-        &mut s,
-        "# of tables",
-        imdb.table_count.to_string(),
-        stats.table_count.to_string(),
-    );
-    row(
-        &mut s,
-        "# of n./c. attributes",
-        imdb.nc_attr_count.to_string(),
-        stats.nc_attr_count.to_string(),
-    );
-    row(
-        &mut s,
-        "# of n./c. attributes per table",
-        format!("{}-{}", imdb.attrs_per_table_min, imdb.attrs_per_table_max),
-        format!(
-            "{}-{}",
-            stats.attrs_per_table_min, stats.attrs_per_table_max
-        ),
-    );
-    row(
-        &mut s,
-        "full outer join size",
-        format!("{:.1e}", imdb.full_join_size),
-        format!("{:.1e}", stats.full_join_size),
-    );
-    row(
-        &mut s,
-        "total attribute domain size",
-        imdb.total_domain_size.to_string(),
-        stats.total_domain_size.to_string(),
-    );
-    row(
-        &mut s,
-        "average distribution skewness",
-        format!("{:.3}", imdb.avg_skewness),
-        format!("{:.3}", stats.avg_skewness),
-    );
-    row(
-        &mut s,
-        "average pairwise correlation",
-        format!("{:.3}", imdb.avg_abs_correlation),
-        format!("{:.3}", stats.avg_abs_correlation),
-    );
-    row(
-        &mut s,
-        "join forms",
-        imdb.join_forms.clone(),
-        stats.join_forms.clone(),
-    );
-    row(
-        &mut s,
-        "# of join relations",
-        imdb.join_relation_count.to_string(),
-        stats.join_relation_count.to_string(),
-    );
+    row("# of tables", |p| p.table_count.to_string());
+    row("# of n./c. attributes", |p| p.nc_attr_count.to_string());
+    row("# of n./c. attributes per table", |p| {
+        format!("{}-{}", p.attrs_per_table_min, p.attrs_per_table_max)
+    });
+    row("full outer join size", |p| {
+        format!("{:.1e}", p.full_join_size)
+    });
+    row("total attribute domain size", |p| {
+        p.total_domain_size.to_string()
+    });
+    row("average distribution skewness", |p| {
+        format!("{:.3}", p.avg_skewness)
+    });
+    row("average pairwise correlation", |p| {
+        format!("{:.3}", p.avg_abs_correlation)
+    });
+    row("join forms", |p| p.join_forms.clone());
+    row("# of join relations", |p| p.join_relation_count.to_string());
     s
 }
 
@@ -137,78 +100,51 @@ pub fn table2(
     db_stats: &Database,
     stats: &Workload,
 ) -> String {
+    fn range((lo, hi): (usize, usize)) -> String {
+        format!("{lo}-{hi}")
+    }
     let mut s = String::new();
     let _ = writeln!(
         s,
         "Table 2: Comparison of JOB-LIGHT and STATS-CEB workloads"
     );
     let _ = writeln!(s, "{:<34} {:>16} {:>16}", "Item", imdb.name, stats.name);
-    let row = |s: &mut String, item: &str, a: String, b: String| {
+    let mut row = |item: &str, cell: fn(&Database, &Workload) -> String| {
+        let (a, b) = (cell(db_imdb, imdb), cell(db_stats, stats));
         let _ = writeln!(s, "{item:<34} {a:>16} {b:>16}");
     };
-    row(
-        &mut s,
-        "# of queries",
-        imdb.queries.len().to_string(),
-        stats.queries.len().to_string(),
-    );
-    let (ilo, ihi) = imdb.table_count_range();
-    let (slo, shi) = stats.table_count_range();
-    row(
-        &mut s,
-        "# of joined tables",
-        format!("{ilo}-{ihi}"),
-        format!("{slo}-{shi}"),
-    );
-    row(
-        &mut s,
-        "# of join templates",
-        imdb.template_count.to_string(),
-        stats.template_count.to_string(),
-    );
-    let (iplo, iphi) = imdb.predicate_count_range();
-    let (splo, sphi) = stats.predicate_count_range();
-    row(
-        &mut s,
-        "# of filtering n./c. predicates",
-        format!("{iplo}-{iphi}"),
-        format!("{splo}-{sphi}"),
-    );
-    row(
-        &mut s,
-        "join type",
-        if imdb.has_fkfk(db_imdb) {
-            "PK-FK/FK-FK"
-        } else {
-            "PK-FK"
-        }
-        .to_string(),
-        if stats.has_fkfk(db_stats) {
-            "PK-FK/FK-FK"
-        } else {
-            "PK-FK"
-        }
-        .to_string(),
-    );
-    let (iclo, ichi) = imdb.cardinality_range();
-    let (sclo, schi) = stats.cardinality_range();
-    row(
-        &mut s,
-        "true cardinality range",
-        format!("{} - {}", fmt_card(iclo), fmt_card(ichi)),
-        format!("{} - {}", fmt_card(sclo), fmt_card(schi)),
-    );
+    row("# of queries", |_, wl| wl.queries.len().to_string());
+    row("# of joined tables", |_, wl| range(wl.table_count_range()));
+    row("# of join templates", |_, wl| wl.template_count.to_string());
+    row("# of filtering n./c. predicates", |_, wl| {
+        range(wl.predicate_count_range())
+    });
+    row("join type", |db, wl| {
+        let fkfk = wl.has_fkfk(db);
+        (if fkfk { "PK-FK/FK-FK" } else { "PK-FK" }).to_string()
+    });
+    row("true cardinality range", |_, wl| {
+        let (lo, hi) = wl.cardinality_range();
+        format!("{} - {}", fmt_card(lo), fmt_card(hi))
+    });
     s
+}
+
+/// The run of `kind`, if the result set holds one.
+pub fn method(runs: &[MethodRun], kind: EstimatorKind) -> Option<&MethodRun> {
+    runs.iter().find(|r| r.kind == kind)
 }
 
 /// Locates the PostgreSQL baseline run. `None` when the result set is
 /// partial (e.g. a resumed run killed before the baseline finished);
 /// renderers then print `—` cells or a note instead of panicking.
 pub fn baseline(runs: &[MethodRun]) -> Option<&MethodRun> {
-    runs.iter().find(|r| r.kind == EstimatorKind::Postgres)
+    method(runs, EstimatorKind::Postgres)
 }
 
-/// Table 3: overall end-to-end performance on both workloads.
+/// Table 3: overall end-to-end performance on both workloads. The E2E
+/// and Impr cells are [`MethodRun::e2e_total`] and
+/// [`MethodRun::improvement_over`] the baseline's; O1–O3 read them.
 pub fn table3(imdb_runs: &[MethodRun], stats_runs: &[MethodRun]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Table 3: Overall performance of CardEst algorithms");
@@ -231,10 +167,7 @@ pub fn table3(imdb_runs: &[MethodRun], stats_runs: &[MethodRun]) -> String {
         None => "—".to_string(),
     };
     for kind in EstimatorKind::ALL {
-        let (Some(ri), Some(rs)) = (
-            imdb_runs.iter().find(|r| r.kind == kind),
-            stats_runs.iter().find(|r| r.kind == kind),
-        ) else {
+        let (Some(ri), Some(rs)) = (method(imdb_runs, kind), method(stats_runs, kind)) else {
             continue;
         };
         let _ = writeln!(
@@ -265,6 +198,13 @@ pub fn table3(imdb_runs: &[MethodRun], stats_runs: &[MethodRun]) -> String {
 pub const JOIN_BUCKETS: [(usize, usize, &str); 4] =
     [(2, 3, "2-3"), (4, 4, "4"), (5, 5, "5"), (6, 8, "6-8")];
 
+/// The queries of `run` whose join count falls in the bucket `lo..=hi`.
+fn in_bucket(run: &MethodRun, lo: usize, hi: usize) -> impl Iterator<Item = &QueryRun> {
+    run.queries
+        .iter()
+        .filter(move |q| (lo..=hi).contains(&q.n_tables))
+}
+
 /// Table 4: end-to-end improvement by number of joined tables
 /// (STATS-CEB).
 pub fn table4(stats_runs: &[MethodRun]) -> String {
@@ -294,23 +234,13 @@ pub fn table4(stats_runs: &[MethodRun]) -> String {
     }
     let _ = writeln!(s);
     for (lo, hi, label) in JOIN_BUCKETS {
-        let in_bucket = |q: &&QueryRun| q.completed() && q.n_tables >= lo && q.n_tables <= hi;
-        let bucket_secs = |run: &MethodRun| -> f64 {
-            let queries = run.queries.iter().filter(in_bucket);
-            queries.map(|q| (q.exec + q.plan).as_secs_f64()).sum()
-        };
-        let base_time = bucket_secs(base);
-        let nq = base.queries.iter().filter(in_bucket).count();
-        let _ = write!(s, "{label:<9} {nq:>9}");
+        let completed = |run| in_bucket(run, lo, hi).filter(|q| q.completed());
+        let base_time = pass::e2e(completed(base));
+        let _ = write!(s, "{label:<9} {:>9}", completed(base).count());
         for k in shown {
-            match stats_runs.iter().find(|r| r.kind == k) {
+            match method(stats_runs, k) {
                 Some(run) => {
-                    let t = bucket_secs(run);
-                    let impr = if base_time > 0.0 {
-                        (base_time - t) / base_time * 100.0
-                    } else {
-                        0.0
-                    };
+                    let impr = pass::improvement(pass::e2e(completed(run)), base_time);
                     let _ = write!(s, " {impr:>10.1}%");
                 }
                 None => {
@@ -321,6 +251,13 @@ pub fn table4(stats_runs: &[MethodRun]) -> String {
         let _ = writeln!(s);
     }
     s
+}
+
+/// The Table 4 supplement's cells for one method: per [`JOIN_BUCKETS`]
+/// bucket, the median of every sub-plan Q-Error pooled over the bucket's
+/// queries (NaN for an empty bucket). O4 reads the first and last.
+pub fn bucket_q_error_medians(run: &MethodRun) -> [f64; JOIN_BUCKETS.len()] {
+    JOIN_BUCKETS.map(|(lo, hi, _)| percentile(&pass::q_errors(in_bucket(run, lo, hi)), 0.5))
 }
 
 /// Supplement to Table 4 (paper O4): median sub-plan Q-Error per
@@ -345,39 +282,61 @@ pub fn table4_qerrors(stats_runs: &[MethodRun]) -> String {
         let _ = write!(s, " {:>11}", k.name());
     }
     let _ = writeln!(s);
-    for (lo, hi, label) in JOIN_BUCKETS {
+    let cells = shown.map(|k| method(stats_runs, k).map(bucket_q_error_medians));
+    for (b, (_, _, label)) in JOIN_BUCKETS.iter().enumerate() {
         let _ = write!(s, "{label:<9}");
-        for k in shown {
-            match stats_runs.iter().find(|r| r.kind == k) {
-                Some(run) => {
-                    let errs: Vec<f64> = run
-                        .queries
-                        .iter()
-                        .filter(|q| q.n_tables >= lo && q.n_tables <= hi)
-                        .flat_map(|q| q.q_errors.clone())
-                        .collect();
-                    let med = cardbench_metrics::percentile(&errs, 0.5);
-                    let _ = write!(s, " {:>11}", fmt_metric(med));
-                }
-                None => {
-                    let _ = write!(s, " {:>11}", "—");
-                }
-            }
+        for cell in &cells {
+            let text = cell.map_or("—".to_string(), |c| fmt_metric(c[b]));
+            let _ = write!(s, " {text:>11}");
         }
         let _ = writeln!(s);
     }
     s
 }
 
-/// Table 5: OLTP vs OLAP split on STATS-CEB. Queries at or below the
-/// baseline's median execution time form the TP class; the rest AP.
-pub fn table5(stats_runs: &[MethodRun]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Table 5: OLTP/OLAP performance on STATS-CEB");
-    let Some(base) = baseline(stats_runs) else {
-        let _ = writeln!(s, "(PostgreSQL baseline missing — TP/AP split unavailable)");
-        return s;
-    };
+/// One row of Table 5: a method's completed queries split into the TP
+/// class — the queries the PostgreSQL baseline completed at or below its
+/// median execution time — and the AP class, the rest.
+#[derive(Debug, Clone)]
+pub struct TpApRow {
+    /// Which estimator.
+    pub kind: EstimatorKind,
+    /// Execution time of the TP class.
+    pub tp_exec: Duration,
+    /// Planning time of the TP class.
+    pub tp_plan: Duration,
+    /// Execution time of the AP class.
+    pub ap_exec: Duration,
+    /// Planning time of the AP class.
+    pub ap_plan: Duration,
+}
+
+impl TpApRow {
+    /// Planning's share of the TP class's end-to-end time, in percent.
+    pub fn tp_plan_share(&self) -> f64 {
+        plan_share(self.tp_plan, self.tp_exec)
+    }
+
+    /// Planning's share of the AP class's end-to-end time, in percent.
+    pub fn ap_plan_share(&self) -> f64 {
+        plan_share(self.ap_plan, self.ap_exec)
+    }
+}
+
+fn plan_share(plan: Duration, exec: Duration) -> f64 {
+    let (p, e) = (plan.as_secs_f64(), exec.as_secs_f64());
+    if p + e > 0.0 {
+        p / (p + e) * 100.0
+    } else {
+        0.0
+    }
+}
+
+/// Table 5's rows, one per run in `stats_runs`. `Err` is the note the
+/// table prints instead when the split is unavailable. O7 reads the
+/// NeuroCard^E row.
+pub fn tp_ap_rows(stats_runs: &[MethodRun]) -> Result<Vec<TpApRow>, &'static str> {
+    let base = baseline(stats_runs).ok_or("PostgreSQL baseline missing")?;
     let mut times: Vec<f64> = base
         .queries
         .iter()
@@ -385,11 +344,7 @@ pub fn table5(stats_runs: &[MethodRun]) -> String {
         .map(|q| q.exec.as_secs_f64())
         .collect();
     if times.is_empty() {
-        let _ = writeln!(
-            s,
-            "(no completed baseline queries — TP/AP split unavailable)"
-        );
-        return s;
+        return Err("no completed baseline queries");
     }
     times.sort_by(f64::total_cmp);
     let median = times[times.len() / 2];
@@ -399,55 +354,120 @@ pub fn table5(stats_runs: &[MethodRun]) -> String {
         .filter(|q| q.completed() && q.exec.as_secs_f64() <= median)
         .map(|q| q.id)
         .collect();
+    let rows = stats_runs.iter().map(|run| {
+        let (tp, ap): (Vec<&QueryRun>, Vec<&QueryRun>) = run
+            .queries
+            .iter()
+            .filter(|q| q.completed())
+            .partition(|q| tp_ids.contains(&q.id));
+        TpApRow {
+            kind: run.kind,
+            tp_exec: pass::exec(tp.iter().copied()),
+            tp_plan: pass::plan(tp.iter().copied()),
+            ap_exec: pass::exec(ap.iter().copied()),
+            ap_plan: pass::plan(ap.iter().copied()),
+        }
+    });
+    Ok(rows.collect())
+}
+
+/// Table 5: OLTP vs OLAP split on STATS-CEB ([`tp_ap_rows`]).
+pub fn table5(stats_runs: &[MethodRun]) -> String {
+    let mut s = String::new();
+    let _ = writeln!(s, "Table 5: OLTP/OLAP performance on STATS-CEB");
+    let rows = match tp_ap_rows(stats_runs) {
+        Ok(rows) => rows,
+        Err(note) => {
+            let _ = writeln!(s, "({note} — TP/AP split unavailable)");
+            return s;
+        }
+    };
     let _ = writeln!(
         s,
         "{:<12} {:>12} {:>20} {:>12} {:>20}",
         "Method", "TP Exec", "TP Plan (share)", "AP Exec", "AP Plan (share)"
     );
-    for run in stats_runs {
-        let (mut tpe, mut tpp, mut ape, mut app) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for q in run.queries.iter().filter(|q| q.completed()) {
-            if tp_ids.contains(&q.id) {
-                tpe += q.exec.as_secs_f64();
-                tpp += q.plan.as_secs_f64();
-            } else {
-                ape += q.exec.as_secs_f64();
-                app += q.plan.as_secs_f64();
-            }
-        }
-        let share = |p: f64, e: f64| {
-            if p + e > 0.0 {
-                p / (p + e) * 100.0
-            } else {
-                0.0
-            }
-        };
+    for r in rows {
         let _ = writeln!(
             s,
             "{:<12} {:>12} {:>20} {:>12} {:>20}",
-            run.kind.name(),
-            fmt_duration(Duration::from_secs_f64(tpe)),
-            format!(
-                "{} ({:.1}%)",
-                fmt_duration(Duration::from_secs_f64(tpp)),
-                share(tpp, tpe)
-            ),
-            fmt_duration(Duration::from_secs_f64(ape)),
-            format!(
-                "{} ({:.2}%)",
-                fmt_duration(Duration::from_secs_f64(app)),
-                share(app, ape)
-            ),
+            r.kind.name(),
+            fmt_duration(r.tp_exec),
+            format!("{} ({:.1}%)", fmt_duration(r.tp_plan), r.tp_plan_share()),
+            fmt_duration(r.ap_exec),
+            format!("{} ({:.2}%)", fmt_duration(r.ap_plan), r.ap_plan_share()),
         );
     }
     s
 }
 
+/// One row of Table 7.
+#[derive(Debug, Clone)]
+pub struct ErrorRow {
+    /// Which estimator.
+    pub kind: EstimatorKind,
+    /// Total execution time.
+    pub exec: Duration,
+    /// Sub-plan Q-Error 50/90/99th percentiles.
+    pub q: (f64, f64, f64),
+    /// P-Error 50/90/99th percentiles over completed queries.
+    pub p: (f64, f64, f64),
+}
+
+/// Table 7's numbers: one row per method by descending execution time,
+/// and the Pearson correlation of execution time with each of Q50, Q90,
+/// P50 and P90 across the methods. O14 reads the correlations.
+#[derive(Debug, Clone)]
+pub struct ErrorTable {
+    /// The rows, slowest execution first.
+    pub rows: Vec<ErrorRow>,
+    /// corr(exec, Q50).
+    pub corr_q50: f64,
+    /// corr(exec, Q90).
+    pub corr_q90: f64,
+    /// corr(exec, P50).
+    pub corr_p50: f64,
+    /// corr(exec, P90).
+    pub corr_p90: f64,
+}
+
+/// Computes [`ErrorTable`] over `runs`.
+pub fn error_table(runs: &[MethodRun]) -> ErrorTable {
+    let mut rows: Vec<ErrorRow> = runs
+        .iter()
+        .map(|run| ErrorRow {
+            kind: run.kind,
+            exec: run.exec_total(),
+            q: percentile_triple(&run.all_q_errors()),
+            p: percentile_triple(&run.all_p_errors()),
+        })
+        .collect();
+    rows.sort_by_key(|r| std::cmp::Reverse(r.exec));
+    // Correlations only make sense over finite aggregates; a method with
+    // no completed queries would poison every coefficient.
+    let finite: Vec<&ErrorRow> = rows
+        .iter()
+        .filter(|r| [r.q.0, r.q.1, r.p.0, r.p.1].iter().all(|v| v.is_finite()))
+        .collect();
+    let exec: Vec<f64> = finite.iter().map(|r| r.exec.as_secs_f64()).collect();
+    let corr = |cell: fn(&ErrorRow) -> f64| {
+        let ys: Vec<f64> = finite.iter().map(|r| cell(r)).collect();
+        pearson(&exec, &ys)
+    };
+    ErrorTable {
+        corr_q50: corr(|r| r.q.0),
+        corr_q90: corr(|r| r.q.1),
+        corr_p50: corr(|r| r.p.0),
+        corr_p90: corr(|r| r.p.1),
+        rows,
+    }
+}
+
 /// Table 7: Q-Error vs P-Error distributions, methods sorted by
-/// descending execution time, plus the percentile↔time correlations.
+/// descending execution time, plus the percentile↔time correlations
+/// ([`error_table`]).
 pub fn table7(runs: &[MethodRun], workload_name: &str) -> String {
-    let mut sorted: Vec<&MethodRun> = runs.iter().collect();
-    sorted.sort_by_key(|r| std::cmp::Reverse(r.exec_total()));
+    let t = error_table(runs);
     let mut s = String::new();
     let _ = writeln!(s, "Table 7 ({workload_name}): Q-Error vs P-Error");
     let _ = writeln!(
@@ -455,43 +475,24 @@ pub fn table7(runs: &[MethodRun], workload_name: &str) -> String {
         "{:<12} {:>10} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
         "Method", "Exec", "Q50%", "Q90%", "Q99%", "P50%", "P90%", "P99%"
     );
-    let mut exec_times = Vec::new();
-    let mut q50s = Vec::new();
-    let mut q90s = Vec::new();
-    let mut p50s = Vec::new();
-    let mut p90s = Vec::new();
-    for run in &sorted {
-        let (q50, q90, q99) = percentile_triple(&run.all_q_errors());
-        let (p50, p90, p99) = percentile_triple(&run.all_p_errors());
+    for r in &t.rows {
         let _ = writeln!(
             s,
             "{:<12} {:>10} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
-            run.kind.name(),
-            fmt_duration(run.exec_total()),
-            fmt_metric(q50),
-            fmt_metric(q90),
-            fmt_metric(q99),
-            fmt_metric(p50),
-            fmt_metric(p90),
-            fmt_metric(p99)
+            r.kind.name(),
+            fmt_duration(r.exec),
+            fmt_metric(r.q.0),
+            fmt_metric(r.q.1),
+            fmt_metric(r.q.2),
+            fmt_metric(r.p.0),
+            fmt_metric(r.p.1),
+            fmt_metric(r.p.2)
         );
-        // Correlations only make sense over finite aggregates; a method
-        // with no completed queries would poison every coefficient.
-        if [q50, q90, p50, p90].iter().all(|v| v.is_finite()) {
-            exec_times.push(run.exec_total().as_secs_f64());
-            q50s.push(q50);
-            q90s.push(q90);
-            p50s.push(p50);
-            p90s.push(p90);
-        }
     }
     let _ = writeln!(
         s,
         "corr(exec, Q50)={:.3} corr(exec, Q90)={:.3} corr(exec, P50)={:.3} corr(exec, P90)={:.3}",
-        pearson(&exec_times, &q50s),
-        pearson(&exec_times, &q90s),
-        pearson(&exec_times, &p50s),
-        pearson(&exec_times, &p90s),
+        t.corr_q50, t.corr_q90, t.corr_p50, t.corr_p90,
     );
     s
 }
@@ -692,6 +693,29 @@ mod tests {
             fake_run(EstimatorKind::DeepDb, 6),
             fake_run(EstimatorKind::Flat, 6),
         ]
+    }
+
+    /// FNV digest of every run renderer's text over [`fake_runs`]: a
+    /// refactor of how a table computes its numbers must print the same
+    /// bytes.
+    #[test]
+    fn renderer_output_is_pinned() {
+        use cardbench_support::hash;
+        let runs = fake_runs();
+        let texts = [
+            table3(&runs, &runs),
+            table4(&runs),
+            table4_qerrors(&runs),
+            table5(&runs),
+            table7(&runs, "STATS-CEB"),
+            table_exec_counters(&runs, "STATS-CEB"),
+            table_faults(&runs, "STATS-CEB"),
+            figure3(&runs, "STATS-CEB"),
+        ];
+        let digest = texts
+            .iter()
+            .fold(hash::OFFSET, |h, t| hash::bytes(h, t.as_bytes()));
+        assert_eq!(digest, 16974204525030512075, "{}", texts.concat());
     }
 
     #[test]

@@ -6,15 +6,16 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
-use cardbench_datagen::{stats_catalog, StatsConfig};
 use cardbench_engine::{CostModel, Database, TrueCardService};
 use cardbench_estimators::{CardEst, EstimatorKind};
+use cardbench_storage::Catalog;
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
 use crate::endtoend::run_workload;
 use crate::factory::build_estimator;
 use crate::fault::RunOptions;
+use crate::pass;
 use crate::report::fmt_duration;
 
 /// Result of the update experiment for one method.
@@ -75,26 +76,30 @@ fn skip_reason(kind: EstimatorKind) -> String {
 
 /// Runs the full update experiment: returns one [`UpdateRow`] per
 /// evaluated kind — measured for [`UPDATABLE`] methods, skip-and-report
-/// for the rest. `stats_cfg` regenerates the same full dataset the
-/// workload was built on.
+/// for the rest. `full` is the STATS catalog the workload was built
+/// on; the fresh models run on a clone of it, so their timings start
+/// from cold caches.
 pub fn run_update_experiment(
-    stats_cfg: &StatsConfig,
+    full: &Catalog,
     wl: &Workload,
     settings: &EstimatorSettings,
     cost: &CostModel,
 ) -> Vec<UpdateRow> {
-    let full = stats_catalog(stats_cfg);
-    let (stale_catalog, inserts) = temporal_split(&full, SPLIT_DAY);
-    let full_db = Database::new(full);
+    let (stale_catalog, inserts) = temporal_split(full, SPLIT_DAY);
+    let full_db = Database::new(full.clone());
     let truth = TrueCardService::new();
     // Query-driven training set unused by the updatable (data-driven)
     // methods.
     let empty_train = cardbench_estimators::lw::TrainingSet::default();
-    let e2e = |db: &Database, est: &dyn CardEst| -> Duration {
-        run_workload(db, wl, est, &truth, cost, &RunOptions::default())
-            .iter()
-            .map(|q| q.exec + q.plan)
-            .sum()
+    let e2e = |db: &Database, est: &dyn CardEst| {
+        pass::e2e(&run_workload(
+            db,
+            wl,
+            est,
+            &truth,
+            cost,
+            &RunOptions::default(),
+        ))
     };
 
     let mut results = Vec::new();
@@ -173,12 +178,12 @@ pub fn table6(rows: &[UpdateRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cardbench_datagen::{stats_catalog, StatsConfig};
     use cardbench_workload::{stats_ceb, WorkloadConfig};
 
     #[test]
     fn update_experiment_runs() {
-        let stats_cfg = StatsConfig::tiny(4);
-        let db = Database::new(stats_catalog(&stats_cfg));
+        let db = Database::new(stats_catalog(&StatsConfig::tiny(4)));
         let wl = stats_ceb(
             &db,
             &WorkloadConfig {
@@ -189,7 +194,7 @@ mod tests {
             },
         );
         let settings = EstimatorSettings::fast(4);
-        let rows = run_update_experiment(&stats_cfg, &wl, &settings, &CostModel::default());
+        let rows = run_update_experiment(db.catalog(), &wl, &settings, &CostModel::default());
         // Every evaluated kind gets a row; exactly the UPDATABLE five
         // carry measurements, the rest are typed skips.
         assert_eq!(rows.len(), EstimatorKind::ALL.len());

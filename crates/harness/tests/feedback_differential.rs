@@ -17,8 +17,9 @@ use cardbench_engine::{CostModel, TrueCardService};
 use cardbench_estimators::{CardEst, EstimatorKind};
 use cardbench_feedback::{FeedbackEst, FeedbackStore, MAX_CORRECTION, WARMUP};
 use cardbench_harness::{
-    build_estimator, median_q_error, run_workload_adaptive, Bench, BenchConfig, RunOptions,
+    build_estimator, pass, run_workload_adaptive, Bench, BenchConfig, RunOptions,
 };
+use cardbench_metrics::percentile;
 use cardbench_query::{connected_subsets, JoinQuery, Region, SubPlanQuery};
 use cardbench_support::proptest::prelude::*;
 use cardbench_workload::{stats_ceb, WorkloadConfig};
@@ -130,7 +131,8 @@ proptest! {
                 w.id
             );
         }
-        prop_assert!(median_q_error(&replay) <= median_q_error(&warm));
+        let median = |runs| percentile(&pass::q_errors(runs), 0.5);
+        prop_assert!(median(&replay) <= median(&warm));
     }
 
     /// Poisoning: arbitrary garbage observations (non-finite or negative

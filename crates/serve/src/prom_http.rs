@@ -11,9 +11,8 @@
 //! No keep-alive, no TLS — one response per connection, which is
 //! exactly what a scrape or a probe is. The at-drop `<trace>.prom` file
 //! export still exists; this endpoint adds *live* scrapes for
-//! long-running servers (and the load generator's `--prom-addr` flag).
-//! Zero new dependencies: blocking `std::net` plus one accept-loop
-//! thread.
+//! long-running servers. Zero new dependencies: blocking `std::net`
+//! plus one accept-loop thread.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -24,8 +23,8 @@ use std::time::Duration;
 
 /// Liveness/readiness closures for the probe endpoints. `Ok(())` → `200
 /// ok`, `Err(reason)` → `503 <reason>`. Build one from a running server
-/// with `Server::probes()`; [`HealthProbes::always_ok`] suits bare
-/// metrics endpoints.
+/// with `Server::probes()`; [`HealthProbes::always_ok`] suits a
+/// metrics-only endpoint that outlives any one server.
 #[derive(Clone)]
 pub struct HealthProbes {
     /// `/healthz`: is the service making progress at all?
@@ -54,14 +53,8 @@ pub struct PromServer {
 
 impl PromServer {
     /// Binds `addr` (e.g. `127.0.0.1:9184`, or port `0` for an ephemeral
-    /// port) and serves scrapes on a background thread. Probe endpoints
-    /// always pass; use [`PromServer::bind_with_probes`] to wire real
-    /// liveness/readiness.
-    pub fn bind(addr: &str) -> std::io::Result<PromServer> {
-        PromServer::bind_with_probes(addr, HealthProbes::always_ok())
-    }
-
-    /// Binds `addr` with live `/healthz` + `/readyz` probes.
+    /// port) and serves scrapes and the `/healthz` + `/readyz` probes on
+    /// a background thread.
     pub fn bind_with_probes(addr: &str, probes: HealthProbes) -> std::io::Result<PromServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -182,7 +175,8 @@ mod tests {
 
     #[test]
     fn serves_live_snapshot_over_http() {
-        let srv = PromServer::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let srv = PromServer::bind_with_probes("127.0.0.1:0", HealthProbes::always_ok())
+            .expect("bind ephemeral port");
         let addr = srv.local_addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream

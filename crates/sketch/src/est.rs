@@ -242,7 +242,7 @@ pub struct SketchEst {
 
 impl SketchEst {
     /// Builds the model with the configured shard count (`cfg.shards`,
-    /// `0` = auto via the `--threads`/env knobs).
+    /// `0` = auto: `CARDBENCH_THREADS`, then all cores).
     pub fn fit(db: &Database, cfg: &SketchConfig) -> SketchEst {
         let shards = if cfg.shards == 0 {
             par::max_threads()

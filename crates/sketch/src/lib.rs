@@ -58,8 +58,8 @@ pub struct SketchConfig {
     /// Hash seed (mixed into every per-column hash stream).
     pub seed: u64,
     /// Build shards (row ranges per table). `0` = auto: the
-    /// `CARDBENCH_THREADS` env knob, then all cores — the same
-    /// resolution as the harness `--threads` flag.
+    /// `CARDBENCH_THREADS` environment variable, then all cores. The
+    /// `--threads` flag does not reach it.
     pub shards: usize,
 }
 
