@@ -18,8 +18,8 @@ use cardbench_estimators::lw::{LwNn, TrainingSet};
 use cardbench_estimators::mscn::Mscn;
 use cardbench_estimators::neurocard::{NeuroCardConfig, NeuroCardE};
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_harness::update_exp::UPDATABLE;
-use cardbench_harness::{build_estimator, pass, run_workload, QueryRun, RunOptions};
+use cardbench_harness::update_exp::{timed_update, UPDATABLE};
+use cardbench_harness::{pass, run_workload, QueryRun, RunOptions};
 use cardbench_metrics::{percentile, percentile_triple, q_error, spearman};
 use cardbench_ml::autoreg::ArConfig;
 use cardbench_query::{BoundQuery, JoinEdge, JoinQuery, Region, SubPlanQuery, TableMask};
@@ -421,12 +421,7 @@ pub fn update_scaling(e: &Eval) -> Result<(), String> {
             } else {
                 &empty
             };
-            let mut db = Database::new(stale.clone());
-            let mut built = build_estimator(kind, &db, train, settings);
-            db.append_inserts(&inserts).expect("aligned schemas");
-            let t0 = Instant::now();
-            built.est.apply_inserts(&db, &inserts);
-            let dt = t0.elapsed();
+            let (_, _, dt) = timed_update(kind, &stale, &inserts, train, settings);
             println!(
                 "{:<14} {batch:>10} {:>12.3?} {:>12.3?}",
                 kind.name(),

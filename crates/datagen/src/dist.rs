@@ -129,37 +129,11 @@ pub fn skewness(values: impl Iterator<Item = f64> + Clone) -> f64 {
     }
 }
 
-/// Pearson correlation of two equal-length samples.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let nf = n as f64;
-    let mx = xs.iter().sum::<f64>() / nf;
-    let my = ys.iter().sum::<f64>() / nf;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cardbench_support::rand::SeedableRng;
+    use cardbench_support::stats::pearson;
 
     #[test]
     fn zipf_pmf_sums_to_one() {
@@ -205,15 +179,6 @@ mod tests {
     fn skewness_positive_for_heavy_tail() {
         let tail = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0];
         assert!(skewness(tail.iter().copied()) > 2.0);
-    }
-
-    #[test]
-    fn pearson_perfect_and_null() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-9);
-        let flat = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(pearson(&xs, &flat), 0.0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use std::collections::HashMap;
 
 use cardbench_storage::{Catalog, Table};
+use cardbench_support::stats::pearson;
 
-use crate::dist::{pearson, skewness};
+use crate::dist::skewness;
 
 /// The per-dataset statistics reported in paper Table 1.
 #[derive(Debug, Clone)]

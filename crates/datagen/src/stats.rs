@@ -545,7 +545,7 @@ pub fn churn_sample(catalog: &Catalog, frac: f64, seed: u64) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::pearson;
+    use cardbench_support::stats::pearson;
 
     fn tiny() -> Catalog {
         stats_catalog(&StatsConfig::tiny(1))

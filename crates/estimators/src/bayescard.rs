@@ -84,10 +84,6 @@ impl CardEst for BayesCard {
         self.inner.size_bytes()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         // Structure preserved; counts incremented over the inserted rows
         // (the rows now occupy the tail of each table).

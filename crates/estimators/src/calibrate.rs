@@ -122,10 +122,6 @@ impl<E: CardEst> CardEst for PErrorCalibrated<E> {
         self.inner.model_size_bytes() + self.factors.len() * 8
     }
 
-    fn supports_update(&self) -> bool {
-        self.inner.supports_update()
-    }
-
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         self.inner.apply_inserts(db, delta);
     }

@@ -121,10 +121,6 @@ impl CardEst for DeepDb {
         self.inner.size_bytes()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         update_spn_family(&mut self.inner, db, delta);
     }

@@ -54,10 +54,6 @@ impl CardEst for Flat {
         self.inner.size_bytes()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         update_spn_family(&mut self.inner, db, delta);
     }

@@ -77,10 +77,10 @@ pub trait CardEst: Send + Sync {
 
     /// Whether [`CardEst::estimate_batch`] actually amortizes work (a
     /// real override: shared featurization, batched forward passes,
-    /// one-pass enumeration) rather than the sequential default. A
-    /// serving layer uses this to decide whether cross-session batch
-    /// coalescing can pay for its queueing; it never changes values —
-    /// the batch contract stays bit-identical either way.
+    /// one-pass enumeration) rather than the sequential default. It
+    /// never changes values. Only `cardbench smoke serve` and the
+    /// sub-plan differential tests read it; the server routes by live
+    /// sessions against cores.
     fn batch_leverage(&self) -> bool {
         false
     }
@@ -97,13 +97,8 @@ pub trait CardEst: Send + Sync {
         false
     }
 
-    /// Whether [`CardEst::apply_inserts`] is meaningful for this method.
-    fn supports_update(&self) -> bool {
-        false
-    }
-
     /// Absorbs inserted rows (`delta[i]` aligns with catalog table `i`);
-    /// `db` already contains the new rows. Default: no-op.
+    /// `db` already contains the new rows. Default: no-op (no update).
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         let _ = (db, delta);
     }

@@ -28,6 +28,18 @@ impl TrainingSet {
         let ys: Vec<f32> = self.cards.iter().map(|&c| card_to_label(c)).collect();
         (xs, ys)
     }
+
+    /// The same queries, each relabelled by executing it on `db`; a query
+    /// that fails to execute keeps its old label. A query-driven model's
+    /// update retrains on this, the cost the paper's O9 calls
+    /// impractical for dynamic databases.
+    pub fn relabelled(&self, db: &Database) -> TrainingSet {
+        let mut train = self.clone();
+        for (q, card) in train.queries.iter().zip(train.cards.iter_mut()) {
+            *card = cardbench_engine::exact_cardinality(db, q).unwrap_or(*card);
+        }
+        train
+    }
 }
 
 /// Featurizes every sub-plan into `scratch.rows`, one sparse row each.
@@ -201,18 +213,9 @@ impl CardEst for LwNn {
         self.model.param_bytes()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
-    /// Relabel the retained training workload by re-execution, then
-    /// retrain (the query-driven update cost of paper O9).
+    /// Retrains on the retained workload, [`TrainingSet::relabelled`].
     fn apply_inserts(&mut self, db: &Database, _delta: &[cardbench_storage::Table]) {
-        let mut train = self.train.clone();
-        for (q, card) in train.queries.iter().zip(train.cards.iter_mut()) {
-            *card = cardbench_engine::exact_cardinality(db, q).unwrap_or(*card);
-        }
-        *self = LwNn::fit(db, &train, &self.cfg);
+        *self = LwNn::fit(db, &self.train.relabelled(db), &self.cfg);
     }
 }
 

@@ -181,19 +181,9 @@ impl CardEst for Mscn {
         self.head.param_bytes() + self.proj.heap_size()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
-    /// Query-driven update: every training label must be *re-executed*
-    /// against the changed data before retraining — the cost the paper's
-    /// O9 calls impractical for dynamic databases.
+    /// Retrains on the retained workload, [`TrainingSet::relabelled`].
     fn apply_inserts(&mut self, db: &Database, _delta: &[cardbench_storage::Table]) {
-        let mut train = self.train.clone();
-        for (q, card) in train.queries.iter().zip(train.cards.iter_mut()) {
-            *card = cardbench_engine::exact_cardinality(db, q).unwrap_or(*card);
-        }
-        *self = Mscn::fit(db, &train, &self.cfg);
+        *self = Mscn::fit(db, &self.train.relabelled(db), &self.cfg);
     }
 }
 

@@ -461,10 +461,6 @@ impl CardEst for NeuroCardE {
         self.partitions.iter().map(PartitionModel::size_bytes).sum()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, _delta: &[cardbench_storage::Table]) {
         // NeuroCard must re-sample the FOJ and retrain — the slow update
         // path the paper measures. A shortened schedule (fewer epochs)

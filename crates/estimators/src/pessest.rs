@@ -129,10 +129,6 @@ impl CardEst for PessEst {
         self.max_degree.iter().map(|v| v.len() * 8).sum()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, _delta: &[cardbench_storage::Table]) {
         *self = PessEst::fit(db);
     }

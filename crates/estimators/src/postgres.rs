@@ -193,10 +193,6 @@ impl CardEst for PostgresEst {
             .sum()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, db: &Database, _delta: &[cardbench_storage::Table]) {
         // PostgreSQL re-ANALYZEs: statistics are cheap to rebuild.
         *self = PostgresEst::fit(db);

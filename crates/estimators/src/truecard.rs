@@ -56,10 +56,6 @@ impl CardEst for TrueCardEst {
         true
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     fn apply_inserts(&mut self, _db: &Database, _delta: &[cardbench_storage::Table]) {
         // The oracle recomputes from live data; just drop the cache.
         self.service = TrueCardService::new();

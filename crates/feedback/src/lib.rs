@@ -280,10 +280,6 @@ impl CardEst for FeedbackEst {
         self.inner.is_oracle()
     }
 
-    fn supports_update(&self) -> bool {
-        self.inner.supports_update()
-    }
-
     fn apply_inserts(&mut self, db: &Database, delta: &[Table]) {
         self.inner.apply_inserts(db, delta);
     }
@@ -386,6 +382,6 @@ mod tests {
         store.observe(&q(1), 321.5, 7.0);
         assert_eq!(on.estimate(&db, &sub), 7.0);
         assert_eq!(on.name(), "Feedback");
-        assert!(!on.is_oracle() && !on.supports_update() && !on.batch_leverage());
+        assert!(!on.is_oracle() && !on.batch_leverage());
     }
 }

@@ -233,29 +233,6 @@ pub struct RunOptions {
     pub resume: bool,
 }
 
-/// The effective per-estimate wall-clock budget once an end-to-end
-/// request deadline is in play: the tighter of the configured
-/// per-estimate `timeout` and the time remaining until `deadline` at
-/// `now`. With no deadline the configured budget passes through
-/// unchanged (so deadline-free runs stay bit-identical to the
-/// historical path); an already-expired deadline yields `Some(ZERO)` —
-/// every subsequent estimate times out instead of silently overrunning
-/// the request.
-pub fn deadline_budget(
-    timeout: Option<Duration>,
-    deadline: Option<Instant>,
-    now: Instant,
-) -> Option<Duration> {
-    let Some(deadline) = deadline else {
-        return timeout;
-    };
-    let remaining = deadline.saturating_duration_since(now);
-    Some(match timeout {
-        Some(budget) => budget.min(remaining),
-        None => remaining,
-    })
-}
-
 thread_local! {
     /// Set while this thread is inside a sandboxed estimate: the process
     /// panic hook stays quiet for expected (caught) estimator panics.
@@ -536,32 +513,6 @@ mod tests {
         assert_eq!(late.kind(), "deadline_exceeded");
         assert!(late.is_hard());
         assert_ne!(late, shorted);
-    }
-
-    #[test]
-    fn deadline_budget_takes_the_tighter_bound() {
-        let now = Instant::now();
-        let timeout = Some(Duration::from_millis(100));
-        // No deadline: the configured budget passes through untouched.
-        assert_eq!(deadline_budget(timeout, None, now), timeout);
-        assert_eq!(deadline_budget(None, None, now), None);
-        // A far deadline leaves the per-call budget in charge.
-        let far = now + Duration::from_secs(10);
-        assert_eq!(deadline_budget(timeout, Some(far), now), timeout);
-        // A near deadline tightens it.
-        let near = now + Duration::from_millis(7);
-        assert_eq!(
-            deadline_budget(timeout, Some(near), now),
-            Some(Duration::from_millis(7))
-        );
-        // No per-call budget: the deadline alone bounds the call.
-        assert_eq!(
-            deadline_budget(None, Some(near), now),
-            Some(Duration::from_millis(7))
-        );
-        // An expired deadline means a zero budget, not a free pass.
-        let past = now - Duration::from_millis(1);
-        assert_eq!(deadline_budget(None, Some(past), now), Some(Duration::ZERO));
     }
 
     /// Returns one value per sub-plan from a fixed list (cycling).

@@ -50,8 +50,7 @@ pub use config::{Bench, BenchConfig, EstimatorSettings};
 pub use endtoend::{estimate_all, plan_query_via, run_workload, MethodRun, PlannedQuery, QueryRun};
 pub use factory::{build_estimator, BuiltEstimator};
 pub use fault::{
-    deadline_budget, guarded_estimate, guarded_estimate_batch, EstFailure, EstimateError,
-    QueryFailure, RunOptions,
+    guarded_estimate, guarded_estimate_batch, EstFailure, EstimateError, QueryFailure, RunOptions,
 };
 pub use observations::{check_observations, render_checks, ObservationCheck};
 pub use update_exp::{run_update_experiment, UpdateResult, UpdateRow, UPDATABLE};

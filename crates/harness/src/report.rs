@@ -654,8 +654,14 @@ mod tests {
                 exec: Duration::from_millis(exec_ms * id as u64),
                 plan: Duration::from_micros(50),
                 subplans: 3,
-                p_error: 1.0 + id as f64 / 10.0,
-                q_errors: vec![1.0, 2.0 * id as f64],
+                // Errors depend on the method's execution time, neither
+                // linearly nor monotonically, so Table 7's correlations
+                // are neither 0 nor 1.
+                p_error: 1.0 + id as f64 * (exec_ms as f64).sqrt() / 10.0,
+                q_errors: vec![
+                    1.0 + (exec_ms % 3) as f64,
+                    2.0 * id as f64 * (exec_ms + 20 * (exec_ms % 2)) as f64,
+                ],
                 sub_est_cards: vec![100.0 * id as f64, 50.0],
                 sub_true_cards: vec![100.0 * id as f64, 100.0],
                 result_rows: 100 * id as u64,
@@ -695,14 +701,38 @@ mod tests {
         ]
     }
 
-    /// FNV digest of every run renderer's text over [`fake_runs`]: a
-    /// refactor of how a table computes its numbers must print the same
-    /// bytes.
+    /// A fixed Table 6 input: two measured updates and two typed skips.
+    fn fake_update_rows() -> Vec<crate::update_exp::UpdateRow> {
+        use crate::update_exp::{UpdateResult, UpdateRow};
+        let measured = |kind, update_us: u64, fresh_ms: u64, updated_ms: u64| UpdateRow {
+            kind,
+            outcome: Ok(UpdateResult {
+                update_time: Duration::from_micros(update_us),
+                e2e_fresh: Duration::from_millis(fresh_ms),
+                e2e_updated: Duration::from_millis(updated_ms),
+            }),
+        };
+        let skipped = |kind, reason: &str| UpdateRow {
+            kind,
+            outcome: Err(reason.to_string()),
+        };
+        vec![
+            skipped(EstimatorKind::Postgres, "rebuilds from data"),
+            measured(EstimatorKind::BayesCard, 850, 120, 131),
+            skipped(EstimatorKind::Mscn, "query-driven method retrains"),
+            measured(EstimatorKind::Sketch, 2_400_000, 95, 97),
+        ]
+    }
+
+    /// FNV digest of every run renderer's text over [`fake_runs`], and
+    /// of Table 6 over [`fake_update_rows`]: a refactor of how a table
+    /// computes its numbers must print the same bytes.
     #[test]
     fn renderer_output_is_pinned() {
         use cardbench_support::hash;
         let runs = fake_runs();
         let texts = [
+            crate::update_exp::table6(&fake_update_rows()),
             table3(&runs, &runs),
             table4(&runs),
             table4_qerrors(&runs),
@@ -715,7 +745,7 @@ mod tests {
         let digest = texts
             .iter()
             .fold(hash::OFFSET, |h, t| hash::bytes(h, t.as_bytes()));
-        assert_eq!(digest, 16974204525030512075, "{}", texts.concat());
+        assert_eq!(digest, 16527132550081657170, "{}", texts.concat());
     }
 
     #[test]

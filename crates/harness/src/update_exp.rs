@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 
 use cardbench_datagen::stats::{temporal_split, SPLIT_DAY};
 use cardbench_engine::{CostModel, Database, TrueCardService};
+use cardbench_estimators::lw::TrainingSet;
 use cardbench_estimators::{CardEst, EstimatorKind};
-use cardbench_storage::Catalog;
+use cardbench_storage::{Catalog, Table};
 use cardbench_workload::Workload;
 
 use crate::config::EstimatorSettings;
@@ -74,6 +75,25 @@ fn skip_reason(kind: EstimatorKind) -> String {
     }
 }
 
+/// The one timed update, behind Table 6 and `report update-scaling`:
+/// builds `kind` on `stale`, appends `inserts` and times
+/// [`CardEst::apply_inserts`]. Returns the estimator, database and time.
+pub fn timed_update(
+    kind: EstimatorKind,
+    stale: &Catalog,
+    inserts: &[Table],
+    train: &TrainingSet,
+    settings: &EstimatorSettings,
+) -> (Box<dyn CardEst>, Database, Duration) {
+    let mut db = Database::new(stale.clone());
+    let mut est = build_estimator(kind, &db, train, settings).est;
+    db.append_inserts(inserts)
+        .expect("the inserts share the stale catalog's schemas");
+    let t0 = Instant::now();
+    est.apply_inserts(&db, inserts);
+    (est, db, t0.elapsed())
+}
+
 /// Runs the full update experiment: returns one [`UpdateRow`] per
 /// evaluated kind — measured for [`UPDATABLE`] methods, skip-and-report
 /// for the rest. `full` is the STATS catalog the workload was built
@@ -88,55 +108,33 @@ pub fn run_update_experiment(
     let (stale_catalog, inserts) = temporal_split(full, SPLIT_DAY);
     let full_db = Database::new(full.clone());
     let truth = TrueCardService::new();
+    let opts = RunOptions::default();
     // Query-driven training set unused by the updatable (data-driven)
     // methods.
-    let empty_train = cardbench_estimators::lw::TrainingSet::default();
+    let empty_train = TrainingSet::default();
     let e2e = |db: &Database, est: &dyn CardEst| {
-        pass::e2e(&run_workload(
-            db,
-            wl,
-            est,
-            &truth,
-            cost,
-            &RunOptions::default(),
-        ))
+        pass::e2e(&run_workload(db, wl, est, &truth, cost, &opts))
     };
-
-    let mut results = Vec::new();
-    for kind in EstimatorKind::ALL {
-        if !UPDATABLE.contains(&kind) {
-            results.push(UpdateRow {
-                kind,
-                outcome: Err(skip_reason(kind)),
-            });
-            continue;
-        }
-        // Fresh model on the full data (the Table 3 number).
-        let fresh = build_estimator(kind, &full_db, &empty_train, settings);
-        let e2e_fresh = e2e(&full_db, fresh.est.as_ref());
-
-        // Stale model + inserts + update.
-        let stale_db = Database::new(stale_catalog.clone());
-        let mut stale = build_estimator(kind, &stale_db, &empty_train, settings).est;
-        let mut updated_db = stale_db;
-        updated_db
-            .append_inserts(&inserts)
-            .expect("temporal split halves share schemas");
-        let t0 = Instant::now();
-        stale.apply_inserts(&updated_db, &inserts);
-        let update_time = t0.elapsed();
-        let e2e_updated = e2e(&updated_db, stale.as_ref());
-
-        results.push(UpdateRow {
-            kind,
-            outcome: Ok(UpdateResult {
-                update_time,
-                e2e_fresh,
-                e2e_updated,
-            }),
-        });
-    }
-    results
+    EstimatorKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let outcome = if UPDATABLE.contains(&kind) {
+                // Fresh model on the full data (the Table 3 number).
+                let fresh = build_estimator(kind, &full_db, &empty_train, settings).est;
+                let e2e_fresh = e2e(&full_db, fresh.as_ref());
+                let (updated, db, update_time) =
+                    timed_update(kind, &stale_catalog, &inserts, &empty_train, settings);
+                Ok(UpdateResult {
+                    update_time,
+                    e2e_fresh,
+                    e2e_updated: e2e(&db, updated.as_ref()),
+                })
+            } else {
+                Err(skip_reason(kind))
+            };
+            UpdateRow { kind, outcome }
+        })
+        .collect()
 }
 
 /// Renders paper Table 6. Skipped kinds render `—` cells in the timing

@@ -16,6 +16,7 @@ use cardbench_engine::{
     optimize_topo, plan_cost, CardMap, CostModel, Database, JoinTopology, PhysicalPlan,
 };
 use cardbench_query::{BoundQuery, JoinQuery, TableMask};
+pub use cardbench_support::stats::pearson;
 
 /// Q-Error of one estimate: `max(est/true, true/est)` with both sides
 /// clamped to at least one row (PostgreSQL's clamp), so Q-Error ≥ 1.
@@ -205,33 +206,6 @@ pub fn percentile_triple(values: &[f64]) -> (f64, f64, f64) {
         percentile(values, 0.90),
         percentile(values, 0.99),
     )
-}
-
-/// Pearson correlation coefficient.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let nf = n as f64;
-    let mx = xs.iter().sum::<f64>() / nf;
-    let my = ys.iter().sum::<f64>() / nf;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
 }
 
 /// Spearman rank correlation (Pearson over ranks, mean rank for ties).

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use cardbench_engine::Database;
 use cardbench_estimators::CardEst;
-use cardbench_harness::{deadline_budget, estimate_all, guarded_estimate_batch, EstimateError};
+use cardbench_harness::{estimate_all, guarded_estimate_batch, EstimateError};
 use cardbench_obs::counter_add;
 use cardbench_query::{JoinQuery, SubPlanQuery};
 
@@ -604,7 +604,7 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
                 // deadline; a multi-job tick has no budget, so one tight
                 // deadline never perturbs other sessions' outcomes.
                 let timeout = match live[..] {
-                    [i] => deadline_budget(None, jobs[i].1, now),
+                    [i] => time_left(jobs[i].1, now),
                     _ => None,
                 };
                 let slices: Vec<&[SubPlanQuery]> = live.iter().map(|&i| jobs[i].0).collect();
@@ -642,6 +642,12 @@ pub(crate) fn run_tick(shared: &Shared, jobs: &[TickJob<'_>]) -> Vec<SlotResults
         out[i] = result;
     }
     out
+}
+
+/// The time left until `deadline` at `now`: zero once it has passed,
+/// so a late job's estimate times out instead of overrunning it.
+fn time_left(deadline: Option<Instant>, now: Instant) -> Option<Duration> {
+    deadline.map(|d| d.saturating_duration_since(now))
 }
 
 #[cfg(test)]
@@ -699,6 +705,17 @@ mod tests {
             ticket: 0,
         };
         (job, rx)
+    }
+
+    #[test]
+    fn a_lone_job_may_take_the_time_left_to_its_deadline() {
+        let now = Instant::now();
+        assert_eq!(time_left(None, now), None);
+        let near = now + Duration::from_millis(7);
+        assert_eq!(time_left(Some(near), now), Some(Duration::from_millis(7)));
+        // An expired deadline means a zero budget, not a free pass.
+        let past = now - Duration::from_millis(1);
+        assert_eq!(time_left(Some(past), now), Some(Duration::ZERO));
     }
 
     /// A session that vanishes with its job queued (its reply receiver

@@ -498,10 +498,6 @@ impl cardbench_estimators::CardEst for SketchEst {
         self.tables.iter().map(TableSketch::size_bytes).sum()
     }
 
-    fn supports_update(&self) -> bool {
-        true
-    }
-
     /// Streams inserted rows into the sketches — O(1) per row, no
     /// retrain pass. For pure inserts the refreshed state is
     /// bit-identical to a from-scratch rebuild on the union (the

@@ -18,6 +18,8 @@
 //!   keyed by small trusted values.
 //! - [`memo`]: a sharded concurrent memo (the `dashmap` role) for
 //!   shared derived data.
+//! - [`stats`]: sample statistics (Pearson correlation) shared by the
+//!   dataset profile and the evaluation metrics.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -27,3 +29,4 @@ pub mod memo;
 pub mod par;
 pub mod proptest;
 pub mod rand;
+pub mod stats;

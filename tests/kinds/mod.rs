@@ -10,10 +10,12 @@
 
 use cardbench::estimators::EstimatorKind::{self, *};
 
-/// What `apply_inserts` promises.
+/// What `apply_inserts` promises. This column is the one statement of
+/// which kinds update.
 #[derive(Clone, Copy, PartialEq)]
 pub enum Update {
-    /// `supports_update()` is false.
+    /// The kind does not update: `apply_inserts` leaves every answer
+    /// bit-identical.
     No,
     /// Deterministic, and bit for bit a refit on the union.
     Refit,
