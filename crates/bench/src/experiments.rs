@@ -52,7 +52,8 @@ fn median_q_error(
 }
 
 /// Ablation studies for the design choices DESIGN.md calls out, on a
-/// fixed small correlated STATS instance:
+/// small correlated STATS instance (scale and workload capped at 0.01 and
+/// 40 queries over 30 templates, so `CARDBENCH_FAST` shrinks it further):
 ///
 /// - A1: FSPN multi-leaves on/off (FLAT vs DeepDB structure) — accuracy
 ///   and model size on correlated data.
@@ -61,9 +62,9 @@ fn median_q_error(
 /// - A3: NeuroCard FOJ sample-size sweep — how much of its error is
 ///   sample starvation (paper O3).
 /// - A4: discretization budget sweep for BayesCard.
-pub fn ablation(_: &Eval) -> Result<(), String> {
+pub fn ablation(e: &Eval) -> Result<(), String> {
     let cfg = StatsConfig {
-        scale: 0.01,
+        scale: e.cfg.stats.scale.min(0.01),
         coupling: 0.8,
         ..StatsConfig::default()
     };
@@ -72,8 +73,8 @@ pub fn ablation(_: &Eval) -> Result<(), String> {
     let wl = stats_ceb(
         &db,
         &WorkloadConfig {
-            templates: 30,
-            queries: 40,
+            templates: e.cfg.stats_workload.templates.min(30),
+            queries: e.cfg.stats_workload.queries.min(40),
             ..WorkloadConfig::stats_ceb(17)
         },
     );
@@ -426,7 +427,7 @@ pub fn update_scaling(e: &Eval) -> Result<(), String> {
                 "{:<14} {batch:>10} {:>12.3?} {:>12.3?}",
                 kind.name(),
                 dt,
-                dt / (batch as u32 / 1000).max(1)
+                dt.mul_f64(1000.0 / batch.max(1) as f64)
             );
         }
         println!();

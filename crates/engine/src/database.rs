@@ -1,12 +1,11 @@
 //! A catalog wrapped with per-column sorted indexes and cached statistics.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cardbench_query::{BoundPredicate, BoundQuery, JoinQuery, Region};
 use cardbench_storage::{Catalog, ColumnStats, StorageError, Table, TableId};
-use cardbench_support::hash::{word, OFFSET};
+use cardbench_support::hash::{word, FnvHashMap, OFFSET};
 use cardbench_support::memo::Memo;
 
 use crate::topology::JoinTopology;
@@ -67,8 +66,14 @@ impl SortedIndex {
 }
 
 /// Per-join-key weight totals for one `(table, predicate set, join
-/// column)` triple, shared by reference between sub-plans.
-pub type KeyWeightAgg = Arc<HashMap<i64, f64>>;
+/// column)` triple, shared by reference between sub-plans: the message a
+/// leaf sends up in true-cardinality message passing. Read by
+/// [`crate::subplan_true_cards`] for every singleton child and by
+/// [`crate::exact_cardinality`] for every leaf without predicates. Keys
+/// hash with FNV (the map is probed once per parent row, and the keys
+/// are the database's own values); each key's weights are still summed
+/// in row order, so the hasher moves no total.
+pub type KeyWeightAgg = Arc<FnvHashMap<i64, f64>>;
 
 /// Total order on bound predicates: by column, then region (ranges before
 /// IN-lists, each by their values). Used to canonicalize predicate order
@@ -306,7 +311,7 @@ impl Database {
             .get_or_insert_with(agg_key(table, predicates, column), || {
                 let rows = self.filtered_rows(table, predicates);
                 let col = self.catalog.table(table).column(column);
-                let mut by_key: HashMap<i64, f64> = HashMap::new();
+                let mut by_key: FnvHashMap<i64, f64> = FnvHashMap::default();
                 for &r in rows.iter() {
                     if let Some(v) = col.get(r as usize) {
                         *by_key.entry(v).or_insert(0.0) += 1.0;

@@ -6,11 +6,11 @@
 //! baseline, Q-Error denominators, and P-Error's true-cardinality costing,
 //! exactly like the paper's pre-computed true cardinalities.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cardbench_query::{connected_subsets, BoundQuery, JoinQuery, SubPlanQuery, TableMask};
 use cardbench_storage::StorageError;
+use cardbench_support::hash::FnvHashMap;
 use cardbench_support::memo::Memo;
 
 use crate::database::{Database, KeyWeightAgg};
@@ -110,7 +110,22 @@ impl TrueCardService {
 }
 
 /// Computes the exact cardinality of an acyclic join query by bottom-up
-/// message passing over the join tree.
+/// message passing over the join tree rooted at position 0.
+///
+/// Each answer does only the work it needs, and gives the bits the full
+/// traversal would:
+///
+/// - A table whose filters match no row empties the join, so the
+///   traversal stops at the first one. If that table is the root, the
+///   full traversal would sum the root's weights over no rows, which is
+///   `−0.0` (the identity of a float sum); otherwise it sums zeros,
+///   `+0.0`.
+/// - A node whose weights all become zero empties every ancestor, so
+///   the traversal stops there too and answers `+0.0`.
+/// - A leaf without predicates weighs every row 1.0, so its key→weight
+///   message is the shared [`Database::key_weight_aggregate`] entry for
+///   its join column, not a map of its own: all the unfiltered
+///   instances of a schema share one map per `(table, column)`.
 pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, StorageError> {
     assert!(
         query.joins.is_empty() || query.is_acyclic(),
@@ -122,18 +137,26 @@ pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, Storag
     // Filtered row ids per table, via the database's memoized scans: a
     // table's filter repeats across every sub-plan that contains it, so
     // all but the first request per (table, predicates) are map lookups.
-    let filtered: Vec<Arc<Vec<u32>>> = bound
-        .tables
-        .iter()
-        .map(|t| db.filtered_rows(t.id, &t.predicates))
-        .collect();
-
     if n == 1 {
-        return Ok(filtered[0].len() as f64);
+        let bt = &bound.tables[0];
+        return Ok(db.filtered_rows(bt.id, &bt.predicates).len() as f64);
+    }
+    let mut filtered: Vec<Arc<Vec<u32>>> = Vec::with_capacity(n);
+    for (t, bt) in bound.tables.iter().enumerate() {
+        let rows = db.filtered_rows(bt.id, &bt.predicates);
+        if rows.is_empty() {
+            return Ok(if t == 0 {
+                std::iter::empty::<f64>().sum()
+            } else {
+                0.0
+            });
+        }
+        filtered.push(rows);
     }
 
     // Root the join tree at position 0 via BFS.
     let mut parent_edge: Vec<Option<usize>> = vec![None; n];
+    let mut is_leaf = vec![true; n];
     let mut order = vec![0usize];
     let mut seen = vec![false; n];
     seen[0] = true;
@@ -152,6 +175,7 @@ pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, Storag
             if !seen[other] {
                 seen[other] = true;
                 parent_edge[other] = Some(ei);
+                is_leaf[t] = false;
                 order.push(other);
             }
         }
@@ -159,8 +183,16 @@ pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, Storag
     debug_assert!(seen.iter().all(|&s| s), "query must be connected");
 
     // weights[t][i] = number of join combinations of t's subtree rooted at
-    // filtered row i.
-    let mut weights: Vec<Vec<f64>> = filtered.iter().map(|rows| vec![1.0; rows.len()]).collect();
+    // filtered row i; a leaf's are all 1.0 and never stored.
+    let mut weights: Vec<Vec<f64>> = (0..n)
+        .map(|t| {
+            if is_leaf[t] {
+                Vec::new()
+            } else {
+                vec![1.0; filtered[t].len()]
+            }
+        })
+        .collect();
     for &t in order.iter().rev() {
         let Some(ei) = parent_edge[t] else { continue };
         let e = &bound.joins[ei];
@@ -170,22 +202,34 @@ pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, Storag
             (e.left, e.right_col, e.left_col)
         };
         // Aggregate child weights by key.
-        let child_table = db.catalog().table(bound.tables[t].id);
-        let ccol = child_table.column(child_col);
-        let mut by_key: HashMap<i64, f64> = HashMap::with_capacity(filtered[t].len());
-        for (i, &r) in filtered[t].iter().enumerate() {
-            if let Some(v) = ccol.get(r as usize) {
-                *by_key.entry(v).or_insert(0.0) += weights[t][i];
+        let memo: KeyWeightAgg;
+        let own: FnvHashMap<i64, f64>;
+        let by_key = if is_leaf[t] && bound.tables[t].predicates.is_empty() {
+            memo = db.key_weight_aggregate(bound.tables[t].id, &[], child_col);
+            &*memo
+        } else {
+            let ccol = db.catalog().table(bound.tables[t].id).column(child_col);
+            let mut m = FnvHashMap::with_capacity_and_hasher(filtered[t].len(), Default::default());
+            for (i, &r) in filtered[t].iter().enumerate() {
+                if let Some(v) = ccol.get(r as usize) {
+                    *m.entry(v).or_insert(0.0) += if is_leaf[t] { 1.0 } else { weights[t][i] };
+                }
             }
-        }
-        let parent_table = db.catalog().table(bound.tables[p].id);
-        let pcol = parent_table.column(parent_col);
-        for (i, &r) in filtered[p].iter().enumerate() {
+            own = m;
+            &own
+        };
+        let pcol = db.catalog().table(bound.tables[p].id).column(parent_col);
+        let mut live = false;
+        for (w, &r) in weights[p].iter_mut().zip(filtered[p].iter()) {
             let m = pcol
                 .get(r as usize)
                 .and_then(|v| by_key.get(&v).copied())
                 .unwrap_or(0.0);
-            weights[p][i] *= m;
+            *w *= m;
+            live |= *w != 0.0;
+        }
+        if !live {
+            return Ok(0.0);
         }
     }
     Ok(weights[0].iter().sum())
@@ -213,7 +257,9 @@ pub fn exact_cardinality(db: &Database, query: &JoinQuery) -> Result<f64, Storag
 /// instead of `O(Σ rows)`, and cardinality is the sum of its top node's
 /// weight vector. All arithmetic is the same sums-of-products of exact
 /// integer counts as [`exact_cardinality`], so per-mask results agree
-/// bit-for-bit with it.
+/// bit-for-bit with it whenever every table has filtered rows. An empty
+/// top node sums to `−0.0` here, where [`exact_cardinality`] may answer
+/// `+0.0` (it counts a single table, and roots a join at position 0).
 pub fn subplan_true_cards(
     db: &Database,
     query: &JoinQuery,
@@ -304,8 +350,10 @@ pub fn subplan_true_cards(
                             child_col,
                         )
                     } else {
-                        let mut by_key: HashMap<i64, f64> =
-                            HashMap::with_capacity(filtered[c].len());
+                        let mut by_key: FnvHashMap<i64, f64> = FnvHashMap::with_capacity_and_hasher(
+                            filtered[c].len(),
+                            Default::default(),
+                        );
                         for (i, &r) in filtered[c].iter().enumerate() {
                             if let Some(v) = ccol.get(r as usize) {
                                 *by_key.entry(v).or_insert(0.0) += w[i];
@@ -463,6 +511,86 @@ mod tests {
         let exact = exact_cardinality(&db, &q).unwrap();
         assert_eq!(exact, brute(&db, &q));
         assert_eq!(exact, 1.0);
+    }
+
+    /// `a ⋈ b` with one predicate that matches nothing.
+    fn empty_side(table: usize, column: &str) -> JoinQuery {
+        JoinQuery {
+            tables: vec!["a".into(), "b".into()],
+            joins: vec![JoinEdge::new(0, "id", 1, "aid")],
+            predicates: vec![Predicate::new(table, column, Region::eq(99))],
+        }
+    }
+
+    #[test]
+    fn empty_root_table_sums_nothing() {
+        // The root's weights are a sum over no rows: −0.0, the identity
+        // of a float sum.
+        let db = db();
+        let q = empty_side(0, "x");
+        assert_eq!(
+            exact_cardinality(&db, &q).unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn empty_non_root_table_sums_zeros() {
+        let db = db();
+        let q = empty_side(1, "y");
+        assert_eq!(
+            exact_cardinality(&db, &q).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn middle_table_that_empties_its_parent_sums_zeros() {
+        // a ⋈ b ⋈ c rooted at a: every table has rows, but no b.y is a
+        // c.y, so b's weights all become zero before a sees them.
+        let mut cat = db().catalog().clone();
+        cat.add_table(
+            Table::from_columns(
+                TableSchema::new("c", vec![ColumnDef::new("y", ColumnKind::ForeignKey)]),
+                vec![Column::from_values(vec![30, 40])],
+            )
+            .unwrap(),
+        );
+        let db = Database::new(cat);
+        let q = JoinQuery {
+            tables: vec!["a".into(), "b".into(), "c".into()],
+            joins: vec![
+                JoinEdge::new(0, "id", 1, "aid"),
+                JoinEdge::new(1, "y", 2, "y"),
+            ],
+            predicates: vec![],
+        };
+        assert_eq!(
+            exact_cardinality(&db, &q).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(brute(&db, &q), 0.0);
+        assert_one_pass_matches(&db, &q);
+    }
+
+    #[test]
+    fn only_unfiltered_leaves_read_the_aggregate_memo() {
+        let db = db();
+        let mut q = JoinQuery {
+            tables: vec!["a".into(), "b".into()],
+            joins: vec![JoinEdge::new(0, "id", 1, "aid")],
+            predicates: vec![Predicate::new(0, "x", Region::le(2))],
+        };
+        assert_eq!(exact_cardinality(&db, &q).unwrap(), 3.0);
+        assert_eq!(exact_cardinality(&db, &q).unwrap(), 3.0);
+        assert_eq!(db.agg_cache_stats(), (1, 1), "leaf b's map is shared");
+        q.predicates.push(Predicate::new(1, "y", Region::eq(10)));
+        assert_eq!(exact_cardinality(&db, &q).unwrap(), 2.0);
+        assert_eq!(
+            db.agg_cache_stats(),
+            (1, 1),
+            "a filtered leaf builds its own"
+        );
     }
 
     #[test]

@@ -320,3 +320,43 @@ fn dataset_digests_match_goldens() {
         "a generated dataset moved"
     );
 }
+
+/// Every generated query and label at `BenchConfig::fast(9)`:
+/// `[STATS-CEB, JOB-LIGHT, STATS training, IMDB training]`, each a digest
+/// of `(canonical_hash, cardinality bits)` per query in generation order.
+/// The bits keep the sign of a zero label, which the learned fits read:
+/// two IMDB training labels are −0.0 (an empty root table).
+/// Debug and release builds agree.
+#[test]
+fn generated_workload_digests_match_goldens() {
+    use cardbench::harness::{Bench, BenchConfig};
+    fn digest<'a>(labelled: impl Iterator<Item = (&'a JoinQuery, f64)>) -> u64 {
+        let mut d = Digest::new();
+        for (q, card) in labelled {
+            d.word(q.canonical_hash());
+            d.word(card.to_bits());
+        }
+        d.0
+    }
+    let bench = Bench::build(BenchConfig::fast(9));
+    let workload = |wl: &Workload| digest(wl.queries.iter().map(|q| (&q.query, q.true_card)));
+    let training = |t: &cardbench::estimators::lw::TrainingSet| {
+        digest(t.queries.iter().zip(t.cards.iter().copied()))
+    };
+    let digests = [
+        workload(&bench.stats_wl),
+        workload(&bench.imdb_wl),
+        training(&bench.stats_train),
+        training(&bench.imdb_train),
+    ];
+    assert_eq!(
+        digests,
+        [
+            4972528236059578516,
+            13086643073881413550,
+            8588871062355200621,
+            18057190940538847371,
+        ],
+        "a generated query or label moved"
+    );
+}
